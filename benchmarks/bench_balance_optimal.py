@@ -13,9 +13,9 @@ import random
 
 import pytest
 
+import repro
 from repro.analysis import is_fully_pipelined
 from repro.compiler import balance_graph
-from repro.sim import run_graph
 from repro.workloads import random_layered_graph
 
 from _common import bench_once, extra, record_rows
@@ -54,7 +54,7 @@ def test_balance_cost_ordering_and_rate(benchmark):
     for method in costs:
         g = random_layered_graph(random.Random(7), n_layers=6, width=5)
         balance_graph(g, method=method)
-        res = run_graph(g, {"x": [1.0] * 120})
+        res = repro.run(g, {"x": [1.0] * 120}, backend="sync")
         iis[method] = res.initiation_interval()
         assert iis[method] == pytest.approx(2.0, abs=0.05)
 

@@ -11,8 +11,8 @@ table records the cycle-count overhead the recovery traffic adds.
 
 import pytest
 
+import repro
 from repro.faults import FaultPlan
-from repro.machine import run_machine
 from repro.workloads.figures import FIGURES
 
 from _common import bench_once, extra, record_rows
@@ -32,8 +32,10 @@ def _run_pair(figure):
     workload = FIGURES[figure]
     cp = workload.compile(m=M)
     inputs = workload.make_inputs(cp, seed=0)
-    clean_out, clean_stats, _ = run_machine(cp.graph, inputs)
-    out, stats, _ = run_machine(cp.graph, inputs, fault_plan=PLAN)
+    res = repro.run(cp.graph, inputs)
+    clean_out, clean_stats = res.outputs, res.stats
+    res = repro.run(cp.graph, inputs, faults=PLAN)
+    out, stats = res.outputs, res.stats
     assert out == clean_out, f"{figure}: outputs diverged under faults"
     return clean_stats, stats
 
@@ -74,13 +76,14 @@ def test_recovery_cost_scales_with_drop_rate(benchmark):
     workload = FIGURES["fig2"]
     cp = workload.compile(m=M)
     inputs = workload.make_inputs(cp, seed=0)
-    _, clean_stats, _ = run_machine(cp.graph, inputs)
+    clean_stats = repro.run(cp.graph, inputs).stats
 
     def sweep():
         rows = []
         for drop in (0.0, 0.02, 0.05, 0.10, 0.20):
             plan = FaultPlan(seed=7, drop_result=drop)
-            out, stats, _ = run_machine(cp.graph, inputs, fault_plan=plan)
+            res = repro.run(cp.graph, inputs, faults=plan)
+            out, stats = res.outputs, res.stats
             rows.append(
                 (
                     drop,

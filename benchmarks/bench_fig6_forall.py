@@ -23,7 +23,7 @@ M = 300
 def test_fig6_pipeline_scheme_full_rate(benchmark):
     cp = compile_program(EXAMPLE1_SOURCE, params={"m": M})
     res = bench_once(benchmark, cp.run, constant_inputs(cp))
-    ii = steady_ii(res.run.sink_records["A"].times)
+    ii = steady_ii(res.run.sink_times["A"])
     extra(benchmark, initiation_interval=ii, cells=cp.cell_count)
     assert ii == pytest.approx(2.0, abs=0.05)
 
@@ -36,7 +36,7 @@ def test_fig6_theorem2_holds_across_sizes(benchmark):
             cp = compile_program(EXAMPLE1_SOURCE, params={"m": m})
             res = cp.run(constant_inputs(cp))
             out.append((m, cp.cell_count,
-                        steady_ii(res.run.sink_records["A"].times)))
+                        steady_ii(res.run.sink_times["A"])))
         return out
 
     rows = bench_once(benchmark, sweep, rounds=1)

@@ -32,7 +32,7 @@ def _measure(distance: int):
         loop["length"],
         loop["tokens"],
         cp.cell_count,
-        steady_ii(res.run.sink_records["X"].times),
+        steady_ii(res.run.sink_times["X"]),
     )
 
 

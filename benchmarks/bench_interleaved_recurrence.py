@@ -10,13 +10,13 @@ latency; the companion scheme is the single-instance comparison point.
 
 import pytest
 
+import repro
 from repro.compiler import (
     ArraySpec,
     balance_graph,
     compile_foriter_interleaved,
     interleave,
 )
-from repro.sim import run_graph
 from repro.val import parse_program
 from repro.workloads import EXAMPLE2_SOURCE
 
@@ -34,9 +34,9 @@ def _run_batch(batch: int):
     balance_graph(art.graph)
     a = interleave([[1.0] * M] * batch)
     b = interleave([[0.5] * M] * batch)
-    res = run_graph(art.graph, {"A": a, "B": b})
-    rec = res.sink_records["X"]
-    return art, steady_ii(rec.times), rec.times[0]
+    res = repro.run(art.graph, {"A": a, "B": b}, backend="sync")
+    times = res.sink_times["X"]
+    return art, steady_ii(times), times[0]
 
 
 @pytest.mark.benchmark(group="interleave")

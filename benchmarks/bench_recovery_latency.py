@@ -21,7 +21,12 @@ import pytest
 
 from repro.checkpoint import CheckpointConfig
 from repro.faults import FaultPlan, ShardFault
-from repro.machine import MachineConfig, ShardedRunner, ShardRecoveryPolicy
+from repro.machine import (
+    MachineConfig,
+    RecoveryPolicy,
+    ShardConfig,
+    ShardedRunner,
+)
 from repro.workloads import figure_workload
 
 INTERVALS = [10, 25, 50, 100]
@@ -41,13 +46,15 @@ def _workload():
 def _run(graph, streams, tmp, interval, plan):
     start = time.perf_counter()
     runner = ShardedRunner(
-        graph, streams, shards=SHARDS,
-        config=MachineConfig.unit_time(),
+        graph, streams, config=MachineConfig.unit_time(),
         checkpoint=CheckpointConfig(
             tmp / f"snaps-{interval}", interval=interval, retain=3
         ),
-        fault_plan=plan, processes=True,
-        heal=ShardRecoveryPolicy(backoff_base=0.0, jitter=0.0),
+        fault_plan=plan,
+        shard_config=ShardConfig(
+            shards=SHARDS, processes=True,
+            recovery=RecoveryPolicy(backoff_base=0.0, jitter=0.0),
+        ),
     )
     stats = runner.run()
     elapsed = time.perf_counter() - start

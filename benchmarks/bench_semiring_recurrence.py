@@ -35,7 +35,7 @@ def _measure(scheme: str):
     cp = compile_program(ENVELOPE, params={"m": M}, foriter_scheme=scheme)
     res = cp.run({"A": [0.5] * M, "D": [0.1] * M})
     loop = cp.artifacts["E"].graph.meta["loop"]
-    return loop, steady_ii(res.run.sink_records["E"].times)
+    return loop, steady_ii(res.run.sink_times["E"])
 
 
 @pytest.mark.benchmark(group="semiring")

@@ -23,7 +23,8 @@ import time
 
 import pytest
 
-from repro.machine import Machine, MachineConfig, ShardConfig, run_sharded
+import repro
+from repro.machine import Machine, MachineConfig, ShardConfig
 from repro.workloads import figure_workload, parallel_chain_graph
 
 from _common import bench_once, extra, record_rows
@@ -65,11 +66,13 @@ def _reference(graph, streams):
 
 def _timed_sharded(graph, streams, k):
     start = time.perf_counter()
-    outputs, stats, _ = run_sharded(
-        graph, streams, shards=k,
-        config=MachineConfig.unit_time(), processes=(k > 1),
+    res = repro.run(
+        graph, streams, backend="sharded",
+        config=MachineConfig.unit_time(),
+        shard_config=ShardConfig(shards=k, processes=(k > 1)),
     )
     elapsed = time.perf_counter() - start
+    outputs, stats = res.outputs, res.stats
     elements = sum(len(v) for v in outputs.values())
     return outputs, stats, elements, elapsed
 
@@ -93,12 +96,12 @@ def test_sharded_scaling(benchmark, k):
 
 def _timed_chain(graph, k):
     start = time.perf_counter()
-    outputs, stats, runner = run_sharded(
-        graph, config=MachineConfig.unit_time(),
+    res = repro.run(
+        graph, backend="sharded", config=MachineConfig.unit_time(),
         shard_config=ShardConfig(shards=k, processes=False),
     )
     elapsed = time.perf_counter() - start
-    sinks = {s: runner.sink_arrival_times(s) for s in outputs}
+    outputs, sinks, stats = res.outputs, res.sink_times, res.stats
     elements = sum(len(v) for v in outputs.values())
     return outputs, sinks, stats, elements, elapsed
 

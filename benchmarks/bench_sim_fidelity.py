@@ -14,9 +14,9 @@ latencies and routing delays.  Rows:
 
 import pytest
 
+import repro
 from repro.compiler import compile_program
-from repro.machine import MachineConfig, run_machine
-from repro.sim import run_graph
+from repro.machine import MachineConfig
 from repro.workloads import EXAMPLE1_SOURCE, EXAMPLE2_SOURCE
 
 from _common import bench_once, constant_inputs, extra, record_rows
@@ -28,14 +28,15 @@ M = 80
 def test_unit_time_machine_matches_abstract_model(benchmark):
     cp = compile_program(EXAMPLE1_SOURCE, params={"m": M})
     inputs = constant_inputs(cp)
-    sync_res = run_graph(cp.graph, inputs)
+    sync_res = repro.run(cp.graph, inputs, backend="sync")
 
     def run():
-        return run_machine(cp.graph, inputs, config=MachineConfig.unit_time())
+        return repro.run(cp.graph, inputs, config=MachineConfig.unit_time())
 
-    outs, stats, machine = bench_once(benchmark, run)
+    res = bench_once(benchmark, run)
+    outs, stats, machine = res.outputs, res.stats, res.engine
     assert outs["A"] == sync_res.outputs["A"]
-    sync_times = sync_res.sink_records["A"].times
+    sync_times = sync_res.sink_times["A"]
     mach_times = machine.sink_arrival_times("A")
     offsets = {m - s for s, m in zip(sync_times, mach_times)}
     extra(benchmark, schedule_offsets=len(offsets))
@@ -53,9 +54,9 @@ def test_relative_shape_survives_real_latencies(benchmark):
                 EXAMPLE2_SOURCE, params={"m": M}, foriter_scheme=scheme
             )
             inputs = constant_inputs(cp, 0.5)
-            _, stats, _ = run_machine(
-                cp.graph, inputs, config=MachineConfig(n_pes=8, n_fus=8)
-            )
+            stats = repro.run(
+                cp.graph, inputs, config=MachineConfig(n_pes=8, n_fus=8),
+            ).stats
             out[scheme] = stats.cycles
         return out
 
@@ -88,11 +89,10 @@ def test_pe_dispatch_sweep(benchmark):
     def sweep():
         out = {}
         for n_pes in (1, 2, 4, 8):
-            _, stats, _ = run_machine(
-                cp.graph,
-                inputs,
+            stats = repro.run(
+                cp.graph, inputs,
                 config=MachineConfig(n_pes=n_pes, n_fus=8),
-            )
+            ).stats
             out[n_pes] = stats.cycles
         return out
 

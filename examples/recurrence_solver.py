@@ -19,6 +19,7 @@ Run:  python examples/recurrence_solver.py
 
 import math
 
+import repro
 from repro import compile_program
 from repro.compiler import (
     ArraySpec,
@@ -28,7 +29,6 @@ from repro.compiler import (
     extract_linear_form,
     interleave,
 )
-from repro.sim import run_graph
 from repro.val import classify_foriter, parse_program
 
 N_STEPS = 1200
@@ -104,8 +104,9 @@ def main() -> None:
         kj, fj = coefficients(N_STEPS, phase=0.4 * j)
         ks.append(kj)
         fs.append(fj)
-    res = run_graph(
-        art.graph, {"K": interleave(ks), "F": interleave(fs)}
+    res = repro.run(
+        art.graph, {"K": interleave(ks), "F": interleave(fs)},
+        backend="sync",
     )
     outs = deinterleave(res.outputs["X"], batch)
     worst = 0.0

@@ -23,15 +23,14 @@ satisfying :class:`BackendProtocol`, looked up in :data:`BACKENDS`;
 :func:`register_backend` lets external code plug in another engine
 (e.g. an accelerator bridge) without touching this module.
 
-The older entry points (:func:`repro.sim.run_graph`,
-:func:`repro.machine.run_machine`) still work but are deprecated thin
-wrappers over this facade's engines.
+:func:`run` and :func:`resume` are the only run/resume entry points;
+everything about a sharded run beyond its shard count is configured
+through one :class:`~repro.machine.ShardConfig`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Protocol, Union
 
@@ -64,6 +63,26 @@ class RunResult:
     #: backend-specific, for callers that need to dig deeper
     engine: Any = None
     shards: int = 1
+
+    @classmethod
+    def from_engine(cls, backend: str, engine: Any, stats: Any,
+                    shards: int = 1) -> "RunResult":
+        """The result of a finished machine-clock engine (a
+        :class:`~repro.machine.Machine` or
+        :class:`~repro.machine.ShardedRunner`) that ``run()`` returned
+        ``stats`` for."""
+        outputs = engine.outputs()
+        return cls(
+            backend=backend,
+            outputs=outputs,
+            sink_times={
+                s: list(engine.sink_arrival_times(s)) for s in outputs
+            },
+            cycles=stats.cycles,
+            stats=stats,
+            engine=engine,
+            shards=shards,
+        )
 
     def initiation_interval(self, stream: Optional[str] = None) -> float:
         """Steady-state clock ticks between successive outputs of
@@ -143,15 +162,12 @@ class RunRequest:
 
     graph: Any
     inputs: dict[str, list[Any]]
-    shards: int = 1
+    shards: Optional[int] = None        # None = not given
     config: Any = None                  # MachineConfig, machine backends
     faults: Any = None                  # FaultPlan
     recovery: bool = True
     checkpoint: Any = None              # CheckpointConfig
     max_cycles: Optional[int] = None
-    processes: Optional[bool] = None    # sharded: real workers or not
-    partition: str = "auto"             # sharded: partition scheme
-    heal: Any = None                    # sharded: self-healing policy
     shard_config: Any = None            # sharded: ShardConfig|dict|JSON
     workload_id: Optional[str] = None
     options: dict[str, Any] = field(default_factory=dict)
@@ -161,8 +177,8 @@ class RunRequest:
         dropping a fault plan or checkpoint config would let a caller
         believe a run was fault-injected or recoverable when it was
         neither.  A field is "set" when it differs from its dataclass
-        default, so e.g. ``processes=True`` is caught on non-sharded
-        backends while the default ``partition="auto"`` passes."""
+        default, so e.g. ``shard_config={}`` is caught on non-sharded
+        backends while the default ``recovery=True`` passes."""
         for name in names:
             if getattr(self, name) != _REQUEST_DEFAULTS[name]:
                 raise ReproError(
@@ -186,7 +202,12 @@ _REQUEST_DEFAULTS: dict[str, Any] = {
 
 
 class BackendProtocol(Protocol):
-    """An execution engine pluggable into :func:`run`."""
+    """An execution engine pluggable into :func:`run`.
+
+    A backend may declare ``options``, the extra keyword names it
+    consumes; :func:`run` then rejects every other ``**option`` before
+    ``execute`` is called.  A backend without the attribute receives
+    all of them and validates for itself."""
 
     name: str
 
@@ -199,19 +220,16 @@ class SyncBackend:
     """Unit-delay synchronous simulator (:mod:`repro.sim.sync`)."""
 
     name = "sync"
+    options = ("record_trace",)
 
     def execute(self, request: RunRequest) -> RunResult:
         from .sim.sync import SyncSimulator
 
         request.reject(
             self.name, "shards", "config", "faults", "checkpoint",
-            "processes", "partition", "heal", "shard_config",
+            "shard_config",
         )
-        sim = SyncSimulator(
-            request.graph, request.inputs,
-            **{k: request.options[k] for k in ("record_trace",)
-               if k in request.options},
-        )
+        sim = SyncSimulator(request.graph, request.inputs, **request.options)
         sim.run(max_steps=request.max_cycles or 1_000_000)
         records = {r.stream: r for r in sim.sink_records.values()}
         return RunResult(
@@ -228,14 +246,12 @@ class EventBackend:
     """Single-process event-driven machine (:mod:`repro.machine`)."""
 
     name = "event"
+    options = ("policy", "reliable", "trace")
 
     def execute(self, request: RunRequest) -> RunResult:
         from .machine.machine import Machine
 
-        request.reject(
-            self.name, "shards", "processes", "partition", "heal",
-            "shard_config",
-        )
+        request.reject(self.name, "shards", "shard_config")
         machine = Machine(
             request.graph,
             config=request.config,
@@ -243,53 +259,24 @@ class EventBackend:
             fault_plan=request.faults,
             recovery=request.recovery,
             checkpoint=request.checkpoint,
-            **{k: request.options[k]
-               for k in ("policy", "reliable", "trace")
-               if k in request.options},
+            **request.options,
         )
         if request.workload_id is not None:
             machine.workload_id = request.workload_id
         stats = machine.run(max_cycles=request.max_cycles or 50_000_000)
-        outputs = machine.outputs()
-        return RunResult(
-            backend=self.name,
-            outputs=outputs,
-            sink_times={
-                s: list(machine.sink_arrival_times(s)) for s in outputs
-            },
-            cycles=stats.cycles,
-            stats=stats,
-            engine=machine,
-        )
+        return RunResult.from_engine(self.name, machine, stats)
 
 
 class ShardedBackend:
     """Multi-process sharded machine (:mod:`repro.machine.sharded`)."""
 
     name = "sharded"
+    options = ("policy",)
 
     def execute(self, request: RunRequest) -> RunResult:
-        from .machine.shard_config import (
-            _SENTINEL,
-            ShardConfig,
-            merge_legacy,
-        )
+        from .machine.shard_config import ShardConfig
         from .machine.sharded import ShardedRunner
 
-        def legacy(name: str) -> Any:
-            # pass a legacy kwarg into the merge only when the caller
-            # actually set it (real-default comparison, same rule as
-            # RunRequest.reject)
-            value = getattr(request, name)
-            return value if value != _REQUEST_DEFAULTS[name] else _SENTINEL
-
-        sc = merge_legacy(
-            ShardConfig.coerce(request.shard_config),
-            shards=legacy("shards"),
-            partition=legacy("partition"),
-            processes=legacy("processes"),
-            heal=legacy("heal"),
-        )
         runner = ShardedRunner(
             request.graph,
             request.inputs,
@@ -298,23 +285,13 @@ class ShardedBackend:
             recovery=request.recovery,
             checkpoint=request.checkpoint,
             workload_id=request.workload_id,
-            shard_config=sc,
-            **{k: request.options[k] for k in ("policy",)
-               if k in request.options},
+            shard_config=ShardConfig.coerce(
+                request.shard_config, shards=request.shards
+            ),
+            **request.options,
         )
         stats = runner.run(max_cycles=request.max_cycles or 50_000_000)
-        outputs = runner.outputs()
-        return RunResult(
-            backend=self.name,
-            outputs=outputs,
-            sink_times={
-                s: list(runner.sink_arrival_times(s)) for s in outputs
-            },
-            cycles=stats.cycles,
-            stats=stats,
-            engine=runner,
-            shards=sc.shards,
-        )
+        return RunResult.from_engine(self.name, runner, stats, runner.shards)
 
 
 class CompiledBackend:
@@ -324,6 +301,7 @@ class CompiledBackend:
     counts and statistics."""
 
     name = "compiled"
+    options = ("policy",)
 
     def execute(self, request: RunRequest) -> RunResult:
         from .backends.compiled import CompiledBackend as _Turbo
@@ -373,16 +351,13 @@ def run(
     inputs: Optional[Mapping[str, Any]] = None,
     *,
     backend: str = "event",
-    shards: int = 1,
+    shards: Optional[int] = None,
     params: Optional[Mapping[str, int]] = None,
     config: Any = None,
     faults: Any = None,
     recovery: bool = True,
     checkpoint: Any = None,
     max_cycles: Optional[int] = None,
-    processes: Optional[bool] = None,
-    partition: str = "auto",
-    heal: Any = None,
     shard_config: Any = None,
     workload_id: Optional[str] = None,
     **options: Any,
@@ -396,19 +371,18 @@ def run(
         steady-state periods fast-forwarded; bit-identical to
         ``"event"``) -- or any name added via
         :func:`register_backend`.
+    ``shards``
+        Shard count of the sharded backend; exactly
+        ``ShardConfig.shards``.  ``None`` (the default) means "not
+        given": ``shard_config`` (or its default) decides.  Giving
+        both with different counts is an error.
     ``shard_config``
-        Consolidated sharded-backend configuration: a
+        Everything else about a sharded run: a
         :class:`~repro.machine.ShardConfig`, a plain dict, or a JSON
-        string.  Covers shard count, partition scheme, worker
-        processes, lockstep window mode, the warm worker pool, the
-        transport (:class:`~repro.machine.TransportConfig`) and the
-        self-healing :class:`~repro.machine.RecoveryPolicy`.
-    ``shards`` / ``processes`` / ``partition`` / ``heal``
-        Legacy sharded-backend knobs, kept as shims: each maps onto
-        the corresponding ``ShardConfig`` field and, when passed
-        explicitly, overrides it (``processes``, ``partition`` and
-        ``heal`` emit a :class:`DeprecationWarning`; prefer
-        ``shard_config``).  ``shards`` stays first-class.
+        string.  Covers partition scheme, worker processes, lockstep
+        window mode, the warm worker pool, the transport
+        (:class:`~repro.machine.TransportConfig`) and the self-healing
+        :class:`~repro.machine.RecoveryPolicy`.
     ``params``
         Compile-time constants, when ``program`` is Val source text.
     ``config`` / ``faults`` / ``recovery`` / ``checkpoint``
@@ -418,8 +392,8 @@ def run(
         CheckpointConfig` for periodic (sharded: coordinated)
         snapshots.
 
-    Unknown keyword options are passed through to the backend, which
-    rejects what it cannot honor.
+    Other keyword ``options`` go to the backend; a name the backend
+    does not declare (``BackendProtocol.options``) is an error.
     """
     try:
         engine = BACKENDS[backend]
@@ -428,25 +402,18 @@ def run(
             f"unknown backend {backend!r}; choose from "
             f"{sorted(BACKENDS)}"
         ) from None
-    if shards != 1 and backend != "sharded":
+    # a backend that declares no ``options`` validates its own
+    unknown = sorted(set(options) - set(getattr(engine, "options", options)))
+    if unknown:
+        raise ReproError(
+            f"backend {backend!r} does not accept option(s) "
+            + ", ".join(map(repr, unknown))
+            + f"; it accepts {sorted(engine.options)}"
+        )
+    if shards is not None and backend != "sharded":
         raise ReproError(
             f"shards={shards} needs backend='sharded', not {backend!r}"
         )
-    if shards < 1:
-        raise ReproError(f"shard count must be >= 1, got {shards}")
-    if backend == "sharded":
-        for name, value in (
-            ("processes", processes), ("partition", partition),
-            ("heal", heal),
-        ):
-            if value != _REQUEST_DEFAULTS[name]:
-                warnings.warn(
-                    f"run({name}=...) is deprecated; set "
-                    f"ShardConfig.{'recovery' if name == 'heal' else name}"
-                    " via shard_config= instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
     graph, streams = _normalize(program, inputs, params)
     request = RunRequest(
         graph=graph,
@@ -457,9 +424,6 @@ def run(
         recovery=recovery,
         checkpoint=checkpoint,
         max_cycles=max_cycles,
-        processes=processes,
-        partition=partition,
-        heal=heal,
         shard_config=shard_config,
         workload_id=workload_id,
         options=dict(options),
@@ -471,8 +435,6 @@ def resume(
     directory: Union[str, Any],
     *,
     max_cycles: int = 50_000_000,
-    allow_legacy: bool = False,
-    heal: Any = None,
     shard_config: Any = None,
 ) -> RunResult:
     """Resume a checkpointed run -- single-machine or sharded -- from
@@ -484,61 +446,26 @@ def resume(
     single-machine snapshot via :meth:`~repro.machine.Machine.resume`.
     ``shard_config`` tunes the resumed runner (window mode, transport,
     pool, recovery); its shard count is ignored -- the snapshot set
-    fixes K.  ``heal`` stays as a deprecated shim for
-    ``shard_config.recovery``.
+    fixes K.
     """
     from .checkpoint.coordinator import is_sharded_dir
     from .machine.machine import Machine
     from .machine.sharded import ShardedRunner
 
     if is_sharded_dir(directory):
-        if heal is not None:
-            warnings.warn(
-                "resume(heal=...) is deprecated; set "
-                "ShardConfig.recovery via shard_config= instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        runner = ShardedRunner.resume(
-            directory, allow_legacy=allow_legacy, heal=heal,
-            shard_config=shard_config,
-        )
+        runner = ShardedRunner.resume(directory, shard_config=shard_config)
         stats = runner.run(max_cycles=max_cycles)
-        outputs = runner.outputs()
-        return RunResult(
-            backend="sharded",
-            outputs=outputs,
-            sink_times={
-                s: list(runner.sink_arrival_times(s)) for s in outputs
-            },
-            cycles=stats.cycles,
-            stats=stats,
-            engine=runner,
-            shards=len(runner.machines),
-        )
-    if heal is not None:
-        raise ReproError(
-            "heal= applies only to sharded checkpoint directories; "
-            "single-machine runs are healed by 'repro supervise'"
+        return RunResult.from_engine(
+            "sharded", runner, stats, len(runner.machines)
         )
     if shard_config is not None:
         raise ReproError(
             "shard_config= applies only to sharded checkpoint "
             "directories"
         )
-    machine = Machine.resume(directory, allow_legacy=allow_legacy)
+    machine = Machine.resume(directory)
     stats = machine.run(max_cycles=max_cycles)
-    outputs = machine.outputs()
-    return RunResult(
-        backend="event",
-        outputs=outputs,
-        sink_times={
-            s: list(machine.sink_arrival_times(s)) for s in outputs
-        },
-        cycles=stats.cycles,
-        stats=stats,
-        engine=machine,
-    )
+    return RunResult.from_engine("event", machine, stats)
 
 
 def serve_client(address: str, *, timeout: float = 120.0):

@@ -55,7 +55,7 @@ from ..compiler.schedule import (
     StreamEvaluator,
     analyze_schedule,
 )
-from ..errors import ReproError, SimulationError
+from ..errors import SimulationError
 from ..graph.cell import Cell
 from ..machine.machine import Machine
 
@@ -434,38 +434,17 @@ class CompiledBackend:
         from ..api import RunResult
 
         request.reject(
-            self.name, "shards", "faults", "checkpoint",
-            "processes", "partition", "heal", "shard_config",
+            self.name, "shards", "faults", "checkpoint", "shard_config",
         )
-        unsupported = sorted(set(request.options) - {"policy"})
-        if unsupported:
-            raise ReproError(
-                f"backend {self.name!r} does not support option(s) "
-                + ", ".join(repr(o) for o in unsupported)
-            )
         machine = TurboMachine(
             request.graph,
             config=request.config,
             inputs=request.inputs,
             recovery=request.recovery,
-            **{
-                k: request.options[k]
-                for k in ("policy",)
-                if k in request.options
-            },
+            **request.options,
         )
         if request.workload_id is not None:
             machine.workload_id = request.workload_id
         stats = machine.run(max_cycles=request.max_cycles or 50_000_000)
         machine.finalize_values()
-        outputs = machine.outputs()
-        return RunResult(
-            backend=self.name,
-            outputs=outputs,
-            sink_times={
-                s: list(machine.sink_arrival_times(s)) for s in outputs
-            },
-            cycles=stats.cycles,
-            stats=stats,
-            engine=machine,
-        )
+        return RunResult.from_engine(self.name, machine, stats)

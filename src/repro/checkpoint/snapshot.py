@@ -39,11 +39,10 @@ crash.  Writes go to a temporary file in the target directory, are
 fsynced, and are published with an atomic ``os.replace`` -- a snapshot
 either exists completely or not at all.
 
-Format v1 files (the pre-v2 layout: one 52-byte header over an
-unrestricted pickle) still load behind an explicit
-``allow_legacy=True`` / ``--allow-v1`` opt-in, and
-:func:`migrate_snapshot` (CLI: ``repro snapshot migrate``) rewrites
-them to v2 in place with checksum verification on both sides.
+This build reads formats v2 and v3.  Format v1 files (the pre-v2
+layout: a 52-byte header over an unrestricted pickle) are recognised
+by their magic and refused by their version number, before any
+payload byte is decoded.
 
 **Format v3: delta snapshots.**  When delta mode is on
 (``CheckpointConfig.delta_every > 0``) periodic snapshots form
@@ -80,9 +79,6 @@ from ..errors import ChainBrokenError, SnapshotError
 
 MAGIC = b"RPROSNAP"
 FORMAT_VERSION = 2
-#: the pre-metadata, unrestricted-pickle format still readable behind
-#: ``allow_legacy=True``
-LEGACY_VERSION = 1
 #: delta snapshots: same header layout as v2, but the payload holds
 #: only the state sections that changed since the parent link
 DELTA_VERSION = 3
@@ -90,8 +86,8 @@ DELTA_VERSION = 3
 #: v2: magic(8s) + version(I) + meta len(Q) + meta sha256(32s)
 #:     + payload length(Q) + payload sha256(32s)
 _HEADER = struct.Struct(">8sIQ32sQ32s")
-#: v1: magic(8s) + version(I) + payload length(Q) + payload sha256(32s)
-_HEADER_V1 = struct.Struct(">8sIQ32s")
+#: magic(8s) + version(I): enough to name the format (or refuse it)
+_PREFIX = struct.Struct(">8sI")
 
 
 # ----------------------------------------------------------------------
@@ -320,23 +316,6 @@ def snapshot_bytes(
     return _pack_envelope(meta, payload)
 
 
-def _snapshot_bytes_v1(machine: Any, reason: str = "periodic") -> bytes:
-    """Serialize ``machine`` into the legacy v1 envelope.
-
-    Kept (private) so the migration fixtures and the v1-vs-v2 codec
-    benchmark can produce bit-faithful legacy files; nothing in the
-    write path uses it.
-    """
-    payload = pickle.dumps(
-        {"machine": machine, "cycle": machine.now, "reason": reason},
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    header = _HEADER_V1.pack(
-        MAGIC, LEGACY_VERSION, len(payload), hashlib.sha256(payload).digest()
-    )
-    return header + payload
-
-
 def save_snapshot(
     machine: Any,
     path: Union[str, Path],
@@ -364,43 +343,29 @@ def _read_raw(path: Path) -> bytes:
 
 def _split_envelope(path: Path, raw: bytes) -> tuple[int, bytes, bytes]:
     """Validate the envelope and return ``(version, meta_bytes,
-    payload)``; ``meta_bytes`` is empty for v1 files.
+    payload)``.
 
     Every check here runs before any JSON or pickle decoding: magic,
-    version, section lengths (no truncation, no trailing garbage) and
-    both SHA-256 checksums.
+    version (a v1 file stops here), section lengths (no truncation, no
+    trailing garbage) and both SHA-256 checksums.
     """
-    if len(raw) < _HEADER_V1.size:
+    if len(raw) < _PREFIX.size:
         raise SnapshotError(
             f"snapshot {path} is truncated: {len(raw)} bytes is shorter "
-            f"than the {_HEADER_V1.size}-byte header"
+            f"than the {_PREFIX.size}-byte magic and version"
         )
-    magic, version = struct.unpack_from(">8sI", raw)
+    magic, version = _PREFIX.unpack_from(raw)
     if magic != MAGIC:
         raise SnapshotError(f"{path} is not a repro snapshot (bad magic)")
-    if version == LEGACY_VERSION:
-        _, _, length, digest = _HEADER_V1.unpack_from(raw)
-        payload = raw[_HEADER_V1.size:]
-        if len(payload) != length:
-            raise SnapshotError(
-                f"snapshot {path} is truncated: header promises {length} "
-                f"payload bytes, file holds {len(payload)}"
-            )
-        if hashlib.sha256(payload).digest() != digest:
-            raise SnapshotError(
-                f"snapshot {path} failed its checksum: the file is corrupted"
-            )
-        return version, b"", payload
     if version not in (FORMAT_VERSION, DELTA_VERSION):
         raise SnapshotError(
             f"snapshot {path} has format version {version}; this build "
-            f"reads versions {LEGACY_VERSION}, {FORMAT_VERSION} and "
-            f"{DELTA_VERSION}"
+            f"reads versions {FORMAT_VERSION} and {DELTA_VERSION}"
         )
     if len(raw) < _HEADER.size:
         raise SnapshotError(
             f"snapshot {path} is truncated: {len(raw)} bytes is shorter "
-            f"than the {_HEADER.size}-byte v2 header"
+            f"than the {_HEADER.size}-byte header"
         )
     (_, _, meta_len, meta_digest, payload_len, payload_digest) = (
         _HEADER.unpack_from(raw)
@@ -444,46 +409,29 @@ def read_metadata(path: Union[str, Path]) -> dict[str, Any]:
     """Read a snapshot's self-describing metadata without deserializing
     any machine state.
 
-    For v2 files this returns the embedded JSON metadata section (with
-    ``"checksum": "ok"`` added -- both section checksums are verified
-    on the way).  For v1 files, which carry no metadata, it returns
-    what the envelope alone reveals plus a migration hint.  The
-    payload is never unpickled, so this is safe on untrusted files.
+    Returns the embedded JSON metadata section (with ``"checksum":
+    "ok"`` added -- both section checksums are verified on the way).
+    The payload is never unpickled, so this is safe on untrusted files.
     """
     path = Path(path)
     raw = _read_raw(path)
-    version, meta_bytes, payload = _split_envelope(path, raw)
-    if version == LEGACY_VERSION:
-        return {
-            "format": LEGACY_VERSION,
-            "payload_bytes": len(payload),
-            "checksum": "ok",
-            "hint": (
-                "legacy v1 snapshot (no metadata section, unrestricted "
-                "pickle); run `repro snapshot migrate` to rewrite it as "
-                "v2, or load it with --allow-v1 / allow_legacy=True"
-            ),
-        }
+    _version, meta_bytes, payload = _split_envelope(path, raw)
     meta = _decode_meta(path, meta_bytes)
     meta["payload_bytes"] = len(payload)
     meta["checksum"] = "ok"
     return meta
 
 
-def read_snapshot(
-    path: Union[str, Path], allow_legacy: bool = False
-) -> dict[str, Any]:
+def read_snapshot(path: Union[str, Path]) -> dict[str, Any]:
     """Validate and deserialize one snapshot file into its payload dict.
 
     Raises :class:`SnapshotError` for every damage mode: missing file,
     bad magic, unsupported format version, truncation, trailing
     garbage, checksum mismatch on either section, undecodable
     metadata, or a payload that references any global outside the
-    restricted-unpickler allowlist.  Legacy v1 files are refused
-    unless ``allow_legacy=True`` (they decode through the same
-    restricted unpickler).  The returned dict carries the payload
-    fields (``machine``, ``cycle``, ``reason``) plus the metadata
-    section under ``"meta"``.
+    restricted-unpickler allowlist.  The returned dict carries the
+    payload fields (``machine``, ``cycle``, ``reason``) plus the
+    metadata section under ``"meta"``.
     """
     path = Path(path)
     raw = _read_raw(path)
@@ -494,16 +442,7 @@ def read_snapshot(
             f"changed since its parent; load it through load_machine / "
             f"`repro resume`, which reconstructs it through its chain"
         )
-    if version == LEGACY_VERSION:
-        if not allow_legacy:
-            raise SnapshotError(
-                f"snapshot {path} uses legacy format v1; migrate it with "
-                f"`repro snapshot migrate {path}`, or opt in explicitly "
-                f"with --allow-v1 / allow_legacy=True"
-            )
-        meta: dict[str, Any] = {"format": LEGACY_VERSION}
-    else:
-        meta = _decode_meta(path, meta_bytes)
+    meta = _decode_meta(path, meta_bytes)
     data = _restricted_loads(payload, f"snapshot {path}")
     if not isinstance(data, dict) or "machine" not in data:
         raise SnapshotError(f"snapshot {path} has an unexpected payload")
@@ -511,54 +450,15 @@ def read_snapshot(
     return data
 
 
-def snapshot_cycle(
-    path: Union[str, Path], allow_legacy: bool = False
-) -> int:
-    """The cycle a snapshot was taken at.
-
-    Read from the v2 metadata section when available (no payload
-    deserialization); v1 files fall back to decoding the payload and
-    honour the same ``allow_legacy`` gate as :func:`read_snapshot`.
-    """
-    meta = read_metadata(path)
-    if "cycle" in meta:
-        return int(meta["cycle"])
-    return int(read_snapshot(path, allow_legacy=allow_legacy)["cycle"])
-
-
-def migrate_snapshot(path: Union[str, Path]) -> str:
-    """Rewrite a legacy v1 snapshot to format v2 in place.
-
-    The v1 payload checksum is verified before decoding (through the
-    restricted unpickler), the rewritten file is re-read and
-    re-verified end to end before the function returns, and the write
-    itself is atomic -- a crash mid-migration leaves the original
-    file untouched.  Returns ``"migrated"`` or ``"already-v2"``.
-    """
-    path = Path(path)
-    raw = _read_raw(path)
-    version, _, payload = _split_envelope(path, raw)
-    if version == DELTA_VERSION:
-        # a delta is not a rewrappable machine payload; collapsing its
-        # chain is a different operation with its own command
-        return "delta-skipped (collapse with `repro snapshot rebase`)"
-    if version == FORMAT_VERSION:
-        return "already-v2"
-    data = _restricted_loads(payload, f"snapshot {path}")
-    if not isinstance(data, dict) or "machine" not in data:
-        raise SnapshotError(f"snapshot {path} has an unexpected payload")
-    reason = str(data.get("reason", "migrated"))
-    meta = snapshot_metadata(data["machine"], reason)
-    # keep the original payload byte-for-byte: migration must not
-    # re-serialize state it merely re-wraps
-    _atomic_write(path, _pack_envelope(meta, payload))
-    check = read_snapshot(path)
-    if check["cycle"] != data.get("cycle") or check["reason"] != reason:
+def snapshot_cycle(path: Union[str, Path]) -> int:
+    """The cycle a snapshot was taken at, read from its metadata
+    section (no payload deserialization)."""
+    try:
+        return int(read_metadata(path)["cycle"])
+    except (KeyError, TypeError, ValueError):
         raise SnapshotError(
-            f"migration self-check failed for {path}: rewritten payload "
-            f"does not match the original"
-        )
-    return "migrated"
+            f"snapshot {path} metadata carries no usable cycle"
+        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -679,8 +579,8 @@ def verify_chain(path: Union[str, Path]) -> list[Path]:
     """
     path = Path(path)
     raw = _read_raw(path)
-    version, meta_bytes, _payload = _split_envelope(path, raw)
-    meta = _decode_meta(path, meta_bytes) if version != LEGACY_VERSION else {}
+    _version, meta_bytes, _payload = _split_envelope(path, raw)
+    meta = _decode_meta(path, meta_bytes)
     chain = [path]
     seen = {path.name}
     while meta.get("kind") == "delta":
@@ -718,7 +618,7 @@ def verify_chain(path: Union[str, Path]) -> list[Path]:
             )
         praw = _read_raw(parent)
         try:
-            pversion, pmeta_bytes, ppayload = _split_envelope(parent, praw)
+            _, pmeta_bytes, ppayload = _split_envelope(parent, praw)
         except SnapshotError as exc:
             raise ChainBrokenError(
                 f"delta snapshot {child} has a damaged ancestor: {exc}"
@@ -730,10 +630,7 @@ def verify_chain(path: Union[str, Path]) -> list[Path]:
                 f"differently: the parent was rewritten or the link was "
                 f"tampered with"
             )
-        pmeta = (
-            _decode_meta(parent, pmeta_bytes)
-            if pversion != LEGACY_VERSION else {}
-        )
+        pmeta = _decode_meta(parent, pmeta_bytes)
         pdepth = pmeta.get("chain_depth", 0)
         if isinstance(depth, int) and pdepth != depth - 1:
             raise ChainBrokenError(
@@ -822,7 +719,7 @@ def _read_delta(path: Path) -> tuple[dict[str, Any], dict[str, Any]]:
     return meta, body
 
 
-def _load_chain(path: Path, allow_legacy: bool = False) -> tuple[Any, Any]:
+def _load_chain(path: Path) -> tuple[Any, Any]:
     """Reconstruct ``(machine, extra)`` from a delta chain tip.
 
     The chain is fully verified (:func:`verify_chain`) before any
@@ -831,7 +728,7 @@ def _load_chain(path: Path, allow_legacy: bool = False) -> tuple[Any, Any]:
     state) comes from the newest link that carries one.
     """
     chain = verify_chain(path)
-    data = read_snapshot(chain[0], allow_legacy=allow_legacy)
+    data = read_snapshot(chain[0])
     machine = data["machine"]
     extra = data.get("extra")
     for link in chain[1:]:
@@ -968,15 +865,13 @@ def latest_snapshot(
 def load_machine(
     source: Union[str, Path],
     expected_cls: Optional[type] = None,
-    allow_legacy: bool = False,
     with_extra: bool = False,
 ) -> Any:
     """Load the machine held by a snapshot file or checkpoint directory.
 
     The deserialized event heap is checked against the machine's event
     vocabulary so a tampered payload cannot smuggle handler names in.
-    ``allow_legacy`` gates v1 files exactly as in
-    :func:`read_snapshot`.  A v3 delta file is reconstructed through
+    A v3 delta file is reconstructed through
     its verified parent chain (:func:`verify_chain` runs first, so a
     broken chain raises :class:`ChainBrokenError` before any payload
     is deserialized).  With ``with_extra=True`` the return value is
@@ -999,16 +894,15 @@ def load_machine(
         path = found
     raw = _read_raw(path)
     if (
-        len(raw) >= 12
-        and raw[:8] == MAGIC
-        and struct.unpack_from(">8sI", raw)[1] == DELTA_VERSION
+        len(raw) >= _PREFIX.size
+        and _PREFIX.unpack_from(raw) == (MAGIC, DELTA_VERSION)
     ):
-        machine, chain_extra = _load_chain(path, allow_legacy=allow_legacy)
+        machine, chain_extra = _load_chain(path)
         data = {"machine": machine}
         if chain_extra is not None:
             data["extra"] = chain_extra
     else:
-        data = read_snapshot(path, allow_legacy=allow_legacy)
+        data = read_snapshot(path)
         machine = data["machine"]
     if expected_cls is not None and not isinstance(machine, expected_cls):
         raise SnapshotError(

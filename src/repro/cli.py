@@ -15,7 +15,6 @@ programs from the shell.
     python -m repro replay ckpts
     python -m repro bisect ckpts --perturb-plan perturb.json
     python -m repro snapshot inspect ckpts/ckpt-000000005000.snap
-    python -m repro snapshot migrate old-ckpts/
     python -m repro supervise fig7 --dir ckpts --interval 5000
 
 ``run`` accepts ``--backend {sync,event,sharded,compiled}``;
@@ -66,7 +65,6 @@ from .checkpoint import (
     fsck_directory,
     is_sharded_dir,
     latest_coordinated,
-    migrate_snapshot,
     read_metadata,
     read_shard_manifest,
     rebase_snapshot,
@@ -87,15 +85,11 @@ from .graph.asm import read_asm, to_asm
 from .graph.dot import to_dot
 from .machine import (
     Machine,
+    RecoveryPolicy,
     ShardConfig,
     ShardCrashError,
     ShardedRunner,
-    ShardRecoveryPolicy,
-    TransportConfig,
 )
-from .machine.shard_config import merge_legacy as _merge_shard_legacy
-from .machine.machine import _run_machine
-from .sim.runner import _run_graph
 from .val import parse_program, run_program
 from .val.values import ValArray
 from .workloads.figures import FIGURES, figure_workload
@@ -157,35 +151,6 @@ def _emit_envelope(command: str, ok: bool, result: dict[str, Any]) -> None:
     sys.stdout.write("\n")
 
 
-def _machine_result(machine: Machine, stats: Any) -> api.RunResult:
-    outputs = machine.outputs()
-    return api.RunResult(
-        backend="event",
-        outputs=outputs,
-        sink_times={
-            s: list(machine.sink_arrival_times(s)) for s in outputs
-        },
-        cycles=stats.cycles,
-        stats=stats,
-        engine=machine,
-    )
-
-
-def _sharded_result(runner: ShardedRunner, stats: Any) -> api.RunResult:
-    outputs = runner.outputs()
-    return api.RunResult(
-        backend="sharded",
-        outputs=outputs,
-        sink_times={
-            s: list(runner.sink_arrival_times(s)) for s in outputs
-        },
-        cycles=stats.cycles,
-        stats=stats,
-        engine=runner,
-        shards=len(runner.machines),
-    )
-
-
 def _compile_opts(args: argparse.Namespace) -> dict[str, Any]:
     opts: dict[str, Any] = {
         "forall_scheme": args.forall_scheme,
@@ -217,14 +182,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.backend != "sharded" and getattr(args, "shard_config", None):
-        # mirror the facade: shard tuning on a non-sharded backend is
-        # a loud error, never a silent no-op
-        print(
-            f"error: --shard-config requires --backend sharded "
-            f"(got --backend {args.backend})",
-            file=sys.stderr,
-        )
+    if not _shard_flags_fit(args):
         return 1
     source = open(args.program, "r", encoding="utf-8").read()
     cp = compile_program(
@@ -248,24 +206,15 @@ def cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return 0
-    if args.backend == "sharded":
-        # --shards overrides --shard-config JSON only when given
-        # explicitly (its default 1 would otherwise mask the JSON)
-        raw = getattr(args, "shard_config", None)
-        shards = args.shards if (args.shards != 1 or not raw) else None
-        result = api.run(
-            cp,
-            _load_inputs(args.inputs),
-            backend="sharded",
-            shard_config=_shard_config_from_args(args, shards=shards),
-        )
-    else:
-        result = api.run(
-            cp,
-            _load_inputs(args.inputs),
-            backend=args.backend,
-            shards=args.shards,
-        )
+    result = api.run(
+        cp,
+        _load_inputs(args.inputs),
+        backend=args.backend,
+        shard_config=(
+            _shard_config_from_args(args)
+            if args.backend == "sharded" else None
+        ),
+    )
     if args.json:
         _emit_envelope("run", True, result.to_json_dict())
         return 0
@@ -300,8 +249,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # raw machine graphs take plain streams; drop any lower-bound
         # annotation from the JSON form
         streams[name] = list(value[1]) if isinstance(value, tuple) else value
-    res = _run_graph(g, streams)
-    _emit_outputs(res.outputs)
+    _emit_outputs(api.run(g, streams, backend="sync").outputs)
     return 0
 
 
@@ -338,23 +286,21 @@ def cmd_faults(args: argparse.Namespace) -> int:
     inputs = workload.make_inputs(program, seed=args.input_seed)
     plan = _build_fault_plan(args)
 
-    clean_out, clean_stats, _ = _run_machine(program.graph, inputs)
+    clean = api.run(program, inputs)
     print(
-        f"# {args.workload}: fault-free run took {clean_stats.cycles} cycles",
+        f"# {args.workload}: fault-free run took {clean.cycles} cycles",
         file=sys.stderr,
     )
     print(f"# plan: {plan.describe()}", file=sys.stderr)
     try:
-        out, stats, _ = _run_machine(
-            program.graph,
-            inputs,
-            fault_plan=plan,
-            recovery=not args.no_recovery,
+        faulty = api.run(
+            program, inputs, faults=plan, recovery=not args.no_recovery
         )
     except DeadlockError as exc:
         print(f"stalled: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILED
-    ok = out == clean_out
+    out, stats = faulty.outputs, faulty.stats
+    ok = out == clean.outputs
     print(f"# faulty run took {stats.cycles} cycles", file=sys.stderr)
     if stats.reliability is not None:
         print(f"# {stats.reliability.summary()}", file=sys.stderr)
@@ -410,7 +356,8 @@ def _finish_run(machine: Machine, max_cycles: int,
         print(f"# {stats.checkpoints.summary()}", file=sys.stderr)
     if command is not None:
         _emit_envelope(
-            command, True, _machine_result(machine, stats).to_json_dict()
+            command, True,
+            api.RunResult.from_engine("event", machine, stats).to_json_dict(),
         )
     else:
         _emit_outputs(machine.outputs())
@@ -441,49 +388,45 @@ def _finish_sharded(runner: ShardedRunner, max_cycles: int,
         print(f"# {stats.recovery.summary()}", file=sys.stderr)
     if command is not None:
         _emit_envelope(
-            command, True, _sharded_result(runner, stats).to_json_dict()
+            command, True,
+            api.RunResult.from_engine(
+                "sharded", runner, stats, len(runner.machines)
+            ).to_json_dict(),
         )
     else:
         _emit_outputs(runner.outputs())
     return 0
 
 
-def _heal_from_args(args: argparse.Namespace):
-    """Resolve the sharded backend's ``heal`` argument from the CLI:
-    ``None`` (auto-enable with processes + checkpoints), ``False``
-    (``--no-self-heal``), or a tuned :class:`ShardRecoveryPolicy`."""
-    if getattr(args, "no_self_heal", False):
-        return False
-    tuned = {
-        key: value
-        for key, value in (
-            ("deadline", getattr(args, "heal_deadline", None)),
-            ("max_restarts", getattr(args, "heal_max_restarts", None)),
-        )
-        if value is not None
-    }
-    if getattr(args, "degrade", False):
-        tuned["degrade"] = True
-    if not tuned:
-        return None
-    return ShardRecoveryPolicy(**tuned)
+def _shard_flags_fit(args: argparse.Namespace) -> bool:
+    """Mirror the facade: shard flags on a non-sharded backend are a
+    loud error, never a silent no-op."""
+    if args.backend == "sharded":
+        return True
+    for flag in ("shard_config", "shards"):
+        if getattr(args, flag, None) is not None:
+            print(
+                f"error: --{flag.replace('_', '-')} requires --backend "
+                f"sharded (got --backend {args.backend})",
+                file=sys.stderr,
+            )
+            return False
+    return True
 
 
-def _shard_config_from_args(
-    args: argparse.Namespace, *, shards: Optional[int] = None
-) -> ShardConfig:
-    """Build the consolidated :class:`ShardConfig` for a sharded CLI
-    run: start from ``--shard-config`` JSON (when given), then let the
-    individual flags (``--shards``, ``--window``, ``--max-window``,
-    ``--no-warm-pool``, ``--transport`` and the heal flags) override
-    the corresponding fields."""
+def _shard_config_from_args(args: argparse.Namespace) -> ShardConfig:
+    """Build the :class:`ShardConfig` for a sharded CLI run: start
+    from ``--shard-config`` JSON (when given; ``--shards`` must agree
+    with a count named there), then let the individual flags
+    (``--window``, ``--max-window``, ``--no-warm-pool``,
+    ``--transport`` and the heal flags) override their fields."""
     import dataclasses
 
-    raw = getattr(args, "shard_config", None)
-    sc = ShardConfig.from_json(raw) if raw else ShardConfig()
+    sc = ShardConfig.coerce(
+        getattr(args, "shard_config", None) or {},
+        shards=getattr(args, "shards", None),
+    )
     updates: dict[str, Any] = {}
-    if shards is not None:
-        updates["shards"] = shards
     if getattr(args, "window", None):
         updates["window"] = args.window
     if getattr(args, "max_window", None) is not None:
@@ -494,12 +437,25 @@ def _shard_config_from_args(
         updates["transport"] = dataclasses.replace(
             sc.transport, kind=args.transport
         )
-    if updates:
-        sc = dataclasses.replace(sc, **updates)
-    heal = _heal_from_args(args)
-    if heal is not None:
-        sc = _merge_shard_legacy(sc, heal=heal)
-    return sc.validate()
+    # a tuned heal flag forces healing on, --no-self-heal forces it off
+    heal: dict[str, Any] = {
+        name: value
+        for name, value in (
+            ("deadline", getattr(args, "heal_deadline", None)),
+            ("max_restarts", getattr(args, "heal_max_restarts", None)),
+            ("degrade", getattr(args, "degrade", False) or None),
+        )
+        if value is not None
+    }
+    if getattr(args, "no_self_heal", False):
+        heal = {"enabled": False}
+    elif heal:
+        heal["enabled"] = True
+    if heal:
+        updates["recovery"] = dataclasses.replace(
+            sc.recovery or RecoveryPolicy(), **heal
+        )
+    return dataclasses.replace(sc, **updates).validate()
 
 
 def _keyed(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
@@ -516,12 +472,7 @@ def _keyed(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
 
 
 def cmd_checkpoint(args: argparse.Namespace) -> int:
-    if args.backend != "sharded" and getattr(args, "shard_config", None):
-        print(
-            f"error: --shard-config requires --backend sharded "
-            f"(got --backend {args.backend})",
-            file=sys.stderr,
-        )
+    if not _shard_flags_fit(args):
         return 1
     workload = figure_workload(args.workload)
     program = workload.compile(m=args.size)
@@ -539,12 +490,10 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
     command = "checkpoint" if args.json else None
     if args.backend == "sharded":
         plan = _keyed(plan)
-        raw = getattr(args, "shard_config", None)
-        shards = args.shards if (args.shards != 2 or not raw) else None
         runner = ShardedRunner(
             program.graph, inputs, fault_plan=plan,
             checkpoint=cfg, workload_id=workload_id,
-            shard_config=_shard_config_from_args(args, shards=shards),
+            shard_config=_shard_config_from_args(args),
         )
         if plan is not None:
             print(f"# plan: {plan.describe()}", file=sys.stderr)
@@ -580,8 +529,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
     if target.is_dir() and is_sharded_dir(target):
         try:
             runner = ShardedRunner.resume(
-                target, allow_legacy=args.allow_v1,
-                shard_config=_shard_config_from_args(args),
+                target, shard_config=_shard_config_from_args(args),
             )
         except SnapshotError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -605,7 +553,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
         )
         return 1
     try:
-        machine = Machine.resume(args.snapshot, allow_legacy=args.allow_v1)
+        machine = Machine.resume(args.snapshot)
     except SnapshotError as exc:
         # dedicated exit code: only a snapshot that cannot even be
         # loaded may be quarantined by the supervisor; errors after a
@@ -636,12 +584,6 @@ def cmd_snapshot_inspect(args: argparse.Namespace) -> int:
             meta["chain_error"] = status["error"]
     json.dump(meta, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
-    if meta.get("format") == 1:
-        print(
-            f"# legacy v1 snapshot; migrate with: "
-            f"python -m repro snapshot migrate {args.file}",
-            file=sys.stderr,
-        )
     if meta.get("kind") == "delta":
         status = meta["chain_status"]
         note = (
@@ -688,31 +630,6 @@ def _coordinated_status(path: Path) -> str:
                 return "complete"
             return "incomplete"
     return "partial"
-
-
-def cmd_snapshot_migrate(args: argparse.Namespace) -> int:
-    path = Path(args.target)
-    files = sorted(path.glob("*.snap")) if path.is_dir() else [path]
-    if not files:
-        print(f"error: no *.snap files in {path}", file=sys.stderr)
-        return 1
-    migrated = failed = 0
-    for snap in files:
-        try:
-            outcome = migrate_snapshot(snap)
-        except SnapshotError as exc:
-            # one corrupt file must not strand the rest of the batch
-            print(f"{snap}: error: {exc}", file=sys.stderr)
-            failed += 1
-            continue
-        print(f"{snap}: {outcome}", file=sys.stderr)
-        migrated += outcome == "migrated"
-    print(
-        f"# migrated {migrated} of {len(files)} snapshot(s)"
-        + (f", {failed} failed" if failed else ""),
-        file=sys.stderr,
-    )
-    return 1 if failed else 0
 
 
 def cmd_snapshot_fsck(args: argparse.Namespace) -> int:
@@ -1075,7 +992,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "as a JSON object (ShardConfig schema: shards, "
                        "partition, processes, window, max_window, pool, "
                        "transport {kind, ring_slots}, recovery, ...); "
-                       "individual flags override its fields")
+                       "the tuning flags override its fields, --shards "
+                       "must agree with its count")
         p.add_argument("--window", choices=["adaptive", "fixed"],
                        default=None,
                        help="lockstep horizon mode: 'adaptive' batches "
@@ -1108,8 +1026,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "shards in separate processes, or the compiled "
                    "steady-state machine (bit-identical to event, "
                    "fast-forwards periodic steady state)")
-    p.add_argument("--shards", type=int, default=1, metavar="K",
-                   help="worker count for --backend sharded")
+    p.add_argument("--shards", type=int, default=None, metavar="K",
+                   help="worker count for --backend sharded (default 2)")
     shard_tuning_args(p)
     p.add_argument("--json", action="store_true",
                    help="print the stable JSON result envelope to "
@@ -1214,7 +1132,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["event", "sharded"],
                    help="single event-driven machine (default) or K "
                    "shards with coordinated Chandy-Lamport snapshots")
-    p.add_argument("--shards", type=int, default=2, metavar="K",
+    p.add_argument("--shards", type=int, default=None, metavar="K",
                    help="worker count for --backend sharded (default 2)")
     p.add_argument("--max-cycles", type=int, default=50_000_000)
     p.add_argument("--crash-at", type=int, default=None, metavar="CYCLE",
@@ -1239,10 +1157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("snapshot", help="snapshot file or checkpoint directory "
                    "(single-machine or sharded; auto-detected)")
     p.add_argument("--max-cycles", type=int, default=50_000_000)
-    p.add_argument("--allow-v1", action="store_true",
-                   help="opt in to loading legacy format-v1 snapshots "
-                   "(unrestricted-pickle era files; prefer "
-                   "`repro snapshot migrate`)")
     p.add_argument("--crash-at", type=int, default=None, metavar="CYCLE",
                    help="hard-kill the process (exit 137) once simulated "
                    "time reaches CYCLE; used to exercise crash recovery")
@@ -1258,7 +1172,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "snapshot",
-        help="inspect or migrate snapshot files without running anything",
+        help="inspect, check or rebase snapshot files without running "
+        "anything",
     )
     snap_sub = p.add_subparsers(dest="snapshot_command", required=True)
     sp = snap_sub.add_parser(
@@ -1269,13 +1184,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("file", help="snapshot file")
     sp.set_defaults(fn=cmd_snapshot_inspect)
-    sp = snap_sub.add_parser(
-        "migrate",
-        help="rewrite legacy v1 snapshots to format v2 in place "
-        "(checksum-verified on both sides)",
-    )
-    sp.add_argument("target", help="snapshot file or directory of *.snap")
-    sp.set_defaults(fn=cmd_snapshot_migrate)
     sp = snap_sub.add_parser(
         "fsck",
         help="walk every snapshot chain (and coordinated set) in a "

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Union
 
+from ..api import RunResult, run as _run
 from ..errors import CompileError
 from ..graph.graph import DataflowGraph
 from ..graph.validate import validate
-from ..sim.runner import RunResult, _run_graph
 from ..val.ast_nodes import Program
 from ..val.parser import parse_program
 from ..val.typecheck import check_program
@@ -108,8 +108,7 @@ class CompiledProgram:
         max_steps: int = 10_000_000,
     ) -> ProgramResult:
         """Simulate on the unit-delay machine and collect the outputs."""
-        streams = self.prepare_inputs(inputs or {})
-        rr = _run_graph(self.graph, streams, max_steps=max_steps)
+        rr = _run(self, inputs, backend="sync", max_cycles=max_steps)
         outputs = {}
         for name, (lo, _hi) in self.output_specs.items():
             outputs[name] = ValArray(lo, tuple(rr.outputs[name]))

@@ -1,22 +1,17 @@
 """Validated configuration objects for the sharded backend.
 
-The sharded runner grew a sprawl of keyword arguments (``shards``,
-``partition``, ``processes``, ``heal``, ``--heal-deadline``,
-``--crash-shard``, ...) spread across the facade, the CLI and
-:class:`~repro.machine.sharded.ShardedRunner`.  This module
-consolidates them into one validated :class:`ShardConfig` dataclass
-with two nested policies:
+One :class:`ShardConfig` dataclass holds everything about a sharded
+run -- the facade, the CLI and
+:class:`~repro.machine.sharded.ShardedRunner` all take it and nothing
+else -- with two nested policies:
 
-* :class:`RecoveryPolicy` -- the self-healing knobs (a subclass of
-  the runner's :class:`ShardRecoveryPolicy` plus an ``enabled``
-  tri-state so "auto / force on / force off" fits in one object);
+* :class:`RecoveryPolicy` -- the self-healing knobs plus an
+  ``enabled`` switch ("auto / force on / force off");
 * :class:`TransportConfig` -- how cut packets travel between the
   coordinator and the workers (shared-memory rings vs. pipes).
 
-The legacy kwargs keep working (the facade maps them onto a
-``ShardConfig`` and emits :class:`DeprecationWarning`), so existing
-call sites migrate at their own pace.  ``ShardConfig.from_json``
-accepts the CLI's ``--shard-config`` JSON document.
+``ShardConfig.from_json`` accepts the CLI's ``--shard-config`` JSON
+document.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Optional, Union
 
 from ..errors import SimulationError
@@ -32,13 +27,12 @@ from ..errors import SimulationError
 __all__ = [
     "RecoveryPolicy",
     "ShardConfig",
-    "ShardRecoveryPolicy",
     "TransportConfig",
 ]
 
 
 @dataclass
-class ShardRecoveryPolicy:
+class RecoveryPolicy:
     """Knobs of the in-process self-healing loop.
 
     Mirrors the supervisor's escalation policy one level down: per
@@ -68,6 +62,9 @@ class ShardRecoveryPolicy:
     degrade: bool = False
     #: injectable for tests; the backoff delays go through this
     sleep: Callable[[float], None] = time.sleep
+    #: ``None`` heals whenever the run has worker processes *and*
+    #: coordinated checkpoints; ``True`` / ``False`` force it
+    enabled: Optional[bool] = None
 
     def backoff(self, attempt: int, rng: random.Random) -> float:
         """Delay before restart ``attempt`` (1-based), jittered."""
@@ -78,20 +75,6 @@ class ShardRecoveryPolicy:
         if self.jitter:
             delay *= 1.0 + rng.uniform(-self.jitter, self.jitter)
         return max(0.0, delay)
-
-
-@dataclass
-class RecoveryPolicy(ShardRecoveryPolicy):
-    """:class:`ShardRecoveryPolicy` plus an ``enabled`` tri-state.
-
-    ``enabled=None`` keeps the runner's auto rule (heal whenever there
-    are worker processes *and* coordinated checkpoints); ``True`` and
-    ``False`` force it either way.  This lets one nested object inside
-    :class:`ShardConfig` express everything the legacy ``heal=``
-    kwarg could.
-    """
-
-    enabled: Optional[bool] = None
 
     def validate(self) -> None:
         if self.deadline <= 0:
@@ -155,9 +138,8 @@ _PARTITION_SCHEMES = ("auto", "levels", "round_robin")
 class ShardConfig:
     """Everything the sharded backend needs, in one validated object.
 
-    Replaces the legacy kwarg sprawl on ``repro.run`` /
-    ``repro.resume`` / the CLI.  Construct directly, from a dict, or
-    from the CLI's ``--shard-config`` JSON via :meth:`from_json`.
+    Construct directly, from a dict, or from the CLI's
+    ``--shard-config`` JSON via :meth:`from_json`.
     """
 
     #: number of shards (K)
@@ -221,19 +203,6 @@ class ShardConfig:
         return self
 
     # ------------------------------------------------------------------
-    def heal_value(self) -> Union[None, bool, ShardRecoveryPolicy]:
-        """Map the nested recovery policy onto the runner's ``heal``
-        tri-state: None = auto, False = off, policy object = tuned."""
-        rec = self.recovery
-        if rec is None:
-            return None
-        if rec.enabled is False:
-            return False
-        if rec.enabled is None and rec == RecoveryPolicy():
-            return None
-        return rec
-
-    # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready dict (drops the non-serializable sleep hook)."""
         out = asdict(self)
@@ -246,16 +215,11 @@ class ShardConfig:
         """Build from a JSON document / dict; unknown keys are errors
         so a typoed knob never silently does nothing."""
         if isinstance(doc, str):
-            try:
-                doc = json.loads(doc)
-            except json.JSONDecodeError as exc:
-                raise SimulationError(
-                    f"invalid --shard-config JSON: {exc}"
-                ) from None
+            doc = _json_object(doc)
         if not isinstance(doc, dict):
             raise SimulationError(
-                "shard config must be a JSON object, "
-                f"got {type(doc).__name__}"
+                "shard config must be a ShardConfig, a JSON object or "
+                f"its text, got {type(doc).__name__}"
             )
         doc = dict(doc)
         known = {f.name for f in fields(cls)}
@@ -287,35 +251,48 @@ class ShardConfig:
 
     @classmethod
     def coerce(
-        cls, value: Union[None, "ShardConfig", dict, str]
+        cls,
+        value: Union[None, "ShardConfig", dict, str],
+        shards: Optional[int] = None,
     ) -> Optional["ShardConfig"]:
-        """Accept a ShardConfig, a dict, or a JSON string."""
-        if value is None:
+        """Accept a ShardConfig, a dict, or a JSON string (None stays
+        None unless ``shards`` is given).
+
+        ``shards`` is a count the caller was given separately (the
+        facade's ``shards=``, the CLI's ``--shards``): it fills in when
+        ``value`` names none, and must agree when it does (a
+        ShardConfig object always names one)."""
+        if value is None and shards is None:
             return None
-        if isinstance(value, cls):
-            return value.validate()
-        if isinstance(value, (dict, str)):
-            return cls.from_json(value)
+        if isinstance(value, str):
+            value = _json_object(value)
+        if shards is not None and (value is None or isinstance(value, dict)):
+            value = {"shards": shards, **(value or {})}
+        if not isinstance(value, cls):
+            value = cls.from_json(value)
+        if shards is not None and shards != value.shards:
+            raise SimulationError(
+                f"shards={shards} disagrees with the shard config's "
+                f"shards={value.shards}; give the count once"
+            )
+        return value.validate()
+
+
+def _json_object(doc: str) -> Any:
+    try:
+        return json.loads(doc)
+    except json.JSONDecodeError as exc:
         raise SimulationError(
-            "shard_config must be a ShardConfig, dict or JSON string, "
-            f"got {type(value).__name__}"
-        )
+            f"invalid --shard-config JSON: {exc}"
+        ) from None
 
 
 def _coerce_recovery(
-    value: Union[None, bool, dict, RecoveryPolicy, ShardRecoveryPolicy],
+    value: Union[None, bool, dict, RecoveryPolicy],
 ) -> Optional[RecoveryPolicy]:
-    """Normalize the many ways callers spell a recovery policy."""
-    if value is None:
-        return None
-    if isinstance(value, RecoveryPolicy):
+    """The ``recovery`` forms a ``--shard-config`` document accepts."""
+    if value is None or isinstance(value, RecoveryPolicy):
         return value
-    if isinstance(value, ShardRecoveryPolicy):
-        base = {
-            f.name: getattr(value, f.name)
-            for f in fields(ShardRecoveryPolicy)
-        }
-        return RecoveryPolicy(**base, enabled=True)
     if isinstance(value, bool):
         return RecoveryPolicy(enabled=value)
     if isinstance(value, dict):
@@ -330,41 +307,3 @@ def _coerce_recovery(
         "recovery must be a RecoveryPolicy, bool, dict or None, "
         f"got {type(value).__name__}"
     )
-
-
-_SENTINEL = object()
-
-
-def merge_legacy(
-    sc: Optional[ShardConfig],
-    *,
-    shards: Any = _SENTINEL,
-    partition: Any = _SENTINEL,
-    processes: Any = _SENTINEL,
-    heal: Any = _SENTINEL,
-    crash_at: Any = _SENTINEL,
-    crash_shard: Any = _SENTINEL,
-) -> ShardConfig:
-    """Overlay explicitly-passed legacy kwargs onto a ShardConfig.
-
-    Pass only the kwargs the caller actually set (the facade compares
-    against its real defaults); everything else keeps the config's
-    value.  Returns a new validated ShardConfig.
-    """
-    sc = sc if sc is not None else ShardConfig()
-    updates: dict[str, Any] = {}
-    if shards is not _SENTINEL:
-        updates["shards"] = shards
-    if partition is not _SENTINEL:
-        updates["partition"] = partition
-    if processes is not _SENTINEL:
-        updates["processes"] = processes
-    if heal is not _SENTINEL:
-        updates["recovery"] = _coerce_recovery(heal)
-    if crash_at is not _SENTINEL:
-        updates["crash_at"] = crash_at
-    if crash_shard is not _SENTINEL:
-        updates["crash_shard"] = crash_shard
-    if updates:
-        sc = replace(sc, **updates)
-    return sc.validate()

@@ -5,10 +5,11 @@ import random
 
 import pytest
 
+import repro
 from repro.analysis import analyze_rate
 from repro.compiler import balance_graph
 from repro.graph import DataflowGraph, Op
-from repro.sim import SyncSimulator, run_graph
+from repro.sim import SyncSimulator
 from repro.workloads import random_layered_graph
 
 
@@ -17,7 +18,7 @@ class TestRandomDagRates:
     def test_unbalanced_rate_matches_simulation(self, seed):
         g = random_layered_graph(random.Random(seed), n_layers=4, width=4)
         bound = float(analyze_rate(g).rate)
-        res = run_graph(g, {"x": [1.0] * 80})
+        res = repro.run(g, {"x": [1.0] * 80}, backend="sync")
         measured = 1.0 / res.initiation_interval()
         assert measured == pytest.approx(bound, abs=0.03)
 
@@ -27,7 +28,7 @@ class TestRandomDagRates:
         balance_graph(g)
         rep = analyze_rate(g)
         assert rep.fully_pipelined
-        res = run_graph(g, {"x": [1.0] * 80})
+        res = repro.run(g, {"x": [1.0] * 80}, backend="sync")
         assert res.initiation_interval() == pytest.approx(2.0, abs=0.05)
 
 

@@ -27,8 +27,8 @@ from repro.machine import (
     Machine,
     MachineConfig,
     ShardCrashError,
+    ShardConfig,
     ShardedRunner,
-    run_sharded,
 )
 from repro.workloads import figure_workload
 
@@ -55,7 +55,7 @@ def _checkpointed_run(tmp_path, *, crash_at=None, crash_shard=0,
         tmp_path / "snaps", interval=INTERVAL, retain=retain
     )
     runner = ShardedRunner(
-        graph, streams, shards=shards,
+        graph, streams, shard_config=ShardConfig(shards=shards),
         config=MachineConfig.unit_time(), checkpoint=cfg,
     )
     if crash_at is None:
@@ -189,7 +189,7 @@ class TestCrashResume:
         # ``extra.channel_state`` (a packet stranded in a ring would
         # shift delivery times on replay).
         from repro.checkpoint.snapshot import load_machine
-        from repro.machine import ShardConfig, ShardMachine
+        from repro.machine import ShardMachine
         from repro.machine.shard_config import TransportConfig
 
         graph, streams = _fig("fig6")

@@ -45,7 +45,12 @@ from repro.errors import SnapshotError
 from repro.faults import FaultPlan
 from repro.graph.graph import DataflowGraph
 from repro.graph.opcodes import Op
-from repro.machine import MachineConfig, ShardCrashError, ShardedRunner
+from repro.machine import (
+    MachineConfig,
+    ShardConfig,
+    ShardCrashError,
+    ShardedRunner,
+)
 from repro.machine.machine import Machine
 from repro.workloads import figure_workload
 
@@ -513,7 +518,7 @@ def _sharded_run(tmp_path, *, shards=2, retain=0, delta_every=3,
         delta_every=delta_every,
     )
     runner = ShardedRunner(
-        graph, streams, shards=shards,
+        graph, streams, shard_config=ShardConfig(shards=shards),
         config=MachineConfig.unit_time(), checkpoint=cfg,
     )
     if crash_at is None:

@@ -13,6 +13,7 @@ import hashlib
 import json
 import pickle
 import random
+import struct
 
 import pytest
 
@@ -26,16 +27,19 @@ from repro.checkpoint import (
 )
 from repro.checkpoint.snapshot import (
     _HEADER,
-    _HEADER_V1,
     DELTA_VERSION,
     FORMAT_VERSION,
-    LEGACY_VERSION,
     MAGIC,
 )
 from repro.errors import SnapshotError
 from repro.graph.graph import DataflowGraph
 from repro.graph.opcodes import Op
 from repro.machine.machine import Machine
+
+#: the retired v1 layout (no metadata section); this build refuses it
+#: by version number, so a v1 envelope is just one more hostile input
+V1_VERSION = 1
+_HEADER_V1 = struct.Struct(">8sIQ32s")
 
 #: sentinel: gadget payloads call ``_trip()``; decoding must never
 #: reach it
@@ -72,8 +76,7 @@ def _decode(path):
     acceptable failures."""
     global TRIPPED
     TRIPPED = False
-    for fn in (read_metadata,
-               lambda p: read_snapshot(p, allow_legacy=True)):
+    for fn in (read_metadata, read_snapshot):
         try:
             fn(path)
         except SnapshotError:
@@ -129,7 +132,7 @@ class TestMutationFuzz:
             )
             header = _HEADER.pack(
                 MAGIC,
-                rng.choice([LEGACY_VERSION, FORMAT_VERSION, 3, 0, 2**31]),
+                rng.choice([V1_VERSION, FORMAT_VERSION, 3, 0, 2**31]),
                 meta_len,
                 bytes(rng.randrange(256) for _ in range(32)),
                 payload_len,
@@ -153,7 +156,7 @@ class TestGadgetEnvelopes:
 
     def _wrap_v1(self, payload):
         return _HEADER_V1.pack(
-            MAGIC, LEGACY_VERSION, len(payload),
+            MAGIC, V1_VERSION, len(payload),
             hashlib.sha256(payload).digest(),
         ) + payload
 
@@ -200,7 +203,7 @@ class TestGadgetEnvelopes:
                 TRIPPED = False
                 path.write_bytes(wrap(payload))
                 with pytest.raises(SnapshotError):
-                    read_snapshot(path, allow_legacy=True)
+                    read_snapshot(path)
                 assert not TRIPPED, "gadget executed during decode"
 
     def test_repro_function_gadgets_rejected(self, tmp_path):
@@ -233,10 +236,13 @@ class TestGadgetEnvelopes:
         ]
         for gadget, pattern, side_effect in cases:
             payload = pickle.dumps({"machine": gadget, "cycle": 0})
-            for wrap in (self._wrap_v2, self._wrap_v1):
+            # v2 reaches the unpickler, which names the gadget; v1 is
+            # refused by version before any payload byte is decoded
+            for wrap, why in ((self._wrap_v2, pattern),
+                              (self._wrap_v1, "format version 1")):
                 path.write_bytes(wrap(payload))
-                with pytest.raises(SnapshotError, match=pattern):
-                    read_snapshot(path, allow_legacy=True)
+                with pytest.raises(SnapshotError, match=why):
+                    read_snapshot(path)
                 assert not side_effect.exists(), (
                     f"{pattern} gadget executed during decode"
                 )

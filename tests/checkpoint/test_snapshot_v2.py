@@ -1,5 +1,5 @@
 """Format v2 specifics: self-describing metadata, the restricted
-unpickler, the legacy-v1 gate, and in-place migration.
+unpickler, and the refusal of format-v1 files.
 
 The format-agnostic damage-detection matrix lives in
 ``test_snapshot_format.py``; this file covers what v2 *added*.
@@ -12,15 +12,16 @@ import pickle
 import pickletools
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from repro.checkpoint import (
+    EXIT_SNAPSHOT_UNLOADABLE,
     FORMAT_VERSION,
-    LEGACY_VERSION,
+    fsck_directory,
     load_machine,
-    migrate_snapshot,
     read_metadata,
     read_snapshot,
     save_snapshot,
@@ -28,9 +29,7 @@ from repro.checkpoint import (
 )
 from repro.checkpoint.snapshot import (
     _HEADER,
-    _HEADER_V1,
     _restricted_loads,
-    _snapshot_bytes_v1,
     snapshot_bytes,
     snapshot_metadata,
 )
@@ -50,10 +49,9 @@ def _machine(n_values=5):
     return Machine(g, inputs={"x": list(range(n_values))})
 
 
-def _v1_file(tmp_path, name="legacy.snap", reason="periodic"):
-    path = tmp_path / name
-    path.write_bytes(_snapshot_bytes_v1(_machine(), reason=reason))
-    return path
+#: a fig2 machine paused mid-run, written by the last build that still
+#: produced format v1 (52-byte header over an unrestricted pickle)
+V1_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "fig2-v1.snap"
 
 
 # ----------------------------------------------------------------------
@@ -105,10 +103,14 @@ class TestMetadata:
     def test_snapshot_cycle_uses_metadata_only(self, tmp_path):
         m = _machine()
         path = save_snapshot(m, tmp_path / "m.snap")
-        # same payload-garbling trick: cycle must come from metadata
-        raw = bytearray(path.read_bytes())
         assert snapshot_cycle(path) == 0
-        del raw
+        # ...and only from there: a (checksum-valid) envelope whose
+        # metadata names no cycle is a typed error, not a payload read
+        from repro.checkpoint.snapshot import _pack_envelope
+
+        path.write_bytes(_pack_envelope({}, pickle.dumps({"cycle": 7})))
+        with pytest.raises(SnapshotError, match="no usable cycle"):
+            snapshot_cycle(path)
 
     def test_read_snapshot_exposes_meta(self, tmp_path):
         path = save_snapshot(_machine(), tmp_path / "m.snap", reason="r")
@@ -289,95 +291,66 @@ class TestRestrictedUnpickler:
 
 
 # ----------------------------------------------------------------------
-# legacy v1 gate + migration
+# format v1 is recognised and refused
 # ----------------------------------------------------------------------
+def _fsck_unresumable(path):
+    report = fsck_directory(path.parent)
+    assert not report["ok"]
+    raise SnapshotError("; ".join(report["problems"]))
+
+
+def _cli_refusal(*argv, code, on_dir=False):
+    """Run one CLI command in process on the v1 file (or its
+    directory), pin its exit code, and re-raise what it printed."""
+    from repro.cli import main
+
+    def run(path):
+        out, err = io.StringIO(), io.StringIO()
+        target = path.parent if on_dir else path
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main([*argv, str(target)]) == code
+        raise SnapshotError(out.getvalue() + err.getvalue())
+
+    return run
+
+
+V1_READERS = {
+    "read_snapshot": read_snapshot,
+    "read_metadata": read_metadata,
+    "load_machine": load_machine,
+    "Machine.resume": Machine.resume,
+    "fsck_directory": _fsck_unresumable,
+    "cli-resume": _cli_refusal("resume", code=EXIT_SNAPSHOT_UNLOADABLE),
+    "cli-inspect": _cli_refusal("snapshot", "inspect", code=1),
+    "cli-fsck": _cli_refusal("snapshot", "fsck", code=1, on_dir=True),
+}
+
+
 class TestLegacyGate:
-    def test_v1_refused_by_default(self, tmp_path):
-        path = _v1_file(tmp_path)
-        with pytest.raises(SnapshotError, match="snapshot migrate"):
-            read_snapshot(path)
-        with pytest.raises(SnapshotError, match="--allow-v1"):
-            load_machine(path)
+    def test_v1_refused_by_default(self):
+        with pytest.raises(SnapshotError, match="format version 1"):
+            read_snapshot(V1_FIXTURE)
+        with pytest.raises(SnapshotError, match="reads versions 2 and 3"):
+            load_machine(V1_FIXTURE)
 
-    def test_v1_loads_behind_opt_in(self, tmp_path):
-        path = _v1_file(tmp_path)
-        data = read_snapshot(path, allow_legacy=True)
-        assert data["cycle"] == 0
-        assert data["meta"]["format"] == LEGACY_VERSION
-        loaded = load_machine(path, expected_cls=Machine, allow_legacy=True)
-        loaded.run()
-        ref = _machine()
-        ref.run()
-        assert loaded.outputs() == ref.outputs()
-
-    def test_v1_gadget_still_rejected_even_with_opt_in(self, tmp_path):
-        # allow_legacy waives the *format* gate, never the unpickler
-        import hashlib
-
-        class Gadget:
-            def __reduce__(self):
-                import os
-
-                return (os.system, ("true",))
-
-        payload = pickle.dumps({"machine": Gadget(), "cycle": 0})
-        header = _HEADER_V1.pack(
-            b"RPROSNAP", LEGACY_VERSION, len(payload),
-            hashlib.sha256(payload).digest(),
+    @pytest.mark.parametrize("reader", sorted(V1_READERS))
+    def test_v1_fails_typed_before_any_payload_byte(
+        self, reader, tmp_path, monkeypatch
+    ):
+        # the only door to a payload is the restricted unpickler; nail
+        # it shut and every reader must still refuse the file by name
+        monkeypatch.setattr(
+            "repro.checkpoint.snapshot._restricted_loads",
+            lambda *a, **k: pytest.fail("v1 payload was deserialized"),
         )
-        path = tmp_path / "evil-v1.snap"
-        path.write_bytes(header + payload)
-        with pytest.raises(SnapshotError, match="forbidden global"):
-            read_snapshot(path, allow_legacy=True)
-
-    def test_v1_metadata_readable_with_hint(self, tmp_path):
-        meta = read_metadata(_v1_file(tmp_path))
-        assert meta["format"] == LEGACY_VERSION
-        assert meta["checksum"] == "ok"
-        assert "migrate" in meta["hint"]
-
-
-class TestMigration:
-    def test_migrate_then_load_without_opt_in(self, tmp_path):
-        path = _v1_file(tmp_path, reason="periodic")
-        assert migrate_snapshot(path) == "migrated"
-        meta = read_metadata(path)
-        assert meta["format"] == FORMAT_VERSION
-        assert meta["reason"] == "periodic"
-        loaded = load_machine(path, expected_cls=Machine)
-        loaded.run()
-        ref = _machine()
-        ref.run()
-        assert loaded.outputs() == ref.outputs()
-
-    def test_migrate_keeps_payload_bytes_verbatim(self, tmp_path):
-        path = _v1_file(tmp_path)
-        original_payload = path.read_bytes()[_HEADER_V1.size:]
-        migrate_snapshot(path)
-        raw = path.read_bytes()
-        (_, _, meta_len, _, payload_len, _) = _HEADER.unpack_from(raw)
-        assert raw[_HEADER.size + meta_len:] == original_payload
-
-    def test_migrate_is_idempotent(self, tmp_path):
-        path = _v1_file(tmp_path)
-        assert migrate_snapshot(path) == "migrated"
-        before = path.read_bytes()
-        assert migrate_snapshot(path) == "already-v2"
-        assert path.read_bytes() == before
-
-    def test_migrate_refuses_corrupt_v1(self, tmp_path):
-        path = _v1_file(tmp_path)
-        raw = bytearray(path.read_bytes())
-        raw[-1] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(SnapshotError, match="checksum"):
-            migrate_snapshot(path)
-        # the original (corrupt) file is untouched, not half-written
-        assert bytes(raw) == path.read_bytes()
+        path = tmp_path / V1_FIXTURE.name
+        path.write_bytes(V1_FIXTURE.read_bytes())
+        with pytest.raises(SnapshotError, match="format version 1"):
+            V1_READERS[reader](path)
 
 
 # ----------------------------------------------------------------------
-# CLI: repro snapshot inspect / migrate
+# CLI: repro snapshot inspect
 # ----------------------------------------------------------------------
 def _cli(*argv, cwd=None):
     env = dict(os.environ)
@@ -398,14 +371,6 @@ class TestSnapshotCli:
         assert meta["format"] == FORMAT_VERSION
         assert meta["reason"] == "test"
 
-    def test_inspect_hints_migration_on_v1(self, tmp_path):
-        path = _v1_file(tmp_path)
-        proc = _cli("snapshot", "inspect", str(path))
-        assert proc.returncode == 0, proc.stderr
-        meta = json.loads(proc.stdout)
-        assert meta["format"] == LEGACY_VERSION
-        assert b"migrate" in proc.stderr
-
     def test_inspect_fails_typed_on_garbage(self, tmp_path):
         bad = tmp_path / "junk.snap"
         bad.write_bytes(b"NOTASNAPxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx")
@@ -413,12 +378,3 @@ class TestSnapshotCli:
         assert proc.returncode == 1
         assert b"error:" in proc.stderr
         assert b"Traceback" not in proc.stderr
-
-    def test_migrate_directory(self, tmp_path):
-        _v1_file(tmp_path, name="a.snap")
-        _v1_file(tmp_path, name="b.snap")
-        save_snapshot(_machine(), tmp_path / "c.snap")
-        proc = _cli("snapshot", "migrate", str(tmp_path))
-        assert proc.returncode == 0, proc.stderr
-        for name in ("a.snap", "b.snap", "c.snap"):
-            assert read_metadata(tmp_path / name)["format"] == FORMAT_VERSION

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
+import repro
 from repro.compiler import (
     build_selfclocked_counter,
     compile_program,
     expand_controls,
 )
 from repro.graph import DataflowGraph, Op, validate
-from repro.sim import run_graph
 from repro.workloads import SOURCES
 from tests.util import assert_outputs_match, random_inputs, reference_outputs
 
@@ -27,7 +27,7 @@ class TestSelfClockedCounter:
         sink = g.add_sink("out", stream="k", limit=n)
         g.connect(ctr, sink, 0)
         validate(g)
-        res = run_graph(g, {})
+        res = repro.run(g, {}, backend="sync")
         assert res.outputs["k"] == list(range(n))
 
     def test_full_rate(self):
@@ -35,7 +35,7 @@ class TestSelfClockedCounter:
         ctr = build_selfclocked_counter(g, 60)
         sink = g.add_sink("out", stream="k", limit=60)
         g.connect(ctr, sink, 0)
-        res = run_graph(g, {})
+        res = repro.run(g, {}, backend="sync")
         assert res.initiation_interval("k") == pytest.approx(2.0, abs=0.05)
 
     def test_no_pattern_sources_inside(self):
@@ -59,7 +59,7 @@ class TestExpansion:
         report = expand_controls(g)
         validate(g)
         xs = list(range(len(pattern)))
-        res = run_graph(g, {"x": xs})
+        res = repro.run(g, {"x": xs}, backend="sync")
         return report, res.outputs["y"], [x for x, b in zip(xs, pattern) if b]
 
     @pytest.mark.parametrize(
@@ -92,7 +92,7 @@ class TestExpansion:
         report = expand_controls(g)
         validate(g)
         assert report.expanded_affine == 1
-        res = run_graph(g, {})
+        res = repro.run(g, {}, backend="sync")
         assert res.outputs["y"] == [5, 8, 11, 14]
 
     def test_irregular_tables_kept(self):
@@ -103,7 +103,7 @@ class TestExpansion:
         report = expand_controls(g)
         assert report.expanded_affine == 0
         assert report.kept_tables >= 1
-        res = run_graph(g, {})
+        res = repro.run(g, {}, backend="sync")
         assert res.outputs["y"] == [1.0, 4.0, 2.0]
 
 
@@ -144,7 +144,6 @@ class TestCompiledWithDataflowControls:
             )
 
     def test_machine_runs_expanded_code(self):
-        from repro.machine import run_machine
 
         m = 10
         cp = compile_program(
@@ -152,5 +151,5 @@ class TestCompiledWithDataflowControls:
         )
         inputs = {k: [1.0] * v.length for k, v in cp.input_specs.items()}
         expect = cp.run(inputs).outputs["A"].to_list()
-        outs, _, _ = run_machine(cp.graph, inputs)
+        outs = repro.run(cp.graph, inputs).outputs
         assert outs["A"] == expect

@@ -2,12 +2,12 @@
 
 import pytest
 
+import repro
 from repro.compiler import ArraySpec, ExprBuilder, ROOT, balance_graph
 from repro.compiler.context import Seq, Uniform
 from repro.compiler.expr import Wire
 from repro.errors import CompileError
 from repro.graph import DataflowGraph, Op, validate
-from repro.sim import run_graph
 from repro.val import parse_expression
 
 
@@ -33,7 +33,7 @@ def run_expr(expr_src, inputs, m=6, arrays=(), lo=0, hi=None, balance=True):
     if balance:
         balance_graph(g)
         validate(g)
-    return run_graph(g, inputs).outputs["out"]
+    return repro.run(g, inputs, backend="sync").outputs["out"]
 
 
 class TestConstantFolding:
@@ -271,5 +271,5 @@ class TestFullPipelining:
                 inputs[n] = [(k % 3 == 0) for k in range(hi - lo + 1)]
             else:
                 inputs[n] = [float(k) for k in range(hi - lo + 1)]
-        res = run_graph(g, inputs)
+        res = repro.run(g, inputs, backend="sync")
         assert res.initiation_interval() == pytest.approx(2.0, abs=0.1)

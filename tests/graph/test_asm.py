@@ -4,11 +4,11 @@ import random
 
 import pytest
 
+import repro
 from repro.compiler import compile_program
 from repro.errors import GraphError
 from repro.graph import DataflowGraph, Op, validate
 from repro.graph.asm import from_asm, read_asm, to_asm, write_asm
-from repro.sim import run_graph
 from repro.workloads import SOURCES, random_layered_graph
 
 
@@ -53,12 +53,12 @@ class TestRoundTrip:
     def test_round_trip_preserves_behaviour(self):
         cp = compile_program(SOURCES["example2"], params={"m": 8})
         inputs = {k: [1.0] * v.length for k, v in cp.input_specs.items()}
-        r1 = run_graph(cp.graph, inputs)
+        r1 = repro.run(cp.graph, inputs, backend="sync")
         g2 = from_asm(to_asm(cp.graph))
-        r2 = run_graph(g2, inputs)
+        r2 = repro.run(g2, inputs, backend="sync")
         assert r1.outputs == r2.outputs
         assert (
-            r1.sink_records["X"].times == r2.sink_records["X"].times
+            r1.sink_times["X"] == r2.sink_times["X"]
         )
 
     def test_feedback_arcs_metadata_round_trips(self):

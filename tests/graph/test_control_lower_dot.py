@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.errors import GraphError
 from repro.graph import (
     DataflowGraph,
@@ -17,7 +18,6 @@ from repro.graph import (
     validate,
     window_pattern,
 )
-from repro.sim import run_graph
 
 
 class TestPatterns:
@@ -85,7 +85,7 @@ class TestLowering:
         validate(lowered)
         tagged = [a for a in lowered.arcs.values() if a.tag is not None]
         assert len(tagged) == 1 and tagged[0].tag is True
-        res = run_graph(lowered, {"x": [1, 2, 3, 4]})
+        res = repro.run(lowered, {"x": [1, 2, 3, 4]}, backend="sync")
         assert res.outputs["y"] == [1, 3]
 
     def test_expansion_preserves_initial_tokens(self):

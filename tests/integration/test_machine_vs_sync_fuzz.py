@@ -6,9 +6,9 @@ import random
 
 import pytest
 
+import repro
 from repro.compiler import compile_program
-from repro.machine import MachineConfig, run_machine
-from repro.sim import run_graph
+from repro.machine import MachineConfig
 from repro.workloads import random_forall_program, random_recurrence_program
 
 
@@ -26,15 +26,14 @@ class TestUnitTimeEquivalence:
         src = random_forall_program(random.Random(seed), depth=2)
         cp = compile_program(src, params={"m": 8})
         inputs = _inputs_for(cp, seed)
-        sync_res = run_graph(cp.graph, inputs)
-        outs, _, machine = run_machine(
-            cp.graph, inputs, config=MachineConfig.unit_time()
-        )
+        sync_res = repro.run(cp.graph, inputs, backend="sync")
+        res = repro.run(cp.graph, inputs, config=MachineConfig.unit_time())
+        outs, machine = res.outputs, res.engine
         assert outs["Y"] == sync_res.outputs["Y"]
         offsets = {
             m - s
             for s, m in zip(
-                sync_res.sink_records["Y"].times,
+                sync_res.sink_times["Y"],
                 machine.sink_arrival_times("Y"),
             )
         }
@@ -46,10 +45,10 @@ class TestUnitTimeEquivalence:
         src = random_recurrence_program(random.Random(50 + seed))
         cp = compile_program(src, params={"m": 7}, foriter_scheme=scheme)
         inputs = _inputs_for(cp, seed)
-        sync_res = run_graph(cp.graph, inputs)
-        outs, _, _ = run_machine(
-            cp.graph, inputs, config=MachineConfig.unit_time()
-        )
+        sync_res = repro.run(cp.graph, inputs, backend="sync")
+        outs = repro.run(
+            cp.graph, inputs, config=MachineConfig.unit_time(),
+        ).outputs
         assert outs["X"] == sync_res.outputs["X"]
 
 
@@ -59,7 +58,7 @@ class TestRealisticLatencies:
         src = random_forall_program(random.Random(200 + seed), depth=2)
         cp = compile_program(src, params={"m": 8})
         inputs = _inputs_for(cp, seed)
-        expect = run_graph(cp.graph, inputs).outputs["Y"]
+        expect = repro.run(cp.graph, inputs, backend="sync").outputs["Y"]
         rng = random.Random(seed)
         config = MachineConfig(
             n_pes=rng.choice([1, 2, 5]),
@@ -67,5 +66,5 @@ class TestRealisticLatencies:
             rn_delay=rng.choice([0, 1, 4]),
             pe_issue_interval=rng.choice([0, 1, 2]),
         )
-        outs, _, _ = run_machine(cp.graph, inputs, config=config)
+        outs = repro.run(cp.graph, inputs, config=config).outputs
         assert outs["Y"] == expect

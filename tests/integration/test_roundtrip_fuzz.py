@@ -5,9 +5,9 @@ import random
 
 import pytest
 
+import repro
 from repro.compiler import compile_program
 from repro.graph.asm import from_asm, to_asm
-from repro.sim import run_graph
 from repro.workloads import random_forall_program, random_pipe_program
 from tests.util import compile_and_compare, random_inputs
 
@@ -19,12 +19,12 @@ class TestAsmRoundTripFuzz:
         src = random_forall_program(rng, depth=2)
         cp = compile_program(src, params={"m": 8})
         inputs = random_inputs(cp, rng)
-        direct = run_graph(cp.graph, inputs)
+        direct = repro.run(cp.graph, inputs, backend="sync")
         revived = from_asm(to_asm(cp.graph))
-        again = run_graph(revived, inputs)
+        again = repro.run(revived, inputs, backend="sync")
         assert direct.outputs == again.outputs
         assert (
-            direct.sink_records["Y"].times == again.sink_records["Y"].times
+            direct.sink_times["Y"] == again.sink_times["Y"]
         )
 
     @pytest.mark.parametrize("controls", ["patterns", "dataflow"])
@@ -35,9 +35,9 @@ class TestAsmRoundTripFuzz:
             SOURCES["example1"], params={"m": 8}, controls=controls
         )
         inputs = {k: [1.0] * v.length for k, v in cp.input_specs.items()}
-        direct = run_graph(cp.graph, inputs)
+        direct = repro.run(cp.graph, inputs, backend="sync")
         revived = from_asm(to_asm(cp.graph))
-        again = run_graph(revived, inputs)
+        again = repro.run(revived, inputs, backend="sync")
         assert direct.outputs == again.outputs
 
 

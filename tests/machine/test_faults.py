@@ -10,12 +10,13 @@ delivery order and exactly-once consumption).
 
 import pytest
 
+import repro
 from repro.errors import DeadlockError, SimulationError, SimulationTimeout
 from repro.faults import FaultPlan, UnitFault
 from repro.graph.graph import DataflowGraph
 from repro.graph.opcodes import Op
 from repro.machine.config import MachineConfig
-from repro.machine.machine import Machine, run_machine
+from repro.machine.machine import Machine
 from repro.workloads.figures import FIGURES
 
 #: the acceptance plan: >= 5% drop and duplication plus some of
@@ -48,10 +49,10 @@ class TestRecoveryOnFigures:
         workload = FIGURES[figure]
         cp = workload.compile(m=12)
         inputs = workload.make_inputs(cp, seed=7)
-        clean_out, clean_stats, _ = run_machine(cp.graph, inputs)
-        out, stats, _ = run_machine(
-            cp.graph, inputs, fault_plan=ACCEPTANCE_PLAN
-        )
+        res = repro.run(cp.graph, inputs)
+        clean_out, clean_stats = res.outputs, res.stats
+        res = repro.run(cp.graph, inputs, faults=ACCEPTANCE_PLAN)
+        out, stats = res.outputs, res.stats
         assert out == clean_out
         rel = stats.reliability
         assert rel is not None
@@ -68,9 +69,8 @@ class TestRecoveryOnFigures:
         inputs = workload.make_inputs(cp, seed=3)
 
         def once():
-            out, stats, _ = run_machine(
-                cp.graph, inputs, fault_plan=ACCEPTANCE_PLAN
-            )
+            res = repro.run(cp.graph, inputs, faults=ACCEPTANCE_PLAN)
+            out, stats = res.outputs, res.stats
             return out, stats.cycles, stats.reliability.retransmissions
 
         assert once() == once()
@@ -79,8 +79,10 @@ class TestRecoveryOnFigures:
 class TestRecoveryMechanics:
     def test_fault_free_plan_changes_nothing(self):
         g, inputs, expected = _chain_graph()
-        clean_out, clean_stats, _ = run_machine(g, inputs)
-        out, stats, _ = run_machine(g, inputs, fault_plan=FaultPlan())
+        res = repro.run(g, inputs)
+        clean_out, clean_stats = res.outputs, res.stats
+        res = repro.run(g, inputs, faults=FaultPlan())
+        out, stats = res.outputs, res.stats
         assert out == clean_out == {"y": expected}
         assert stats.reliability.retransmissions == 0
         assert stats.faults.total_injected == 0
@@ -88,7 +90,8 @@ class TestRecoveryMechanics:
     def test_reliable_layer_without_plan(self):
         # the layer can be forced on for a clean run: pure overhead
         g, inputs, expected = _chain_graph()
-        out, stats, _ = run_machine(g, inputs, reliable=True)
+        res = repro.run(g, inputs, reliable=True)
+        out, stats = res.outputs, res.stats
         assert out == {"y": expected}
         assert stats.reliability is not None
         assert stats.reliability.retransmissions == 0
@@ -96,14 +99,16 @@ class TestRecoveryMechanics:
     def test_heavy_drop_recovers(self):
         g, inputs, expected = _chain_graph(10)
         plan = FaultPlan(seed=5, drop_result=0.4, drop_ack=0.3)
-        out, stats, _ = run_machine(g, inputs, fault_plan=plan)
+        res = repro.run(g, inputs, faults=plan)
+        out, stats = res.outputs, res.stats
         assert out == {"y": expected}
         assert stats.reliability.retransmissions > 0
 
     def test_corruption_detected_and_retransmitted(self):
         g, inputs, expected = _chain_graph(20)
         plan = FaultPlan(seed=11, corrupt_result=0.3)
-        out, stats, _ = run_machine(g, inputs, fault_plan=plan)
+        res = repro.run(g, inputs, faults=plan)
+        out, stats = res.outputs, res.stats
         # a checksummed receiver discards corrupted packets; the clean
         # stored copy is retransmitted, so values stay bit-identical
         assert out == {"y": expected}
@@ -123,14 +128,14 @@ class TestRecoveryMechanics:
         # the feedback arc makes seq-number bookkeeping of pre-loaded
         # tokens observable: a mismatch would deadlock or corrupt
         plan = FaultPlan(seed=2, drop_result=0.2, dup_result=0.2)
-        out, _, _ = run_machine(g, {"x": [1, 2, 3]}, fault_plan=plan)
+        out = repro.run(g, {"x": [1, 2, 3]}, faults=plan).outputs
         assert out["y"] == [-4, -2, 1]
 
     def test_without_recovery_faults_break_the_run(self):
         g, inputs, _ = _chain_graph(10)
         plan = FaultPlan(seed=3, drop_result=0.3)
         with pytest.raises(DeadlockError) as exc_info:
-            run_machine(g, inputs, fault_plan=plan, recovery=False)
+            repro.run(g, inputs, faults=plan, recovery=False)
         assert exc_info.value.diagnosis is not None
 
 
@@ -139,13 +144,14 @@ class TestUnitFaults:
     def workload(self):
         cp = FIGURES["fig6"].compile(m=10)
         inputs = FIGURES["fig6"].make_inputs(cp, seed=1)
-        clean_out, _, _ = run_machine(cp.graph, inputs)
+        clean_out = repro.run(cp.graph, inputs).outputs
         return cp, inputs, clean_out
 
     def test_dead_fu_evicted(self, workload):
         cp, inputs, clean_out = workload
         plan = FaultPlan(unit_faults=(UnitFault(unit="fu", index=0),))
-        out, stats, _ = run_machine(cp.graph, inputs, fault_plan=plan)
+        res = repro.run(cp.graph, inputs, faults=plan)
+        out, stats = res.outputs, res.stats
         assert out == clean_out
         assert stats.faults.units_evicted == 1
         assert stats.fu_ops[0] == 0  # nothing ran on the dead unit
@@ -153,21 +159,23 @@ class TestUnitFaults:
     def test_dead_pe_cells_rerouted(self, workload):
         cp, inputs, clean_out = workload
         plan = FaultPlan(unit_faults=(UnitFault(unit="pe", index=1),))
-        out, stats, _ = run_machine(cp.graph, inputs, fault_plan=plan)
+        res = repro.run(cp.graph, inputs, faults=plan)
+        out, stats = res.outputs, res.stats
         assert out == clean_out
         assert stats.faults.cells_rerouted > 0
         assert stats.pe_ops[1] == 0
 
     def test_slow_unit_costs_cycles_not_correctness(self, workload):
         cp, inputs, clean_out = workload
-        _, base_stats, _ = run_machine(cp.graph, inputs)
+        base_stats = repro.run(cp.graph, inputs).stats
         plan = FaultPlan(
             unit_faults=tuple(
                 UnitFault(unit="fu", index=i, kind="slow", factor=6.0)
                 for i in range(MachineConfig().n_fus)
             )
         )
-        out, stats, _ = run_machine(cp.graph, inputs, fault_plan=plan)
+        res = repro.run(cp.graph, inputs, faults=plan)
+        out, stats = res.outputs, res.stats
         assert out == clean_out
         assert stats.cycles > base_stats.cycles
 
@@ -181,7 +189,7 @@ class TestUnitFaults:
             )
         )
         with pytest.raises(SimulationError, match="all 2 FU units failed"):
-            run_machine(g, inputs, config=cfg, fault_plan=plan)
+            repro.run(g, inputs, config=cfg, faults=plan)
 
     def test_bounded_outage_without_recovery_waits_it_out(self):
         g, inputs, expected = _chain_graph()
@@ -189,9 +197,8 @@ class TestUnitFaults:
             unit_faults=(UnitFault(unit="pe", index=0, start=0, end=400),)
         )
         cfg = MachineConfig(n_pes=1)
-        out, stats, _ = run_machine(
-            g, inputs, config=cfg, fault_plan=plan, recovery=False
-        )
+        res = repro.run(g, inputs, config=cfg, faults=plan, recovery=False)
+        out, stats = res.outputs, res.stats
         assert out == {"y": expected}
         assert stats.cycles > 400  # stranded until the window closed
 
@@ -202,9 +209,8 @@ class TestWatchdog:
         plan = FaultPlan(seed=1, drop_result=1.0)
         cfg = MachineConfig(max_retransmits=0)  # retry forever
         with pytest.raises(DeadlockError) as exc_info:
-            run_machine(
-                g, inputs, config=cfg, fault_plan=plan,
-                max_cycles=10_000_000,
+            repro.run(
+                g, inputs, config=cfg, faults=plan, max_cycles=10_000_000,
             )
         err = exc_info.value
         assert "watchdog" in str(err)
@@ -216,12 +222,12 @@ class TestWatchdog:
         plan = FaultPlan(seed=1, drop_result=1.0)
         cfg = MachineConfig(max_retransmits=3, watchdog=False)
         with pytest.raises(DeadlockError):
-            run_machine(g, inputs, config=cfg, fault_plan=plan)
+            repro.run(g, inputs, config=cfg, faults=plan)
 
     def test_watchdog_quiet_on_healthy_run(self):
         g, inputs, expected = _chain_graph(50)
         cfg = MachineConfig(watchdog_interval=8, watchdog_patience=2)
-        out, _, _ = run_machine(g, inputs, config=cfg)
+        out = repro.run(g, inputs, config=cfg).outputs
         assert out == {"y": expected}
 
 
@@ -229,7 +235,7 @@ class TestSimulationTimeout:
     def test_timeout_carries_partial_progress(self):
         g, inputs, _ = _chain_graph(100)
         with pytest.raises(SimulationTimeout) as exc_info:
-            run_machine(g, inputs, max_cycles=40)
+            repro.run(g, inputs, max_cycles=40)
         err = exc_info.value
         assert isinstance(err, SimulationError)  # old callers still catch
         assert err.cycles > 40
@@ -243,7 +249,8 @@ class TestSimulationTimeout:
         # only real machine activity may exhaust the budget
         g, inputs, expected = _chain_graph(3)
         cfg = MachineConfig(watchdog_interval=10_000)
-        out, stats, _ = run_machine(g, inputs, config=cfg, max_cycles=5_000)
+        res = repro.run(g, inputs, config=cfg, max_cycles=5_000)
+        out, stats = res.outputs, res.stats
         assert out == {"y": expected}
         assert stats.cycles < 5_000
 
@@ -278,5 +285,5 @@ class TestDispatchQueueBound:
             MachineConfig(n_pes=1, pe_issue_interval=3),
             MachineConfig(n_pes=2, pe_issue_interval=1, rn_delay=4),
         ):
-            out, _, _ = run_machine(g, inputs, config=cfg)
+            out = repro.run(g, inputs, config=cfg).outputs
             assert out == {"y": expected}

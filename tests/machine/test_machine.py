@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import repro
 from repro.compiler import compile_program
 from repro.errors import DeadlockError, SimulationError
 from repro.graph import DataflowGraph, Op
@@ -11,9 +12,7 @@ from repro.machine import (
     Machine,
     MachineConfig,
     make_assignment,
-    run_machine,
 )
-from repro.sim import run_graph
 from repro.workloads.programs import SOURCES
 
 
@@ -31,14 +30,14 @@ def small_chain() -> DataflowGraph:
 
 class TestBasicExecution:
     def test_values(self):
-        outs, stats, _ = run_machine(
-            small_chain(), {"x": [1.0, 2.0, 3.0, 4.0, 5.0]}
-        )
+        res = repro.run(small_chain(), {"x": [1.0, 2.0, 3.0, 4.0, 5.0]})
+        outs, stats = res.outputs, res.stats
         assert outs["y"] == [4.0, 6.0, 8.0, 10.0, 12.0]
         assert stats.cycles > 0
 
     def test_counts_packets(self):
-        outs, stats, _ = run_machine(small_chain(), {"x": [1.0] * 5})
+        res = repro.run(small_chain(), {"x": [1.0] * 5})
+        outs, stats = res.outputs, res.stats
         # 5 source + 5 add + 5 mul + 5 sink firings
         assert stats.total_firings == 20
         assert stats.packets.op_fu == 10
@@ -56,7 +55,7 @@ class TestBasicExecution:
         g.connect(b, add, 1)
         g.connect(add, sink, 0)
         with pytest.raises(DeadlockError):
-            run_machine(g, {"a": [1.0, 2.0], "b": [1.0, 2.0, 3.0, 4.0]})
+            repro.run(g, {"a": [1.0, 2.0], "b": [1.0, 2.0, 3.0, 4.0]})
 
     def test_division_by_zero(self):
         g = DataflowGraph()
@@ -66,7 +65,7 @@ class TestBasicExecution:
         g.connect(s, div, 1)
         g.connect(div, sink, 0)
         with pytest.raises(SimulationError, match="division by zero"):
-            run_machine(g, {"x": [0.0]})
+            repro.run(g, {"x": [0.0]})
 
     def test_fifo_graphs_are_lowered(self):
         g = DataflowGraph()
@@ -75,7 +74,8 @@ class TestBasicExecution:
         sink = g.add_sink("out", stream="y", limit=3)
         g.connect(s, f, 0)
         g.connect(f, sink, 0)
-        outs, _, machine = run_machine(g, {"x": [1, 2, 3]})
+        res = repro.run(g, {"x": [1, 2, 3]})
+        outs, machine = res.outputs, res.engine
         assert outs["y"] == [1, 2, 3]
         assert not machine.graph.cells_by_op(Op.FIFO)
 
@@ -96,13 +96,12 @@ class TestFidelityWithUnitDelaySimulator:
                 inputs[iname] = [rng.random() < 0.5 for _ in range(spec.length)]
             else:
                 inputs[iname] = [rng.uniform(-1, 1) for _ in range(spec.length)]
-        sync_res = run_graph(cp.graph, inputs)
-        outs, _stats, machine = run_machine(
-            cp.graph, inputs, config=MachineConfig.unit_time()
-        )
+        sync_res = repro.run(cp.graph, inputs, backend="sync")
+        res = repro.run(cp.graph, inputs, config=MachineConfig.unit_time())
+        outs, machine = res.outputs, res.engine
         stream = next(iter(cp.output_specs))
         assert outs[stream] == sync_res.outputs[stream]
-        sync_times = sync_res.sink_records[stream].times
+        sync_times = sync_res.sink_times[stream]
         mach_times = machine.sink_arrival_times(stream)
         offsets = {mt - st for st, mt in zip(sync_times, mach_times)}
         assert len(offsets) == 1  # identical schedule up to constant shift
@@ -117,13 +116,13 @@ class TestRealisticConfigs:
             k: [rng.uniform(-1, 1) for _ in range(v.length)]
             for k, v in cp.input_specs.items()
         }
-        expected = run_graph(cp.graph, inputs).outputs["A"]
+        expected = repro.run(cp.graph, inputs, backend="sync").outputs["A"]
         for config in (
             MachineConfig(),
             MachineConfig(n_pes=1, n_fus=1, rn_delay=5),
             MachineConfig(n_pes=8, n_fus=8, rn_delay=1, pe_issue_interval=2),
         ):
-            outs, _, _ = run_machine(cp.graph, inputs, config=config)
+            outs = repro.run(cp.graph, inputs, config=config).outputs
             assert outs["A"] == expected
 
     def test_more_pes_do_not_hurt(self):
@@ -132,9 +131,9 @@ class TestRealisticConfigs:
         inputs = {k: [1.0] * v.length for k, v in cp.input_specs.items()}
         cycles = {}
         for n_pes in (1, 4):
-            _, stats, _ = run_machine(
-                cp.graph, inputs, config=MachineConfig(n_pes=n_pes, n_fus=4)
-            )
+            stats = repro.run(
+                cp.graph, inputs, config=MachineConfig(n_pes=n_pes, n_fus=4),
+            ).stats
             cycles[n_pes] = stats.cycles
         assert cycles[4] <= cycles[1]
 
@@ -144,24 +143,24 @@ class TestRealisticConfigs:
         slow = MachineConfig(
             fu_latency={op: lat * 4 for op, lat in fast.fu_latency.items()}
         )
-        _, s_fast, _ = run_machine(g, {"x": [1.0] * 5}, config=fast)
-        _, s_slow, _ = run_machine(g, {"x": [1.0] * 5}, config=slow)
+        s_fast = repro.run(g, {"x": [1.0] * 5}, config=fast).stats
+        s_slow = repro.run(g, {"x": [1.0] * 5}, config=slow).stats
         assert s_slow.cycles > s_fast.cycles
 
     def test_rn_bandwidth_contention(self):
         m = 30
         cp = compile_program(SOURCES["example1"], params={"m": m})
         inputs = {k: [1.0] * v.length for k, v in cp.input_specs.items()}
-        _, free, _ = run_machine(
-            cp.graph, inputs, config=MachineConfig(rn_bandwidth=0)
-        )
-        _, tight, _ = run_machine(
-            cp.graph, inputs, config=MachineConfig(rn_bandwidth=1)
-        )
+        free = repro.run(
+            cp.graph, inputs, config=MachineConfig(rn_bandwidth=0),
+        ).stats
+        tight = repro.run(
+            cp.graph, inputs, config=MachineConfig(rn_bandwidth=1),
+        ).stats
         assert tight.cycles >= free.cycles
 
     def test_stats_summary_readable(self):
-        _, stats, _ = run_machine(small_chain(), {"x": [1.0] * 5})
+        stats = repro.run(small_chain(), {"x": [1.0] * 5}).stats
         text = stats.summary()
         assert "op packets" in text and "PE util" in text
 
@@ -211,8 +210,8 @@ class TestLoops:
             k: [rng.uniform(-1, 1) for _ in range(v.length)]
             for k, v in cp.input_specs.items()
         }
-        expected = run_graph(cp.graph, inputs).outputs["X"]
-        outs, _, _ = run_machine(cp.graph, inputs)
+        expected = repro.run(cp.graph, inputs, backend="sync").outputs["X"]
+        outs = repro.run(cp.graph, inputs).outputs
         assert outs["X"] == expected
 
     def test_companion_faster_than_todd_on_machine(self):
@@ -224,6 +223,6 @@ class TestLoops:
                 SOURCES["example2"], params={"m": m}, foriter_scheme=scheme
             )
             inputs = {k: [1.0] * v.length for k, v in cp.input_specs.items()}
-            _, stats, _ = run_machine(cp.graph, inputs)
+            stats = repro.run(cp.graph, inputs).stats
             cycles[scheme] = stats.cycles
         assert cycles["companion"] < cycles["todd"]

@@ -3,9 +3,9 @@ tokens, gating, packet accounting."""
 
 import pytest
 
+import repro
 from repro.graph import DataflowGraph, Op
-from repro.machine import MachineConfig, run_machine
-from repro.sim import run_graph
+from repro.machine import MachineConfig
 
 
 class TestArrayMemory:
@@ -20,7 +20,8 @@ class TestArrayMemory:
 
     def test_read_modify_write(self):
         g = self.am_graph()
-        outs, stats, machine = run_machine(g, {"state": [1.0, 2.0, 3.0, 4.0]})
+        res = repro.run(g, {"state": [1.0, 2.0, 3.0, 4.0]})
+        outs, stats, machine = res.outputs, res.stats, res.engine
         assert outs["next"] == [2.0, 3.0, 4.0, 5.0]
         assert machine.am_arrays["next"] == [2.0, 3.0, 4.0, 5.0]
         assert stats.packets.op_am == 8  # 4 reads + 4 writes
@@ -28,21 +29,26 @@ class TestArrayMemory:
 
     def test_same_graph_on_unit_sim(self):
         """AM cells degrade to source/sink on the unit-delay model."""
-        res = run_graph(self.am_graph(), {"state": [1.0, 2.0, 3.0, 4.0]})
+        res = repro.run(
+            self.am_graph(), {"state": [1.0, 2.0, 3.0, 4.0]}, backend="sync",
+        )
         assert res.outputs["next"] == [2.0, 3.0, 4.0, 5.0]
 
     def test_am_latency_visible(self):
         g = self.am_graph()
-        _, fast, _ = run_machine(g, {"state": [1.0] * 4},
-                                 config=MachineConfig(am_latency=1))
-        _, slow, _ = run_machine(g, {"state": [1.0] * 4},
-                                 config=MachineConfig(am_latency=40))
+        fast = repro.run(
+            g, {"state": [1.0] * 4}, config=MachineConfig(am_latency=1),
+        ).stats
+        slow = repro.run(
+            g, {"state": [1.0] * 4}, config=MachineConfig(am_latency=40),
+        ).stats
         assert slow.cycles > fast.cycles
 
     def test_multiple_am_units_round_robin(self):
         g = self.am_graph()
-        _, stats, _ = run_machine(g, {"state": [1.0] * 4},
-                                  config=MachineConfig(n_ams=2))
+        stats = repro.run(
+            g, {"state": [1.0] * 4}, config=MachineConfig(n_ams=2),
+        ).stats
         assert sum(stats.am_ops) == 8
         assert all(n > 0 for n in stats.am_ops)
 
@@ -55,7 +61,7 @@ class TestInitialTokensAndGates:
         sink = g.add_sink("out", stream="y", limit=3)
         g.connect(s, i, 0)
         g.connect(i, sink, 0, initial=-5)
-        outs, _, _ = run_machine(g, {"x": [1, 2]})
+        outs = repro.run(g, {"x": [1, 2]}).outputs
         assert outs["y"] == [-5, 1, 2]
 
     def test_gated_discard_on_machine(self):
@@ -67,7 +73,7 @@ class TestInitialTokensAndGates:
         g.connect(s, gate, 0)
         g.connect(ctl, gate, -1)
         g.connect(gate, sink, 0, tag=True)
-        outs, _, _ = run_machine(g, {"x": [1, 2, 3, 4]})
+        outs = repro.run(g, {"x": [1, 2, 3, 4]}).outputs
         assert outs["y"] == [2, 4]
 
     def test_merge_with_const_port(self):
@@ -82,7 +88,7 @@ class TestInitialTokensAndGates:
         g.connect(ctl, m, MERGE_CONTROL_PORT)
         g.connect(a, m, MERGE_TRUE_PORT)
         g.connect(m, sink, 0)
-        outs, _, _ = run_machine(g, {"A": [7]})
+        outs = repro.run(g, {"A": [7]}).outputs
         assert outs["y"] == [42, 7]
 
 
@@ -94,7 +100,7 @@ class TestPacketAccounting:
 
         cp = compile_program(SOURCES["example1"], params={"m": 10})
         inputs = {k: [1.0] * v.length for k, v in cp.input_specs.items()}
-        _, stats, _ = run_machine(cp.graph, inputs)
+        stats = repro.run(cp.graph, inputs).stats
         assert stats.packets.results == stats.packets.acks
 
     def test_counters_summary(self):
@@ -139,8 +145,10 @@ class TestLoopsOnMachine:
         balance_graph(art.graph)
         A = interleave([[1.0] * m, [0.5] * m])
         B = interleave([[1.0] * m, [2.0] * m])
-        ref = run_graph(art.graph, {"A": A, "B": B}).outputs["X"]
-        outs, _, _ = run_machine(art.graph, {"A": A, "B": B})
+        ref = repro.run(
+            art.graph, {"A": A, "B": B}, backend="sync"
+        ).outputs["X"]
+        outs = repro.run(art.graph, {"A": A, "B": B}).outputs
         assert outs["X"] == ref
         assert len(deinterleave(outs["X"], b)) == b
 
@@ -150,8 +158,7 @@ class TestInitialTokenAcks:
         """Regression: a producer whose arc is pre-loaded owes an
         acknowledge before its first firing (machine model)."""
         from repro.graph import DataflowGraph, Op
-        from repro.machine import MachineConfig, run_machine
-        from repro.sim import run_graph
+        from repro.machine import MachineConfig
 
         g = DataflowGraph()
         s = g.add_source("src", stream="x")
@@ -159,20 +166,18 @@ class TestInitialTokenAcks:
         sink = g.add_sink("out", stream="y", limit=4)
         g.connect(s, i, 0)
         g.connect(i, sink, 0, initial=99)
-        expect = run_graph(g, {"x": [1, 2, 3]}).outputs["y"]
-        outs, _, machine = run_machine(
-            g, {"x": [1, 2, 3]}, config=MachineConfig.unit_time()
-        )
+        expect = repro.run(g, {"x": [1, 2, 3]}, backend="sync").outputs["y"]
+        res = repro.run(g, {"x": [1, 2, 3]}, config=MachineConfig.unit_time())
+        outs, machine = res.outputs, res.engine
         assert outs["y"] == expect == [99, 1, 2, 3]
 
     def test_self_clocked_counter_on_machine(self):
         from repro.compiler import build_selfclocked_counter
         from repro.graph import DataflowGraph
-        from repro.machine import run_machine
 
         g = DataflowGraph()
         ctr = build_selfclocked_counter(g, 8)
         sink = g.add_sink("out", stream="k", limit=8)
         g.connect(ctr, sink, 0)
-        outs, _, _ = run_machine(g, {})
+        outs = repro.run(g, {}).outputs
         assert outs["k"] == list(range(8))

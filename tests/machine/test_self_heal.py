@@ -25,10 +25,11 @@ from repro.faults import FaultPlan, ShardFault
 from repro.machine import (
     Machine,
     MachineConfig,
+    RecoveryPolicy,
+    ShardConfig,
     ShardedRunner,
     ShardHangError,
     ShardRecoveryExhausted,
-    ShardRecoveryPolicy,
 )
 from repro.machine import sharded as sharded_mod
 from repro.workloads import figure_workload
@@ -40,9 +41,15 @@ INTERVAL = 10
 #: does, so reference timings are comparable to the healed runs
 EMPTY_PLAN = FaultPlan(derivation="keyed")
 
-#: fast-failing policy for tests: no real backoff waits, and a short
-#: enough deadline that hang detection doesn't dominate the suite
-FAST = dict(backoff_base=0.0, jitter=0.0)
+#: fast-failing policy for tests: healing forced on, no real backoff
+#: waits, and a short enough deadline that hang detection doesn't
+#: dominate the suite
+FAST = dict(enabled=True, backoff_base=0.0, jitter=0.0)
+OFF = RecoveryPolicy(enabled=False)
+
+
+def _procs(shards, recovery=None):
+    return ShardConfig(shards=shards, processes=True, recovery=recovery)
 
 
 @functools.lru_cache(maxsize=None)
@@ -78,9 +85,9 @@ def _chaos_run(tmp_path, name, shards, faults, *, heal=None,
         tmp_path / "snaps", interval=interval, retain=3
     )
     runner = ShardedRunner(
-        graph, streams, shards=shards,
+        graph, streams, shard_config=_procs(shards, heal),
         config=MachineConfig.unit_time(), checkpoint=cfg,
-        fault_plan=chaos, processes=True, heal=heal,
+        fault_plan=chaos,
     )
     runner.run(max_cycles=max_cycles)
     outputs = runner.outputs()
@@ -101,7 +108,7 @@ class TestKillRecovery:
         victim = shards - 1
         runner, out, times = _chaos_run(
             tmp_path, name, shards, [_fault(victim, 30)],
-            heal=ShardRecoveryPolicy(**FAST),
+            heal=RecoveryPolicy(**FAST),
         )
         assert out == ref_out
         assert times == ref_times
@@ -129,7 +136,7 @@ class TestKillRecovery:
         }
         runner, out, times = _chaos_run(
             tmp_path, "fig7", 4, [_fault(2, 30)], plan=plan,
-            heal=ShardRecoveryPolicy(**FAST),
+            heal=RecoveryPolicy(**FAST),
         )
         assert out == ref_out
         assert times == ref_times
@@ -145,10 +152,10 @@ class TestKillRecovery:
              "shard_faults": [_fault(1, 30)]}
         )
         runner = ShardedRunner(
-            graph, streams, shards=4,
+            graph, streams,
+            shard_config=_procs(4, RecoveryPolicy(**FAST)),
             config=MachineConfig.unit_time(), checkpoint=cfg,
-            fault_plan=plan, processes=True,
-            heal=ShardRecoveryPolicy(**FAST),
+            fault_plan=plan,
         )
         pids = []
         orig = ShardedRunner._recover
@@ -174,9 +181,9 @@ class TestKillRecovery:
         )
         plan = FaultPlan(shard_faults=(ShardFault(shard=1, cycle=30),))
         runner = ShardedRunner(
-            graph, streams, shards=4,
+            graph, streams, shard_config=_procs(4, OFF),
             config=MachineConfig.unit_time(), checkpoint=cfg,
-            fault_plan=plan, processes=True, heal=False,
+            fault_plan=plan,
         )
         with pytest.raises(sharded_mod.ShardCrashError) as err:
             runner.run()
@@ -191,9 +198,8 @@ class TestKillRecovery:
             tmp_path / "snaps", interval=INTERVAL, retain=3
         )
         runner = ShardedRunner(
-            graph, streams, shards=4,
+            graph, streams, shard_config=_procs(4),
             config=MachineConfig.unit_time(), checkpoint=cfg,
-            processes=True,
         )
         assert runner._heal is not None
         with pytest.raises(sharded_mod.ShardCrashError):
@@ -206,7 +212,7 @@ class TestHangRecovery:
         ref_out, ref_times = _reference(name)
         runner, out, times = _chaos_run(
             tmp_path, name, 4, [_fault(1, 30, kind="hang")],
-            heal=ShardRecoveryPolicy(deadline=0.5, **FAST),
+            heal=RecoveryPolicy(deadline=0.5, **FAST),
         )
         assert out == ref_out
         assert times == ref_times
@@ -221,7 +227,7 @@ class TestHangRecovery:
         runner, out, times = _chaos_run(
             tmp_path, "fig7", 4,
             [_fault(1, 30, kind="slow", delay=0.2)],
-            heal=ShardRecoveryPolicy(deadline=30.0, **FAST),
+            heal=RecoveryPolicy(deadline=30.0, **FAST),
         )
         assert out == ref_out
         assert times == ref_times
@@ -238,9 +244,8 @@ class TestHangRecovery:
             shard_faults=(ShardFault(shard=2, cycle=30, kind="hang"),)
         )
         runner = ShardedRunner(
-            graph, streams, shards=4,
-            config=MachineConfig.unit_time(),
-            fault_plan=plan, processes=True, heal=False,
+            graph, streams, shard_config=_procs(4, OFF),
+            config=MachineConfig.unit_time(), fault_plan=plan,
         )
         with pytest.raises(ShardHangError) as err:
             runner.run()
@@ -259,7 +264,7 @@ class TestKillDuringSnapshot:
         ref_out, ref_times = _reference("fig7")
         runner, out, times = _chaos_run(
             tmp_path, "fig7", 4, [_fault(2, 20)],
-            heal=ShardRecoveryPolicy(**FAST),
+            heal=RecoveryPolicy(**FAST),
         )
         assert out == ref_out
         assert times == ref_times
@@ -289,14 +294,15 @@ class TestEscalation:
         graph, streams = _fig("fig7")
         with pytest.raises(ShardRecoveryExhausted) as err:
             repro.run(
-                graph, streams, backend="sharded", shards=4,
+                graph, streams, backend="sharded",
                 config=MachineConfig.unit_time(),
                 faults=self._two_kill_plan(),
                 checkpoint=CheckpointConfig(
                     tmp_path / "snaps", interval=INTERVAL, retain=3
                 ),
-                processes=True,
-                heal=ShardRecoveryPolicy(max_restarts=1, **FAST),
+                shard_config=_procs(
+                    4, RecoveryPolicy(max_restarts=1, **FAST)
+                ),
             )
         assert err.value.shard == 1
         assert err.value.cycle >= 30
@@ -352,7 +358,7 @@ class TestEscalation:
         runner, out, times = _chaos_run(
             tmp_path, "fig7", 4,
             [_fault(1, 30), _fault(1, 30)],
-            heal=ShardRecoveryPolicy(max_restarts=5, **FAST),
+            heal=RecoveryPolicy(max_restarts=5, **FAST),
         )
         assert out == ref_out
         assert times == ref_times
@@ -365,7 +371,7 @@ class TestEscalation:
         ref_out, ref_times = _reference("fig7")
         runner, out, times = _chaos_run(
             tmp_path, "fig7", 4, [_fault(1, 30)],
-            heal=ShardRecoveryPolicy(
+            heal=RecoveryPolicy(
                 max_restarts=0, degrade=True, **FAST
             ),
         )
@@ -386,8 +392,11 @@ class TestHealValidation:
         graph, streams = _fig("fig2")
         with pytest.raises(SimulationError):
             ShardedRunner(
-                graph, streams, shards=2, processes=False, heal=True,
-                config=MachineConfig.unit_time(),
+                graph, streams, config=MachineConfig.unit_time(),
+                shard_config=ShardConfig(
+                    shards=2, processes=False,
+                    recovery=RecoveryPolicy(enabled=True),
+                ),
             )
 
     def test_shard_faults_need_processes(self):
@@ -395,7 +404,8 @@ class TestHealValidation:
         plan = FaultPlan(shard_faults=(ShardFault(shard=0, cycle=5),))
         with pytest.raises(SimulationError):
             ShardedRunner(
-                graph, streams, shards=2, processes=False,
+                graph, streams,
+                shard_config=ShardConfig(shards=2, processes=False),
                 fault_plan=plan, config=MachineConfig.unit_time(),
             )
 
@@ -404,7 +414,7 @@ class TestHealValidation:
         plan = FaultPlan(shard_faults=(ShardFault(shard=7, cycle=5),))
         with pytest.raises(SimulationError):
             ShardedRunner(
-                graph, streams, shards=2, processes=True,
+                graph, streams, shard_config=_procs(2),
                 fault_plan=plan, config=MachineConfig.unit_time(),
             )
 
@@ -419,7 +429,8 @@ class TestHealValidation:
         graph, streams = _fig("fig2")
         with pytest.raises(ReproError):
             repro.run(
-                graph, inputs=streams, backend=backend, heal=True
+                graph, inputs=streams, backend=backend,
+                shard_config={"recovery": True},
             )
 
     def test_heal_without_checkpoints_restarts_from_inputs(
@@ -434,10 +445,9 @@ class TestHealValidation:
              "shard_faults": [_fault(1, 30)]}
         )
         runner = ShardedRunner(
-            graph, streams, shards=4,
-            config=MachineConfig.unit_time(),
-            fault_plan=plan, processes=True,
-            heal=ShardRecoveryPolicy(**FAST),
+            graph, streams,
+            shard_config=_procs(4, RecoveryPolicy(**FAST)),
+            config=MachineConfig.unit_time(), fault_plan=plan,
         )
         runner.run()
         out = runner.outputs()
@@ -463,14 +473,15 @@ class TestResumeWithHealing:
              "shard_faults": [_fault(1, 30)]}
         )
         runner = ShardedRunner(
-            graph, streams, shards=4,
+            graph, streams, shard_config=_procs(4, OFF),
             config=MachineConfig.unit_time(), checkpoint=cfg,
-            fault_plan=plan, processes=True, heal=False,
+            fault_plan=plan,
         )
         with pytest.raises(sharded_mod.ShardCrashError):
             runner.run()
         resumed = ShardedRunner.resume(
-            tmp_path / "snaps", heal=ShardRecoveryPolicy(**FAST)
+            tmp_path / "snaps",
+            shard_config=ShardConfig(recovery=RecoveryPolicy(**FAST)),
         )
         resumed.run()
         out = resumed.outputs()

@@ -1,25 +1,25 @@
-"""Tests for the redesigned sharded-backend configuration API.
+"""Tests for the sharded-backend configuration API.
 
 One validated :class:`ShardConfig` (with nested
-:class:`RecoveryPolicy` and :class:`TransportConfig`) replaces the
-legacy kwarg sprawl on ``repro.run`` / ``repro.resume`` / the CLI.
-The legacy kwargs must keep working as deprecation-warning shims that
-overlay onto a ShardConfig, and backends that cannot honor
-``shard_config`` must reject it loudly.
+:class:`RecoveryPolicy` and :class:`TransportConfig`) is the only way
+to configure a sharded run on ``repro.run`` / ``repro.resume`` / the
+CLI; ``shards=`` / ``--shards`` is a second spelling of
+``ShardConfig.shards`` that must agree with it, and backends that
+cannot honor ``shard_config`` must reject it loudly.
 """
-
-import dataclasses
 
 import pytest
 
 import repro
 from repro.errors import ReproError, SimulationError
-from repro.machine import MachineConfig, RecoveryPolicy, ShardConfig, TransportConfig
-from repro.machine.shard_config import (
-    ShardRecoveryPolicy,
-    _coerce_recovery,
-    merge_legacy,
+from repro.machine import (
+    MachineConfig,
+    RecoveryPolicy,
+    ShardConfig,
+    ShardedRunner,
+    TransportConfig,
 )
+from repro.machine.shard_config import _coerce_recovery
 from repro.workloads import figure_workload
 
 
@@ -105,38 +105,46 @@ class TestJson:
         with pytest.raises(SimulationError):
             ShardConfig.coerce(42)
 
+    def test_coerce_with_a_separately_given_count(self):
+        assert ShardConfig.coerce(None, shards=4).shards == 4
+        assert ShardConfig.coerce({"window": "fixed"}, shards=4).shards == 4
+        assert ShardConfig.coerce('{"shards": 4}', shards=4).shards == 4
+        # a count named twice must agree -- never resolved by precedence
+        for named in ({"shards": 4}, '{"shards": 4}', ShardConfig(shards=4),
+                      ShardConfig()):
+            with pytest.raises(SimulationError, match="disagrees"):
+                ShardConfig.coerce(named, shards=1)
+
 
 class TestRecoveryMapping:
-    def test_heal_value_tri_state(self):
-        assert ShardConfig().heal_value() is None
-        off = ShardConfig(recovery=RecoveryPolicy(enabled=False))
-        assert off.heal_value() is False
-        # a pristine policy with enabled=None is still "auto"
-        auto = ShardConfig(recovery=RecoveryPolicy())
-        assert auto.heal_value() is None
-        tuned = RecoveryPolicy(max_restarts=1)
-        assert ShardConfig(recovery=tuned).heal_value() is tuned
+    def test_heal_value_tri_state(self, tmp_path):
+        from repro.checkpoint import CheckpointConfig
+
+        cp, inputs = _fig2()
+
+        def heal(recovery, **kw):
+            return ShardedRunner(
+                cp.graph, cp.prepare_inputs(inputs), **kw,
+                shard_config=ShardConfig(processes=True, recovery=recovery),
+            )._heal
+
+        # auto: on only with worker processes *and* checkpoints
+        ckpt = CheckpointConfig(tmp_path / "snaps", interval=5)
+        for auto in (None, RecoveryPolicy(), RecoveryPolicy(max_restarts=1)):
+            assert heal(auto) is None
+            assert heal(auto, checkpoint=ckpt) is not None
+        off = RecoveryPolicy(enabled=False)
+        tuned = RecoveryPolicy(enabled=True, max_restarts=1)
+        assert heal(off) is None
+        assert heal(tuned) is tuned
 
     def test_coerce_recovery_forms(self):
         assert _coerce_recovery(None) is None
         assert _coerce_recovery(False).enabled is False
         assert _coerce_recovery(True).enabled is True
-        legacy = ShardRecoveryPolicy(max_restarts=7)
-        up = _coerce_recovery(legacy)
-        assert up.enabled is True and up.max_restarts == 7
         assert _coerce_recovery({"strikes": 3}).strikes == 3
         with pytest.raises(SimulationError):
             _coerce_recovery("yes please")
-
-    def test_merge_legacy_overlays_only_what_was_passed(self):
-        base = ShardConfig(shards=4, window="fixed")
-        merged = merge_legacy(base, heal=False, processes=True)
-        assert merged.shards == 4
-        assert merged.window == "fixed"
-        assert merged.processes is True
-        assert merged.heal_value() is False
-        # the base object is not mutated
-        assert base.processes is None and base.recovery is None
 
 
 class TestFacade:
@@ -154,43 +162,24 @@ class TestFacade:
         assert res.outputs == ref.outputs
         assert res.sink_times == ref.sink_times
 
-    def test_legacy_kwargs_warn_and_still_work(self):
-        cp, inputs = _fig2()
-        with pytest.deprecated_call():
-            res = repro.run(
-                cp, inputs, backend="sharded", shards=2,
-                config=MachineConfig.unit_time(),
-                processes=False, heal=False,
-            )
-        assert res.shards == 2
-        ref = repro.run(cp, inputs, backend="event",
-                        config=MachineConfig.unit_time())
-        assert res.outputs == ref.outputs
-
     def test_shards_kwarg_stays_first_class(self):
         cp, inputs = _fig2()
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            res = repro.run(
-                cp, inputs, backend="sharded", shards=2,
-                config=MachineConfig.unit_time(),
-                shard_config={"processes": False},
-            )
-        assert res.shards == 2
-
-    def test_legacy_kwargs_overlay_shard_config(self):
-        # an explicitly-passed legacy kwarg wins over the config value,
-        # matching how callers migrate one kwarg at a time
-        cp, inputs = _fig2()
-        with pytest.deprecated_call():
-            res = repro.run(
-                cp, inputs, backend="sharded",
-                config=MachineConfig.unit_time(),
-                shard_config={"shards": 4, "processes": True},
-                processes=False,
-            )
+        res = repro.run(
+            cp, inputs, backend="sharded", shards=4,
+            config=MachineConfig.unit_time(),
+            shard_config={"processes": False},
+        )
         assert res.shards == 4
+
+    def test_shards_equal_to_a_default_is_not_masked(self):
+        # shards=1 used to be indistinguishable from "not given", so
+        # the config's 4 silently won
+        cp, inputs = _fig2()
+        with pytest.raises(ReproError, match="disagrees"):
+            repro.run(cp, inputs, backend="sharded", shards=1,
+                      shard_config={"shards": 4, "processes": False})
+        res = repro.run(cp, inputs, backend="sharded", shards=1)
+        assert res.shards == 1
 
     @pytest.mark.parametrize("backend", ["sync", "event", "compiled"])
     def test_other_backends_reject_shard_config(self, backend):
@@ -286,5 +275,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "--shard-config requires --backend sharded" in err
 
+    @pytest.mark.parametrize("command", ["run", "checkpoint"])
+    def test_shards_flag_equal_to_a_default_is_not_masked(
+        self, tmp_path, capsys, command
+    ):
+        from repro.cli import main as cli_main
 
-_ = dataclasses
+        prog, inputs = self._program(tmp_path)
+        head = {
+            "run": ["run", prog, "-p", "m=6", "--inputs", inputs],
+            "checkpoint": ["checkpoint", "fig2", "--size", "6",
+                           "--dir", str(tmp_path / "snaps")],
+        }[command]
+        # 1 and 2 were the two argparse defaults of --shards
+        for given in ("1", "2"):
+            rc = cli_main(head + [
+                "--backend", "sharded", "--shards", given,
+                "--shard-config", '{"shards": 4, "processes": false}',
+            ])
+            assert rc == 1
+            assert "disagrees" in capsys.readouterr().err

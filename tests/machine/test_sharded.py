@@ -10,6 +10,7 @@ coordinated snapshot (covered in tests/checkpoint/test_coordinated.py).
 
 import pytest
 
+import repro
 from repro.analysis import Partition, PartitionError, partition_graph
 from repro.errors import SimulationError
 from repro.faults import FaultPlan
@@ -20,7 +21,6 @@ from repro.machine import (
     MachineConfig,
     ShardConfig,
     ShardedRunner,
-    run_sharded,
     shutdown_worker_pool,
 )
 from repro.machine.sharded import pooled_worker_count
@@ -112,7 +112,10 @@ class TestPartitioner:
         sink = g.add_sink("out", stream="y", limit=1)
         g.connect(s, sink, 0)
         with pytest.raises(PartitionError):
-            run_sharded(g, {"x": [1.0]}, shards=8, processes=False)
+            repro.run(
+                g, {"x": [1.0]}, backend="sharded",
+                shard_config=ShardConfig(shards=8, processes=False),
+            )
 
 
 class TestDeterminismMatrix:
@@ -123,10 +126,12 @@ class TestDeterminismMatrix:
         graph, streams = _figure_graph(name)
         ref_out, ref_times = _reference(graph, streams)
         for k in SHARD_COUNTS:
-            out, _, runner = run_sharded(
-                graph, streams, shards=k,
-                config=MachineConfig.unit_time(), processes=False,
+            res = repro.run(
+                graph, streams, backend="sharded",
+                config=MachineConfig.unit_time(),
+                shard_config=ShardConfig(shards=k, processes=False),
             )
+            out, runner = res.outputs, res.engine
             assert out == ref_out, f"{name} K={k} outputs"
             for s in ref_out:
                 assert runner.sink_arrival_times(s) == ref_times[s], (
@@ -138,10 +143,12 @@ class TestDeterminismMatrix:
         graph, streams = _figure_graph(name)
         ref_out, ref_times = _reference(graph, streams, plan=KEYED_PLAN)
         for k in SHARD_COUNTS:
-            out, stats, runner = run_sharded(
-                graph, streams, shards=k, fault_plan=KEYED_PLAN,
-                config=MachineConfig.unit_time(), processes=False,
+            res = repro.run(
+                graph, streams, backend="sharded", faults=KEYED_PLAN,
+                config=MachineConfig.unit_time(),
+                shard_config=ShardConfig(shards=k, processes=False),
             )
+            out, stats, runner = res.outputs, res.stats, res.engine
             assert out == ref_out, f"{name} K={k} faulty outputs"
             for s in ref_out:
                 assert runner.sink_arrival_times(s) == ref_times[s], (
@@ -154,10 +161,12 @@ class TestDeterminismMatrix:
         for name, plan in [("fig2", None), ("fig7", KEYED_PLAN)]:
             graph, streams = _figure_graph(name)
             ref_out, ref_times = _reference(graph, streams, plan=plan)
-            out, _, runner = run_sharded(
-                graph, streams, shards=4, fault_plan=plan,
-                config=MachineConfig.unit_time(), processes=True,
+            res = repro.run(
+                graph, streams, backend="sharded", faults=plan,
+                config=MachineConfig.unit_time(),
+                shard_config=ShardConfig(shards=4, processes=True),
             )
+            out, runner = res.outputs, res.engine
             assert out == ref_out
             for s in ref_out:
                 assert runner.sink_arrival_times(s) == ref_times[s]
@@ -169,9 +178,11 @@ class TestDeterminismMatrix:
         machine.run()
         ref_out = machine.outputs()
         ref_times = {s: machine.sink_arrival_times(s) for s in ref_out}
-        out, _, runner = run_sharded(
-            graph, streams, shards=4, processes=False
+        res = repro.run(
+            graph, streams, backend="sharded",
+            shard_config=ShardConfig(shards=4, processes=False),
         )
+        out, runner = res.outputs, res.engine
         assert out == ref_out
         for s in ref_out:
             assert runner.sink_arrival_times(s) == ref_times[s]
@@ -189,13 +200,14 @@ class TestAdaptiveWindows:
         for k in (2, 4):
             runs = {}
             for window in ("adaptive", "fixed"):
-                out, _, runner = run_sharded(
-                    graph, streams, fault_plan=plan,
+                res = repro.run(
+                    graph, streams, backend="sharded", faults=plan,
                     config=MachineConfig.unit_time(),
                     shard_config=ShardConfig(
                         shards=k, processes=False, window=window
                     ),
                 )
+                out, runner = res.outputs, res.engine
                 assert out == ref_out, f"{name} K={k} {window} outputs"
                 for s in ref_out:
                     assert runner.sink_arrival_times(s) == ref_times[s], (
@@ -213,12 +225,13 @@ class TestAdaptiveWindows:
         graph, streams = _figure_graph("fig2")
         counts = {}
         for window in ("adaptive", "fixed"):
-            _, _, runner = run_sharded(
-                graph, streams, config=MachineConfig.unit_time(),
+            runner = repro.run(
+                graph, streams, backend="sharded",
+                config=MachineConfig.unit_time(),
                 shard_config=ShardConfig(
                     shards=2, processes=False, window=window
                 ),
-            )
+            ).engine
             counts[window] = runner.windows_run
         assert counts["adaptive"] < counts["fixed"]
 
@@ -228,19 +241,20 @@ class TestAdaptiveWindows:
         # modeled times; the runner silently falls back to the fixed
         # cadence there and only unit-time-style configs stay adaptive.
         graph, streams = _figure_graph("fig2")
-        _, _, serialized = run_sharded(
-            graph, streams, config=MachineConfig(),
+        serialized = repro.run(
+            graph, streams, backend="sharded", config=MachineConfig(),
             shard_config=ShardConfig(
                 shards=2, processes=False, window="adaptive"
             ),
-        )
+        ).engine
         assert serialized._window_mode == "fixed"
-        _, _, unit = run_sharded(
-            graph, streams, config=MachineConfig.unit_time(),
+        unit = repro.run(
+            graph, streams, backend="sharded",
+            config=MachineConfig.unit_time(),
             shard_config=ShardConfig(
                 shards=2, processes=False, window="adaptive"
             ),
-        )
+        ).engine
         assert unit._window_mode == "adaptive"
 
 
@@ -258,16 +272,16 @@ class TestWarmPool:
     def test_second_run_spawns_nothing(self):
         graph, streams = _figure_graph("fig2")
         sc = ShardConfig(shards=2, processes=True, pool=True)
-        _, _, first = run_sharded(
-            graph, streams, config=MachineConfig.unit_time(),
-            shard_config=sc,
-        )
+        first = repro.run(
+            graph, streams, backend="sharded",
+            config=MachineConfig.unit_time(), shard_config=sc,
+        ).engine
         assert first.worker_spawns == 2
         assert pooled_worker_count() == 2
-        _, _, second = run_sharded(
-            graph, streams, config=MachineConfig.unit_time(),
-            shard_config=sc,
-        )
+        second = repro.run(
+            graph, streams, backend="sharded",
+            config=MachineConfig.unit_time(), shard_config=sc,
+        ).engine
         assert second.worker_spawns == 0
         assert second.worker_reuses == 2
         assert second.outputs() == first.outputs()
@@ -278,28 +292,32 @@ class TestWarmPool:
         g2, s2 = _figure_graph("fig2")
         g4, s4 = _figure_graph("fig4")
         sc = ShardConfig(shards=2, processes=True, pool=True)
-        run_sharded(g2, s2, config=MachineConfig.unit_time(),
-                    shard_config=sc)
-        _, _, other = run_sharded(
-            g4, s4, config=MachineConfig.unit_time(), shard_config=sc
+        repro.run(
+            g2, s2, backend="sharded", config=MachineConfig.unit_time(),
+            shard_config=sc,
         )
+        other = repro.run(
+            g4, s4, backend="sharded", config=MachineConfig.unit_time(),
+            shard_config=sc,
+        ).engine
         assert other.worker_reuses == 0
         assert other.worker_spawns == 2
 
     def test_pool_disabled_never_parks_workers(self):
         graph, streams = _figure_graph("fig2")
         sc = ShardConfig(shards=2, processes=True, pool=False)
-        _, _, runner = run_sharded(
-            graph, streams, config=MachineConfig.unit_time(),
-            shard_config=sc,
-        )
+        runner = repro.run(
+            graph, streams, backend="sharded",
+            config=MachineConfig.unit_time(), shard_config=sc,
+        ).engine
         assert runner.worker_spawns == 2
         assert pooled_worker_count() == 0
 
     def test_shutdown_empties_pool(self):
         graph, streams = _figure_graph("fig2")
-        run_sharded(
-            graph, streams, config=MachineConfig.unit_time(),
+        repro.run(
+            graph, streams, backend="sharded",
+            config=MachineConfig.unit_time(),
             shard_config=ShardConfig(shards=2, processes=True),
         )
         assert pooled_worker_count() > 0
@@ -312,9 +330,9 @@ class TestShardedGuards:
         graph, streams = _figure_graph("fig2")
         plan = FaultPlan(seed=1, drop_result=0.05)   # derivation=sequence
         with pytest.raises((SimulationError, FaultPlanError)):
-            run_sharded(
-                graph, streams, shards=2, fault_plan=plan,
-                processes=False,
+            repro.run(
+                graph, streams, backend="sharded", faults=plan,
+                shard_config=ShardConfig(shards=2, processes=False),
             )
 
     def test_unit_faults_rejected_for_k_gt_1(self):
@@ -325,9 +343,9 @@ class TestShardedGuards:
             derivation="keyed",
         )
         with pytest.raises(SimulationError):
-            run_sharded(
-                graph, streams, shards=2, fault_plan=plan,
-                processes=False,
+            repro.run(
+                graph, streams, backend="sharded", faults=plan,
+                shard_config=ShardConfig(shards=2, processes=False),
             )
 
     def test_stats_merge_matches_single_process(self):
@@ -336,10 +354,11 @@ class TestShardedGuards:
             graph, MachineConfig.unit_time(), inputs=streams
         )
         ref_stats = machine.run()
-        _, stats, _ = run_sharded(
-            graph, streams, shards=4,
-            config=MachineConfig.unit_time(), processes=False,
-        )
+        stats = repro.run(
+            graph, streams, backend="sharded",
+            config=MachineConfig.unit_time(),
+            shard_config=ShardConfig(shards=4, processes=False),
+        ).stats
         assert stats.cycles == ref_stats.cycles
         assert stats.total_firings == ref_stats.total_firings
         assert stats.fire_counts == ref_stats.fire_counts
@@ -348,18 +367,21 @@ class TestShardedGuards:
         graph, streams = _figure_graph("fig2")
         part = partition_graph(graph, 2)
         assert isinstance(part, Partition)
-        out, _, _ = run_sharded(
-            graph, streams, shards=2, partition=part,
-            config=MachineConfig.unit_time(), processes=False,
+        runner = ShardedRunner(
+            graph, streams, partition=part,
+            config=MachineConfig.unit_time(),
+            shard_config=ShardConfig(shards=2, processes=False),
         )
+        runner.run()
+        out = runner.outputs()
         ref_out, _ = _reference(graph, streams)
         assert out == ref_out
 
     def test_runner_cannot_run_twice(self):
         graph, streams = _figure_graph("fig2")
         runner = ShardedRunner(
-            graph, streams, shards=2,
-            config=MachineConfig.unit_time(), processes=False,
+            graph, streams, config=MachineConfig.unit_time(),
+            shard_config=ShardConfig(shards=2, processes=False),
         )
         runner.run()
         with pytest.raises(SimulationError):

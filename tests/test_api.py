@@ -2,11 +2,12 @@
 
 `repro.run()` must accept Val source, a CompiledProgram or a raw
 graph, dispatch to any registered backend, agree across backends on
-outputs, reject options a backend cannot honor (instead of silently
-dropping them), and keep the old entry points working as deprecated
-shims.  The ``--json`` CLI envelope rides on the same RunResult shape.
+outputs, and reject options a backend cannot honor (instead of
+silently dropping them).  The ``--json`` CLI envelope rides on the
+same RunResult shape.
 """
 
+import importlib
 import json
 
 import pytest
@@ -27,6 +28,15 @@ def _fig2(m=8):
     return cp, wl.make_inputs(cp)
 
 
+@pytest.mark.parametrize("module", [
+    "repro", "repro.machine", "repro.sim", "repro.checkpoint", "repro.serve",
+])
+def test_every_exported_name_resolves(module):
+    """A deletion must not leave a stale ``__all__`` entry behind."""
+    mod = importlib.import_module(module)
+    assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
+
+
 class TestRunFacade:
     def test_backends_agree_on_outputs(self):
         cp, inputs = _fig2()
@@ -34,7 +44,8 @@ class TestRunFacade:
             "sync": {},
             "event": {"config": MachineConfig.unit_time()},
             "sharded": {"config": MachineConfig.unit_time(),
-                        "shards": 2, "processes": False},
+                        "shards": 2,
+                        "shard_config": {"processes": False}},
             "compiled": {"config": MachineConfig.unit_time()},
         }
         results = {
@@ -124,23 +135,37 @@ class TestRunFacade:
             repro.run(cp, inputs, backend="event",
                       partition="round_robin")
 
+    @pytest.mark.parametrize(
+        "backend", ["sync", "event", "sharded", "compiled"]
+    )
+    def test_unknown_options_are_rejected(self, backend):
+        """Regression: ``**options`` a backend does not consume used to
+        vanish silently (only ``compiled`` checked), so a typo or one
+        of the kwargs that left the signature ran with defaults."""
+        cp, inputs = _fig2()
+        gone = {"heal": False, "processes": False, "partition": "auto"}
+        for name, value in {**gone, "trce": True}.items():
+            with pytest.raises(ReproError, match=f"{backend}.*{name}"):
+                repro.run(cp, inputs, backend=backend, **{name: value})
+        # and one backend's option is another's unknown
+        other = "policy" if backend == "sync" else "record_trace"
+        with pytest.raises(ReproError, match=other):
+            repro.run(cp, inputs, backend=backend, **{other: "x"})
+
     def test_reject_compares_against_real_defaults(self):
         """Regression: ``reject`` used a shared sentinel, so any field
         whose *actual* default was falsy (``recovery=False`` after an
-        explicit pass, ``processes=True``) was either spuriously
-        rejected or silently accepted."""
+        explicit pass) was either spuriously rejected or silently
+        accepted."""
         cp, inputs = _fig2()
         # recovery is a sync-irrelevant machine knob with default True;
         # passing the non-default False must NOT trip the validator
         result = repro.run(cp, inputs, backend="sync", recovery=False)
         assert result.backend == "sync"
-        # processes defaults to None, so *both* explicit spellings are
-        # "set" and must be caught on non-sharded backends
-        for value in (True, False):
-            with pytest.raises(ReproError, match="processes"):
-                repro.run(cp, inputs, backend="event", processes=value)
-        # the default partition="auto" still passes untouched
-        repro.run(cp, inputs, backend="event", partition="auto")
+        # shard_config defaults to None, so even an empty one is "set"
+        # and must be caught on non-sharded backends
+        with pytest.raises(ReproError, match="shard_config"):
+            repro.run(cp, inputs, backend="event", shard_config={})
 
     def test_register_backend(self):
         calls = []
@@ -263,27 +288,6 @@ class TestRunResultJson:
         )
         with pytest.raises(ValueError, match="produced no outputs"):
             result.latency("X")
-
-
-class TestDeprecatedShims:
-    def test_run_graph_warns_and_works(self):
-        cp, inputs = _fig2()
-        streams = cp.prepare_inputs(inputs)
-        with pytest.deprecated_call(match="repro.run"):
-            rr = repro.run_graph(cp.graph, streams)
-        assert rr.outputs == repro.run(cp, inputs,
-                                       backend="sync").outputs
-
-    def test_run_machine_warns_and_works(self):
-        cp, inputs = _fig2()
-        streams = cp.prepare_inputs(inputs)
-        with pytest.deprecated_call(match="repro.run"):
-            outputs, stats, machine = repro.run_machine(
-                cp.graph, streams
-            )
-        assert outputs == repro.run(cp, inputs).outputs
-        assert stats.total_firings > 0
-        assert machine.outputs() == outputs
 
 
 class TestCliJson:
