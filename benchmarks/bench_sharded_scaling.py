@@ -4,7 +4,7 @@ Two workloads share one results table:
 
 * ``fig7`` (Todd for-iter, m=48): the paper-figure workload, K in
   {1, 2, 4} with real worker processes -- exercises the warm pool,
-  the shared-memory ring transport and the cut sequencing end to end.
+  the command-pipe cut transport and the cut sequencing end to end.
 * ``chains10k`` (250 independent source->chain->sink pipelines of
   depth 40, >= 10^4 cells): the scaling gate.  K=4 in-process shards
   must deliver MORE output elements per wall-clock second than K=1
@@ -45,7 +45,8 @@ def _record() -> None:
         "workload  K  elements  cycles  seconds  elements_per_sec",
         [_rows[key] for key in sorted(_rows)],
         note=f"fig7 m={M} runs K>1 on real worker processes (warm "
-             f"pool + shm rings); chains10k (>=10^4 cells, m={CHAIN_M}) "
+             f"pool, cut packets on the command pipe); chains10k "
+             f"(>=10^4 cells, m={CHAIN_M}) "
              f"runs in-process shards and gates K=4 el/s > K=1 el/s "
              f"on the per-shard work reduction alone; every sharded "
              f"run is bit-identical (outputs and sink times) to K=1",

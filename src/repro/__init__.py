@@ -78,7 +78,6 @@ from .machine import (
     RecoveryPolicy,
     ShardConfig,
     ShardedRunner,
-    TransportConfig,
     shutdown_worker_pool,
 )
 from .sim import SyncSimulator
@@ -114,7 +113,6 @@ __all__ = [
     "SimulationTimeout",
     "SnapshotError",
     "SyncSimulator",
-    "TransportConfig",
     "UnitFault",
     "ValArray",
     "ValSyntaxError",

@@ -379,9 +379,8 @@ def run(
     ``shard_config``
         Everything else about a sharded run: a
         :class:`~repro.machine.ShardConfig`, a plain dict, or a JSON
-        string.  Covers partition scheme, worker processes, lockstep
-        window mode, the warm worker pool, the transport
-        (:class:`~repro.machine.TransportConfig`) and the self-healing
+        string.  Covers the partition scheme, whether shards are real
+        worker processes, and the self-healing
         :class:`~repro.machine.RecoveryPolicy`.
     ``params``
         Compile-time constants, when ``program`` is Val source text.
@@ -444,9 +443,8 @@ def resume(
     newest complete coordinated set via :meth:`~repro.machine.sharded.
     ShardedRunner.resume`; anything else resumes the newest
     single-machine snapshot via :meth:`~repro.machine.Machine.resume`.
-    ``shard_config`` tunes the resumed runner (window mode, transport,
-    pool, recovery); its shard count is ignored -- the snapshot set
-    fixes K.
+    ``shard_config`` tunes the resumed runner (worker processes,
+    recovery); its shard count is ignored -- the snapshot set fixes K.
     """
     from .checkpoint.coordinator import is_sharded_dir
     from .machine.machine import Machine

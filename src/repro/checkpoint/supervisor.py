@@ -66,6 +66,7 @@ from .snapshot import _atomic_write, latest_snapshot
 __all__ = [
     "EXIT_SNAPSHOT_UNLOADABLE",  # canonical home: repro.errors
     "BackoffPolicy",
+    "child_env",
     "SupervisorConfig",
     "AttemptRecord",
     "SupervisorReport",
@@ -114,6 +115,22 @@ class BackoffPolicy:
         if self.jitter:
             delay *= rng.uniform(1 - self.jitter, 1 + self.jitter)
         return delay
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a child interpreter that must import ``repro``
+    even when this process was launched with an ad-hoc ``PYTHONPATH``
+    (supervised runs, serve pool workers)."""
+    import repro
+
+    env = dict(os.environ)
+    pkg_root = str(Path(repro.__file__).resolve().parent.parent)
+    parts = env.get("PYTHONPATH", "").split(os.pathsep)
+    if pkg_root not in parts:
+        env["PYTHONPATH"] = os.pathsep.join(
+            [pkg_root] + [p for p in parts if p]
+        )
+    return env
 
 
 @dataclass
@@ -306,19 +323,9 @@ class Supervisor:
 
     @staticmethod
     def _run_child(argv: list[str]) -> Any:
-        # children must import repro even when the supervisor itself
-        # was launched with an ad-hoc PYTHONPATH
-        import repro
-
-        env = dict(os.environ)
-        pkg_root = str(Path(repro.__file__).resolve().parent.parent)
-        parts = env.get("PYTHONPATH", "").split(os.pathsep)
-        if pkg_root not in parts:
-            env["PYTHONPATH"] = os.pathsep.join(
-                [pkg_root] + [p for p in parts if p]
-            )
         return subprocess.run(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=child_env(),
         )
 
     def _backoff(self, restart_index: int) -> float:

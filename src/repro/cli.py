@@ -417,26 +417,14 @@ def _shard_flags_fit(args: argparse.Namespace) -> bool:
 def _shard_config_from_args(args: argparse.Namespace) -> ShardConfig:
     """Build the :class:`ShardConfig` for a sharded CLI run: start
     from ``--shard-config`` JSON (when given; ``--shards`` must agree
-    with a count named there), then let the individual flags
-    (``--window``, ``--max-window``, ``--no-warm-pool``,
-    ``--transport`` and the heal flags) override their fields."""
+    with a count named there), then let the heal flags override the
+    recovery policy."""
     import dataclasses
 
     sc = ShardConfig.coerce(
         getattr(args, "shard_config", None) or {},
         shards=getattr(args, "shards", None),
     )
-    updates: dict[str, Any] = {}
-    if getattr(args, "window", None):
-        updates["window"] = args.window
-    if getattr(args, "max_window", None) is not None:
-        updates["max_window"] = args.max_window
-    if getattr(args, "no_warm_pool", False):
-        updates["pool"] = False
-    if getattr(args, "transport", None):
-        updates["transport"] = dataclasses.replace(
-            sc.transport, kind=args.transport
-        )
     # a tuned heal flag forces healing on, --no-self-heal forces it off
     heal: dict[str, Any] = {
         name: value
@@ -452,10 +440,13 @@ def _shard_config_from_args(args: argparse.Namespace) -> ShardConfig:
     elif heal:
         heal["enabled"] = True
     if heal:
-        updates["recovery"] = dataclasses.replace(
-            sc.recovery or RecoveryPolicy(), **heal
+        sc = dataclasses.replace(
+            sc,
+            recovery=dataclasses.replace(
+                sc.recovery or RecoveryPolicy(), **heal
+            ),
         )
-    return dataclasses.replace(sc, **updates).validate()
+    return sc.validate()
 
 
 def _keyed(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
@@ -986,32 +977,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the compilation report")
     p.set_defaults(fn=cmd_compile)
 
-    def shard_tuning_args(p: argparse.ArgumentParser) -> None:
+    def shard_config_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument("--shard-config", metavar="JSON",
-                       help="consolidated sharded-backend configuration "
-                       "as a JSON object (ShardConfig schema: shards, "
-                       "partition, processes, window, max_window, pool, "
-                       "transport {kind, ring_slots}, recovery, ...); "
-                       "the tuning flags override its fields, --shards "
-                       "must agree with its count")
-        p.add_argument("--window", choices=["adaptive", "fixed"],
-                       default=None,
-                       help="lockstep horizon mode: 'adaptive' batches "
-                       "many cycles per barrier when the cut allows it "
-                       "(default), 'fixed' uses the conservative "
-                       "rn_delay cadence")
-        p.add_argument("--max-window", type=int, default=None,
-                       metavar="N",
-                       help="cap on cycles batched per adaptive window "
-                       "(default 4096)")
-        p.add_argument("--no-warm-pool", action="store_true",
-                       help="disable the warm worker pool (spawn fresh "
-                       "worker processes for every run)")
-        p.add_argument("--transport", choices=["auto", "shm", "pipe"],
-                       default=None,
-                       help="cut-packet transport: shared-memory rings "
-                       "when supported ('auto', default), forced rings "
-                       "('shm') or the pickle pipe ('pipe')")
+                       help="sharded-backend configuration as a JSON "
+                       "object (ShardConfig schema: shards, partition, "
+                       "processes, recovery); the heal flags override "
+                       "its recovery policy, --shards must agree with "
+                       "its count")
 
     p = sub.add_parser("run", help="compile and run on one of the "
                        "backends (unit-delay simulator by default)")
@@ -1028,7 +1000,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "fast-forwards periodic steady state)")
     p.add_argument("--shards", type=int, default=None, metavar="K",
                    help="worker count for --backend sharded (default 2)")
-    shard_tuning_args(p)
+    shard_config_arg(p)
     p.add_argument("--json", action="store_true",
                    help="print the stable JSON result envelope to "
                    "stdout instead of the outputs object")
@@ -1143,7 +1115,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which worker --crash-at kills on the sharded "
                    "backend (default 0)")
     heal_args(p)
-    shard_tuning_args(p)
+    shard_config_arg(p)
     p.add_argument("--json", action="store_true",
                    help="print the stable JSON result envelope to "
                    "stdout instead of the outputs object")
@@ -1164,7 +1136,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which worker --crash-at kills when resuming a "
                    "sharded directory (default 0)")
     heal_args(p)
-    shard_tuning_args(p)
+    shard_config_arg(p)
     p.add_argument("--json", action="store_true",
                    help="print the stable JSON result envelope to "
                    "stdout instead of the outputs object")

@@ -21,11 +21,7 @@ from .diagnose import (
     diagnose,
 )
 from .machine import Machine
-from .shard_config import (
-    RecoveryPolicy,
-    ShardConfig,
-    TransportConfig,
-)
+from .shard_config import RecoveryPolicy, ShardConfig
 from .sharded import (
     ShardCrashError,
     ShardedRunner,
@@ -67,7 +63,6 @@ __all__ = [
     "ReliabilityStats",
     "ResultPacket",
     "ShardConfig",
-    "TransportConfig",
     "ShardCrashError",
     "ShardHangError",
     "ShardRecoveryExhausted",

@@ -1,17 +1,19 @@
 """Validated configuration objects for the sharded backend.
 
-One :class:`ShardConfig` dataclass holds everything about a sharded
-run -- the facade, the CLI and
+One :class:`ShardConfig` dataclass holds everything a caller may set
+on a sharded run -- the facade, the CLI and
 :class:`~repro.machine.sharded.ShardedRunner` all take it and nothing
-else -- with two nested policies:
-
-* :class:`RecoveryPolicy` -- the self-healing knobs plus an
-  ``enabled`` switch ("auto / force on / force off");
-* :class:`TransportConfig` -- how cut packets travel between the
-  coordinator and the workers (shared-memory rings vs. pipes).
+else: the shard count, the partition scheme, whether shards are real
+worker processes, and a nested :class:`RecoveryPolicy` (the
+self-healing knobs plus an ``enabled`` switch, "auto / force on /
+force off").  How cut packets travel, how long a lockstep window is
+and whether workers stay warm are not settable: the runner has one
+transport, derives the window rule from the
+:class:`~repro.machine.MachineConfig` and always pools.
 
 ``ShardConfig.from_json`` accepts the CLI's ``--shard-config`` JSON
-document.
+document; every value is type-checked, so a mistyped document fails
+with a :class:`~repro.errors.SimulationError` naming the key.
 """
 
 from __future__ import annotations
@@ -19,16 +21,50 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Callable, Optional, Union
+from dataclasses import dataclass, fields
+from typing import (
+    Any,
+    Callable,
+    Optional,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from ..errors import SimulationError
 
 __all__ = [
     "RecoveryPolicy",
     "ShardConfig",
-    "TransportConfig",
 ]
+
+
+def _check_field_types(obj: Any, prefix: str = "") -> None:
+    """Raise unless every dataclass field of ``obj`` holds a value of
+    its annotated type (``Optional`` admits None, ``float`` admits
+    int, and a bool is never a number).  Fields annotated with
+    something that is not a plain class (the ``sleep`` hook) are
+    skipped."""
+    hints = get_type_hints(type(obj))
+    for f in fields(obj):
+        hint = hints[f.name]
+        options = get_args(hint) if get_origin(hint) is Union else (hint,)
+        allowed = tuple(t for t in options if isinstance(t, type))
+        if not allowed:
+            continue
+        if float in allowed:
+            allowed += (int,)
+        value = getattr(obj, f.name)
+        if not isinstance(value, allowed) or (
+            isinstance(value, bool) and bool not in allowed
+        ):
+            names = " or ".join(
+                "None" if t is type(None) else t.__name__ for t in allowed
+            )
+            raise SimulationError(
+                f"{prefix}{f.name} must be {names}, got {value!r}"
+            )
 
 
 @dataclass
@@ -77,6 +113,7 @@ class RecoveryPolicy:
         return max(0.0, delay)
 
     def validate(self) -> None:
+        _check_field_types(self, "recovery.")
         if self.deadline <= 0:
             raise SimulationError(
                 f"recovery.deadline must be > 0, got {self.deadline}"
@@ -96,41 +133,6 @@ class RecoveryPolicy:
             )
 
 
-_TRANSPORT_KINDS = ("auto", "shm", "pipe")
-
-
-@dataclass
-class TransportConfig:
-    """How cut packets travel between coordinator and workers.
-
-    ``kind="shm"`` moves steady-state cut traffic through
-    ``multiprocessing.shared_memory`` rings with a fixed-layout codec
-    (no pickle on the hot path); packets the codec cannot represent
-    spill to the pipe transparently.  ``"pipe"`` is the classic
-    all-pickle path; ``"auto"`` picks rings when the platform supports
-    them (fork start method + shared memory available) and falls back
-    to pipes otherwise.
-    """
-
-    kind: str = "auto"
-    #: slots per direction per worker; each slot is one fixed-layout
-    #: packet.  Overflow spills to the pipe, so this is a throughput
-    #: knob, not a correctness bound.
-    ring_slots: int = 512
-
-    def validate(self) -> None:
-        if self.kind not in _TRANSPORT_KINDS:
-            raise SimulationError(
-                f"transport.kind must be one of {_TRANSPORT_KINDS}, "
-                f"got {self.kind!r}"
-            )
-        if self.ring_slots < 1:
-            raise SimulationError(
-                f"transport.ring_slots must be >= 1, got {self.ring_slots}"
-            )
-
-
-_WINDOW_MODES = ("adaptive", "fixed")
 _PARTITION_SCHEMES = ("auto", "levels", "round_robin")
 
 
@@ -149,26 +151,11 @@ class ShardConfig:
     partition: str = "auto"
     #: real worker processes?  None = auto (processes iff K > 1)
     processes: Optional[bool] = None
-    #: lockstep horizon mode: ``"adaptive"`` batches many cycles per
-    #: barrier when the cut allows it; ``"fixed"`` is the classic
-    #: ``L = max(1, rn_delay)`` cadence
-    window: str = "adaptive"
-    #: upper bound on cycles batched into one adaptive window
-    max_window: int = 4096
-    #: keep worker processes warm in a module-level pool across runs
-    pool: bool = True
-    #: seconds an idle pooled worker may live before being reaped
-    pool_idle_timeout: float = 120.0
-    #: cut-packet transport
-    transport: TransportConfig = field(default_factory=TransportConfig)
     #: self-healing policy; None = runner's auto rule
     recovery: Optional[RecoveryPolicy] = None
-    #: hard-kill shard ``crash_shard`` when the horizon reaches this
-    #: cycle (crash demonstration, disables healing for the run)
-    crash_at: Optional[int] = None
-    crash_shard: int = 0
 
     def validate(self) -> "ShardConfig":
+        _check_field_types(self)
         if self.shards < 1:
             raise SimulationError(
                 f"shard count must be >= 1, got {self.shards}"
@@ -178,37 +165,9 @@ class ShardConfig:
                 f"partition must be one of {_PARTITION_SCHEMES}, "
                 f"got {self.partition!r}"
             )
-        if self.window not in _WINDOW_MODES:
-            raise SimulationError(
-                f"window must be one of {_WINDOW_MODES}, "
-                f"got {self.window!r}"
-            )
-        if self.max_window < 1:
-            raise SimulationError(
-                f"max_window must be >= 1, got {self.max_window}"
-            )
-        if self.pool_idle_timeout <= 0:
-            raise SimulationError(
-                "pool_idle_timeout must be > 0, "
-                f"got {self.pool_idle_timeout}"
-            )
-        if self.crash_shard < 0 or self.crash_shard >= self.shards:
-            raise SimulationError(
-                f"crash_shard {self.crash_shard} out of range for "
-                f"{self.shards} shards"
-            )
-        self.transport.validate()
         if self.recovery is not None:
             self.recovery.validate()
         return self
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready dict (drops the non-serializable sleep hook)."""
-        out = asdict(self)
-        if out.get("recovery") is not None:
-            out["recovery"].pop("sleep", None)
-        return out
 
     @classmethod
     def from_json(cls, doc: Union[str, dict]) -> "ShardConfig":
@@ -229,22 +188,6 @@ class ShardConfig:
                 f"unknown shard config keys: {sorted(unknown)}; "
                 f"known keys: {sorted(known)}"
             )
-        if "transport" in doc and not isinstance(
-            doc["transport"], TransportConfig
-        ):
-            t = doc["transport"]
-            if not isinstance(t, dict):
-                raise SimulationError(
-                    "transport must be an object with "
-                    "kind/ring_slots keys"
-                )
-            tkn = {f.name for f in fields(TransportConfig)}
-            bad = set(t) - tkn
-            if bad:
-                raise SimulationError(
-                    f"unknown transport keys: {sorted(bad)}"
-                )
-            doc["transport"] = TransportConfig(**t)
         if "recovery" in doc:
             doc["recovery"] = _coerce_recovery(doc["recovery"])
         return cls(**doc).validate()

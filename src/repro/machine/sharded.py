@@ -45,24 +45,26 @@ per barrier instead of ``L``.  Shards whose heaps cannot reach the
 cut at all (zero-cut component partitions) report no bound and run
 to quiescence in one window.
 
-Warm worker pool and shared-memory rings
-----------------------------------------
+Neither rule is a caller's choice: the runner uses adaptive horizons
+whenever equal-cycle event order cannot affect modeled times and the
+fixed cadence otherwise (see :meth:`ShardedRunner._order_free`).
+
+Warm worker pool, one transport
+-------------------------------
 
 Worker processes outlive a run: on success they park in a
 module-level pool keyed by graph content, and the next
 ``ShardedRunner`` over the same graph reclaims them with a
 ``rebuild`` command instead of paying fork+import again (idle workers
-are reaped after ``ShardConfig.pool_idle_timeout``).  Steady-state
-cut packets travel through per-worker ``multiprocessing``
-shared-memory rings with a fixed 32-byte slot codec (see
-:mod:`repro.machine.shard_transport`); the rings are fully drained
-every window and only slot counts ride the (seq-tagged) command pipe,
-so rollbacks and respawns cannot desynchronize a cursor.  Packets the
-codec cannot carry spill to the pipe in the same command, preserving
-the exact injection order.  At a barrier the rings are empty and all
-in-flight packets sit in the coordinator -- the Chandy-Lamport
-``channel_state`` captured by coordinated snapshots is therefore
-complete by construction.
+are reaped after ``_POOL_IDLE_TIMEOUT`` seconds).  Cut packets travel
+on the seq-tagged command pipe and nowhere else: a ``window`` command
+carries every packet a shard is due, its reply carries every packet
+the window emitted, so a window costs one round trip per worker
+however many packets cross the cut -- and the acknowledge discipline
+(one token per arc) bounds that number by about twice the cut size.
+Between barriers nothing is in flight outside the coordinator -- the
+Chandy-Lamport ``channel_state`` captured by coordinated snapshots is
+therefore complete by construction.
 
 Coordinated (Chandy-Lamport) snapshots
 --------------------------------------
@@ -138,13 +140,7 @@ from ..graph.opcodes import Op
 from .config import MachineConfig
 from .machine import Machine, _CellState
 from .packets import PacketCounters
-from .shard_config import RecoveryPolicy, ShardConfig, TransportConfig
-from .shard_transport import (
-    create_ring,
-    decode_slot,
-    encode_slot,
-    shm_supported,
-)
+from .shard_config import RecoveryPolicy, ShardConfig
 from .stats import MachineStats, RecoveryStats, ReliabilityStats
 
 __all__ = [
@@ -156,7 +152,6 @@ __all__ = [
     "ShardMachine",
     "ShardRecoveryExhausted",
     "ShardedRunner",
-    "TransportConfig",
     "merge_shard_stats",
     "shutdown_worker_pool",
 ]
@@ -170,6 +165,12 @@ _DEFAULT_DEADLINE = 600.0
 
 #: poll granularity (seconds) while waiting on a worker reply
 _DEFAULT_HEARTBEAT = 0.05
+
+#: upper bound on cycles batched into one adaptive window
+_MAX_WINDOW = 4096
+
+#: seconds an idle pooled worker may live before being reaped
+_POOL_IDLE_TIMEOUT = 120.0
 
 
 class ShardCrashError(SimulationError):
@@ -584,7 +585,7 @@ def _write_shard_snapshot(
 
 
 def _shard_worker(conn, machine: ShardMachine,
-                  crash_at: Optional[int], rings=None) -> None:
+                  crash_at: Optional[int]) -> None:
     """Event loop of one worker process (commands over a duplex pipe).
 
     Every command arrives wrapped as ``(seq, cmd)`` and every reply is
@@ -594,15 +595,10 @@ def _shard_worker(conn, machine: ShardMachine,
     sequence number lets ``_ProcessShard.wait`` discard such stragglers
     no matter when they land on the pipe.
 
-    ``rings`` is ``(in_shm, out_shm, slots)`` when this worker's cut
-    packets travel through shared memory (inherited over fork), else
-    None.  A ``finish`` reply ships only the machine's mutable state
-    and keeps the loop alive so the process can be pooled and later
+    A ``finish`` reply ships only the machine's mutable state and
+    keeps the loop alive so the process can be pooled and later
     rebuilt (``rebuild``) for another run over the same graph.
     """
-    in_shm, out_shm, ring_slots = rings if rings is not None else (
-        None, None, 0
-    )
     try:
         while True:
             seq, cmd = conn.recv()
@@ -611,38 +607,12 @@ def _shard_worker(conn, machine: ShardMachine,
                 if op == "start":
                     conn.send((seq, "ok", machine.begin()))
                 elif op == "window":
-                    _, horizon, max_cycles, inband, n_ring, fault = cmd
+                    _, horizon, max_cycles, messages, fault = cmd
                     _maybe_crash(crash_at, horizon)
                     _apply_shard_fault(fault)
-                    entries = list(inband)
-                    if n_ring:
-                        buf = in_shm.buf
-                        for s in range(n_ring):
-                            i, _dst, when, kind, args = decode_slot(buf, s)
-                            entries.append((i, when, kind, args))
-                        entries.sort(key=lambda e: e[0])
-                    machine.inject([e[1:] for e in entries])
-                    outbox, nt, live, eot = machine.run_window(
-                        horizon, max_cycles
-                    )
-                    spill = []
-                    n_out = 0
-                    if out_shm is not None:
-                        buf = out_shm.buf
-                        for i, (dst, when, kind, args) in enumerate(outbox):
-                            if n_out < ring_slots and encode_slot(
-                                buf, n_out, i, dst, when, kind, args
-                            ):
-                                n_out += 1
-                            else:
-                                spill.append((i, dst, when, kind, args))
-                    else:
-                        spill = [
-                            (i, dst, when, kind, args)
-                            for i, (dst, when, kind, args)
-                            in enumerate(outbox)
-                        ]
-                    conn.send((seq, "ok", (spill, n_out, nt, live, eot)))
+                    machine.inject(messages)
+                    conn.send((seq, "ok",
+                               machine.run_window(horizon, max_cycles)))
                 elif op == "snapshot":
                     # a kill/hang fault here dies *before* the file
                     # lands: the set stays uncommitted and recovery
@@ -713,14 +683,12 @@ class _PooledWorker:
     proc: Any
     conn: Any
     seq: int
-    rings: Optional[tuple]      # (in_shm, out_shm, slots) or None
     released_at: float
 
 
 #: pool key -> LIFO stack of parked workers.  The key is the content
-#: digest of the (lowered) graph plus the transport geometry, so a
-#: reclaimed worker is guaranteed to hold a content-equal graph and a
-#: compatible ring mapping.
+#: digest of the (lowered) graph, so a reclaimed worker is guaranteed
+#: to hold a content-equal graph.
 _POOL: dict[str, list[_PooledWorker]] = {}
 _POOL_LOCK = threading.Lock()
 #: global cap on parked workers (LRU-evicted beyond this)
@@ -759,21 +727,9 @@ def _close_pooled(entry: _PooledWorker) -> None:
         if entry.proc.is_alive():
             entry.proc.kill()
     entry.proc.join(timeout=5)
-    _close_rings(entry.rings)
 
 
-def _close_rings(rings: Optional[tuple]) -> None:
-    if rings is None:
-        return
-    for shm in rings[:2]:
-        try:
-            shm.close()
-            shm.unlink()
-        except (FileNotFoundError, OSError):
-            pass
-
-
-def _pool_reap(idle_timeout: float) -> None:
+def _pool_reap() -> None:
     """Close parked workers idle past the timeout (or dead)."""
     now = time.monotonic()
     expired: list[_PooledWorker] = []
@@ -782,7 +738,7 @@ def _pool_reap(idle_timeout: float) -> None:
             keep = []
             for e in _POOL[key]:
                 if (
-                    now - e.released_at > idle_timeout
+                    now - e.released_at > _POOL_IDLE_TIMEOUT
                     or not e.proc.is_alive()
                 ):
                     expired.append(e)
@@ -796,10 +752,8 @@ def _pool_reap(idle_timeout: float) -> None:
         _close_pooled(e)
 
 
-def _pool_acquire(
-    key: str, idle_timeout: float
-) -> Optional[_PooledWorker]:
-    _pool_reap(idle_timeout)
+def _pool_acquire(key: str) -> Optional[_PooledWorker]:
+    _pool_reap()
     with _POOL_LOCK:
         stack = _POOL.get(key)
         while stack:
@@ -813,8 +767,7 @@ def _pool_acquire(
     return None
 
 
-def _pool_release(key: str, entry: _PooledWorker,
-                  idle_timeout: float) -> None:
+def _pool_release(key: str, entry: _PooledWorker) -> None:
     evict: list[_PooledWorker] = []
     with _POOL_LOCK:
         _POOL.setdefault(key, []).append(entry)
@@ -829,7 +782,7 @@ def _pool_release(key: str, entry: _PooledWorker,
             total -= 1
     for e in evict:
         _close_pooled(e)
-    _pool_reap(idle_timeout)
+    _pool_reap()
 
 
 def pooled_worker_count() -> int:
@@ -839,7 +792,7 @@ def pooled_worker_count() -> int:
 
 
 def shutdown_worker_pool() -> None:
-    """Terminate every parked warm worker and release its rings.
+    """Terminate every parked warm worker.
 
     Called automatically at interpreter exit; call it explicitly to
     bound resources between test phases or serve tenants.
@@ -867,22 +820,16 @@ class _LocalShard:
         self._reply: Any = None
         self.finished_ok = False
 
-    def post_window(self, horizon: int, max_cycles: int,
-                    messages: list[Message],
-                    fault: Optional[tuple]) -> None:
-        self._refuse_fault(fault)
-        _maybe_crash(self.crash_at, horizon)
-        self.machine.inject(messages)
-        self._reply = self.machine.run_window(horizon, max_cycles)
-
-    @staticmethod
-    def window_result(raw):
-        return raw          # already (outbox, nt, live, eot)
-
     def post(self, cmd: tuple) -> None:
         op = cmd[0]
         if op == "start":
             self._reply = self.machine.begin()
+        elif op == "window":
+            _, horizon, max_cycles, messages, fault = cmd
+            self._refuse_fault(fault)
+            _maybe_crash(self.crash_at, horizon)
+            self.machine.inject(messages)
+            self._reply = self.machine.run_window(horizon, max_cycles)
         elif op == "snapshot":
             _, path, cycle, messages, fault, kind = cmd
             self._refuse_fault(fault)
@@ -937,8 +884,6 @@ class _ProcessShard:
         #: sequence number of the last command posted; replies echo it
         #: so ``wait`` can drop stragglers from before a rollback
         self._seq = 0
-        #: (in_shm, out_shm, slots) when cut packets ride rings
-        self.rings: Optional[tuple] = None
         #: warm-pool key; None = never pool this worker
         self.pool_key = pool_key
         #: set by the runner after a clean finish; gates pooling
@@ -951,15 +896,13 @@ class _ProcessShard:
               crash_at: Optional[int], ctx, *,
               deadline: float = _DEFAULT_DEADLINE,
               heartbeat: float = _DEFAULT_HEARTBEAT,
-              rings: Optional[tuple] = None,
               pool_key: Optional[str] = None) -> "_ProcessShard":
         self = cls(shard, deadline=deadline, heartbeat=heartbeat,
                    pool_key=pool_key)
-        self.rings = rings
         self.conn, child = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
             target=_shard_worker,
-            args=(child, machine, crash_at, rings),
+            args=(child, machine, crash_at),
             daemon=True,
             name=f"repro-shard-{shard}",
         )
@@ -981,7 +924,6 @@ class _ProcessShard:
         self.proc = entry.proc
         self.conn = entry.conn
         self._seq = entry.seq
-        self.rings = entry.rings
         self.post(("rebuild", spec))
         self.wait()
         return self
@@ -989,44 +931,6 @@ class _ProcessShard:
     @property
     def pid(self) -> Optional[int]:
         return self.proc.pid
-
-    def post_window(self, horizon: int, max_cycles: int,
-                    messages: list[Message],
-                    fault: Optional[tuple]) -> None:
-        """Encode this window's inbound packets into the ring (spilling
-        what the codec can't carry) and post the window command."""
-        inband: list[tuple] = []
-        n_ring = 0
-        if self.rings is not None and messages:
-            in_shm, _out, slots = self.rings
-            buf = in_shm.buf
-            for i, (when, kind, args) in enumerate(messages):
-                if n_ring < slots and encode_slot(
-                    buf, n_ring, i, 0, when, kind, args
-                ):
-                    n_ring += 1
-                else:
-                    inband.append((i, when, kind, args))
-        else:
-            inband = [
-                (i, when, kind, args)
-                for i, (when, kind, args) in enumerate(messages)
-            ]
-        self.post(("window", horizon, max_cycles, inband, n_ring, fault))
-
-    def window_result(self, raw):
-        """Merge a window reply's pipe spill with its ring slots back
-        into the worker's original emission order."""
-        spill, n_out, nt, live, eot = raw
-        merged = list(spill)
-        if n_out:
-            buf = self.rings[1].buf
-            for s in range(n_out):
-                merged.append(decode_slot(buf, s))
-            merged.sort(key=lambda e: e[0])
-        outbox = [(dst, when, kind, args)
-                  for _i, dst, when, kind, args in merged]
-        return outbox, nt, live, eot
 
     def post(self, cmd: tuple) -> None:
         if cmd[0] == "window":
@@ -1116,8 +1020,6 @@ class _ProcessShard:
                 # SIGTERM; SIGKILL it rather than leak a live child
                 self.proc.kill()
         self.proc.join(timeout=5)
-        _close_rings(self.rings)
-        self.rings = None
 
 
 # ----------------------------------------------------------------------
@@ -1141,7 +1043,6 @@ class ShardedRunner:
         shard_config: Union[None, ShardConfig, dict, str] = None,
     ) -> None:
         sc = ShardConfig.coerce(shard_config) or ShardConfig()
-        self._shard_cfg = sc
         shards = sc.shards
         config = config or MachineConfig()
         if graph.cells_by_op(Op.FIFO):
@@ -1157,16 +1058,7 @@ class ShardedRunner:
         # progress (a per-shard watchdog would mistake "waiting for a
         # cross-shard token" for a stall)
         shard_cfg = replace(config, watchdog=False)
-        self.partition = part
-        self.shards = shards
-        self.workload_id = workload_id
-        self._lookahead = max(1, config.rn_delay)
-        self._processes = (
-            shards > 1 if sc.processes is None else sc.processes
-        )
-        self._policy = policy
-        self._init_execution_knobs(config)
-        self.machines: list[ShardMachine] = [
+        machines = [
             ShardMachine(
                 graph,
                 shard_index=k,
@@ -1180,20 +1072,57 @@ class ShardedRunner:
             )
             for k in range(shards)
         ]
-        for m in self.machines:
+        for m in machines:
             m.workload_id = workload_id
-        self._ckpt = None
-        self._next_ckpt: Optional[int] = None
+        ckpt = next_ckpt = None
         if checkpoint is not None:
             from ..checkpoint.coordinator import (
                 CoordinatedCheckpointManager,
             )
 
-            self._ckpt = CoordinatedCheckpointManager(checkpoint, shards)
-            self._next_ckpt = checkpoint.interval or None
+            ckpt = CoordinatedCheckpointManager(checkpoint, shards)
+            next_ckpt = checkpoint.interval or None
+        self._setup(sc, machines, part, policy, ckpt, next_ckpt)
+
+    def _setup(
+        self,
+        sc: ShardConfig,
+        machines: list[ShardMachine],
+        partition: Partition,
+        policy: str,
+        ckpt,
+        next_ckpt: Optional[int],
+    ) -> None:
+        """Everything :meth:`__init__` and :meth:`resume` share once
+        the shard machines exist: the runner's fields, the window rule
+        and the healing policy."""
+        config = machines[0].config
+        self.machines = machines
+        self.partition = partition
+        self.shards = len(machines)
+        self.workload_id = machines[0].workload_id
+        self._lookahead = max(1, config.rn_delay)
+        self._processes = (
+            self.shards > 1 if sc.processes is None else sc.processes
+        )
+        self._policy = policy
+        # Coarse windows schedule a shard's local events for cycle T
+        # before cycle-T cut packets are injected at the next barrier,
+        # reordering equal-cycle heap insertions.  That is invisible
+        # when resources never serialize within a cycle, but with
+        # issue intervals it shifts modeled times; such configs run
+        # the fixed ``L = max(1, rn_delay)`` cadence to stay
+        # bit-identical.
+        self._fixed_cadence = not self._order_free(config)
+        self.worker_spawns = 0
+        self.worker_reuses = 0
+        #: lockstep windows driven so far (adaptive horizons shrink it)
+        self.windows_run = 0
+        self._ckpt = ckpt
+        self._next_ckpt = next_ckpt
         self.worker_pids: list[Optional[int]] = []
         self._finished = False
-        self._init_heal(fault_plan)
+        self._init_heal(sc.recovery, machines[0].fault_plan)
 
     @staticmethod
     def _order_free(config: MachineConfig) -> bool:
@@ -1210,54 +1139,11 @@ class ShardedRunner:
             or config.rn_bandwidth
         )
 
-    def _init_execution_knobs(self, config: MachineConfig) -> None:
-        """Resolve window/pool/transport knobs from the shard config."""
-        sc = self._shard_cfg
-        self._window_mode = sc.window
-        if self._window_mode == "adaptive" and not self._order_free(config):
-            # Coarse windows schedule a shard's local events for cycle
-            # T before cycle-T cut packets are injected at the next
-            # barrier, reordering equal-cycle heap insertions.  That
-            # is invisible when resources never serialize within a
-            # cycle, but with issue intervals it shifts modeled times;
-            # clamp to the fixed cadence to stay bit-identical.
-            self._window_mode = "fixed"
-        self._max_window = sc.max_window
-        self._pool_enabled = bool(sc.pool) and self._processes
-        self._pool_idle = sc.pool_idle_timeout
-        self._ring_slots = sc.transport.ring_slots
-        self.worker_spawns = 0
-        self.worker_reuses = 0
-        #: lockstep windows driven so far (adaptive horizons shrink it)
-        self.windows_run = 0
-        kind = sc.transport.kind
-        if not self._processes or kind == "pipe":
-            self._transport = "pipe"
-            if kind == "shm" and not self._processes:
-                raise SimulationError(
-                    "transport 'shm' needs real worker processes"
-                )
-            return
-        method = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-        if shm_supported(method):
-            self._transport = "shm"
-        elif kind == "shm":
-            raise SimulationError(
-                "transport 'shm' needs the fork start method and "
-                "multiprocessing.shared_memory; use 'auto' to fall "
-                "back to pipes"
-            )
-        else:
-            self._transport = "pipe"
-
-    def _init_heal(self, fault_plan: Optional[FaultPlan]) -> None:
+    def _init_heal(self, heal: Optional[RecoveryPolicy],
+                   fault_plan: Optional[FaultPlan]) -> None:
         """Resolve the self-healing policy and arm the chaos faults.
 
-        ``shard_config.recovery`` decides: with no policy, or one whose
+        ``ShardConfig.recovery`` decides: with no policy, or one whose
         ``enabled`` is None, healing is on whenever the run has both
         real worker processes (something to respawn) and coordinated
         checkpoints (something to roll back to); ``enabled=True`` /
@@ -1266,7 +1152,7 @@ class ShardedRunner:
         machines, which the fork-based workers leave unmutated in this
         process.
         """
-        heal = self._shard_cfg.recovery or RecoveryPolicy()
+        heal = heal or RecoveryPolicy()
         enabled = heal.enabled
         if enabled is None:
             enabled = self._processes and self._ckpt is not None
@@ -1346,7 +1232,6 @@ class ShardedRunner:
             latest_coordinated,
             read_shard_manifest,
         )
-        from ..checkpoint.snapshot import load_machine
 
         directory = Path(directory)
         manifest = read_shard_manifest(directory)
@@ -1355,48 +1240,27 @@ class ShardedRunner:
             raise SnapshotError(
                 f"no complete coordinated snapshot set in {directory}"
             )
-        machines: list[ShardMachine] = []
-        for fname in entry["files"]:
-            machine, extra = load_machine(
-                directory / fname,
-                expected_cls=ShardMachine,
-                with_extra=True,
-            )
-            extra = extra or {}
-            machine.inject(
-                [tuple(m) for m in extra.get("channel_state", ())]
-            )
-            machines.append(machine)
-        shards = len(machines)
+        machines = [
+            _load_shard_machine(str(directory / fname))
+            for fname in entry["files"]
+        ]
+        ckpt = CoordinatedCheckpointManager.attach(directory)
+        interval = ckpt.config.interval
         self = cls.__new__(cls)
-        # the snapshot set fixes K, whatever the config says
-        sc = replace(
-            ShardConfig.coerce(shard_config) or ShardConfig(), shards=shards
+        self._setup(
+            # whatever count the config names, the snapshot set fixes K
+            ShardConfig.coerce(shard_config) or ShardConfig(),
+            machines,
+            Partition(
+                k=len(machines),
+                scheme=str(manifest.get("partition_scheme", "resumed")),
+                owner=dict(machines[0]._owner),
+                cut_arcs=(),
+            ),
+            "round_robin",
+            ckpt,
+            entry["cycle"] + interval if interval else None,
         )
-        self._shard_cfg = sc
-        self.partition = Partition(
-            k=shards,
-            scheme=str(manifest.get("partition_scheme", "resumed")),
-            owner=dict(machines[0]._owner),
-            cut_arcs=(),
-        )
-        self.shards = shards
-        self.workload_id = machines[0].workload_id
-        self._lookahead = max(1, machines[0].config.rn_delay)
-        self._processes = (
-            shards > 1 if sc.processes is None else sc.processes
-        )
-        self._policy = "round_robin"
-        self._init_execution_knobs(machines[0].config)
-        self.machines = machines
-        self._ckpt = CoordinatedCheckpointManager.attach(directory)
-        interval = self._ckpt.config.interval
-        self._next_ckpt = (
-            entry["cycle"] + interval if interval else None
-        )
-        self.worker_pids = []
-        self._finished = False
-        self._init_heal(machines[0].fault_plan)
         return self
 
     # ------------------------------------------------------------------
@@ -1419,9 +1283,6 @@ class ShardedRunner:
         """
         if self._finished:
             raise SimulationError("this runner has already completed")
-        if crash_at is None and self._shard_cfg.crash_at is not None:
-            crash_at = self._shard_cfg.crash_at
-            crash_shard = self._shard_cfg.crash_shard
         heal = self._heal if crash_at is None else None
         if heal is not None and self._recovery is None:
             self._recovery = RecoveryStats()
@@ -1480,15 +1341,12 @@ class ShardedRunner:
         deadline = policy.deadline if policy else _DEFAULT_DEADLINE
         heartbeat = policy.heartbeat if policy else _DEFAULT_HEARTBEAT
         pool_key = None
-        if self._pool_enabled and not machine._started:
+        if not machine._started:
             # only pristine pre-run machines are rebuild-equivalent; a
             # resumed/restored machine carries run state the rebuild
             # op cannot reproduce, so it always gets a fork-fresh copy
-            pool_key = (
-                f"{_graph_key(machine.graph)}:{self._transport}:"
-                f"{self._ring_slots}"
-            )
-            entry = _pool_acquire(pool_key, self._pool_idle)
+            pool_key = _graph_key(machine.graph)
+            entry = _pool_acquire(pool_key)
             if entry is not None:
                 try:
                     ep = _ProcessShard.adopt(
@@ -1504,23 +1362,9 @@ class ShardedRunner:
                     # the parked worker died between the liveness check
                     # and the rebuild; fall through to a fresh spawn
                     _close_pooled(entry)
-        rings = None
-        if self._transport == "shm":
-            try:
-                rings = (
-                    create_ring(self._ring_slots),
-                    create_ring(self._ring_slots),
-                    self._ring_slots,
-                )
-            except OSError:
-                if self._shard_cfg.transport.kind == "shm":
-                    raise
-                # /dev/shm unusable: degrade the whole runner to pipes
-                self._transport = "pipe"
         ep = _ProcessShard.spawn(
             shard, machine, crash_at, self._ctx,
-            deadline=deadline, heartbeat=heartbeat,
-            rings=rings, pool_key=pool_key,
+            deadline=deadline, heartbeat=heartbeat, pool_key=pool_key,
         )
         self.worker_spawns += 1
         self.worker_pids[shard] = ep.pid
@@ -1557,9 +1401,8 @@ class ShardedRunner:
                 ep.pool_key,
                 _PooledWorker(
                     proc=ep.proc, conn=ep.conn, seq=ep._seq,
-                    rings=ep.rings, released_at=time.monotonic(),
+                    released_at=time.monotonic(),
                 ),
-                self._pool_idle,
             )
         else:
             ep.close()
@@ -1601,11 +1444,11 @@ class ShardedRunner:
             )
             self.windows_run += 1
             for k, ep in enumerate(eps):
-                ep.post_window(horizon, max_cycles, by_dst.get(k, []),
-                               self._take_fault(k, horizon))
+                ep.post(("window", horizon, max_cycles,
+                         by_dst.get(k, []), self._take_fault(k, horizon)))
             frontier = []
             for k, ep in enumerate(eps):
-                outbox, nt, live, eot = ep.window_result(ep.wait())
+                outbox, nt, live, eot = ep.wait()
                 for idx, (dst, when, kind, args) in enumerate(outbox):
                     pending.append((when, k, idx, dst, kind, args))
                 frontier.append((nt, live, eot))
@@ -1614,17 +1457,17 @@ class ShardedRunner:
                  crash_at: Optional[int]) -> int:
         """Safe lockstep horizon for the window starting at ``t_min``.
 
-        Fixed mode reproduces the classic ``t_min + L - 1`` cadence.
-        Adaptive mode runs to just below the earliest cycle any shard
+        The fixed cadence is the classic ``t_min + L - 1``.  The
+        adaptive rule runs to just below the earliest cycle any shard
         could hear from another (shard EOTs and pending-message
         bounds), additionally capped so checkpoint cadence, crash
-        demonstrations and chaos-fault firing keep their fixed-mode
+        demonstrations and chaos-fault firing keep their fixed-cadence
         barrier alignment.  Every cap is ``>= t_min`` (the bounds are
         ``>= t_min + L``), so the floor only guards degenerate cases.
         """
-        if self._window_mode == "fixed":
+        if self._fixed_cadence:
             return t_min + self._lookahead - 1
-        h = t_min + self._max_window - 1
+        h = t_min + _MAX_WINDOW - 1
         for _nt, _live, eot in frontier:
             if eot is not None:
                 h = min(h, eot - 1)

@@ -24,10 +24,9 @@ import os
 import signal
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Optional
 
-from ..checkpoint.supervisor import BackoffPolicy
+from ..checkpoint.supervisor import BackoffPolicy, child_env
 from .protocol import MAX_LINE_BYTES, decode_line, encode_line
 
 
@@ -141,24 +140,8 @@ class WorkerPool:
         self._workers: list[_Worker] = []
         self._free: asyncio.Queue = asyncio.Queue()
         self._respawn_tasks: set = set()
-        self._env = self._child_env()
+        self._env = child_env()
         self._closed = False
-
-    @staticmethod
-    def _child_env() -> dict[str, str]:
-        # children must import repro even when the daemon itself was
-        # launched with an ad-hoc PYTHONPATH (same dance as the
-        # checkpoint supervisor)
-        import repro
-
-        env = dict(os.environ)
-        pkg_root = str(Path(repro.__file__).resolve().parent.parent)
-        parts = env.get("PYTHONPATH", "").split(os.pathsep)
-        if pkg_root not in parts:
-            env["PYTHONPATH"] = os.pathsep.join(
-                [pkg_root] + [p for p in parts if p]
-            )
-        return env
 
     @property
     def alive(self) -> int:

@@ -172,53 +172,20 @@ class TestCrashResume:
     def test_resume_restores_channel_state(self, tmp_path):
         # fig6 levels partition has real cross-shard traffic; a barrier
         # snapshot must carry the in-flight messages of the cut
+        from repro.checkpoint.snapshot import load_machine
+        from repro.machine import ShardMachine
+
         runner, graph, streams = _checkpointed_run(
             tmp_path, crash_at=25, crash_shard=1, name="fig6"
         )
-        ref_out, ref_times = _reference(graph, streams)
-        resumed = ShardedRunner.resume(tmp_path / "snaps")
-        resumed.run()
-        assert resumed.outputs() == ref_out
-        for s in ref_out:
-            assert resumed.sink_arrival_times(s) == ref_times[s]
-
-    def test_shm_rings_drain_into_channel_state(self, tmp_path):
-        # Force the shared-memory ring transport, kill a worker
-        # mid-run, and resume: a barrier snapshot is only usable if
-        # every in-flight ring packet was drained into the set's
-        # ``extra.channel_state`` (a packet stranded in a ring would
-        # shift delivery times on replay).
-        from repro.checkpoint.snapshot import load_machine
-        from repro.machine import ShardMachine
-        from repro.machine.shard_config import TransportConfig
-
-        graph, streams = _fig("fig6")
-        cfg = CheckpointConfig(
-            tmp_path / "snaps", interval=INTERVAL, retain=3
-        )
-        runner = ShardedRunner(
-            graph, streams,
-            config=MachineConfig.unit_time(), checkpoint=cfg,
-            shard_config=ShardConfig(
-                shards=4, processes=True, window="fixed",
-                transport=TransportConfig(kind="shm"),
-            ),
-        )
-        assert runner._transport == "shm"
-        with pytest.raises(ShardCrashError):
-            runner.run(crash_at=25, crash_shard=1)
         directory = tmp_path / "snaps"
-        newest = latest_coordinated(directory)
         carried = 0
-        for fname in newest["files"]:
+        for fname in latest_coordinated(directory)["files"]:
             _, extra = load_machine(
                 directory / fname, expected_cls=ShardMachine,
                 with_extra=True,
             )
-            assert "channel_state" in (extra or {})
             carried += len(extra["channel_state"])
-        # fig6's levels partition has real cross-shard traffic, so at
-        # least one shard's snapshot must carry in-flight cut packets
         assert carried > 0
         ref_out, ref_times = _reference(graph, streams)
         resumed = ShardedRunner.resume(directory)

