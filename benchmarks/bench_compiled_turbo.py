@@ -9,11 +9,18 @@ stream, checks that the compiled run stays bit-identical to the event
 machine (values, sink times, cycle count and statistics), and records
 the wall-clock speedup table under ``benchmarks/results/``.
 
-Figures 2/4/6/7 are statically replayable and must clear a 10x
-speedup.  Figure 5's merge control is a *data* stream (random
-booleans), so no period is provably replayable: the row documents that
-the backend degrades to roughly event-machine cost there instead of
-silently corrupting the run.
+Figures 2/4/6/7 are statically replayable.  What is gated is what
+carries that claim and repeats exactly: each must take at least one
+steady-state jump, skip >= 99% of the run's machine cycles, and finish
+sooner than the event machine did.  The ``speedup`` column is reported,
+not gated: it is ``event_s / compiled_s``, a ratio whose base is the
+event loop, so it *falls* whenever that loop gets faster (fig7:
+11.6x -> ~4x when the machine core linked its firing plans at load,
+with ``compiled_s`` no worse) -- a floor on it would punish exactly
+the change that makes every backend quicker.  Figure 5's merge control
+is a *data* stream (random booleans), so no period is provably
+replayable: the row documents that the backend degrades to roughly
+event-machine cost there instead of silently corrupting the run.
 
 The paper constrains none of these wall-clock numbers -- the point is
 that skipping the steady state preserves the model bit for bit.
@@ -30,8 +37,8 @@ from _common import bench_once, extra, record_rows
 
 M = 10_000
 SEED = 0
-#: acceptance floor for the statically replayable figures
-MIN_SPEEDUP = 10.0
+#: share of the run's cycles a statically replayable figure must skip
+MIN_SKIPPED = 0.99
 TURBO_FIGURES = ["fig2", "fig4", "fig6", "fig7"]
 
 _rows: dict[str, tuple] = {}
@@ -85,15 +92,19 @@ def test_turbo_speedup(benchmark, name):
     event, compiled, t_event, t_compiled = bench_once(
         benchmark, _compare, name, rounds=1
     )
-    speedup = t_event / t_compiled
     extra(benchmark, event_s=t_event, compiled_s=t_compiled,
-          speedup=speedup)
+          speedup=t_event / t_compiled)
     _record(name, compiled, t_event, t_compiled)
-    assert compiled.engine.schedule.jumps, (
+    schedule = compiled.engine.schedule
+    assert len(schedule.jumps) >= 1, (
         f"{name}: no steady-state jump was applied"
     )
-    assert speedup >= MIN_SPEEDUP, (
-        f"{name}: {speedup:.1f}x < {MIN_SPEEDUP}x"
+    assert schedule.cycles_skipped >= MIN_SKIPPED * compiled.cycles, (
+        f"{name}: skipped {schedule.cycles_skipped} of "
+        f"{compiled.cycles} cycles (< {MIN_SKIPPED:.0%})"
+    )
+    assert t_compiled < t_event, (
+        f"{name}: compiled took {t_compiled:.3f}s, event {t_event:.3f}s"
     )
 
 
@@ -115,7 +126,9 @@ def test_turbo_fig5_falls_back_identically(benchmark):
         rows,
         note=(
             "compiled == event bit for bit (values, sink times, cycles, "
-            "stats); fig5's control stream is data-dependent, so it "
-            "runs concretely by design"
+            "stats); gated: jumps >= 1, cycles_skipped >= 99% of the "
+            "run, compiled_s < event_s (speedup is reported: its base "
+            "is the event loop); fig5's control stream is "
+            "data-dependent, so it runs concretely by design"
         ),
     )

@@ -8,8 +8,9 @@ result and acknowledge packets.  All times are in machine cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
+from ..errors import SimulationError
 from ..graph.opcodes import Op
 
 #: Default function-unit latencies per opcode (cycles), loosely modeled
@@ -100,6 +101,33 @@ class MachineConfig:
             fu_issue_interval=0,
             rn_bandwidth=0,
         )
+
+    def validate(self) -> "MachineConfig":
+        """Raise :class:`SimulationError` naming the first field the
+        machine could not honor: every number is an int (a bool is
+        not), ``n_pes`` and ``watchdog_patience`` are at least 1, and
+        no count, delay, latency or interval is negative."""
+        def is_int(value: object) -> bool:
+            return isinstance(value, int) and not isinstance(value, bool)
+
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "watchdog":
+                ok, want = isinstance(value, bool), "a bool"
+            elif f.name == "fu_latency":
+                ok = isinstance(value, dict) and all(
+                    is_int(v) and v >= 0 for v in value.values()
+                )
+                want = "a dict of ints >= 0"
+            else:
+                floor = int(f.name in ("n_pes", "watchdog_patience"))
+                ok = is_int(value) and value >= floor
+                want = f"an int >= {floor}"
+            if not ok:
+                raise SimulationError(
+                    f"{f.name} must be {want}, got {value!r}"
+                )
+        return self
 
     def latency_of(self, op: Op) -> int:
         return self.fu_latency.get(op, 1)

@@ -69,7 +69,7 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Any, Collection, Optional, Union
 
 from ..checkpoint.manager import CheckpointConfig, CheckpointManager
 from ..checkpoint.replay import EventTrace
@@ -85,17 +85,31 @@ from ..graph.opcodes import (
     MERGE_TRUE_PORT,
     UNARY_OPS,
     Op,
-    apply_scalar,
+    arity,
 )
 from ..graph.validate import check_stream_inputs, validate
 from ..timing import steady_interval
 from .assign import Assignment, make_assignment
 from .config import MachineConfig
 from .diagnose import DeadlockDiagnosis, diagnose
-from .packets import PacketCounters, UnitClass, classify_unit
+from .packets import PacketCounters, classify_unit
 from .stats import MachineStats, ReliabilityStats
 
 _ABSENT = _NO_TOKEN
+_TICKERS = ("watchdog_tick", "checkpoint_tick")
+# what a firing computes: ``_Shape.kind`` (None: not executable)
+_SOURCE, _CONST, _MOVE, _UNARY, _BINARY, _MERGE = range(6)
+_KINDS = {
+    **dict.fromkeys(UNARY_OPS, _UNARY), **dict.fromkeys(BINARY_OPS, _BINARY),
+    Op.SOURCE: _SOURCE, Op.AM_READ: _SOURCE, Op.CONST: _CONST,
+    Op.MERGE: _MERGE, Op.ID: _MOVE, Op.SINK: _MOVE, Op.AM_WRITE: _MOVE,
+}
+
+
+def _source_values(cell: Cell, inputs: dict[str, list[Any]]) -> list[Any]:
+    if "values" in cell.params:
+        return cell.params["values"]
+    return inputs[cell.params["stream"]]
 
 
 @dataclass
@@ -105,6 +119,123 @@ class _CellState:
     queued: bool = False       # sitting in its PE's ready queue
     source_pos: int = 0
     fire_count: int = 0
+
+
+class _Shape:
+    """The half of a firing plan shared by every cell with the same
+    ``(op, gated, constant ports)`` under one config: what a firing
+    computes (``kind``, scalar ``fn``), the ports that must hold a
+    delivered operand first (``need``: gate first, constants never) and
+    those it consumes, whether it records a sink value, and the unit
+    (``"pe"``, ``"fu"``, ``"am"``) and latency of its operation packet."""
+
+    __slots__ = ("kind", "fn", "need", "consumed", "consumed_false",
+                 "sink", "unit", "latency")
+
+    def __init__(self, cell: Cell, config: MachineConfig) -> None:
+        op = cell.op
+        self.kind = _KINDS.get(op)
+        self.fn = BINARY_OPS.get(op) or UNARY_OPS.get(op)
+        self.sink = op in (Op.SINK, Op.AM_WRITE)
+
+        def delivered(*ports: int) -> tuple:
+            gate = (GATE_PORT,) if cell.gated else ()
+            return tuple(p for p in gate + ports if p not in cell.consts)
+
+        merge = op is Op.MERGE
+        ports = (MERGE_CONTROL_PORT,) if merge else range(arity(op))
+        self.need = delivered(*ports)
+        # a sink consumes port 0 even when it is a constant
+        self.consumed = self.consumed_false = (
+            delivered() + (0,) if self.sink else self.need
+        )
+        if merge:   # plus the arm its control's value picks, per firing
+            self.consumed = delivered(*ports, MERGE_TRUE_PORT)
+            self.consumed_false = delivered(*ports, MERGE_FALSE_PORT)
+        self.unit = classify_unit(cell.op.value).value
+        self.latency = {
+            "pe": config.local_latency, "fu": config.latency_of(op),
+            "am": config.am_latency,
+        }[self.unit]
+
+
+class _Plan:
+    """A cell's own half of its firing plan: the in-arcs to acknowledge
+    in consumed-port order, the destination ``(arcs, aids)`` under a
+    true and under a false gate, and a source's value list."""
+
+    __slots__ = ("cell", "shape", "acks", "acks_false", "on_true",
+                 "on_false", "values")
+
+
+class _Handlers(dict):
+    """``kind -> handler function`` of one machine class, called as
+    ``handler(machine, *args)``; a per-instance table of bound methods
+    would be a cycle keeping a finished machine alive until collected."""
+
+    def __missing__(self, kind: str):
+        raise SimulationError(f"unknown event kind {kind!r}")
+
+
+class _Linked(dict):
+    """Everything the loaded graph and the config fix, resolved once
+    instead of per event, as the static architecture loads operand,
+    destination and unit fields into each cell before the run starts
+    (Section 2, Figure 1): ``cid -> _Plan``, linked on first touch (a
+    shard never touches cells it does not own), the class's event
+    handlers and the fixed packet delays.  Never reaches a pickle."""
+
+    __slots__ = ("graph", "config", "inputs", "shapes", "handlers",
+                 "ack_delay", "route_delay")
+
+    def __init__(self, machine: "Machine") -> None:
+        self.graph = machine.graph
+        self.config = config = machine.config
+        self.inputs = machine.inputs
+        self.shapes: dict[tuple, _Shape] = {}
+        cls = type(machine)
+        if "_handlers" not in cls.__dict__:     # resolved once per class
+            cls._handlers = _Handlers(
+                (kind, getattr(cls, "_" + kind)) for kind in cls._EVENT_KINDS
+            )
+        self.handlers = cls._handlers
+        self.ack_delay = max(1, config.rn_delay)
+        #: None under bandwidth contention: Machine._route_delay has it
+        self.route_delay = None if config.rn_bandwidth else config.rn_delay
+
+    def shape_of(self, cell: Cell) -> _Shape:
+        key = (cell.op, cell.gated, frozenset(cell.consts))
+        shape = self.shapes.get(key)
+        if shape is None:
+            shape = self.shapes[key] = _Shape(cell, self.config)
+        return shape
+
+    def __missing__(self, cid: int) -> _Plan:
+        g = self.graph
+        plan = self[cid] = _Plan()
+        plan.cell = cell = g.cells[cid]
+        plan.shape = shape = self.shape_of(cell)
+        plan.acks, plan.acks_false = (
+            tuple(g.in_arc[cid, p] for p in ports if (cid, p) in g.in_arc)
+            for ports in (shape.consumed, shape.consumed_false)
+        )
+        if shape.consumed_false is shape.consumed:
+            plan.acks_false = plan.acks
+
+        def dests(arcs: list) -> tuple:
+            return arcs, tuple(a.aid for a in arcs)
+        # one pair for both gate values unless a destination is tagged,
+        # and ``out_arcs`` itself rather than a copy per cell
+        out = g.out_arcs[cid]
+        plan.on_true = plan.on_false = dests(out)
+        if any(a.tag is not None for a in out):
+            plan.on_true, plan.on_false = (
+                dests([a for a in out if a.tag is None or a.tag == truth])
+                for truth in (True, False)
+            )
+        source = shape.kind == _SOURCE
+        plan.values = _source_values(cell, self.inputs) if source else None
+        return plan
 
 
 @dataclass
@@ -137,6 +268,7 @@ class Machine:
         trace: bool = False,
     ) -> None:
         self.config = config or MachineConfig()
+        self.config.validate()
         if graph.cells_by_op(Op.FIFO):
             graph = lower_fifos(graph)
         validate(graph)
@@ -181,6 +313,8 @@ class Machine:
         self._outstanding: dict[tuple[int, int], Any] = {}
         self._retry_counts: dict[tuple[int, int], int] = {}
 
+        #: derived from graph + config, never pickled (``__getstate__``)
+        self._linked = _Linked(self)
         self.cell_state: dict[int, _CellState] = {}
         self.sink_values: dict[int, list[Any]] = {}
         self.sink_times: dict[int, list[int]] = {}
@@ -243,8 +377,7 @@ class Machine:
         #: bisection forensics to record one divergence window in full
         self.capture = None
 
-        for cell in graph:
-            self._maybe_ready(cell.cid)
+        self._scan_ready()
 
     # ------------------------------------------------------------------
     # event plumbing
@@ -275,16 +408,13 @@ class Machine:
         """Schedule event ``kind(*args)``; ``aux`` marks bookkeeping
         events (watchdog ticks, retransmission timers, checkpoint
         ticks) that must not count as machine activity for cycle
-        accounting or the ``max_cycles`` budget."""
+        accounting or the ``max_cycles`` budget.  The per-firing kinds
+        (dispatch, deliver_results, deliver_ack) push likewise from
+        inside their own hooks, a call cheaper."""
         heapq.heappush(self._events, (time, self._seq, kind, args, aux))
         self._seq += 1
-        if kind not in ("watchdog_tick", "checkpoint_tick"):
+        if kind not in _TICKERS:
             self._live_events += 1
-
-    def _execute(self, kind: str, args: tuple) -> None:
-        if kind not in self._EVENT_KINDS:
-            raise SimulationError(f"unknown event kind {kind!r}")
-        getattr(self, "_" + kind)(*args)
 
     def _route_delay(self, n_packets: int = 1) -> int:
         """Routing network delay, with optional bandwidth contention."""
@@ -300,44 +430,44 @@ class Machine:
     # ------------------------------------------------------------------
     # enabling
     # ------------------------------------------------------------------
-    def _peek(self, cell: Cell, port: int) -> Any:
-        if port in cell.consts:
-            return cell.consts[port]
-        st = self.cell_state[cell.cid]
-        return st.operands.get(port, _ABSENT)
-
-    def _is_enabled(self, cell: Cell) -> bool:
-        st = self.cell_state[cell.cid]
+    def _is_enabled(self, cid: int, st: _CellState) -> bool:
+        """The enabling rule read off the cell's occupancy: no
+        acknowledge outstanding and every needed operand delivered."""
         if st.acks_pending:
             return False
-        if cell.gated and self._peek(cell, GATE_PORT) is _ABSENT:
-            return False
-        op = cell.op
-        if op in (Op.SOURCE, Op.AM_READ):
-            seq = self._source_seq(cell)
-            return st.source_pos < len(seq)
-        if op is Op.CONST:
-            return True
-        if op is Op.MERGE:
-            ctl = self._peek(cell, MERGE_CONTROL_PORT)
-            if ctl is _ABSENT:
+        plan = self._linked[cid]
+        shape = plan.shape
+        operands = st.operands
+        # port by port, not by count: an arc into a port beyond the
+        # arity parks a token that must not enable (or block) the cell
+        for port in shape.need:
+            if port not in operands:
                 return False
-            sel = MERGE_TRUE_PORT if bool(ctl) else MERGE_FALSE_PORT
-            return self._peek(cell, sel) is not _ABSENT
-        for port in cell.data_ports():
-            if self._peek(cell, port) is _ABSENT:
-                return False
+        if shape.kind == _MERGE:
+            src = {**operands, **plan.cell.consts}
+            if src[MERGE_CONTROL_PORT]:
+                return MERGE_TRUE_PORT in src
+            return MERGE_FALSE_PORT in src
+        if shape.kind == _SOURCE:
+            return st.source_pos < len(plan.values)
         return True
 
     def _source_seq(self, cell: Cell) -> list[Any]:
-        if "values" in cell.params:
-            return cell.params["values"]
-        return self.inputs[cell.params["stream"]]
+        return _source_values(cell, self.inputs)
+
+    def _scan_ready(self, primed: Collection[int] = ()) -> None:
+        """Queue, in graph order, the cells enabled before any event
+        ran: those needing no delivered operand or ``primed`` by an
+        initial token.  No other cell is touched, so a machine that
+        never fires (a coordinator's copy of a worker's) links only them."""
+        shape_of = self._linked.shape_of
+        for cell in self.graph:
+            if cell.cid in primed or not shape_of(cell).need:
+                self._maybe_ready(cell.cid)
 
     def _maybe_ready(self, cid: int) -> None:
-        cell = self.graph.cells[cid]
         st = self.cell_state[cid]
-        if st.queued or not self._is_enabled(cell):
+        if st.queued or not self._is_enabled(cid, st):
             return
         st.queued = True
         pe_idx = self.assignment[cid]
@@ -360,9 +490,12 @@ class Machine:
         if self._dispatch_pending[pe_idx]:
             return
         self._dispatch_pending[pe_idx] = True
-        pe = self.pes[pe_idx]
-        when = max(self.now, pe.next_free)
-        self._at(when, "dispatch", (pe_idx,))
+        when = max(self.now, self.pes[pe_idx].next_free)
+        heapq.heappush(
+            self._events, (when, self._seq, "dispatch", (pe_idx,), False)
+        )
+        self._seq += 1
+        self._live_events += 1
 
     def _next_live_pe(self, pe_idx: int) -> int:
         n = len(self.pes)
@@ -416,10 +549,9 @@ class Machine:
             self._schedule_dispatch(pe_idx)
             return
         cid = queue.pop(0)
-        cell = self.graph.cells[cid]
         st = self.cell_state[cid]
         st.queued = False
-        if not self._is_enabled(cell):
+        if not self._is_enabled(cid, st):
             # state changed while queued (merge control flipped, etc.)
             self._maybe_ready(cid)
             if queue:
@@ -438,141 +570,124 @@ class Machine:
             pe.next_free = self.now + interval
             pe.busy_cycles += interval
         pe.ops += 1
-        self._fire(cell)
+        self._fire(self.graph.cells[cid])
         if queue:
             self._schedule_dispatch(pe_idx)
 
     def _fire(self, cell: Cell) -> None:
-        st = self.cell_state[cell.cid]
+        cid = cell.cid
+        st = self.cell_state[cid]
         st.fire_count += 1
         self._progress += 1
-        g = self.graph
-        gate_val: Any = None
-        consumed_ports: list[int] = []
-        if cell.gated:
-            gate_val = self._peek(cell, GATE_PORT)
-            if GATE_PORT not in cell.consts:
-                consumed_ports.append(GATE_PORT)
-
-        op = cell.op
-        result: Any = None
-        if op in (Op.SOURCE, Op.AM_READ):
-            result = self._source_seq(cell)[st.source_pos]
+        link = self._linked
+        plan = link[cid]
+        shape = plan.shape
+        kind = shape.kind
+        operands = st.operands
+        # operand fields as the firing reads them: a constant is always
+        # there (and wins over a token parked on its port)
+        src = {**operands, **cell.consts} if cell.consts else operands
+        acks = plan.acks
+        if kind == _SOURCE:
+            result = plan.values[st.source_pos]
             st.source_pos += 1
-        elif op is Op.CONST:
+        elif kind == _CONST:
             result = cell.params["value"]
-        elif op in (Op.SINK, Op.AM_WRITE):
-            result = self._peek(cell, 0)
-            consumed_ports.append(0)
-        elif op is Op.MERGE:
-            ctl = self._peek(cell, MERGE_CONTROL_PORT)
-            sel = MERGE_TRUE_PORT if bool(ctl) else MERGE_FALSE_PORT
-            result = self._peek(cell, sel)
-            for port in (MERGE_CONTROL_PORT, sel):
-                if port not in cell.consts:
-                    consumed_ports.append(port)
+        elif kind == _MERGE:
+            sel = MERGE_TRUE_PORT
+            if not src[MERGE_CONTROL_PORT]:
+                sel, acks = MERGE_FALSE_PORT, plan.acks_false
+            result = src[sel]
+        elif kind is None:
+            raise SimulationError(f"cannot execute {cell.op!r}")
         else:
-            args = [self._peek(cell, p) for p in cell.data_ports()]
-            consumed_ports.extend(
-                p for p in cell.data_ports() if p not in cell.consts
-            )
-            if op is Op.ID:
-                result = args[0]
-            elif op in BINARY_OPS or op in UNARY_OPS:
-                try:
-                    result = apply_scalar(op, args)
-                except ZeroDivisionError as exc:
-                    raise SimulationError(
-                        f"division by zero in {cell.label} at cycle {self.now}"
-                    ) from exc
-            else:
-                raise SimulationError(f"cannot execute {op!r}")
+            result = src[0]
+            try:
+                if kind == _BINARY:
+                    result = shape.fn(result, src[1])
+                elif kind == _UNARY:
+                    result = shape.fn(result)
+            except ZeroDivisionError as exc:
+                raise SimulationError(
+                    f"division by zero in {cell.label} at cycle {self.now}"
+                ) from exc
+        # destinations this firing writes: untagged ones plus those
+        # tagged with the gate's value (none may match)
+        out, aids = plan.on_false
+        if cell.gated and src[GATE_PORT]:
+            out, aids = plan.on_true
 
+        # with neither a fault plan (so no packet is ever lost) nor the
+        # reliability layer, packets go straight to the delivery hooks
+        clean = self.injector is None and not self._reliable
+        now = self.now
+        packets = self.packets
+        route = link.route_delay    # None: ask _route_delay each time
         # acknowledge the producers of every consumed operand
-        for port in consumed_ports:
-            arc = g.in_arc.get((cell.cid, port))
-            st.operands.pop(port, None)
-            if arc is None:
-                continue
-            self._send_ack(arc)
-
-        # destinations this firing writes
-        out = [
-            a
-            for a in g.out_arcs[cell.cid]
-            if a.tag is None or a.tag == bool(gate_val)
-        ]
+        for arc in acks:
+            operands.pop(arc.dst_port, None)
+            if clean:
+                packets.acks += 1
+                self._send_plain_ack(arc, now + link.ack_delay)
+            else:
+                self._send_ack(arc)
         st.acks_pending = len(out)
 
-        unit = classify_unit(op.value)
-        self.packets.count_op(unit)
-        if op in (Op.SINK, Op.AM_WRITE):
-            lost = False
-            if op is Op.AM_WRITE:
-                idx, unit_state = self._pick_unit("am")
-                arrival = self.now + self._route_delay()
-                start = max(arrival, unit_state.next_free)
-                lost = self._op_lost("am", idx, start)
-                if not lost:
-                    if self.config.fu_issue_interval:
-                        unit_state.next_free = (
-                            start + self.config.fu_issue_interval
-                        )
-                    latency = self._unit_latency("am", idx, start, op)
-                    unit_state.busy_cycles += latency
-                    unit_state.ops += 1
-                    done = start + latency
-            else:
-                done = self.now + self.config.local_latency
-            if not lost:
-                self._at(done, "record_sink", (cell.cid, result))
-            self._maybe_ready(cell.cid)
-            return
-
+        unit = shape.unit
         lost = False
-        if unit is UnitClass.LOCAL:
-            done = self.now + self.config.local_latency
+        if unit == "pe":
+            packets.op_local += 1
+            done = now + shape.latency
         else:
-            kind = "fu" if unit is UnitClass.FUNCTION_UNIT else "am"
-            idx, unit_state = self._pick_unit(kind)
-            arrival = self.now + self._route_delay()
-            start = max(arrival, unit_state.next_free)
-            lost = self._op_lost(kind, idx, start)
-            if lost:
-                done = start
+            if unit == "fu":
+                packets.op_fu += 1
             else:
+                packets.op_am += 1
+            idx, unit_state = self._pick_unit(unit)
+            if route is None:
+                route = self._route_delay()
+            done = max(now + route, unit_state.next_free)
+            faults = self.fault_plan
+            if faults is not None and faults.is_dead(unit, idx, done):
+                lost = True     # an outage swallows the operation packet
+                self.injector.note_op_lost()
+            else:
+                latency = shape.latency
+                if faults is not None:      # a slowdown stretches it
+                    latency = max(1, round(
+                        latency * faults.slow_factor(unit, idx, done)
+                    ))
                 if self.config.fu_issue_interval:
-                    unit_state.next_free = start + self.config.fu_issue_interval
-                latency = self._unit_latency(kind, idx, start, op)
+                    unit_state.next_free = (
+                        done + self.config.fu_issue_interval
+                    )
                 unit_state.busy_cycles += latency
                 unit_state.ops += 1
-                done = start + latency
+                done += latency
 
-        self._send_results(out, result, done, lost)
-        # the cell itself may refire once operands/acks return
-        self._maybe_ready(cell.cid)
-
-    def _send_results(
-        self, out: list, value: Any, done: int, lost: bool
-    ) -> None:
-        """Route one firing's result to its destination arcs through
-        whichever delivery path is active (clean, faulty or reliable).
-        The sharded runner overrides the per-copy scheduling hooks
-        underneath this to divert cross-shard packets."""
-        if self._reliable:
-            self._send_results_reliable(out, value, done, lost)
-        elif self.injector is not None:
+        if shape.sink:
             if not lost:
-                self._send_results_faulty(out, value, done)
+                self._at(done, "record_sink", (cid, result))
+        elif self._reliable:
+            self._send_results_reliable(out, result, done, lost)
+        elif clean:
+            if link.route_delay is None:
+                route = self._route_delay(len(out))
+            self._schedule_delivery(max(done + route, now + 1), aids, result)
         elif not lost:
-            deliver = done + self._route_delay(len(out))
-            deliver = max(deliver, self.now + 1)
-            self._schedule_delivery(
-                deliver, tuple(a.aid for a in out), value
-            )
+            self._send_results_faulty(out, result, done)
+        # only a firing that wrote no destination can refire at once;
+        # any other waits for its acknowledges (_deliver_ack)
+        if not out:
+            self._maybe_ready(cid)
 
     def _schedule_delivery(self, when: int, aids: tuple, value: Any) -> None:
-        self._at(when, "deliver_results", (aids, value))
+        heapq.heappush(
+            self._events,
+            (when, self._seq, "deliver_results", (aids, value), False),
+        )
+        self._seq += 1
+        self._live_events += 1
 
     # ------------------------------------------------------------------
     # units
@@ -607,27 +722,6 @@ class Machine:
             self._am_rr = rr
         return chosen, pool[chosen]
 
-    def _op_lost(self, kind: str, idx: int, start: int) -> bool:
-        """Whether an operation packet is swallowed by a unit outage."""
-        if self.fault_plan is None or not self.fault_plan.is_dead(
-            kind, idx, start
-        ):
-            return False
-        self.injector.note_op_lost()
-        return True
-
-    def _unit_latency(self, kind: str, idx: int, start: int, op: Op) -> int:
-        base = (
-            self.config.am_latency
-            if kind == "am"
-            else self.config.latency_of(op)
-        )
-        if self.fault_plan is not None:
-            base = max(
-                1, round(base * self.fault_plan.slow_factor(kind, idx, start))
-            )
-        return base
-
     # ------------------------------------------------------------------
     # result delivery: clean, faulty, and reliable paths
     # ------------------------------------------------------------------
@@ -643,7 +737,8 @@ class Machine:
                 )
             st.operands[arc.dst_port] = value
             self._progress += 1
-            self._maybe_ready(arc.dst)
+            if not st.acks_pending:
+                self._maybe_ready(arc.dst)
 
     def _send_results_faulty(self, arcs: list, value: Any, done: int) -> None:
         """Result delivery under a fault plan with recovery disabled:
@@ -750,26 +845,28 @@ class Machine:
     # acknowledges
     # ------------------------------------------------------------------
     def _send_ack(self, arc) -> None:
-        ack_delay = max(1, self.config.rn_delay)
+        """Acknowledge under the reliability layer or, unprotected,
+        under a fault plan (a clean run acknowledges from _fire)."""
         if self._reliable:
             seq = self._consumed_count.get(arc.aid, 0)
             self._consumed_count[arc.aid] = seq + 1
             self._transmit_ack(arc.aid, seq)
             return
         self.packets.acks += 1
-        if self.injector is not None:
-            copies = self.injector.ack_fate(key=(arc.aid, 0, self.now))
-            for i in range(copies):
-                self._send_plain_ack(arc, self.now + ack_delay + i)
-            return
-        self._send_plain_ack(arc, self.now + ack_delay)
+        when = self.now + self._linked.ack_delay
+        for i in range(self.injector.ack_fate(key=(arc.aid, 0, self.now))):
+            self._send_plain_ack(arc, when + i)
 
     def _send_plain_ack(self, arc, when: int) -> None:
-        self._at(when, "deliver_ack", (arc.src,))
+        heapq.heappush(
+            self._events, (when, self._seq, "deliver_ack", (arc.src,), False)
+        )
+        self._seq += 1
+        self._live_events += 1
 
     def _transmit_ack(self, aid: int, seq: int) -> None:
         self.packets.acks += 1
-        ack_delay = max(1, self.config.rn_delay)
+        ack_delay = self._linked.ack_delay
         copies = (
             self.injector.ack_fate(key=(aid, seq, self.now))
             if self.injector is not None
@@ -924,7 +1021,7 @@ class Machine:
     _SNAP_STATIC_ATTRS: frozenset = frozenset({
         "config", "graph", "inputs", "fault_plan", "recovery",
         "_reliable", "_timeout", "_wd_interval", "workload_id",
-        "_snap_chain",
+        "_snap_chain", "_linked",
     })
     #: dict/list-structured attributes decomposed into per-key sections
     #: by :meth:`snapshot_sections`
@@ -943,7 +1040,13 @@ class Machine:
         # section digests would be stale the moment either side runs
         state = self.__dict__.copy()
         state.pop("_snap_chain", None)
+        # derived from graph + config: relinked on load, never stored
+        state.pop("_linked", None)
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._linked = _Linked(self)
 
     def snapshot_sections(self) -> dict:
         """Decompose the mutable machine state into addressable
@@ -1158,16 +1261,17 @@ class Machine:
         # that arc (single-token discipline), so it starts with a
         # pending acknowledge per initial token.
         self._started = True
+        primed = set()
         for arc in self.graph.arcs.values():
             if arc.has_initial:
+                primed.add(arc.dst)
                 self.cell_state[arc.dst].operands[arc.dst_port] = arc.initial
                 self.cell_state[arc.src].acks_pending += 1
                 if self._reliable:
                     # the pre-loaded token occupies sequence number 0
                     self._send_seq[arc.aid] = 1
                     self._recv_count[arc.aid] = 1
-        for cid in self.graph.cells:
-            self._maybe_ready(cid)
+        self._scan_ready(primed)
         if self.config.watchdog:
             self._at(self._wd_interval, "watchdog_tick", aux=True)
         if self.ckpt is not None:
@@ -1186,37 +1290,49 @@ class Machine:
         """Drain the event heap; returns True when paused early at a
         ``stop_at_checkpoint`` boundary, False when the heap drained."""
         capture = getattr(self, "capture", None)
-        while self._events:
+        handlers = self._linked.handlers
+        heappop = heapq.heappop
+        # pause, crash and budget all wait for the clock: one
+        # comparison keeps the three tests off the per-event path
+        limits = (max_cycles, crash_at, stop_at_checkpoint)
+        guard = min(t for t in limits if t is not None)
+        # an unconditional back-edge: CPython 3.11 specialises a code
+        # object after eight calls or eight of those, and this is called
+        # once a run -- else a process's first seven runs are ~1.3x slower
+        while True:
+            if not self._events:
+                break
             if self._snap_requests:
                 # between events the state is self-consistent: a
                 # snapshot taken here resumes exactly like a periodic one
                 self._drain_snapshot_requests()
-            entry = heapq.heappop(self._events)
+            entry = heappop(self._events)
             time, _seq, kind, args, aux = entry
-            if (
-                stop_at_checkpoint is not None
-                and kind == "checkpoint_tick"
-                and time >= stop_at_checkpoint
-            ):
-                # push the tick back untouched: the pause is invisible
-                # to the machine state and the run can continue
-                heapq.heappush(self._events, entry)
-                return True
-            if crash_at is not None and time >= crash_at:
-                os._exit(137)       # simulated SIGKILL: no cleanup at all
-            if time > max_cycles and not aux:
-                # push the event back so a final snapshot stays resumable
-                # (e.g. `repro resume --max-cycles` on a timed-out run)
-                heapq.heappush(self._events, entry)
-                raise SimulationTimeout(
-                    f"machine simulation exceeded {max_cycles} cycles "
-                    f"(still making progress: livelock or genuinely long "
-                    f"run)",
-                    cycles=time,
-                    stats=self.stats(),
-                    sink_progress=self._sink_progress(),
-                )
-            if kind not in ("watchdog_tick", "checkpoint_tick"):
+            if time >= guard:
+                if (
+                    stop_at_checkpoint is not None
+                    and kind == "checkpoint_tick"
+                    and time >= stop_at_checkpoint
+                ):
+                    # push the tick back untouched: the pause is invisible
+                    # to the machine state and the run can continue
+                    heapq.heappush(self._events, entry)
+                    return True
+                if crash_at is not None and time >= crash_at:
+                    os._exit(137)   # simulated SIGKILL: no cleanup at all
+                if time > max_cycles and not aux:
+                    # push the event back so a final snapshot stays resumable
+                    # (e.g. `repro resume --max-cycles` on a timed-out run)
+                    heapq.heappush(self._events, entry)
+                    raise SimulationTimeout(
+                        f"machine simulation exceeded {max_cycles} cycles "
+                        f"(still making progress: livelock or genuinely "
+                        f"long run)",
+                        cycles=time,
+                        stats=self.stats(),
+                        sink_progress=self._sink_progress(),
+                    )
+            if kind not in _TICKERS:
                 self._live_events -= 1
             self.now = time
             if not aux:
@@ -1225,7 +1341,7 @@ class Machine:
                     self.trace.record(time, kind, args)
                 if capture is not None:
                     capture.record(time, kind, args)
-            self._execute(kind, args)
+            handlers[kind](self, *args)
         if self._snap_requests:
             # requests that arrived after the last event still get
             # their snapshot: the quiesced state is self-consistent

@@ -491,7 +491,10 @@ class ShardMachine(Machine):
     ]:
         """Execute every event with ``time <= horizon``; return the
         outbox of cross-shard messages plus the new frontier."""
-        while self._events and self._events[0][0] <= horizon:
+        handlers = self._linked.handlers
+        while True:     # unconditional back-edge, as in Machine._loop
+            if not self._events or self._events[0][0] > horizon:
+                break
             entry = heapq.heappop(self._events)
             time, _seq, kind, args, aux = entry
             if time > max_cycles and not aux:
@@ -509,7 +512,7 @@ class ShardMachine(Machine):
             self.now = time
             if not aux:
                 self._finish = time
-            self._execute(kind, args)
+            handlers[kind](self, *args)
         outbox, self._outbox = self._outbox, []
         nt, live, eot = self.frontier()
         return outbox, nt, live, eot

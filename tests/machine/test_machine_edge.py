@@ -181,3 +181,50 @@ class TestInitialTokenAcks:
         g.connect(ctr, sink, 0)
         outs = repro.run(g, {}).outputs
         assert outs["k"] == list(range(8))
+
+
+class TestMachineConfigIsValidated:
+    """The firing plans bake the config's values in at load, so a value
+    the machine cannot honor is refused by name up front -- not a raw
+    ZeroDivisionError / TypeError from deep inside, and above all not
+    a modeled cycle count computed with a negative delay."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n_pes", 0),
+            ("n_pes", "2"),
+            ("rn_delay", -1),
+            ("local_latency", -5),
+            ("pe_issue_interval", -1),
+            ("fu_issue_interval", -3),
+            ("rn_bandwidth", -1),
+        ],
+    )
+    def test_bad_value_is_a_simulation_error_naming_the_field(
+        self, field, value
+    ):
+        from repro.errors import SimulationError
+        from repro.workloads import FIGURES
+
+        cp = FIGURES["fig2"].compile(m=8)
+        inputs = FIGURES["fig2"].make_inputs(cp, seed=0)
+        with pytest.raises(SimulationError, match=field):
+            repro.run(cp, inputs, config=MachineConfig(**{field: value}))
+
+    def test_more_of_the_rule(self):
+        from repro.errors import SimulationError
+
+        for bad in (
+            {"n_fus": True},                    # a bool is not a count
+            {"watchdog_patience": 0},
+            {"am_latency": 1.5},
+            {"fu_latency": {Op.ADD: -2}},
+            {"fu_latency": {Op.ADD: 2.0}},
+            {"fu_latency": [2, 3]},
+        ):
+            with pytest.raises(SimulationError, match=next(iter(bad))):
+                MachineConfig(**bad).validate()
+        # zero is a legal count, delay, latency and interval
+        MachineConfig.unit_time().validate()
+        MachineConfig(n_fus=0, n_ams=0, local_latency=0).validate()
