@@ -65,6 +65,8 @@ collapses a chain tip back into a standalone v2 base.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -862,6 +864,24 @@ def latest_snapshot(
     return None
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Keep the cyclic collector off while a machine is materialised.
+
+    Unpickling or building a wide machine allocates ~10^5 containers
+    that all stay alive; the generation-2 passes those allocations
+    trigger walk every one of them and free nothing.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def load_machine(
     source: Union[str, Path],
     expected_cls: Optional[type] = None,

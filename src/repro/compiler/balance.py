@@ -26,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
-
-from ..analysis.paths import default_arc_weight, longest_path_levels
+from ..analysis.paths import (
+    check_balance,
+    default_arc_weight,
+    longest_path_levels,
+)
 from ..errors import AnalysisError, CompileError
 from ..graph.graph import DataflowGraph
 from ..graph.opcodes import Op
@@ -113,14 +113,26 @@ def _reduce_levels(
 def _optimal_levels(
     g: DataflowGraph, ignored: tuple[int, ...]
 ) -> dict[int, int]:
-    """Exact minimum-total-buffer levels via the LP dual of min-cost flow."""
+    """Exact minimum-total-buffer levels via the LP dual of min-cost flow.
+
+    Total slack 0 is the LP's lower bound, so longest-path levels that
+    leave every considered arc tight are already an optimum -- and every
+    optimum then buffers nothing.  Only a graph with slack somewhere
+    pays for the solver, numpy and scipy included: they are imported
+    here so that no process loads them before it has an LP to solve.
+    """
+    naive = check_balance(g, ignore_arcs=ignored)
+    if naive.balanced:
+        return naive.levels
+    import numpy as np
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
     w = default_arc_weight(g)
     arcs = _arcs_considered(g, ignored)
     cells = list(g.cells)
     index = {cid: k for k, cid in enumerate(cells)}
     n, m = len(cells), len(arcs)
-    if m == 0:
-        return {cid: 0 for cid in cells}
     # objective: sum over arcs of (pi_dst - pi_src)  (constant -sum w dropped)
     c = np.zeros(n)
     for a in arcs:

@@ -50,11 +50,6 @@ from ..graph.opcodes import (
     apply_scalar,
 )
 
-try:                            # optional acceleration only
-    import numpy as _np
-except Exception:               # pragma: no cover - numpy is optional
-    _np = None
-
 
 class ScheduleError(ReproError):
     """The graph (or its inputs) defeats static schedule derivation.
@@ -499,14 +494,15 @@ class StreamEvaluator:
         if fn is None:
             raise ScheduleError(f"cannot batch opcode {op!r}")
         if (
-            _np is not None
-            and n >= _NP_MIN_BATCH
+            n >= _NP_MIN_BATCH
             and (op in _NP_BINOPS or op in _NP_UNOPS)
             and all(
                 all(type(v) is float for v in col) for col in cols
             )
         ):
-            arrays = [_np.asarray(col, dtype=_np.float64) for col in cols]
+            import numpy as np  # loaded by the first batch that uses it
+
+            arrays = [np.asarray(col, dtype=np.float64) for col in cols]
             npfn = _NP_BINOPS.get(op) or _NP_UNOPS[op]
             return npfn(*arrays).tolist()
         if len(cols) == 2:

@@ -266,12 +266,16 @@ class Machine:
             Union[CheckpointConfig, CheckpointManager]
         ] = None,
         trace: bool = False,
+        _graph_validated: bool = False,
     ) -> None:
         self.config = config or MachineConfig()
         self.config.validate()
         if graph.cells_by_op(Op.FIFO):
             graph = lower_fifos(graph)
-        validate(graph)
+        # the sharded runner walks its one lowered graph once, not once
+        # per shard machine it builds over it
+        if not _graph_validated:
+            validate(graph)
         self.graph = graph
         self.inputs = {k: list(v) for k, v in (inputs or {}).items()}
         check_stream_inputs(graph, self.inputs)

@@ -119,12 +119,12 @@ import pickle
 import random
 import threading
 import time
-import weakref
 from dataclasses import dataclass, replace
 from typing import Any, Optional, Union
 
 from ..analysis.partition import Partition, cut_distances, partition_graph
 from ..checkpoint.manager import CheckpointConfig
+from ..checkpoint.snapshot import _gc_paused
 from ..errors import (
     EXIT_SHARD_CRASH,
     DeadlockError,
@@ -137,6 +137,7 @@ from ..faults import FaultPlan
 from ..graph.graph import DataflowGraph
 from ..graph.lower import lower_fifos
 from ..graph.opcodes import Op
+from ..graph.validate import validate
 from .config import MachineConfig
 from .machine import Machine, _CellState
 from .packets import PacketCounters
@@ -237,6 +238,7 @@ class ShardMachine(Machine):
         policy: str = "round_robin",
         fault_plan: Optional[FaultPlan] = None,
         recovery: bool = True,
+        _graph_validated: bool = False,
     ) -> None:
         if fault_plan is not None and n_shards > 1:
             if fault_plan.unit_faults:
@@ -265,6 +267,7 @@ class ShardMachine(Machine):
             policy=policy,
             fault_plan=fault_plan,
             recovery=recovery,
+            _graph_validated=_graph_validated,
         )
         if set(self._owner) != set(self.graph.cells):
             raise SimulationError(
@@ -641,7 +644,10 @@ def _shard_worker(conn, machine: ShardMachine,
                     spec = dict(cmd[1])
                     crash_at = spec.pop("crash_at", None)
                     wid = spec.pop("workload_id", None)
-                    machine = ShardMachine(machine.graph, **spec)
+                    # (validated before this worker was forked)
+                    machine = ShardMachine(
+                        machine.graph, _graph_validated=True, **spec
+                    )
                     machine.workload_id = wid
                     conn.send((seq, "ok", machine.shard_index))
                 elif op == "finish":
@@ -697,26 +703,15 @@ _POOL_LOCK = threading.Lock()
 #: global cap on parked workers (LRU-evicted beyond this)
 _POOL_CAP = 16
 
-#: id(graph) -> (weakref, digest) memo so repeat runs over the same
-#: graph object don't re-pickle it per spawn
-_KEY_CACHE: dict[int, tuple[Any, str]] = {}
-
 
 def _graph_key(graph: DataflowGraph) -> str:
-    """Content digest of the lowered graph (identity-verified memo)."""
-    ent = _KEY_CACHE.get(id(graph))
-    if ent is not None and ent[0]() is graph:
-        return ent[1]
-    digest = hashlib.sha256(
+    """Content digest of the lowered graph.  Taken afresh by every run
+    and never memoised on the object: a graph edited in place (a
+    source's values, a constant, an initial token) must miss the
+    workers that still hold what it used to be."""
+    return hashlib.sha256(
         pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL)
     ).hexdigest()
-    for gid in [g for g, (ref, _) in _KEY_CACHE.items() if ref() is None]:
-        del _KEY_CACHE[gid]
-    try:
-        _KEY_CACHE[id(graph)] = (weakref.ref(graph), digest)
-    except TypeError:       # pragma: no cover - graphs are weakref-able
-        pass
-    return digest
 
 
 def _close_pooled(entry: _PooledWorker) -> None:
@@ -1061,20 +1056,23 @@ class ShardedRunner:
         # progress (a per-shard watchdog would mistake "waiting for a
         # cross-shard token" for a stall)
         shard_cfg = replace(config, watchdog=False)
-        machines = [
-            ShardMachine(
-                graph,
-                shard_index=k,
-                n_shards=shards,
-                owner=part.owner,
-                config=shard_cfg,
-                inputs=inputs,
-                policy=policy,
-                fault_plan=fault_plan,
-                recovery=recovery,
-            )
-            for k in range(shards)
-        ]
+        validate(graph)         # once, for all K machines over it
+        with _gc_paused():
+            machines = [
+                ShardMachine(
+                    graph,
+                    shard_index=k,
+                    n_shards=shards,
+                    owner=part.owner,
+                    config=shard_cfg,
+                    inputs=inputs,
+                    policy=policy,
+                    fault_plan=fault_plan,
+                    recovery=recovery,
+                    _graph_validated=True,
+                )
+                for k in range(shards)
+            ]
         for m in machines:
             m.workload_id = workload_id
         ckpt = next_ckpt = None
@@ -1324,15 +1322,22 @@ class ShardedRunner:
                 else "spawn"
             )
         self.worker_pids = [None] * self.shards
+        # only pristine pre-run machines are rebuild-equivalent; a
+        # resumed/restored machine carries run state the rebuild op
+        # cannot reproduce, so it always gets a fork-fresh copy
+        pool_key = None
+        if self._processes and not self.machines[0]._started:
+            pool_key = _graph_key(self.machines[0].graph)
         return [
             self._spawn_one(
-                k, m, crash_at if k == crash_shard else None
+                k, m, crash_at if k == crash_shard else None, pool_key
             )
             for k, m in enumerate(self.machines)
         ]
 
     def _spawn_one(self, shard: int, machine: ShardMachine,
-                   crash_at: Optional[int] = None):
+                   crash_at: Optional[int] = None,
+                   pool_key: Optional[str] = None):
         if not self._processes or shard in self._degraded:
             if machine is self.machines[shard] and self._degraded:
                 # a degraded shard runs in-process and would mutate
@@ -1343,12 +1348,7 @@ class ShardedRunner:
         policy = self._heal
         deadline = policy.deadline if policy else _DEFAULT_DEADLINE
         heartbeat = policy.heartbeat if policy else _DEFAULT_HEARTBEAT
-        pool_key = None
-        if not machine._started:
-            # only pristine pre-run machines are rebuild-equivalent; a
-            # resumed/restored machine carries run state the rebuild
-            # op cannot reproduce, so it always gets a fork-fresh copy
-            pool_key = _graph_key(machine.graph)
+        if pool_key is not None:
             entry = _pool_acquire(pool_key)
             if entry is not None:
                 try:

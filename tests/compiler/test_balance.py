@@ -4,10 +4,20 @@ import pytest
 
 import repro
 from repro.analysis import analyze_rate, is_fully_pipelined
-from repro.compiler import balance_graph, compute_levels, verify_balanced
-from repro.compiler.balance import METHODS
+from repro.analysis.paths import default_arc_weight
+from repro.compiler import (
+    balance,
+    balance_graph,
+    compile_program,
+    compute_levels,
+    verify_balanced,
+)
+from repro.compiler.balance import METHODS, min_buffer_stages_via_flow
+from repro.compiler.foriter import compile_foriter_interleaved
 from repro.errors import CompileError
 from repro.graph import DataflowGraph, Op, validate
+from repro.val import parse_program
+from repro.workloads import EXAMPLE2_SOURCE, SOURCES, figure_workload
 
 
 def wide_dag(lengths=(3, 1, 0)) -> DataflowGraph:
@@ -222,3 +232,96 @@ class TestFeedbackArcsSkipped:
         skip = list(g.arcs)
         res = balance_graph(g, ignore_arcs=skip)
         assert res.inserted_stages == 0
+
+
+def _figure_graph(fig):
+    """The figure's graph as the compiler hands it to the balancer."""
+    wl = figure_workload(fig)
+    return compile_program(
+        SOURCES[wl.source_name], params={"m": 12}, balance="none",
+        **wl.compile_opts,
+    ).graph
+
+
+def _example2_graph(batch):
+    """The graphs ``repro serve`` keeps resident for Example 2: the
+    Todd loop, alone or ``batch`` instances interleaved through it."""
+    serial = compile_program(
+        EXAMPLE2_SOURCE, params={"m": 8}, foriter_scheme="todd",
+        balance="none",
+    )
+    if batch == 1:
+        return serial.graph
+    block = parse_program(EXAMPLE2_SOURCE).blocks[0]
+    return compile_foriter_interleaved(
+        block.name, block.expr, serial.input_specs, {"m": 8}, batch=batch
+    ).graph
+
+
+class TestSolverOnlyWhereThereIsSlack:
+    """Longest-path levels with every arc tight *are* the LP optimum
+    (total slack 0 is its lower bound), so such a graph never reaches
+    the solver; any slack anywhere still does."""
+
+    @staticmethod
+    def _replace_solver(monkeypatch, fn):
+        import scipy.optimize
+
+        monkeypatch.setattr(scipy.optimize, "linprog", fn)
+        # and the name a module-level ``from scipy.optimize import
+        # linprog`` would have bound, so neither form slips past
+        monkeypatch.setattr(balance, "linprog", fn, raising=False)
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        from scipy.optimize import linprog
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return linprog(*args, **kwargs)
+
+        self._replace_solver(monkeypatch, counted)
+        return calls
+
+    @pytest.mark.parametrize("build", [
+        lambda: _figure_graph("fig2"),
+        lambda: _figure_graph("fig7"),
+        lambda: _example2_graph(1),
+        lambda: _example2_graph(8),
+    ], ids=["fig2", "fig7", "example2", "example2x8"])
+    def test_zero_slack_graph_skips_the_lp(self, build, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LP solved for a graph with no slack")
+
+        self._replace_solver(monkeypatch, refuse)
+        g = build()
+        skip = set(g.meta.get("feedback_arcs", ()))
+        w = default_arc_weight(g)
+        levels = compute_levels(g, "optimal")
+        assert all(
+            levels[a.dst] - levels[a.src] == w(a)
+            for a in g.arcs.values() if a.aid not in skip
+        )
+        cells, arcs = set(g.cells), set(g.arcs)
+        assert balance_graph(g).inserted_stages == 0
+        assert (set(g.cells), set(g.arcs)) == (cells, arcs)
+        assert verify_balanced(g)
+
+    @pytest.mark.parametrize("build", [
+        wide_dag,
+        lambda: _figure_graph("fig4"),
+        lambda: _figure_graph("fig6"),
+    ], ids=["wide_dag", "fig4", "fig6"])
+    def test_slack_still_reaches_the_lp(self, build, lp_calls):
+        g = build()
+        optimum = min_buffer_stages_via_flow(g)
+        assert optimum > 0
+        assert balance_graph(g, method="optimal").inserted_stages == optimum
+        assert len(lp_calls) == 1
+        assert verify_balanced(g)
+
+    def test_unbalanced_graph_is_still_reported(self, lp_calls):
+        assert not verify_balanced(wide_dag())
+        assert len(lp_calls) == 1

@@ -315,6 +315,33 @@ class TestWarmPool:
         assert other.worker_reuses == 0
         assert other.worker_spawns == 2
 
+    def test_graph_edited_in_place_misses_the_pool(self):
+        # parked workers hold the graph they were forked with; the same
+        # graph *object* with new source values is a different graph
+        graph = parallel_chain_graph(4, 5, 4)
+        cfg = MachineConfig.unit_time()
+        sc = ShardConfig(shards=2, processes=True)
+        first = repro.run(graph, backend="sharded", config=cfg,
+                          shard_config=sc)
+        assert first.outputs["y0"] == [0.0, 3.5, 7.0, 10.5]
+        src0 = next(c for c in graph.cells.values() if c.name == "src0")
+        src0.params["values"] = [100.0, 200.0, 300.0, 400.0]
+        second = repro.run(graph, backend="sharded", config=cfg,
+                           shard_config=sc)
+        local = repro.run(
+            graph, backend="sharded", config=cfg,
+            shard_config=ShardConfig(shards=2, processes=False),
+        )
+        assert second.outputs["y0"] == [100.0, 200.0, 300.0, 400.0]
+        assert second.outputs == local.outputs
+        assert second.engine.worker_reuses == 0
+        # ... and once unchanged again, the same object reuses
+        third = repro.run(graph, backend="sharded", config=cfg,
+                          shard_config=sc)
+        assert third.engine.worker_spawns == 0
+        assert third.engine.worker_reuses == 2
+        assert third.outputs == second.outputs
+
     def test_shutdown_empties_pool(self):
         graph, streams = _figure_graph("fig2")
         repro.run(
