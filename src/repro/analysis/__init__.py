@@ -7,7 +7,10 @@
 * :mod:`repro.analysis.traffic` -- operation-packet destination
   breakdown (function units vs array memories vs local);
 * :mod:`repro.analysis.partition` -- K-way shard assignment for the
-  multi-process runner (level min-cut with round-robin fallback).
+  multi-process runner (level min-cut with round-robin fallback);
+* :mod:`repro.analysis.scc` -- strongly connected components, shared
+  by the rate analysis, the partitioner, the for-iter feedback marking
+  and the compiled backend's stream evaluator.
 """
 
 from .partition import Partition, PartitionError, partition_graph

@@ -53,6 +53,7 @@ from ..errors import ReproError
 from ..graph.graph import DataflowGraph, GraphError
 from ..graph.opcodes import Op
 from .paths import longest_path_levels
+from .scc import strongly_connected
 
 _INF = float("inf")
 
@@ -279,68 +280,16 @@ def _components_pack(
 def _scc_order(graph: DataflowGraph, cids: list[int]) -> list[int]:
     """Linear order that keeps each strongly-connected component
     contiguous, SCCs in topological order of the condensation (ties
-    by smallest member cid), cells inside an SCC by cid.
-
-    Iterative Tarjan -- the graphs here can be deep pipelines, so no
-    recursion.
-    """
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
+    by smallest member cid), cells inside an SCC by cid."""
     succ: dict[int, list[int]] = {cid: [] for cid in cids}
     for arc in graph.arcs.values():
         succ[arc.src].append(arc.dst)
     for cid in succ:
         succ[cid].sort()
-
-    for root in cids:
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            children = succ[node]
-            while pi < len(children):
-                child = children[pi]
-                pi += 1
-                if child not in index:
-                    work[-1] = (node, pi)
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work[-1] = (node, pi)
-            if pi >= len(children):
-                work.pop()
-                if work:
-                    parent_node = work[-1][0]
-                    low[parent_node] = min(low[parent_node], low[node])
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == node:
-                            break
-                    comp.sort()
-                    comps.append(comp)
     # Tarjan emits SCCs in reverse topological order of the
     # condensation; reverse for a forward pipeline order
-    ordered = list(reversed(comps))
-    return [cid for comp in ordered for cid in comp]
+    comps = reversed(strongly_connected(cids, succ))
+    return [cid for comp in comps for cid in sorted(comp)]
 
 
 def _order_cut(

@@ -40,6 +40,7 @@ from ..errors import AnalysisError
 from ..graph.graph import DataflowGraph
 from ..graph.lower import lower_fifos
 from ..graph.opcodes import Op
+from .scc import strongly_connected
 
 #: The machine's hard rate ceiling: one firing per two instruction times.
 MAX_RATE = Fraction(1, 2)
@@ -72,56 +73,6 @@ def _marked_edges(g: DataflowGraph) -> list[tuple[int, int, int]]:
         edges.append((arc.src, arc.dst, tokens))
         edges.append((arc.dst, arc.src, 1 - tokens))
     return edges
-
-
-def _tarjan_sccs(nodes: list[int], adj: dict[int, list[tuple[int, int]]]) -> list[list[int]]:
-    """Iterative Tarjan SCC over the adjacency (dst, tokens) lists."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-
-    for root in nodes:
-        if root in index:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            neighbors = adj.get(v, [])
-            while pi < len(neighbors):
-                w = neighbors[pi][0]
-                pi += 1
-                if w not in index:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return sccs
 
 
 def _karp_min_cycle_mean(
@@ -215,9 +166,10 @@ def analyze_rate(g: DataflowGraph, expand_fifos: bool = True) -> RateReport:
     adj: dict[int, list[tuple[int, int]]] = {}
     for src, dst, tokens in _marked_edges(g):
         adj.setdefault(src, []).append((dst, tokens))
-    nodes = list(g.cells)
 
-    sccs = _tarjan_sccs(nodes, adj)
+    sccs = strongly_connected(
+        g.cells, {v: [w for w, _ in out] for v, out in adj.items()}
+    )
     best: Optional[Fraction] = None
     best_cycle: list[int] = []
     for comp in sccs:

@@ -32,7 +32,7 @@ fast-forwards over it:
    the event machine would have reached.
 
 Output *values* for the skipped elements come from the
-:class:`~repro.compiler.schedule.StreamEvaluator`, whose batched Kahn
+:class:`~repro.compiler.schedule.StreamEvaluator`, whose Kahn-network
 evaluation is schedule-independent and therefore bit-identical to the
 machine's own arithmetic; the values the machine did compute before
 the first jump are cross-checked against it before any jump is taken.
@@ -67,6 +67,8 @@ _CALIBRATION_BUDGET = 4096
 #: event kinds a clean (fault-free, checkpoint-free) run can have in
 #: flight, with the argument positions that carry data values
 _TICKERS = ("watchdog_tick", "checkpoint_tick")
+#: an armed run's ``fallback_reason`` until its detector finds a period
+_NO_PERIOD = "no recurring machine state before the streams ran out"
 
 
 def _values_equal(a: list, b: list) -> bool:
@@ -120,6 +122,7 @@ class TurboMachine(Machine):
             return
         self._anchor = analysis.anchor
         self.schedule.anchor = analysis.anchor
+        self.schedule.fallback_reason = _NO_PERIOD
         self._src_cids = sorted(analysis.source_cids)
         #: (consumer cell id, boolean control sequence) per control arc
         self._controls = [
@@ -258,6 +261,12 @@ class TurboMachine(Machine):
             return
         J = self._max_jump(s2, s3, dt)
         if J < _MIN_JUMP:
+            if self.schedule.fallback_reason == _NO_PERIOD:
+                self.schedule.fallback_reason = (
+                    f"period of {r} elements / {dt} cycles found at "
+                    f"cycle {self.now} with {max(J, 0)} replayable "
+                    f"periods left; a jump takes {_MIN_JUMP}"
+                )
             return
         if not self._values_ready():
             return              # evaluator refused; detector disarmed
@@ -391,6 +400,7 @@ class TurboMachine(Machine):
             sch.period_cycles = dt
             sch.period_elements = r
         sch.jumps.append((T, J, S))
+        sch.fallback_reason = ""
         # keep detecting: the drain may still expose another long
         # stretch (e.g. after a control-pattern change)
         self._occ.clear()

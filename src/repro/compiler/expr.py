@@ -28,12 +28,14 @@ FIFO buffers that make them fully pipelined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Mapping, Optional
 
 from ..errors import CompileError
 from ..graph.cell import GATE_PORT
 from ..graph.graph import DataflowGraph
 from ..graph.opcodes import (
+    BINARY_OPS,
     MERGE_CONTROL_PORT,
     MERGE_FALSE_PORT,
     MERGE_TRUE_PORT,
@@ -328,22 +330,22 @@ class ExprBuilder:
 
     # -- operators -----------------------------------------------------------
     def _fold(self, op: str, left: BValue, right: BValue, node: A.BinOp) -> BValue:
-        if op == "max":
-            apply = lambda a, b: max(a, b)  # noqa: E731
-        elif op == "min":
-            apply = lambda a, b: min(a, b)  # noqa: E731
-        else:
+        # resolved once per fold, not per element: the function the
+        # machine would apply to the unfolded operands; "/" keeps the
+        # interpreter's zero check and integer rule
+        if op == "/":
             apply = lambda a, b: _binop(op, a, b, node)  # noqa: E731
+        else:
+            apply = BINARY_OPS[COMBINE_OPS[op]]
         lv = left.values if isinstance(left, Seq) else None
         rv = right.values if isinstance(right, Seq) else None
         if lv is None and rv is None:
             return Uniform(apply(left.value, right.value))
-        n = len(lv if lv is not None else rv)  # type: ignore[arg-type]
         if lv is not None and rv is not None and len(lv) != len(rv):
             raise CompileError("internal: folded sequence length mismatch")
-        ls = lv if lv is not None else (left.value,) * n
-        rs = rv if rv is not None else (right.value,) * n
-        return Seq(tuple(apply(a, b) for a, b in zip(ls, rs)))
+        ls = lv if lv is not None else repeat(left.value)
+        rs = rv if rv is not None else repeat(right.value)
+        return Seq(tuple(map(apply, ls, rs)))
 
     def _compile_binop(self, expr: A.BinOp, ctx: Context) -> BValue:
         if expr.op not in BINOP_TO_OP:
@@ -428,23 +430,27 @@ class ExprBuilder:
         if key in self._taps:
             return self._taps[key]
         spec = self.arrays[name]
+        length = spec.length
         selection = prefix.selection(self.base)
         positions = [i + offset - spec.lo for i in selection]
-        for i, pos in zip(selection, positions):
-            if not 0 <= pos < spec.length:
-                raise CompileError(
-                    f"access {name}[{self.index_var}{offset:+d}] at line "
-                    f"{line} reads index {i + offset}, outside the input "
-                    f"range [{spec.lo},{spec.hi}]; guard it with a "
-                    f"compile-time conditional on {self.index_var}"
-                )
+        if positions and not 0 <= min(positions) <= max(positions) < length:
+            i = next(
+                i for i, pos in zip(selection, positions)
+                if not 0 <= pos < length
+            )
+            raise CompileError(
+                f"access {name}[{self.index_var}{offset:+d}] at line "
+                f"{line} reads index {i + offset}, outside the input "
+                f"range [{spec.lo},{spec.hi}]; guard it with a "
+                f"compile-time conditional on {self.index_var}"
+            )
         src = self.source_cell(name)
-        if len(positions) == spec.length:
+        if len(positions) == length:
             # whole stream used in order: no selection gate needed
             wire = Wire(src, prefix)
             self._taps[key] = wire
             return wire
-        pattern = [False] * spec.length
+        pattern = [False] * length
         for pos in positions:
             pattern[pos] = True
         gate = self.g.add_cell(Op.ID, name=self._name(f"sel_{name}{offset:+d}"))

@@ -96,12 +96,12 @@ def _annotate_loop(g: DataflowGraph, tokens: int) -> None:
 def _mark_feedback(g: DataflowGraph) -> list[int]:
     """Record every arc inside a strongly connected component as a
     feedback (loop) arc so balancing skips it."""
-    from ..analysis.rate import _tarjan_sccs
+    from ..analysis.scc import strongly_connected
 
-    adj: dict[int, list[tuple[int, int]]] = {}
+    succ: dict[int, list[int]] = {}
     for arc in g.arcs.values():
-        adj.setdefault(arc.src, []).append((arc.dst, 0))
-    sccs = _tarjan_sccs(list(g.cells), adj)
+        succ.setdefault(arc.src, []).append(arc.dst)
+    sccs = strongly_connected(g.cells, succ)
     comp_of: dict[int, int] = {}
     for k, comp in enumerate(sccs):
         for cid in comp:

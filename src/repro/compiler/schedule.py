@@ -19,12 +19,14 @@ compiled backend the two static facts it needs to skip the rediscovery:
   which window of elements is flowing through.
 
 * :class:`StreamEvaluator` -- computes every sink's output *values* at
-  stream level, independent of machine timing, by batched Kahn-network
-  evaluation: each cell fires as many times as its queued operands
+  stream level, independent of machine timing, by Kahn-network
+  evaluation in one sweep over the graph's SCC condensation: an
+  acyclic cell fires as many times as its complete operand streams
   allow in one visit, vectorized over the batch (numpy when available
-  and safe, pure-Python loops otherwise).  Kahn determinism makes the
-  result schedule-independent, so these values are bit-identical to
-  what the event machine computes element by element.
+  and safe, pure-Python loops otherwise); a feedback loop runs as one
+  fused scalar loop.  Kahn determinism makes the result
+  schedule-independent, so these values are bit-identical to what the
+  event machine computes element by element.
 
 The compiled backend (:mod:`repro.backends.compiled`) combines the two:
 the machine supplies exact *times* (with whole periods fast-forwarded),
@@ -34,9 +36,12 @@ the evaluator supplies exact *values*.
 from __future__ import annotations
 
 import operator
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Optional
 
+from ..analysis.scc import strongly_connected
 from ..errors import ReproError
 from ..graph.cell import GATE_PORT, Cell
 from ..graph.graph import DataflowGraph
@@ -47,7 +52,6 @@ from ..graph.opcodes import (
     MERGE_TRUE_PORT,
     UNARY_OPS,
     Op,
-    apply_scalar,
 )
 
 
@@ -201,12 +205,22 @@ _NP_MIN_BATCH = 32
 _INF = 1 << 62
 
 
-class StreamEvaluator:
-    """Batched Kahn-network evaluation of a lowered graph.
+def _scalar_fn(op: Op) -> Any:
+    fn = BINARY_OPS.get(op) or UNARY_OPS.get(op)
+    if fn is None:
+        raise ScheduleError(f"cannot batch opcode {op!r}")
+    return fn
 
-    Buffers on every arc are unbounded, so each visit to a cell fires
-    it as many times as its queued operands allow, consuming and
-    producing whole batches.  The acknowledge discipline only restricts
+
+class StreamEvaluator:
+    """Kahn-network evaluation of a lowered graph, one sweep over the
+    SCC condensation in topological order.
+
+    Buffers on every arc are unbounded.  A cell that is a component of
+    its own is visited once, after every stream it reads is complete,
+    and fires as many times as its queued operands allow in that one
+    batch; a cyclic component (a recurrence's feedback loop) runs as
+    one fused scalar loop.  The acknowledge discipline only restricts
     *when* tokens move, never *which* values they become, so the
     resulting sink streams equal the event machine's bit for bit (Kahn
     determinism).
@@ -225,62 +239,12 @@ class StreamEvaluator:
         self.inputs = inputs
         #: per-arc token queue, consumed via a head cursor
         self._buf: dict[int, list[Any]] = {
-            aid: [] for aid in graph.arcs
+            aid: [arc.initial] if arc.has_initial else []
+            for aid, arc in graph.arcs.items()
         }
         self._head: dict[int, int] = {aid: 0 for aid in graph.arcs}
-        for arc in graph.arcs.values():
-            if arc.has_initial:
-                self._buf[arc.aid].append(arc.initial)
         self.sink_values: dict[int, list[Any]] = {}
-        self._source_pos: dict[int, int] = {}
         self._source_seq: dict[int, list[Any]] = {}
-        # Feedback loops (recurrences) admit one element per visit, so
-        # a cell may be visited O(stream) times; everything resolvable
-        # from the graph alone is precomputed per cell so each visit
-        # costs only buffer arithmetic.
-        #: data ports as (port, input aid or None-for-const, const);
-        #: aid -1 marks an unconnected port (the cell can never fire)
-        self._in_aids: dict[int, tuple[tuple[int, Optional[int], Any], ...]] = {}
-        #: destination arcs as (aid, dst cell, tag)
-        self._outs: dict[int, tuple[tuple[int, int, Optional[bool]], ...]] = {}
-        #: scalar implementation of the cell's opcode (None: not a
-        #: plain scalar operator)
-        self._scalar_fn: dict[int, Any] = {}
-        #: gate port as (aid or None-for-const or -1, const); None
-        #: entry for ungated cells
-        self._gate_io: dict[int, Optional[tuple[Optional[int], Any]]] = {}
-        #: MERGE ports (control, true, false), same encoding
-        self._merge_io: dict[int, tuple] = {}
-
-        def port_io(cell: Cell, port: int) -> tuple[Optional[int], Any]:
-            if port in cell.consts:
-                return None, cell.consts[port]
-            arc = graph.in_arc.get((cell.cid, port))
-            return (arc.aid if arc is not None else -1), None
-
-        for cell in graph:
-            self._in_aids[cell.cid] = tuple(
-                (port, *port_io(cell, port))
-                for port in cell.data_ports()
-            )
-            self._outs[cell.cid] = tuple(
-                (a.aid, a.dst, a.tag) for a in graph.out_arcs[cell.cid]
-            )
-            self._scalar_fn[cell.cid] = BINARY_OPS.get(
-                cell.op
-            ) or UNARY_OPS.get(cell.op)
-            self._gate_io[cell.cid] = (
-                port_io(cell, GATE_PORT) if cell.gated else None
-            )
-            if cell.op is Op.MERGE:
-                self._merge_io[cell.cid] = tuple(
-                    port_io(cell, p)
-                    for p in (
-                        MERGE_CONTROL_PORT,
-                        MERGE_TRUE_PORT,
-                        MERGE_FALSE_PORT,
-                    )
-                )
         total_tokens = 0
         for cell in graph:
             if cell.op in (Op.SINK, Op.AM_WRITE):
@@ -292,7 +256,6 @@ class StreamEvaluator:
                     else self.inputs[cell.params["stream"]]
                 )
                 self._source_seq[cell.cid] = seq
-                self._source_pos[cell.cid] = 0
                 total_tokens += len(seq)
         #: firing budget: generous multiple of the work a terminating
         #: run can do, so a seeded recirculation loop cannot spin the
@@ -301,22 +264,24 @@ class StreamEvaluator:
         self.firings = 0
 
     # -- operand plumbing ----------------------------------------------
-    def _avail(self, cell: Cell, port: int) -> int:
+    def _port(self, cell: Cell, port: int) -> tuple[Optional[int], Any]:
+        """Operand ``port`` as ``(input arc id, constant)``: arc id
+        ``None`` marks a constant operand, -1 an unconnected port (the
+        cell can never fire)."""
         if port in cell.consts:
-            return _INF
+            return None, cell.consts[port]
         arc = self.graph.in_arc.get((cell.cid, port))
-        if arc is None:
-            return 0
-        return len(self._buf[arc.aid]) - self._head[arc.aid]
+        return (arc.aid if arc is not None else -1), None
 
-    def _take(self, cell: Cell, port: int, n: int) -> list[Any]:
-        """Consume and return ``n`` tokens from an operand port."""
-        if port in cell.consts:
-            return [cell.consts[port]] * n
-        arc = self.graph.in_arc[(cell.cid, port)]
-        return self._take_aid(arc.aid, n)
+    def _avail(self, aid: Optional[int]) -> int:
+        if aid is None:
+            return _INF
+        return len(self._buf[aid]) - self._head[aid] if aid >= 0 else 0
 
-    def _take_aid(self, aid: int, n: int) -> list[Any]:
+    def _take(self, aid: Optional[int], const: Any, n: int) -> list[Any]:
+        """Consume and return ``n`` tokens of an operand."""
+        if aid is None:
+            return [const] * n
         buf, head = self._buf[aid], self._head[aid]
         out = buf[head:head + n]
         head += n
@@ -329,160 +294,84 @@ class StreamEvaluator:
 
     def _emit(
         self, cell: Cell, results: list[Any], gates: Optional[list[Any]]
-    ) -> list[int]:
+    ) -> None:
         """Route a batch of results to the cell's destination arcs,
-        honoring T/F tags exactly like :meth:`Machine._fire`; returns
-        the destination cell ids that received tokens."""
-        touched: list[int] = []
-        for aid, dst, tag in self._outs[cell.cid]:
-            if tag is None:
+        honoring T/F tags exactly like :meth:`Machine._fire`."""
+        for arc in self.graph.out_arcs[cell.cid]:
+            if arc.tag is None:
                 picked = results
             else:
                 gl = gates if gates is not None else [None] * len(results)
                 picked = [
-                    r for r, g in zip(results, gl) if bool(g) == tag
+                    r for r, g in zip(results, gl) if bool(g) == arc.tag
                 ]
-            if picked:
-                self._buf[aid].extend(picked)
-                touched.append(dst)
-        return touched
+            self._buf[arc.aid].extend(picked)
 
-    def _gate_batch(
-        self, cell: Cell, n: int
-    ) -> Optional[list[Any]]:
-        gio = self._gate_io[cell.cid]
-        if gio is None:
-            return None
-        aid, const = gio
-        if aid is None:
-            return [const] * n
-        return self._take_aid(aid, n)
-
-    # -- per-opcode batch firing ---------------------------------------
-    def _fire_batch(self, cell: Cell) -> list[int]:
-        """Fire ``cell`` as often as possible; returns dst cells fed."""
+    # -- one batch visit of an acyclic cell ----------------------------
+    def _fire_batch(self, cell: Cell) -> None:
+        """Fire ``cell`` as often as its queued operands allow."""
         op = cell.op
-        gio = self._gate_io[cell.cid]
-        if gio is None or gio[0] is None:
-            gate_avail = _INF
-        elif gio[0] < 0:
-            return []
-        else:
-            gate_avail = len(self._buf[gio[0]]) - self._head[gio[0]]
-            if gate_avail <= 0:
-                return []
-
-        if op in (Op.SOURCE, Op.AM_READ):
-            pos = self._source_pos[cell.cid]
-            seq = self._source_seq[cell.cid]
-            n = min(len(seq) - pos, gate_avail)
-            if n <= 0:
-                return []
-            self._count(n)
-            results = list(seq[pos:pos + n])
-            self._source_pos[cell.cid] = pos + n
-            gates = self._gate_batch(cell, n)
-            return self._emit(cell, results, gates)
-
-        if op in (Op.SINK, Op.AM_WRITE):
-            n = min(self._avail(cell, 0), gate_avail)
-            if n <= 0:
-                return []
-            self._count(n)
-            values = self._take(cell, 0, n)
-            self._gate_batch(cell, n)
-            self.sink_values[cell.cid].extend(values)
-            return []
-
         if op is Op.MERGE:
-            return self._fire_merge(cell, gate_avail)
-
-        # ordinary scalar operator / ID
-        entries = self._in_aids[cell.cid]
-        buf_map, head_map = self._buf, self._head
-        n = gate_avail
-        for _port, aid, _const in entries:
-            if aid is None:
-                continue
-            if aid < 0:
-                return []       # unconnected port: can never fire
-            avail = len(buf_map[aid]) - head_map[aid]
-            if avail < n:
-                n = avail
-        if n <= 0 or n >= _INF:
-            if n >= _INF:
-                raise ScheduleError(
-                    f"cell {cell.cid} has only constant operands"
-                )
-            return []
+            return self._fire_merge(cell)
+        ports = [self._port(cell, p) for p in cell.all_ports()]
+        n = min([self._avail(aid) for aid, _const in ports], default=_INF)
+        if op in (Op.SOURCE, Op.AM_READ):
+            seq = self._source_seq[cell.cid]
+            n = min(n, len(seq))
+        if n <= 0:
+            return
+        if n >= _INF:
+            raise ScheduleError(
+                f"cell {cell.cid} has only constant operands"
+            )
         self._count(n)
-        cols = [
-            [const] * n if aid is None else self._take_aid(aid, n)
-            for _port, aid, const in entries
-        ]
-        results = self._apply_batch(cell, cols, n)
-        gates = self._gate_batch(cell, n)
-        return self._emit(cell, results, gates)
+        cols = [self._take(aid, const, n) for aid, const in ports]
+        gates = cols.pop() if cell.gated else None
+        if op in (Op.SOURCE, Op.AM_READ):
+            self._emit(cell, list(seq[:n]), gates)
+        elif op in (Op.SINK, Op.AM_WRITE):
+            self.sink_values[cell.cid].extend(cols[0])
+        else:
+            self._emit(cell, self._apply_batch(cell, cols, n), gates)
 
-    def _fire_merge(self, cell: Cell, gate_avail: int) -> list[int]:
+    def _fire_merge(self, cell: Cell) -> None:
         """Drain a MERGE cell run by run: each maximal run of equal
         control values selects one input port for the whole run."""
-        touched: list[int] = []
-        (ctl_aid, ctl_const), true_io, false_io = self._merge_io[cell.cid]
-        buf_map, head_map = self._buf, self._head
-        gated = self._gate_io[cell.cid] is not None
-        buf: list[Any] = []
-        head = 0
+        (ctl_aid, ctl_const), true_io, false_io = (
+            self._port(cell, p)
+            for p in (MERGE_CONTROL_PORT, MERGE_TRUE_PORT, MERGE_FALSE_PORT)
+        )
+        gate_io = self._port(cell, GATE_PORT) if cell.gated else (None, None)
         while True:
+            ctl_avail = self._avail(ctl_aid)
+            if ctl_avail <= 0:
+                return
             if ctl_aid is None:
                 ctl = bool(ctl_const)
-                ctl_avail = _INF
-            elif ctl_aid < 0:
-                return touched
             else:
-                buf = buf_map[ctl_aid]
-                head = head_map[ctl_aid]
-                ctl_avail = len(buf) - head
-                if ctl_avail <= 0:
-                    return touched
+                buf, head = self._buf[ctl_aid], self._head[ctl_aid]
                 ctl = bool(buf[head])
-            sel_aid, sel_const = true_io if ctl else false_io
-            if sel_aid is None:
-                sel_avail = _INF
-            elif sel_aid < 0:
-                sel_avail = 0
-            else:
-                sel_avail = len(buf_map[sel_aid]) - head_map[sel_aid]
-            cap = min(ctl_avail, sel_avail, gate_avail)
-            if cap <= 0 or cap >= _INF:
-                if cap >= _INF:
-                    raise ScheduleError(
-                        f"MERGE cell {cell.cid} has only constant "
-                        f"operands"
-                    )
-                return touched
-            if ctl_aid is None:
-                n = cap
-            else:
-                # extend the equal-control run only as far as this
-                # visit can consume anyway: scanning the whole run
-                # would cost O(stream) per visit on feedback loops
-                # (recurrences) that admit one token at a time
+            sel_io = true_io if ctl else false_io
+            cap = min(
+                ctl_avail, self._avail(sel_io[0]), self._avail(gate_io[0])
+            )
+            if cap <= 0:
+                return
+            if cap >= _INF:
+                raise ScheduleError(
+                    f"MERGE cell {cell.cid} has only constant operands"
+                )
+            n = cap
+            if ctl_aid is not None:
+                # the run of equal controls, as far as arm and gate reach
                 n = 1
                 while n < cap and bool(buf[head + n]) == ctl:
                     n += 1
-                self._take_aid(ctl_aid, n)
+                self._take(ctl_aid, None, n)
             self._count(n)
-            results = (
-                [sel_const] * n
-                if sel_aid is None
-                else self._take_aid(sel_aid, n)
-            )
-            gates = self._gate_batch(cell, n)
-            gate_avail -= n if gated else 0
-            touched.extend(self._emit(cell, results, gates))
-            if gated and gate_avail <= 0:
-                return touched
+            results = self._take(*sel_io, n)
+            gates = self._take(*gate_io, n) if cell.gated else None
+            self._emit(cell, results, gates)
 
     def _apply_batch(
         self, cell: Cell, cols: list[list[Any]], n: int
@@ -490,9 +379,7 @@ class StreamEvaluator:
         op = cell.op
         if op is Op.ID:
             return cols[0]
-        fn = self._scalar_fn[cell.cid]
-        if fn is None:
-            raise ScheduleError(f"cannot batch opcode {op!r}")
+        fn = _scalar_fn(op)
         if (
             n >= _NP_MIN_BATCH
             and (op in _NP_BINOPS or op in _NP_UNOPS)
@@ -519,23 +406,149 @@ class StreamEvaluator:
                 f"tokens indefinitely"
             )
 
+    # -- one cyclic component as a fused scalar loop -------------------
+    def _run_loop(self, members: list[int]) -> None:
+        """Run a cyclic component to quiescence: every member becomes
+        one step (:meth:`_step`), and passes over the steps repeat
+        until none fires.  A cycle admits one token per trip, so
+        batching buys nothing here; what counts is that a firing costs
+        one call over operands resolved beforehand.  ``members`` should
+        follow the cycle so a pass carries a token all the way round --
+        any other order computes the same values in more passes."""
+        cells = self.graph.cells
+        #: the component's operand arcs as deques, for the run's length
+        queues: dict[int, deque] = {}
+        for cid in members:
+            for port in cells[cid].all_ports():
+                aid = self._port(cells[cid], port)[0]
+                if aid is not None and aid >= 0:
+                    queues[aid] = deque(
+                        self._take(aid, None, self._avail(aid))
+                    )
+        steps = [self._step(cells[cid], queues) for cid in members]
+        fired = 1
+        while fired:
+            fired = 0
+            for step in steps:
+                fired += step()
+            self._count(fired)
+        # what the component left unconsumed stays on its arc
+        for aid, queue in queues.items():
+            self._buf[aid].extend(queue)
+
+    def _step(self, cell: Cell, queues: dict[int, deque]) -> Any:
+        """``cell`` as a closure that fires it at most once and returns
+        how often it fired.  An operand is a ``(ready, take)`` pair: a
+        queue and its ``popleft``, ``True`` and an endless repeat for a
+        constant, the never-ready ``()`` for an unconnected port."""
+
+        def operand(port: int) -> tuple[Any, Any]:
+            aid, const = self._port(cell, port)
+            if aid is None:
+                return True, repeat(const).__next__
+            if aid < 0:
+                return (), None
+            return queues[aid], queues[aid].popleft
+
+        def appender(arc: Any) -> Any:
+            queue = queues.get(arc.aid)
+            return (self._buf[arc.aid] if queue is None else queue).append
+
+        cid, op = cell.cid, cell.op
+        # destinations by gate value, as in _emit: untagged arcs get
+        # every result, and an ungated cell's gate reads False
+        outs = self.graph.out_arcs[cid]
+        outs_true = tuple(appender(a) for a in outs if a.tag is not False)
+        outs_false = tuple(appender(a) for a in outs if a.tag is not True)
+        gate_ready, gate = (
+            operand(GATE_PORT) if cell.gated
+            else (True, repeat(False).__next__)
+        )
+
+        if op is Op.MERGE:
+            ctl, drop = operand(MERGE_CONTROL_PORT)
+            arm_true = operand(MERGE_TRUE_PORT)
+            arm_false = operand(MERGE_FALSE_PORT)
+            if ctl is True:
+                ctl = (drop(),)     # a constant: peeked, never used up
+                arm_ready = (arm_true if ctl[0] else arm_false)[0]
+                if arm_ready is True and gate_ready is True:
+                    raise ScheduleError(
+                        f"MERGE cell {cid} has only constant operands"
+                    )
+
+            def merge_step() -> int:
+                if ctl and gate_ready:
+                    ready, take = arm_true if ctl[0] else arm_false
+                    if ready:
+                        drop()
+                        result = take()
+                        for out in outs_true if gate() else outs_false:
+                            out(result)
+                        return 1
+                return 0
+
+            return merge_step
+
+        if op in (Op.SOURCE, Op.AM_READ):
+            stream = deque(self._source_seq[cid])
+            data = [(stream, stream.popleft)]
+        else:
+            data = [operand(p) for p in cell.data_ports()]
+        if all(ready is True for ready, _ in [*data, (gate_ready, gate)]):
+            raise ScheduleError(f"cell {cid} has only constant operands")
+        if op in (Op.SINK, Op.AM_WRITE):
+            outs_true = outs_false = (self.sink_values[cid].append,)
+
+        if len(data) == 2:
+            fn = _scalar_fn(op)
+            (a_ready, a), (b_ready, b) = data
+
+            def binary_step() -> int:
+                if a_ready and b_ready and gate_ready:
+                    result = fn(a(), b())
+                    for out in outs_true if gate() else outs_false:
+                        out(result)
+                    return 1
+                return 0
+
+            return binary_step
+
+        ((a_ready, a),) = data
+        if op in UNARY_OPS and op is not Op.ID:
+            fn, arg = _scalar_fn(op), a
+            a = lambda: fn(arg())  # noqa: E731
+
+        def unary_step() -> int:
+            if a_ready and gate_ready:
+                result = a()
+                for out in outs_true if gate() else outs_false:
+                    out(result)
+                return 1
+            return 0
+
+        return unary_step
+
     # -- driver --------------------------------------------------------
     def run(self) -> dict[int, list[Any]]:
         """Evaluate to quiescence; returns sink values keyed by cell
         id.  Raises :class:`ScheduleError` when the graph defeats
-        batched evaluation (the caller falls back to plain event
+        stream evaluation (the caller falls back to plain event
         execution)."""
+        graph = self.graph
+        succ = {
+            cid: [arc.dst for arc in graph.out_arcs[cid]]
+            for cid in graph.cells
+        }
         try:
-            pending = list(self.graph.cells)
-            queued = set(pending)
-            while pending:
-                cid = pending.pop()
-                queued.discard(cid)
-                touched = self._fire_batch(self.graph.cells[cid])
-                for dst in touched:
-                    if dst not in queued:
-                        queued.add(dst)
-                        pending.append(dst)
+            # Tarjan emits components downstream-first: reversed, every
+            # stream a component reads is complete before it runs
+            for comp in reversed(strongly_connected(graph.cells, succ)):
+                if len(comp) > 1 or comp[0] in succ[comp[0]]:
+                    # members were discovered along the cycle
+                    self._run_loop(comp[::-1])
+                else:
+                    self._fire_batch(graph.cells[comp[0]])
         except ZeroDivisionError as exc:
             raise ScheduleError(
                 "division by zero during stream evaluation"
@@ -559,8 +572,8 @@ class SteadySchedule:
     period_elements: Optional[int] = None
     #: (at_cycle, periods_skipped, cycles_skipped) per applied jump
     jumps: list[tuple[int, int, int]] = field(default_factory=list)
-    #: why the run stayed concrete (empty when jumps were applied or
-    #: simply never profitable)
+    #: why the run stayed concrete; empty exactly when jumps were
+    #: applied
     fallback_reason: str = ""
 
     @property

@@ -110,6 +110,35 @@ class TestBitIdentity:
         concretely; identity still holds."""
         event, compiled = _pair("fig4", m=5)
         _assert_identical(event, compiled)
+        schedule = compiled.engine.schedule
+        assert not schedule.jumps
+        assert "no recurring machine state" in schedule.fallback_reason
+
+    def test_period_too_late_to_jump_says_so(self):
+        """The detector finds the period (12 elements / 120 cycles)
+        with 5 replayable periods left, under the 8 a jump takes: the
+        run stays concrete and the reason names the period."""
+        element = "(A[i]) * T[i-1] + 1."
+        src = (
+            "X : array[real] :=\n"
+            "  for i : integer := 1; T : array[real] := [0: 0.] do\n"
+            "    if i < m then\n"
+            f"      iter T := T[i: {element}]; i := i + 1 enditer\n"
+            f"    else T[i: {element}]\n"
+            "    endif\n"
+            "  endfor\n"
+        )
+        cp = repro.compile_program(
+            src, params={"m": 150}, foriter_scheme="companion"
+        )
+        inputs = {"A": [0.5] * cp.input_specs["A"].length}
+        event = repro.run(cp, inputs, backend="event")
+        compiled = repro.run(cp, inputs, backend="compiled")
+        _assert_identical(event, compiled)
+        schedule = compiled.engine.schedule
+        assert not schedule.jumps
+        assert "12 elements / 120 cycles" in schedule.fallback_reason
+        assert "5 replayable periods" in schedule.fallback_reason
 
 
 class TestOptionValidation:
