@@ -3,12 +3,9 @@
 The paper's three-stage pipe for ``let y = a*b in (y+2)*(y-3)`` runs at
 one result per two instruction times; programs whose fork/join paths
 differ in length must be balanced "by inserting identity operators"
-(Section 3).  Rows reproduced:
-
-  variant              II (instruction times / element)
-  balanced (Fig 2)     2.0
-  unbalanced fork      3.0
-  identity-balanced    2.0
+(Section 3).  All three variants are measured: Figure 2 itself, an
+unbalanced fork left unbalanced, and the same fork after identity
+balancing.
 """
 
 import pytest
@@ -16,7 +13,7 @@ import pytest
 from repro.compiler import compile_program
 from repro.workloads import FIG2_SOURCE
 
-from _common import bench_once, constant_inputs, extra, record_rows
+from _common import constant_inputs, record_claim
 
 M = 300
 
@@ -32,43 +29,25 @@ Y : array[real] :=
 """
 
 
-def _run(source: str, balance: str):
-    cp = compile_program(FIG2_SOURCE if source == "fig2" else UNBALANCED_SOURCE,
-                         params={"m": M}, balance=balance)
-    return cp.run(constant_inputs(cp))
+def _ii(source: str, balance: str) -> float:
+    cp = compile_program(source, params={"m": M}, balance=balance)
+    return cp.run(constant_inputs(cp)).initiation_interval("Y")
 
 
-@pytest.mark.benchmark(group="fig2")
-def test_fig2_balanced_pipeline(benchmark):
-    res = bench_once(benchmark, _run, "fig2", "optimal")
-    ii = res.initiation_interval("Y")
-    extra(benchmark, initiation_interval=ii)
-    assert ii == pytest.approx(2.0, abs=0.05)
-
-
-@pytest.mark.benchmark(group="fig2")
-def test_fig2_unbalanced_fork_throttles(benchmark):
-    res = bench_once(benchmark, _run, "unbalanced", "none")
-    ii = res.initiation_interval("Y")
-    extra(benchmark, initiation_interval=ii)
-    assert ii == pytest.approx(3.0, abs=0.05)
-
-
-@pytest.mark.benchmark(group="fig2")
-def test_fig2_identity_balancing_restores_rate(benchmark):
-    res = bench_once(benchmark, _run, "unbalanced", "optimal")
-    ii = res.initiation_interval("Y")
-    extra(benchmark, initiation_interval=ii)
-    assert ii == pytest.approx(2.0, abs=0.05)
-
-    rows = [
-        ("balanced (Fig 2)", 2.0),
-        ("unbalanced fork", 3.0),
-        ("identity-balanced", round(ii, 3)),
-    ]
-    record_rows(
+def test_fig2():
+    balanced = _ii(FIG2_SOURCE, "optimal")
+    unbalanced = _ii(UNBALANCED_SOURCE, "none")
+    identity = _ii(UNBALANCED_SOURCE, "optimal")
+    record_claim(
         "fig2",
-        "variant  II",
-        rows,
-        note="paper: pipeline rate is one result per ~2 instruction times",
+        "Fig 2: 3-stage pipe `(y+2)*(y-3)`, `y=a*b` is fully pipelined; "
+        "rate is \"no greater than the rate of repeated execution of any "
+        "instruction\" (1 per ~2 instruction times); unequal fork paths "
+        "need identity balancing",
+        "II 2; unbalanced < max rate",
+        {"balanced II": balanced, "unbalanced fork II": unbalanced,
+         "after identity insertion II": identity},
+        balanced == pytest.approx(2.0, abs=0.05)
+        and unbalanced == pytest.approx(3.0, abs=0.05)
+        and identity == pytest.approx(2.0, abs=0.05),
     )

@@ -14,9 +14,10 @@ import pytest
 from repro.compiler import compile_program
 from repro.workloads import FIG5_SOURCE
 
-from _common import bench_once, extra, record_rows
+from _common import axis, record_claim
 
 M = 300
+MIXES = [0.0, 0.25, 0.5, 1.0]
 
 
 def _inputs(true_fraction: float, seed: int = 0):
@@ -28,39 +29,19 @@ def _inputs(true_fraction: float, seed: int = 0):
     }
 
 
-@pytest.mark.benchmark(group="fig5")
-@pytest.mark.parametrize("true_fraction", [0.0, 0.25, 0.5, 1.0])
-def test_fig5_fully_pipelined_for_any_mix(benchmark, true_fraction):
-    cp = compile_program(FIG5_SOURCE, params={"m": M})
-    res = bench_once(benchmark, cp.run, _inputs(true_fraction))
-    ii = res.initiation_interval("Y")
-    extra(benchmark, initiation_interval=ii, true_fraction=true_fraction)
-    assert ii == pytest.approx(2.0, abs=0.1)
-
-
-@pytest.mark.benchmark(group="fig5")
-def test_fig5_unbalanced_arms_degrade(benchmark):
-    """Section 5: 'fully pipelined operation is guaranteed only if all
-    paths through the instruction graph are of equal length'."""
-    cp_b = compile_program(FIG5_SOURCE, params={"m": M})
-    cp_u = compile_program(FIG5_SOURCE, params={"m": M}, balance="none")
-    res_u = bench_once(benchmark, cp_u.run, _inputs(0.5))
-    ii_u = res_u.initiation_interval("Y")
-    ii_b = cp_b.run(_inputs(0.5)).initiation_interval("Y")
-    extra(benchmark, balanced_ii=ii_b, unbalanced_ii=ii_u)
-    assert ii_b == pytest.approx(2.0, abs=0.1)
-    assert ii_u > ii_b + 0.3
-
-    rows = [
-        ("balanced, mix 0.5", round(ii_b, 3)),
-        ("unbalanced, mix 0.5", round(ii_u, 3)),
-    ]
-    for frac in (0.0, 0.5, 1.0):
-        ii = cp_b.run(_inputs(frac)).initiation_interval("Y")
-        rows.append((f"balanced, mix {frac}", round(ii, 3)))
-    record_rows(
+def test_fig5():
+    balanced = compile_program(FIG5_SOURCE, params={"m": M})
+    unbalanced = compile_program(FIG5_SOURCE, params={"m": M}, balance="none")
+    iis = [balanced.run(_inputs(mix)).initiation_interval("Y")
+           for mix in MIXES]
+    ii_u = unbalanced.run(_inputs(0.5)).initiation_interval("Y")
+    record_claim(
         "fig5",
-        "variant  II",
-        rows,
-        note="merge control FIFO + equal arm lengths keep II at 2.0",
+        "Fig 5: if-then-else with gated arms + merge (control through "
+        "FIFO); fully pipelined iff all paths equal length",
+        "II 2 for any true/false mix",
+        {f"II at true mix {axis(MIXES)}": iis,
+         "unbalanced arms II at mix 0.5": ii_u},
+        all(ii == pytest.approx(2.0, abs=0.1) for ii in iis)
+        and ii_u > iis[MIXES.index(0.5)] + 0.3,
     )

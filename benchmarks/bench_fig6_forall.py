@@ -14,70 +14,45 @@ import pytest
 from repro.compiler import compile_program
 from repro.workloads import EXAMPLE1_SOURCE
 
-from _common import bench_once, constant_inputs, extra, record_rows, steady_ii
+from _common import axis, constant_inputs, record_claim, steady_ii
 
-M = 300
-
-
-@pytest.mark.benchmark(group="fig6")
-def test_fig6_pipeline_scheme_full_rate(benchmark):
-    cp = compile_program(EXAMPLE1_SOURCE, params={"m": M})
-    res = bench_once(benchmark, cp.run, constant_inputs(cp))
-    ii = steady_ii(res.run.sink_times["A"])
-    extra(benchmark, initiation_interval=ii, cells=cp.cell_count)
-    assert ii == pytest.approx(2.0, abs=0.05)
+SIZES = [50, 150, 400]
 
 
-@pytest.mark.benchmark(group="fig6")
-def test_fig6_theorem2_holds_across_sizes(benchmark):
-    def sweep():
-        out = []
-        for m in (50, 150, 400):
-            cp = compile_program(EXAMPLE1_SOURCE, params={"m": m})
-            res = cp.run(constant_inputs(cp))
-            out.append((m, cp.cell_count,
-                        steady_ii(res.run.sink_times["A"])))
-        return out
-
-    rows = bench_once(benchmark, sweep, rounds=1)
-    for m, cells, ii in rows:
-        assert ii == pytest.approx(2.0, abs=0.05), f"m={m}"
-    assert len({cells for _m, cells, _ii in rows}) == 1  # O(1) code size
-    record_rows(
+def test_fig6_theorem2_holds_across_sizes():
+    cells, iis = [], []
+    for m in SIZES:
+        cp = compile_program(EXAMPLE1_SOURCE, params={"m": m})
+        res = cp.run(constant_inputs(cp))
+        cells.append(cp.cell_count)
+        iis.append(steady_ii(res.run.sink_times["A"]))
+    record_claim(
         "fig6",
-        "m  cells  II",
-        [(m, c, round(ii, 3)) for m, c, ii in rows],
-        note="Theorem 2: primitive forall fully pipelined; code size O(1) in m",
+        "Fig 6 / Thm 2: Example 1's primitive forall (boundary rules via "
+        "compile-time control sequences, merge of rules) fully pipelined",
+        "II 2, code size independent of m",
+        {f"cells at m = {axis(SIZES)}": cells, "their II": iis},
+        all(ii == pytest.approx(2.0, abs=0.05) for ii in iis)
+        and len(set(cells)) == 1,  # O(1) code size
     )
 
 
-@pytest.mark.benchmark(group="fig6-schemes")
-def test_forall_scheme_comparison(benchmark):
+def test_forall_scheme_comparison():
     """Section 6 ablation: pipeline vs parallel scheme."""
     m = 24
-
-    def measure(scheme):
+    measured = {}
+    for scheme in ("pipeline", "parallel"):
         cp = compile_program(
             EXAMPLE1_SOURCE, params={"m": m}, forall_scheme=scheme
         )
         res = cp.run(constant_inputs(cp))
-        return cp.cell_count, res.initiation_interval("A")
-
-    def both():
-        return {s: measure(s) for s in ("pipeline", "parallel")}
-
-    data = bench_once(benchmark, both, rounds=1)
-    (p_cells, p_ii) = data["pipeline"]
-    (q_cells, q_ii) = data["parallel"]
-    extra(benchmark, pipeline_cells=p_cells, parallel_cells=q_cells)
-    assert q_cells > 4 * p_cells           # replication is expensive
-    assert p_ii == pytest.approx(2.0, abs=0.2)
-    record_rows(
-        "fig6_schemes",
-        "scheme  cells  II",
-        [
-            ("pipeline", p_cells, round(p_ii, 3)),
-            ("parallel", q_cells, round(q_ii, 3)),
-        ],
-        note=f"m={m}; the parallel scheme 'is of limited interest' (Sec. 6)",
+        measured[f"{scheme} cells"] = cp.cell_count
+        measured[f"{scheme} II"] = res.initiation_interval("A")
+    record_claim(
+        "fig6-schemes",
+        f"§6: pipeline vs parallel scheme (m = {m})",
+        "parallel \"of limited interest\"",
+        measured,
+        measured["parallel cells"] > 4 * measured["pipeline cells"]
+        and measured["pipeline II"] == pytest.approx(2.0, abs=0.2),
     )

@@ -1,13 +1,9 @@
 """Experiment fig8 -- the companion-function scheme (paper Figure 8,
 Theorem 3): the paper's headline result.
 
-Reproduced rows:
-
-  scheme        loop        II     relative speed
-  Todd (Fig 7)  3 / 1 tok   3.0    1.0
-  companion     4 / 2 tok   2.0    1.5
-
-plus the even-loop ablation: inserting one extra stage into the
+Todd's loop (3 stages, 1 value) runs at II 3; the companion loop
+(4 stages, 2 values) at II 2, i.e. 1.5x as many elements per step.
+Plus the even-loop ablation: inserting one extra stage into the
 companion loop (making it odd, 5 stages with 2 values) drops the rate
 to 2/5 -- why the paper inserts the ID "so the loop has an even number
 of stages, which is necessary for maximum pipelining".
@@ -18,7 +14,7 @@ import pytest
 from repro.compiler import compile_program
 from repro.workloads import EXAMPLE2_SOURCE
 
-from _common import bench_once, constant_inputs, extra, record_rows, steady_ii
+from _common import constant_inputs, record_claim, steady_ii
 
 M = 300
 
@@ -29,71 +25,51 @@ def _compiled(scheme: str):
     )
 
 
-@pytest.mark.benchmark(group="fig8")
-def test_fig8_companion_reaches_maximum_rate(benchmark):
-    cp = _compiled("companion")
-    loop = cp.artifacts["X"].graph.meta["loop"]
-    assert loop["length"] == 4 and loop["tokens"] == 2
-    res = bench_once(benchmark, cp.run, constant_inputs(cp, 0.5))
-    ii = steady_ii(res.run.sink_times["X"])
-    extra(benchmark, initiation_interval=ii)
-    assert ii == pytest.approx(2.0, abs=0.05)
+def _run(cp):
+    res = cp.run(constant_inputs(cp, 0.5))
+    return steady_ii(res.run.sink_times["X"]), res.stats.steps
 
 
-@pytest.mark.benchmark(group="fig8")
-def test_fig8_headline_speedup(benchmark):
-    def both():
-        out = {}
-        for scheme in ("todd", "companion"):
-            cp = _compiled(scheme)
-            res = cp.run(constant_inputs(cp, 0.5))
-            out[scheme] = (
-                steady_ii(res.run.sink_times["X"]),
-                res.stats.steps,
-            )
-        return out
-
-    data = bench_once(benchmark, both, rounds=1)
-    ii_t, steps_t = data["todd"]
-    ii_c, steps_c = data["companion"]
+def test_fig8_headline_speedup():
+    todd, companion = _compiled("todd"), _compiled("companion")
+    loop = companion.artifacts["X"].graph.meta["loop"]
+    ii_t, steps_t = _run(todd)
+    ii_c, steps_c = _run(companion)
     speedup = steps_t / steps_c
-    extra(benchmark, todd_ii=ii_t, companion_ii=ii_c, speedup=speedup)
-    assert ii_t == pytest.approx(3.0, abs=0.05)
-    assert ii_c == pytest.approx(2.0, abs=0.05)
-    assert speedup == pytest.approx(1.5, abs=0.05)
-    record_rows(
+    record_claim(
         "fig8",
-        "scheme  loop  II  wall-clock speedup",
-        [
-            ("todd", "3 stages / 1 value", round(ii_t, 3), 1.0),
-            ("companion", "4 stages / 2 values", round(ii_c, 3),
-             round(speedup, 3)),
-        ],
-        note="paper: companion pipeline restores the maximum rate 1/2",
+        "Fig 8 / Thm 3: companion pipeline (G(a,b) = (a1·b1, a1·b2+a2)) "
+        "+ ID pad → even 4-stage loop, 2 circulating values, maximum rate",
+        "rate 1/2 (II 2); 1.5× Todd",
+        {"companion loop stages/values": [loop["length"], loop["tokens"]],
+         "companion II": ii_c, "Todd II": ii_t,
+         "speedup over Todd (simulator steps)": speedup},
+        (loop["length"], loop["tokens"]) == (4, 2)
+        and ii_c == pytest.approx(2.0, abs=0.05)
+        and ii_t == pytest.approx(3.0, abs=0.05)
+        and speedup == pytest.approx(1.5, abs=0.05),
     )
 
 
-@pytest.mark.benchmark(group="fig8")
-def test_fig8_even_loop_ablation(benchmark):
+def test_fig8_even_loop_ablation():
     """Drop-in odd loop: splice one extra stage into the companion
     cycle; two circulating values in a 5-cycle sustain only 2/5."""
+    even_ii, _ = _run(_compiled("companion"))
     cp = _compiled("companion")
-    g = cp.graph
-    loop_arcs = g.meta.get("feedback_arcs", [])
-    assert loop_arcs
+    loop = cp.artifacts["X"].graph.meta["loop"]
+    loop_arcs = cp.graph.meta.get("feedback_arcs", [])
     # make the loop odd by buffering one loop arc with a single stage
-    g.splice_fifo(loop_arcs[0], 1, name="odd_pad")
-
-    res = bench_once(benchmark, cp.run, constant_inputs(cp, 0.5))
-    ii = steady_ii(res.run.sink_times["X"])
-    extra(benchmark, odd_loop_ii=ii)
-    assert ii == pytest.approx(2.5, abs=0.05)  # rate 2/5
-    record_rows(
-        "fig8_even_loop",
-        "loop  values  II",
-        [
-            ("4 stages (even, Fig 8)", 2, 2.0),
-            ("5 stages (odd ablation)", 2, round(ii, 3)),
-        ],
-        note="even loop length is necessary for maximum pipelining (Sec. 7)",
+    cp.graph.splice_fifo(loop_arcs[0], 1, name="odd_pad")
+    odd_ii, _ = _run(cp)
+    record_claim(
+        "fig8-even",
+        "§7: ID inserted \"so the loop has an even number of stages, "
+        "which is necessary for maximum pipelining\"; ablation pads the "
+        "companion loop by one stage",
+        "odd loop < 1/2",
+        {"even loop stages/values": [loop["length"], loop["tokens"]],
+         "even II": even_ii, "padded (odd) loop II": odd_ii},
+        bool(loop_arcs)
+        and even_ii == pytest.approx(2.0, abs=0.05)
+        and odd_ii == pytest.approx(2.5, abs=0.05),  # rate 2/5
     )

@@ -3,106 +3,64 @@ machine-level one (our substitution for the paper's hardware).
 
 The rate arguments are made in abstract "instruction times"; the
 event-driven machine model adds dispatch bandwidth, function-unit
-latencies and routing delays.  Rows:
+latencies and routing delays.  Measured:
 
-* unit-latency machine == unit-delay simulator (identical schedules);
+* unit-latency machine == unit-delay simulator (identical schedules up
+  to one constant offset);
 * realistic latencies stretch the cycle per "instruction time" but keep
   the *relative* Todd-vs-companion shape (who wins, by what factor);
 * PE count sweep: dispatch bandwidth matters until the pipeline's
   parallelism is covered.
 """
 
-import pytest
-
 import repro
 from repro.compiler import compile_program
 from repro.machine import MachineConfig
 from repro.workloads import EXAMPLE1_SOURCE, EXAMPLE2_SOURCE
 
-from _common import bench_once, constant_inputs, extra, record_rows
+from _common import axis, constant_inputs, record_claim
 
 M = 80
+PES = [1, 2, 4, 8]
 
 
-@pytest.mark.benchmark(group="fidelity")
-def test_unit_time_machine_matches_abstract_model(benchmark):
+def test_fidelity():
     cp = compile_program(EXAMPLE1_SOURCE, params={"m": M})
     inputs = constant_inputs(cp)
-    sync_res = repro.run(cp.graph, inputs, backend="sync")
+    sync = repro.run(cp.graph, inputs, backend="sync")
+    unit = repro.run(cp.graph, inputs, config=MachineConfig.unit_time())
+    offsets = {m - s for s, m in zip(sync.sink_times["A"],
+                                     unit.engine.sink_arrival_times("A"))}
 
-    def run():
-        return repro.run(cp.graph, inputs, config=MachineConfig.unit_time())
-
-    res = bench_once(benchmark, run)
-    outs, stats, machine = res.outputs, res.stats, res.engine
-    assert outs["A"] == sync_res.outputs["A"]
-    sync_times = sync_res.sink_times["A"]
-    mach_times = machine.sink_arrival_times("A")
-    offsets = {m - s for s, m in zip(sync_times, mach_times)}
-    extra(benchmark, schedule_offsets=len(offsets))
-    assert len(offsets) == 1
-
-
-@pytest.mark.benchmark(group="fidelity")
-def test_relative_shape_survives_real_latencies(benchmark):
-    """Todd vs companion on the realistic machine: companion still wins."""
-
-    def measure():
-        out = {}
-        for scheme in ("todd", "companion"):
-            cp = compile_program(
-                EXAMPLE2_SOURCE, params={"m": M}, foriter_scheme=scheme
-            )
-            inputs = constant_inputs(cp, 0.5)
-            stats = repro.run(
-                cp.graph, inputs, config=MachineConfig(n_pes=8, n_fus=8),
-            ).stats
-            out[scheme] = stats.cycles
-        return out
-
-    cycles = bench_once(benchmark, measure, rounds=1)
+    cycles = {}
+    for scheme in ("todd", "companion"):
+        cp2 = compile_program(
+            EXAMPLE2_SOURCE, params={"m": M}, foriter_scheme=scheme
+        )
+        cycles[scheme] = repro.run(
+            cp2.graph, constant_inputs(cp2, 0.5),
+            config=MachineConfig(n_pes=8, n_fus=8),
+        ).stats.cycles
     ratio = cycles["todd"] / cycles["companion"]
-    extra(benchmark, speedup=ratio)
-    assert ratio > 1.15  # the winner does not flip under real latencies
 
-    record_rows(
+    pe_cycles = [
+        repro.run(cp.graph, inputs,
+                  config=MachineConfig(n_pes=n, n_fus=8)).stats.cycles
+        for n in PES
+    ]
+    record_claim(
         "fidelity",
-        "model  todd cycles  companion cycles  speedup",
-        [
-            (
-                "machine (FU/RN latencies)",
-                cycles["todd"],
-                cycles["companion"],
-                round(ratio, 3),
-            ),
-        ],
-        note="abstract-model speedup is 1.5; real latencies compress but "
-        "preserve the ordering",
-    )
-
-
-@pytest.mark.benchmark(group="fidelity")
-def test_pe_dispatch_sweep(benchmark):
-    cp = compile_program(EXAMPLE1_SOURCE, params={"m": M})
-    inputs = constant_inputs(cp)
-
-    def sweep():
-        out = {}
-        for n_pes in (1, 2, 4, 8):
-            stats = repro.run(
-                cp.graph, inputs,
-                config=MachineConfig(n_pes=n_pes, n_fus=8),
-            ).stats
-            out[n_pes] = stats.cycles
-        return out
-
-    cycles = bench_once(benchmark, sweep, rounds=1)
-    assert cycles[8] <= cycles[1]
-    extra(benchmark, **{f"pes_{k}": v for k, v in cycles.items()})
-    record_rows(
-        "fidelity_pes",
-        "PEs  cycles (Example 1, m=80)",
-        sorted(cycles.items()),
-        note="bounded per-PE dispatch: more PEs until the pipeline's "
-        "concurrency is covered",
+        "(substitution check) unit-latency machine model ≡ abstract "
+        "instruction-time model; shape survives real FU/RN latencies; "
+        "Example 1 PE sweep (m = 80)",
+        "—",
+        {"distinct schedule offsets, unit-time machine vs simulator":
+             len(offsets),
+         "Todd cycles": cycles["todd"],
+         "companion cycles": cycles["companion"], "speedup": ratio,
+         f"cycles on {axis(PES)} PEs": pe_cycles},
+        unit.outputs["A"] == sync.outputs["A"]
+        and len(offsets) == 1
+        and ratio > 1.15  # the winner does not flip under real latencies
+        and pe_cycles[-1] <= pe_cycles[0],
     )

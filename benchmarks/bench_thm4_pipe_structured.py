@@ -24,82 +24,40 @@ from repro.workloads import (
     random_pipe_program,
 )
 
-from _common import bench_once, constant_inputs, extra, record_rows, steady_ii
+from _common import axis, constant_inputs, record_claim, steady_ii
 
 M = 300
+BLOCKS = [2, 6, 12]
 
 
-@pytest.mark.benchmark(group="thm4")
-def test_thm4_fig3_fully_pipelined(benchmark):
-    cp = compile_program(FIG3_SOURCE, params={"m": M})
-    res = bench_once(benchmark, cp.run, constant_inputs(cp))
-    ii = steady_ii(res.run.sink_times["X"])
-    extra(benchmark, initiation_interval=ii)
-    assert ii == pytest.approx(2.0, abs=0.05)
+def _ii(source: str, m: int = M, value: float = 1.0, **options):
+    cp = compile_program(source, params={"m": m}, **options)
+    res = cp.run(constant_inputs(cp, value))
+    stream = next(iter(cp.output_specs))
+    return cp, steady_ii(res.run.sink_times[stream])
 
 
-@pytest.mark.benchmark(group="thm4")
-def test_thm4_slowest_block_sets_the_rate(benchmark):
-    def both():
-        out = {}
-        for scheme in ("companion", "todd"):
-            cp = compile_program(
-                FIG3_SOURCE, params={"m": M}, foriter_scheme=scheme
-            )
-            res = cp.run(constant_inputs(cp))
-            out[scheme] = steady_ii(res.run.sink_times["X"])
-        return out
-
-    data = bench_once(benchmark, both, rounds=1)
-    extra(benchmark, **{f"{k}_ii": v for k, v in data.items()})
-    assert data["companion"] == pytest.approx(2.0, abs=0.05)
-    assert data["todd"] == pytest.approx(3.0, abs=0.05)
-    record_rows(
+def test_thm4():
+    _, companion = _ii(FIG3_SOURCE, foriter_scheme="companion")
+    _, todd = _ii(FIG3_SOURCE, foriter_scheme="todd")
+    _, diamond = _ii(DIAMOND_PIPE_SOURCE)
+    cells, iis = [], []
+    for n_blocks in BLOCKS:
+        src = random_pipe_program(random.Random(n_blocks), n_blocks=n_blocks)
+        cp, ii = _ii(src, m=200, value=0.25)
+        cells.append(cp.cell_count)
+        iis.append(ii)
+    record_claim(
         "thm4",
-        "program  for-iter scheme  end-to-end II",
-        [
-            ("fig3 (Example1 -> Example2)", "companion", round(data["companion"], 3)),
-            ("fig3 (Example1 -> Example2)", "todd", round(data["todd"], 3)),
-        ],
-        note="the slowest stage sets the whole pipe's rate (Sec. 3)",
-    )
-
-
-@pytest.mark.benchmark(group="thm4")
-def test_thm4_diamond_flow_graph(benchmark):
-    cp = compile_program(DIAMOND_PIPE_SOURCE, params={"m": M})
-    res = bench_once(benchmark, cp.run, constant_inputs(cp))
-    ii = steady_ii(res.run.sink_times["Z"])
-    extra(benchmark, initiation_interval=ii)
-    assert ii == pytest.approx(2.0, abs=0.05)
-
-
-@pytest.mark.benchmark(group="thm4")
-def test_thm4_block_count_sweep(benchmark):
-    """End-to-end II stays 2.0 as the block chain grows (the paper
-    envisions programs of several hundred blocks)."""
-
-    def sweep():
-        rows = []
-        for n_blocks in (2, 6, 12):
-            src = random_pipe_program(
-                random.Random(n_blocks), n_blocks=n_blocks
-            )
-            cp = compile_program(src, params={"m": 200})
-            res = cp.run(constant_inputs(cp, 0.25))
-            stream = next(iter(cp.output_specs))
-            rows.append(
-                (n_blocks, cp.cell_count,
-                 steady_ii(res.run.sink_times[stream]))
-            )
-        return rows
-
-    rows = bench_once(benchmark, sweep, rounds=1)
-    for n_blocks, _cells, ii in rows:
-        assert ii == pytest.approx(2.0, abs=0.05), f"{n_blocks} blocks"
-    record_rows(
-        "thm4_sweep",
-        "blocks  cells  II",
-        [(b, c, round(ii, 3)) for b, c, ii in rows],
-        note="Theorem 4: linked pipe-structured programs stay fully pipelined",
+        "§8 / Thm 4 / Fig 3: linked pipe-structured programs fully "
+        "pipelined; §3: rate set by the slowest stage",
+        "II 2 end-to-end; Todd block throttles all",
+        {"fig3 companion II": companion, "fig3-with-Todd II": todd,
+         "diamond flow graph II": diamond,
+         f"cells of random chains of {axis(BLOCKS)} blocks": cells,
+         "their II": iis},
+        companion == pytest.approx(2.0, abs=0.05)
+        and todd == pytest.approx(3.0, abs=0.05)
+        and diamond == pytest.approx(2.0, abs=0.05)
+        and all(ii == pytest.approx(2.0, abs=0.05) for ii in iis),
     )

@@ -162,6 +162,36 @@ class TestChainPolicy:
         assert max(depths) == 2
         assert depths.count(0) >= 2      # the policy actually rebased
 
+    def test_delta_bytes_track_churn_not_size(self, tmp_path):
+        # a 1000-cell chain whose wavefront touches few cells between
+        # snapshots: a mean delta is >= 5x smaller than a mean full
+        # snapshot, with the same snapshot count and a bit-identical run
+        g = DataflowGraph()
+        prev = g.add_source("x", stream="x")
+        for i in range(1000):
+            cell = g.add_cell(Op.ADD, name=f"c{i}", consts={1: 1})
+            g.connect(prev, cell, 0)
+            prev = cell
+        g.connect(prev, g.add_sink("out", stream="y", limit=16), 0)
+        inputs = {"x": list(range(16))}
+        bare = Machine(g, inputs=inputs)
+        bare.run()
+        runs = {}
+        for mode, delta_every in (("full", 0), ("delta", 8)):
+            cfg = CheckpointConfig(tmp_path / mode, interval=800,
+                                   retain=0, delta_every=delta_every)
+            m = Machine(g, inputs=inputs, checkpoint=cfg)
+            m.run()
+            assert m.outputs() == bare.outputs()
+            assert m.now == bare.now
+            runs[mode] = m.stats().checkpoints
+        full, delta = runs["full"], runs["delta"]
+        assert delta.snapshots_written == full.snapshots_written >= 5
+        assert delta.delta_snapshots >= 4
+        per_full = full.bytes_written / full.snapshots_written
+        per_delta = delta.delta_bytes_written / delta.delta_snapshots
+        assert per_full >= 5 * per_delta
+
 
 class TestChainResume:
     def test_resume_from_every_chain_file_bit_identical(self, tmp_path):

@@ -42,6 +42,9 @@ KEYED_PLAN = FaultPlan(
 
 
 def _figure_graph(name, m=12):
+    if name == "chains10k":
+        # >= 10^4 cells, the sharded backend's scaling graph
+        return parallel_chain_graph(m=2), {}
     wl = figure_workload(name)
     cp = wl.compile(m=m)
     return cp.graph, cp.prepare_inputs(wl.make_inputs(cp))
@@ -121,7 +124,7 @@ class TestPartitioner:
 class TestDeterminismMatrix:
     """Every figure x K in {1, 2, 4}: bit-identical to single-process."""
 
-    @pytest.mark.parametrize("name", FIGS)
+    @pytest.mark.parametrize("name", [*FIGS, "chains10k"])
     def test_clean(self, name):
         graph, streams = _figure_graph(name)
         ref_out, ref_times = _reference(graph, streams)

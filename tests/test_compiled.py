@@ -57,6 +57,17 @@ class TestBitIdentity:
             assert schedule.cycles_skipped > 0
             assert schedule.anchor is not None
 
+    @pytest.mark.parametrize("name", ["fig2", "fig4", "fig6", "fig7"])
+    def test_steady_state_is_almost_all_skipped(self, name):
+        # at m = 10^4 a replayable figure is one jump over >= 99% of
+        # its cycles (values at this size are checked against the
+        # interpreter by the figs_compiled end-to-end workload)
+        cp, inputs = _workload(name, m=10_000)
+        compiled = repro.run(cp, inputs, backend="compiled")
+        schedule = compiled.engine.schedule
+        assert schedule.jumps
+        assert schedule.cycles_skipped >= 0.99 * compiled.cycles
+
     @pytest.mark.parametrize("seed", [1, 13])
     def test_identity_across_seeds(self, seed):
         event, compiled = _pair("fig7", m=120, seed=seed)
