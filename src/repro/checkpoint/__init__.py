@@ -34,6 +34,7 @@ from ..errors import (
     SnapshotError,
     SupervisorError,
 )
+from ..workers import BackoffPolicy
 from .coordinator import (
     CoordinatedCheckpointManager,
     is_sharded_dir,
@@ -71,7 +72,6 @@ from .snapshot import (
 from .supervisor import (
     EXIT_SNAPSHOT_UNLOADABLE,
     AttemptRecord,
-    BackoffPolicy,
     Supervisor,
     SupervisorConfig,
     SupervisorReport,

@@ -45,7 +45,6 @@ step-back past a poisoned resume point) is deliberately mirrored by
 from __future__ import annotations
 
 import json
-import os
 import random
 import subprocess
 import sys
@@ -55,6 +54,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
 from ..errors import EXIT_SNAPSHOT_UNLOADABLE, SupervisorError
+from ..workers import BackoffPolicy, child_env
 from .coordinator import (
     is_sharded_dir,
     latest_coordinated,
@@ -65,8 +65,6 @@ from .snapshot import _atomic_write, latest_snapshot
 
 __all__ = [
     "EXIT_SNAPSHOT_UNLOADABLE",  # canonical home: repro.errors
-    "BackoffPolicy",
-    "child_env",
     "SupervisorConfig",
     "AttemptRecord",
     "SupervisorReport",
@@ -89,48 +87,6 @@ class _CoordinatedResumePoint:
     @property
     def name(self) -> str:
         return f"{COORDINATED_SET_PREFIX}{self.cycle:012d}"
-
-
-@dataclass(frozen=True)
-class BackoffPolicy:
-    """Seeded-jitter exponential backoff, shared by every retry loop.
-
-    Delay before retry *i* (1-based) is
-    ``min(max_delay, base * factor**(i-1))`` scaled by a uniform draw
-    from ``[1-jitter, 1+jitter]``.  The draw comes from a caller-owned
-    :class:`random.Random` so each loop's schedule is reproducible and
-    independent -- a fleet of supervisors (or a serve worker pool)
-    seeded differently never thunders back in lockstep.
-    """
-
-    base: float = 0.5
-    factor: float = 2.0
-    max_delay: float = 30.0
-    jitter: float = 0.1
-
-    def delay(self, retry_index: int, rng: random.Random) -> float:
-        if retry_index < 1:
-            return 0.0
-        delay = min(self.max_delay, self.base * self.factor ** (retry_index - 1))
-        if self.jitter:
-            delay *= rng.uniform(1 - self.jitter, 1 + self.jitter)
-        return delay
-
-
-def child_env() -> dict[str, str]:
-    """Environment for a child interpreter that must import ``repro``
-    even when this process was launched with an ad-hoc ``PYTHONPATH``
-    (supervised runs, serve pool workers)."""
-    import repro
-
-    env = dict(os.environ)
-    pkg_root = str(Path(repro.__file__).resolve().parent.parent)
-    parts = env.get("PYTHONPATH", "").split(os.pathsep)
-    if pkg_root not in parts:
-        env["PYTHONPATH"] = os.pathsep.join(
-            [pkg_root] + [p for p in parts if p]
-        )
-    return env
 
 
 @dataclass

@@ -19,7 +19,6 @@ with a :class:`~repro.errors.SimulationError` naming the key.
 from __future__ import annotations
 
 import json
-import random
 import time
 from dataclasses import dataclass, fields
 from typing import (
@@ -81,10 +80,10 @@ class RecoveryPolicy:
     #: seconds a worker may take to answer one command before it
     #: counts as hung
     deadline: float = 60.0
-    #: poll granularity while waiting (also bounds detection jitter)
-    heartbeat: float = 0.05
     #: respawns allowed per shard before escalating
     max_restarts: int = 3
+    #: delay before each respawn: a :class:`repro.workers.BackoffPolicy`
+    #: with these four values, drawn from an RNG seeded with ``seed``
     backoff_base: float = 0.1
     backoff_factor: float = 2.0
     backoff_max: float = 2.0
@@ -102,25 +101,11 @@ class RecoveryPolicy:
     #: coordinated checkpoints; ``True`` / ``False`` force it
     enabled: Optional[bool] = None
 
-    def backoff(self, attempt: int, rng: random.Random) -> float:
-        """Delay before restart ``attempt`` (1-based), jittered."""
-        delay = min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** max(0, attempt - 1),
-        )
-        if self.jitter:
-            delay *= 1.0 + rng.uniform(-self.jitter, self.jitter)
-        return max(0.0, delay)
-
     def validate(self) -> None:
         _check_field_types(self, "recovery.")
         if self.deadline <= 0:
             raise SimulationError(
                 f"recovery.deadline must be > 0, got {self.deadline}"
-            )
-        if self.heartbeat <= 0:
-            raise SimulationError(
-                f"recovery.heartbeat must be > 0, got {self.heartbeat}"
             )
         if self.max_restarts < 0:
             raise SimulationError(

@@ -52,11 +52,17 @@ fixed cadence otherwise (see :meth:`ShardedRunner._order_free`).
 Warm worker pool, one transport
 -------------------------------
 
-Worker processes outlive a run: on success they park in a
-module-level pool keyed by graph content, and the next
-``ShardedRunner`` over the same graph reclaims them with a
-``rebuild`` command instead of paying fork+import again (idle workers
-are reaped after ``_POOL_IDLE_TIMEOUT`` seconds).  Cut packets travel
+Worker processes are :class:`repro.workers.Worker` children forked
+with a :class:`_LocalShard` as their request handler, so a process
+shard executes exactly the commands the in-process transport does.
+Spawn, framing, crash/hang detection, teardown and the warm pool all
+live in :mod:`repro.workers`; this module only turns a
+:class:`~repro.workers.WorkerFailure` into :class:`ShardCrashError` /
+:class:`ShardHangError` (:meth:`ShardedRunner._reply`).  Workers
+outlive a run: on success they park in the pool under the content
+digest of the graph, and the next ``ShardedRunner`` over an equal
+graph reclaims them with a ``rebuild`` command instead of paying
+fork+import again.  Cut packets travel
 on the seq-tagged command pipe and nowhere else: a ``window`` command
 carries every packet a shard is due, its reply carries every packet
 the window emitted, so a window costs one round trip per worker
@@ -91,7 +97,7 @@ In-process self-healing
 
 With real worker processes and coordinated checkpoints, the runner is
 self-healing (see DESIGN.md section 10): every reply wait carries a
-deadline with heartbeat polls, so a dead *or hung* worker is detected
+deadline with liveness polls, so a dead *or hung* worker is detected
 within a bounded window; on detection all shards roll back to the
 latest complete coordinated set (survivors reload in place over the
 ``load`` op, the failed worker is respawned), the channel state of the
@@ -110,16 +116,13 @@ this deterministically testable.
 
 from __future__ import annotations
 
-import atexit
 import hashlib
 import heapq
-import multiprocessing
 import os
 import pickle
 import random
-import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any, Optional, Union
 
 from ..analysis.partition import Partition, cut_distances, partition_graph
@@ -138,6 +141,16 @@ from ..graph.graph import DataflowGraph
 from ..graph.lower import lower_fifos
 from ..graph.opcodes import Op
 from ..graph.validate import validate
+from ..workers import (
+    BackoffPolicy,
+    Worker,
+    WorkerFailure,
+    apply_fault,
+    park,
+    pooled_worker_count,
+    shutdown_worker_pool,
+    unpark,
+)
 from .config import MachineConfig
 from .machine import Machine, _CellState
 from .packets import PacketCounters
@@ -164,14 +177,8 @@ Message = tuple[int, str, tuple]
 #: policy -- generous, but the parent never blocks forever on a pipe
 _DEFAULT_DEADLINE = 600.0
 
-#: poll granularity (seconds) while waiting on a worker reply
-_DEFAULT_HEARTBEAT = 0.05
-
 #: upper bound on cycles batched into one adaptive window
 _MAX_WINDOW = 4096
-
-#: seconds an idle pooled worker may live before being reaped
-_POOL_IDLE_TIMEOUT = 120.0
 
 
 class ShardCrashError(SimulationError):
@@ -522,29 +529,11 @@ class ShardMachine(Machine):
 
 
 # ----------------------------------------------------------------------
-# worker transports
+# the shard command executor
 # ----------------------------------------------------------------------
 def _maybe_crash(crash_at: Optional[int], horizon: int) -> None:
     if crash_at is not None and horizon >= crash_at:
         os._exit(EXIT_SHARD_CRASH)  # simulated SIGKILL: no cleanup at all
-
-
-def _apply_shard_fault(fault: Optional[tuple]) -> None:
-    """Execute a coordinator-injected worker fault directive.
-
-    ``("kill",)`` dies like SIGKILL before touching the machine;
-    ``("hang",)`` stops responding forever (the parent's reply
-    deadline must catch it); ``("slow", seconds)`` delays the reply.
-    """
-    if fault is None:
-        return
-    if fault[0] == "kill":
-        os._exit(EXIT_SHARD_CRASH)
-    if fault[0] == "hang":
-        while True:
-            time.sleep(3600)
-    if fault[0] == "slow":
-        time.sleep(fault[1])
 
 
 def _load_shard_machine(path: str) -> ShardMachine:
@@ -590,91 +579,6 @@ def _write_shard_snapshot(
     return os.path.getsize(path)
 
 
-def _shard_worker(conn, machine: ShardMachine,
-                  crash_at: Optional[int]) -> None:
-    """Event loop of one worker process (commands over a duplex pipe).
-
-    Every command arrives wrapped as ``(seq, cmd)`` and every reply is
-    sent back prefixed with the same ``seq``: after a rollback the
-    coordinator's next command must not be answered by a reply that a
-    survivor was still computing for the *failed* barrier, and the
-    sequence number lets ``_ProcessShard.wait`` discard such stragglers
-    no matter when they land on the pipe.
-
-    A ``finish`` reply ships only the machine's mutable state and
-    keeps the loop alive so the process can be pooled and later
-    rebuilt (``rebuild``) for another run over the same graph.
-    """
-    try:
-        while True:
-            seq, cmd = conn.recv()
-            op = cmd[0]
-            try:
-                if op == "start":
-                    conn.send((seq, "ok", machine.begin()))
-                elif op == "window":
-                    _, horizon, max_cycles, messages, fault = cmd
-                    _maybe_crash(crash_at, horizon)
-                    _apply_shard_fault(fault)
-                    machine.inject(messages)
-                    conn.send((seq, "ok",
-                               machine.run_window(horizon, max_cycles)))
-                elif op == "snapshot":
-                    # a kill/hang fault here dies *before* the file
-                    # lands: the set stays uncommitted and recovery
-                    # must fall back to the previous complete set
-                    _, path, cycle, messages, fault, kind = cmd
-                    _apply_shard_fault(fault)
-                    size = _write_shard_snapshot(
-                        machine, path, cycle, messages, kind
-                    )
-                    machine.inject(messages)
-                    conn.send((seq, "ok", size))
-                elif op == "load":
-                    # warm rollback: survivors reload their shard of a
-                    # coordinated set in place, keeping the process
-                    _, path = cmd
-                    machine = _load_shard_machine(path)
-                    conn.send((seq, "ok", machine.shard_index))
-                elif op == "rebuild":
-                    # pool reclamation: reconstruct a pristine machine
-                    # for a new run over the retained (content-equal)
-                    # graph; deterministic __init__ makes it
-                    # bit-identical to a freshly forked copy
-                    spec = dict(cmd[1])
-                    crash_at = spec.pop("crash_at", None)
-                    wid = spec.pop("workload_id", None)
-                    # (validated before this worker was forked)
-                    machine = ShardMachine(
-                        machine.graph, _graph_validated=True, **spec
-                    )
-                    machine.workload_id = wid
-                    conn.send((seq, "ok", machine.shard_index))
-                elif op == "finish":
-                    # ship only the mutable state (the parent already
-                    # holds the static graph/config/inputs) and keep
-                    # looping: the process may be pooled for reuse
-                    static = type(machine)._SNAP_STATIC_ATTRS
-                    state = {
-                        k: v for k, v in machine.__dict__.items()
-                        if k not in static
-                    }
-                    conn.send((seq, "ok", ("state", state)))
-                elif op == "stop":
-                    return
-                else:       # pragma: no cover - protocol bug
-                    conn.send((seq, "error", "SimulationError",
-                               f"unknown worker op {op!r}", 0))
-                    return
-            except ReproError as exc:
-                cycle = getattr(exc, "cycle", machine.now)
-                conn.send((seq, "error",
-                           type(exc).__name__, str(exc), cycle))
-                return
-    except (EOFError, KeyboardInterrupt, BrokenPipeError):
-        return              # coordinator went away; die quietly
-
-
 def _rebuild_error(name: str, message: str, cycle: int) -> ReproError:
     if name == "SimulationTimeout":
         return SimulationTimeout(message, cycles=cycle)
@@ -683,132 +587,26 @@ def _rebuild_error(name: str, message: str, cycle: int) -> ReproError:
     return SimulationError(message)
 
 
-# ----------------------------------------------------------------------
-# warm worker pool (module level: reuse survives across runners, and
-# therefore across facade calls and ``repro serve`` jobs)
-# ----------------------------------------------------------------------
-@dataclass
-class _PooledWorker:
-    proc: Any
-    conn: Any
-    seq: int
-    released_at: float
-
-
-#: pool key -> LIFO stack of parked workers.  The key is the content
-#: digest of the (lowered) graph, so a reclaimed worker is guaranteed
-#: to hold a content-equal graph.
-_POOL: dict[str, list[_PooledWorker]] = {}
-_POOL_LOCK = threading.Lock()
-#: global cap on parked workers (LRU-evicted beyond this)
-_POOL_CAP = 16
-
-
 def _graph_key(graph: DataflowGraph) -> str:
-    """Content digest of the lowered graph.  Taken afresh by every run
-    and never memoised on the object: a graph edited in place (a
-    source's values, a constant, an initial token) must miss the
-    workers that still hold what it used to be."""
+    """Warm-pool key: content digest of the lowered graph.  Taken
+    afresh by every run and never memoised on the object: a graph
+    edited in place (a source's values, a constant, an initial token)
+    must miss the workers that still hold what it used to be."""
     return hashlib.sha256(
         pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL)
     ).hexdigest()
 
 
-def _close_pooled(entry: _PooledWorker) -> None:
-    try:
-        entry.conn.close()
-    except OSError:
-        pass
-    if entry.proc.is_alive():
-        entry.proc.terminate()
-        entry.proc.join(timeout=5)
-        if entry.proc.is_alive():
-            entry.proc.kill()
-    entry.proc.join(timeout=5)
-
-
-def _pool_reap() -> None:
-    """Close parked workers idle past the timeout (or dead)."""
-    now = time.monotonic()
-    expired: list[_PooledWorker] = []
-    with _POOL_LOCK:
-        for key in list(_POOL):
-            keep = []
-            for e in _POOL[key]:
-                if (
-                    now - e.released_at > _POOL_IDLE_TIMEOUT
-                    or not e.proc.is_alive()
-                ):
-                    expired.append(e)
-                else:
-                    keep.append(e)
-            if keep:
-                _POOL[key] = keep
-            else:
-                del _POOL[key]
-    for e in expired:
-        _close_pooled(e)
-
-
-def _pool_acquire(key: str) -> Optional[_PooledWorker]:
-    _pool_reap()
-    with _POOL_LOCK:
-        stack = _POOL.get(key)
-        while stack:
-            entry = stack.pop()
-            if not stack:
-                del _POOL[key]
-            if entry.proc.is_alive():
-                return entry
-            _close_pooled(entry)
-            stack = _POOL.get(key)
-    return None
-
-
-def _pool_release(key: str, entry: _PooledWorker) -> None:
-    evict: list[_PooledWorker] = []
-    with _POOL_LOCK:
-        _POOL.setdefault(key, []).append(entry)
-        total = sum(len(v) for v in _POOL.values())
-        while total > _POOL_CAP:
-            oldest_key = min(
-                _POOL, key=lambda k: _POOL[k][0].released_at
-            )
-            evict.append(_POOL[oldest_key].pop(0))
-            if not _POOL[oldest_key]:
-                del _POOL[oldest_key]
-            total -= 1
-    for e in evict:
-        _close_pooled(e)
-    _pool_reap()
-
-
-def pooled_worker_count() -> int:
-    """Parked warm workers right now (observability/tests)."""
-    with _POOL_LOCK:
-        return sum(len(v) for v in _POOL.values())
-
-
-def shutdown_worker_pool() -> None:
-    """Terminate every parked warm worker.
-
-    Called automatically at interpreter exit; call it explicitly to
-    bound resources between test phases or serve tenants.
-    """
-    with _POOL_LOCK:
-        entries = [e for stack in _POOL.values() for e in stack]
-        _POOL.clear()
-    for e in entries:
-        _close_pooled(e)
-
-
-atexit.register(shutdown_worker_pool)
-
-
 class _LocalShard:
-    """In-process transport: same protocol, no OS processes.  Used for
-    K=1, for tests that sweep many configurations quickly, and as the
-    reference the multi-process transport must agree with."""
+    """One shard's command executor.
+
+    In a worker process it is the request handler
+    :func:`repro.workers.serve_requests` runs (see :meth:`__call__`).
+    In process it is the transport itself: same commands, no OS
+    processes -- used for K=1, for tests that sweep many
+    configurations quickly, and as the reference the worker processes
+    must agree with.  Either way a reply is ``("ok", value)``.
+    """
 
     def __init__(self, shard: int, machine: ShardMachine,
                  crash_at: Optional[int]) -> None:
@@ -816,208 +614,81 @@ class _LocalShard:
         self.machine = machine
         self.crash_at = crash_at
         self._reply: Any = None
-        self.finished_ok = False
+
+    def __call__(self, cmd: tuple) -> tuple:
+        """Worker-process entry: errors travel back as plain data
+        (name, message, cycle) and are rebuilt by the coordinator."""
+        try:
+            return ("ok", self._execute(cmd))
+        except ReproError as exc:
+            cycle = getattr(exc, "cycle", self.machine.now)
+            return ("error", type(exc).__name__, str(exc), cycle)
+
+    def _execute(self, cmd: tuple) -> Any:
+        op = cmd[0]
+        machine = self.machine
+        if op == "start":
+            return machine.begin()
+        if op == "window":
+            _, horizon, max_cycles, messages, fault = cmd
+            _maybe_crash(self.crash_at, horizon)
+            apply_fault(fault)
+            machine.inject(messages)
+            return machine.run_window(horizon, max_cycles)
+        if op == "snapshot":
+            # a kill/hang fault here dies *before* the file lands: the
+            # set stays uncommitted and recovery must fall back to the
+            # previous complete set
+            _, path, cycle, messages, fault, kind = cmd
+            apply_fault(fault)
+            size = _write_shard_snapshot(machine, path, cycle, messages, kind)
+            machine.inject(messages)
+            return size
+        if op == "load":
+            # warm rollback: survivors reload their shard of a
+            # coordinated set in place, keeping the process
+            self.machine = _load_shard_machine(cmd[1])
+            return self.machine.shard_index
+        if op == "rebuild":
+            # pool reclamation: reconstruct a pristine machine for a
+            # new run over the retained (content-equal) graph;
+            # deterministic __init__ makes it bit-identical to a
+            # freshly forked copy (validated before the fork)
+            spec = dict(cmd[1])
+            self.crash_at = spec.pop("crash_at", None)
+            wid = spec.pop("workload_id", None)
+            self.machine = ShardMachine(
+                machine.graph, _graph_validated=True, **spec
+            )
+            self.machine.workload_id = wid
+            return self.machine.shard_index
+        if op == "finish":
+            # ship only the mutable state (the parent already holds
+            # the static graph/config/inputs); the process stays
+            # alive and may be pooled for reuse
+            static = type(machine)._SNAP_STATIC_ATTRS
+            return {
+                k: v for k, v in machine.__dict__.items() if k not in static
+            }
+        raise SimulationError(f"unknown worker op {op!r}")
 
     def post(self, cmd: tuple) -> None:
-        op = cmd[0]
-        if op == "start":
-            self._reply = self.machine.begin()
-        elif op == "window":
-            _, horizon, max_cycles, messages, fault = cmd
-            self._refuse_fault(fault)
-            _maybe_crash(self.crash_at, horizon)
-            self.machine.inject(messages)
-            self._reply = self.machine.run_window(horizon, max_cycles)
-        elif op == "snapshot":
-            _, path, cycle, messages, fault, kind = cmd
-            self._refuse_fault(fault)
-            self._reply = _write_shard_snapshot(
-                self.machine, path, cycle, messages, kind
-            )
-            self.machine.inject(messages)
-        elif op == "load":
-            _, path = cmd
-            self.machine = _load_shard_machine(path)
-            self._reply = self.machine.shard_index
-        elif op == "finish":
-            self._reply = self.machine
-
-    @staticmethod
-    def _refuse_fault(fault: Optional[tuple]) -> None:
-        # the runner routes shard faults only to process transports; a
-        # kill/hang here would take the coordinator down with it
-        if fault is not None:   # pragma: no cover - coordinator bug
-            raise SimulationError(
+        if cmd[0] in ("window", "snapshot") and cmd[4] is not None:
+            # the runner routes shard faults only to worker processes;
+            # a kill/hang here would take the coordinator down with it
+            raise SimulationError(     # pragma: no cover - coordinator bug
                 "shard fault directive sent to an in-process shard"
             )
+        if cmd[0] == "finish":
+            self._reply = ("ok", self.machine)
+        else:
+            self._reply = ("ok", self._execute(cmd))
 
-    def wait(self, timeout: Optional[float] = None) -> Any:
+    def wait(self, deadline: float) -> tuple:
         return self._reply
 
-    def drain(self) -> None:
-        pass
-
     def close(self) -> None:
         pass
-
-
-class _ProcessShard:
-    """One worker process plus the coordinator's end of its pipe.
-
-    Every reply wait runs under a deadline with heartbeat polls: the
-    coordinator never blocks indefinitely on ``conn.recv()``, so a
-    worker that is dead *or* hung is detected within a bounded window
-    (:class:`ShardCrashError` / :class:`ShardHangError`).
-    """
-
-    def __init__(self, shard: int, *,
-                 deadline: float = _DEFAULT_DEADLINE,
-                 heartbeat: float = _DEFAULT_HEARTBEAT,
-                 pool_key: Optional[str] = None) -> None:
-        self.shard = shard
-        self.deadline = deadline
-        self.heartbeat = heartbeat
-        #: barrier cycle of the last command posted (error context)
-        self.last_cycle = -1
-        #: sequence number of the last command posted; replies echo it
-        #: so ``wait`` can drop stragglers from before a rollback
-        self._seq = 0
-        #: warm-pool key; None = never pool this worker
-        self.pool_key = pool_key
-        #: set by the runner after a clean finish; gates pooling
-        self.finished_ok = False
-        self.conn: Any = None
-        self.proc: Any = None
-
-    @classmethod
-    def spawn(cls, shard: int, machine: ShardMachine,
-              crash_at: Optional[int], ctx, *,
-              deadline: float = _DEFAULT_DEADLINE,
-              heartbeat: float = _DEFAULT_HEARTBEAT,
-              pool_key: Optional[str] = None) -> "_ProcessShard":
-        self = cls(shard, deadline=deadline, heartbeat=heartbeat,
-                   pool_key=pool_key)
-        self.conn, child = ctx.Pipe(duplex=True)
-        self.proc = ctx.Process(
-            target=_shard_worker,
-            args=(child, machine, crash_at),
-            daemon=True,
-            name=f"repro-shard-{shard}",
-        )
-        self.proc.start()
-        child.close()
-        return self
-
-    @classmethod
-    def adopt(cls, shard: int, entry: _PooledWorker, spec: dict, *,
-              deadline: float = _DEFAULT_DEADLINE,
-              heartbeat: float = _DEFAULT_HEARTBEAT,
-              pool_key: Optional[str] = None) -> "_ProcessShard":
-        """Reclaim a parked warm worker: continue its command stream
-        (the pool recorded the last seq) and rebuild its machine for
-        the new run.  Raises :class:`ShardCrashError` if the worker
-        died in the pool -- callers fall back to a fresh spawn."""
-        self = cls(shard, deadline=deadline, heartbeat=heartbeat,
-                   pool_key=pool_key)
-        self.proc = entry.proc
-        self.conn = entry.conn
-        self._seq = entry.seq
-        self.post(("rebuild", spec))
-        self.wait()
-        return self
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self.proc.pid
-
-    def post(self, cmd: tuple) -> None:
-        if cmd[0] == "window":
-            self.last_cycle = cmd[1]
-        elif cmd[0] == "snapshot":
-            self.last_cycle = cmd[2]
-        self._seq += 1
-        try:
-            self.conn.send((self._seq, cmd))
-        except (BrokenPipeError, OSError):
-            raise self._crash() from None
-
-    def wait(self, timeout: Optional[float] = None) -> Any:
-        limit = self.deadline if timeout is None else timeout
-        give_up = time.monotonic() + limit
-        reply = None
-        while reply is None:
-            try:
-                if self.conn.poll(self.heartbeat):
-                    got = self.conn.recv()
-                    if got[0] == self._seq:
-                        reply = got
-                    # else: straggler from before a rollback — a
-                    # survivor answered the failed barrier only after
-                    # drain() ran; the echoed seq exposes it
-                    continue
-            except (EOFError, ConnectionResetError, OSError):
-                raise self._crash() from None
-            if not self.proc.is_alive():
-                # drain replies the worker managed to send before dying
-                try:
-                    while reply is None and self.conn.poll(0):
-                        got = self.conn.recv()
-                        if got[0] == self._seq:
-                            reply = got
-                except (EOFError, ConnectionResetError, OSError):
-                    pass
-                if reply is None:
-                    raise self._crash() from None
-            elif time.monotonic() >= give_up:
-                raise ShardHangError(
-                    f"shard {self.shard} worker (pid {self.pid}) missed "
-                    f"its {limit:g}s reply deadline near cycle "
-                    f"{self.last_cycle}",
-                    shard=self.shard,
-                    exitcode=None,
-                    cycle=self.last_cycle,
-                )
-        if reply[1] == "error":
-            raise _rebuild_error(*reply[2:])
-        return reply[2]
-
-    def drain(self) -> None:
-        """Discard queued replies from before a rollback: when a
-        barrier dies on one shard, survivors have already answered
-        and their queued replies would otherwise sit in the pipe
-        buffer.  Sequence filtering in :meth:`wait` is what guarantees
-        correctness (a straggler can land *after* this drain); this
-        just clears the queue eagerly."""
-        try:
-            while self.conn.poll(0):
-                self.conn.recv()
-        except (EOFError, ConnectionResetError, OSError):
-            pass        # a dead pipe surfaces on the next post
-
-    def _crash(self) -> ShardCrashError:
-        self.proc.join(timeout=5)
-        code = self.proc.exitcode
-        return ShardCrashError(
-            f"shard {self.shard} worker (pid {self.pid}) died with "
-            f"exit code {code}",
-            shard=self.shard,
-            exitcode=code,
-            cycle=self.last_cycle,
-        )
-
-    def close(self) -> None:
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join(timeout=5)
-            if self.proc.is_alive():
-                # a worker stuck in uninterruptible state shrugged off
-                # SIGTERM; SIGKILL it rather than leak a live child
-                self.proc.kill()
-        self.proc.join(timeout=5)
 
 
 # ----------------------------------------------------------------------
@@ -1122,6 +793,9 @@ class ShardedRunner:
         self._ckpt = ckpt
         self._next_ckpt = next_ckpt
         self.worker_pids: list[Optional[int]] = []
+        #: per shard, the barrier cycle of the last window/snapshot
+        #: command its current endpoint was sent (failure context)
+        self._last_cycle: list[int] = []
         self._finished = False
         self._init_heal(sc.recovery, machines[0].fault_plan)
 
@@ -1178,7 +852,6 @@ class ShardedRunner:
         self._barred: set[int] = set()
         #: shards folded into the coordinator after budget exhaustion
         self._degraded: set[int] = set()
-        self._ctx = None
         self._barrier = 0
         self._start_cycle = max((m.now for m in self.machines), default=0)
         faults = tuple(
@@ -1206,15 +879,14 @@ class ShardedRunner:
             if self._start_cycle == 0 or f.cycle > self._start_cycle:
                 self._shard_faults.setdefault(f.shard, []).append(f)
 
-    def _take_fault(self, shard: int, cycle: int) -> Optional[tuple]:
-        """Pop the due chaos directive for ``shard``, if any."""
+    def _take_fault(self, shard: int, cycle: int) -> Optional[dict]:
+        """Pop the due chaos directive for ``shard``, if any (see
+        :func:`repro.workers.apply_fault`)."""
         queue = self._shard_faults.get(shard)
         if not queue or cycle < queue[0].cycle or shard in self._degraded:
             return None
         fault = queue.pop(0)
-        if fault.kind == "slow":
-            return ("slow", fault.delay)
-        return (fault.kind,)
+        return {"kind": fault.kind, "delay": fault.delay}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -1290,6 +962,7 @@ class ShardedRunner:
         if self._ckpt is not None:
             self._ckpt.on_start(self)
         eps = self._spawn(crash_at, crash_shard)
+        clean = False
         try:
             while True:
                 try:
@@ -1298,16 +971,19 @@ class ShardedRunner:
                         self._finish_one(k, ep)
                         for k, ep in enumerate(eps)
                     ]
-                    for ep in eps:
-                        ep.finished_ok = True
+                    clean = True
                     break
                 except ShardCrashError as exc:
                     if heal is None:
                         raise
                     eps = self._recover(eps, exc, heal)
         finally:
+            # clean workers park in the warm pool, the rest are closed
             for ep in eps:
-                self._retire(ep)
+                if clean and isinstance(ep, Worker):
+                    park(ep)
+                else:
+                    ep.close()
         self._finished = True
         self._check_complete()
         if self._ckpt is not None:
@@ -1315,13 +991,8 @@ class ShardedRunner:
         return self.stats()
 
     def _spawn(self, crash_at: Optional[int], crash_shard: int):
-        if self._processes and self._ctx is None:
-            self._ctx = multiprocessing.get_context(
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
         self.worker_pids = [None] * self.shards
+        self._last_cycle = [-1] * self.shards
         # only pristine pre-run machines are rebuild-equivalent; a
         # resumed/restored machine carries run state the rebuild op
         # cannot reproduce, so it always gets a fork-fresh copy
@@ -1345,33 +1016,44 @@ class ShardedRunner:
                 machine = pickle.loads(pickle.dumps(machine))
             self.worker_pids[shard] = None
             return _LocalShard(shard, machine, crash_at)
-        policy = self._heal
-        deadline = policy.deadline if policy else _DEFAULT_DEADLINE
-        heartbeat = policy.heartbeat if policy else _DEFAULT_HEARTBEAT
-        if pool_key is not None:
-            entry = _pool_acquire(pool_key)
-            if entry is not None:
-                try:
-                    ep = _ProcessShard.adopt(
-                        shard, entry,
-                        self._rebuild_spec(shard, machine, crash_at),
-                        deadline=deadline, heartbeat=heartbeat,
-                        pool_key=pool_key,
-                    )
-                    self.worker_reuses += 1
-                    self.worker_pids[shard] = ep.pid
-                    return ep
-                except ShardCrashError:
-                    # the parked worker died between the liveness check
-                    # and the rebuild; fall through to a fresh spawn
-                    _close_pooled(entry)
-        ep = _ProcessShard.spawn(
-            shard, machine, crash_at, self._ctx,
-            deadline=deadline, heartbeat=heartbeat, pool_key=pool_key,
-        )
+        self._last_cycle[shard] = -1
+        worker = unpark(pool_key) if pool_key is not None else None
+        if worker is not None:
+            # reclaim a parked warm worker: rebuild its machine for
+            # this run instead of paying fork + import again
+            worker.post(("rebuild",
+                         self._rebuild_spec(shard, machine, crash_at)))
+            try:
+                self._reply(shard, worker)
+            except ShardCrashError:
+                # it died between the liveness check and the rebuild
+                worker.close()
+            else:
+                self.worker_reuses += 1
+                self.worker_pids[shard] = worker.pid
+                return worker
+        worker = Worker.fork(_LocalShard(shard, machine, crash_at),
+                             name=f"repro-shard-{shard}", key=pool_key)
         self.worker_spawns += 1
-        self.worker_pids[shard] = ep.pid
-        return ep
+        self.worker_pids[shard] = worker.pid
+        return worker
+
+    def _reply(self, shard: int, ep) -> Any:
+        """Shard ``shard``'s reply to its last command -- the one
+        place a worker failure becomes a typed shard error."""
+        policy = self._heal
+        try:
+            reply = ep.wait(policy.deadline if policy else _DEFAULT_DEADLINE)
+        except WorkerFailure as failure:
+            cycle = self._last_cycle[shard]
+            error = ShardHangError if failure.kind == "hang" else ShardCrashError
+            raise error(
+                f"shard {shard} worker {failure.detail} near cycle {cycle}",
+                shard=shard, exitcode=failure.exitcode, cycle=cycle,
+            ) from None
+        if reply[0] == "error":
+            raise _rebuild_error(*reply[1:])
+        return reply[1]
 
     def _rebuild_spec(self, shard: int, machine: ShardMachine,
                       crash_at: Optional[int]) -> dict:
@@ -1390,31 +1072,11 @@ class ShardedRunner:
             "crash_at": crash_at,
         }
 
-    def _retire(self, ep) -> None:
-        """End-of-run disposal: park clean process workers in the warm
-        pool, close everything else."""
-        if (
-            isinstance(ep, _ProcessShard)
-            and ep.finished_ok
-            and ep.pool_key is not None
-            and ep.proc is not None
-            and ep.proc.is_alive()
-        ):
-            _pool_release(
-                ep.pool_key,
-                _PooledWorker(
-                    proc=ep.proc, conn=ep.conn, seq=ep._seq,
-                    released_at=time.monotonic(),
-                ),
-            )
-        else:
-            ep.close()
-
     def _drive(self, eps, max_cycles: int,
                crash_at: Optional[int] = None) -> None:
         for ep in eps:
             ep.post(("start",))
-        frontier = [ep.wait() for ep in eps]
+        frontier = [self._reply(k, ep) for k, ep in enumerate(eps)]
         #: in-flight packets: (when, src shard, emission index, dst,
         #: kind, args) -- sorted injection keeps the run deterministic
         pending: list[tuple[int, int, int, int, str, tuple]] = []
@@ -1447,11 +1109,12 @@ class ShardedRunner:
             )
             self.windows_run += 1
             for k, ep in enumerate(eps):
+                self._last_cycle[k] = horizon
                 ep.post(("window", horizon, max_cycles,
                          by_dst.get(k, []), self._take_fault(k, horizon)))
             frontier = []
             for k, ep in enumerate(eps):
-                outbox, nt, live, eot = ep.wait()
+                outbox, nt, live, eot = self._reply(k, ep)
                 for idx, (dst, when, kind, args) in enumerate(outbox):
                     pending.append((when, k, idx, dst, kind, args))
                 frontier.append((nt, live, eot))
@@ -1500,9 +1163,10 @@ class ShardedRunner:
         names = [self._ckpt.shard_name(cycle, k) for k in range(len(eps))]
         for k, ep in enumerate(eps):
             path = str(self._ckpt.directory / names[k])
+            self._last_cycle[k] = cycle
             ep.post(("snapshot", path, cycle, by_dst.get(k, []),
                      self._take_fault(k, cycle), kind))
-        sizes = [ep.wait() for ep in eps]
+        sizes = [self._reply(k, ep) for k, ep in enumerate(eps)]
         self._ckpt.commit(cycle, names, sizes, kind=kind)
         # a committed set is forward progress: clear strike counting,
         # mirroring the supervisor's progressed-past-resume-point rule
@@ -1515,10 +1179,9 @@ class ShardedRunner:
         machine -- the worker keeps its copy and stays eligible for
         the warm pool."""
         ep.post(("finish",))
-        reply = ep.wait()
-        if isinstance(reply, ShardMachine):
-            return reply
-        _tag, state = reply
+        state = self._reply(k, ep)
+        if isinstance(state, ShardMachine):
+            return state
         machine = self.machines[k]
         machine.__dict__.update(state)
         return machine
@@ -1551,9 +1214,12 @@ class ShardedRunner:
         failed = exc.shard
         self._charge_restart(failed, detect_cycle, policy, exc)
         if failed not in self._degraded:
-            delay = policy.backoff(
-                self._restarts.get(failed, 1), self._heal_rng
-            )
+            delay = BackoffPolicy(
+                base=policy.backoff_base,
+                factor=policy.backoff_factor,
+                max_delay=policy.backoff_max,
+                jitter=policy.jitter,
+            ).delay(self._restarts.get(failed, 1), self._heal_rng)
             if delay:
                 policy.sleep(delay)
         entry = self._resume_point()
@@ -1649,10 +1315,9 @@ class ShardedRunner:
             if k in respawn or k in self._degraded:
                 respawn.add(k)
                 continue
+            ep.post(("load", paths[k]))
             try:
-                ep.drain()
-                ep.post(("load", paths[k]))
-                ep.wait()
+                self._reply(k, ep)
             except ShardCrashError:
                 # a survivor died too (e.g. several chaos faults in
                 # one window); replace it as well

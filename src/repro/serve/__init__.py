@@ -8,7 +8,7 @@ queue without losing an accepted job.  See DESIGN.md section 11.
 """
 
 from .admission import AdmissionQueue, JobJournal, JobState
-from .pool import PoolConfig, WorkerFailure, WorkerPool
+from .pool import WorkerFailure, WorkerPool
 from .protocol import (
     JOB_KINDS,
     MAX_LINE_BYTES,
@@ -40,7 +40,6 @@ __all__ = [
     "JobState",
     "MAX_LINE_BYTES",
     "PipelineServer",
-    "PoolConfig",
     "SchedulerConfig",
     "ServeConfig",
     "ServeError",

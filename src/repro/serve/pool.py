@@ -1,17 +1,23 @@
 """Supervised worker pool: the daemon's fault-isolation boundary.
 
-Jobs never execute in the daemon process.  Each worker is a child
-process speaking NDJSON over stdin/stdout; a job that kills or hangs
-its worker (injectable via FaultPlan schema 2 ``kill_shard`` /
-``hang_shard`` with ``shard`` = attempt index) costs exactly one
-worker, which the pool respawns -- the daemon and every other tenant's
-job are untouched.
+Jobs never execute in the daemon process.  Each worker is a fresh
+interpreter running :mod:`repro.serve.worker`, started and watched by
+:class:`repro.workers.Worker` -- the same spawn, framing, crash/hang
+detection and SIGTERM->SIGKILL teardown the sharded runner's workers
+use.  A call blocks, so it runs in a thread (``asyncio.to_thread``)
+and the event loop stays free.  A job that kills or hangs its worker
+(injectable via FaultPlan schema 2 ``kill_shard`` / ``hang_shard``
+with ``shard`` = attempt index) costs exactly one worker, which the
+pool replaces -- the daemon and every other tenant's job are
+untouched.  So does any other exception raised while a reply is
+awaited: the worker's state is unknown, so it is never handed on.
 
 The escalation policy mirrors :class:`~repro.checkpoint.supervisor.
 Supervisor` one level up, via the shared
-:class:`~repro.checkpoint.supervisor.BackoffPolicy`: worker respawns
-are immediate (capacity must come back), but a *job* whose attempt was
-lost to worker failure retries after a seeded-jitter backoff, at most
+:class:`~repro.workers.BackoffPolicy`: a replacement worker is started
+at once (capacity must come back) and, should its warm-up fail, again
+after a backoff until one answers; a *job* whose attempt was lost to
+worker failure retries after a seeded-jitter backoff, at most
 ``max_retries`` times, then fails with a typed
 :class:`~repro.serve.protocol.JobRetriesExhausted` -- the pool-level
 analogue of the supervisor's two-strike poisoned-snapshot quarantine.
@@ -21,164 +27,83 @@ from __future__ import annotations
 
 import asyncio
 import os
-import signal
-import sys
-from dataclasses import dataclass, field
-from typing import Any, Optional
+import random
+from typing import Any
 
-from ..checkpoint.supervisor import BackoffPolicy, child_env
-from .protocol import MAX_LINE_BYTES, decode_line, encode_line
+from ..workers import (
+    WARMUP_DEADLINE,
+    BackoffPolicy,
+    Worker,
+    WorkerFailure,
+    child_env,
+)
 
-
-class WorkerFailure(Exception):
-    """A worker died or stopped responding while holding a job.
-
-    Not a :class:`~repro.errors.ReproError`: this is the pool's
-    internal retry signal, turned into a typed job error only when the
-    retry budget runs out.
-    """
-
-    def __init__(self, kind: str, detail: str) -> None:
-        self.kind = kind            # "crash" | "hang"
-        self.detail = detail
-        super().__init__(f"worker {kind}: {detail}")
-
-
-@dataclass
-class PoolConfig:
-    workers: int = 2
-    #: hard ceiling on one worker call when the job's own deadline is
-    #: longer (hang detection of jobs with lazy deadlines)
-    call_deadline: float = 60.0
-    #: ceiling on the post-spawn ping handshake -- interpreter startup
-    #: can dwarf ``call_deadline`` on a loaded box, and a cold worker
-    #: must never be mistaken for a hung one
-    warmup_deadline: float = 60.0
-    backoff: BackoffPolicy = field(
-        default_factory=lambda: BackoffPolicy(base=0.05, max_delay=2.0)
-    )
-    seed: int = 0
-
-
-class _Worker:
-    """One child process; at most one in-flight call at a time."""
-
-    def __init__(self, index: int, env: dict[str, str]) -> None:
-        self.index = index
-        self.env = env
-        self.proc: Optional[asyncio.subprocess.Process] = None
-        self.calls = 0
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self.proc.pid if self.proc is not None else None
-
-    @property
-    def alive(self) -> bool:
-        return self.proc is not None and self.proc.returncode is None
-
-    async def start(self) -> None:
-        self.proc = await asyncio.create_subprocess_exec(
-            sys.executable, "-m", "repro.serve.worker",
-            stdin=asyncio.subprocess.PIPE,
-            stdout=asyncio.subprocess.PIPE,
-            env=self.env,
-            limit=MAX_LINE_BYTES + 1024,
-        )
-
-    async def call(self, payload: dict[str, Any],
-                   timeout: float) -> dict[str, Any]:
-        """One request/reply round; raises :class:`WorkerFailure` on
-        death (EOF) or unresponsiveness (timeout)."""
-        assert self.proc is not None
-        self.calls += 1
-        try:
-            self.proc.stdin.write(encode_line(payload))
-            await self.proc.stdin.drain()
-        except (ConnectionResetError, BrokenPipeError, OSError) as exc:
-            raise WorkerFailure("crash", f"write failed: {exc}") from exc
-        try:
-            line = await asyncio.wait_for(
-                self.proc.stdout.readline(), timeout=max(0.01, timeout)
-            )
-        except asyncio.TimeoutError:
-            raise WorkerFailure(
-                "hang", f"no reply within {timeout:.2f}s"
-            ) from None
-        if not line:
-            code = self.proc.returncode
-            raise WorkerFailure("crash", f"worker exited (code {code})")
-        return decode_line(line)
-
-    async def stop(self, *, kill: bool = False) -> None:
-        if self.proc is None:
-            return
-        if self.proc.returncode is None:
-            try:
-                if kill:
-                    self.proc.kill()
-                else:
-                    self.proc.terminate()
-            except ProcessLookupError:
-                pass
-        try:
-            await asyncio.wait_for(self.proc.wait(), timeout=5.0)
-        except asyncio.TimeoutError:
-            try:
-                self.proc.kill()
-            except ProcessLookupError:
-                pass
-            await self.proc.wait()
+#: delays between attempts to warm up a replacement worker
+_RESPAWN_BACKOFF = BackoffPolicy(base=0.05, max_delay=2.0)
 
 
 class WorkerPool:
     """Fixed-size pool of resident workers with respawn-on-failure."""
 
-    def __init__(self, config: PoolConfig) -> None:
-        self.config = config
+    def __init__(self, workers: int = 2,
+                 call_deadline: float = 60.0) -> None:
+        self.size = workers
+        #: hard ceiling on one worker call when the job's own deadline
+        #: is longer (hang detection of jobs with lazy deadlines)
+        self.call_deadline = call_deadline
         self.respawns = 0
-        self._workers: list[_Worker] = []
+        #: the worker currently serving each slot
+        self._workers: list[Worker] = []
+        #: free slot indices
         self._free: asyncio.Queue = asyncio.Queue()
         self._respawn_tasks: set = set()
         self._env = child_env()
+        self._rng = random.Random(0)
         self._closed = False
 
     @property
     def alive(self) -> int:
         return sum(1 for w in self._workers if w.alive)
 
-    @property
-    def size(self) -> int:
-        return self.config.workers
-
-    async def _warm(self, worker: _Worker) -> None:
+    async def _warm(self) -> Worker:
         """Spawn + ping before a worker is offered to callers, so a
         slow interpreter start never counts against a job's deadline."""
-        await worker.start()
-        await worker.call(
-            {"op": "ping"}, timeout=self.config.warmup_deadline
-        )
+        worker = Worker.exec("repro.serve.worker", self._env)
+        try:
+            await asyncio.to_thread(
+                worker.call, {"op": "ping"}, WARMUP_DEADLINE
+            )
+        except BaseException:
+            worker.close()
+            raise
+        return worker
 
     async def start(self) -> None:
-        self._workers = [
-            _Worker(index, self._env)
-            for index in range(self.config.workers)
-        ]
-        await asyncio.gather(*(self._warm(w) for w in self._workers))
-        for worker in self._workers:
-            self._free.put_nowait(worker)
+        self._workers = list(await asyncio.gather(
+            *(self._warm() for _ in range(self.size))
+        ))
+        for slot in range(self.size):
+            self._free.put_nowait(slot)
 
-    async def _respawn(self, worker: _Worker) -> None:
-        try:
-            await self._warm(worker)
-        except (WorkerFailure, OSError):
-            if self._closed:
-                return
-            # hand it back anyway: the next caller's failure path will
-            # retry the respawn rather than silently shrinking the pool
-            pass
-        if not self._closed:
-            self._free.put_nowait(worker)
+    async def _respawn(self, slot: int) -> None:
+        """Replace the worker in ``slot``; a replacement whose warm-up
+        fails is killed and tried again after a backoff, until one
+        answers or the pool stops.  Only then does the slot rejoin the
+        free queue."""
+        await asyncio.to_thread(self._workers[slot].close)
+        retries = 0
+        while not self._closed:
+            try:
+                self._workers[slot] = await self._warm()
+            except (WorkerFailure, OSError):
+                retries += 1
+                self.respawns += 1
+                await asyncio.sleep(
+                    _RESPAWN_BACKOFF.delay(retries, self._rng)
+                )
+                continue
+            self._free.put_nowait(slot)
+            return
 
     async def stop(self) -> None:
         self._closed = True
@@ -189,8 +114,7 @@ class WorkerPool:
                 *self._respawn_tasks, return_exceptions=True
             )
         await asyncio.gather(
-            *(w.stop(kill=True) for w in self._workers),
-            return_exceptions=True,
+            *(asyncio.to_thread(w.close) for w in self._workers)
         )
 
     def signal_workers(self, signum: int) -> int:
@@ -210,26 +134,29 @@ class WorkerPool:
                       timeout: float) -> dict[str, Any]:
         """Run one call on the next free worker.
 
-        On worker failure the dead/hung worker is killed and respawned
-        (so pool capacity recovers immediately) and the
-        :class:`WorkerFailure` propagates -- the *caller* owns the
-        job-level retry/backoff/exhaustion policy.
+        On any failure the worker is replaced in the background (so
+        pool capacity recovers) and a :class:`WorkerFailure`
+        propagates -- the *caller* owns the job-level
+        retry/backoff/exhaustion policy.
         """
-        timeout = min(timeout, self.config.call_deadline)
-        worker: _Worker = await self._free.get()
+        timeout = max(0.01, min(timeout, self.call_deadline))
+        slot = await self._free.get()
         try:
-            reply = await worker.call(payload, timeout)
-        except WorkerFailure:
-            await worker.stop(kill=True)
+            reply = await asyncio.to_thread(
+                self._workers[slot].call, payload, timeout
+            )
+        except BaseException as exc:
             if not self._closed:
                 self.respawns += 1
-                # re-warm in the background so the failure surfaces to
-                # the caller immediately; the worker rejoins the free
-                # queue only once its ping answers
-                task = asyncio.create_task(self._respawn(worker))
+                task = asyncio.create_task(self._respawn(slot))
                 self._respawn_tasks.add(task)
                 task.add_done_callback(self._respawn_tasks.discard)
+            if isinstance(exc, Exception) and not isinstance(
+                exc, WorkerFailure
+            ):
+                raise WorkerFailure(
+                    "crash", f"{type(exc).__name__}: {exc}"
+                ) from exc
             raise
-        else:
-            self._free.put_nowait(worker)
-            return reply
+        self._free.put_nowait(slot)
+        return reply

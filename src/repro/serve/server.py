@@ -40,11 +40,11 @@ from pathlib import Path
 from typing import Any, Optional
 
 from ..checkpoint.snapshot import _atomic_write
-from ..checkpoint.supervisor import BackoffPolicy
 from ..errors import EXIT_SHARD_CRASH
 from ..faults import FaultPlan
+from ..workers import BackoffPolicy, WorkerFailure
 from .admission import JOURNAL_NAME, AdmissionQueue, JobJournal, JobState
-from .pool import PoolConfig, WorkerFailure, WorkerPool
+from .pool import WorkerPool
 from .protocol import (
     JobDeadlineExceeded,
     JobRejected,
@@ -133,12 +133,7 @@ class PipelineServer:
             estimate_job_seconds=self.planner.costs.mean,
             inflight=lambda: self._inflight_count,
         )
-        self.pool = WorkerPool(PoolConfig(
-            workers=config.workers,
-            call_deadline=config.hang_deadline,
-            backoff=config.backoff,
-            seed=config.seed,
-        ))
+        self.pool = WorkerPool(config.workers, config.hang_deadline)
         self._rng = random.Random(config.seed)
         self._accepts = 0
         self._started_at = time.monotonic()

@@ -1,6 +1,10 @@
 """Serve worker: the child process that actually runs jobs.
 
-Protocol (NDJSON over stdin/stdout), one reply line per request line:
+The pool starts it as a fresh interpreter (``python -m
+repro.serve.worker``, :meth:`repro.workers.Worker.exec`), and
+:func:`repro.workers.serve_requests` answers one reply per request
+over fd 0 -- length-prefixed pickles, so a reply of any size arrives
+whole.  Requests and replies are plain dicts:
 
 ``{"op": "ping"}``
     -> ``{"ok": true, "pid": ...}`` -- liveness handshake.
@@ -13,11 +17,12 @@ Protocol (NDJSON over stdin/stdout), one reply line per request line:
     batch through one resident loop (PAPER section 9).
 
 ``inject`` is a consumed worker-level fault directive derived from the
-job's FaultPlan ``shard_faults`` (``shard`` = attempt index):
-``{"kind": "kill"}`` dies like SIGKILL before touching the job,
-``{"kind": "hang"}`` stops responding forever (the pool's deadline
-catches it), ``{"kind": "slow", "delay": s}`` sleeps first.  Faults
-fire *before* any work, so a retried attempt never sees partial state.
+job's FaultPlan ``shard_faults`` (``shard`` = attempt index), executed
+by :func:`repro.workers.apply_fault`: ``{"kind": "kill"}`` dies like
+SIGKILL before touching the job, ``{"kind": "hang"}`` stops responding
+forever (the pool's deadline catches it), ``{"kind": "slow", "delay":
+s}`` sleeps first.  Faults fire *before* any work, so a retried
+attempt never sees partial state.
 
 SIGUSR1 is forwarded by the daemon for hot restart: the worker fsyncs
 nothing itself (results are journaled by the server on completion) but
@@ -29,25 +34,11 @@ from __future__ import annotations
 import os
 import signal
 import sys
-import time
-from typing import Any, Optional
+from typing import Any
 
-from ..errors import EXIT_SHARD_CRASH
+from ..workers import apply_fault, serve_requests
 from . import jobs
-from .protocol import JobExecutionError, JobRejected, JobSpec, decode_line, encode_line
-
-
-def _apply_inject(inject: Optional[dict[str, Any]]) -> None:
-    if not inject:
-        return
-    kind = inject.get("kind")
-    if kind == "kill":
-        os._exit(EXIT_SHARD_CRASH)  # simulated SIGKILL: no cleanup
-    if kind == "hang":
-        while True:
-            time.sleep(3600)
-    if kind == "slow":
-        time.sleep(float(inject.get("delay", 1.0)))
+from .protocol import JobExecutionError, JobRejected, JobSpec
 
 
 def _handle(request: dict[str, Any]) -> dict[str, Any]:
@@ -55,7 +46,7 @@ def _handle(request: dict[str, Any]) -> dict[str, Any]:
     if op == "ping":
         return {"ok": True, "pid": os.getpid()}
     if op == "job":
-        _apply_inject(request.get("inject"))
+        apply_fault(request.get("inject"))
         spec = JobSpec.from_dict(request["job"])
         try:
             result = jobs.execute_serial(spec)
@@ -63,7 +54,7 @@ def _handle(request: dict[str, Any]) -> dict[str, Any]:
             return {"ok": False, "id": spec.id, "error": exc.to_dict()}
         return {"ok": True, "id": spec.id, "result": result}
     if op == "batch":
-        _apply_inject(request.get("inject"))
+        apply_fault(request.get("inject"))
         specs = [JobSpec.from_dict(j) for j in request["jobs"]]
         try:
             results = jobs.execute_batch(specs)
@@ -76,6 +67,18 @@ def _handle(request: dict[str, Any]) -> dict[str, Any]:
     }
 
 
+def handle(request: dict[str, Any]) -> dict[str, Any]:
+    """One reply per request; a malformed request is a rejection, never
+    the end of the worker."""
+    try:
+        return _handle(request)
+    except (JobRejected, KeyError, TypeError, ValueError) as exc:
+        return {
+            "ok": False,
+            "error": {"code": "rejected", "message": str(exc)},
+        }
+
+
 def main() -> int:
     # stay alive through the daemon's broadcast SIGUSR1 (hot-restart
     # sync point); default disposition would kill the worker mid-job
@@ -83,21 +86,7 @@ def main() -> int:
         signal.signal(signal.SIGUSR1, signal.SIG_IGN)
     except (ValueError, OSError):
         pass
-    stdin = sys.stdin.buffer
-    stdout = sys.stdout.buffer
-    for line in iter(stdin.readline, b""):
-        if not line.strip():
-            continue
-        try:
-            request = decode_line(line)
-            reply = _handle(request)
-        except (JobRejected, KeyError, TypeError, ValueError) as exc:
-            reply = {
-                "ok": False,
-                "error": {"code": "rejected", "message": str(exc)},
-            }
-        stdout.write(encode_line(reply))
-        stdout.flush()
+    serve_requests(handle)
     return 0
 
 

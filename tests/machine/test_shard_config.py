@@ -45,7 +45,6 @@ class TestValidation:
             {"shards": 0},
             {"partition": "bogus"},
             {"recovery": RecoveryPolicy(deadline=0.0)},
-            {"recovery": RecoveryPolicy(heartbeat=-1.0)},
             {"recovery": RecoveryPolicy(max_restarts=-1)},
             {"recovery": RecoveryPolicy(strikes=0)},
             # every field is type-checked, and a bool is not a number
@@ -275,6 +274,12 @@ REMOVED_KEYS = [
     ("crash_shard", 1, None),
 ]
 
+#: every key the nested recovery policy used to have, with a once-valid
+#: value (the liveness poll interval is a constant of repro.workers)
+REMOVED_RECOVERY_KEYS = [
+    ("heartbeat", 0.05),
+]
+
 
 class TestLoudFailures:
     """Outside input never yields a traceback or a silent no-op."""
@@ -319,3 +324,18 @@ class TestLoudFailures:
                 cli_main(self._argv(tmp_path, *flag))
             assert info.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", REMOVED_RECOVERY_KEYS)
+    def test_removed_recovery_knobs_refused(self, tmp_path, capsys, key,
+                                            value):
+        doc = {"shards": 2, "recovery": {key: value}}
+        refusal = f"unknown recovery keys: ['{key}']"
+        for form in (doc, json.dumps(doc)):
+            with pytest.raises(SimulationError) as info:
+                ShardConfig.coerce(form)
+            assert str(info.value) == refusal
+        with pytest.raises(TypeError):
+            RecoveryPolicy(**{key: value})
+        rc = cli_main(self._argv(tmp_path, "--shard-config", json.dumps(doc)))
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {refusal}\n"

@@ -6,7 +6,9 @@ import asyncio
 
 import pytest
 
-from repro.serve.pool import PoolConfig, WorkerFailure, WorkerPool
+from repro.serve.pool import WorkerFailure, WorkerPool
+from repro.serve.protocol import MAX_LINE_BYTES, encode_line
+from repro.workers import Worker
 
 from .conftest import make_spec
 
@@ -20,7 +22,7 @@ def _run(coro):
 
 
 async def _with_pool(workers, body):
-    pool = WorkerPool(PoolConfig(workers=workers, call_deadline=30.0))
+    pool = WorkerPool(workers=workers, call_deadline=30.0)
     await pool.start()
     try:
         return await body(pool)
@@ -87,7 +89,7 @@ class TestPool:
 
     def test_call_deadline_caps_job_timeout(self):
         async def body(pool):
-            pool.config.call_deadline = 0.7
+            pool.call_deadline = 0.7
             with pytest.raises(WorkerFailure) as info:
                 # the job offers a huge budget; the pool's own hang
                 # ceiling still applies
@@ -98,4 +100,46 @@ class TestPool:
                 )
             assert info.value.kind == "hang"
             assert "0.70s" in info.value.detail
+        _run(_with_pool(1, body))
+
+
+class TestPoolCapacity:
+    def test_reply_over_8_mib_arrives_whole(self):
+        # the rejection quotes the op name with repr, which doubles
+        # every backslash: a 6 MiB request line earns a 12 MiB reply
+        op = "\\" * (3 << 20)
+        assert len(encode_line({"op": op})) < MAX_LINE_BYTES
+
+        async def body(pool):
+            reply = await pool.execute({"op": op}, 30.0)
+            assert len(encode_line(reply)) > MAX_LINE_BYTES
+            assert reply["ok"] is False
+            assert reply["error"]["message"] == f"unknown op {op!r}"
+            assert pool.respawns == 0
+            assert pool.alive == pool.size
+            assert (await pool.execute({"op": "ping"}, 30.0))["ok"]
+        _run(_with_pool(1, body))
+
+    def test_any_error_awaiting_a_reply_replaces_the_worker(
+            self, monkeypatch):
+        real_call = Worker.call
+        failures = []
+
+        def call_failing_once(worker, request, deadline):
+            if not failures:
+                failures.append(worker.pid)
+                raise ValueError("reply could not be read")
+            return real_call(worker, request, deadline)
+
+        async def body(pool):
+            monkeypatch.setattr(Worker, "call", call_failing_once)
+            with pytest.raises(WorkerFailure) as info:
+                await pool.execute({"op": "ping"}, 30.0)
+            assert info.value.kind == "crash"
+            assert "ValueError" in info.value.detail
+            assert pool.respawns == 1
+            # the slot comes back with a new worker, never the old one
+            reply = await pool.execute({"op": "ping"}, 60.0)
+            assert reply["ok"] and reply["pid"] != failures[0]
+            assert pool.alive == pool.size
         _run(_with_pool(1, body))

@@ -8,12 +8,15 @@ exactly as a socket connection would deliver them.
 """
 
 import asyncio
+import os
+import signal
 
 import pytest
 
 from repro.serve import jobs
 from repro.serve.protocol import JobRejected, ServerOverloaded
 from repro.serve.server import PipelineServer, ServeConfig
+from repro.workers import Worker
 
 from .conftest import hang_fault, kill_fault, make_spec, slow_fault
 
@@ -108,6 +111,41 @@ class TestFaultIsolation:
         for spec, record in zip(specs, records):
             assert record["result"]["streams"] == \
                 reference[spec.id]["streams"]
+
+    def test_failed_rewarm_is_retried_not_handed_to_a_job(
+            self, tmp_path, monkeypatch):
+        # the first replacement worker dies before answering its
+        # warm-up ping; the pool must start another rather than hand
+        # the dead one to the next attempt and charge that job for it
+        real_exec = Worker.exec
+        spawned = []
+
+        def exec_dying_once(module, env=None):
+            worker = real_exec(module, env)
+            spawned.append(worker)
+            if len(spawned) == 2:
+                os.kill(worker.pid, signal.SIGKILL)
+            return worker
+
+        monkeypatch.setattr(Worker, "exec", exec_dying_once)
+        first = make_spec("first", m=6)
+        first.faults = kill_fault(0)
+        second = make_spec("second", m=6, seed=1)
+
+        async def body(server):
+            _submit(server, first)
+            one = await _record(server, first.id)
+            _submit(server, second)
+            two = await _record(server, second.id)
+            return one, two, server.pool.respawns
+
+        one, two, respawns = asyncio.run(
+            _with_server(_config(tmp_path, workers=1), body)
+        )
+        assert one["ok"] and one["attempts"] == 2   # only its own kill
+        assert two["ok"] and two["attempts"] == 1
+        assert respawns == 2                        # kill + failed warm-up
+        assert len(spawned) == 3
 
     def test_retries_exhausted_is_typed_never_silent(self, tmp_path):
         spec = make_spec("doomed", m=6)
