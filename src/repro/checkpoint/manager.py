@@ -17,10 +17,11 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
+from ..config import check
 from ..errors import ManifestError, SimulationTimeout, SnapshotError
 from .replay import MANIFEST_NAME, MANIFEST_SCHEMA, _outcome
 from .snapshot import (
@@ -61,35 +62,21 @@ class CheckpointConfig:
         ``delta_every`` has not come around yet.
     """
 
+    _error = SnapshotError
+
     directory: Union[str, Path]
-    interval: int = 10_000
-    retain: int = 3
+    interval: int = field(default=10_000, metadata={"min": 0})
+    retain: int = field(default=3, metadata={"min": 0})
     record: bool = False
-    delta_every: int = 0
-    max_chain_depth: int = 64
+    delta_every: int = field(default=0, metadata={"min": 0})
+    max_chain_depth: int = field(default=64, metadata={"min": 1})
 
     def __post_init__(self) -> None:
-        if self.interval < 0:
-            raise SnapshotError(
-                f"checkpoint interval must be >= 0, got {self.interval}"
-            )
-        if self.retain < 0:
-            raise SnapshotError(
-                f"checkpoint retention must be >= 0, got {self.retain}"
-            )
-        if self.delta_every < 0:
-            raise SnapshotError(
-                f"checkpoint delta_every must be >= 0, got {self.delta_every}"
-            )
+        check(self)
         if self.delta_every == 1:
             raise SnapshotError(
                 "checkpoint delta_every=1 would write a base every time; "
                 "use 0 to disable delta chains"
-            )
-        if self.max_chain_depth < 1:
-            raise SnapshotError(
-                f"checkpoint max_chain_depth must be >= 1, "
-                f"got {self.max_chain_depth}"
             )
         self.directory = str(self.directory)
 

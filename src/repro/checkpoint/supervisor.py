@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
+from ..config import check
 from ..errors import EXIT_SNAPSHOT_UNLOADABLE, SupervisorError
 from ..workers import BackoffPolicy, child_env
 from .coordinator import (
@@ -110,22 +111,19 @@ class SupervisorConfig:
         forward progress before it is quarantined.
     """
 
+    _error = SupervisorError
+
     directory: Union[str, Path]
-    max_restarts: int = 8
-    backoff_base: float = 0.5
-    backoff_factor: float = 2.0
-    backoff_max: float = 30.0
-    jitter: float = 0.1
+    max_restarts: int = field(default=8, metadata={"min": 0})
+    backoff_base: float = field(default=0.5, metadata={"min": 0})
+    backoff_factor: float = field(default=2.0, metadata={"gt": 0})
+    backoff_max: float = field(default=30.0, metadata={"min": 0})
+    jitter: float = field(default=0.1, metadata={"min": 0, "max": 1})
     seed: int = 0
-    strikes: int = 2
+    strikes: int = field(default=2, metadata={"min": 1})
 
     def __post_init__(self) -> None:
-        if self.max_restarts < 0:
-            raise SupervisorError(
-                f"max_restarts must be >= 0, got {self.max_restarts}"
-            )
-        if self.strikes < 1:
-            raise SupervisorError(f"strikes must be >= 1, got {self.strikes}")
+        check(self)
         self.directory = str(self.directory)
 
 

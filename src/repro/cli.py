@@ -446,7 +446,7 @@ def _shard_config_from_args(args: argparse.Namespace) -> ShardConfig:
                 sc.recovery or RecoveryPolicy(), **heal
             ),
         )
-    return sc.validate()
+    return sc
 
 
 def _keyed(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
@@ -788,40 +788,36 @@ def cmd_bisect(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from dataclasses import fields
+
     from .serve import ServeConfig, run_server
 
+    # each ServeConfig field is the flag of that name; it is checked
+    # before anything starts, so a bad flag is one error line
+    names = [f.name for f in fields(ServeConfig)]
+    config = ServeConfig(**{name: getattr(args, name) for name in names})
     if args.supervised:
-        if not args.dir:
+        if not config.directory:
             print("error: --supervised needs --dir (the journal is "
                   "what makes restarts lossless)", file=sys.stderr)
             return 1
-        start_argv = [
-            sys.executable, "-m", "repro", "serve",
-            "--capacity", str(args.capacity),
-            "--workers", str(args.workers),
-            "--default-deadline", str(args.default_deadline),
-            "--max-retries", str(args.max_retries),
-            "--hang-deadline", str(args.hang_deadline),
-            "--min-batch", str(args.min_batch),
-            "--max-batch", str(args.max_batch),
-            "--batch-wait", str(args.batch_wait),
-            "--seed", str(args.seed),
-            "--dir", args.dir,
-        ]
-        if args.socket:
-            start_argv += ["--socket", args.socket]
-        if args.port:
-            start_argv += ["--port", str(args.port),
-                           "--host", args.host]
+        start_argv = [sys.executable, "-m", "repro", "serve",
+                      "--dir", config.directory]
+        for name in names:
+            value = getattr(config, name)
+            if value is not None and name not in ("directory",
+                                                  "crash_after_accepts"):
+                start_argv += [f"--{name.replace('_', '-')}", str(value)]
         extra = []
-        if args.crash_after_accepts is not None:
+        if config.crash_after_accepts is not None:
             # the hook applies to the first incarnation only: the
             # whole point is proving the restarted daemon recovers
             extra = [["--crash-after-accepts",
-                      str(args.crash_after_accepts)]]
+                      str(config.crash_after_accepts)]]
         supervisor = Supervisor(
             start_argv,
-            SupervisorConfig(args.dir, max_restarts=args.max_restarts),
+            SupervisorConfig(config.directory,
+                             max_restarts=args.max_restarts),
             # a serve directory holds a journal, not snapshots: a
             # restart is always a cold start that replays the journal
             resume_argv=lambda directory: list(start_argv),
@@ -840,22 +836,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     import asyncio
 
-    config = ServeConfig(
-        socket=args.socket,
-        host=args.host,
-        port=args.port,
-        directory=args.dir,
-        capacity=args.capacity,
-        workers=args.workers,
-        default_deadline=args.default_deadline,
-        max_retries=args.max_retries,
-        hang_deadline=args.hang_deadline,
-        min_batch=args.min_batch,
-        max_batch=args.max_batch,
-        batch_wait=args.batch_wait,
-        seed=args.seed,
-        crash_after_accepts=args.crash_after_accepts,
-    )
     try:
         asyncio.run(run_server(config))
     except KeyboardInterrupt:
@@ -1272,7 +1252,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="unix socket to listen on")
     p.add_argument("--port", type=int, help="TCP port to listen on")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--dir", metavar="DIR",
+    p.add_argument("--dir", dest="directory", metavar="DIR",
                    help="journal + hot-restart state directory "
                    "(enables exactly-once re-admission after a crash)")
     p.add_argument("--capacity", type=int, default=256,

@@ -126,7 +126,6 @@ class ServeClient:
             deadline=deadline,
             faults=faults,
         )
-        spec.validate()
         return spec.to_dict()
 
     def submit(self, source: str, **kwargs: Any) -> str:

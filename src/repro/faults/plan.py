@@ -8,9 +8,10 @@ outages of function units, array memories and processing elements).
 
 Plans are plain data: they can be serialized to/from JSON (the schema
 used by ``python -m repro faults --plan plan.json``, documented in
-DESIGN.md) and they are **deterministic** -- the injector draws every
-random decision from ``random.Random(seed)`` in simulation-event order,
-so the same plan on the same workload always injects the same faults.
+DESIGN.md and checked by :mod:`repro.config`) and they are
+**deterministic** -- the injector draws every random decision from
+``random.Random(seed)`` in simulation-event order, so the same plan on
+the same workload always injects the same faults.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Iterable, Optional
 
+from ..config import as_object, check, from_dict
 from ..errors import ReproError
 
 
@@ -51,6 +53,9 @@ _SHARD_KIND_ALIASES = {
     "slow_shard": "slow",
 }
 
+#: bounds of a per-packet fault probability
+_PROBABILITY = {"min": 0, "max": 1}
+
 
 @dataclass(frozen=True)
 class UnitFault:
@@ -69,26 +74,17 @@ class UnitFault:
         interval) are multiplied by ``factor``.
     """
 
-    unit: str
-    index: int
-    start: int = 0
+    _error = FaultPlanError
+
+    unit: str = field(metadata={"choices": UNIT_KINDS})
+    index: int = field(metadata={"min": 0})
+    start: int = field(default=0, metadata={"min": 0})
     end: Optional[int] = None
-    kind: str = "outage"
+    kind: str = field(default="outage", metadata={"choices": FAULT_KINDS})
     factor: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.unit not in UNIT_KINDS:
-            raise FaultPlanError(
-                f"unknown unit kind {self.unit!r}; expected one of {UNIT_KINDS}"
-            )
-        if self.kind not in FAULT_KINDS:
-            raise FaultPlanError(
-                f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
-            )
-        if self.index < 0:
-            raise FaultPlanError(f"unit index must be >= 0, got {self.index}")
-        if self.start < 0:
-            raise FaultPlanError(f"fault start must be >= 0, got {self.start}")
+        check(self)
         if self.end is not None and self.end <= self.start:
             raise FaultPlanError(
                 f"fault window [{self.start},{self.end}) is empty"
@@ -101,23 +97,6 @@ class UnitFault:
     def active(self, t: int) -> bool:
         """Whether this fault is active at cycle ``t``."""
         return t >= self.start and (self.end is None or t < self.end)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "UnitFault":
-        """Build a unit fault, rejecting unknown fields by name instead
-        of silently dropping them (or dying in ``TypeError``)."""
-        if not isinstance(data, dict):
-            raise FaultPlanError(
-                f"unit fault must be a JSON object, got {data!r}"
-            )
-        known = {"unit", "index", "start", "end", "kind", "factor"}
-        extra = set(data) - known
-        if extra:
-            raise FaultPlanError(
-                f"unknown unit-fault keys: {sorted(extra)} "
-                f"(expected a subset of {sorted(known)})"
-            )
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -140,47 +119,23 @@ class ShardFault:
         only when ``delay`` exceeds the policy deadline).
     """
 
-    shard: int
-    cycle: int
-    kind: str = "kill"
+    _error = FaultPlanError
+
+    shard: int = field(metadata={"min": 0})
+    cycle: int = field(metadata={"min": 0})
+    kind: str = field(default="kill", metadata={
+        "choices": SHARD_FAULT_KINDS + tuple(_SHARD_KIND_ALIASES)})
     delay: float = 1.0
 
     def __post_init__(self) -> None:
+        check(self)
         object.__setattr__(
             self, "kind", _SHARD_KIND_ALIASES.get(self.kind, self.kind)
         )
-        if self.kind not in SHARD_FAULT_KINDS:
-            raise FaultPlanError(
-                f"unknown shard-fault kind {self.kind!r}; expected one "
-                f"of {SHARD_FAULT_KINDS}"
-            )
-        if self.shard < 0:
-            raise FaultPlanError(
-                f"shard index must be >= 0, got {self.shard}"
-            )
-        if self.cycle < 0:
-            raise FaultPlanError(
-                f"shard-fault cycle must be >= 0, got {self.cycle}"
-            )
         if self.kind == "slow" and self.delay <= 0:
             raise FaultPlanError(
                 f"slow-shard delay must be > 0 seconds, got {self.delay}"
             )
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ShardFault":
-        if not isinstance(data, dict):
-            raise FaultPlanError(
-                f"shard fault must be a JSON object, got {data!r}"
-            )
-        known = {"shard", "cycle", "kind", "delay"}
-        extra = set(data) - known
-        if extra:
-            raise FaultPlanError(
-                f"unknown shard-fault keys: {sorted(extra)} "
-                f"(expected a subset of {sorted(known)})"
-            )
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -213,44 +168,31 @@ class FaultPlan:
         single-process run even though each shard draws independently.
     """
 
+    _error = FaultPlanError
+
     seed: int = 0
-    drop_result: float = 0.0
-    dup_result: float = 0.0
-    corrupt_result: float = 0.0
-    drop_ack: float = 0.0
-    dup_ack: float = 0.0
+    drop_result: float = field(default=0.0, metadata=_PROBABILITY)
+    dup_result: float = field(default=0.0, metadata=_PROBABILITY)
+    corrupt_result: float = field(default=0.0, metadata=_PROBABILITY)
+    drop_ack: float = field(default=0.0, metadata=_PROBABILITY)
+    dup_ack: float = field(default=0.0, metadata=_PROBABILITY)
     unit_faults: tuple = field(default_factory=tuple)
-    derivation: str = "sequence"
+    derivation: str = field(
+        default="sequence", metadata={"choices": ("sequence", "keyed")}
+    )
     shard_faults: tuple = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        for name in (
-            "drop_result",
-            "dup_result",
-            "corrupt_result",
-            "drop_ack",
-            "dup_ack",
-        ):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise FaultPlanError(
-                    f"{name} must be a probability in [0, 1], got {p}"
-                )
-        if self.derivation not in ("sequence", "keyed"):
-            raise FaultPlanError(
-                f"unknown fate derivation {self.derivation!r}; expected "
-                f"'sequence' or 'keyed'"
-            )
-        faults = tuple(
-            f if isinstance(f, UnitFault) else UnitFault.from_dict(f)
-            for f in self.unit_faults
-        )
-        object.__setattr__(self, "unit_faults", faults)
-        shard_faults = tuple(
-            f if isinstance(f, ShardFault) else ShardFault.from_dict(f)
-            for f in self.shard_faults
-        )
-        object.__setattr__(self, "shard_faults", shard_faults)
+        # fault entries may arrive as JSON objects, in a list
+        for name, kind, what in (("unit_faults", UnitFault, "unit-fault"),
+                                 ("shard_faults", ShardFault, "shard-fault")):
+            faults = getattr(self, name)
+            if isinstance(faults, (list, tuple)):
+                object.__setattr__(self, name, tuple(
+                    f if isinstance(f, kind) else from_dict(kind, f, what)
+                    for f in faults
+                ))
+        check(self)
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         # plans pickled inside snapshots written by older builds
@@ -332,8 +274,9 @@ class FaultPlan:
         return d
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FaultPlan":
-        data = dict(data)
+    def from_dict(cls, data: Any) -> "FaultPlan":
+        """Read the ``--plan`` schema from a JSON object or its text."""
+        data = dict(as_object(data, "fault-plan", FaultPlanError))
         # schema-less plans predate versioning and read as version 1
         schema = data.pop("schema", 1)
         if schema not in READABLE_SCHEMAS:
@@ -341,45 +284,12 @@ class FaultPlan:
                 f"fault-plan schema version {schema!r} is not supported; "
                 f"this build reads versions {READABLE_SCHEMAS}"
             )
-        known = {
-            "seed",
-            "drop_result",
-            "dup_result",
-            "corrupt_result",
-            "drop_ack",
-            "dup_ack",
-            "unit_faults",
-            "derivation",
-            "shard_faults",
-        }
-        extra = set(data) - known
-        if extra:
-            raise FaultPlanError(
-                f"unknown fault-plan keys: {sorted(extra)} "
-                f"(expected a subset of {sorted(known | {'schema'})})"
-            )
-        data["unit_faults"] = tuple(
-            UnitFault.from_dict(f) if isinstance(f, dict) else f
-            for f in data.get("unit_faults", ())
-        )
-        data["shard_faults"] = tuple(
-            ShardFault.from_dict(f) if isinstance(f, dict) else f
-            for f in data.get("shard_faults", ())
-        )
-        return cls(**data)
+        return from_dict(cls, data, "fault-plan")
+
+    from_json = from_dict
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FaultPlanError(f"bad fault-plan JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise FaultPlanError("fault plan must be a JSON object")
-        return cls.from_dict(data)
 
     def describe(self) -> str:
         parts = [f"seed={self.seed}"]

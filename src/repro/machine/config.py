@@ -8,8 +8,9 @@ result and acknowledge packets.  All times are in machine cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
+from ..config import check
 from ..errors import SimulationError
 from ..graph.opcodes import Op
 
@@ -46,35 +47,38 @@ class MachineConfig:
     unlimited -- used by the fidelity cross-check tests.
     """
 
-    n_pes: int = 4
-    n_fus: int = 4
-    n_ams: int = 1
+    _error = SimulationError
+
+    n_pes: int = field(default=4, metadata={"min": 1})
+    n_fus: int = field(default=4, metadata={"min": 0})
+    n_ams: int = field(default=1, metadata={"min": 0})
     #: cycles for a packet to cross a routing network
-    rn_delay: int = 2
+    rn_delay: int = field(default=2, metadata={"min": 0})
     #: cycles a PE needs to dispatch one enabled instruction (its issue
     #: interval; 0 = unlimited dispatch bandwidth)
-    pe_issue_interval: int = 1
+    pe_issue_interval: int = field(default=1, metadata={"min": 0})
     #: cycles to execute a local (ID/MERGE/gate) instruction in the PE
-    local_latency: int = 1
+    local_latency: int = field(default=1, metadata={"min": 0})
     #: per-opcode FU latencies; FUs accept one operation per cycle
     fu_latency: dict[Op, int] = field(
-        default_factory=lambda: dict(DEFAULT_FU_LATENCY)
+        default_factory=lambda: dict(DEFAULT_FU_LATENCY),
+        metadata={"min": 0},
     )
     #: array memory access latency
-    am_latency: int = 4
+    am_latency: int = field(default=4, metadata={"min": 0})
     #: FU issue interval (pipelined FUs accept one op per cycle)
-    fu_issue_interval: int = 1
+    fu_issue_interval: int = field(default=1, metadata={"min": 0})
     #: routing network bandwidth in packets/cycle (0 = unlimited)
-    rn_bandwidth: int = 0
+    rn_bandwidth: int = field(default=0, metadata={"min": 0})
 
     # -- reliability layer (active when a FaultPlan is given) ----------
     #: cycles a producer waits for an acknowledge before retransmitting
     #: a result packet (0 = derive from the round-trip and unit
     #: latencies; see :meth:`retransmit_timeout_for`)
-    retransmit_timeout: int = 0
+    retransmit_timeout: int = field(default=0, metadata={"min": 0})
     #: per-packet retransmission budget before the reliability layer
     #: gives up on a destination (0 = retry forever)
-    max_retransmits: int = 64
+    max_retransmits: int = field(default=64, metadata={"min": 0})
 
     # -- progress watchdog ---------------------------------------------
     #: whether the stall watchdog runs (detects quiesced pipelines and
@@ -82,10 +86,10 @@ class MachineConfig:
     watchdog: bool = True
     #: cycles between watchdog progress checks (0 = derive from the
     #: retransmit timeout)
-    watchdog_interval: int = 0
+    watchdog_interval: int = field(default=0, metadata={"min": 0})
     #: consecutive no-progress checks before the watchdog declares a
     #: stall
-    watchdog_patience: int = 3
+    watchdog_patience: int = field(default=3, metadata={"min": 1})
 
     @staticmethod
     def unit_time() -> "MachineConfig":
@@ -104,30 +108,13 @@ class MachineConfig:
 
     def validate(self) -> "MachineConfig":
         """Raise :class:`SimulationError` naming the first field the
-        machine could not honor: every number is an int (a bool is
-        not), ``n_pes`` and ``watchdog_patience`` are at least 1, and
-        no count, delay, latency or interval is negative."""
-        def is_int(value: object) -> bool:
-            return isinstance(value, int) and not isinstance(value, bool)
-
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "watchdog":
-                ok, want = isinstance(value, bool), "a bool"
-            elif f.name == "fu_latency":
-                ok = isinstance(value, dict) and all(
-                    is_int(v) and v >= 0 for v in value.values()
-                )
-                want = "a dict of ints >= 0"
-            else:
-                floor = int(f.name in ("n_pes", "watchdog_patience"))
-                ok = is_int(value) and value >= floor
-                want = f"an int >= {floor}"
-            if not ok:
-                raise SimulationError(
-                    f"{f.name} must be {want}, got {value!r}"
-                )
+        machine could not honor (see :mod:`repro.config`).  Runs at
+        construction and again before linking, as the config is
+        mutable."""
+        check(self)
         return self
+
+    __post_init__ = validate
 
     def latency_of(self, op: Op) -> int:
         return self.fu_latency.get(op, 1)

@@ -12,58 +12,24 @@ transport, derives the window rule from the
 :class:`~repro.machine.MachineConfig` and always pools.
 
 ``ShardConfig.from_json`` accepts the CLI's ``--shard-config`` JSON
-document; every value is type-checked, so a mistyped document fails
-with a :class:`~repro.errors.SimulationError` naming the key.
+document (``recovery`` may be a bool, short for ``{"enabled": ...}``);
+:mod:`repro.config` checks it, so a mistyped document fails with a
+:class:`~repro.errors.SimulationError` naming the key.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, fields
-from typing import (
-    Any,
-    Callable,
-    Optional,
-    Union,
-    get_args,
-    get_origin,
-    get_type_hints,
-)
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Union
 
+from ..config import as_object, check, from_dict
 from ..errors import SimulationError
 
 __all__ = [
     "RecoveryPolicy",
     "ShardConfig",
 ]
-
-
-def _check_field_types(obj: Any, prefix: str = "") -> None:
-    """Raise unless every dataclass field of ``obj`` holds a value of
-    its annotated type (``Optional`` admits None, ``float`` admits
-    int, and a bool is never a number).  Fields annotated with
-    something that is not a plain class (the ``sleep`` hook) are
-    skipped."""
-    hints = get_type_hints(type(obj))
-    for f in fields(obj):
-        hint = hints[f.name]
-        options = get_args(hint) if get_origin(hint) is Union else (hint,)
-        allowed = tuple(t for t in options if isinstance(t, type))
-        if not allowed:
-            continue
-        if float in allowed:
-            allowed += (int,)
-        value = getattr(obj, f.name)
-        if not isinstance(value, allowed) or (
-            isinstance(value, bool) and bool not in allowed
-        ):
-            names = " or ".join(
-                "None" if t is type(None) else t.__name__ for t in allowed
-            )
-            raise SimulationError(
-                f"{prefix}{f.name} must be {names}, got {value!r}"
-            )
 
 
 @dataclass
@@ -77,21 +43,23 @@ class RecoveryPolicy:
     without tearing the process tree down.
     """
 
+    _error = SimulationError
+
     #: seconds a worker may take to answer one command before it
     #: counts as hung
-    deadline: float = 60.0
+    deadline: float = field(default=60.0, metadata={"gt": 0})
     #: respawns allowed per shard before escalating
-    max_restarts: int = 3
+    max_restarts: int = field(default=3, metadata={"min": 0})
     #: delay before each respawn: a :class:`repro.workers.BackoffPolicy`
     #: with these four values, drawn from an RNG seeded with ``seed``
-    backoff_base: float = 0.1
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    jitter: float = 0.1
+    backoff_base: float = field(default=0.1, metadata={"min": 0})
+    backoff_factor: float = field(default=2.0, metadata={"gt": 0})
+    backoff_max: float = field(default=2.0, metadata={"min": 0})
+    jitter: float = field(default=0.1, metadata={"min": 0, "max": 1})
     seed: int = 0
     #: failures inside the same replay window before the resume set is
     #: barred and recovery steps back one set (supervisor parity)
-    strikes: int = 2
+    strikes: int = field(default=2, metadata={"min": 1})
     #: on budget exhaustion, fold the shard into the coordinator
     #: process (K-1 worker processes) instead of raising
     degrade: bool = False
@@ -101,21 +69,8 @@ class RecoveryPolicy:
     #: coordinated checkpoints; ``True`` / ``False`` force it
     enabled: Optional[bool] = None
 
-    def validate(self) -> None:
-        _check_field_types(self, "recovery.")
-        if self.deadline <= 0:
-            raise SimulationError(
-                f"recovery.deadline must be > 0, got {self.deadline}"
-            )
-        if self.max_restarts < 0:
-            raise SimulationError(
-                "recovery.max_restarts must be >= 0, "
-                f"got {self.max_restarts}"
-            )
-        if self.strikes < 1:
-            raise SimulationError(
-                f"recovery.strikes must be >= 1, got {self.strikes}"
-            )
+    def __post_init__(self) -> None:
+        check(self, "recovery.")
 
 
 _PARTITION_SCHEMES = ("auto", "levels", "round_robin")
@@ -129,53 +84,35 @@ class ShardConfig:
     ``--shard-config`` JSON via :meth:`from_json`.
     """
 
+    _error = SimulationError
+
     #: number of shards (K)
-    shards: int = 2
+    shards: int = field(default=2, metadata={"min": 1})
     #: partition scheme name, as accepted by
     #: :func:`repro.analysis.partition.partition_graph`
-    partition: str = "auto"
+    partition: str = field(
+        default="auto", metadata={"choices": _PARTITION_SCHEMES}
+    )
     #: real worker processes?  None = auto (processes iff K > 1)
     processes: Optional[bool] = None
     #: self-healing policy; None = runner's auto rule
     recovery: Optional[RecoveryPolicy] = None
 
     def validate(self) -> "ShardConfig":
-        _check_field_types(self)
-        if self.shards < 1:
-            raise SimulationError(
-                f"shard count must be >= 1, got {self.shards}"
-            )
-        if self.partition not in _PARTITION_SCHEMES:
-            raise SimulationError(
-                f"partition must be one of {_PARTITION_SCHEMES}, "
-                f"got {self.partition!r}"
-            )
-        if self.recovery is not None:
-            self.recovery.validate()
+        """Check the config (again: it is mutable) and return it."""
+        if isinstance(self.recovery, bool):
+            self.recovery = RecoveryPolicy(enabled=self.recovery)
+        check(self)
         return self
+
+    __post_init__ = validate
 
     @classmethod
     def from_json(cls, doc: Union[str, dict]) -> "ShardConfig":
-        """Build from a JSON document / dict; unknown keys are errors
-        so a typoed knob never silently does nothing."""
-        if isinstance(doc, str):
-            doc = _json_object(doc)
-        if not isinstance(doc, dict):
-            raise SimulationError(
-                "shard config must be a ShardConfig, a JSON object or "
-                f"its text, got {type(doc).__name__}"
-            )
-        doc = dict(doc)
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise SimulationError(
-                f"unknown shard config keys: {sorted(unknown)}; "
-                f"known keys: {sorted(known)}"
-            )
-        if "recovery" in doc:
-            doc["recovery"] = _coerce_recovery(doc["recovery"])
-        return cls(**doc).validate()
+        """Build from a JSON document or its text; unknown keys are
+        errors so a typoed knob never silently does nothing."""
+        doc = as_object(doc, "shard config", SimulationError)
+        return from_dict(cls, doc, "shard config")
 
     @classmethod
     def coerce(
@@ -193,7 +130,7 @@ class ShardConfig:
         if value is None and shards is None:
             return None
         if isinstance(value, str):
-            value = _json_object(value)
+            value = as_object(value, "shard config", SimulationError)
         if shards is not None and (value is None or isinstance(value, dict)):
             value = {"shards": shards, **(value or {})}
         if not isinstance(value, cls):
@@ -204,34 +141,3 @@ class ShardConfig:
                 f"shards={value.shards}; give the count once"
             )
         return value.validate()
-
-
-def _json_object(doc: str) -> Any:
-    try:
-        return json.loads(doc)
-    except json.JSONDecodeError as exc:
-        raise SimulationError(
-            f"invalid --shard-config JSON: {exc}"
-        ) from None
-
-
-def _coerce_recovery(
-    value: Union[None, bool, dict, RecoveryPolicy],
-) -> Optional[RecoveryPolicy]:
-    """The ``recovery`` forms a ``--shard-config`` document accepts."""
-    if value is None or isinstance(value, RecoveryPolicy):
-        return value
-    if isinstance(value, bool):
-        return RecoveryPolicy(enabled=value)
-    if isinstance(value, dict):
-        known = {f.name for f in fields(RecoveryPolicy)} - {"sleep"}
-        bad = set(value) - known
-        if bad:
-            raise SimulationError(
-                f"unknown recovery keys: {sorted(bad)}"
-            )
-        return RecoveryPolicy(**value)
-    raise SimulationError(
-        "recovery must be a RecoveryPolicy, bool, dict or None, "
-        f"got {type(value).__name__}"
-    )

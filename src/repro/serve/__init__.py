@@ -22,7 +22,7 @@ from .protocol import (
     envelope,
     error_from_dict,
 )
-from .scheduler import BatchPlanner, Dispatch, SchedulerConfig
+from .scheduler import BatchPlanner, Dispatch
 from .server import PipelineServer, ServeConfig, run_server
 from .stats import ServeStats, TenantStats
 
@@ -40,7 +40,6 @@ __all__ = [
     "JobState",
     "MAX_LINE_BYTES",
     "PipelineServer",
-    "SchedulerConfig",
     "ServeConfig",
     "ServeError",
     "ServeStats",

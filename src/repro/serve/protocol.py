@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..api import RESULT_SCHEMA
+from ..config import check, from_dict
 from ..errors import ReproError
-from ..faults import FaultPlan
+from ..faults import FaultPlan, FaultPlanError
 
 #: hard bound on one NDJSON line (request or reply), in bytes
 MAX_LINE_BYTES = 8 * 1024 * 1024
@@ -184,65 +185,43 @@ class JobSpec:
         forwarded into execution, which forces the event backend.
     """
 
+    _error = JobRejected
+
     id: str
     source: str
-    kind: str = "foriter"
+    kind: str = field(default="foriter", metadata={"choices": JOB_KINDS})
     tenant: str = "default"
     params: dict[str, int] = field(default_factory=dict)
     inputs: dict[str, list] = field(default_factory=dict)
     options: dict[str, Any] = field(default_factory=dict)
-    deadline: Optional[float] = None
+    deadline: Optional[float] = field(default=None, metadata={"gt": 0})
     faults: Optional[dict[str, Any]] = None
 
-    _KNOWN = (
-        "id", "source", "kind", "tenant", "params", "inputs",
-        "options", "deadline", "faults",
-    )
-
     def validate(self) -> None:
-        if not self.id or not isinstance(self.id, str):
+        """Raise :class:`JobRejected` naming what is wrong.  Runs at
+        construction and again on demand, as a spec is mutable."""
+        check(self)
+        if not self.id:
             raise JobRejected(f"job id must be a non-empty string, "
                               f"got {self.id!r}")
-        if self.kind not in JOB_KINDS:
-            raise JobRejected(
-                f"unknown job kind {self.kind!r}; expected one of "
-                f"{JOB_KINDS}"
-            )
-        if not isinstance(self.source, str) or not self.source.strip():
+        if not self.source.strip():
             raise JobRejected("job source must be non-empty Val text")
-        if not isinstance(self.tenant, str) or not self.tenant:
+        if not self.tenant:
             raise JobRejected(f"tenant must be a non-empty string, "
                               f"got {self.tenant!r}")
-        if not isinstance(self.params, dict):
-            raise JobRejected("params must be an object of name -> int")
-        if not isinstance(self.inputs, dict):
-            raise JobRejected("inputs must be an object of name -> list")
         for name, values in self.inputs.items():
             if not isinstance(values, list):
                 raise JobRejected(
                     f"input {name!r} must be a list, got "
                     f"{type(values).__name__}"
                 )
-        if not isinstance(self.options, dict):
-            raise JobRejected("options must be an object")
-        if self.deadline is not None:
-            try:
-                deadline = float(self.deadline)
-            except (TypeError, ValueError):
-                raise JobRejected(
-                    f"deadline must be a number of seconds, got "
-                    f"{self.deadline!r}"
-                ) from None
-            if deadline <= 0:
-                raise JobRejected(
-                    f"deadline must be > 0 seconds, got {deadline}"
-                )
-            self.deadline = deadline
         if self.faults is not None:
             try:
                 FaultPlan.from_dict(self.faults)
-            except ReproError as exc:
+            except FaultPlanError as exc:
                 raise JobRejected(f"bad fault plan: {exc}") from exc
+
+    __post_init__ = validate
 
     def fault_plan(self) -> Optional[FaultPlan]:
         return FaultPlan.from_dict(self.faults) if self.faults else None
@@ -265,20 +244,8 @@ class JobSpec:
         return d
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "JobSpec":
-        if not isinstance(data, dict):
-            raise JobRejected(f"job must be a JSON object, got {data!r}")
-        extra = set(data) - set(cls._KNOWN)
-        if extra:
-            raise JobRejected(
-                f"unknown job keys: {sorted(extra)} (expected a subset "
-                f"of {sorted(cls._KNOWN)})"
-            )
-        if "id" not in data or "source" not in data:
-            raise JobRejected("job needs at least 'id' and 'source'")
-        spec = cls(**data)
-        spec.validate()
-        return spec
+    def from_dict(cls, data: Any) -> "JobSpec":
+        return from_dict(cls, data, "job")
 
 
 # ---------------------------------------------------------------------------

@@ -21,24 +21,17 @@ the policy is unit-testable without a running daemon.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 from .admission import AdmissionQueue, JobState
 from . import jobs
 
+#: EMA smoothing for service-time estimates
+EMA_ALPHA = 0.3
 
-@dataclass
-class SchedulerConfig:
-    min_batch: int = 2
-    max_batch: int = 8
-    #: seconds a lone batchable job lingers for companions before it
-    #: is dispatched serially anyway (0 disables lingering)
-    batch_wait: float = 0.02
-    #: EMA smoothing for service-time estimates
-    ema_alpha: float = 0.3
-    #: conservative prior for a never-seen signature, seconds
-    default_seconds: float = 0.25
+#: conservative prior for a never-seen signature, seconds
+DEFAULT_SECONDS = 0.25
 
 
 @dataclass
@@ -80,15 +73,20 @@ class CostModel:
 
 
 class BatchPlanner:
-    """Drains an :class:`AdmissionQueue` into dispatch decisions."""
+    """Drains an :class:`AdmissionQueue` into dispatch decisions.
 
-    def __init__(self, config: SchedulerConfig,
+    A lone batchable job lingers ``batch_wait`` seconds for companions
+    (0: never); ``min_batch > max_batch`` means serial only."""
+
+    def __init__(self, min_batch: int, max_batch: int, batch_wait: float,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        self.config = config
+        self.min_batch = min_batch
+        self.max_batch = max_batch
+        self.batch_wait = batch_wait
         self.clock = clock
         #: per-signature serial cost ("sig") and per-batch cost
         #: ("sig@b"), seconds
-        self.costs = CostModel(config.ema_alpha, config.default_seconds)
+        self.costs = CostModel(EMA_ALPHA, DEFAULT_SECONDS)
         #: signature -> monotonic time its current lone job started
         #: waiting for companions
         self._lingering: dict[str, float] = {}
@@ -135,9 +133,8 @@ class BatchPlanner:
             groups.setdefault(sig, []).append(state)
 
         for sig, members in groups.items():
-            cfg = self.config
-            size = min(len(members), cfg.max_batch)
-            if size >= cfg.min_batch:
+            size = min(len(members), self.max_batch)
+            if size >= self.min_batch:
                 est = self._batch_estimate(sig, size)
                 safe = all(
                     m.remaining(now) > est for m in members[:size]
@@ -168,9 +165,9 @@ class BatchPlanner:
             est = self.costs.estimate(sig)
             slack = state.remaining(now) - est
             since = self._lingering.setdefault(sig, now)
-            if (cfg.batch_wait > 0
-                    and now - since < cfg.batch_wait
-                    and slack > cfg.batch_wait):
+            if (self.batch_wait > 0
+                    and now - since < self.batch_wait
+                    and slack > self.batch_wait):
                 continue  # keep it queued one more tick
             chosen = {id(state)}
             taken = queue.take_matching(lambda s: id(s) in chosen, limit=1)

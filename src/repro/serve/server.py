@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from ..checkpoint.snapshot import _atomic_write
+from ..config import check
 from ..errors import EXIT_SHARD_CRASH
 from ..faults import FaultPlan
 from ..workers import BackoffPolicy, WorkerFailure
@@ -57,38 +58,44 @@ from .protocol import (
     envelope,
     error_from_dict,
 )
-from .scheduler import BatchPlanner, Dispatch, SchedulerConfig
+from .scheduler import BatchPlanner, Dispatch
 from .stats import ServeStats
 
 STATE_NAME = "serve-state.json"
 STATE_SCHEMA = 1
+
+#: seconds a graceful stop waits for queued and running jobs
+_DRAIN_TIMEOUT = 10.0
+
+#: delay before a job's next attempt after a worker failure
+_RETRY_BACKOFF = BackoffPolicy(base=0.05, max_delay=2.0)
 
 
 @dataclass
 class ServeConfig:
     """Everything the daemon needs; maps 1:1 to ``repro serve`` flags."""
 
+    _error = ServeError
+
     socket: Optional[str] = None
     host: str = "127.0.0.1"
     port: Optional[int] = None
     directory: Optional[str] = None      # journal + hot-restart state
-    capacity: int = 256
-    workers: int = 2
-    default_deadline: float = 30.0
-    max_retries: int = 2
+    capacity: int = field(default=256, metadata={"min": 1})
+    workers: int = field(default=2, metadata={"min": 1})
+    default_deadline: float = field(default=30.0, metadata={"gt": 0})
+    max_retries: int = field(default=2, metadata={"min": 0})
     #: per-worker-call ceiling: a worker silent this long is hung
-    hang_deadline: float = 10.0
-    min_batch: int = 2
-    max_batch: int = 8
-    batch_wait: float = 0.02
-    drain_timeout: float = 10.0
+    hang_deadline: float = field(default=10.0, metadata={"gt": 0})
+    min_batch: int = field(default=2, metadata={"min": 1})
+    max_batch: int = field(default=8, metadata={"min": 1})
+    batch_wait: float = field(default=0.02, metadata={"min": 0})
     seed: int = 0
-    backoff: BackoffPolicy = field(
-        default_factory=lambda: BackoffPolicy(base=0.05, max_delay=2.0)
-    )
     #: test hook: die like SIGKILL right after the Nth accept has been
     #: journaled (simulates a daemon crash for hot-restart tests)
     crash_after_accepts: Optional[int] = None
+
+    __post_init__ = check
 
 
 def _attempt_fault(spec: JobSpec, attempt: int) -> Optional[dict[str, Any]]:
@@ -117,11 +124,9 @@ class PipelineServer:
             raise ServeError("serve needs --socket and/or --port")
         self.config = config
         self.stats = ServeStats(seed=config.seed)
-        self.planner = BatchPlanner(SchedulerConfig(
-            min_batch=config.min_batch,
-            max_batch=config.max_batch,
-            batch_wait=config.batch_wait,
-        ))
+        self.planner = BatchPlanner(
+            config.min_batch, config.max_batch, config.batch_wait
+        )
         self.journal: Optional[JobJournal] = None
         if config.directory is not None:
             Path(config.directory).mkdir(parents=True, exist_ok=True)
@@ -211,7 +216,7 @@ class PipelineServer:
         """Graceful stop: refuse new work, drain, then tear down."""
         self._accepting = False
         self._shutdown.set()
-        deadline = time.monotonic() + self.config.drain_timeout
+        deadline = time.monotonic() + _DRAIN_TIMEOUT
         while (self.queue.depth or self._inflight_count) \
                 and time.monotonic() < deadline:
             await asyncio.sleep(0.02)
@@ -415,9 +420,7 @@ class PipelineServer:
                     ))
                     self.stats.quarantined_jobs += 1
                     return
-                delay = self.config.backoff.delay(
-                    state.attempts, self._rng
-                )
+                delay = _RETRY_BACKOFF.delay(state.attempts, self._rng)
                 await asyncio.sleep(
                     min(delay, max(0.0, state.remaining(time.monotonic())))
                 )
@@ -480,7 +483,7 @@ class PipelineServer:
                 f"batch of {len(states)} disbanded after {failure.kind};"
                 f" retrying members serially"
             )
-            delay = self.config.backoff.delay(1, self._rng)
+            delay = _RETRY_BACKOFF.delay(1, self._rng)
             await asyncio.sleep(min(delay, remaining))
             for state in states:
                 task = asyncio.create_task(self._retry_serial(state))
@@ -617,7 +620,7 @@ class PipelineServer:
         budget = timeout if timeout is not None else (
             state.remaining(time.monotonic())
             + self.config.hang_deadline
-            + self.config.drain_timeout
+            + _DRAIN_TIMEOUT
         )
         try:
             await asyncio.wait_for(

@@ -38,12 +38,13 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from .errors import EXIT_SHARD_CRASH
+from .config import check
+from .errors import EXIT_SHARD_CRASH, ReproError
 
 #: seconds between liveness checks while a reply is awaited (the
 #: latency of noticing a dead child that left its connection open)
@@ -92,10 +93,14 @@ class BackoffPolicy:
     seeded differently never thunders back in lockstep.
     """
 
-    base: float = 0.5
-    factor: float = 2.0
-    max_delay: float = 30.0
-    jitter: float = 0.1
+    _error = ReproError
+
+    base: float = field(default=0.5, metadata={"min": 0})
+    factor: float = field(default=2.0, metadata={"gt": 0})
+    max_delay: float = field(default=30.0, metadata={"min": 0})
+    jitter: float = field(default=0.1, metadata={"min": 0, "max": 1})
+
+    __post_init__ = check
 
     def delay(self, retry_index: int, rng: random.Random) -> float:
         if retry_index < 1:

@@ -191,9 +191,9 @@ class TestSchemaVersioning:
 
 class TestShardFaults:
     def test_validation(self):
-        with pytest.raises(FaultPlanError, match="unknown shard-fault kind"):
+        with pytest.raises(FaultPlanError, match="kind must be one of"):
             ShardFault(shard=0, cycle=10, kind="explode")
-        with pytest.raises(FaultPlanError, match="shard index"):
+        with pytest.raises(FaultPlanError, match="shard must be >= 0"):
             ShardFault(shard=-1, cycle=10)
         with pytest.raises(FaultPlanError, match="cycle must be >= 0"):
             ShardFault(shard=0, cycle=-5)

@@ -22,7 +22,6 @@ from repro.machine import (
     ShardConfig,
     ShardedRunner,
 )
-from repro.machine.shard_config import _coerce_recovery
 from repro.workloads import figure_workload
 
 
@@ -44,21 +43,23 @@ class TestValidation:
         [
             {"shards": 0},
             {"partition": "bogus"},
-            {"recovery": RecoveryPolicy(deadline=0.0)},
-            {"recovery": RecoveryPolicy(max_restarts=-1)},
-            {"recovery": RecoveryPolicy(strikes=0)},
+            {"recovery": lambda: RecoveryPolicy(deadline=0.0)},
+            {"recovery": lambda: RecoveryPolicy(max_restarts=-1)},
+            {"recovery": lambda: RecoveryPolicy(strikes=0)},
             # every field is type-checked, and a bool is not a number
             {"shards": True},
             {"partition": None},
             {"processes": 1},
             {"recovery": {"enabled": True}},
-            {"recovery": RecoveryPolicy(enabled="on")},
-            {"recovery": RecoveryPolicy(degrade=0)},
+            {"recovery": lambda: RecoveryPolicy(enabled="on")},
+            {"recovery": lambda: RecoveryPolicy(degrade=0)},
         ],
     )
     def test_bad_values_raise(self, kwargs):
+        # a policy is checked when it is built, so it is built here
         with pytest.raises(SimulationError):
-            ShardConfig(**kwargs).validate()
+            ShardConfig(**{k: v() if callable(v) else v
+                           for k, v in kwargs.items()}).validate()
 
 
 class TestJson:
@@ -127,12 +128,15 @@ class TestRecoveryMapping:
         assert heal(tuned) is tuned
 
     def test_coerce_recovery_forms(self):
-        assert _coerce_recovery(None) is None
-        assert _coerce_recovery(False).enabled is False
-        assert _coerce_recovery(True).enabled is True
-        assert _coerce_recovery({"strikes": 3}).strikes == 3
+        def recovery(value):
+            return ShardConfig.from_json({"recovery": value}).recovery
+
+        assert recovery(None) is None
+        assert recovery(False).enabled is False
+        assert recovery(True).enabled is True
+        assert recovery({"strikes": 3}).strikes == 3
         with pytest.raises(SimulationError):
-            _coerce_recovery("yes please")
+            recovery("yes please")
 
 
 class TestFacade:
@@ -329,7 +333,10 @@ class TestLoudFailures:
     def test_removed_recovery_knobs_refused(self, tmp_path, capsys, key,
                                             value):
         doc = {"shards": 2, "recovery": {key: value}}
-        refusal = f"unknown recovery keys: ['{key}']"
+        refusal = (f"unknown recovery keys: ['{key}']; known keys: "
+                   "['backoff_base', 'backoff_factor', 'backoff_max', "
+                   "'deadline', 'degrade', 'enabled', 'jitter', "
+                   "'max_restarts', 'seed', 'sleep', 'strikes']")
         for form in (doc, json.dumps(doc)):
             with pytest.raises(SimulationError) as info:
                 ShardConfig.coerce(form)

@@ -49,7 +49,7 @@ class TestJobSpec:
 
     @pytest.mark.parametrize("field,value,match", [
         ("id", "", "non-empty string"),
-        ("kind", "batch", "unknown job kind"),
+        ("kind", "batch", "kind must be one of"),
         ("source", "   ", "non-empty Val text"),
         ("tenant", "", "tenant"),
         ("params", ["m"], "params"),

@@ -8,13 +8,14 @@ exactly as a socket connection would deliver them.
 """
 
 import asyncio
+import json
 import os
 import signal
 
 import pytest
 
 from repro.serve import jobs
-from repro.serve.protocol import JobRejected, ServerOverloaded
+from repro.serve.protocol import JobRejected, ServerOverloaded, encode_line
 from repro.serve.server import PipelineServer, ServeConfig
 from repro.workers import Worker
 
@@ -258,3 +259,31 @@ class TestObservability:
         reply = asyncio.run(_with_server(_config(tmp_path), body))
         assert reply["ok"] is False
         assert reply["result"]["error"]["code"] == "rejected"
+
+    def test_malformed_fault_plan_keeps_the_connection(self, tmp_path):
+        # such a plan used to escape as a raw TypeError that closed the
+        # connection: the client read EOF and its next request failed
+        async def body(server):
+            reader, writer = await asyncio.open_unix_connection(
+                server.config.socket
+            )
+            replies = []
+            for faults in ({"drop_result": "x"}, [1]):
+                job = {"id": "a", "source": "x", "faults": faults}
+                writer.write(encode_line({"op": "submit", "job": job}))
+                replies.append(json.loads(await reader.readline()))
+            writer.write(encode_line({"op": "healthz"}))
+            replies.append(json.loads(await reader.readline()))
+            writer.close()
+            await writer.wait_closed()
+            return replies
+
+        *rejected, health = asyncio.run(
+            _with_server(_config(tmp_path), body)
+        )
+        for reply in rejected:
+            assert reply["ok"] is False
+            assert reply["result"]["error"]["code"] == "rejected"
+            assert "bad fault plan" in reply["result"]["error"]["message"] \
+                or "faults must be" in reply["result"]["error"]["message"]
+        assert health["ok"] and health["result"]["status"] == "ok"
