@@ -3,10 +3,11 @@
 The reproduction grew three ways to execute a compiled instruction
 graph -- the unit-delay synchronous simulator (:mod:`repro.sim`), the
 event-driven packet-level machine (:mod:`repro.machine`) and the
-multi-process sharded runner (:mod:`repro.machine.sharded`).  They
-share the graph IR and the stream protocol but historically each had
-its own entry point, options and result shape.  :func:`run` unifies
-them::
+multi-process sharded runner (:mod:`repro.machine.sharded`);
+``backend="compiled"`` is the event machine with steady-state
+fast-forward on (:mod:`repro.machine.fastforward`).  They share the
+graph IR and the stream protocol but historically each had its own
+entry point, options and result shape.  :func:`run` unifies them::
 
     import repro
 
@@ -243,10 +244,19 @@ class SyncBackend:
 
 
 class EventBackend:
-    """Single-process event-driven machine (:mod:`repro.machine`)."""
+    """Single-process event-driven machine (:mod:`repro.machine`).
 
-    name = "event"
+    Registered twice: as ``"event"``, and as ``"compiled"`` with
+    ``fast_forward`` on, which skips whole steady-state periods
+    (:mod:`repro.machine.fastforward`) and is bit-identical to
+    ``"event"`` in values, sink times, cycle counts and statistics."""
+
     options = ("policy", "reliable", "trace")
+
+    def __init__(self, name: str = "event",
+                 fast_forward: bool = False) -> None:
+        self.name = name
+        self.fast_forward = fast_forward
 
     def execute(self, request: RunRequest) -> RunResult:
         from .machine.machine import Machine
@@ -263,7 +273,10 @@ class EventBackend:
         )
         if request.workload_id is not None:
             machine.workload_id = request.workload_id
-        stats = machine.run(max_cycles=request.max_cycles or 50_000_000)
+        stats = machine.run(
+            max_cycles=request.max_cycles or 50_000_000,
+            fast_forward=self.fast_forward,
+        )
         return RunResult.from_engine(self.name, machine, stats)
 
 
@@ -294,26 +307,12 @@ class ShardedBackend:
         return RunResult.from_engine(self.name, runner, stats, runner.shards)
 
 
-class CompiledBackend:
-    """Steady-state schedule replay (:mod:`repro.backends.compiled`):
-    the event machine with whole steady-state periods fast-forwarded.
-    Bit-identical to ``backend="event"`` in values, sink times, cycle
-    counts and statistics."""
-
-    name = "compiled"
-    options = ("policy",)
-
-    def execute(self, request: RunRequest) -> RunResult:
-        from .backends.compiled import CompiledBackend as _Turbo
-
-        return _Turbo().execute(request)
-
-
 #: backend registry; :func:`run` resolves ``backend=`` names here
 BACKENDS: dict[str, BackendProtocol] = {
     b.name: b
     for b in (
-        SyncBackend(), EventBackend(), ShardedBackend(), CompiledBackend()
+        SyncBackend(), EventBackend(), ShardedBackend(),
+        EventBackend("compiled", fast_forward=True),
     )
 }
 

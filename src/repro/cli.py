@@ -975,9 +975,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["sync", "event", "sharded", "compiled"],
                    help="execution backend: unit-delay simulator "
                    "(default), event-driven machine, K machine "
-                   "shards in separate processes, or the compiled "
-                   "steady-state machine (bit-identical to event, "
-                   "fast-forwards periodic steady state)")
+                   "shards in separate processes, or the event "
+                   "machine with steady-state fast-forward "
+                   "(bit-identical to event, same options)")
     p.add_argument("--shards", type=int, default=None, metavar="K",
                    help="worker count for --backend sharded (default 2)")
     shard_config_arg(p)

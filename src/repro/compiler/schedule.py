@@ -1,43 +1,29 @@
-"""Steady-state schedule derivation for the compiled backend.
+"""Stream-level value evaluation for steady-state fast-forward.
 
 Theorems 1-4 of the paper prove that a balanced graph under the
 acknowledge discipline settles into a *static* periodic firing
 schedule: a prologue while the pipeline fills, then a period that
 repeats every II cycles advancing every stream by a fixed number of
-elements, then an epilogue while it drains.  The event machine
-rediscovers that schedule one event at a time; this module gives the
-compiled backend the two static facts it needs to skip the rediscovery:
+elements, then an epilogue while it drains.  A fast-forwarded machine
+run (:mod:`repro.machine.fastforward`) skips whole periods of that
+schedule; the machine then knows every skipped element's *time* but
+not its *value*.
 
-* :func:`analyze_schedule` -- decides, from the lowered graph alone,
-  whether the steady state is *statically replayable*: every control
-  token (gate operands, MERGE control operands) must trace back through
-  plain untagged ID chains to a SOURCE/AM_READ cell, so the full
-  control decision sequence is known before the run starts; and no
-  opcode may fault on operand *values* (DIV).  When the analysis
-  passes, the period detected at run time can be replayed J times by
-  pure time-shifting, because nothing inside the period depends on
-  which window of elements is flowing through.
-
-* :class:`StreamEvaluator` -- computes every sink's output *values* at
-  stream level, independent of machine timing, by Kahn-network
-  evaluation in one sweep over the graph's SCC condensation: an
-  acyclic cell fires as many times as its complete operand streams
-  allow in one visit, vectorized over the batch (numpy when available
-  and safe, pure-Python loops otherwise); a feedback loop runs as one
-  fused scalar loop.  Kahn determinism makes the result
-  schedule-independent, so these values are bit-identical to what the
-  event machine computes element by element.
-
-The compiled backend (:mod:`repro.backends.compiled`) combines the two:
-the machine supplies exact *times* (with whole periods fast-forwarded),
-the evaluator supplies exact *values*.
+:class:`StreamEvaluator` supplies the values: it computes every sink's
+output stream independent of machine timing, by Kahn-network
+evaluation in one sweep over the graph's SCC condensation.  An acyclic
+cell fires as many times as its complete operand streams allow in one
+visit, vectorized over the batch (numpy when available and safe,
+pure-Python loops otherwise); a feedback loop runs as one fused scalar
+loop.  Kahn determinism makes the result schedule-independent, so
+these values are bit-identical to what the event machine computes
+element by element.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Any, Optional
 
@@ -58,134 +44,11 @@ from ..graph.opcodes import (
 class ScheduleError(ReproError):
     """The graph (or its inputs) defeats static schedule derivation.
 
-    Never fatal to a run: the compiled backend catches it and degrades
+    Never fatal to a run: a fast-forwarded run catches it and degrades
     to plain event execution, which is bit-identical by definition.
     """
 
 
-# ----------------------------------------------------------------------
-# static analysis
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ControlArc:
-    """One control operand (gate or MERGE control) and the source cell
-    whose stream feeds it through a plain untagged ID chain."""
-
-    dst: int                    #: consuming cell id
-    port: int                   #: GATE_PORT or MERGE_CONTROL_PORT
-    source: int                 #: SOURCE/AM_READ cell id feeding it
-
-
-@dataclass
-class ScheduleAnalysis:
-    """Whether (and how) the steady-state schedule can be replayed."""
-
-    replayable: bool
-    reason: str = ""
-    #: control operands with statically known token sequences
-    control_arcs: list[ControlArc] = field(default_factory=list)
-    #: SOURCE/AM_READ cell with the longest stream -- the cell whose
-    #: firings anchor period detection
-    anchor: Optional[int] = None
-    #: every SOURCE/AM_READ cell id
-    source_cids: list[int] = field(default_factory=list)
-
-
-def _trace_control_source(
-    graph: DataflowGraph, arc: Any
-) -> Optional[int]:
-    """Walk a control arc back through plain ID cells to its source.
-
-    Returns the SOURCE/AM_READ cell id when every hop is an untagged,
-    initial-token-free arc and every intermediate cell is an ungated ID
-    (a lowered FIFO stage) -- the conditions under which the control
-    port consumes exactly the source's stream, in order.  ``None``
-    means the control is computed at run time.
-    """
-    seen: set[int] = set()
-    while True:
-        if arc.tag is not None or arc.has_initial:
-            return None
-        cell = graph.cells[arc.src]
-        if cell.cid in seen:
-            return None
-        seen.add(cell.cid)
-        if cell.op in (Op.SOURCE, Op.AM_READ):
-            return None if cell.gated else cell.cid
-        if cell.op is Op.ID and not cell.gated and 0 not in cell.consts:
-            arc = graph.in_arc.get((cell.cid, 0))
-            if arc is None:
-                return None
-            continue
-        return None
-
-
-def analyze_schedule(
-    graph: DataflowGraph, inputs: dict[str, list[Any]]
-) -> ScheduleAnalysis:
-    """Decide whether the graph's steady state is statically
-    replayable (see module docstring).  ``graph`` must already be
-    FIFO-lowered (the machine lowers on construction)."""
-
-    def refused(reason: str) -> ScheduleAnalysis:
-        return ScheduleAnalysis(replayable=False, reason=reason)
-
-    sources: list[int] = []
-    control_arcs: list[ControlArc] = []
-    for cell in graph:
-        op = cell.op
-        if op is Op.DIV:
-            # a replayed period routes stale placeholder operands into
-            # the divider, which could fault on a value the real run
-            # never sees
-            return refused("graph contains DIV cells")
-        if op is Op.CONST:
-            return refused("graph contains free-running CONST cells")
-        if op is Op.AM_WRITE:
-            return refused("graph writes array memory")
-        if op in (Op.SOURCE, Op.AM_READ):
-            sources.append(cell.cid)
-        ctl_ports = []
-        if cell.gated and GATE_PORT not in cell.consts:
-            ctl_ports.append(GATE_PORT)
-        if op is Op.MERGE and MERGE_CONTROL_PORT not in cell.consts:
-            ctl_ports.append(MERGE_CONTROL_PORT)
-        for port in ctl_ports:
-            in_arc = graph.in_arc.get((cell.cid, port))
-            if in_arc is None:
-                continue        # the cell can never fire; harmless
-            src = _trace_control_source(graph, in_arc)
-            if src is None:
-                return refused(
-                    f"control operand of cell {cell.cid} is computed "
-                    f"at run time"
-                )
-            control_arcs.append(
-                ControlArc(dst=cell.cid, port=port, source=src)
-            )
-    if not sources:
-        return refused("graph has no stream sources")
-
-    def seq_len(cid: int) -> int:
-        cell = graph.cells[cid]
-        if "values" in cell.params:
-            return len(cell.params["values"])
-        return len(inputs.get(cell.params["stream"], ()))
-
-    anchor = max(sources, key=seq_len)
-    if seq_len(anchor) == 0:
-        return refused("all source streams are empty")
-    return ScheduleAnalysis(
-        replayable=True,
-        control_arcs=control_arcs,
-        anchor=anchor,
-        source_cids=sources,
-    )
-
-
-# ----------------------------------------------------------------------
-# stream-level value evaluation
-# ----------------------------------------------------------------------
 #: numpy-safe opcodes: IEEE-754 arithmetic/comparisons whose float64
 #: results are bit-identical to CPython's (DIV excluded -- numpy does
 #: not raise ZeroDivisionError; MIN/MAX excluded -- NaN and signed-zero
@@ -555,27 +418,3 @@ class StreamEvaluator:
             ) from exc
         return self.sink_values
 
-
-@dataclass
-class SteadySchedule:
-    """What the compiled backend's period detector observed in one run
-    (attached to the machine as ``engine.schedule``)."""
-
-    #: cell id whose firings anchored period detection
-    anchor: Optional[int] = None
-    #: cycles of concrete prologue execution before the first jump
-    prologue_cycles: Optional[int] = None
-    #: detected period length, in cycles (the steady-state II times
-    #: the elements advanced per period)
-    period_cycles: Optional[int] = None
-    #: stream elements consumed by the anchor per period
-    period_elements: Optional[int] = None
-    #: (at_cycle, periods_skipped, cycles_skipped) per applied jump
-    jumps: list[tuple[int, int, int]] = field(default_factory=list)
-    #: why the run stayed concrete; empty exactly when jumps were
-    #: applied
-    fallback_reason: str = ""
-
-    @property
-    def cycles_skipped(self) -> int:
-        return sum(j[2] for j in self.jumps)

@@ -251,6 +251,11 @@ class Machine:
     #: worker-level (shard) faults only make sense where there are
     #: worker processes; ShardMachine flips this
     _hosts_shard_faults = False
+    #: the armed steady-state detector of a ``run(fast_forward=True)``
+    #: (:mod:`repro.machine.fastforward`), and that run's report; class
+    #: defaults, so a plain run carries neither
+    _ff = None
+    schedule = None
 
     def __init__(
         self,
@@ -580,6 +585,8 @@ class Machine:
 
     def _fire(self, cell: Cell) -> None:
         cid = cell.cid
+        if self._ff is not None and cid == self._ff.anchor:
+            self._ff.on_anchor()
         st = self.cell_state[cid]
         st.fire_count += 1
         self._progress += 1
@@ -1025,7 +1032,7 @@ class Machine:
     _SNAP_STATIC_ATTRS: frozenset = frozenset({
         "config", "graph", "inputs", "fault_plan", "recovery",
         "_reliable", "_timeout", "_wd_interval", "workload_id",
-        "_snap_chain", "_linked",
+        "_snap_chain", "_linked", "_ff", "schedule",
     })
     #: dict/list-structured attributes decomposed into per-key sections
     #: by :meth:`snapshot_sections`
@@ -1046,6 +1053,9 @@ class Machine:
         state.pop("_snap_chain", None)
         # derived from graph + config: relinked on load, never stored
         state.pop("_linked", None)
+        # a fast-forward detector and its report belong to one run call
+        state.pop("_ff", None)
+        state.pop("schedule", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -1230,6 +1240,7 @@ class Machine:
         max_cycles: int = 50_000_000,
         crash_at: Optional[int] = None,
         stop_at_checkpoint: Optional[int] = None,
+        fast_forward: bool = False,
     ) -> MachineStats:
         """Run (or, on a machine loaded from a snapshot, continue) the
         simulation to completion.
@@ -1244,7 +1255,18 @@ class Machine:
         digest-ledger entry, so a replay probe's trace digest is
         directly comparable to the ledger's.  A paused machine skips
         the completion check and can simply be ``run()`` again.
+
+        ``fast_forward`` detects the periodic steady state and skips
+        whole periods of it (:mod:`repro.machine.fastforward`), with
+        results bit-identical to a plain run; :attr:`schedule` then
+        reports the jumps taken, or why the run stayed concrete.
         """
+        ff = None
+        if fast_forward:
+            from .fastforward import FastForward
+
+            ff = FastForward(self, max_cycles)
+            self.schedule = ff.schedule
         if not self._started:
             self._start()
         try:
@@ -1255,6 +1277,11 @@ class Machine:
             if self.ckpt is not None:
                 self.ckpt.save_failure(self, exc)
             raise
+        finally:
+            if ff is not None:
+                vars(self).pop("_ff", None)     # disarm for any later run
+        if ff is not None:
+            ff.finalize()
         if self.ckpt is not None:
             self.ckpt.on_complete(self)
         return self.stats()

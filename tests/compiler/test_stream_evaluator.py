@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.scc import strongly_connected
-from repro.backends.compiled import _values_equal  # NaN = NaN
+from repro.machine.fastforward import _values_equal  # NaN = NaN
 from repro.compiler import (
     ArraySpec,
     balance_graph,

@@ -1,21 +1,22 @@
-"""Tests for the compiled steady-state backend.
+"""Tests for steady-state fast-forward (``backend="compiled"``).
 
-``backend="compiled"`` runs the same event machine but detects the
-periodic steady state (paper Theorems 1-4) and fast-forwards whole
-periods.  The contract under test: bit-identical values *and* modeled
-sink times versus ``backend="event"`` on every figure, loud rejection
-of every option the replay cannot honor, and honest concrete fallback
-(never a wrong answer) whenever the steady state is not statically
-replayable.
+``backend="compiled"`` is the event machine run with
+``fast_forward=True``: it detects the periodic steady state (paper
+Theorems 1-4) and skips whole periods.  The contract under test:
+bit-identical values *and* modeled sink times versus
+``backend="event"`` on every figure, exactly the options ``event``
+accepts (those a jump cannot honor disarm the detector, never get
+ignored), and honest concrete fallback (never a wrong answer)
+whenever the steady state is not statically replayable.
 """
 
 import pytest
 
 import repro
-from repro.backends.compiled import TurboMachine
 from repro.checkpoint import CheckpointConfig
 from repro.errors import ReproError, SimulationTimeout
 from repro.faults import FaultPlan
+from repro.machine import Machine
 from repro.workloads import figure_workload
 
 FIGURES = ["fig2", "fig4", "fig5", "fig6", "fig7"]
@@ -152,27 +153,46 @@ class TestBitIdentity:
         assert "5 replayable periods" in schedule.fallback_reason
 
 
+#: options a jump cannot honor: each disarms the detector
+DISARMING = {
+    "faults": lambda tmp: FaultPlan(seed=1, drop_result=0.1),
+    "checkpoint": lambda tmp: CheckpointConfig(str(tmp)),
+    "reliable": lambda tmp: True,
+    "trace": lambda tmp: True,
+}
+
+
 class TestOptionValidation:
-    def test_rejects_machine_and_sharding_options(self):
+    def test_rejects_sharding_options(self):
+        """Exactly what ``event`` rejects."""
         cp, inputs = _workload("fig2")
         rejected = {
-            "faults": FaultPlan(seed=1, drop_result=0.1),
-            "checkpoint": CheckpointConfig("/tmp/nope"),
             "shards": 4,
             "processes": True,
             "partition": "round_robin",
         }
         for name, value in rejected.items():
-            with pytest.raises(ReproError, match=name):
-                repro.run(cp, inputs, backend="compiled",
-                          **{name: value})
+            for backend in ("event", "compiled"):
+                with pytest.raises(ReproError, match=name):
+                    repro.run(cp, inputs, backend=backend,
+                              **{name: value})
 
-    def test_rejects_unknown_passthrough_options(self):
-        cp, inputs = _workload("fig2")
-        with pytest.raises(ReproError, match="reliable"):
-            repro.run(cp, inputs, backend="compiled", reliable=True)
-        with pytest.raises(ReproError, match="trace"):
-            repro.run(cp, inputs, backend="compiled", trace=object())
+    @pytest.mark.parametrize("name", sorted(DISARMING))
+    def test_disarming_options_run_exactly_like_event(self, name, tmp_path):
+        """Faults, checkpoints, the reliability layer and tracing are
+        honored, not rejected: the detector disarms and says why, and
+        the run is the event run with the same option."""
+        cp, inputs = _workload("fig2", m=M_JUMP)
+        event = repro.run(cp, inputs, backend="event",
+                          **{name: DISARMING[name](tmp_path / "event")})
+        compiled = repro.run(
+            cp, inputs, backend="compiled",
+            **{name: DISARMING[name](tmp_path / "compiled")},
+        )
+        _assert_identical(event, compiled)
+        schedule = compiled.engine.schedule
+        assert not schedule.jumps
+        assert "reliability layer is active" in schedule.fallback_reason
 
     def test_accepts_the_supported_knobs(self):
         cp, inputs = _workload("fig2")
@@ -186,19 +206,22 @@ class TestOptionValidation:
 
 class TestTurboMachineInternals:
     def test_disarmed_machine_reports_reason(self):
-        """Direct construction with a trace recorder must disarm the
+        """A traced machine run with fast-forward must disarm the
         detector (a traced run records every event) and say why."""
         cp, inputs = _workload("fig2")
-        streams = cp.prepare_inputs(inputs)
+        machine = Machine(cp.graph, inputs=cp.prepare_inputs(inputs),
+                          trace=True)
+        machine.run(fast_forward=True)
+        assert machine._ff is None
+        assert "tracing" in machine.schedule.fallback_reason
 
-        class Recorder:
-            def record(self, *a, **k):
-                pass
-
-        machine = TurboMachine(cp.graph, inputs=streams,
-                               trace=Recorder())
-        assert not machine._armed
-        assert machine.schedule.fallback_reason
+    def test_plain_run_carries_no_fast_forward_state(self):
+        cp, inputs = _workload("fig2", m=M_JUMP)
+        machine = Machine(cp.graph, inputs=cp.prepare_inputs(inputs))
+        machine.run()
+        assert "_ff" not in vars(machine)
+        assert "schedule" not in vars(machine)
+        assert machine.schedule is None
 
     def test_jump_accounting_is_consistent(self):
         cp, inputs = _workload("fig2", m=M_JUMP)
@@ -210,3 +233,4 @@ class TestTurboMachineInternals:
         assert schedule.prologue_cycles is not None
         assert schedule.period_cycles > 0
         assert schedule.period_elements > 0
+        assert "_ff" not in vars(compiled.engine)   # disarmed at exit

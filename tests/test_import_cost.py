@@ -17,7 +17,7 @@ HEAVY = ("numpy", "scipy", "networkx")
 _REPORT = """
 import sys
 print(",".join(m for m in %r if m in sys.modules))
-""" % (HEAVY,)
+"""
 
 _EXAMPLE2_JOBS = """
 from repro.serve.jobs import execute_batch, execute_serial
@@ -55,12 +55,12 @@ figure_workload("fig4").compile(m=8)
 """
 
 
-def loaded_after(code: str) -> set[str]:
+def loaded_after(code: str, modules: tuple = HEAVY) -> set[str]:
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", code + _REPORT],
+        [sys.executable, "-c", code + _REPORT % (modules,)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -84,3 +84,11 @@ def test_a_graph_with_slack_loads_the_solver():
     """Positive control: the probe does see scipy when an LP is solved
     (fig4's window skew leaves slack under longest-path levels)."""
     assert {"numpy", "scipy"} <= loaded_after(_COMPILE_FIG4)
+
+
+def test_fast_forward_loads_only_when_a_run_asks_for_it():
+    """The steady-state detector and the stream evaluator behind it
+    are imported by ``Machine.run(fast_forward=True)``, not by the
+    machine package."""
+    lazy = ("repro.machine.fastforward", "repro.compiler.schedule") + HEAVY
+    assert loaded_after("import repro.machine", lazy) == set()

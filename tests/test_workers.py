@@ -45,6 +45,20 @@ def _shard_handler():
     return _LocalShard(0, runner.machines[0], None)
 
 
+def _stopped(pid, timeout=5.0):
+    """Wait until ``pid`` is really in the stopped state: ``SIGSTOP``
+    only makes the signal pending, and a child that has not run since
+    could still answer a request or take a later ``SIGTERM`` first."""
+    give_up = time.monotonic() + timeout
+    while time.monotonic() < give_up:
+        with open(f"/proc/{pid}/stat") as stat:
+            # the state field follows the parenthesised command name
+            if stat.read().rsplit(")", 1)[1].split()[0] == "T":
+                return True
+        time.sleep(0.005)
+    return False
+
+
 def _gone(worker, timeout=10.0):
     give_up = time.monotonic() + timeout
     while worker.alive and time.monotonic() < give_up:
@@ -116,6 +130,7 @@ class TestRequestReply:
     def test_sigstop_is_a_hang_naming_pid_and_deadline(self, start, mode):
         worker = start(mode)
         os.kill(worker.pid, signal.SIGSTOP)
+        assert _stopped(worker.pid)
         worker.post(REQUESTS[mode][0])
         began = time.monotonic()
         with pytest.raises(WorkerFailure) as info:
@@ -132,6 +147,7 @@ class TestRequestReply:
         worker = start(mode)
         # a stopped child leaves SIGTERM pending; only SIGKILL ends it
         os.kill(worker.pid, signal.SIGSTOP)
+        assert _stopped(worker.pid)
         worker.close()
         assert worker.exitcode == -signal.SIGKILL
 
