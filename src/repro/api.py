@@ -186,6 +186,10 @@ class RunRequest:
                     f"backend {backend!r} does not support {name!r}"
                 )
 
+    def budget(self, default: int) -> int:
+        """``max_cycles``, or the backend's ``default`` when not given."""
+        return default if self.max_cycles is None else self.max_cycles
+
 
 #: per-field "not set" values for :meth:`RunRequest.reject`; computed
 #: from the dataclass itself so the check can never drift from the
@@ -231,7 +235,7 @@ class SyncBackend:
             "shard_config",
         )
         sim = SyncSimulator(request.graph, request.inputs, **request.options)
-        sim.run(max_steps=request.max_cycles or 1_000_000)
+        sim.run(max_steps=request.budget(1_000_000))
         records = {r.stream: r for r in sim.sink_records.values()}
         return RunResult(
             backend=self.name,
@@ -274,7 +278,7 @@ class EventBackend:
         if request.workload_id is not None:
             machine.workload_id = request.workload_id
         stats = machine.run(
-            max_cycles=request.max_cycles or 50_000_000,
+            max_cycles=request.budget(50_000_000),
             fast_forward=self.fast_forward,
         )
         return RunResult.from_engine(self.name, machine, stats)
@@ -303,7 +307,7 @@ class ShardedBackend:
             ),
             **request.options,
         )
-        stats = runner.run(max_cycles=request.max_cycles or 50_000_000)
+        stats = runner.run(max_cycles=request.budget(50_000_000))
         return RunResult.from_engine(self.name, runner, stats, runner.shards)
 
 
@@ -389,6 +393,10 @@ def run(
         layer switch, and a :class:`~repro.checkpoint.
         CheckpointConfig` for periodic (sharded: coordinated)
         snapshots.
+    ``max_cycles``
+        Step (``"sync"``) or cycle budget, a positive int; ``None``
+        means the backend's default.  A run that has not quiesced
+        within it raises :class:`~repro.errors.SimulationTimeout`.
 
     Other keyword ``options`` go to the backend; a name the backend
     does not declare (``BackendProtocol.options``) is an error.
@@ -411,6 +419,13 @@ def run(
     if shards is not None and backend != "sharded":
         raise ReproError(
             f"shards={shards} needs backend='sharded', not {backend!r}"
+        )
+    if max_cycles is not None and (
+        isinstance(max_cycles, bool) or not isinstance(max_cycles, int)
+        or max_cycles < 1
+    ):
+        raise ReproError(
+            f"max_cycles must be a positive int, got {max_cycles!r}"
         )
     graph, streams = _normalize(program, inputs, params)
     request = RunRequest(

@@ -1327,6 +1327,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "max_cycles", 1) < 1:
+        print(f"error: --max-cycles must be >= 1, got {args.max_cycles}",
+              file=sys.stderr)
+        return 1
     try:
         return args.fn(args)
     except ReproError as exc:

@@ -26,12 +26,17 @@ Consequences (all verified by the test suite):
 
 A graph is *fully pipelined* when its steady-state initiation interval
 is 2 steps per output element.
+
+Like the static machine, which loads each cell's operand, constant and
+destination fields before the run starts (Section 2), the simulator
+links every cell's firing rule once at construction; a step only reads
+and writes token occupancy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from ..errors import (
     DeadlockError,
@@ -48,7 +53,6 @@ from ..graph.opcodes import (
     MERGE_TRUE_PORT,
     UNARY_OPS,
     Op,
-    apply_scalar,
 )
 from ..graph.validate import check_stream_inputs, validate
 from ..timing import steady_interval
@@ -97,16 +101,23 @@ class _FifoState:
     surrounding graph), so the state keeps ``d - 1`` slots; tokens
     advance one slot per step when the next slot was free at the start
     of the step, adding exactly ``d`` steps of latency end to end.
+    ``count`` is the number of occupied slots, kept where slots change.
     """
 
-    __slots__ = ("slots",)
+    __slots__ = ("slots", "count")
 
     def __init__(self, depth: int) -> None:
         self.slots: list[Any] = [_ABSENT] * (depth - 1)
+        self.count = 0
 
     @property
     def occupancy(self) -> int:
-        return sum(1 for s in self.slots if s is not _ABSENT)
+        return self.count
+
+
+# What a cell does when it fires, fixed at link time; ID and the scalar
+# operators come last (``kind >= _ID``).
+_SOURCE, _CONST, _SINK, _MERGE, _FIFO, _ID, _UNARY, _BINARY = range(8)
 
 
 class SyncSimulator:
@@ -139,276 +150,268 @@ class SyncSimulator:
             self.arc_value[arc.aid] = arc.initial if arc.has_initial else _ABSENT
 
         self.source_pos: dict[int, int] = {}
-        self.source_seq: dict[int, list[Any]] = {}
         self.sink_records: dict[int, SinkRecord] = {}
         self.fifo_state: dict[int, _FifoState] = {}
-        for cell in graph:
-            if cell.op in (Op.SOURCE, Op.AM_READ):
-                seq = (
-                    cell.params["values"]
-                    if "values" in cell.params
-                    else self.inputs[cell.params["stream"]]
-                )
-                self.source_seq[cell.cid] = seq
-                self.source_pos[cell.cid] = 0
-            elif cell.op in (Op.SINK, Op.AM_WRITE):
-                self.sink_records[cell.cid] = SinkRecord(cell.params["stream"])
-            elif cell.op is Op.FIFO:
-                self.fifo_state[cell.cid] = _FifoState(cell.params["depth"])
+        self._plans = {cell.cid: self._link(cell) for cell in graph}
+        #: ``aid -> (src, dst)``: the cells an arc's change re-examines
+        self._ends = {a.aid: (a.src, a.dst) for a in graph.arcs.values()}
 
         self.stats = SimStats(fire_counts={cid: 0 for cid in graph.cells})
         self.trace: Optional[list[list[int]]] = [] if record_trace else None
         self.step_count = 0
         self._candidates: set[int] = set(graph.cells)
+        #: the FIFOs whose slots hold a token
+        self._held: set[int] = set()
 
     # ------------------------------------------------------------------
-    # firing rules
+    # firing plans
     # ------------------------------------------------------------------
-    def _peek(self, cid: int, port: int) -> Any:
-        """Pre-state value on an operand port (const or arc token)."""
-        cell = self.graph.cells[cid]
-        if port in cell.consts:
-            return cell.consts[port]
-        arc = self.graph.in_arc.get((cid, port))
-        if arc is None:
-            return _ABSENT
-        return self.arc_value[arc.aid]
+    def _link(self, cell: Cell) -> tuple:
+        """Resolve ``cell``'s firing rule once, as the static machine
+        loads operand and destination fields before the run (Section 2).
 
-    def _required_out_arcs(self, cell: Cell, gate_val: Any) -> list:
-        """Destination arcs this firing would write (tag-matched)."""
-        out = []
-        for arc in self.graph.out_arcs[cell.cid]:
-            if arc.tag is None or arc.tag == bool(gate_val):
-                out.append(arc)
-        return out
-
-    def _try_fire(self, cell: Cell) -> Optional[tuple[list, list, Any]]:
-        """Decide, from pre-state only, whether ``cell`` fires this step.
-
-        Returns ``(consumed_arcs, written_arcs, result)`` or ``None``.
-        ``result`` is the value routed to ``written_arcs`` (ignored for
-        sinks).
+        The plan is ``(kind, gate, operands, eats, eats_false, on_true,
+        on_false, extra)``.  An operand -- ``gate`` too, ``None`` when
+        the cell is ungated -- is ``(aid, None)`` for an arc and
+        ``(None, value)`` for a constant (``_ABSENT`` when unconnected).
+        ``eats`` are the arcs a firing consumes; a MERGE that selects
+        its false input consumes ``eats_false``.  ``on_true`` /
+        ``on_false`` are the destinations under each gate value (an
+        ungated cell reads False).  ``extra`` is the scalar function,
+        a source's values, a CONST's literal or a FIFO's state.
         """
-        op = cell.op
-        g = self.graph
+        g, cid, op = self.graph, cell.cid, cell.op
 
-        # gate control ---------------------------------------------------
-        gate_val: Any = None
-        if cell.gated:
-            gate_val = self._peek(cell.cid, GATE_PORT)
-            if gate_val is _ABSENT:
-                return None
+        def operand(port: int) -> tuple:
+            if port in cell.consts:
+                return (None, cell.consts[port])
+            arc = g.in_arc.get((cid, port))
+            return (None, _ABSENT) if arc is None else (arc.aid, None)
 
-        consumed = []
-        if cell.gated and GATE_PORT not in cell.consts:
-            consumed.append(g.in_arc[(cell.cid, GATE_PORT)])
+        def arcs(ports) -> tuple:
+            return tuple(g.in_arc[cid, p].aid for p in ports
+                         if (cid, p) in g.in_arc)
 
+        gate = operand(GATE_PORT) if cell.gated else None
+        head = (gate[0],) if gate is not None and gate[0] is not None else ()
+        out = g.out_arcs[cid]
+        on_true, on_false = (
+            tuple(a.aid for a in out if a.tag is None or a.tag == truth)
+            for truth in (True, False)
+        )
+        ports = cell.data_ports()
+        eaten = eaten_false = head + arcs(ports)
+        extra: Any = None
         if op in (Op.SOURCE, Op.AM_READ):
-            pos = self.source_pos[cell.cid]
-            seq = self.source_seq[cell.cid]
-            if pos >= len(seq):
-                return None
-            writes = self._required_out_arcs(cell, gate_val)
-            if any(self.arc_value[a.aid] is not _ABSENT for a in writes):
-                return None
-            return (consumed, writes, seq[pos])
-
-        if op is Op.CONST:
-            writes = self._required_out_arcs(cell, gate_val)
-            if any(self.arc_value[a.aid] is not _ABSENT for a in writes):
-                return None
-            return (consumed, writes, cell.params["value"])
-
-        if op in (Op.SINK, Op.AM_WRITE):
-            val = self._peek(cell.cid, 0)
-            if val is _ABSENT:
-                return None
-            arc = g.in_arc.get((cell.cid, 0))
-            if arc is not None:
-                consumed.append(arc)
-            return (consumed, [], val)
-
-        if op is Op.MERGE:
-            ctl = self._peek(cell.cid, MERGE_CONTROL_PORT)
-            if ctl is _ABSENT:
-                return None
-            sel_port = MERGE_TRUE_PORT if bool(ctl) else MERGE_FALSE_PORT
-            val = self._peek(cell.cid, sel_port)
-            if val is _ABSENT:
-                return None
-            writes = self._required_out_arcs(cell, gate_val)
-            if any(self.arc_value[a.aid] is not _ABSENT for a in writes):
-                return None
-            for port in (MERGE_CONTROL_PORT, sel_port):
-                arc = g.in_arc.get((cell.cid, port))
-                if arc is not None:
-                    consumed.append(arc)
-            return (consumed, writes, val)
-
-        if op is Op.FIFO:
-            # handled by _advance_fifo; never reaches here
-            raise SimulationError("FIFO cells are advanced, not fired")
-
-        # ordinary scalar operator / ID -----------------------------------
-        args = []
-        for port in cell.data_ports():
-            val = self._peek(cell.cid, port)
-            if val is _ABSENT:
-                return None
-            args.append(val)
-        writes = self._required_out_arcs(cell, gate_val)
-        if any(self.arc_value[a.aid] is not _ABSENT for a in writes):
-            return None
-        for port in cell.data_ports():
-            arc = g.in_arc.get((cell.cid, port))
-            if arc is not None:
-                consumed.append(arc)
-        if op is Op.ID:
-            result = args[0]
-        elif op in BINARY_OPS or op in UNARY_OPS:
-            try:
-                result = apply_scalar(op, args)
-            except ZeroDivisionError as exc:
-                raise SimulationError(
-                    f"division by zero in cell {cell.label} at step "
-                    f"{self.step_count}"
-                ) from exc
+            kind = _SOURCE
+            extra = (
+                cell.params["values"]
+                if "values" in cell.params
+                else self.inputs[cell.params["stream"]]
+            )
+            self.source_pos[cid] = 0
+        elif op is Op.CONST:
+            kind, extra = _CONST, cell.params["value"]
+        elif op in (Op.SINK, Op.AM_WRITE):
+            kind = _SINK
+            self.sink_records[cid] = SinkRecord(cell.params["stream"])
+        elif op is Op.MERGE:
+            kind = _MERGE
+            eaten = head + arcs((MERGE_CONTROL_PORT, MERGE_TRUE_PORT))
+            eaten_false = head + arcs((MERGE_CONTROL_PORT, MERGE_FALSE_PORT))
+        elif op is Op.FIFO:
+            # a shift register ignores gates: every destination, one input
+            kind, gate = _FIFO, None
+            eaten = eaten_false = arcs(ports)
+            on_true = on_false = tuple(a.aid for a in out)
+            extra = self.fifo_state[cid] = _FifoState(cell.params["depth"])
+        elif op is Op.ID:
+            kind = _ID
+        elif op in BINARY_OPS:
+            kind, extra = _BINARY, BINARY_OPS[op]
+        elif op in UNARY_OPS:
+            kind, extra = _UNARY, UNARY_OPS[op]
         else:
             raise SimulationError(f"cannot execute opcode {op!r}")
-        return (consumed, writes, result)
+        operands = tuple(operand(p) for p in ports)
+        return (kind, gate, operands, eaten, eaten_false, on_true, on_false,
+                extra)
 
-    def _advance_fifo(self, cell: Cell) -> tuple[list, list, list[tuple[int, Any]]]:
-        """Plan one step of a FIFO shift register from pre-state.
+    def _actions(self) -> Iterator[tuple]:
+        """What every enabled candidate does this step, in cell-id order,
+        decided from pre-state only: ``(cid, kind, consumed arcs,
+        written arcs, value)``.
 
-        Returns (consumed_arcs, written_arc_values, slot_updates) where
-        ``written_arc_values`` is a list of (arc, value) pairs and
-        ``slot_updates`` of (slot index, new value | _ABSENT).
+        Applies nothing, so :meth:`step` and :meth:`_any_enabled` share
+        it.  A FIFO's value is ``(token taken in, token sent out,
+        interior shifts)``, ``_ABSENT`` for a token not moved.
         """
-        st = self.fifo_state[cell.cid]
-        g = self.graph
-        consumed: list = []
-        writes: list[tuple[Any, Any]] = []
-        updates: list[tuple[int, Any]] = []
-        n_slots = len(st.slots)
-        out = g.out_arcs[cell.cid]
-        in_arc = g.in_arc.get((cell.cid, 0))
-        out_free = all(self.arc_value[a.aid] is _ABSENT for a in out)
-
-        if n_slots == 0:
-            # depth 1: a single identity cell, input arc straight to output.
-            if in_arc is not None:
-                val = self.arc_value[in_arc.aid]
-                if val is not _ABSENT and out_free:
-                    consumed.append(in_arc)
-                    for a in out:
-                        writes.append((a, val))
-            return (consumed, writes, updates)
-
-        # Tail slot -> output arcs (the last ID cell of the chain firing).
-        tail = st.slots[n_slots - 1]
-        if tail is not _ABSENT and out_free:
-            for a in out:
-                writes.append((a, tail))
-            updates.append((n_slots - 1, _ABSENT))
-
-        # Interior shifts, decided on pre-state occupancy only.
-        for j in range(n_slots - 2, -1, -1):
-            here = st.slots[j]
-            if here is not _ABSENT and st.slots[j + 1] is _ABSENT:
-                updates.append((j + 1, here))
-                updates.append((j, _ABSENT))
-
-        # Input arc -> head slot (the first ID cell firing).
-        if in_arc is not None:
-            val = self.arc_value[in_arc.aid]
-            if val is not _ABSENT and st.slots[0] is _ABSENT:
-                consumed.append(in_arc)
-                updates.append((0, val))
-        return (consumed, writes, updates)
+        av = self.arc_value
+        plans = self._plans
+        for cid in sorted(self._candidates):
+            kind, gate, ops, eats, eats_f, on_t, on_f, extra = plans[cid]
+            outs = on_f
+            if gate is not None:
+                aid, v = gate
+                if aid is not None:
+                    v = av[aid]
+                if v is _ABSENT:
+                    continue
+                if v:
+                    outs = on_t
+            if kind >= _ID:                     # ID and scalar operators
+                aid, a = ops[0]
+                if aid is not None:
+                    a = av[aid]
+                if a is _ABSENT:
+                    continue
+                if kind == _BINARY:
+                    aid, b = ops[1]
+                    if aid is not None:
+                        b = av[aid]
+                    if b is _ABSENT:
+                        continue
+                for aid in outs:
+                    if av[aid] is not _ABSENT:
+                        break
+                else:
+                    if kind == _ID:
+                        yield (cid, kind, eats, outs, a)
+                    elif kind == _UNARY:
+                        yield (cid, kind, eats, outs, extra(a))
+                    else:
+                        try:
+                            value = extra(a, b)
+                        except ZeroDivisionError as exc:
+                            raise SimulationError(
+                                f"division by zero in cell "
+                                f"{self.graph.cells[cid].label} at step "
+                                f"{self.step_count}"
+                            ) from exc
+                        yield (cid, kind, eats, outs, value)
+                continue
+            if kind == _FIFO:
+                slots = extra.slots
+                aid, token = ops[0]
+                if aid is not None:
+                    token = av[aid]
+                free = True
+                for out in outs:
+                    if av[out] is not _ABSENT:
+                        free = False
+                        break
+                if not slots:                   # depth 1: one ID cell
+                    if token is not _ABSENT and free:
+                        yield (cid, kind, eats, outs, (token, token, ()))
+                    continue
+                tail = slots[-1] if free else _ABSENT
+                if slots[0] is not _ABSENT:
+                    token = _ABSENT
+                shifts = [
+                    j for j in range(len(slots) - 2, -1, -1)
+                    if slots[j] is not _ABSENT and slots[j + 1] is _ABSENT
+                ] if extra.count else ()
+                if token is not _ABSENT or tail is not _ABSENT or shifts:
+                    yield (cid, kind,
+                           eats if token is not _ABSENT else (),
+                           outs if tail is not _ABSENT else (),
+                           (token, tail, shifts))
+                continue
+            if kind == _SINK:
+                aid, v = ops[0]
+                if aid is not None:
+                    v = av[aid]
+                if v is not _ABSENT:
+                    yield (cid, kind, eats, (), v)
+                continue
+            if kind == _SOURCE:
+                pos = self.source_pos[cid]
+                if pos >= len(extra):
+                    continue
+                v = extra[pos]
+            elif kind == _CONST:
+                v = extra
+            else:                               # MERGE
+                aid, ctl = ops[0]
+                if aid is not None:
+                    ctl = av[aid]
+                if ctl is _ABSENT:
+                    continue
+                aid, v = ops[1] if ctl else ops[2]
+                if aid is not None:
+                    v = av[aid]
+                if v is _ABSENT:
+                    continue
+                if not ctl:
+                    eats = eats_f
+            for aid in outs:
+                if av[aid] is not _ABSENT:
+                    break
+            else:
+                yield (cid, kind, eats, outs, v)
 
     # ------------------------------------------------------------------
     # stepping
     # ------------------------------------------------------------------
     def step(self) -> int:
         """Advance one instruction time.  Returns the number of firings."""
-        g = self.graph
-        firings: list[tuple[Cell, list, list, Any]] = []
-        fifo_plans: list[tuple[Cell, list, list, list]] = []
+        actions = list(self._actions())
+        av = self.arc_value
+        ends = self._ends
+        fire_counts = self.stats.fire_counts
+        held = self._held
+        fired: list[int] = []
+        nxt: set[int] = set()
 
-        candidates = self._candidates
-        for cid in sorted(candidates):
-            cell = g.cells.get(cid)
-            if cell is None:
-                continue
-            if cell.op is Op.FIFO:
-                consumed, writes, updates = self._advance_fifo(cell)
-                if consumed or writes or updates:
-                    fifo_plans.append((cell, consumed, writes, updates))
+        # Apply phase.  No conflicts are possible: an arc written was
+        # empty at pre-state, so it is not simultaneously consumed.
+        for cid, kind, eats, outs, value in actions:
+            fire_counts[cid] += 1
+            for aid in eats:
+                av[aid] = _ABSENT
+                nxt.update(ends[aid])
+            if kind == _FIFO:
+                st = self.fifo_state[cid]
+                token, value, shifts = value
+                slots = st.slots
+                if slots:
+                    for j in shifts:
+                        slots[j + 1] = slots[j]
+                        slots[j] = _ABSENT
+                    if value is not _ABSENT:
+                        slots[-1] = _ABSENT
+                        st.count -= 1
+                    if token is not _ABSENT:
+                        slots[0] = token
+                        st.count += 1
+                    if st.count:
+                        held.add(cid)
+                    else:
+                        held.discard(cid)
             else:
-                plan = self._try_fire(cell)
-                if plan is not None:
-                    firings.append((cell, plan[0], plan[1], plan[2]))
+                fired.append(cid)
+                if kind == _SOURCE:
+                    self.source_pos[cid] += 1
+                elif kind == _SINK:
+                    rec = self.sink_records[cid]
+                    rec.values.append(value)
+                    rec.times.append(self.step_count)
+            for aid in outs:
+                av[aid] = value
+                nxt.update(ends[aid])
 
-        changed_arcs: set[int] = set()
-        n_fired = 0
-
-        # Apply phase: consumptions first, then productions.  No conflicts
-        # are possible (an arc written must have been empty at pre-state,
-        # so it is not simultaneously consumed).
-        for cell, consumed, writes, result in firings:
-            n_fired += 1
-            self.stats.fire_counts[cell.cid] += 1
-            for arc in consumed:
-                self.arc_value[arc.aid] = _ABSENT
-                changed_arcs.add(arc.aid)
-            if cell.op in (Op.SOURCE, Op.AM_READ):
-                self.source_pos[cell.cid] += 1
-            elif cell.op in (Op.SINK, Op.AM_WRITE):
-                rec = self.sink_records[cell.cid]
-                rec.values.append(result)
-                rec.times.append(self.step_count)
-            for arc in writes:
-                self.arc_value[arc.aid] = result
-                changed_arcs.add(arc.aid)
-
-        active_fifos: set[int] = set()
-        for cell, consumed, writes, updates in fifo_plans:
-            st = self.fifo_state[cell.cid]
-            moved = bool(consumed or writes or updates)
-            if moved:
-                n_fired += 1
-                self.stats.fire_counts[cell.cid] += 1
-            for arc in consumed:
-                self.arc_value[arc.aid] = _ABSENT
-                changed_arcs.add(arc.aid)
-            for arc, value in writes:
-                self.arc_value[arc.aid] = value
-                changed_arcs.add(arc.aid)
-            for slot, value in updates:
-                st.slots[slot] = value
-            if st.occupancy:
-                active_fifos.add(cell.cid)
-
-        # Next-step candidates: cells adjacent to any changed arc, plus
-        # FIFOs still holding tokens (they advance without arc activity),
-        # plus sources that fired (they self-retrigger when arcs free --
-        # covered by arc changes) -- see DESIGN.md.
-        nxt: set[int] = set(active_fifos)
-        for cid, fs in self.fifo_state.items():
-            if fs.occupancy:
-                nxt.add(cid)
-        for aid in changed_arcs:
-            arc = g.arcs[aid]
-            nxt.add(arc.src)
-            nxt.add(arc.dst)
+        # Next-step candidates: cells at either end of a changed arc,
+        # plus FIFOs still holding tokens (they advance without arc
+        # activity) -- see DESIGN.md.
+        nxt |= held
         self._candidates = nxt
 
         if self.trace is not None:
-            self.trace.append([c.cid for c, *_ in firings])
+            self.trace.append(fired)
         self.step_count += 1
         self.stats.steps = self.step_count
-        self.stats.total_firings += n_fired
-        return n_fired
+        self.stats.total_firings += len(actions)
+        return len(actions)
 
     def run(
         self,
@@ -449,26 +452,15 @@ class SyncSimulator:
     def _any_enabled(self) -> bool:
         """Whether any cell (or FIFO shift) could act next step.
 
-        Read-only: reuses the pre-state firing planners without
-        applying them.  A cell whose firing would raise (e.g. division
+        Read-only: asks the pre-state decision of :meth:`step` for its
+        first action without applying it.  A cell whose firing would raise (e.g. division
         by zero on the next step) counts as enabled -- the graph has
         not quiesced either way.
         """
-        for cid in sorted(self._candidates):
-            cell = self.graph.cells.get(cid)
-            if cell is None:
-                continue
-            if cell.op is Op.FIFO:
-                consumed, writes, updates = self._advance_fifo(cell)
-                if consumed or writes or updates:
-                    return True
-            else:
-                try:
-                    if self._try_fire(cell) is not None:
-                        return True
-                except SimulationError:
-                    return True
-        return False
+        try:
+            return next(self._actions(), None) is not None
+        except SimulationError:
+            return True
 
     def _check_complete(self) -> None:
         pending = 0

@@ -21,7 +21,8 @@ from repro.graph import (
     lower_fifos,
     window_pattern,
 )
-from repro.sim import SyncSimulator
+from repro.graph.cell import _NO_TOKEN
+from repro.sim import SyncSimulator, occupancy_snapshot
 
 
 def chain_graph(n_ids: int = 1) -> DataflowGraph:
@@ -266,6 +267,45 @@ class TestFifo:
             self.fifo_graph(6), {"x": list(range(30))}, backend="sync",
         )
         assert res.initiation_interval() == pytest.approx(2.0)
+
+    def jammed_graph(self, depth: int) -> DataflowGraph:
+        """The FIFO feeds a join whose other side runs dry, so it
+        fills and then holds its tokens without acting."""
+        g = DataflowGraph("jammed")
+        a = g.add_source("a", stream="x")
+        b = g.add_source("b", stream="b")
+        f = g.add_fifo(depth)
+        add = g.add_cell(Op.ADD)
+        sink = g.add_sink("out", stream="y")
+        g.connect(a, f, 0)
+        g.connect(f, add, 0)
+        g.connect(b, add, 1)
+        g.connect(add, sink, 0)
+        return g
+
+    @pytest.mark.parametrize("shape", ["open", "jammed"])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 5, 8])
+    def test_occupancy_count_matches_the_slots_after_every_step(
+        self, depth, shape
+    ):
+        if shape == "open":
+            sim = SyncSimulator(self.fifo_graph(depth), {"x": list(range(12))})
+        else:
+            sim = SyncSimulator(self.jammed_graph(depth),
+                                {"x": list(range(12)), "b": [1, 2]})
+        occupied = []
+        while True:
+            fired = sim.step()
+            slots = sum(s is not _NO_TOKEN
+                        for st in sim.fifo_state.values() for s in st.slots)
+            assert occupancy_snapshot(sim)["fifos"] == slots
+            occupied.append(slots)
+            if not fired:
+                break
+        if shape == "open":
+            assert occupied[-1] == 0 and (max(occupied) > 0) == (depth > 1)
+        else:
+            assert occupied[-1] == max(occupied) == depth - 1
 
 
 class TestGating:

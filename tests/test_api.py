@@ -16,7 +16,7 @@ import repro
 from repro import api
 from repro.checkpoint import CheckpointConfig
 from repro.cli import main as cli_main
-from repro.errors import ReproError
+from repro.errors import ReproError, SimulationTimeout
 from repro.faults import FaultPlan
 from repro.machine import MachineConfig
 from repro.workloads import FIG2_SOURCE, figure_workload
@@ -360,3 +360,38 @@ class TestCliJson:
         assert envelope["schema"] == 1
         assert envelope["command"] == "bisect"
         assert envelope["result"]["diverged"] is False
+
+
+class TestMaxCycles:
+    """``max_cycles`` is a budget on every backend: ``None`` takes the
+    backend's default, anything else must be a positive int -- 0 used
+    to mean "the default" and a negative budget reached the engines."""
+
+    BACKENDS = ["sync", "event", "sharded", "compiled"]
+
+    @pytest.mark.parametrize("budget", [0, -1, 2.5, True])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_useless_budget_is_refused_by_name(self, backend, budget):
+        cp, inputs = _fig2()
+        with pytest.raises(ReproError, match="^max_cycles must be a "
+                           f"positive int, got {budget!r}$"):
+            repro.run(cp, inputs, backend=backend, max_cycles=budget)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_short_budget_is_honoured(self, backend):
+        cp, inputs = _fig2()
+        with pytest.raises(SimulationTimeout):
+            repro.run(cp, inputs, backend=backend, max_cycles=1)
+
+    @pytest.mark.parametrize("argv", [
+        ["checkpoint", "fig2", "--dir", "d"], ["resume", "d"],
+        ["supervise", "fig2", "--dir", "d"], ["replay", "d"],
+        ["bisect", "d"],
+    ], ids=lambda argv: argv[0])
+    def test_the_cli_flag_refuses_zero_in_one_line(self, tmp_path, capsys,
+                                                   monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main([*argv, "--max-cycles", "0"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --max-cycles must be >= 1, got 0"]
+        assert not (tmp_path / "d").exists()
