@@ -57,6 +57,8 @@ class WorkerPool:
         #: free slot indices
         self._free: asyncio.Queue = asyncio.Queue()
         self._respawn_tasks: set = set()
+        #: calls holding or waiting for a worker
+        self._calls = 0
         self._env = child_env()
         self._rng = random.Random(0)
         self._closed = False
@@ -64,6 +66,12 @@ class WorkerPool:
     @property
     def alive(self) -> int:
         return sum(1 for w in self._workers if w.alive)
+
+    @property
+    def idle(self) -> bool:
+        """Whether a call made now would find a worker nobody else
+        holds or waits for."""
+        return self._calls < self.size
 
     async def _warm(self) -> Worker:
         """Spawn + ping before a worker is offered to callers, so a
@@ -140,6 +148,14 @@ class WorkerPool:
         retry/backoff/exhaustion policy.
         """
         timeout = max(0.01, min(timeout, self.call_deadline))
+        self._calls += 1
+        try:
+            return await self._call(payload, timeout)
+        finally:
+            self._calls -= 1
+
+    async def _call(self, payload: dict[str, Any],
+                    timeout: float) -> dict[str, Any]:
         slot = await self._free.get()
         try:
             reply = await asyncio.to_thread(

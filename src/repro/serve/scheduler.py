@@ -76,7 +76,8 @@ class BatchPlanner:
     """Drains an :class:`AdmissionQueue` into dispatch decisions.
 
     A lone batchable job lingers ``batch_wait`` seconds for companions
-    (0: never); ``min_batch > max_batch`` means serial only."""
+    (0: never) while no worker is idle, so the wait never leaves a
+    worker idle; ``min_batch > max_batch`` means serial only."""
 
     def __init__(self, min_batch: int, max_batch: int, batch_wait: float,
                  clock: Callable[[], float] = time.monotonic) -> None:
@@ -115,8 +116,10 @@ class BatchPlanner:
         return self.costs.estimate(sig) * size
 
     # -- planning ------------------------------------------------------
-    def plan(self, queue: AdmissionQueue) -> list[Dispatch]:
-        """Remove ready work from ``queue`` and decide its shape."""
+    def plan(self, queue: AdmissionQueue,
+             idle: bool = False) -> list[Dispatch]:
+        """Remove ready work from ``queue`` and decide its shape;
+        ``idle``: a worker is free to run it now."""
         now = self.clock()
         dispatches: list[Dispatch] = []
 
@@ -160,12 +163,13 @@ class BatchPlanner:
                 )
                 continue
             # a lone batchable job: linger briefly for companions,
-            # unless waiting would eat its deadline slack
+            # unless a worker is idle or waiting would eat its
+            # deadline slack
             state = members[0]
             est = self.costs.estimate(sig)
             slack = state.remaining(now) - est
             since = self._lingering.setdefault(sig, now)
-            if (self.batch_wait > 0
+            if (self.batch_wait > 0 and not idle
                     and now - since < self.batch_wait
                     and slack > self.batch_wait):
                 continue  # keep it queued one more tick

@@ -148,6 +148,8 @@ class PipelineServer:
         self._tasks: set[asyncio.Task] = set()
         self._servers: list[asyncio.AbstractServer] = []
         self._dispatcher: Optional[asyncio.Task] = None
+        #: cleared by stop() right before it cancels the dispatcher
+        self._dispatching = True
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -220,6 +222,7 @@ class PipelineServer:
         while (self.queue.depth or self._inflight_count) \
                 and time.monotonic() < deadline:
             await asyncio.sleep(0.02)
+        self._dispatching = False
         if self._dispatcher is not None:
             self._dispatcher.cancel()
             try:
@@ -308,9 +311,12 @@ class PipelineServer:
     # ------------------------------------------------------------------
     async def _dispatch_loop(self) -> None:
         tick = max(0.005, self.config.batch_wait / 2 or 0.01)
-        while True:
+        # wait_for swallows a cancel that lands just as _wake fires
+        # (Python < 3.12), so the flag, not the cancel, ends the loop
+        while self._dispatching:
             self._wake.clear()
-            for dispatch in self.planner.plan(self.queue):
+            for dispatch in self.planner.plan(self.queue,
+                                              idle=self.pool.idle):
                 task = asyncio.create_task(self._execute(dispatch))
                 self._tasks.add(task)
                 task.add_done_callback(self._tasks.discard)
@@ -331,6 +337,8 @@ class PipelineServer:
         finally:
             self._inflight_count -= len(dispatch.states)
             self.stats.inflight = self._inflight_count
+            # a worker is free again: a lingering job may go now
+            self._wake.set()
 
     def _finish_ok(self, state: JobState, result: dict[str, Any],
                    batched: bool) -> None:

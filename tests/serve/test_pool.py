@@ -87,6 +87,20 @@ class TestPool:
             assert pool.alive >= 1
         _run(_with_pool(2, body))
 
+    def test_idle_until_a_call_holds_or_waits_for_every_worker(self):
+        async def body(pool):
+            assert pool.idle
+            call = asyncio.create_task(pool.execute(
+                _job_payload(make_spec("a", m=4),
+                             inject={"kind": "slow", "delay": 0.2}),
+                30.0,
+            ))
+            await asyncio.sleep(0)
+            assert not pool.idle
+            assert (await call)["ok"]
+            assert pool.idle
+        _run(_with_pool(1, body))
+
     def test_call_deadline_caps_job_timeout(self):
         async def body(pool):
             pool.call_deadline = 0.7

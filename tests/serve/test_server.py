@@ -183,6 +183,29 @@ class TestFaultIsolation:
         assert record["error"]["elapsed"] >= 1.0
 
 
+class TestShutdown:
+    def test_stop_ends_a_dispatcher_cancelled_as_it_wakes(self, tmp_path):
+        # a long batch_wait keeps the dispatcher's tick out of the way
+        config = _config(tmp_path, workers=1, batch_wait=10.0)
+
+        async def body():
+            server = PipelineServer(config)
+            await server.start()
+            await asyncio.sleep(0.05)   # the dispatcher waits on _wake
+            loop = asyncio.get_running_loop()
+            # a swallowed cancel would leave stop() waiting: repeat it
+            loop.call_later(5.0, server._dispatcher.cancel)
+            started = loop.time()
+            server._wake.set()
+            # the dispatcher is due to resume when stop() cancels it
+            for _ in range(2):
+                await asyncio.sleep(0)
+            await server.stop()
+            return loop.time() - started
+
+        assert asyncio.run(body()) < 5.0
+
+
 class TestBackpressure:
     def test_overload_sheds_typed_with_retry_after(self, tmp_path):
         config = _config(tmp_path, capacity=2, workers=1,
