@@ -1275,7 +1275,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "--max-batch 1 disables batching entirely")
     p.add_argument("--batch-wait", type=float, default=0.02,
                    help="seconds a lone batchable job lingers for "
-                   "companions while no worker is idle (default 0.02)")
+                   "companions; beside an idle worker at most its "
+                   "estimated run time (default 0.02)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for retry-backoff jitter and stats "
                    "reservoirs")

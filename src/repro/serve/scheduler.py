@@ -76,8 +76,9 @@ class BatchPlanner:
     """Drains an :class:`AdmissionQueue` into dispatch decisions.
 
     A lone batchable job lingers ``batch_wait`` seconds for companions
-    (0: never) while no worker is idle, so the wait never leaves a
-    worker idle; ``min_batch > max_batch`` means serial only."""
+    (0: never); beside an idle worker no longer than its estimated
+    serial run, since a longer wait costs more than a companion can
+    save.  ``min_batch > max_batch`` means serial only."""
 
     def __init__(self, min_batch: int, max_batch: int, batch_wait: float,
                  clock: Callable[[], float] = time.monotonic) -> None:
@@ -91,6 +92,9 @@ class BatchPlanner:
         #: signature -> monotonic time its current lone job started
         #: waiting for companions
         self._lingering: dict[str, float] = {}
+        #: monotonic time the last plan() wants the next one by (when
+        #: a lingering job's wait ends)
+        self.wake_at = float("inf")
 
     # -- cost bookkeeping ---------------------------------------------
     @staticmethod
@@ -122,6 +126,7 @@ class BatchPlanner:
         ``idle``: a worker is free to run it now."""
         now = self.clock()
         dispatches: list[Dispatch] = []
+        self.wake_at = float("inf")
 
         # non-batchable jobs go serial immediately, FIFO
         for state in queue.take_matching(
@@ -163,16 +168,16 @@ class BatchPlanner:
                 )
                 continue
             # a lone batchable job: linger briefly for companions,
-            # unless a worker is idle or waiting would eat its
-            # deadline slack
+            # unless waiting would eat its deadline slack
             state = members[0]
             est = self.costs.estimate(sig)
             slack = state.remaining(now) - est
             since = self._lingering.setdefault(sig, now)
-            if (self.batch_wait > 0 and not idle
-                    and now - since < self.batch_wait
+            limit = min(self.batch_wait, est) if idle else self.batch_wait
+            if (limit > 0 and now - since < limit
                     and slack > self.batch_wait):
-                continue  # keep it queued one more tick
+                self.wake_at = min(self.wake_at, since + limit)
+                continue  # keep it queued one more pass
             chosen = {id(state)}
             taken = queue.take_matching(lambda s: id(s) in chosen, limit=1)
             self._lingering.pop(sig, None)

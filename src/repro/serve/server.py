@@ -322,7 +322,9 @@ class PipelineServer:
                 task.add_done_callback(self._tasks.discard)
             self.stats.queue_depth = self.queue.depth
             try:
-                await asyncio.wait_for(self._wake.wait(), timeout=tick)
+                await asyncio.wait_for(self._wake.wait(), timeout=max(
+                    0.0, min(tick, self.planner.wake_at - time.monotonic())
+                ))
             except asyncio.TimeoutError:
                 pass
 

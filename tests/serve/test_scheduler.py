@@ -1,6 +1,9 @@
 """The batch planner's linger rule, driven by a fake clock shared with
 the admission queue."""
 
+import pytest
+
+from repro.serve import jobs
 from repro.serve.admission import AdmissionQueue
 from repro.serve.scheduler import BatchPlanner
 
@@ -38,9 +41,22 @@ class TestLinger:
         (dispatch,) = planner.plan(queue, idle=False)
         assert not dispatch.batched and dispatch.ids == ["a"]
 
-    def test_lone_job_never_lingers_beside_an_idle_worker(self):
+    def test_lone_job_lingers_while_busy_asks_for_a_pass_at_its_limit(
+            self):
         now, planner, queue = _planner_and_queue()
         queue.offer(make_spec("a"))
+        assert planner.plan(queue, idle=False) == []
+        assert planner.wake_at == pytest.approx(now[0] + 0.02)
+
+    def test_beside_an_idle_worker_linger_at_most_a_serial_run(self):
+        now, planner, queue = _planner_and_queue()
+        spec = make_spec("a")
+        planner.costs.observe(jobs.signature(spec), 0.005)
+        queue.offer(spec)
+        assert planner.plan(queue, idle=True) == []
+        assert planner.wake_at == pytest.approx(now[0] + 0.005)
+        now[0] += 0.006
         (dispatch,) = planner.plan(queue, idle=True)
         assert not dispatch.batched and dispatch.ids == ["a"]
         assert queue.depth == 0
+        assert planner.wake_at == float("inf")
