@@ -26,6 +26,7 @@ the supervisor) detect that a directory needs the coordinated path.
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -382,10 +383,14 @@ class CoordinatedCheckpointManager:
         names: list[str],
         sizes: list[int],
         kind: str = "full",
+        started: Optional[float] = None,
     ) -> None:
         """Commit one complete set: all ``names`` are on disk (the
         workers have replied), so the manifest entry makes the set
         visible to resume; retention then prunes whole old sets.
+        ``started`` is the ``time.perf_counter()`` at which the runner
+        posted the barrier; the set's write latency runs from there to
+        this commit.
 
         A ``kind="delta"`` set commits only when its parent set (the
         previous committed barrier) is still intact -- all K parent
@@ -435,6 +440,8 @@ class CoordinatedCheckpointManager:
             self.stats.delta_bytes_written += sum(sizes)
         self.stats.last_snapshot_cycle = cycle
         self._write()
+        if started is not None:
+            self.stats.record_write(time.perf_counter() - started)
         self._prune()
         if kind != "full":
             self._chain_live = True

@@ -256,13 +256,7 @@ class CheckpointManager:
             path = write_chain_snapshot(
                 machine, self.directory / name, reason, kind=kind
             )
-        elapsed = time.perf_counter() - t0
-        self.stats.seconds_spent += elapsed
-        # per-snapshot latency samples for p50/p99 reporting; bounded
-        # so a service-length run cannot grow its own snapshots
-        self.stats.latencies.append(elapsed)
-        if len(self.stats.latencies) > 8192:
-            del self.stats.latencies[:4096]
+        self.stats.record_write(time.perf_counter() - t0)
         size = path.stat().st_size
         self.stats.bytes_written += size
         if kind == "delta":

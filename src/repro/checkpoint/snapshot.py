@@ -158,9 +158,19 @@ class _RestrictedUnpickler(pickle.Unpickler):
     rebound over an allowlisted name) executes under ``REDUCE``
     instead of merely constructing state, so non-classes are refused
     even if a future allowlist edit names one by mistake.
+
+    A pair that passed every check is remembered for the process, so a
+    chain resume stops re-checking ``_CellState`` for every section it
+    unpickles; a refusal is never remembered and re-raised each time.
     """
 
+    #: ``(module, name)`` -> the class it resolved to, after all checks
+    _admitted: dict[tuple[str, str], type] = {}
+
     def find_class(self, module: str, name: str) -> Any:
+        admitted = self._admitted.get((module, name))
+        if admitted is not None:
+            return admitted
         if "." in name:
             raise SnapshotError(
                 f"snapshot payload references dotted global "
@@ -186,6 +196,7 @@ class _RestrictedUnpickler(pickle.Unpickler):
                 f"snapshot payload references {module}.{name}, which "
                 f"is not defined inside the repro package"
             )
+        self._admitted[module, name] = obj
         return obj
 
 
@@ -469,16 +480,25 @@ def snapshot_cycle(path: Union[str, Path]) -> int:
 def _section_blobs(machine: Any) -> dict[str, bytes]:
     """Pickle each addressable state section of ``machine`` separately.
 
-    The blobs serve double duty: their SHA-256 digests are the dirty
-    tracking (a section is dirty iff its bytes changed since the chain
-    tip), and the dirty blobs themselves *are* the delta payload -- so
-    digest and stored bytes can never disagree.
+    The blobs serve double duty: comparing them with the chain tip's is
+    the dirty tracking (a section is dirty iff its bytes changed since
+    the tip), and the dirty blobs themselves *are* the delta payload --
+    so the comparison and the stored bytes can never disagree.  A value
+    that appears under several keys (a shard's one shared pristine
+    record for the cells it does not own) is pickled once: ``sections``
+    keeps every value alive for the call, so an id names one object.
     """
     sections = machine.snapshot_sections()
-    return {
-        key: pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        for key, value in sections.items()
-    }
+    pickled: dict[int, bytes] = {}
+    blobs = {}
+    for key, value in sections.items():
+        blob = pickled.get(id(value))
+        if blob is None:
+            blob = pickled[id(value)] = pickle.dumps(
+                value, protocol=pickle.HIGHEST_PROTOCOL
+            )
+        blobs[key] = blob
+    return blobs
 
 
 def write_chain_snapshot(
@@ -504,9 +524,6 @@ def write_chain_snapshot(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     blobs = _section_blobs(machine)
-    digests = {
-        key: hashlib.sha256(blob).hexdigest() for key, blob in blobs.items()
-    }
     if kind == "base":
         data = snapshot_bytes(
             machine, reason, extra=extra,
@@ -526,9 +543,9 @@ def write_chain_snapshot(
         changed = {
             key: blob
             for key, blob in blobs.items()
-            if digests[key] != tip["digests"].get(key)
+            if blob != tip["blobs"].get(key)
         }
-        removed = sorted(k for k in tip["digests"] if k not in digests)
+        removed = sorted(k for k in tip["blobs"] if k not in blobs)
         body: dict[str, Any] = {
             "delta": True,
             "cycle": machine.now,
@@ -553,7 +570,7 @@ def write_chain_snapshot(
         raise SnapshotError(f"unknown chain snapshot kind {kind!r}")
     _atomic_write(path, data)
     machine._snap_chain = {
-        "digests": digests,
+        "blobs": blobs,
         "name": path.name,
         "checksum": hashlib.sha256(payload).hexdigest(),
         "depth": depth,

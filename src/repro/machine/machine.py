@@ -371,7 +371,7 @@ class Machine:
         #: appended by :meth:`request_snapshot` (possibly from a signal
         #: handler) and drained by the event loop between events
         self._snap_requests: list[tuple[str, Optional[str]]] = []
-        #: in-memory delta-chain tip (section digests + parent name,
+        #: in-memory delta-chain tip (pickled sections + parent name,
         #: checksum and depth), owned by the chain snapshot writer.
         #: Never serialized (see ``__getstate__``): a loaded or
         #: rolled-back machine always restarts its chain with a base.
@@ -1048,7 +1048,7 @@ class Machine:
         # the chain tip must die with the process: a pickled copy of
         # this machine (snapshot, worker clone, degraded-shard
         # round-trip) has no claim on files the original wrote, and its
-        # section digests would be stale the moment either side runs
+        # pickled sections would be stale the moment either side runs
         state = self.__dict__.copy()
         state.pop("_snap_chain", None)
         # derived from graph + config: relinked on load, never stored

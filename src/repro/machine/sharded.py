@@ -56,18 +56,21 @@ Worker processes are :class:`repro.workers.Worker` children forked
 with a :class:`_LocalShard` as their request handler, so a process
 shard executes exactly the commands the in-process transport does.
 Spawn, framing, crash/hang detection, teardown and the warm pool all
-live in :mod:`repro.workers`; this module only turns a
+live in :mod:`repro.workers`.  Every per-shard command (``start``,
+``window``, ``snapshot``, ``rebuild``, ``finish``, ``load``) goes
+through one fan-out, :meth:`ShardedRunner._fan_out`: post to all K
+workers, then collect the replies in shard order, turning the first
 :class:`~repro.workers.WorkerFailure` into :class:`ShardCrashError` /
-:class:`ShardHangError` (:meth:`ShardedRunner._reply`).  Workers
-outlive a run: on success they park in the pool under the content
-digest of the graph, and the next ``ShardedRunner`` over an equal
-graph reclaims them with a ``rebuild`` command instead of paying
-fork+import again.  Cut packets travel
-on the seq-tagged command pipe and nowhere else: a ``window`` command
-carries every packet a shard is due, its reply carries every packet
-the window emitted, so a window costs one round trip per worker
-however many packets cross the cut -- and the acknowledge discipline
-(one token per arc) bounds that number by about twice the cut size.
+:class:`ShardHangError`.  Workers outlive a run: on success they park
+in the pool under the content digest of the graph, and the next
+``ShardedRunner`` over an equal graph reclaims them with a
+``rebuild`` command instead of paying fork+import again.  Cut packets
+travel on the seq-tagged command pipe and nowhere else: a ``window``
+command carries every packet a shard is due, its reply carries every
+packet the window emitted, so a window costs one round trip per
+worker however many packets cross the cut -- and the acknowledge
+discipline (one token per arc) bounds that number by about twice the
+cut size.
 Between barriers nothing is in flight outside the coordinator -- the
 Chandy-Lamport ``channel_state`` captured by coordinated snapshots is
 therefore complete by construction.
@@ -967,10 +970,7 @@ class ShardedRunner:
             while True:
                 try:
                     self._drive(eps, max_cycles, crash_at)
-                    self.machines = [
-                        self._finish_one(k, ep)
-                        for k, ep in enumerate(eps)
-                    ]
+                    self.machines = self._finish(eps)
                     clean = True
                     break
                 except ShardCrashError as exc:
@@ -991,19 +991,34 @@ class ShardedRunner:
         return self.stats()
 
     def _spawn(self, crash_at: Optional[int], crash_shard: int):
-        self.worker_pids = [None] * self.shards
         self._last_cycle = [-1] * self.shards
+        crash = [crash_at if k == crash_shard else None
+                 for k in range(self.shards)]
         # only pristine pre-run machines are rebuild-equivalent; a
         # resumed/restored machine carries run state the rebuild op
         # cannot reproduce, so it always gets a fork-fresh copy
         pool_key = None
+        warm = [None] * self.shards
         if self._processes and not self.machines[0]._started:
             pool_key = _graph_key(self.machines[0].graph)
+            # reclaim parked warm workers: rebuild their machines for
+            # this run instead of paying fork + import again
+            warm = [None if k in self._degraded else unpark(pool_key)
+                    for k in range(self.shards)]
+        dead: set = set()
+        self._fan_out(warm, [
+            w and ("rebuild", self._rebuild_spec(k, m, crash[k]))
+            for k, (w, m) in enumerate(zip(warm, self.machines))
+        ], failed=dead)
+        for k in dead:
+            # it died between the liveness check and the rebuild
+            warm[k].close()
+            warm[k] = None
+        self.worker_reuses += self.shards - warm.count(None)
+        self.worker_pids = [w and w.pid for w in warm]
         return [
-            self._spawn_one(
-                k, m, crash_at if k == crash_shard else None, pool_key
-            )
-            for k, m in enumerate(self.machines)
+            self._spawn_one(k, m, crash[k], pool_key) if w is None else w
+            for k, (w, m) in enumerate(zip(warm, self.machines))
         ]
 
     def _spawn_one(self, shard: int, machine: ShardMachine,
@@ -1017,66 +1032,60 @@ class ShardedRunner:
             self.worker_pids[shard] = None
             return _LocalShard(shard, machine, crash_at)
         self._last_cycle[shard] = -1
-        worker = unpark(pool_key) if pool_key is not None else None
-        if worker is not None:
-            # reclaim a parked warm worker: rebuild its machine for
-            # this run instead of paying fork + import again
-            worker.post(("rebuild",
-                         self._rebuild_spec(shard, machine, crash_at)))
-            try:
-                self._reply(shard, worker)
-            except ShardCrashError:
-                # it died between the liveness check and the rebuild
-                worker.close()
-            else:
-                self.worker_reuses += 1
-                self.worker_pids[shard] = worker.pid
-                return worker
         worker = Worker.fork(_LocalShard(shard, machine, crash_at),
                              name=f"repro-shard-{shard}", key=pool_key)
         self.worker_spawns += 1
         self.worker_pids[shard] = worker.pid
         return worker
 
-    def _reply(self, shard: int, ep) -> Any:
-        """Shard ``shard``'s reply to its last command -- the one
-        place a worker failure becomes a typed shard error."""
-        policy = self._heal
-        try:
-            reply = ep.wait(policy.deadline if policy else _DEFAULT_DEADLINE)
-        except WorkerFailure as failure:
-            cycle = self._last_cycle[shard]
-            error = ShardHangError if failure.kind == "hang" else ShardCrashError
-            raise error(
-                f"shard {shard} worker {failure.detail} near cycle {cycle}",
-                shard=shard, exitcode=failure.exitcode, cycle=cycle,
-            ) from None
-        if reply[0] == "error":
-            raise _rebuild_error(*reply[1:])
-        return reply[1]
+    def _fan_out(self, eps, cmds, failed: Optional[set] = None) -> list:
+        """Post ``cmds[k]`` to endpoint ``k`` (None skips it), then
+        collect the replies in shard order, so all K workers run the
+        command at once -- the one place a worker failure becomes a
+        typed shard error.  The first failing reply in shard order
+        raises, unless ``failed`` collects the shards whose workers
+        died (their reply slots stay None)."""
+        for ep, cmd in zip(eps, cmds):
+            if cmd is not None:
+                ep.post(cmd)
+        deadline = self._heal.deadline if self._heal else _DEFAULT_DEADLINE
+        replies = [None] * len(cmds)
+        for k, (ep, cmd) in enumerate(zip(eps, cmds)):
+            if cmd is None:
+                continue
+            try:
+                reply = ep.wait(deadline)
+            except WorkerFailure as failure:
+                if failed is not None:
+                    failed.add(k)
+                    continue
+                cycle = self._last_cycle[k]
+                error = (ShardHangError if failure.kind == "hang"
+                         else ShardCrashError)
+                raise error(
+                    f"shard {k} worker {failure.detail} near cycle {cycle}",
+                    shard=k, exitcode=failure.exitcode, cycle=cycle,
+                ) from None
+            if reply[0] == "error":
+                raise _rebuild_error(*reply[1:])
+            replies[k] = reply[1]
+        return replies
 
     def _rebuild_spec(self, shard: int, machine: ShardMachine,
                       crash_at: Optional[int]) -> dict:
         """Constructor args a pooled worker needs to rebuild this
         shard's pristine machine from its retained graph."""
-        return {
-            "shard_index": shard,
-            "n_shards": self.shards,
-            "owner": machine._owner,
-            "config": machine.config,
-            "inputs": machine.inputs,
-            "policy": self._policy,
-            "fault_plan": machine.fault_plan,
-            "recovery": machine.recovery,
-            "workload_id": machine.workload_id,
-            "crash_at": crash_at,
-        }
+        return dict(
+            shard_index=shard, n_shards=self.shards, owner=machine._owner,
+            config=machine.config, inputs=machine.inputs,
+            policy=self._policy, fault_plan=machine.fault_plan,
+            recovery=machine.recovery, workload_id=machine.workload_id,
+            crash_at=crash_at,
+        )
 
     def _drive(self, eps, max_cycles: int,
                crash_at: Optional[int] = None) -> None:
-        for ep in eps:
-            ep.post(("start",))
-        frontier = [self._reply(k, ep) for k, ep in enumerate(eps)]
+        frontier = self._fan_out(eps, [("start",)] * len(eps))
         #: in-flight packets: (when, src shard, emission index, dst,
         #: kind, args) -- sorted injection keeps the run deterministic
         pending: list[tuple[int, int, int, int, str, tuple]] = []
@@ -1108,13 +1117,13 @@ class ShardedRunner:
                 t_min, frontier, msg_bound, crash_at
             )
             self.windows_run += 1
-            for k, ep in enumerate(eps):
-                self._last_cycle[k] = horizon
-                ep.post(("window", horizon, max_cycles,
-                         by_dst.get(k, []), self._take_fault(k, horizon)))
+            self._last_cycle = [horizon] * len(eps)
             frontier = []
-            for k, ep in enumerate(eps):
-                outbox, nt, live, eot = self._reply(k, ep)
+            for k, (outbox, nt, live, eot) in enumerate(self._fan_out(eps, [
+                ("window", horizon, max_cycles, by_dst.get(k, []),
+                 self._take_fault(k, horizon))
+                for k in range(len(eps))
+            ])):
                 for idx, (dst, when, kind, args) in enumerate(outbox):
                     pending.append((when, k, idx, dst, kind, args))
                 frontier.append((nt, live, eot))
@@ -1159,32 +1168,32 @@ class ShardedRunner:
         # requested while the previous set was written by these same
         # live workers -- any rollback, resume or respawn resets the
         # chain, so the next set is a full base
+        started = time.perf_counter()
         kind = self._ckpt.next_kind()
         names = [self._ckpt.shard_name(cycle, k) for k in range(len(eps))]
-        for k, ep in enumerate(eps):
-            path = str(self._ckpt.directory / names[k])
-            self._last_cycle[k] = cycle
-            ep.post(("snapshot", path, cycle, by_dst.get(k, []),
-                     self._take_fault(k, cycle), kind))
-        sizes = [self._reply(k, ep) for k, ep in enumerate(eps)]
-        self._ckpt.commit(cycle, names, sizes, kind=kind)
+        self._last_cycle = [cycle] * len(eps)
+        sizes = self._fan_out(eps, [
+            ("snapshot", str(self._ckpt.directory / names[k]), cycle,
+             by_dst.get(k, []), self._take_fault(k, cycle), kind)
+            for k in range(len(eps))
+        ])
+        self._ckpt.commit(cycle, names, sizes, kind=kind, started=started)
         # a committed set is forward progress: clear strike counting,
         # mirroring the supervisor's progressed-past-resume-point rule
         self._strikes.clear()
 
-    def _finish_one(self, k: int, ep) -> ShardMachine:
-        """Collect shard ``k``'s final state.  An in-process shard
+    def _finish(self, eps) -> list[ShardMachine]:
+        """Collect every shard's final state.  An in-process shard
         hands back its machine object; a worker ships only the mutable
         state, which overlays the coordinator's own (static-equal)
         machine -- the worker keeps its copy and stays eligible for
         the warm pool."""
-        ep.post(("finish",))
-        state = self._reply(k, ep)
-        if isinstance(state, ShardMachine):
-            return state
-        machine = self.machines[k]
-        machine.__dict__.update(state)
-        return machine
+        states = self._fan_out(eps, [("finish",)] * len(eps))
+        for k, state in enumerate(states):
+            if not isinstance(state, ShardMachine):
+                self.machines[k].__dict__.update(state)
+                states[k] = self.machines[k]
+        return states
 
     # ------------------------------------------------------------------
     # in-process self-healing
@@ -1302,26 +1311,16 @@ class ShardedRunner:
             for ep in eps:
                 ep.close()
             fresh = self._spawn(None, 0)
-            rec.respawns += sum(
-                1 for k in range(self.shards)
-                if k in failed and k not in self._degraded
-            )
+            rec.respawns += len(failed - self._degraded)
             return fresh
-        paths = [
-            str(self._ckpt.directory / name) for name in entry["files"]
-        ]
-        respawn = set(failed)
-        for k, ep in enumerate(eps):
-            if k in respawn or k in self._degraded:
-                respawn.add(k)
-                continue
-            ep.post(("load", paths[k]))
-            try:
-                self._reply(k, ep)
-            except ShardCrashError:
-                # a survivor died too (e.g. several chaos faults in
-                # one window); replace it as well
-                respawn.add(k)
+        paths = [str(self._ckpt.directory / n) for n in entry["files"]]
+        respawn = set(failed) | self._degraded
+        # a survivor that dies too (e.g. several chaos faults in one
+        # window) is replaced as well
+        self._fan_out(eps, [
+            None if k in respawn else ("load", paths[k])
+            for k in range(len(eps))
+        ], failed=respawn)
         new_eps = list(eps)
         for k in sorted(respawn):
             eps[k].close()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -63,8 +64,8 @@ class CheckpointStats:
     #: wall-clock seconds spent serializing + writing snapshots (the
     #: simulated clock never sees checkpointing)
     seconds_spent: float = 0.0
-    #: per-snapshot write latencies in seconds (bounded by the manager
-    #: so long service runs cannot grow their own snapshots)
+    #: per-write latencies in seconds -- one per snapshot, or one per
+    #: coordinated set (bounded by :meth:`record_write`)
     latencies: list = field(default_factory=list)
 
     def __setstate__(self, state) -> None:
@@ -72,6 +73,15 @@ class CheckpointStats:
         # backfill defaults so a migrated snapshot resumes cleanly
         self.__dict__.update(CheckpointStats().__dict__)
         self.__dict__.update(state)
+
+    def record_write(self, seconds: float) -> None:
+        """Account one write's wall time.  The latency samples are
+        bounded so a service-length run cannot grow its own
+        snapshots."""
+        self.seconds_spent += seconds
+        self.latencies.append(seconds)
+        if len(self.latencies) > 8192:
+            del self.latencies[:4096]
 
     def summary(self) -> str:
         # the delta clause appears only when delta chains were active,
@@ -82,12 +92,17 @@ class CheckpointStats:
             if self.delta_snapshots
             else ""
         )
+        p50 = (
+            f", write p50 {statistics.median(self.latencies) * 1000:.1f} ms"
+            if self.latencies
+            else ""
+        )
         return (
             f"checkpoints: {self.snapshots_written} snapshots "
             f"({self.bytes_written} bytes, {delta}"
             f"{self.snapshots_pruned} pruned, "
             f"{self.failure_snapshots} failure, {self.live_snapshots} live, "
-            f"{self.seconds_spent * 1000:.1f} ms), "
+            f"{self.seconds_spent * 1000:.1f} ms{p50}), "
             f"last at cycle {self.last_snapshot_cycle}"
         )
 

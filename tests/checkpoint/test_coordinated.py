@@ -8,6 +8,7 @@ mistakes for a loadable checkpoint.
 """
 
 import json
+import re
 
 import pytest
 
@@ -80,6 +81,26 @@ class TestCoordinatedSets:
             assert len(entry["files"]) == 4
             for fname in entry["files"]:
                 assert (directory / fname).exists()
+
+    def test_every_committed_set_records_its_write_latency(
+        self, tmp_path
+    ):
+        runner, _, _ = _checkpointed_run(tmp_path, retain=0)
+        manifest = read_shard_manifest(tmp_path / "snaps")
+        latencies = runner.stats().checkpoints.latencies
+        assert len(latencies) == len(manifest["coordinated"]) > 1
+        assert all(seconds > 0 for seconds in latencies)
+
+    def test_cli_summary_reports_set_write_p50(self, tmp_path, capsys):
+        assert cli_main(
+            ["checkpoint", "fig7", "--size", "16", "--dir",
+             str(tmp_path / "snaps"), "--interval", "10", "--backend",
+             "sharded", "--shards", "2"]
+        ) == 0
+        err = capsys.readouterr().err
+        match = re.search(r"write p50 ([0-9.]+) ms", err)
+        assert match, err
+        assert float(match.group(1)) > 0
 
     def test_retention_prunes_whole_sets(self, tmp_path):
         _checkpointed_run(tmp_path, retain=2)

@@ -290,6 +290,77 @@ class TestRestrictedUnpickler:
             )
 
 
+def _global_ref(module, name):
+    """A protocol-4 pickle holding one ``STACK_GLOBAL`` reference."""
+    out = io.BytesIO()
+    out.write(pickle.PROTO + bytes([4]))
+    for text in (module.encode(), name.encode()):
+        out.write(pickle.SHORT_BINUNICODE + bytes([len(text)]) + text)
+    out.write(pickle.STACK_GLOBAL)
+    out.write(pickle.STOP)
+    return out.getvalue()
+
+
+class TestVerdictCache:
+    """``find_class`` remembers admitted classes, never refusals."""
+
+    REFUSALS = {
+        "dotted": (
+            "repro.machine.machine", "_CellState.__init__", None,
+            "snapshot payload references dotted global "
+            "repro.machine.machine._CellState.__init__; refusing to "
+            "traverse attributes",
+        ),
+        "forbidden": (
+            "os", "system", None,
+            "snapshot payload references forbidden global os.system; "
+            "only allowlisted repro state classes and stdlib containers "
+            "may appear in a snapshot",
+        ),
+        "non-class": (
+            "repro.machine.machine", "validate", "validate",
+            "snapshot payload references repro.machine.machine.validate, "
+            "which is not a class; refusing a callable that REDUCE would "
+            "invoke",
+        ),
+        "foreign class": (
+            "repro.checkpoint.snapshot", "Path", "Path",
+            "snapshot payload references repro.checkpoint.snapshot.Path, "
+            "which is not defined inside the repro package",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_refusals_survive_a_cached_load(self, case, tmp_path,
+                                            monkeypatch):
+        from repro.checkpoint.snapshot import (
+            _REPRO_ALLOWLIST,
+            _RestrictedUnpickler,
+        )
+
+        m = _machine()
+        m.run(stop_at_checkpoint=True)
+        load_machine(save_snapshot(m, tmp_path / "mid.snap"),
+                     expected_cls=Machine)
+        admitted = _RestrictedUnpickler._admitted
+        assert admitted[
+            "repro.machine.machine", "_CellState"
+        ].__name__ == "_CellState"
+        module, name, allow, message = self.REFUSALS[case]
+        if allow is not None:
+            # an allowlist edit naming something that is not a repro
+            # class must still be refused by the later checks
+            monkeypatch.setitem(_REPRO_ALLOWLIST, module,
+                                _REPRO_ALLOWLIST.get(module, frozenset())
+                                | {allow})
+        # refused twice: a refusal is never remembered
+        for _ in range(2):
+            with pytest.raises(SnapshotError) as info:
+                _restricted_loads(_global_ref(module, name), "test")
+            assert str(info.value) == message
+            assert (module, name) not in admitted
+
+
 # ----------------------------------------------------------------------
 # format v1 is recognised and refused
 # ----------------------------------------------------------------------

@@ -8,22 +8,34 @@ real worker processes, and after killing a worker and resuming from a
 coordinated snapshot (covered in tests/checkpoint/test_coordinated.py).
 """
 
+import os
+import signal
+from typing import Optional
+
 import pytest
 
 import repro
 from repro.analysis import Partition, PartitionError, partition_graph
+from repro.checkpoint import (
+    CheckpointConfig,
+    fsck_directory,
+    read_shard_manifest,
+)
 from repro.errors import SimulationError
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, ShardFault
 from repro.faults.plan import FaultPlanError
 from repro.graph import DataflowGraph
 from repro.machine import (
     Machine,
     MachineConfig,
+    RecoveryPolicy,
     ShardConfig,
     ShardedRunner,
     shutdown_worker_pool,
 )
+from repro.machine import sharded as sharded_mod
 from repro.machine.sharded import pooled_worker_count
+from repro.workers import WorkerFailure
 from repro.workloads import figure_workload, parallel_chain_graph
 
 FIGS = ["fig2", "fig4", "fig5", "fig6", "fig7"]
@@ -418,3 +430,161 @@ class TestShardedGuards:
         runner.run()
         with pytest.raises(SimulationError):
             runner.run()
+
+
+class _RecordingEndpoint:
+    """In-process stand-in for a forked shard worker: runs the shard
+    handler on ``post`` (as a real worker would, concurrently) and
+    records every post and wait.  ``dies_on = (shard, op, n)`` makes
+    the wait for ``op``'s ``n``-th post to ``shard`` report a crashed
+    worker."""
+
+    log: list = []
+    dies_on: Optional[tuple] = None
+
+    def __init__(self, handle, key):
+        self.handle, self.key, self.alive = handle, key, True
+        self.pid = id(self)
+
+    @classmethod
+    def fork(cls, handle, *, name, key=None):
+        return cls(handle, key)
+
+    def post(self, cmd):
+        self.op, self.shard = cmd[0], self.handle.machine.shard_index
+        self.log.append(("post", self.op, self.shard))
+        self.reply = self.handle(cmd)
+
+    def wait(self, deadline):
+        self.log.append(("wait", self.op, self.shard))
+        posts = self.log.count(("post", self.op, self.shard))
+        if type(self).dies_on == (self.shard, self.op, posts):
+            self.alive = False
+            raise WorkerFailure("crash", f"pid {self.pid} died", 137)
+        return self.reply
+
+    def close(self):
+        self.alive = False
+
+
+class TestFanOut:
+    """Every per-shard command reaches all K workers before the
+    coordinator waits on the first of them."""
+
+    def setup_method(self):
+        shutdown_worker_pool()
+
+    def teardown_method(self):
+        shutdown_worker_pool()
+
+    def _run(self, tmp_path, graph, streams, name, **ckpt):
+        runner = ShardedRunner(
+            graph, streams, config=MachineConfig.unit_time(),
+            shard_config=ShardConfig(
+                shards=3, processes=True,
+                recovery=RecoveryPolicy(enabled=True, backoff_base=0.0),
+            ),
+            checkpoint=CheckpointConfig(tmp_path / name, interval=10,
+                                        **ckpt),
+        )
+        runner.run()
+        return runner
+
+    def test_every_command_posts_to_all_before_waiting(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sharded_mod, "Worker", _RecordingEndpoint)
+        graph, streams = _figure_graph("fig7", m=16)
+        first = self._run(tmp_path, graph, streams, "a")
+        # the second run over the same graph reclaims the parked
+        # workers; its shard 1 dies answering the cycle-20 snapshot,
+        # the two survivors reload the cycle-10 set, shard 1 is forked
+        monkeypatch.setattr(_RecordingEndpoint, "log", [])
+        monkeypatch.setattr(_RecordingEndpoint, "dies_on",
+                            (1, "snapshot", 2))
+        second = self._run(tmp_path, graph, streams, "b")
+        assert second.worker_reuses == 3
+        assert second.stats().recovery.rollback_cycles == [10]
+        assert first.outputs() == second.outputs()
+        assert first.outputs() == _reference(graph, streams)[0]
+        log = _RecordingEndpoint.log
+        rounds: dict = {}
+        i = 0
+        while i < len(log):
+            phase, op, _ = log[i]
+            j = i
+            while j < len(log) and log[j][:2] == (phase, op):
+                j += 1
+            if phase == "post":
+                # one round: its posts, then (at most) as many waits
+                assert log[j][:2] == ("wait", op)
+                rounds.setdefault(op, set()).add(j - i)
+            i = j
+        assert rounds == {
+            "start": {3}, "window": {3}, "snapshot": {3},
+            "rebuild": {3}, "finish": {3},
+            # only the two survivors reload; shard 1 is re-forked
+            "load": {2},
+        }
+
+    def test_parked_worker_killed_before_reclaim_is_replaced(self):
+        graph, streams = _figure_graph("fig2")
+        sc = ShardConfig(shards=2, processes=True)
+        cfg = MachineConfig.unit_time()
+        first = repro.run(graph, streams, backend="sharded", config=cfg,
+                          shard_config=sc)
+        unpark = sharded_mod.unpark
+        killed = []
+
+        def unpark_then_kill(key):
+            # the first reclaimed worker dies after the pool's liveness
+            # check, so its rebuild reply never comes
+            worker = unpark(key)
+            if not killed:
+                os.kill(worker.pid, signal.SIGKILL)
+                worker.proc.join(5.0)
+                killed.append(worker.pid)
+            return worker
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sharded_mod, "unpark", unpark_then_kill)
+            second = repro.run(graph, streams, backend="sharded",
+                               config=cfg, shard_config=sc)
+        assert killed
+        assert second.engine.worker_spawns == 1
+        assert second.engine.worker_reuses == 1
+        assert second.outputs == first.outputs
+        assert killed[0] not in second.engine.worker_pids
+
+    def test_kill_during_snapshot_rolls_back_to_last_complete_set(
+            self, tmp_path):
+        graph, streams = _figure_graph("fig7", m=16)
+        plan = FaultPlan(
+            derivation="keyed",
+            shard_faults=(ShardFault(shard=1, cycle=30, kind="kill"),),
+        )
+        runner = ShardedRunner(
+            graph, streams, config=MachineConfig.unit_time(),
+            fault_plan=plan,
+            shard_config=ShardConfig(
+                shards=2, processes=True,
+                recovery=RecoveryPolicy(enabled=True, backoff_base=0.0),
+            ),
+            checkpoint=CheckpointConfig(tmp_path / "snaps", interval=10,
+                                        retain=0, delta_every=3),
+        )
+        runner.run()
+        # the empty plan arms the reliability layer as the chaos plan does
+        ref_out, ref_times = _reference(
+            graph, streams, FaultPlan(derivation="keyed")
+        )
+        assert runner.outputs() == ref_out
+        assert {s: runner.sink_arrival_times(s) for s in ref_out} == ref_times
+        rec = runner.stats().recovery
+        assert rec.detections == 1
+        assert rec.rollback_cycles == [20]
+        # the interrupted set was replayed and committed once, as a base
+        manifest = read_shard_manifest(tmp_path / "snaps")
+        kinds = {e["cycle"]: e["kind"] for e in manifest["coordinated"]}
+        assert kinds[10] == "base" and kinds[20] == "delta"
+        assert kinds[30] == "base"
+        assert fsck_directory(tmp_path / "snaps")["ok"]
