@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -92,11 +91,14 @@ class CheckpointStats:
             if self.delta_snapshots
             else ""
         )
-        p50 = (
-            f", write p50 {statistics.median(self.latencies) * 1000:.1f} ms"
-            if self.latencies
-            else ""
-        )
+        p50 = ""
+        if self.latencies:
+            import statistics
+
+            p50 = (
+                f", write p50 "
+                f"{statistics.median(self.latencies) * 1000:.1f} ms"
+            )
         return (
             f"checkpoints: {self.snapshots_written} snapshots "
             f"({self.bytes_written} bytes, {delta}"
