@@ -477,15 +477,14 @@ class TestFanOut:
     def teardown_method(self):
         shutdown_worker_pool()
 
-    def _run(self, tmp_path, graph, streams, name, **ckpt):
+    def _run(self, tmp_path, graph, streams, name):
         runner = ShardedRunner(
             graph, streams, config=MachineConfig.unit_time(),
             shard_config=ShardConfig(
                 shards=3, processes=True,
                 recovery=RecoveryPolicy(enabled=True, backoff_base=0.0),
             ),
-            checkpoint=CheckpointConfig(tmp_path / name, interval=10,
-                                        **ckpt),
+            checkpoint=CheckpointConfig(tmp_path / name, interval=10),
         )
         runner.run()
         return runner
@@ -493,12 +492,13 @@ class TestFanOut:
     def test_every_command_posts_to_all_before_waiting(
             self, tmp_path, monkeypatch):
         monkeypatch.setattr(sharded_mod, "Worker", _RecordingEndpoint)
+        monkeypatch.setattr(_RecordingEndpoint, "log", [])
         graph, streams = _figure_graph("fig7", m=16)
         first = self._run(tmp_path, graph, streams, "a")
         # the second run over the same graph reclaims the parked
         # workers; its shard 1 dies answering the cycle-20 snapshot,
         # the two survivors reload the cycle-10 set, shard 1 is forked
-        monkeypatch.setattr(_RecordingEndpoint, "log", [])
+        _RecordingEndpoint.log.clear()
         monkeypatch.setattr(_RecordingEndpoint, "dies_on",
                             (1, "snapshot", 2))
         second = self._run(tmp_path, graph, streams, "b")
