@@ -225,6 +225,34 @@ class TestCrashResume:
         with pytest.raises(SnapshotError):
             ShardedRunner.resume(directory)
 
+    def test_relative_directory_with_warm_workers_from_another_cwd(
+        self, tmp_path, monkeypatch
+    ):
+        # a pooled worker keeps the cwd it was forked in; the member
+        # files must still land where the coordinator's manifest is
+        import repro
+        from repro.workloads import parallel_chain_graph
+
+        graph = parallel_chain_graph(6, 5, 4)
+        sc = ShardConfig(shards=2, processes=True)
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        clean = repro.run(graph, backend="sharded", shard_config=sc)
+        monkeypatch.chdir(tmp_path / "b")
+        run = repro.run(
+            graph, backend="sharded", shard_config=sc,
+            checkpoint=CheckpointConfig("ck", interval=3, retain=0),
+        )
+        assert run.engine.worker_reuses == 2
+        sets = read_shard_manifest(tmp_path / "b" / "ck")["coordinated"]
+        assert sets
+        for entry in sets:
+            for fname in entry["files"]:
+                assert (tmp_path / "b" / "ck" / fname).exists(), fname
+        assert not (tmp_path / "a" / "ck").exists()
+        assert repro.resume("ck").outputs == clean.outputs
+
     def test_checkpoints_continue_after_resume(self, tmp_path):
         _checkpointed_run(tmp_path, crash_at=30)
         directory = tmp_path / "snaps"
