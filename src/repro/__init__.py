@@ -50,7 +50,6 @@ from .api import (
     BackendProtocol,
     RunRequest,
     RunResult,
-    register_backend,
     resume,
     run,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "compile_program",
     "connect",
     "parse_program",
-    "register_backend",
     "replay_bundle",
     "resume",
     "run",

@@ -20,9 +20,7 @@ entry point, options and result shape.  :func:`run` unifies them::
 ``program`` may be Val source text (compiled on the fly), an already
 compiled :class:`~repro.compiler.CompiledProgram`, or a raw
 :class:`~repro.graph.graph.DataflowGraph`.  Each backend is an object
-satisfying :class:`BackendProtocol`, looked up in :data:`BACKENDS`;
-:func:`register_backend` lets external code plug in another engine
-(e.g. an accelerator bridge) without touching this module.
+satisfying :class:`BackendProtocol`, looked up in :data:`BACKENDS`.
 
 :func:`run` and :func:`resume` are the only run/resume entry points;
 everything about a sharded run beyond its shard count is configured
@@ -207,14 +205,14 @@ _REQUEST_DEFAULTS: dict[str, Any] = {
 
 
 class BackendProtocol(Protocol):
-    """An execution engine pluggable into :func:`run`.
+    """An execution engine :func:`run` dispatches to.
 
-    A backend may declare ``options``, the extra keyword names it
-    consumes; :func:`run` then rejects every other ``**option`` before
-    ``execute`` is called.  A backend without the attribute receives
-    all of them and validates for itself."""
+    ``options`` names the extra keywords the backend consumes;
+    :func:`run` rejects every other ``**option`` before ``execute`` is
+    called."""
 
     name: str
+    options: tuple[str, ...]
 
     def execute(self, request: RunRequest) -> RunResult:
         """Run to quiescence and report backend-independent results."""
@@ -321,11 +319,6 @@ BACKENDS: dict[str, BackendProtocol] = {
 }
 
 
-def register_backend(backend: BackendProtocol) -> None:
-    """Add (or replace) an engine under ``backend.name``."""
-    BACKENDS[backend.name] = backend
-
-
 def _normalize(program: Any, inputs: Optional[Mapping[str, Any]],
                params: Optional[Mapping[str, int]]) -> tuple[Any, dict]:
     """Accept Val source, a CompiledProgram or a raw graph; return the
@@ -372,8 +365,7 @@ def run(
         machine, the default), ``"sharded"`` (K event-driven workers
         over a warm pool) or ``"compiled"`` (the event machine with
         steady-state periods fast-forwarded; bit-identical to
-        ``"event"``) -- or any name added via
-        :func:`register_backend`.
+        ``"event"``).
     ``shards``
         Shard count of the sharded backend; exactly
         ``ShardConfig.shards``.  ``None`` (the default) means "not
@@ -408,8 +400,7 @@ def run(
             f"unknown backend {backend!r}; choose from "
             f"{sorted(BACKENDS)}"
         ) from None
-    # a backend that declares no ``options`` validates its own
-    unknown = sorted(set(options) - set(getattr(engine, "options", options)))
+    unknown = sorted(set(options) - set(engine.options))
     if unknown:
         raise ReproError(
             f"backend {backend!r} does not accept option(s) "

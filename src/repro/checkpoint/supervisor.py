@@ -97,13 +97,10 @@ class SupervisorConfig:
     ``max_restarts``
         Restart budget; the initial start is free, so ``max_restarts=5``
         allows up to six child processes in total.
-    ``backoff_base`` / ``backoff_factor`` / ``backoff_max``
-        Exponential backoff in seconds before restart *i*:
-        ``min(backoff_max, backoff_base * backoff_factor**(i-1))``.
-    ``jitter``
-        Fractional jitter: each delay is scaled by a seeded uniform
-        draw from ``[1-jitter, 1+jitter]`` so a fleet of supervisors
-        never thunders back in lockstep.
+    ``backoff``
+        Delay before restart *i*: a :class:`~repro.workers.BackoffPolicy`
+        (exponential, with seeded jitter so a fleet of supervisors
+        never thunders back in lockstep).
     ``seed``
         Seed for the jitter RNG (the schedule is reproducible).
     ``strikes``
@@ -115,10 +112,7 @@ class SupervisorConfig:
 
     directory: Union[str, Path]
     max_restarts: int = field(default=8, metadata={"min": 0})
-    backoff_base: float = field(default=0.5, metadata={"min": 0})
-    backoff_factor: float = field(default=2.0, metadata={"gt": 0})
-    backoff_max: float = field(default=30.0, metadata={"min": 0})
-    jitter: float = field(default=0.1, metadata={"min": 0, "max": 1})
+    backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
     seed: int = 0
     strikes: int = field(default=2, metadata={"min": 1})
 
@@ -282,15 +276,6 @@ class Supervisor:
             env=child_env(),
         )
 
-    def _backoff(self, restart_index: int) -> float:
-        cfg = self.config
-        policy = BackoffPolicy(
-            base=cfg.backoff_base,
-            factor=cfg.backoff_factor,
-            max_delay=cfg.backoff_max,
-            jitter=cfg.jitter,
-        )
-        return policy.delay(restart_index, self._rng)
 
     def _latest(self) -> Optional[Any]:
         """Newest resumable point: a snapshot path, a coordinated set
@@ -352,7 +337,7 @@ class Supervisor:
             backoff = 0.0
             if report.attempts:
                 restarts += 1
-                backoff = self._backoff(restarts)
+                backoff = self.config.backoff.delay(restarts, self._rng)
                 self.log(
                     f"# supervise: restart {restarts}/"
                     f"{self.config.max_restarts} ({mode}"

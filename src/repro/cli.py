@@ -57,6 +57,7 @@ from typing import Any, Optional
 from . import api
 from .checkpoint import (
     EXIT_SNAPSHOT_UNLOADABLE,
+    BackoffPolicy,
     CheckpointConfig,
     Supervisor,
     SupervisorConfig,
@@ -719,10 +720,10 @@ def cmd_supervise(args: argparse.Namespace) -> int:
         SupervisorConfig(
             args.dir,
             max_restarts=args.max_restarts,
-            backoff_base=args.backoff_base,
-            backoff_factor=args.backoff_factor,
-            backoff_max=args.backoff_max,
-            jitter=args.backoff_jitter,
+            backoff=BackoffPolicy(
+                base=args.backoff_base, factor=args.backoff_factor,
+                max_delay=args.backoff_max, jitter=args.backoff_jitter,
+            ),
             seed=args.backoff_seed,
         ),
         resume_argv=resume_argv,

@@ -25,6 +25,7 @@ from typing import Callable, Optional, Union
 
 from ..config import as_object, check, from_dict
 from ..errors import SimulationError
+from ..workers import BackoffPolicy
 
 __all__ = [
     "RecoveryPolicy",
@@ -50,12 +51,11 @@ class RecoveryPolicy:
     deadline: float = field(default=60.0, metadata={"gt": 0})
     #: respawns allowed per shard before escalating
     max_restarts: int = field(default=3, metadata={"min": 0})
-    #: delay before each respawn: a :class:`repro.workers.BackoffPolicy`
-    #: with these four values, drawn from an RNG seeded with ``seed``
-    backoff_base: float = field(default=0.1, metadata={"min": 0})
-    backoff_factor: float = field(default=2.0, metadata={"gt": 0})
-    backoff_max: float = field(default=2.0, metadata={"min": 0})
-    jitter: float = field(default=0.1, metadata={"min": 0, "max": 1})
+    #: delay before each respawn, its jitter drawn from an RNG seeded
+    #: with ``seed``
+    backoff: BackoffPolicy = field(
+        default_factory=lambda: BackoffPolicy(base=0.1, max_delay=2.0)
+    )
     seed: int = 0
     #: failures inside the same replay window before the resume set is
     #: barred and recovery steps back one set (supervisor parity)

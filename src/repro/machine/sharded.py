@@ -145,7 +145,6 @@ from ..graph.lower import lower_fifos
 from ..graph.opcodes import Op
 from ..graph.validate import validate
 from ..workers import (
-    BackoffPolicy,
     Worker,
     WorkerFailure,
     apply_fault,
@@ -1223,12 +1222,9 @@ class ShardedRunner:
         failed = exc.shard
         self._charge_restart(failed, detect_cycle, policy, exc)
         if failed not in self._degraded:
-            delay = BackoffPolicy(
-                base=policy.backoff_base,
-                factor=policy.backoff_factor,
-                max_delay=policy.backoff_max,
-                jitter=policy.jitter,
-            ).delay(self._restarts.get(failed, 1), self._heal_rng)
+            delay = policy.backoff.delay(
+                self._restarts.get(failed, 1), self._heal_rng
+            )
             if delay:
                 policy.sleep(delay)
         entry = self._resume_point()

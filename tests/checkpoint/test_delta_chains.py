@@ -52,6 +52,7 @@ from repro.machine import (
     ShardedRunner,
 )
 from repro.machine.machine import Machine
+from repro.workers import BackoffPolicy
 from repro.workloads import figure_workload
 
 FAULT_PLAN = FaultPlan(
@@ -491,7 +492,8 @@ class TestSupervisorChainQuarantine:
             parent=moved_base.name, parent_checksum="0" * 64))
 
         outcomes = [(137, None), (137, None), (0, None)]
-        config = SupervisorConfig(directory=tmp_path, jitter=0.0,
+        config = SupervisorConfig(directory=tmp_path,
+                                  backoff=BackoffPolicy(jitter=0.0),
                                   max_restarts=8)
         argvs, sleeps = [], []
 

@@ -26,6 +26,9 @@ from repro.errors import SupervisorError
 from repro.graph.graph import DataflowGraph
 from repro.graph.opcodes import Op
 from repro.machine.machine import Machine
+from repro.workers import BackoffPolicy
+
+NO_JITTER = BackoffPolicy(jitter=0.0)
 
 
 def _machine():
@@ -61,8 +64,8 @@ class ScriptedRunner:
         return SimpleNamespace(returncode=returncode, stdout=stdout)
 
 
-def _supervisor(tmp_path, outcomes, **cfg_kw):
-    cfg_kw.setdefault("jitter", 0.0)
+def _supervisor(tmp_path, outcomes, backoff=(), **cfg_kw):
+    cfg_kw["backoff"] = BackoffPolicy(**{"jitter": 0.0, **dict(backoff)})
     config = SupervisorConfig(directory=tmp_path, **cfg_kw)
     runner = ScriptedRunner(tmp_path, outcomes)
     sleeps = []
@@ -127,7 +130,7 @@ class TestHappyPaths:
             (137, lambda d: _snap(d, "ckpt-000000000100.snap")),
             (0, None),
         ]
-        config = SupervisorConfig(directory=tmp_path, jitter=0.0)
+        config = SupervisorConfig(directory=tmp_path, backoff=NO_JITTER)
         runner = ScriptedRunner(tmp_path, outcomes)
         sup = Supervisor(
             ["start"], config,
@@ -151,7 +154,7 @@ class TestBackoffSchedule:
         outcomes = [(137, advance)] * 5 + [(0, None)]
         sup, _, sleeps = _supervisor(
             tmp_path, outcomes,
-            backoff_base=1.0, backoff_factor=2.0, backoff_max=6.0,
+            backoff=dict(base=1.0, factor=2.0, max_delay=6.0),
             max_restarts=10,
         )
         report = sup.run()
@@ -165,8 +168,9 @@ class TestBackoffSchedule:
                 (137, lambda d: _snap(d, f"ckpt-{next(progress):012d}.snap"))
             ] * 4 + [(0, None)]
             sup, _, sleeps = _supervisor(
-                tmp_path, outcomes, jitter=0.1, seed=seed,
-                backoff_base=1.0, backoff_factor=2.0, backoff_max=30.0,
+                tmp_path, outcomes, seed=seed,
+                backoff=dict(base=1.0, factor=2.0, max_delay=30.0,
+                             jitter=0.1),
                 max_restarts=10,
             )
             sup.run()
@@ -327,7 +331,7 @@ class StderrScriptedRunner(ScriptedRunner):
 
 class TestStderrCapture:
     def _supervisor(self, tmp_path, outcomes, stderrs):
-        config = SupervisorConfig(directory=tmp_path, jitter=0.0)
+        config = SupervisorConfig(directory=tmp_path, backoff=NO_JITTER)
         runner = StderrScriptedRunner(tmp_path, outcomes, stderrs)
         sup = Supervisor(
             start_argv=["start"],
@@ -365,7 +369,7 @@ class TestStderrCapture:
         assert report.stderr == b"clean run\n"
 
     def test_runner_without_stderr_capture_reports_none(self, tmp_path):
-        config = SupervisorConfig(directory=tmp_path, jitter=0.0)
+        config = SupervisorConfig(directory=tmp_path, backoff=NO_JITTER)
         runner = ScriptedRunner(tmp_path, [(0, None)])
         sup = Supervisor(
             start_argv=["start"], config=config,

@@ -32,6 +32,7 @@ from repro.machine import (
     ShardRecoveryExhausted,
 )
 from repro.machine import sharded as sharded_mod
+from repro.workers import BackoffPolicy
 from repro.workloads import figure_workload
 
 FIGS = ["fig2", "fig4", "fig5", "fig6", "fig7"]
@@ -44,7 +45,7 @@ EMPTY_PLAN = FaultPlan(derivation="keyed")
 #: fast-failing policy for tests: healing forced on, no real backoff
 #: waits, and a short enough deadline that hang detection doesn't
 #: dominate the suite
-FAST = dict(enabled=True, backoff_base=0.0, jitter=0.0)
+FAST = dict(enabled=True, backoff=BackoffPolicy(base=0.0, jitter=0.0))
 OFF = RecoveryPolicy(enabled=False)
 
 

@@ -9,6 +9,7 @@ and a mistyped or stale key is a typed error, never a traceback or a
 silent no-op.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -74,6 +75,19 @@ class TestJson:
     def test_unknown_key_is_an_error(self):
         with pytest.raises(SimulationError, match="unknown shard config"):
             ShardConfig.from_json({"shards": 2, "shardz": 3})
+
+    def test_nested_backoff_round_trips(self):
+        backoff = {"base": 0.2, "factor": 3.0, "max_delay": 5.0,
+                   "jitter": 0.0}
+        doc = {"shards": 2, "recovery": {"backoff": backoff}}
+        for form in (doc, json.dumps(doc)):
+            sc = ShardConfig.from_json(form)
+            assert dataclasses.asdict(sc.recovery.backoff) == backoff
+        # an omitted backoff keeps the recovery defaults
+        got = ShardConfig.from_json({"recovery": {}})
+        assert dataclasses.asdict(got.recovery.backoff) == {
+            "base": 0.1, "factor": 2.0, "max_delay": 2.0, "jitter": 0.1,
+        }
 
     def test_unknown_nested_keys_are_errors(self):
         with pytest.raises(SimulationError, match="unknown recovery"):
@@ -282,6 +296,11 @@ REMOVED_KEYS = [
 #: value (the liveness poll interval is a constant of repro.workers)
 REMOVED_RECOVERY_KEYS = [
     ("heartbeat", 0.05),
+    # the flat backoff knobs, now recovery.backoff.{base,factor,...}
+    ("backoff_base", 0.1),
+    ("backoff_factor", 2.0),
+    ("backoff_max", 2.0),
+    ("jitter", 0.1),
 ]
 
 
@@ -334,8 +353,7 @@ class TestLoudFailures:
                                             value):
         doc = {"shards": 2, "recovery": {key: value}}
         refusal = (f"unknown recovery keys: ['{key}']; known keys: "
-                   "['backoff_base', 'backoff_factor', 'backoff_max', "
-                   "'deadline', 'degrade', 'enabled', 'jitter', "
+                   "['backoff', 'deadline', 'degrade', 'enabled', "
                    "'max_restarts', 'seed', 'sleep', 'strikes']")
         for form in (doc, json.dumps(doc)):
             with pytest.raises(SimulationError) as info:

@@ -482,7 +482,7 @@ class TestFanOut:
             graph, streams, config=MachineConfig.unit_time(),
             shard_config=ShardConfig(
                 shards=3, processes=True,
-                recovery=RecoveryPolicy(enabled=True, backoff_base=0.0),
+                recovery=RecoveryPolicy(enabled=True, backoff=BackoffPolicy(base=0.0)),
             ),
             checkpoint=CheckpointConfig(tmp_path / name, interval=10),
         )
@@ -567,7 +567,7 @@ class TestFanOut:
             fault_plan=plan,
             shard_config=ShardConfig(
                 shards=2, processes=True,
-                recovery=RecoveryPolicy(enabled=True, backoff_base=0.0),
+                recovery=RecoveryPolicy(enabled=True, backoff=BackoffPolicy(base=0.0)),
             ),
             checkpoint=CheckpointConfig(tmp_path / "snaps", interval=10,
                                         retain=0, delta_every=3),

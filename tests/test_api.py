@@ -167,56 +167,6 @@ class TestRunFacade:
         with pytest.raises(ReproError, match="shard_config"):
             repro.run(cp, inputs, backend="event", shard_config={})
 
-    def test_register_backend(self):
-        calls = []
-
-        class EchoBackend:
-            name = "echo"
-
-            def execute(self, request):
-                calls.append(request)
-                return api.RunResult(
-                    backend=self.name, outputs={}, sink_times={},
-                    cycles=0, stats=None,
-                )
-
-        api.register_backend(EchoBackend())
-        try:
-            cp, inputs = _fig2()
-            result = repro.run(cp, inputs, backend="echo",
-                               custom_knob=7)
-            assert result.backend == "echo"
-            assert calls[0].options == {"custom_knob": 7}
-        finally:
-            del api.BACKENDS["echo"]
-
-    def test_register_backend_replace_and_restore(self):
-        """Re-registering an existing name swaps the implementation in
-        place; restoring the saved object brings the original behavior
-        back exactly."""
-        original = api.BACKENDS["sync"]
-
-        class StubSync:
-            name = "sync"
-
-            def execute(self, request):
-                return api.RunResult(
-                    backend="sync", outputs={"stub": [42.0]},
-                    sink_times={"stub": [0]}, cycles=0, stats=None,
-                )
-
-        api.register_backend(StubSync())
-        try:
-            cp, inputs = _fig2()
-            assert repro.run(cp, inputs, backend="sync").outputs == {
-                "stub": [42.0]
-            }
-        finally:
-            api.register_backend(original)
-        assert api.BACKENDS["sync"] is original
-        restored = repro.run(*_fig2(), backend="sync")
-        assert "stub" not in restored.outputs
-
     def test_resume_facade_event_backend(self, tmp_path):
         cp, inputs = _fig2()
         full = repro.run(cp, inputs, workload_id="fig2")
