@@ -77,10 +77,10 @@ from .machine import (
     RecoveryPolicy,
     ShardConfig,
     ShardedRunner,
-    shutdown_worker_pool,
 )
 from .sim import SyncSimulator
 from .val import ValArray, parse_program, run_program
+from .workers import shutdown_worker_pool
 
 __version__ = "1.0.0"
 

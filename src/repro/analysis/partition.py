@@ -1,6 +1,6 @@
 """Partition a machine-level instruction graph into K shards.
 
-The sharded runner (:mod:`repro.machine.sharded`) executes each shard's
+The sharded runner (:mod:`repro.machine.shard_runner`) executes each shard's
 event loop in its own worker and routes every cross-shard arc as
 packets, so the partitioner's job is to keep the cut *traffic* -- the
 steady-state packet rate over arcs whose endpoints land on different

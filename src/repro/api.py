@@ -3,7 +3,7 @@
 The reproduction grew three ways to execute a compiled instruction
 graph -- the unit-delay synchronous simulator (:mod:`repro.sim`), the
 event-driven packet-level machine (:mod:`repro.machine`) and the
-multi-process sharded runner (:mod:`repro.machine.sharded`);
+multi-process sharded runner (:mod:`repro.machine.shard_runner`);
 ``backend="compiled"`` is the event machine with steady-state
 fast-forward on (:mod:`repro.machine.fastforward`).  They share the
 graph IR and the stream protocol but historically each had its own
@@ -283,14 +283,14 @@ class EventBackend:
 
 
 class ShardedBackend:
-    """Multi-process sharded machine (:mod:`repro.machine.sharded`)."""
+    """Multi-process sharded machine (:mod:`repro.machine.shard_runner`)."""
 
     name = "sharded"
     options = ("policy",)
 
     def execute(self, request: RunRequest) -> RunResult:
         from .machine.shard_config import ShardConfig
-        from .machine.sharded import ShardedRunner
+        from .machine.shard_runner import ShardedRunner
 
         runner = ShardedRunner(
             request.graph,
@@ -445,15 +445,15 @@ def resume(
     ``directory`` and run it to completion.
 
     Auto-detects the directory kind: a sharded manifest resumes the
-    newest complete coordinated set via :meth:`~repro.machine.sharded.
-    ShardedRunner.resume`; anything else resumes the newest
+    newest complete coordinated set via :meth:`~repro.machine.
+    shard_runner.ShardedRunner.resume`; anything else resumes the newest
     single-machine snapshot via :meth:`~repro.machine.Machine.resume`.
     ``shard_config`` tunes the resumed runner (worker processes,
     recovery); its shard count is ignored -- the snapshot set fixes K.
     """
     from .checkpoint.coordinator import is_sharded_dir
     from .machine.machine import Machine
-    from .machine.sharded import ShardedRunner
+    from .machine.shard_runner import ShardedRunner
 
     if is_sharded_dir(directory):
         runner = ShardedRunner.resume(directory, shard_config=shard_config)

@@ -1,6 +1,6 @@
 """Coordinated (Chandy-Lamport) checkpoint sets for sharded runs.
 
-A sharded run (:mod:`repro.machine.sharded`) checkpoints at a lockstep
+A sharded run (:mod:`repro.machine.shard_runner`) checkpoints at a lockstep
 barrier: every worker writes its own v2 shard snapshot
 (``ckpt-<cycle>.shard<k>.snap``, carrying the in-flight channel
 messages about to be injected into it as ``extra.channel_state``), and
@@ -211,7 +211,7 @@ def _write_manifest(directory: Path, manifest: dict[str, Any]) -> None:
 class CoordinatedCheckpointManager:
     """Commit and retention logic for coordinated shard snapshot sets.
 
-    Owned by :class:`~repro.machine.sharded.ShardedRunner`; the runner
+    Owned by :class:`~repro.machine.shard_runner.ShardedRunner`; the runner
     decides *when* a barrier checkpoint happens and asks each worker to
     write its file, this class decides what counts as *committed* (all
     K files on disk, then a manifest entry) and enforces all-or-none

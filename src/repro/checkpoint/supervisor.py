@@ -31,7 +31,7 @@ seed``) and the sleep function is injectable, so the restart schedule
 itself is reproducible in tests.
 
 Division of labour with in-process self-healing: sharded runs heal
-*worker* failures themselves (:mod:`repro.machine.sharded` rolls back
+*worker* failures themselves (:mod:`repro.machine.shard_runner` rolls back
 to the latest coordinated set and respawns only the dead shard, see
 DESIGN.md section 10) and surface exit 137 only when that gives up
 (:class:`~repro.machine.ShardRecoveryExhausted`), so this supervisor

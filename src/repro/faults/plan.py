@@ -154,7 +154,7 @@ class FaultPlan:
     ``shard_faults``
         Worker-level faults (:class:`ShardFault`): kill, hang or slow
         one shard worker of a sharded run at a given cycle.  Consumed
-        by the :class:`~repro.machine.sharded.ShardedRunner`
+        by the :class:`~repro.machine.shard_runner.ShardedRunner`
         coordinator (the injector never sees them) and only honored
         over real worker processes.
     ``derivation``

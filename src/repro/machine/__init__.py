@@ -22,15 +22,13 @@ from .diagnose import (
 )
 from .machine import Machine
 from .shard_config import RecoveryPolicy, ShardConfig
-from .sharded import (
+from .shard_runner import (
     ShardCrashError,
     ShardedRunner,
     ShardHangError,
-    ShardMachine,
     ShardRecoveryExhausted,
-    merge_shard_stats,
-    shutdown_worker_pool,
 )
+from .sharded import ShardMachine
 from .packets import (
     AckPacket,
     OperationPacket,
@@ -44,6 +42,7 @@ from .stats import (
     MachineStats,
     RecoveryStats,
     ReliabilityStats,
+    merge_shard_stats,
 )
 
 __all__ = [
@@ -77,5 +76,4 @@ __all__ = [
     "diagnose",
     "make_assignment",
     "merge_shard_stats",
-    "shutdown_worker_pool",
 ]

@@ -2,7 +2,7 @@
 
 One :class:`ShardConfig` dataclass holds everything a caller may set
 on a sharded run -- the facade, the CLI and
-:class:`~repro.machine.sharded.ShardedRunner` all take it and nothing
+:class:`~repro.machine.shard_runner.ShardedRunner` all take it and nothing
 else: the shard count, the partition scheme, whether shards are real
 worker processes, and a nested :class:`RecoveryPolicy` (the
 self-healing knobs plus an ``enabled`` switch, "auto / force on /

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .packets import PacketCounters
@@ -113,7 +113,7 @@ class CheckpointStats:
 class RecoveryStats:
     """What in-process self-healing did during one sharded run.
 
-    Lives on the :class:`~repro.machine.sharded.ShardedRunner`
+    Lives on the :class:`~repro.machine.shard_runner.ShardedRunner`
     coordinator (workers never see it); ``None`` on
     :class:`MachineStats` when self-healing was not armed.  All-zero
     counters mean the run never needed a recovery.
@@ -245,3 +245,66 @@ class MachineStats:
         if self.recovery is not None:
             text += f"; {self.recovery.summary()}"
         return text
+
+
+def _sum_dataclass(cls, items):
+    """Field-wise sum of int-counter dataclass instances."""
+    out = cls()
+    for item in items:
+        if item is None:
+            continue
+        for f in fields(cls):
+            cur = getattr(out, f.name)
+            if isinstance(cur, int):
+                setattr(out, f.name, cur + getattr(item, f.name))
+    return out
+
+
+def merge_shard_stats(
+    machines: list, checkpoints=None, recovery=None
+) -> MachineStats:
+    """Merge per-shard statistics into one run-level view.  Counters
+    add; unit lists concatenate (shard k's PEs come before shard
+    k+1's); a cell's fire count is taken from its owning shard."""
+    from ..faults.injector import FaultStats
+
+    fire_counts: dict[int, int] = {}
+    for m in machines:
+        for cid, st in m.cell_state.items():
+            if m._owner[cid] == m.shard_index:
+                fire_counts[cid] = st.fire_count
+    any_rel = any(
+        m._reliable or m.injector is not None for m in machines
+    )
+    any_inj = any(m.injector is not None for m in machines)
+    return MachineStats(
+        cycles=max((m._finish for m in machines), default=0),
+        packets=_sum_dataclass(
+            PacketCounters, [m.packets for m in machines]
+        ),
+        pe_ops=[u.ops for m in machines for u in m.pes],
+        fu_ops=[u.ops for m in machines for u in m.fus],
+        am_ops=[u.ops for m in machines for u in m.ams],
+        pe_busy=[u.busy_cycles for m in machines for u in m.pes],
+        fu_busy=[u.busy_cycles for m in machines for u in m.fus],
+        am_busy=[u.busy_cycles for m in machines for u in m.ams],
+        fire_counts=fire_counts,
+        reliability=(
+            _sum_dataclass(
+                ReliabilityStats, [m.rel for m in machines]
+            )
+            if any_rel
+            else None
+        ),
+        faults=(
+            _sum_dataclass(
+                FaultStats,
+                [m.injector.stats for m in machines
+                 if m.injector is not None],
+            )
+            if any_inj
+            else None
+        ),
+        checkpoints=checkpoints,
+        recovery=recovery,
+    )

@@ -1,6 +1,6 @@
 """The process layer: every child process the package talks to.
 
-The sharded runner's machine workers (:mod:`repro.machine.sharded`)
+The sharded runner's machine workers (:mod:`repro.machine.shard_worker`)
 and the serve daemon's job workers (:mod:`repro.serve.pool`) are both
 request/reply children with one request in flight, so one
 :class:`Worker` owns how they start, how requests and replies travel,

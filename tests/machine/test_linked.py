@@ -14,7 +14,7 @@ from repro.errors import SimulationTimeout
 from repro.graph import DataflowGraph, Op
 from repro.graph.cell import GATE_PORT
 from repro.machine import Machine, MachineConfig, ShardConfig, ShardMachine
-from repro.machine.sharded import ShardedRunner
+from repro.machine.shard_runner import ShardedRunner
 from repro.workloads import FIGURES, parallel_chain_graph
 
 # written down from the commit before plans existed: the pickled state

@@ -31,7 +31,7 @@ from repro.machine import (
     ShardHangError,
     ShardRecoveryExhausted,
 )
-from repro.machine import sharded as sharded_mod
+from repro.machine import shard_runner
 from repro.workers import BackoffPolicy
 from repro.workloads import figure_workload
 
@@ -186,7 +186,7 @@ class TestKillRecovery:
             config=MachineConfig.unit_time(), checkpoint=cfg,
             fault_plan=plan,
         )
-        with pytest.raises(sharded_mod.ShardCrashError) as err:
+        with pytest.raises(shard_runner.ShardCrashError) as err:
             runner.run()
         assert err.value.shard == 1
         assert err.value.exitcode == 137
@@ -203,7 +203,7 @@ class TestKillRecovery:
             config=MachineConfig.unit_time(), checkpoint=cfg,
         )
         assert runner._heal is not None
-        with pytest.raises(sharded_mod.ShardCrashError):
+        with pytest.raises(shard_runner.ShardCrashError):
             runner.run(crash_at=30, crash_shard=2)
 
 
@@ -239,7 +239,7 @@ class TestHangRecovery:
         # satellite: even with healing off, the parent never blocks
         # indefinitely on a worker reply -- the transport deadline
         # turns a silent hang into a typed, attributable error
-        monkeypatch.setattr(sharded_mod, "_DEFAULT_DEADLINE", 0.5)
+        monkeypatch.setattr(shard_runner, "_DEFAULT_DEADLINE", 0.5)
         graph, streams = _fig("fig7")
         plan = FaultPlan(
             shard_faults=(ShardFault(shard=2, cycle=30, kind="hang"),)
@@ -478,7 +478,7 @@ class TestResumeWithHealing:
             config=MachineConfig.unit_time(), checkpoint=cfg,
             fault_plan=plan,
         )
-        with pytest.raises(sharded_mod.ShardCrashError):
+        with pytest.raises(shard_runner.ShardCrashError):
             runner.run()
         resumed = ShardedRunner.resume(
             tmp_path / "snaps",

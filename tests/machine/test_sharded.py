@@ -31,11 +31,14 @@ from repro.machine import (
     RecoveryPolicy,
     ShardConfig,
     ShardedRunner,
+)
+from repro.machine import shard_runner
+from repro.workers import (
+    BackoffPolicy,
+    WorkerFailure,
+    pooled_worker_count,
     shutdown_worker_pool,
 )
-from repro.machine import sharded as sharded_mod
-from repro.machine.sharded import pooled_worker_count
-from repro.workers import WorkerFailure
 from repro.workloads import figure_workload, parallel_chain_graph
 
 FIGS = ["fig2", "fig4", "fig5", "fig6", "fig7"]
@@ -482,7 +485,9 @@ class TestFanOut:
             graph, streams, config=MachineConfig.unit_time(),
             shard_config=ShardConfig(
                 shards=3, processes=True,
-                recovery=RecoveryPolicy(enabled=True, backoff=BackoffPolicy(base=0.0)),
+                recovery=RecoveryPolicy(
+                    enabled=True, backoff=BackoffPolicy(base=0.0)
+                ),
             ),
             checkpoint=CheckpointConfig(tmp_path / name, interval=10),
         )
@@ -491,7 +496,7 @@ class TestFanOut:
 
     def test_every_command_posts_to_all_before_waiting(
             self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sharded_mod, "Worker", _RecordingEndpoint)
+        monkeypatch.setattr(shard_runner, "Worker", _RecordingEndpoint)
         monkeypatch.setattr(_RecordingEndpoint, "log", [])
         graph, streams = _figure_graph("fig7", m=16)
         first = self._run(tmp_path, graph, streams, "a")
@@ -532,7 +537,7 @@ class TestFanOut:
         cfg = MachineConfig.unit_time()
         first = repro.run(graph, streams, backend="sharded", config=cfg,
                           shard_config=sc)
-        unpark = sharded_mod.unpark
+        unpark = shard_runner.unpark
         killed = []
 
         def unpark_then_kill(key):
@@ -546,7 +551,7 @@ class TestFanOut:
             return worker
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sharded_mod, "unpark", unpark_then_kill)
+            mp.setattr(shard_runner, "unpark", unpark_then_kill)
             second = repro.run(graph, streams, backend="sharded",
                                config=cfg, shard_config=sc)
         assert killed
@@ -567,7 +572,9 @@ class TestFanOut:
             fault_plan=plan,
             shard_config=ShardConfig(
                 shards=2, processes=True,
-                recovery=RecoveryPolicy(enabled=True, backoff=BackoffPolicy(base=0.0)),
+                recovery=RecoveryPolicy(
+                    enabled=True, backoff=BackoffPolicy(base=0.0)
+                ),
             ),
             checkpoint=CheckpointConfig(tmp_path / "snaps", interval=10,
                                         retain=0, delta_every=3),

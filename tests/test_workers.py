@@ -10,7 +10,7 @@ import pytest
 
 from repro import workers
 from repro.machine import ShardConfig, ShardedRunner
-from repro.machine.sharded import _LocalShard
+from repro.machine.shard_worker import LocalShard
 from repro.workers import Worker, WorkerFailure, child_env
 from repro.workloads import parallel_chain_graph
 
@@ -42,7 +42,7 @@ def _shard_handler():
         parallel_chain_graph(2, 3, 4),
         shard_config=ShardConfig(shards=1, processes=False),
     )
-    return _LocalShard(0, runner.machines[0], None)
+    return LocalShard(0, runner.machines[0], None)
 
 
 def _stopped(pid, timeout=5.0):
