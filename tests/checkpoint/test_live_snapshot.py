@@ -154,7 +154,7 @@ import json, signal, sys, time
 from pathlib import Path
 
 from repro.checkpoint import CheckpointConfig
-from repro.cli import _install_live_snapshot_handler
+from repro.checkpoint.cli import install_live_snapshot_handler
 from repro.graph.graph import DataflowGraph
 from repro.graph.opcodes import Op
 from repro.machine.machine import Machine
@@ -168,7 +168,7 @@ g.connect(s, a, 0)
 g.connect(a, sink, 0)
 m = Machine(g, inputs={"x": list(range(40))},
             checkpoint=CheckpointConfig(ck_dir, interval=50))
-_install_live_snapshot_handler(m)
+install_live_snapshot_handler(m)
 print("ready", flush=True)
 while not Path(go_file).exists():     # window for the parent's SIGUSR1
     time.sleep(0.01)
