@@ -216,9 +216,10 @@ def _finish(engine: Union[Machine, ShardedRunner],
     if stats.recovery is not None and stats.recovery.detections:
         print(f"# {stats.recovery.summary()}", file=sys.stderr)
     if args.json:
-        result = (RunResult.from_engine("sharded", engine, stats,
-                                        engine.shards) if sharded
-                  else RunResult.from_engine("event", engine, stats))
+        result = RunResult.from_engine(
+            "sharded" if sharded else "event", engine, stats,
+            engine.shards if sharded else 1,
+        )
         emit_envelope(command, True, result.to_json_dict())
     else:
         emit_outputs(engine.outputs())
@@ -367,19 +368,15 @@ def _coordinated_status(path: Path) -> str:
     ``complete`` (committed, all members on disk), ``partial`` (not
     committed -- e.g. a crash landed between shard writes) or
     ``incomplete`` (committed but members now missing)."""
-    directory = path.parent
     try:
-        manifest = read_shard_manifest(directory)
+        manifest = read_shard_manifest(path.parent)
     except ReproError:
         return "partial"
     for entry in manifest.get("coordinated", []):
-        if isinstance(entry, dict) and path.name in entry.get("files", []):
-            if all(
-                (directory / name).exists()
-                for name in entry.get("files", [])
-            ):
-                return "complete"
-            return "incomplete"
+        files = entry.get("files", []) if isinstance(entry, dict) else []
+        if path.name in files:
+            on_disk = all((path.parent / name).exists() for name in files)
+            return "complete" if on_disk else "incomplete"
     return "partial"
 
 

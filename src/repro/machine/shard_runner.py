@@ -1,114 +1,51 @@
 """The sharded runner: K shard machines driven in conservative lockstep.
 
 Each shard is a :class:`~repro.machine.sharded.ShardMachine` answering
-the commands of :mod:`repro.machine.shard_worker`; this module is the
-coordinator that routes cut packets between them, picks every window's
-horizon, takes coordinated snapshots and heals failed workers.
+the commands of :mod:`repro.machine.shard_worker`, in a forked
+:class:`repro.workers.Worker` or in process; this module is the
+coordinator (DESIGN.md sections 9 and 10).
 
-Conservative lockstep, adaptive horizons
-----------------------------------------
+*Lockstep.*  A packet sent at cycle ``t`` arrives at ``t + L`` or
+later, ``L = max(1, rn_delay)``.  At each barrier the coordinator takes
+the global minimum next-event time ``T`` over all shard heaps and
+in-flight messages, lets every shard run to a safe horizon, collects
+the cut packets the window emitted and injects them at the next
+barrier, sorted by ``(time, source shard, emission index)``.  No shard
+hears from its past, so the merged run equals the single-heap one,
+bit for bit.  The fixed horizon is ``T + L - 1``; the adaptive one
+runs to just below the earliest cycle any shard could hear from
+another (each shard's earliest output time, see
+:meth:`ShardMachine.eot`, and pending arrivals ``+ L``).  Adaptive
+horizons are used whenever equal-cycle event order cannot affect
+modeled times (:meth:`ShardedRunner._order_free`), the fixed cadence
+otherwise; neither is a caller's choice.
 
-Every packet sent at cycle ``t`` arrives at ``t + L`` or later, where
-``L = max(1, rn_delay)`` (results add at least the network delay, acks
-at least ``max(1, rn_delay)``).  The coordinator therefore runs a
-classic conservative time-window protocol: it computes the global
-minimum next-event time ``T`` over all shard heaps and in-flight
-messages, lets every shard execute events up to a safe horizon,
-collects the messages those events emitted, and delivers them at the
-next barrier.  No shard ever receives a message in its past, so the
-merged execution is equivalent to the single-heap one -- and because
-message injection is sorted by ``(time, source shard, emission
-index)``, it is also deterministic run-to-run.
-
-The *fixed* horizon is the classic ``T + L - 1``.  The *adaptive*
-horizon (default) is derived from cut-arc occupancy: each shard
-reports an **earliest output time** (EOT) -- a lower bound on the
-arrival cycle of the next packet it could possibly push across the
-cut.  For every pending event at time ``t`` whose influence must
-traverse at least ``d`` arcs (BFS hop distance to the nearest
-shard-boundary cell) before reaching the cut, any resulting
-cross-shard packet arrives at ``t + d + L`` or later: every arc
-traversal (delivery, reliable copy, ack) costs at least one cycle and
-brings the influence at most one hop closer, and an emission from a
-boundary cell at time ``t'`` is stamped ``>= t' + L``.  The
-coordinator may therefore run every shard to ``min(all EOTs, all
-pending-message arrivals + L) - 1`` without any shard ever hearing
-from the future -- on coarse cuts this batches thousands of cycles
-per barrier instead of ``L``.  Shards whose heaps cannot reach the
-cut at all (zero-cut component partitions) report no bound and run
-to quiescence in one window.
-
-Neither rule is a caller's choice: the runner uses adaptive horizons
-whenever equal-cycle event order cannot affect modeled times and the
-fixed cadence otherwise (see :meth:`ShardedRunner._order_free`).
-
-Warm worker pool, one transport
--------------------------------
-
-Worker processes are :class:`repro.workers.Worker` children forked
-with a :class:`~repro.machine.shard_worker.LocalShard` as their
-request handler, so a process shard executes exactly the commands the
-in-process transport does (:mod:`repro.machine.shard_worker`).
-Spawn, framing, crash/hang detection, teardown and the warm pool all
-live in :mod:`repro.workers`.  Every per-shard command (``start``,
-``window``, ``snapshot``, ``rebuild``, ``finish``, ``load``) goes
-through one fan-out, :meth:`ShardedRunner._fan_out`: post to all K
-workers, then collect the replies in shard order, turning the first
+*One fan-out.*  Every per-shard command goes through
+:meth:`ShardedRunner._fan_out`: post to all K workers, then collect the
+replies in shard order, turning the first
 :class:`~repro.workers.WorkerFailure` into :class:`ShardCrashError` /
-:class:`ShardHangError`.  Workers outlive a run: on success they park
-in the pool under the content digest of the graph, and the next
-``ShardedRunner`` over an equal graph reclaims them with a
-``rebuild`` command instead of paying fork+import again.  Cut packets
-travel on the seq-tagged command pipe and nowhere else: a ``window``
-command carries every packet a shard is due, its reply carries every
-packet the window emitted, so a window costs one round trip per
-worker however many packets cross the cut -- and the acknowledge
-discipline (one token per arc) bounds that number by about twice the
-cut size.
-Between barriers nothing is in flight outside the coordinator -- the
-Chandy-Lamport ``channel_state`` captured by coordinated snapshots is
-therefore complete by construction.
+:class:`ShardHangError`.  Cut packets travel only on that command pipe,
+so a window costs one round trip per worker.  Workers outlive a run:
+they park in the warm pool under the content digest of the graph, and
+the next runner over an equal graph reclaims them with ``rebuild``.
 
-Coordinated (Chandy-Lamport) snapshots
---------------------------------------
+*Coordinated snapshots.*  Between barriers nothing is in flight outside
+the coordinator, so its routing buffer *is* the Chandy-Lamport channel
+state of the cut.  Each worker writes its machine plus the messages due
+to it (``ckpt-<cycle>.shard<k>.snap``), and the set is committed to the
+manifest only after all K files land (:mod:`repro.checkpoint.
+coordinator`); :meth:`ShardedRunner.resume` loads the newest complete
+set.  Fault plans on sharded runs use ``derivation="keyed"``, so every
+shard derives the per-packet fates the single machine would.
 
-At a barrier, all shards have executed exactly the events before the
-barrier time and every in-flight packet is sitting in the
-coordinator's routing buffer -- which *is* the channel state of the
-cut.  When a checkpoint is due, each worker writes a v2 snapshot of
-its machine **plus** the messages about to be injected into it
-(``ckpt-<cycle>.shard<k>.snap``, payload ``extra.channel_state``), and
-only after all K files land does the coordinator commit the set to the
-manifest (see :mod:`repro.checkpoint.coordinator`) -- a crash between
-shard writes leaves a partial set that is never eligible for resume.
-:meth:`ShardedRunner.resume` loads the newest complete set,
-re-injects each shard's channel state, and continues bit-identically.
-
-Fault plans on sharded runs must use ``derivation="keyed"`` (see
-:class:`repro.faults.FaultPlan`): each packet's fate is then a pure
-function of ``(seed, arc, sequence number, cycle)``, so the shards
-inject exactly the faults the single-process run would have.
-
-In-process self-healing
------------------------
-
-With real worker processes and coordinated checkpoints, the runner is
-self-healing (see DESIGN.md section 10): every reply wait carries a
-deadline with liveness polls, so a dead *or hung* worker is detected
-within a bounded window; on detection all shards roll back to the
-latest complete coordinated set (survivors reload in place over the
-``load`` op, the failed worker is respawned), the channel state of the
-cut is re-injected, and the lockstep windows replay forward --
-bit-identically, because windows are a pure function of shard state
-plus injected messages.  Escalation mirrors the supervisor one level
-down (:class:`RecoveryPolicy`): per-shard restart budgets with
-exponential seeded backoff, two-strike same-window step-back, and on
-budget exhaustion a typed :class:`ShardRecoveryExhausted` (exit 137
-at the CLI) so ``repro supervise`` stays the outer loop of last
-resort -- or, behind ``degrade=True``, the incurable shard is folded
-into the coordinator process and the run continues with K-1 workers.
-Worker-level chaos (:class:`repro.faults.ShardFault`) makes all of
-this deterministically testable.
+*Self-healing.*  With worker processes and coordinated checkpoints,
+every reply wait carries a deadline, a dead or hung worker rolls every
+shard back to the latest complete set (survivors reload in place, the
+failed worker is respawned) and the windows replay bit-identically.
+:class:`RecoveryPolicy` sets the escalation: per-shard restart budgets
+with seeded backoff, two-strike step-back, then
+:class:`ShardRecoveryExhausted` (exit 137 at the CLI) or, with
+``degrade=True``, the shard folded into the coordinator.
 """
 
 from __future__ import annotations
@@ -123,7 +60,12 @@ from typing import Any, Optional, Union
 from ..analysis.partition import Partition, partition_graph
 from ..checkpoint.manager import CheckpointConfig
 from ..checkpoint.snapshot import _gc_paused
-from ..errors import DeadlockError, SimulationError, SnapshotError
+from ..errors import (
+    DeadlockError,
+    ManifestError,
+    SimulationError,
+    SnapshotError,
+)
 from ..faults import FaultPlan
 from ..graph.graph import DataflowGraph
 from ..graph.lower import lower_fifos
@@ -771,7 +713,6 @@ class ShardedRunner:
         if self._ckpt is None:
             return None
         from ..checkpoint.coordinator import latest_coordinated
-        from ..errors import ManifestError
 
         try:
             return latest_coordinated(

@@ -57,6 +57,7 @@ def _maybe_crash(crash_at: Optional[int], horizon: int) -> None:
 
 
 def shard_error(name: str, message: str, cycle: int) -> ReproError:
+    """The typed error an ``("error", ...)`` reply stands for."""
     if name == "SimulationTimeout":
         return SimulationTimeout(message, cycles=cycle)
     if name == "DeadlockError":
@@ -75,15 +76,10 @@ def graph_key(graph: DataflowGraph) -> str:
 
 
 class LocalShard:
-    """One shard's command executor.
-
-    In a worker process it is the request handler
-    :func:`repro.workers.serve_requests` runs (see :meth:`__call__`).
-    In process it is the transport itself: same commands, no OS
-    processes -- used for K=1, for tests that sweep many
-    configurations quickly, and as the reference the worker processes
-    must agree with.  Either way a reply is ``("ok", value)``.
-    """
+    """One shard's command executor: the request handler of a worker
+    process (:meth:`__call__`), or, through :meth:`post` / :meth:`wait`,
+    the in-process transport used for K=1, for quick test sweeps and as
+    the reference the worker processes must agree with."""
 
     def __init__(self, shard: int, machine: ShardMachine,
                  crash_at: Optional[int]) -> None:

@@ -12,18 +12,11 @@ a dropped or corrupted cross-shard packet is retransmitted exactly
 like a local one, because the shard machines run the same handlers on
 the same per-arc state, merely split producer-side/consumer-side.
 
-Three modules share the work:
-
-* this one -- :class:`ShardMachine` (ownership gates, the outbox, the
-  windowed loop and the earliest-output-time bound of the adaptive
-  horizon) and the reader and writer of one shard's member file of a
-  coordinated snapshot set.  Every shard snapshot pickles the class by
-  this module path;
-* :mod:`repro.machine.shard_worker` -- the commands one shard answers,
-  in a worker process or in process;
-* :mod:`repro.machine.shard_runner` -- the coordinator: conservative
-  lockstep, horizons, the fan-out, coordinated snapshots and
-  self-healing.
+This module is the shard side: :class:`ShardMachine` and the reader
+and writer of one shard's member file of a coordinated snapshot set
+(every shard snapshot pickles the class by this module path).  The
+commands a shard answers are :mod:`repro.machine.shard_worker`; the
+coordinator is :mod:`repro.machine.shard_runner`.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import sys
 from dataclasses import fields
 from typing import Any
 
-from ..checkpoint.cli import run_supervisor
+from ..checkpoint.cli import as_argv, run_supervisor
 from ..checkpoint.supervisor import Supervisor, SupervisorConfig
 from ..cli import emit_envelope, parse_params
 from ..client import connect
@@ -38,12 +38,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                   "what makes restarts lossless)", file=sys.stderr)
             return 1
         start_argv = [sys.executable, "-m", "repro", "serve",
-                      "--dir", config.directory]
-        for name in names:
-            value = getattr(config, name)
-            if value is not None and name not in ("directory",
-                                                  "crash_after_accepts"):
-                start_argv += [f"--{name.replace('_', '-')}", str(value)]
+                      *as_argv(args, args.child_flags)]
         extra = []
         if config.crash_after_accepts is not None:
             # the hook applies to the first incarnation only: the
@@ -140,38 +135,41 @@ def register(sub) -> None:
         "(admission control, interleaved batching, supervised worker "
         "pool, hot restart); see DESIGN.md section 11",
     )
-    p.add_argument("--socket", metavar="PATH",
-                   help="unix socket to listen on")
-    p.add_argument("--port", type=int, help="TCP port to listen on")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--dir", dest="directory", metavar="DIR",
-                   help="journal + hot-restart state directory "
-                   "(enables exactly-once re-admission after a crash)")
-    p.add_argument("--capacity", type=int, default=256,
-                   help="admission queue bound; beyond it submits are "
-                   "shed with a typed overload error (default 256)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="worker pool size (default 2)")
-    p.add_argument("--default-deadline", type=float, default=30.0,
-                   help="per-job deadline in seconds when the job "
-                   "does not set one (default 30)")
-    p.add_argument("--max-retries", type=int, default=2,
-                   help="attempts lost to worker failure before a job "
-                   "fails typed (default 2)")
-    p.add_argument("--hang-deadline", type=float, default=10.0,
-                   help="seconds of worker silence that count as a "
-                   "hang (default 10)")
-    p.add_argument("--min-batch", type=int, default=2)
-    p.add_argument("--max-batch", type=int, default=8,
-                   help="interleaved batch bounds (default 2..8); "
-                   "--max-batch 1 disables batching entirely")
-    p.add_argument("--batch-wait", type=float, default=0.02,
-                   help="seconds a lone batchable job lingers for "
-                   "companions; beside an idle worker at most its "
-                   "estimated run time (default 0.02)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for retry-backoff jitter and stats "
-                   "reservoirs")
+    # the daemon's own flags, handed on to a supervised daemon
+    daemon_flags = [
+        p.add_argument("--socket", metavar="PATH",
+                       help="unix socket to listen on"),
+        p.add_argument("--port", type=int, help="TCP port to listen on"),
+        p.add_argument("--host", default="127.0.0.1"),
+        p.add_argument("--dir", dest="directory", metavar="DIR",
+                       help="journal + hot-restart state directory "
+                       "(enables exactly-once re-admission after a crash)"),
+        p.add_argument("--capacity", type=int, default=256,
+                       help="admission queue bound; beyond it submits are "
+                       "shed with a typed overload error (default 256)"),
+        p.add_argument("--workers", type=int, default=2,
+                       help="worker pool size (default 2)"),
+        p.add_argument("--default-deadline", type=float, default=30.0,
+                       help="per-job deadline in seconds when the job "
+                       "does not set one (default 30)"),
+        p.add_argument("--max-retries", type=int, default=2,
+                       help="attempts lost to worker failure before a job "
+                       "fails typed (default 2)"),
+        p.add_argument("--hang-deadline", type=float, default=10.0,
+                       help="seconds of worker silence that count as a "
+                       "hang (default 10)"),
+        p.add_argument("--min-batch", type=int, default=2),
+        p.add_argument("--max-batch", type=int, default=8,
+                       help="interleaved batch bounds (default 2..8); "
+                       "--max-batch 1 disables batching entirely"),
+        p.add_argument("--batch-wait", type=float, default=0.02,
+                       help="seconds a lone batchable job lingers for "
+                       "companions; beside an idle worker at most its "
+                       "estimated run time (default 0.02)"),
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed for retry-backoff jitter and stats "
+                       "reservoirs"),
+    ]
     p.add_argument("--supervised", action="store_true",
                    help="wrap the daemon in the repro supervise crash "
                    "loop (requires --dir); a killed daemon restarts "
@@ -180,7 +178,7 @@ def register(sub) -> None:
                    help="restart budget under --supervised")
     p.add_argument("--crash-after-accepts", type=int,
                    help=argparse.SUPPRESS)  # hot-restart test hook
-    p.set_defaults(fn=cmd_serve)
+    p.set_defaults(fn=cmd_serve, child_flags=daemon_flags)
 
     p = sub.add_parser(
         "submit",
