@@ -451,12 +451,13 @@ def resume(
     ``shard_config`` tunes the resumed runner (worker processes,
     recovery); its shard count is ignored -- the snapshot set fixes K.
     """
-    from .checkpoint.coordinator import is_sharded_dir
+    from .checkpoint.directory import resume_point
     from .machine.machine import Machine
     from .machine.shard_runner import ShardedRunner
 
-    if is_sharded_dir(directory):
-        runner = ShardedRunner.resume(directory, shard_config=shard_config)
+    point = resume_point(directory)
+    if point.sharded:
+        runner = ShardedRunner.resume(point, shard_config=shard_config)
         stats = runner.run(max_cycles=max_cycles)
         return RunResult.from_engine(
             "sharded", runner, stats, len(runner.machines)
@@ -466,7 +467,7 @@ def resume(
             "shard_config= applies only to sharded checkpoint "
             "directories"
         )
-    machine = Machine.resume(directory)
+    machine = Machine.resume(point.path)
     stats = machine.run(max_cycles=max_cycles)
     return RunResult.from_engine("event", machine, stats)
 

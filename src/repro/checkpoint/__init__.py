@@ -1,15 +1,21 @@
 """Crash-consistent checkpointing, resume, replay and supervision.
 
-The four layers (see DESIGN.md section 8):
+The layers (see DESIGN.md sections 8, 9 and 13):
 
 * :mod:`repro.checkpoint.snapshot` -- the versioned, checksummed,
   atomically-written on-disk snapshot format (v2: self-describing
   JSON metadata over a restricted-unpickler payload; v3: incremental
   deltas chained on a v2 base, verified link by link before any
   payload is touched; v1 files are refused by version number);
-* :mod:`repro.checkpoint.manager` -- periodic snapshot scheduling,
-  retention, out-of-band live snapshots, failure diagnosis bundles and
-  the record manifest;
+* :mod:`repro.checkpoint.directory` -- every decision about a
+  checkpoint directory, single-machine or sharded: ``manifest.json``
+  I/O, which kind the next snapshot is, which chains retention drops,
+  which files and sets are resumable (``repro snapshot fsck``), the
+  resume point and quarantine;
+* :mod:`repro.checkpoint.manager` -- one machine's periodic, live and
+  failure snapshots and the record manifest;
+  :mod:`repro.checkpoint.coordinator` -- a sharded run's commits of
+  coordinated snapshot sets;
 * :mod:`repro.checkpoint.replay` -- event-trace digests, bit-exact
   re-execution of recorded runs, and binary search over the digest
   ledger for the first divergent checkpoint window
@@ -35,15 +41,17 @@ from ..errors import (
     SupervisorError,
 )
 from ..workers import BackoffPolicy
-from .coordinator import (
-    CoordinatedCheckpointManager,
+from .coordinator import CoordinatedCheckpointManager
+from .directory import (
+    ResumePoint,
+    fsck_directory,
     is_sharded_dir,
-    latest_coordinated,
-    quarantine_coordinated,
-    read_shard_manifest,
+    latest_snapshot,
+    quarantine,
+    read_manifest,
+    resume_point,
     shard_snapshot_name,
 )
-from .fsck import fsck_directory
 from .manager import CheckpointConfig, CheckpointManager
 from .replay import (
     DivergenceReport,
@@ -51,15 +59,12 @@ from .replay import (
     ReplayReport,
     bisect_divergence,
     outputs_digest,
-    read_manifest,
     replay_bundle,
 )
 from .snapshot import (
     DELTA_VERSION,
     FORMAT_VERSION,
-    chain_descendants,
     chain_status,
-    latest_snapshot,
     load_machine,
     read_metadata,
     read_snapshot,
@@ -91,27 +96,26 @@ __all__ = [
     "FORMAT_VERSION",
     "ManifestError",
     "ReplayReport",
+    "ResumePoint",
     "SnapshotError",
     "Supervisor",
     "SupervisorConfig",
     "SupervisorError",
     "SupervisorReport",
     "bisect_divergence",
-    "chain_descendants",
     "chain_status",
     "fsck_directory",
     "is_sharded_dir",
-    "latest_coordinated",
     "latest_snapshot",
     "load_machine",
     "outputs_digest",
-    "quarantine_coordinated",
+    "quarantine",
     "read_manifest",
     "read_metadata",
-    "read_shard_manifest",
     "read_snapshot",
     "rebase_snapshot",
     "replay_bundle",
+    "resume_point",
     "save_snapshot",
     "shard_snapshot_name",
     "snapshot_cycle",

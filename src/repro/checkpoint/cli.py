@@ -59,7 +59,6 @@ from ..errors import (
     EXIT_SHARD_CRASH,
     EXIT_SNAPSHOT_UNLOADABLE,
     DeadlockError,
-    ReproError,
     SimulationTimeout,
     SnapshotError,
 )
@@ -67,11 +66,15 @@ from ..faults import FaultPlan
 from ..machine import Machine, ShardCrashError, ShardedRunner
 from ..workers import BackoffPolicy
 from ..workloads.figures import figure_workload
-from .coordinator import is_sharded_dir, read_shard_manifest
-from .fsck import fsck_directory
+from .directory import (
+    classify_file,
+    fsck_directory,
+    member_status,
+    resume_point,
+)
 from .manager import CheckpointConfig
 from .replay import bisect_divergence, replay_bundle
-from .snapshot import chain_status, read_metadata, rebase_snapshot
+from .snapshot import read_metadata, rebase_snapshot
 from .supervisor import Supervisor, SupervisorConfig
 
 
@@ -280,13 +283,13 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
-    target = Path(args.snapshot)
-    sharded = target.is_dir() and is_sharded_dir(target)
+    point = resume_point(args.snapshot)
+    sharded = point.sharded
     if args.shard_config and not sharded:
         # the target resolved to a single-machine snapshot; shard
         # tuning cannot apply, so fail loudly like the facade does
         print(
-            f"error: --shard-config given but {target} is not a "
+            f"error: --shard-config given but {args.snapshot} is not a "
             f"sharded checkpoint directory",
             file=sys.stderr,
         )
@@ -294,9 +297,9 @@ def cmd_resume(args: argparse.Namespace) -> int:
     try:
         engine = (
             ShardedRunner.resume(
-                target, shard_config=shard_config_from_args(args)
+                point, shard_config=shard_config_from_args(args)
             )
-            if sharded else Machine.resume(args.snapshot)
+            if sharded else Machine.resume(point.path)
         )
     except SnapshotError as exc:
         # dedicated exit code: only a snapshot that cannot even be
@@ -318,22 +321,29 @@ def cmd_resume(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # snapshot inspect / fsck / rebase
 # ----------------------------------------------------------------------
+#: how inspect words a set verdict: a set no committed entry lists is
+#: ``partial`` (a crash landed between shard writes), a resumable one
+#: ``complete``, one with a member gone ``incomplete``
+_SET_WORDS = {None: "partial", "intact": "complete", "damaged": "incomplete"}
+
+
 def cmd_snapshot_inspect(args: argparse.Namespace) -> int:
     meta = read_metadata(args.file)
     meta["path"] = str(args.file)
     if meta.get("shard") is not None:
-        # one member of a coordinated set: loadable only when all K
-        # files of its cycle are committed in the directory manifest
-        meta["coordinated"] = _coordinated_status(Path(args.file))
+        # one member of a coordinated set: loadable only when its set
+        # is committed and intact, the verdict fsck and resume read too
+        status = member_status(Path(args.file))
+        meta["coordinated"] = _SET_WORDS.get(status, status)
     if meta.get("kind") in ("base", "delta"):
         # chain verification is metadata/envelope reads only, so the
         # no-payload-deserialization guarantee of inspect still holds
-        status = chain_status(Path(args.file))
-        meta["chain_status"] = status["status"]
-        if status["chain"] is not None:
-            meta["chain"] = status["chain"]
-        if status["error"]:
-            meta["chain_error"] = status["error"]
+        entry = classify_file(Path(args.file))
+        meta["chain_status"] = entry["status"]
+        if "chain" in entry:
+            meta["chain"] = entry["chain"]
+        if "error" in entry:
+            meta["chain_error"] = entry["error"]
     json.dump(meta, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     if meta.get("kind") == "delta":
@@ -361,23 +371,6 @@ def cmd_snapshot_inspect(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     return 0
-
-
-def _coordinated_status(path: Path) -> str:
-    """Whether ``path``'s coordinated set is actually resumable:
-    ``complete`` (committed, all members on disk), ``partial`` (not
-    committed -- e.g. a crash landed between shard writes) or
-    ``incomplete`` (committed but members now missing)."""
-    try:
-        manifest = read_shard_manifest(path.parent)
-    except ReproError:
-        return "partial"
-    for entry in manifest.get("coordinated", []):
-        files = entry.get("files", []) if isinstance(entry, dict) else []
-        if path.name in files:
-            on_disk = all((path.parent / name).exists() for name in files)
-            return "complete" if on_disk else "incomplete"
-    return "partial"
 
 
 def cmd_snapshot_fsck(args: argparse.Namespace) -> int:

@@ -9,203 +9,30 @@ all K files have landed on disk.  The manifest entry is the unit of
 consistency:
 
 * a crash between shard writes leaves stray ``.shard<k>.snap`` files
-  but no manifest entry, so :func:`latest_coordinated` never offers a
-  partial set for resume;
+  but no manifest entry, so no partial set is ever offered for resume;
 * retention prunes whole sets, never individual shard files, and drops
   the manifest entry *before* unlinking any file -- a crash mid-prune
   orphans files (harmless) rather than leaving a committed entry that
   points at a half-deleted set.
 
-The single-machine :func:`~repro.checkpoint.snapshot.latest_snapshot`
-already ignores shard files (their stem's cycle part is not purely
-numeric), so a sharded directory is invisible to the single-machine
-resume path; :func:`is_sharded_dir` is how callers (CLI ``resume``,
-the supervisor) detect that a directory needs the coordinated path.
+Which set resumes, which sets retention drops and how a set is
+quarantined are decided in :mod:`repro.checkpoint.directory`, for
+sharded and single-machine directories alike.  The single-machine
+:func:`~repro.checkpoint.directory.latest_snapshot` never offers a
+member file: its ``.shard<k>`` kind suffix is neither a classic,
+``.base`` nor ``.delta`` snapshot.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from ..errors import ChainBrokenError, ManifestError, SnapshotError
+from ..errors import ChainBrokenError, SnapshotError
 from ..machine.stats import CheckpointStats
+from .directory import MANIFEST_SCHEMA, retire, write_manifest
 from .manager import CheckpointConfig
-from .replay import MANIFEST_NAME, MANIFEST_SCHEMA
-from .snapshot import _atomic_write
-
-
-def shard_snapshot_name(cycle: int, shard: int) -> str:
-    """On-disk name of shard ``shard``'s member of the ``cycle`` set."""
-    return f"ckpt-{cycle:012d}.shard{shard}.snap"
-
-
-def read_shard_manifest(directory: Union[str, Path]) -> dict[str, Any]:
-    """Read and validate a sharded checkpoint directory's manifest."""
-    path = Path(directory) / MANIFEST_NAME
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ManifestError(f"no manifest in {directory}") from None
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ManifestError(
-            f"unreadable manifest in {directory}: {exc}"
-        ) from exc
-    if not isinstance(manifest, dict) or not manifest.get("sharded"):
-        raise ManifestError(
-            f"{directory} is not a sharded checkpoint directory"
-        )
-    shards = manifest.get("shards")
-    if not isinstance(shards, int) or shards < 1:
-        raise ManifestError(
-            f"sharded manifest in {directory} has bad shard count "
-            f"{shards!r}"
-        )
-    return manifest
-
-
-def is_sharded_dir(directory: Union[str, Path]) -> bool:
-    """True when ``directory`` holds coordinated shard snapshot sets."""
-    try:
-        read_shard_manifest(directory)
-    except ManifestError:
-        return False
-    return True
-
-
-def _set_chain_broken(
-    entry: dict[str, Any],
-    by_cycle: dict[Any, dict[str, Any]],
-    quarantined: set,
-    directory: Path,
-) -> bool:
-    """True when a delta set's ancestry cannot all be resumed.
-
-    Walks ``parent_cycle`` links from ``entry`` down to a base set;
-    any missing/quarantined ancestor entry, any ancestor with missing
-    member files, or a malformed (cyclic) link chain breaks the set.
-    Full and base sets are self-contained and never broken here.
-    """
-    seen: set = set()
-    node = entry
-    while node.get("kind") == "delta":
-        cycle = node.get("cycle")
-        if cycle in seen:
-            return True  # parent_cycle cycle -- malformed manifest
-        seen.add(cycle)
-        parent = by_cycle.get(node.get("parent_cycle"))
-        if parent is None or parent.get("cycle") in quarantined:
-            return True
-        files = parent.get("files", [])
-        if not files or not all(
-            (directory / name).exists() for name in files
-        ):
-            return True
-        node = parent
-    return False
-
-
-def latest_coordinated(
-    directory: Union[str, Path], exclude: Any = ()
-) -> Optional[dict[str, Any]]:
-    """Newest committed coordinated set whose files all still exist.
-
-    Returns the manifest entry (``{"cycle": ..., "files": [...]}``) or
-    None.  Quarantined sets, sets with missing files and sets whose
-    cycle is in ``exclude`` (the in-process healer's barred cycles)
-    are skipped -- the next-older complete set wins, mirroring the
-    single-machine poisoned-snapshot step-back.  A delta set whose
-    parent chain is incomplete (missing, quarantined or gutted
-    ancestor sets) is skipped the same way: committing an entry makes
-    a set *visible*, but only an intact chain makes it *resumable*.
-    """
-    directory = Path(directory)
-    manifest = read_shard_manifest(directory)
-    entries = manifest.get("coordinated", [])
-    quarantined = {
-        q.get("cycle")
-        for q in manifest.get("quarantined", [])
-        if isinstance(q, dict)
-    }
-    quarantined.update(exclude)
-    by_cycle = {
-        e.get("cycle"): e for e in entries if isinstance(e, dict)
-    }
-    for entry in reversed(entries):
-        if not isinstance(entry, dict):
-            continue
-        files = entry.get("files", [])
-        if entry.get("cycle") in quarantined or not files:
-            continue
-        if not all((directory / name).exists() for name in files):
-            continue
-        if _set_chain_broken(entry, by_cycle, quarantined, directory):
-            continue
-        return entry
-    return None
-
-
-def quarantine_coordinated(
-    directory: Union[str, Path], cycle: int, reason: str
-) -> list[str]:
-    """Quarantine the whole coordinated set at ``cycle``.
-
-    Every member file is renamed to ``<name>.poisoned`` and the cycle
-    is recorded under the manifest's ``"quarantined"`` list, so
-    :func:`latest_coordinated` steps back to the previous complete
-    set.  Delta sets chained on the quarantined set are quarantined
-    with it -- their member files can no longer be resolved down to a
-    trusted base, so leaving them live would only defer the same
-    failure.  Returns the names that were renamed.
-    """
-    directory = Path(directory)
-    manifest = read_shard_manifest(directory)
-    entries = [
-        e for e in manifest.get("coordinated", []) if isinstance(e, dict)
-    ]
-    doomed = {cycle}
-    # entries are oldest-first and a parent always precedes its child,
-    # so one forward pass closes the descendant set transitively
-    for entry in sorted(entries, key=lambda e: e.get("cycle", 0)):
-        if entry.get("parent_cycle") in doomed:
-            doomed.add(entry.get("cycle"))
-    renamed: list[str] = []
-    for entry in entries:
-        if entry.get("cycle") in doomed:
-            for name in entry.get("files", []):
-                path = directory / name
-                if path.exists():
-                    path.rename(path.with_name(path.name + ".poisoned"))
-                    renamed.append(name)
-    already = {
-        q.get("cycle")
-        for q in manifest.get("quarantined", [])
-        if isinstance(q, dict)
-    }
-    quarantined = manifest.setdefault("quarantined", [])
-    quarantined.append({"cycle": cycle, "reason": reason})
-    for child in sorted(doomed - {cycle}):
-        if child not in already:
-            quarantined.append(
-                {
-                    "cycle": child,
-                    "reason": f"delta set chained on quarantined set "
-                    f"at cycle {cycle}",
-                }
-            )
-    _write_manifest(directory, manifest)
-    return renamed
-
-
-def _write_manifest(directory: Path, manifest: dict[str, Any]) -> None:
-    _atomic_write(
-        directory / MANIFEST_NAME,
-        (json.dumps(manifest, indent=2, default=repr) + "\n").encode(
-            "utf-8"
-        ),
-    )
 
 
 class CoordinatedCheckpointManager:
@@ -254,19 +81,19 @@ class CoordinatedCheckpointManager:
 
     @classmethod
     def attach(
-        cls, directory: Union[str, Path]
+        cls, directory: Union[str, Path], manifest: dict[str, Any]
     ) -> "CoordinatedCheckpointManager":
         """Reconstruct the manager of an existing sharded directory
-        (the resume path), preserving its committed-set history."""
-        directory = Path(directory)
-        manifest = read_shard_manifest(directory)
-        config = CheckpointConfig(
-            directory=directory,
-            interval=int(manifest.get("interval") or 10_000),
-            retain=int(manifest.get("retain") or 3),
-            delta_every=int(manifest.get("delta_every") or 0),
-            max_chain_depth=int(manifest.get("max_chain_depth") or 64),
-        )
+        from its ``manifest`` (the resume path), preserving its
+        committed-set history and its recorded policy: a key the
+        manifest lacks takes the :class:`CheckpointConfig` default, a
+        recorded ``retain`` of 0 stays 0."""
+        config = CheckpointConfig(directory, **{
+            key: manifest[key]
+            for key in ("interval", "retain", "delta_every",
+                        "max_chain_depth")
+            if key in manifest
+        })
         self = cls(config, int(manifest["shards"]))
         self._sets = [
             dict(e)
@@ -308,29 +135,18 @@ class CoordinatedCheckpointManager:
     # ------------------------------------------------------------------
     # commits
 
-    def shard_name(self, cycle: int, shard: int) -> str:
-        return shard_snapshot_name(cycle, shard)
-
-    def next_kind(self) -> str:
-        """What the next coordinated set should be written as.
-
-        ``"full"`` when delta chains are disabled; otherwise ``"base"``
-        unless the previous set is known to have been written by the
-        *current* workers (``_chain_live``) and extending its chain
-        stays inside the ``delta_every``/``max_chain_depth`` policy.
-        """
-        every = self.config.delta_every
-        if not every:
-            return "full"
+    @property
+    def tip_depth(self) -> Optional[int]:
+        """Chain depth of the last committed set when the workers now
+        running wrote it (the only case in which their in-memory chain
+        tips provably match it), else None: the input of
+        :func:`~repro.checkpoint.directory.next_kind`."""
         if not self._chain_live or not self._sets:
-            return "base"
+            return None
         last = self._sets[-1]
         if last.get("kind") not in ("base", "delta"):
-            return "base"
-        depth = int(last.get("chain_depth", 0)) + 1
-        if depth >= every or depth > self.config.max_chain_depth:
-            return "base"
-        return "delta"
+            return None
+        return int(last.get("chain_depth", 0))
 
     def reset_chain(self) -> None:
         """Forget the live chain: called by the runner whenever worker
@@ -446,40 +262,14 @@ class CoordinatedCheckpointManager:
         if kind != "full":
             self._chain_live = True
 
-    def _set_chains(self) -> list[list[dict[str, Any]]]:
-        """Split the committed sets into prune units: a full set is
-        its own unit, a base set plus the deltas chained on it form
-        one unit (committed consecutively, so always adjacent)."""
-        groups: list[list[dict[str, Any]]] = []
-        for entry in self._sets:
-            if (
-                groups
-                and entry.get("kind") == "delta"
-                and entry.get("parent_cycle")
-                == groups[-1][-1].get("cycle")
-            ):
-                groups[-1].append(entry)
-            else:
-                groups.append([entry])
-        return groups
-
     def _prune(self) -> None:
-        """All-or-none retention over whole set *chains*: drop the
-        oldest chain from the manifest first, then unlink its files,
-        so a crash mid-prune never leaves a committed entry pointing
-        at a partially-deleted set.  A base whose deltas are still
-        listed is never unlinked on its own, and ``retain=0`` keeps
-        everything (mirroring :class:`CheckpointConfig`)."""
-        retain = self.config.retain
-        if not retain:
-            return
-        while len(self._sets) > retain:
-            doomed = self._set_chains()[0]
-            if len(self._sets) - len(doomed) < retain:
-                break  # dropping the whole chain would dip below retain
-            del self._sets[: len(doomed)]
+        """Retention over committed sets, whole chains at a time
+        (:func:`~repro.checkpoint.directory.retire`): each pruned
+        chain leaves the manifest before its files are unlinked."""
+        for unit in retire(self._sets, self.config.retain,
+                           lambda entry: entry.get("kind") == "delta"):
             self._write()
-            for entry in reversed(doomed):
+            for entry in reversed(unit):
                 for name in entry["files"]:
                     try:
                         (self.directory / name).unlink()
@@ -504,4 +294,4 @@ class CoordinatedCheckpointManager:
             manifest["delta_every"] = self.config.delta_every
             manifest["max_chain_depth"] = self.config.max_chain_depth
         manifest.update(self._meta)
-        _write_manifest(self.directory, manifest)
+        write_manifest(self.directory, manifest)

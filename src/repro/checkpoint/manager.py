@@ -19,11 +19,18 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 from ..config import check
 from ..errors import ManifestError, SimulationTimeout, SnapshotError
-from .replay import MANIFEST_NAME, MANIFEST_SCHEMA, _outcome
+from .directory import (
+    MANIFEST_SCHEMA,
+    next_kind,
+    read_manifest,
+    retire,
+    write_manifest,
+)
+from .replay import _outcome
 from .snapshot import (
     _atomic_write,
     read_metadata,
@@ -109,7 +116,8 @@ class CheckpointManager:
         if self.config.record:
             self._save(machine, "initial.snap", "initial")
             self._ledger = [self._ledger_entry(machine, "initial.snap")]
-            self._write_manifest(
+            write_manifest(
+                self.directory,
                 {
                     "schema": MANIFEST_SCHEMA,
                     "status": "running",
@@ -120,29 +128,11 @@ class CheckpointManager:
                 }
             )
 
-    def _next_kind(self, machine: Any) -> str:
-        """Decide what the next periodic snapshot should be.
-
-        ``"full"`` is the classic standalone v2 snapshot (delta chains
-        disabled); ``"base"`` starts a chain and ``"delta"`` extends
-        the one the machine's in-memory tip points at.  A machine with
-        no tip (fresh run, resumed run, post-rollback clone) always
-        starts with a base -- its previous chain, if any, belongs to a
-        state we can no longer extend.
-        """
-        every = self.config.delta_every
-        if not every:
-            return "full"
-        tip = getattr(machine, "_snap_chain", None)
-        if tip is None:
-            return "base"
-        depth = tip["depth"] + 1
-        if depth >= every or depth > self.config.max_chain_depth:
-            return "base"
-        return "delta"
-
     def save_periodic(self, machine: Any) -> Path:
-        kind = self._next_kind(machine)
+        # the machine's in-memory tip is the chain it can extend; a
+        # fresh, resumed or rolled-back machine has none
+        tip = getattr(machine, "_snap_chain", None)
+        kind = next_kind(self.config, None if tip is None else tip["depth"])
         if kind == "full":
             name = f"ckpt-{machine.now:012d}.snap"
         else:
@@ -263,24 +253,6 @@ class CheckpointManager:
             self.stats.delta_bytes_written += size
         return path
 
-    def _chain_groups(self) -> list[list[str]]:
-        """Split ``_periodic`` into prune units.
-
-        A standalone full snapshot is its own unit; a base plus the
-        deltas chained on it form one unit that must live or die
-        together (unlinking the base would orphan every descendant).
-        ``save_periodic`` is the only chain writer and always chains
-        from its own previous write, so a base and its deltas are
-        adjacent in the ledger.
-        """
-        groups: list[list[str]] = []
-        for name in self._periodic:
-            if name.endswith(".delta.snap") and groups:
-                groups[-1].append(name)
-            else:
-                groups.append([name])
-        return groups
-
     def _has_external_children(self, doomed: list[str]) -> bool:
         """True when an on-disk delta *outside* the doomed set lists a
         doomed file as its parent.
@@ -307,36 +279,20 @@ class CheckpointManager:
         return False
 
     def _prune(self) -> None:
-        """Chain-aware retention: whole chains prune all-or-none.
-
-        The retention floor counts snapshot *files* (as before), but
-        the prune unit is a chain: the oldest unit goes only when the
-        survivors still satisfy ``retain``.  Names leave ``_periodic``
-        before any unlink and files are removed newest-first, so a
-        crash mid-prune leaves an intact chain prefix, never an
-        orphaned delta.
-        """
-        keep = self.config.retain
-        if not keep:
-            return
-        while len(self._periodic) > keep:
-            groups = self._chain_groups()
-            doomed = groups[0]
-            if len(self._periodic) - len(doomed) < keep:
-                break  # pruning the whole chain would dip below retain
-            if len(doomed) > 1 or doomed[0].endswith(".base.snap"):
-                if self._has_external_children(doomed):
-                    break
-            del self._periodic[: len(doomed)]
-            for old in reversed(doomed):
+        """Retention over periodic snapshot files, whole chains at a
+        time (:func:`~repro.checkpoint.directory.retire`); a chain with
+        stale on-disk descendants is kept."""
+        for unit in retire(
+            self._periodic, self.config.retain,
+            lambda name: name.endswith(".delta.snap"),
+            keep=lambda unit: (
+                (len(unit) > 1 or unit[0].endswith(".base.snap"))
+                and self._has_external_children(unit)
+            ),
+        ):
+            for old in reversed(unit):
                 (self.directory / old).unlink(missing_ok=True)
                 self.stats.snapshots_pruned += 1
-
-    def _write_manifest(self, manifest: dict[str, Any]) -> None:
-        _atomic_write(
-            self.directory / MANIFEST_NAME,
-            (json.dumps(manifest, indent=2, default=repr) + "\n").encode(),
-        )
 
     def _update_manifest(self, **fields: Any) -> None:
         """Merge ``fields`` into the on-disk manifest.
@@ -347,28 +303,6 @@ class CheckpointManager:
         here would silently resurrect the bundle and mask that damage,
         so a typed :class:`ManifestError` is raised instead.
         """
-        path = self.directory / MANIFEST_NAME
-        try:
-            manifest = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ManifestError(
-                f"record manifest {path} disappeared mid-run; the bundle "
-                f"is damaged and will not be silently recreated"
-            ) from None
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ManifestError(
-                f"record manifest {path} is damaged mid-run ({exc}); "
-                f"refusing to overwrite the evidence with a fresh default"
-            ) from exc
-        if not isinstance(manifest, dict):
-            raise ManifestError(
-                f"record manifest {path} is damaged mid-run: expected a "
-                f"JSON object, found {type(manifest).__name__}"
-            )
+        manifest = read_manifest(self.directory, "update")
         manifest.update(fields)
-        self._write_manifest(manifest)
-
-    def latest(self) -> Optional[Path]:
-        from .snapshot import latest_snapshot
-
-        return latest_snapshot(self.directory)
+        write_manifest(self.directory, manifest)

@@ -40,10 +40,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from ..errors import DeadlockError, SimulationTimeout, SnapshotError
-
-#: schema version of manifest.json
-MANIFEST_SCHEMA = 1
-MANIFEST_NAME = "manifest.json"
+from .directory import read_manifest
 
 
 class EventTrace:
@@ -160,27 +157,6 @@ def _compare(expected: dict[str, Any], actual: dict[str, Any]) -> list[str]:
                     f"error {key}: recorded {e!r}, replayed {a!r}"
                 )
     return mismatches
-
-
-def read_manifest(directory: Union[str, Path]) -> dict[str, Any]:
-    path = Path(directory) / MANIFEST_NAME
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise SnapshotError(
-            f"{path} does not exist: not a recorded run bundle "
-            f"(record with CheckpointConfig(record=True) or "
-            f"`repro checkpoint --record`)"
-        ) from None
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SnapshotError(f"cannot read manifest {path}: {exc}") from exc
-    if not isinstance(data, dict) or data.get("schema") != MANIFEST_SCHEMA:
-        raise SnapshotError(
-            f"manifest {path} has unsupported schema "
-            f"{data.get('schema') if isinstance(data, dict) else data!r}; "
-            f"expected {MANIFEST_SCHEMA}"
-        )
-    return data
 
 
 def replay_bundle(
@@ -335,9 +311,6 @@ class _PassiveCheckpoint:
 
     def on_complete(self, machine: Any) -> None:
         pass
-
-    def latest(self) -> None:
-        return None
 
 
 def _install_perturbation(machine: Any, plan: Any) -> None:

@@ -680,35 +680,6 @@ def chain_status(path: Union[str, Path]) -> dict[str, Any]:
     }
 
 
-def chain_descendants(
-    directory: Union[str, Path], name: str
-) -> list[str]:
-    """File names of every on-disk delta whose parent chain passes
-    through ``name`` -- the unit the supervisor quarantines together
-    with a poisoned snapshot (metadata reads only)."""
-    directory = Path(directory)
-    parent_of: dict[str, str] = {}
-    for path in directory.glob("*.snap"):
-        try:
-            meta = read_metadata(path)
-        except SnapshotError:
-            continue
-        parent = meta.get("parent")
-        if meta.get("kind") == "delta" and isinstance(parent, str):
-            parent_of[path.name] = parent
-    doomed = {name}
-    out: list[str] = []
-    changed = True
-    while changed:
-        changed = False
-        for child, parent in parent_of.items():
-            if parent in doomed and child not in doomed:
-                doomed.add(child)
-                out.append(child)
-                changed = True
-    return sorted(out)
-
-
 def _read_delta(path: Path) -> tuple[dict[str, Any], dict[str, Any]]:
     """Decode one verified v3 delta file into ``(meta, body)``.
 
@@ -820,67 +791,6 @@ def rebase_snapshot(path: Union[str, Path]) -> Path:
     return new_path
 
 
-#: snapshot name prefixes ranked for resume preference at equal cycles
-_PREFIX_RANK = {"initial": 4, "ckpt": 3, "live": 2, "timeout": 1,
-                "failure": 0}
-
-
-def latest_snapshot(
-    directory: Union[str, Path], include_failures: bool = False
-) -> Optional[Path]:
-    """The newest *resumable* snapshot in a checkpoint directory.
-
-    File names encode their cycle (``ckpt-<cycle>.snap``,
-    ``live-<cycle>.snap``, ``timeout-<cycle>.snap``,
-    ``failure-<cycle>.snap``; ``initial.snap`` is cycle 0), so no file
-    needs to be opened to pick the resume point.
-
-    Resume-from-directory wants the last *good* state: a
-    ``failure-*.snap`` pins a machine that is already wedged, so
-    resuming it would immediately re-fail.  By default only
-    initial/periodic/live/timeout snapshots are considered -- a
-    timed-out machine was still making progress and resumes usefully
-    with a larger ``max_cycles`` -- and failure snapshots are loadable
-    only when named explicitly (or with ``include_failures=True``).
-    At equal cycles a periodic snapshot beats a live (out-of-band) one
-    beats a timeout one beats a failure one.  Quarantined snapshots
-    (renamed ``*.snap.poisoned`` by the supervisor) no longer match
-    the glob and are skipped naturally.
-
-    Delta-mode periodic snapshots (``ckpt-<cycle>.base.snap`` /
-    ``ckpt-<cycle>.delta.snap``) rank exactly like classic ones, but a
-    delta is only a resume point if its whole parent chain verifies
-    (:func:`verify_chain`): a chain-broken delta is skipped and the
-    next-newest intact candidate wins -- stepping back to the last
-    good base instead of handing resume a poisoned chain.
-    """
-    directory = Path(directory)
-    candidates: list[tuple[int, int, str, Path]] = []
-    for path in directory.glob("*.snap"):
-        stem = path.stem
-        if stem == "initial":
-            key = (0, _PREFIX_RANK["initial"])
-        else:
-            prefix, _, rest = stem.partition("-")
-            cycle, _, kind = rest.partition(".")
-            if prefix not in _PREFIX_RANK or not cycle.isdigit():
-                continue
-            if kind not in ("", "base", "delta"):
-                continue      # e.g. one member of a coordinated set
-            if prefix == "failure" and not include_failures:
-                continue
-            key = (int(cycle), _PREFIX_RANK[prefix])
-        candidates.append((*key, path.name, path))
-    for *_key, _name, path in sorted(candidates, reverse=True):
-        if path.name.endswith(".delta.snap"):
-            try:
-                verify_chain(path)
-            except SnapshotError:
-                continue      # broken chain: not a resume point
-        return path
-    return None
-
-
 @contextlib.contextmanager
 def _gc_paused():
     """Keep the cyclic collector off while a machine is materialised.
@@ -917,6 +827,8 @@ def load_machine(
     """
     path = Path(source)
     if path.is_dir():
+        from .directory import latest_snapshot
+
         found = latest_snapshot(path)
         if found is None:
             failures = sorted(p.name for p in path.glob("failure-*.snap"))

@@ -15,11 +15,11 @@ instruction pipeline full under component failure:
 * a **poisoned snapshot** is stepped around: when a resume from
   snapshot *N* fails to load outright, or re-crashes twice without
   ever writing a newer snapshot (two strikes inside the same
-  checkpoint window), *N* is quarantined -- renamed to
-  ``<name>.snap.poisoned`` so :func:`~repro.checkpoint.snapshot.
-  latest_snapshot` skips it -- and recorded under ``"quarantined"``
-  in the directory's ``manifest.json``; the next resume steps back to
-  *N−1*.
+  checkpoint window), *N* is quarantined
+  (:func:`~repro.checkpoint.directory.quarantine`: renamed to
+  ``<name>.snap.poisoned`` and recorded under ``"quarantined"`` in the
+  directory's ``manifest.json``); the next resume steps back to *N−1*.
+  A sharded run's resume point is a whole coordinated set.
 
 The supervised run's final stdout (the outputs JSON) is captured per
 attempt and republished by the CLI only for the successful attempt, so
@@ -44,7 +44,6 @@ step-back past a poisoned resume point) is deliberately mirrored by
 
 from __future__ import annotations
 
-import json
 import random
 import subprocess
 import sys
@@ -56,13 +55,7 @@ from typing import Any, Callable, Optional, Union
 from ..config import check
 from ..errors import EXIT_SNAPSHOT_UNLOADABLE, SupervisorError
 from ..workers import BackoffPolicy, child_env
-from .coordinator import (
-    is_sharded_dir,
-    latest_coordinated,
-    quarantine_coordinated,
-)
-from .replay import MANIFEST_NAME, MANIFEST_SCHEMA
-from .snapshot import _atomic_write, latest_snapshot
+from .directory import ResumePoint, quarantine, resume_point
 
 __all__ = [
     "EXIT_SNAPSHOT_UNLOADABLE",  # canonical home: repro.errors
@@ -71,24 +64,6 @@ __all__ = [
     "SupervisorReport",
     "Supervisor",
 ]
-
-#: pseudo snapshot-name prefix for a sharded run's coordinated set;
-#: the supervisor's strike/quarantine bookkeeping works on names, and
-#: a coordinated set has no single file, so it gets a synthetic one
-COORDINATED_SET_PREFIX = "coordinated-set-"
-
-
-@dataclass(frozen=True)
-class _CoordinatedResumePoint:
-    """Stand-in for a :class:`~pathlib.Path` snapshot: the newest
-    complete coordinated set of a sharded checkpoint directory."""
-
-    cycle: int
-
-    @property
-    def name(self) -> str:
-        return f"{COORDINATED_SET_PREFIX}{self.cycle:012d}"
-
 
 @dataclass
 class SupervisorConfig:
@@ -187,31 +162,6 @@ class SupervisorReport:
         return text
 
 
-def _record_quarantine(directory: Path, name: str, reason: str) -> None:
-    """Append a quarantined snapshot to the directory's manifest.
-
-    A record-mode bundle already has ``manifest.json``; a plain
-    checkpoint directory gets a minimal one (schema + quarantine list
-    only) so the forensic trail survives either way.  An unreadable
-    manifest is left untouched -- quarantining must never destroy
-    evidence.
-    """
-    path = directory / MANIFEST_NAME
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(manifest, dict):
-            return
-    except FileNotFoundError:
-        manifest = {"schema": MANIFEST_SCHEMA}
-    except (OSError, json.JSONDecodeError):
-        return
-    entries = manifest.setdefault("quarantined", [])
-    entries.append({"snapshot": name, "reason": reason})
-    _atomic_write(
-        path, (json.dumps(manifest, indent=2) + "\n").encode("utf-8")
-    )
-
-
 class Supervisor:
     """Run ``start_argv`` (and ``resume_argv`` after crashes) until the
     workload completes or the restart budget runs out.
@@ -277,45 +227,17 @@ class Supervisor:
         )
 
 
-    def _latest(self) -> Optional[Any]:
-        """Newest resumable point: a snapshot path, a coordinated set
-        of a sharded directory, or None."""
-        if is_sharded_dir(self.directory):
-            entry = latest_coordinated(self.directory)
-            if entry is None:
-                return None
-            return _CoordinatedResumePoint(int(entry["cycle"]))
-        return latest_snapshot(self.directory)
+    def _latest(self) -> Optional[ResumePoint]:
+        """Newest resumable point (a snapshot file, or a coordinated
+        set of a sharded directory), or None."""
+        point = resume_point(self.directory)
+        return point if point.files else None
 
-    def _quarantine(self, report: SupervisorReport, snap_name: str,
+    def _quarantine(self, report: SupervisorReport, point: ResumePoint,
                     reason: str) -> None:
-        if snap_name.startswith(COORDINATED_SET_PREFIX):
-            # a sharded run's set: all K shard files go together
-            # (quarantine_coordinated also takes chained delta sets)
-            cycle = int(snap_name[len(COORDINATED_SET_PREFIX):])
-            quarantine_coordinated(self.directory, cycle, reason)
-        else:
-            # a chain goes as a unit: deltas chained (transitively) on
-            # this snapshot can no longer reach a trusted base, so
-            # quarantining only the bad link would leave resume points
-            # that are guaranteed to fail the chain verification
-            from .snapshot import chain_descendants
-
-            doomed = [snap_name] + chain_descendants(
-                self.directory, snap_name
-            )
-            for name in doomed:
-                path = self.directory / name
-                if path.exists():
-                    path.rename(path.with_name(path.name + ".poisoned"))
-                why = (
-                    reason
-                    if name == snap_name
-                    else f"delta chained on quarantined {snap_name}"
-                )
-                _record_quarantine(self.directory, name, why)
-        report.quarantined.append(snap_name)
-        self.log(f"# supervise: quarantined {snap_name} ({reason})")
+        quarantine(point, reason)
+        report.quarantined.append(point.name)
+        self.log(f"# supervise: quarantined {point.name} ({reason})")
 
     def run(self) -> SupervisorReport:
         """The supervision loop; returns the full attempt history."""
@@ -381,7 +303,7 @@ class Supervisor:
                 # exit 1 (any other ReproError after a clean load)
                 # falls through to the strike counter below.
                 self._quarantine(
-                    report, resume_from.name,
+                    report, resume_from,
                     f"failed to load (exit {proc.returncode}, "
                     f"attempt {attempt.index})",
                 )
@@ -402,7 +324,7 @@ class Supervisor:
                     strikes[key] = strikes.get(key, 0) + 1
                     if key is not None and strikes[key] >= self.config.strikes:
                         self._quarantine(
-                            report, key,
+                            report, resume_from,
                             f"{strikes[key]} crashes inside its "
                             f"checkpoint window",
                         )

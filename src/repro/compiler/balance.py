@@ -222,10 +222,6 @@ def verify_balanced(g: DataflowGraph, ignore_arcs: Iterable[int] = ()) -> bool:
     )
 
 
-def total_buffering(result: BalanceResult) -> int:
-    return result.inserted_stages
-
-
 def min_buffer_stages_via_flow(
     g: DataflowGraph, ignore_arcs: Iterable[int] = ()
 ) -> int:

@@ -110,10 +110,6 @@ class ExpansionReport:
     kept_tables: int = 0
     counters: int = 0
 
-    @property
-    def total_expanded(self) -> int:
-        return self.expanded_boolean + self.expanded_affine
-
 
 def _emit_run_predicate(
     g: DataflowGraph, counter: int, run: tuple[int, int], n: int, name: str

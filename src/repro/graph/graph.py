@@ -230,13 +230,6 @@ class DataflowGraph:
                 return c
         raise GraphError(f"no cell named {name!r}")
 
-    def predecessors(self, cid: int) -> list[int]:
-        return [
-            arc.src
-            for (dst, _p), arc in self.in_arc.items()
-            if dst == cid
-        ]
-
     def successors(self, cid: int) -> list[int]:
         return [arc.dst for arc in self.out_arcs[cid]]
 

@@ -58,6 +58,12 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from ..analysis.partition import Partition, partition_graph
+from ..checkpoint.directory import (
+    ResumePoint,
+    next_kind,
+    resume_point,
+    shard_snapshot_name,
+)
 from ..checkpoint.manager import CheckpointConfig
 from ..checkpoint.snapshot import _gc_paused
 from ..errors import (
@@ -319,26 +325,25 @@ class ShardedRunner:
         *,
         shard_config: Union[None, ShardConfig, dict, str] = None,
     ) -> "ShardedRunner":
-        """Load the newest *complete* coordinated snapshot set and
-        return a runner ready to continue bit-identically."""
-        from ..checkpoint.coordinator import (
-            CoordinatedCheckpointManager,
-            latest_coordinated,
-            read_shard_manifest,
-        )
+        """Load the newest *complete* coordinated snapshot set of
+        ``directory`` (or the :class:`~repro.checkpoint.directory.
+        ResumePoint` already found in one) and return a runner ready
+        to continue bit-identically."""
+        from ..checkpoint.coordinator import CoordinatedCheckpointManager
 
-        directory = Path(directory)
-        manifest = read_shard_manifest(directory)
-        entry = latest_coordinated(directory)
-        if entry is None:
+        point = (directory if isinstance(directory, ResumePoint)
+                 else resume_point(directory))
+        if not (point.sharded and point.files):
             raise SnapshotError(
-                f"no complete coordinated snapshot set in {directory}"
+                f"no complete coordinated snapshot set in "
+                f"{point.directory}"
             )
+        manifest = point.manifest
         machines = [
-            load_shard_machine(str(directory / fname))
-            for fname in entry["files"]
+            load_shard_machine(str(point.directory / fname))
+            for fname in point.files
         ]
-        ckpt = CoordinatedCheckpointManager.attach(directory)
+        ckpt = CoordinatedCheckpointManager.attach(point.directory, manifest)
         interval = ckpt.config.interval
         self = cls.__new__(cls)
         self._setup(
@@ -353,7 +358,7 @@ class ShardedRunner:
             ),
             "round_robin",
             ckpt,
-            entry["cycle"] + interval if interval else None,
+            point.cycle + interval if interval else None,
         )
         return self
 
@@ -587,8 +592,8 @@ class ShardedRunner:
         # live workers -- any rollback, resume or respawn resets the
         # chain, so the next set is a full base
         started = time.perf_counter()
-        kind = self._ckpt.next_kind()
-        names = [self._ckpt.shard_name(cycle, k) for k in range(len(eps))]
+        kind = next_kind(self._ckpt.config, self._ckpt.tip_depth)
+        names = [shard_snapshot_name(cycle, k) for k in range(len(eps))]
         directory = self._ckpt_directory()
         self._last_cycle = [cycle] * len(eps)
         sizes = self._fan_out(eps, [
@@ -654,25 +659,25 @@ class ShardedRunner:
             )
             if delay:
                 policy.sleep(delay)
-        entry = self._resume_point()
-        key = entry["cycle"] if entry is not None else -1
+        point = self._resume_point()
+        key = point.cycle if point is not None else -1
         strikes = self._strikes.get(key, 0) + 1
-        if strikes >= policy.strikes and entry is not None:
+        if strikes >= policy.strikes and point is not None:
             # second failure replaying the same window: bar the set
             # (in memory -- replay will re-commit this cycle) and step
             # back one, like the supervisor's two-strike quarantine
             self._barred.add(key)
             self._strikes.pop(key, None)
             rec.step_backs += 1
-            entry = self._resume_point()
-            key = entry["cycle"] if entry is not None else -1
+            point = self._resume_point()
+            key = point.cycle if point is not None else -1
             self._strikes[key] = 1
         else:
             self._strikes[key] = strikes
         rec.rollbacks += 1
         rec.rollback_cycles.append(key)
-        new_eps = self._restore(eps, entry, {failed})
-        base = entry["cycle"] if entry is not None else self._start_cycle
+        new_eps = self._restore(eps, point, {failed})
+        base = point.cycle if point is not None else self._start_cycle
         rec.cycles_replayed += max(0, detect_cycle - base)
         if self._ckpt is not None:
             interval = self._ckpt.config.interval
@@ -707,21 +712,18 @@ class ShardedRunner:
             cycle=cycle,
         ) from exc
 
-    def _resume_point(self) -> Optional[dict[str, Any]]:
+    def _resume_point(self) -> Optional[ResumePoint]:
         """Latest complete coordinated set not barred by step-back, or
         None (= roll back to the run's initial machines)."""
         if self._ckpt is None:
             return None
-        from ..checkpoint.coordinator import latest_coordinated
-
         try:
-            return latest_coordinated(
-                self._ckpt.directory, exclude=self._barred
-            )
+            point = resume_point(self._ckpt.directory, barred=self._barred)
         except ManifestError:
             return None
+        return point if point.sharded and point.files else None
 
-    def _restore(self, eps, entry: Optional[dict[str, Any]],
+    def _restore(self, eps, point: Optional[ResumePoint],
                  failed: set) -> list:
         """Build the post-rollback endpoint list: survivors reload
         their shard file in place (warm), failed/degraded workers are
@@ -729,14 +731,14 @@ class ShardedRunner:
         the initial machines (fork leaves the parent's copies
         unmutated; on a resumed runner they hold the loaded set)."""
         rec = self._recovery
-        if entry is None:
+        if point is None:
             for ep in eps:
                 ep.close()
             fresh = self._spawn(None, 0)
             rec.respawns += len(failed - self._degraded)
             return fresh
         directory = self._ckpt_directory()
-        paths = [str(directory / n) for n in entry["files"]]
+        paths = [str(directory / n) for n in point.files]
         respawn = set(failed) | self._degraded
         # a survivor that dies too (e.g. several chaos faults in one
         # window) is replaced as well

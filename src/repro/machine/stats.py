@@ -25,10 +25,6 @@ class ReliabilityStats:
     corruptions_detected: int = 0
     overruns_dropped: int = 0
 
-    @property
-    def total_recoveries(self) -> int:
-        return self.retransmissions + self.acks_resent
-
     def summary(self) -> str:
         return (
             f"reliability: {self.retransmissions} retransmissions "

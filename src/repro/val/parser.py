@@ -99,15 +99,6 @@ class Parser:
             return True
         return False
 
-    def expect_op(self, text: str) -> Token:
-        if not (self.cur.kind == "OP" and self.cur.text == text):
-            raise ValSyntaxError(
-                f"expected {text!r}, found {self.cur.text or self.cur.kind!r}",
-                self.cur.line,
-                self.cur.column,
-            )
-        return self.advance()
-
     def _pos_of(self, tok: Token) -> dict:
         return {"line": tok.line, "column": tok.column}
 

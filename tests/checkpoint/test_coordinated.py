@@ -14,11 +14,12 @@ import pytest
 
 from repro.checkpoint import (
     CheckpointConfig,
+    fsck_directory,
     is_sharded_dir,
-    latest_coordinated,
     latest_snapshot,
-    quarantine_coordinated,
-    read_shard_manifest,
+    quarantine,
+    read_manifest,
+    resume_point,
     shard_snapshot_name,
 )
 from repro.checkpoint.coordinator import CoordinatedCheckpointManager
@@ -72,7 +73,7 @@ class TestCoordinatedSets:
         _checkpointed_run(tmp_path)
         directory = tmp_path / "snaps"
         assert is_sharded_dir(directory)
-        manifest = read_shard_manifest(directory)
+        manifest = read_manifest(directory, "sharded")
         assert manifest["shards"] == 4
         assert manifest["status"] == "completed"
         sets = manifest["coordinated"]
@@ -86,7 +87,7 @@ class TestCoordinatedSets:
         self, tmp_path
     ):
         runner, _, _ = _checkpointed_run(tmp_path, retain=0)
-        manifest = read_shard_manifest(tmp_path / "snaps")
+        manifest = read_manifest(tmp_path / "snaps", "sharded")
         latencies = runner.stats().checkpoints.latencies
         assert len(latencies) == len(manifest["coordinated"]) > 1
         assert all(seconds > 0 for seconds in latencies)
@@ -105,7 +106,7 @@ class TestCoordinatedSets:
     def test_retention_prunes_whole_sets(self, tmp_path):
         _checkpointed_run(tmp_path, retain=2)
         directory = tmp_path / "snaps"
-        manifest = read_shard_manifest(directory)
+        manifest = read_manifest(directory, "sharded")
         sets = manifest["coordinated"]
         assert len(sets) == 2
         on_disk = sorted(p.name for p in directory.glob("ckpt-*.snap"))
@@ -124,53 +125,51 @@ class TestCoordinatedSets:
     def test_partial_set_never_eligible(self, tmp_path):
         _checkpointed_run(tmp_path)
         directory = tmp_path / "snaps"
-        newest = latest_coordinated(directory)
+        newest = resume_point(directory)
         older = [
-            e for e in read_shard_manifest(directory)["coordinated"]
-            if e["cycle"] != newest["cycle"]
+            e for e in read_manifest(directory, "sharded")["coordinated"]
+            if e["cycle"] != newest.cycle
         ]
         # delete one member of the newest set: the set is incomplete,
         # so resume must step back to the previous complete set
-        (directory / newest["files"][2]).unlink()
-        stepped = latest_coordinated(directory)
-        assert stepped is not None
-        assert stepped["cycle"] == older[-1]["cycle"]
+        (directory / newest.files[2]).unlink()
+        stepped = resume_point(directory)
+        assert stepped.files
+        assert stepped.cycle == older[-1]["cycle"]
 
     def test_uncommitted_files_are_invisible(self, tmp_path):
         _checkpointed_run(tmp_path)
         directory = tmp_path / "snaps"
-        before = latest_coordinated(directory)
+        before = resume_point(directory)
         # simulate a crash between shard writes: files on disk for a
         # newer barrier, but no manifest entry committed
-        cycle = before["cycle"] + INTERVAL
+        cycle = before.cycle + INTERVAL
         for k in range(4):
             (directory / shard_snapshot_name(cycle, k)).write_bytes(
                 b"partial"
             )
-        assert latest_coordinated(directory)["cycle"] == before["cycle"]
+        assert resume_point(directory).cycle == before.cycle
 
     def test_quarantine_steps_back_a_whole_set(self, tmp_path):
         _checkpointed_run(tmp_path)
         directory = tmp_path / "snaps"
-        newest = latest_coordinated(directory)
-        renamed = quarantine_coordinated(
-            directory, newest["cycle"], "test poison"
-        )
+        newest = resume_point(directory)
+        renamed = quarantine(newest, "test poison")
         assert len(renamed) == 4
         for name in renamed:
             assert not (directory / name).exists()
             assert (directory / (name + ".poisoned")).exists()
-        stepped = latest_coordinated(directory)
-        assert stepped is not None and stepped["cycle"] < newest["cycle"]
-        quarantined = read_shard_manifest(directory)["quarantined"]
-        assert quarantined[0]["cycle"] == newest["cycle"]
+        stepped = resume_point(directory)
+        assert stepped.files and stepped.cycle < newest.cycle
+        quarantined = read_manifest(directory, "sharded")["quarantined"]
+        assert quarantined[0]["cycle"] == newest.cycle
 
     def test_not_sharded_dirs(self, tmp_path):
         assert not is_sharded_dir(tmp_path / "missing")
         (tmp_path / "manifest.json").write_text("{}", encoding="utf-8")
         assert not is_sharded_dir(tmp_path)
         with pytest.raises(ManifestError):
-            read_shard_manifest(tmp_path)
+            read_manifest(tmp_path, "sharded")
 
     def test_record_mode_refused(self, tmp_path):
         cfg = CheckpointConfig(tmp_path / "snaps", record=True)
@@ -201,7 +200,7 @@ class TestCrashResume:
         )
         directory = tmp_path / "snaps"
         carried = 0
-        for fname in latest_coordinated(directory)["files"]:
+        for fname in resume_point(directory).files:
             _, extra = load_machine(
                 directory / fname, expected_cls=ShardMachine,
                 with_extra=True,
@@ -220,7 +219,7 @@ class TestCrashResume:
     ):
         _checkpointed_run(tmp_path)
         directory = tmp_path / "snaps"
-        for entry in read_shard_manifest(directory)["coordinated"]:
+        for entry in read_manifest(directory, "sharded")["coordinated"]:
             (directory / entry["files"][0]).unlink()
         with pytest.raises(SnapshotError):
             ShardedRunner.resume(directory)
@@ -245,7 +244,7 @@ class TestCrashResume:
             checkpoint=CheckpointConfig("ck", interval=3, retain=0),
         )
         assert run.engine.worker_reuses == 2
-        sets = read_shard_manifest(tmp_path / "b" / "ck")["coordinated"]
+        sets = read_manifest(tmp_path / "b" / "ck", "sharded")["coordinated"]
         assert sets
         for entry in sets:
             for fname in entry["files"]:
@@ -253,23 +252,40 @@ class TestCrashResume:
         assert not (tmp_path / "a" / "ck").exists()
         assert repro.resume("ck").outputs == clean.outputs
 
+    def test_resume_keeps_retain_zero(self, tmp_path):
+        # a recorded retain of 0 ("keep all") must not come back as the
+        # default 3 and prune the pre-crash sets on the resumed run
+        _checkpointed_run(tmp_path, crash_at=30, retain=0)
+        directory = tmp_path / "snaps"
+        before = [e["cycle"]
+                  for e in read_manifest(directory, "sharded")["coordinated"]]
+        assert before
+        ShardedRunner.resume(directory).run()
+        manifest = read_manifest(directory, "sharded")
+        assert manifest["retain"] == 0
+        after = [e["cycle"] for e in manifest["coordinated"]]
+        assert set(before) <= set(after)
+        for entry in manifest["coordinated"]:
+            for fname in entry["files"]:
+                assert (directory / fname).exists(), fname
+
     def test_checkpoints_continue_after_resume(self, tmp_path):
         _checkpointed_run(tmp_path, crash_at=30)
         directory = tmp_path / "snaps"
-        before = latest_coordinated(directory)["cycle"]
+        before = resume_point(directory).cycle
         resumed = ShardedRunner.resume(directory)
         resumed.run()
-        after = latest_coordinated(directory)["cycle"]
+        after = resume_point(directory).cycle
         assert after > before
-        assert read_shard_manifest(directory)["status"] == "completed"
+        assert read_manifest(directory, "sharded")["status"] == "completed"
 
 
 class TestCli:
     def test_inspect_reports_partial_sets(self, tmp_path, capsys):
         _checkpointed_run(tmp_path)
         directory = tmp_path / "snaps"
-        newest = latest_coordinated(directory)
-        member = directory / newest["files"][0]
+        newest = resume_point(directory)
+        member = directory / newest.files[0]
 
         assert cli_main(["snapshot", "inspect", str(member)]) == 0
         captured = capsys.readouterr()
@@ -279,11 +295,34 @@ class TestCli:
         assert "resumable (complete committed set)" in captured.err
 
         # break the set: inspect must stop calling the file loadable
-        (directory / newest["files"][1]).unlink()
+        (directory / newest.files[1]).unlink()
         assert cli_main(["snapshot", "inspect", str(member)]) == 0
         captured = capsys.readouterr()
         assert json.loads(captured.out)["coordinated"] == "incomplete"
         assert "NOT resumable alone" in captured.err
+
+    def test_inspect_agrees_with_fsck_on_an_orphaned_delta_set(
+        self, tmp_path, capsys
+    ):
+        directory = tmp_path / "snaps"
+        assert cli_main(
+            ["checkpoint", "fig7", "--size", "60", "--interval", "50",
+             "--delta-every", "3", "--retain", "0", "--backend",
+             "sharded", "--shards", "2", "--shard-config",
+             '{"processes": false}', "--dir", str(directory)]
+        ) == 0
+        # the base set at 50 loses a member: the delta set at 101,
+        # chained on it, is committed and whole but not resumable
+        (directory / shard_snapshot_name(50, 1)).unlink()
+        capsys.readouterr()
+        member = directory / shard_snapshot_name(101, 0)
+        assert cli_main(["snapshot", "inspect", str(member)]) == 0
+        captured = capsys.readouterr()
+        sets = {s["cycle"]: s["status"]
+                for s in fsck_directory(directory)["sets"]}
+        assert sets[101] == "orphaned"
+        assert json.loads(captured.out)["coordinated"] == sets[101]
+        assert "NOT resumable alone (orphaned set)" in captured.err
 
     def test_cli_crash_resume_byte_identical(self, tmp_path, capsys):
         snaps = tmp_path / "snaps"

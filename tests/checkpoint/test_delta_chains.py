@@ -28,18 +28,20 @@ from repro.checkpoint import (
     Supervisor,
     SupervisorConfig,
     chain_status,
+    ResumePoint,
     fsck_directory,
-    latest_coordinated,
     latest_snapshot,
     load_machine,
-    quarantine_coordinated,
+    quarantine,
+    read_manifest,
     read_metadata,
-    read_shard_manifest,
     rebase_snapshot,
+    resume_point,
     save_snapshot,
     verify_chain,
 )
 from repro.checkpoint.coordinator import CoordinatedCheckpointManager
+from repro.checkpoint.directory import next_kind
 from repro.checkpoint.snapshot import _HEADER
 from repro.errors import SnapshotError
 from repro.faults import FaultPlan
@@ -567,7 +569,9 @@ class TestCoordinatedDeltaSets:
         graph, streams = _sharded_run(tmp_path, shards=shards)
         ref_out, ref_times = _reference(graph, streams)
         directory = tmp_path / "snaps"
-        entry = latest_coordinated(directory)
+        point = resume_point(directory)
+        entry = next(e for e in point.manifest["coordinated"]
+                     if e["cycle"] == point.cycle)
         assert entry["kind"] in ("base", "delta")
         resumed = ShardedRunner.resume(directory)
         resumed.run()
@@ -579,7 +583,7 @@ class TestCoordinatedDeltaSets:
 
     def test_manifest_chain_metadata(self, tmp_path):
         _sharded_run(tmp_path)
-        manifest = read_shard_manifest(tmp_path / "snaps")
+        manifest = read_manifest(tmp_path / "snaps", "sharded")
         assert manifest["delta_every"] == 3
         sets = manifest["coordinated"]
         kinds = [e.get("kind", "full") for e in sets]
@@ -595,7 +599,7 @@ class TestCoordinatedDeltaSets:
     def test_set_prune_all_or_none(self, tmp_path):
         _sharded_run(tmp_path, retain=2)
         directory = tmp_path / "snaps"
-        sets = read_shard_manifest(directory)["coordinated"]
+        sets = read_manifest(directory, "sharded")["coordinated"]
         # the surviving prefix starts on a chain boundary
         assert sets[0].get("kind", "full") in ("full", "base")
         for entry in sets:
@@ -607,19 +611,19 @@ class TestCoordinatedDeltaSets:
     def test_latest_coordinated_skips_broken_chain(self, tmp_path):
         _sharded_run(tmp_path)
         directory = tmp_path / "snaps"
-        sets = read_shard_manifest(directory)["coordinated"]
+        sets = read_manifest(directory, "sharded")["coordinated"]
         bases = [e for e in sets if e.get("kind") == "base"]
         assert bases
         victim = bases[-1]
         (directory / victim["files"][0]).unlink()
-        entry = latest_coordinated(directory)
-        if entry is not None:
-            assert entry["cycle"] < victim["cycle"]
+        point = resume_point(directory)
+        if point.files:
+            assert point.cycle < victim["cycle"]
 
     def test_quarantine_takes_descendant_sets(self, tmp_path):
         _sharded_run(tmp_path)
         directory = tmp_path / "snaps"
-        sets = read_shard_manifest(directory)["coordinated"]
+        sets = read_manifest(directory, "sharded")["coordinated"]
         bases = [e for e in sets if e.get("kind") == "base"]
         base = bases[-1]
         descendants = [
@@ -627,8 +631,11 @@ class TestCoordinatedDeltaSets:
             if e.get("kind") == "delta" and e["cycle"] > base["cycle"]
         ]
         assert descendants
-        quarantine_coordinated(directory, base["cycle"], "test poison")
-        manifest = read_shard_manifest(directory)
+        quarantine(
+            ResumePoint(directory, True, tuple(base["files"]), base["cycle"]),
+            "test poison",
+        )
+        manifest = read_manifest(directory, "sharded")
         poisoned = {e["cycle"] for e in manifest["quarantined"]}
         assert base["cycle"] in poisoned
         for entry in descendants:
@@ -641,10 +648,10 @@ class TestCoordinatedDeltaSets:
         _sharded_run(tmp_path, crash_at=30)
         directory = tmp_path / "snaps"
         before = {e["cycle"] for e in
-                  read_shard_manifest(directory)["coordinated"]}
+                  read_manifest(directory, "sharded")["coordinated"]}
         resumed = ShardedRunner.resume(directory)
         resumed.run()
-        sets = read_shard_manifest(directory)["coordinated"]
+        sets = read_manifest(directory, "sharded")["coordinated"]
         fresh = [e for e in sets if e["cycle"] not in before]
         assert fresh
         # a resumed worker has no in-memory chain tip; asking it for a
@@ -663,9 +670,12 @@ class TestCoordinatedDeltaSets:
     def test_next_kind_respects_reset(self, tmp_path):
         _sharded_run(tmp_path)
         directory = tmp_path / "snaps"
-        mgr = CoordinatedCheckpointManager.attach(directory)
+        mgr = CoordinatedCheckpointManager.attach(
+            directory, read_manifest(directory, "sharded")
+        )
         assert mgr.config.delta_every == 3    # survived via the manifest
         # attach never trusts a chain it did not build itself
-        assert mgr.next_kind() == "base"
+        assert mgr.tip_depth is None
+        assert next_kind(mgr.config, mgr.tip_depth) == "base"
         mgr.reset_chain()
-        assert mgr.next_kind() == "base"
+        assert next_kind(mgr.config, mgr.tip_depth) == "base"

@@ -17,8 +17,11 @@ import os
 import pytest
 
 import repro
-from repro.checkpoint import CheckpointConfig, read_shard_manifest
-from repro.checkpoint.coordinator import shard_snapshot_name
+from repro.checkpoint import (
+    CheckpointConfig,
+    read_manifest,
+    shard_snapshot_name,
+)
 from repro.cli import main as cli_main
 from repro.errors import ReproError, SimulationError
 from repro.faults import FaultPlan, ShardFault
@@ -272,7 +275,7 @@ class TestKillDuringSnapshot:
         rec = runner.stats().recovery
         assert rec.detections == 1
         assert rec.rollback_cycles == [10]
-        manifest = read_shard_manifest(tmp_path / "snaps")
+        manifest = read_manifest(tmp_path / "snaps", "sharded")
         cycles = [e["cycle"] for e in manifest["coordinated"]]
         assert cycles == sorted(cycles)
         victim_file = (

@@ -19,7 +19,7 @@ from repro.analysis import Partition, PartitionError, partition_graph
 from repro.checkpoint import (
     CheckpointConfig,
     fsck_directory,
-    read_shard_manifest,
+    read_manifest,
 )
 from repro.errors import SimulationError
 from repro.faults import FaultPlan, ShardFault
@@ -590,7 +590,7 @@ class TestFanOut:
         assert rec.detections == 1
         assert rec.rollback_cycles == [20]
         # the interrupted set was replayed and committed once, as a base
-        manifest = read_shard_manifest(tmp_path / "snaps")
+        manifest = read_manifest(tmp_path / "snaps", "sharded")
         kinds = {e["cycle"]: e["kind"] for e in manifest["coordinated"]}
         assert kinds[10] == "base" and kinds[20] == "delta"
         assert kinds[30] == "base"
