@@ -25,10 +25,10 @@ import pytest
 from repro.checkpoint import (
     ChainBrokenError,
     CheckpointConfig,
+    ResumePoint,
     Supervisor,
     SupervisorConfig,
     chain_status,
-    ResumePoint,
     fsck_directory,
     latest_snapshot,
     load_machine,
