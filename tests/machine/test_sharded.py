@@ -9,6 +9,7 @@ coordinated snapshot (covered in tests/checkpoint/test_coordinated.py).
 """
 
 import os
+import random
 import signal
 from typing import Optional
 
@@ -21,6 +22,7 @@ from repro.checkpoint import (
     fsck_directory,
     read_manifest,
 )
+from repro.compiler import compile_program
 from repro.errors import SimulationError
 from repro.faults import FaultPlan, ShardFault
 from repro.faults.plan import FaultPlanError
@@ -39,10 +41,23 @@ from repro.workers import (
     pooled_worker_count,
     shutdown_worker_pool,
 )
-from repro.workloads import figure_workload, parallel_chain_graph
+from repro.workloads import (
+    figure_workload,
+    parallel_chain_graph,
+    random_pipe_program,
+)
+from tests.util import random_inputs
 
 FIGS = ["fig2", "fig4", "fig5", "fig6", "fig7"]
 SHARD_COUNTS = [1, 2, 4]
+#: generated pipe programs, each ending in a for-iter recurrence
+GENERATED = [f"pipe{seed}" for seed in range(8)]
+
+#: configs under which no unit serializes same-cycle work, so a sharded
+#: run's private per-shard units cannot move a modeled time
+EXACT_CONFIGS = {
+    "free_issue": MachineConfig(pe_issue_interval=0, fu_issue_interval=0),
+}
 
 #: packet-fault plan usable on sharded runs (keyed derivation)
 KEYED_PLAN = FaultPlan(
@@ -57,6 +72,13 @@ KEYED_PLAN = FaultPlan(
 
 
 def _figure_graph(name, m=12):
+    if name in GENERATED:
+        seed = int(name[len("pipe"):])
+        src = random_pipe_program(random.Random(seed), n_blocks=3, depth=2)
+        cp = compile_program(src, params={"m": m})
+        return cp.graph, cp.prepare_inputs(
+            random_inputs(cp, random.Random(seed))
+        )
     if name == "chains10k":
         # >= 10^4 cells, the sharded backend's scaling graph
         return parallel_chain_graph(m=2), {}
@@ -204,6 +226,23 @@ class TestDeterminismMatrix:
         assert out == ref_out
         for s in ref_out:
             assert runner.sink_arrival_times(s) == ref_times[s]
+
+    @pytest.mark.parametrize("config", sorted(EXACT_CONFIGS))
+    @pytest.mark.parametrize("name", GENERATED)
+    def test_exact_config(self, name, config):
+        graph, streams = _figure_graph(name)
+        ref = repro.run(graph, streams, config=EXACT_CONFIGS[config])
+        for k in (2, 4):
+            res = repro.run(
+                graph, streams, backend="sharded",
+                config=EXACT_CONFIGS[config],
+                shard_config=ShardConfig(shards=k, processes=False),
+            )
+            where = f"{name} K={k}"
+            assert res.outputs == ref.outputs, where
+            assert res.sink_times == ref.sink_times, where
+            assert res.stats.cycles == ref.stats.cycles, where
+            assert res.stats.fire_counts == ref.stats.fire_counts, where
 
 
 def _in_process_run(graph, streams, k, plan=None, config=None,
