@@ -192,7 +192,9 @@ class ShardMachine(Machine):
             a for a in aids
             if self._owner[self.graph.arcs[a].dst] == self.shard_index
         )
-        if local:
+        # a firing that wrote no destination still delivers nothing at
+        # ``when``: the event ends the run no earlier than Machine's
+        if local or not aids:
             self._at(when, "deliver_results", (local, value))
         for a in aids:
             shard = self._owner[self.graph.arcs[a].dst]
