@@ -8,6 +8,7 @@ real worker processes, and after killing a worker and resuming from a
 coordinated snapshot (covered in tests/checkpoint/test_coordinated.py).
 """
 
+import itertools
 import os
 import random
 import signal
@@ -57,6 +58,10 @@ GENERATED = [f"pipe{seed}" for seed in range(8)]
 #: run's private per-shard units cannot move a modeled time
 EXACT_CONFIGS = {
     "free_issue": MachineConfig(pe_issue_interval=0, fu_issue_interval=0),
+    # no two cells share a PE (every graph here has < 256 cells)
+    "pe_per_cell": MachineConfig(n_pes=256),
+    # only the FUs serialize
+    "free_pe_issue": MachineConfig(pe_issue_interval=0),
 }
 
 #: packet-fault plan usable on sharded runs (keyed derivation)
@@ -228,17 +233,19 @@ class TestDeterminismMatrix:
             assert runner.sink_arrival_times(s) == ref_times[s]
 
     @pytest.mark.parametrize("config", sorted(EXACT_CONFIGS))
-    @pytest.mark.parametrize("name", GENERATED)
+    @pytest.mark.parametrize("name", [*FIGS, *GENERATED])
     def test_exact_config(self, name, config):
         graph, streams = _figure_graph(name)
         ref = repro.run(graph, streams, config=EXACT_CONFIGS[config])
-        for k in (2, 4):
+        for k, scheme in itertools.product((2, 4), ("auto", "round_robin")):
             res = repro.run(
                 graph, streams, backend="sharded",
                 config=EXACT_CONFIGS[config],
-                shard_config=ShardConfig(shards=k, processes=False),
+                shard_config=ShardConfig(
+                    shards=k, partition=scheme, processes=False
+                ),
             )
-            where = f"{name} K={k}"
+            where = f"{name} K={k} {scheme}"
             assert res.outputs == ref.outputs, where
             assert res.sink_times == ref.sink_times, where
             assert res.stats.cycles == ref.stats.cycles, where
