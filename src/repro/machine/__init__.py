@@ -29,24 +29,15 @@ from .shard_runner import (
     ShardRecoveryExhausted,
 )
 from .sharded import ShardMachine
-from .packets import (
-    AckPacket,
-    OperationPacket,
-    PacketCounters,
-    ResultPacket,
-    UnitClass,
-    classify_unit,
-)
+from .packets import PacketCounters, UnitClass, classify_unit
 from .stats import (
     CheckpointStats,
     MachineStats,
     RecoveryStats,
     ReliabilityStats,
-    merge_shard_stats,
 )
 
 __all__ = [
-    "AckPacket",
     "BlockedProducer",
     "CheckpointStats",
     "DEFAULT_FU_LATENCY",
@@ -54,13 +45,11 @@ __all__ = [
     "Machine",
     "MachineConfig",
     "MachineStats",
-    "OperationPacket",
     "POLICIES",
     "PacketCounters",
     "RecoveryPolicy",
     "RecoveryStats",
     "ReliabilityStats",
-    "ResultPacket",
     "ShardConfig",
     "ShardCrashError",
     "ShardHangError",
@@ -75,5 +64,4 @@ __all__ = [
     "classify_unit",
     "diagnose",
     "make_assignment",
-    "merge_shard_stats",
 ]

@@ -57,14 +57,13 @@ from ..errors import SimulationError
 from ..graph.cell import GATE_PORT
 from ..graph.graph import DataflowGraph
 from ..graph.opcodes import MERGE_CONTROL_PORT, Op
+from .machine import _TICKERS
 
 #: fewer periods than this are not worth a jump's bookkeeping
 _MIN_JUMP = 8
 #: anchor firings examined before period detection gives up, keeping
 #: never-periodic runs within a constant factor of plain event cost
 _CALIBRATION_BUDGET = 4096
-#: self-re-arming event kinds, independent of the machine state
-_TICKERS = ("watchdog_tick", "checkpoint_tick")
 #: an armed run's ``fallback_reason`` until its detector finds a period
 _NO_PERIOD = "no recurring machine state before the streams ran out"
 

@@ -96,6 +96,7 @@ from .packets import PacketCounters, classify_unit
 from .stats import MachineStats, ReliabilityStats
 
 _ABSENT = _NO_TOKEN
+#: self-re-arming event kinds: they never count as live work
 _TICKERS = ("watchdog_tick", "checkpoint_tick")
 # what a firing computes: ``_Shape.kind`` (None: not executable)
 _SOURCE, _CONST, _MOVE, _UNARY, _BINARY, _MERGE = range(6)
@@ -916,8 +917,14 @@ class Machine:
     # ------------------------------------------------------------------
     # watchdog
     # ------------------------------------------------------------------
+    def _owns(self, cid: int) -> bool:
+        """Whether this machine executes cell ``cid``: a plain machine
+        owns every cell, a shard only those its partition gives it."""
+        return True
+
     def _pending_work(self) -> tuple[int, int]:
-        """(missing sink outputs, unconsumed input tokens)."""
+        """(missing sink outputs, unconsumed input tokens) of the cells
+        this machine owns."""
         missing = 0
         for cid, values in self.sink_values.items():
             limit = self.graph.cells[cid].params.get("limit")
@@ -925,7 +932,7 @@ class Machine:
                 missing += limit - len(values)
         undrained = 0
         for cell in self.graph:
-            if cell.op in (Op.SOURCE, Op.AM_READ):
+            if cell.op in (Op.SOURCE, Op.AM_READ) and self._owns(cell.cid):
                 seq = self._source_seq(cell)
                 pos = self.cell_state[cell.cid].source_pos
                 if pos < len(seq):
@@ -1443,23 +1450,7 @@ class Machine:
         return steady_interval(self.sink_arrival_times(stream))
 
     def stats(self) -> MachineStats:
-        return MachineStats(
-            cycles=self._finish,
-            packets=self.packets,
-            pe_ops=[u.ops for u in self.pes],
-            fu_ops=[u.ops for u in self.fus],
-            am_ops=[u.ops for u in self.ams],
-            pe_busy=[u.busy_cycles for u in self.pes],
-            fu_busy=[u.busy_cycles for u in self.fus],
-            am_busy=[u.busy_cycles for u in self.ams],
-            fire_counts={
-                cid: st.fire_count for cid, st in self.cell_state.items()
-            },
-            reliability=(
-                self.rel
-                if (self._reliable or self.injector is not None)
-                else None
-            ),
-            faults=self.injector.stats if self.injector is not None else None,
+        return MachineStats.of(
+            [self],
             checkpoints=self.ckpt.stats if self.ckpt is not None else None,
         )

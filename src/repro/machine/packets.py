@@ -1,7 +1,8 @@
-"""Packet types of the packet-communication architecture (Section 2).
+"""Packet accounting of the packet-communication architecture (Section 2).
 
-Two packet kinds flow through the routing networks, plus the
-acknowledge packets that implement the single-token-per-arc discipline:
+The machine counts two packet kinds flowing through the routing
+networks, plus the acknowledge packets that implement the
+single-token-per-arc discipline:
 
 * **operation packets** -- an enabled instruction plus its operand
   values, sent from a processing element to a function unit or array
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Optional
 
 
 class UnitClass(Enum):
@@ -25,34 +25,6 @@ class UnitClass(Enum):
     LOCAL = "pe"
     FUNCTION_UNIT = "fu"
     ARRAY_MEMORY = "am"
-
-
-@dataclass(frozen=True)
-class OperationPacket:
-    cell: int
-    op_name: str
-    operands: tuple
-    unit: UnitClass
-    issued_at: int
-
-
-@dataclass(frozen=True)
-class ResultPacket:
-    value: Any
-    dst_cell: int
-    dst_port: int
-    arc: int
-    #: per-arc sequence number, used by the reliability layer to
-    #: suppress duplicates and match retransmissions
-    seq: int = 0
-
-
-@dataclass(frozen=True)
-class AckPacket:
-    dst_cell: int   # the producer being released
-    arc: int
-    #: sequence number of the consumed token this ack releases
-    seq: int = 0
 
 
 @dataclass
@@ -74,14 +46,6 @@ class PacketCounters:
         """Fraction of operation packets sent to array memories."""
         return self.op_am / self.op_total if self.op_total else 0.0
 
-    def count_op(self, unit: UnitClass) -> None:
-        if unit is UnitClass.LOCAL:
-            self.op_local += 1
-        elif unit is UnitClass.FUNCTION_UNIT:
-            self.op_fu += 1
-        else:
-            self.op_am += 1
-
     def summary(self) -> str:
         return (
             f"op packets: {self.op_total} "
@@ -91,7 +55,7 @@ class PacketCounters:
         )
 
 
-def classify_unit(op_name: str, has_fu: bool = True) -> UnitClass:
+def classify_unit(op_name: str) -> UnitClass:
     """Destination unit class of an opcode (by name, to avoid import
     cycles with the graph package)."""
     from ..graph.opcodes import ARRAY_MEMORY_OPS, FUNCTION_UNIT_OPS, Op
@@ -99,9 +63,7 @@ def classify_unit(op_name: str, has_fu: bool = True) -> UnitClass:
     op = Op(op_name)
     if op in ARRAY_MEMORY_OPS:
         return UnitClass.ARRAY_MEMORY
-    if op in FUNCTION_UNIT_OPS and has_fu:
+    if op in FUNCTION_UNIT_OPS:
         return UnitClass.FUNCTION_UNIT
     return UnitClass.LOCAL
 
-
-_ = Optional  # reserved for routed-path metadata extensions

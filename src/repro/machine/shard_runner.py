@@ -11,14 +11,14 @@ the global minimum next-event time ``T`` over all shard heaps and
 in-flight messages, lets every shard run to a safe horizon, collects
 the cut packets the window emitted and injects them at the next
 barrier, sorted by ``(time, source shard, emission index)``.  No shard
-hears from its past, so the merged run equals the single-heap one,
-bit for bit.  The fixed horizon is ``T + L - 1``; the adaptive one
+hears from its past.  One window rule serves every config: the horizon
 runs to just below the earliest cycle any shard could hear from
 another (each shard's earliest output time, see
-:meth:`ShardMachine.eot`, and pending arrivals ``+ L``).  Adaptive
-horizons are used whenever equal-cycle event order cannot affect
-modeled times (:meth:`ShardedRunner._order_free`), the fixed cadence
-otherwise; neither is a caller's choice.
+:meth:`ShardMachine.eot`, and pending arrivals ``+ L``), and is never
+shorter than ``T + L - 1``.  The merged run computes the single-heap
+run's values; its times are equal too when no unit serializes
+same-cycle work, because each shard has private PEs, FUs and routing
+(DESIGN.md section 9).
 
 *One fan-out.*  Every per-shard command goes through
 :meth:`ShardedRunner._fan_out`: post to all K workers, then collect the
@@ -82,7 +82,7 @@ from .config import MachineConfig
 from .shard_config import RecoveryPolicy, ShardConfig
 from .shard_worker import LocalShard, graph_key, shard_error
 from .sharded import Message, ShardMachine, load_shard_machine
-from .stats import MachineStats, RecoveryStats, merge_shard_stats
+from .stats import MachineStats, RecoveryStats
 
 __all__ = [
     "ShardCrashError",
@@ -207,14 +207,6 @@ class ShardedRunner:
             self.shards > 1 if sc.processes is None else sc.processes
         )
         self._policy = policy
-        # Coarse windows schedule a shard's local events for cycle T
-        # before cycle-T cut packets are injected at the next barrier,
-        # reordering equal-cycle heap insertions.  That is invisible
-        # when resources never serialize within a cycle, but with
-        # issue intervals it shifts modeled times; such configs run
-        # the fixed ``L = max(1, rn_delay)`` cadence to stay
-        # bit-identical.
-        self._fixed_cadence = not self._order_free(config)
         self.worker_spawns = 0
         self.worker_reuses = 0
         #: lockstep windows driven so far (adaptive horizons shrink it)
@@ -227,21 +219,6 @@ class ShardedRunner:
         self._last_cycle: list[int] = []
         self._finished = False
         self._init_heal(sc.recovery, machines[0].fault_plan)
-
-    @staticmethod
-    def _order_free(config: MachineConfig) -> bool:
-        """Whether equal-cycle event order can never affect modeled
-        times.  PEs, FUs/AMs and the routing network each serialize
-        same-cycle work through a ``next_free`` cursor when their
-        issue interval / bandwidth knob is non-zero; with all three at
-        zero (the ``unit_time`` model) heap insertion order for
-        equal-cycle events is timing-irrelevant and coarse windows are
-        exact."""
-        return not (
-            config.pe_issue_interval
-            or config.fu_issue_interval
-            or config.rn_bandwidth
-        )
 
     def _init_heal(self, heal: Optional[RecoveryPolicy],
                    fault_plan: Optional[FaultPlan]) -> None:
@@ -553,18 +530,12 @@ class ShardedRunner:
 
     def _horizon(self, t_min: int, frontier, msg_bound: Optional[int],
                  crash_at: Optional[int]) -> int:
-        """Safe lockstep horizon for the window starting at ``t_min``.
-
-        The fixed cadence is the classic ``t_min + L - 1``.  The
-        adaptive rule runs to just below the earliest cycle any shard
-        could hear from another (shard EOTs and pending-message
-        bounds), additionally capped so checkpoint cadence, crash
-        demonstrations and chaos-fault firing keep their fixed-cadence
-        barrier alignment.  Every cap is ``>= t_min`` (the bounds are
-        ``>= t_min + L``), so the floor only guards degenerate cases.
-        """
-        if self._fixed_cadence:
-            return t_min + self._lookahead - 1
+        """Safe lockstep horizon for the window starting at ``t_min``:
+        just below the earliest cycle any shard could hear from another
+        (shard EOTs and pending-message bounds), capped so a
+        coordinated set, a crash demonstration or a chaos fault lands
+        on the first barrier at or after its cycle.  Every bound is
+        ``>= t_min + L``, so the floor only guards degenerate cases."""
         h = t_min + _MAX_WINDOW - 1
         for _nt, _live, eot in frontier:
             if eot is not None:
@@ -802,7 +773,7 @@ class ShardedRunner:
         return out
 
     def stats(self) -> MachineStats:
-        return merge_shard_stats(
+        return MachineStats.of(
             self.machines,
             checkpoints=self._ckpt.stats if self._ckpt is not None else None,
             recovery=self._recovery,

@@ -1,10 +1,12 @@
 """The shard side of multi-process sharded execution.
 
 The graph is split into K shards by
-:func:`repro.analysis.partition.partition_graph`; each shard runs the
-ordinary event-driven :class:`~repro.machine.machine.Machine` loop over
-its own cells, and every cross-shard arc becomes a *routed* arc: the
-packets that would have been heap events on a single machine
+:func:`repro.analysis.partition.partition_graph`; each shard is the
+one event-driven :class:`~repro.machine.machine.Machine` plus an
+ownership map (only owned cells fire, and only they count in
+:meth:`~repro.machine.stats.MachineStats.of` and ``_pending_work``)
+and packet routing: every cross-shard arc becomes a *routed* arc, and
+the packets that would have been heap events on a single machine
 (``deliver_results`` / ``deliver_reliable`` / ``receive_ack`` /
 ``deliver_ack``) travel between workers as plain-data messages.  The
 per-arc sequence/ack/retransmission reliability layer is unchanged --
@@ -31,7 +33,7 @@ from ..faults import FaultPlan
 from ..graph.graph import DataflowGraph
 from ..graph.opcodes import Op
 from .config import MachineConfig
-from .machine import Machine, _CellState
+from .machine import _TICKERS, Machine, _CellState
 
 __all__ = [
     "Message",
@@ -121,14 +123,13 @@ class ShardMachine(Machine):
                 "the FIFO-lowered graph (ShardedRunner does this)"
             )
         # only owned sinks/arrays are this shard's outputs
-        for cid in [c for c in self.sink_values
-                    if self._owner[c] != shard_index]:
+        for cid in [c for c in self.sink_values if not self._owns(c)]:
             del self.sink_values[cid]
             del self.sink_times[cid]
         self.am_arrays = {
             cell.params["stream"]: []
             for cell in self.graph
-            if cell.op is Op.AM_WRITE and self._owner[cell.cid] == shard_index
+            if cell.op is Op.AM_WRITE and self._owns(cell.cid)
         }
         # Non-owned cells never execute here (the ownership gates below
         # divert their packets to the owning shard), so their per-cell
@@ -150,34 +151,19 @@ class ShardMachine(Machine):
                     keep.add(arc.dst)
             shared = _CellState()
             for cid in self.graph.cells:
-                if self._owner[cid] != shard_index and cid not in keep:
+                if not self._owns(cid) and cid not in keep:
                     self.cell_state[cid] = shared
 
     # ------------------------------------------------------------------
     # ownership gates
     # ------------------------------------------------------------------
+    def _owns(self, cid: int) -> bool:
+        return self._owner[cid] == self.shard_index
+
     def _maybe_ready(self, cid: int) -> None:
-        if self._owner[cid] != self.shard_index:
+        if self._owner[cid] != self.shard_index:    # _owns, inlined
             return
         super()._maybe_ready(cid)
-
-    def _pending_work(self) -> tuple[int, int]:
-        missing = 0
-        for cid, values in self.sink_values.items():
-            limit = self.graph.cells[cid].params.get("limit")
-            if limit is not None and len(values) < limit:
-                missing += limit - len(values)
-        undrained = 0
-        for cell in self.graph:
-            if (
-                cell.op in (Op.SOURCE, Op.AM_READ)
-                and self._owner[cell.cid] == self.shard_index
-            ):
-                seq = self._source_seq(cell)
-                pos = self.cell_state[cell.cid].source_pos
-                if pos < len(seq):
-                    undrained += len(seq) - pos
-        return missing, undrained
 
     # ------------------------------------------------------------------
     # packet routing: divert non-owned destinations to the outbox
@@ -274,7 +260,7 @@ class ShardMachine(Machine):
     ) -> Optional[int]:
         """Minimum arc traversals before this event's influence can
         reach a boundary cell; None = it never can."""
-        if kind in ("record_sink", "watchdog_tick", "checkpoint_tick"):
+        if kind == "record_sink" or kind in _TICKERS:
             return None         # pure bookkeeping, enables nothing
         if kind == "dispatch":
             queue = self._pe_queues[args[0]]
@@ -358,7 +344,7 @@ class ShardMachine(Machine):
                     stats=self.stats(),
                     sink_progress=self._sink_progress(),
                 )
-            if kind not in ("watchdog_tick", "checkpoint_tick"):
+            if kind not in _TICKERS:
                 self._live_events -= 1
             self.now = time
             if not aux:

@@ -137,10 +137,6 @@ class RecoveryStats:
     #: (bounded by the runner so resident services cannot grow it)
     latencies: list = field(default_factory=list)
 
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(RecoveryStats().__dict__)
-        self.__dict__.update(state)
-
     def latency_percentile(self, q: float) -> float:
         """Nearest-rank percentile of recovery latency, ``q`` in (0, 1];
         NaN when no recovery happened."""
@@ -186,6 +182,15 @@ class RecoveryStats:
         )
 
 
+def _sum(items: list):
+    """Field-wise sum of int-counter dataclasses of one class, as a
+    fresh instance."""
+    out = type(items[0])()
+    for f in fields(out):
+        setattr(out, f.name, sum(getattr(item, f.name) for item in items))
+    return out
+
+
 @dataclass
 class MachineStats:
     """Cycle counts, packet traffic and per-unit load of one run."""
@@ -210,6 +215,36 @@ class MachineStats:
     #: self-healing counters (None when healing was not armed);
     #: a :class:`RecoveryStats` instance
     recovery: Optional[RecoveryStats] = None
+
+    @classmethod
+    def of(cls, machines: list, checkpoints: Optional[CheckpointStats] = None,
+           recovery: Optional[RecoveryStats] = None) -> "MachineStats":
+        """The run-level view of one machine, or of the K shard machines
+        of one sharded run.  Each machine contributes only the cells it
+        owns (a plain machine owns every cell); counters add and unit
+        lists concatenate (machine k's PEs come before machine k+1's)."""
+        rel = any(m._reliable or m.injector is not None for m in machines)
+        injected = [m.injector.stats for m in machines
+                    if m.injector is not None]
+        return cls(
+            cycles=max((m._finish for m in machines), default=0),
+            packets=_sum([m.packets for m in machines]),
+            pe_ops=[u.ops for m in machines for u in m.pes],
+            fu_ops=[u.ops for m in machines for u in m.fus],
+            am_ops=[u.ops for m in machines for u in m.ams],
+            pe_busy=[u.busy_cycles for m in machines for u in m.pes],
+            fu_busy=[u.busy_cycles for m in machines for u in m.fus],
+            am_busy=[u.busy_cycles for m in machines for u in m.ams],
+            fire_counts={
+                cid: st.fire_count
+                for m in machines for cid, st in m.cell_state.items()
+                if m._owns(cid)
+            },
+            reliability=_sum([m.rel for m in machines]) if rel else None,
+            faults=_sum(injected) if injected else None,
+            checkpoints=checkpoints,
+            recovery=recovery,
+        )
 
     @property
     def total_firings(self) -> int:
@@ -241,66 +276,3 @@ class MachineStats:
         if self.recovery is not None:
             text += f"; {self.recovery.summary()}"
         return text
-
-
-def _sum_dataclass(cls, items):
-    """Field-wise sum of int-counter dataclass instances."""
-    out = cls()
-    for item in items:
-        if item is None:
-            continue
-        for f in fields(cls):
-            cur = getattr(out, f.name)
-            if isinstance(cur, int):
-                setattr(out, f.name, cur + getattr(item, f.name))
-    return out
-
-
-def merge_shard_stats(
-    machines: list, checkpoints=None, recovery=None
-) -> MachineStats:
-    """Merge per-shard statistics into one run-level view.  Counters
-    add; unit lists concatenate (shard k's PEs come before shard
-    k+1's); a cell's fire count is taken from its owning shard."""
-    from ..faults.injector import FaultStats
-
-    fire_counts: dict[int, int] = {}
-    for m in machines:
-        for cid, st in m.cell_state.items():
-            if m._owner[cid] == m.shard_index:
-                fire_counts[cid] = st.fire_count
-    any_rel = any(
-        m._reliable or m.injector is not None for m in machines
-    )
-    any_inj = any(m.injector is not None for m in machines)
-    return MachineStats(
-        cycles=max((m._finish for m in machines), default=0),
-        packets=_sum_dataclass(
-            PacketCounters, [m.packets for m in machines]
-        ),
-        pe_ops=[u.ops for m in machines for u in m.pes],
-        fu_ops=[u.ops for m in machines for u in m.fus],
-        am_ops=[u.ops for m in machines for u in m.ams],
-        pe_busy=[u.busy_cycles for m in machines for u in m.pes],
-        fu_busy=[u.busy_cycles for m in machines for u in m.fus],
-        am_busy=[u.busy_cycles for m in machines for u in m.ams],
-        fire_counts=fire_counts,
-        reliability=(
-            _sum_dataclass(
-                ReliabilityStats, [m.rel for m in machines]
-            )
-            if any_rel
-            else None
-        ),
-        faults=(
-            _sum_dataclass(
-                FaultStats,
-                [m.injector.stats for m in machines
-                 if m.injector is not None],
-            )
-            if any_inj
-            else None
-        ),
-        checkpoints=checkpoints,
-        recovery=recovery,
-    )

@@ -104,12 +104,9 @@ class TestPacketAccounting:
         assert stats.packets.results == stats.packets.acks
 
     def test_counters_summary(self):
-        from repro.machine.packets import PacketCounters, UnitClass
+        from repro.machine.packets import PacketCounters
 
-        c = PacketCounters()
-        c.count_op(UnitClass.LOCAL)
-        c.count_op(UnitClass.FUNCTION_UNIT)
-        c.count_op(UnitClass.ARRAY_MEMORY)
+        c = PacketCounters(op_local=1, op_fu=1, op_am=1)
         assert c.op_total == 3
         assert c.am_fraction == pytest.approx(1 / 3)
         assert "AM fraction" in c.summary()

@@ -252,18 +252,23 @@ class TestDeterminismMatrix:
             assert res.stats.fire_counts == ref.stats.fire_counts, where
 
 
+class _ClassicLockstep(ShardedRunner):
+    """The classic conservative lockstep, one window per ``L = max(1,
+    rn_delay)`` cycles: a trivially safe reference that adaptive
+    windows must match bit for bit in fewer barriers."""
+
+    def _horizon(self, t_min, frontier, msg_bound, crash_at):
+        return t_min + self._lookahead - 1
+
+
 def _in_process_run(graph, streams, k, plan=None, config=None,
-                    fixed_cadence=False):
-    """One in-process sharded run.  ``fixed_cadence`` overrides the
-    window rule the runner derived from the MachineConfig, to get the
-    classic ``L = max(1, rn_delay)`` lockstep as a reference."""
-    runner = ShardedRunner(
+                    runner=ShardedRunner):
+    """One in-process sharded run."""
+    runner = runner(
         graph, streams, fault_plan=plan,
         config=config or MachineConfig.unit_time(),
         shard_config=ShardConfig(shards=k, processes=False),
     )
-    if fixed_cadence:
-        runner._fixed_cadence = True
     runner.run()
     return runner
 
@@ -279,11 +284,10 @@ class TestAdaptiveWindows:
         ref_out, ref_times = _reference(graph, streams, plan=plan)
         for k in (2, 4):
             runs = {}
-            for window in ("adaptive", "fixed"):
-                runner = _in_process_run(
-                    graph, streams, k, plan,
-                    fixed_cadence=window == "fixed",
-                )
+            for window, cls in (("adaptive", ShardedRunner),
+                                ("fixed", _ClassicLockstep)):
+                runner = _in_process_run(graph, streams, k, plan,
+                                         runner=cls)
                 assert runner.outputs() == ref_out, (
                     f"{name} K={k} {window} outputs"
                 )
@@ -292,9 +296,6 @@ class TestAdaptiveWindows:
                         f"{name} K={k} {window} sink times for {s}"
                     )
                 runs[window] = runner
-            # unit_time never serializes within a cycle, so the runner
-            # chose adaptive horizons on its own
-            assert not runs["adaptive"]._fixed_cadence
             # the whole point: adaptive horizons batch multiple fixed
             # cadence steps per barrier
             assert (runs["adaptive"].windows_run
@@ -303,7 +304,7 @@ class TestAdaptiveWindows:
     def test_adaptive_takes_fewer_barriers(self):
         graph, streams = _figure_graph("fig2")
         adaptive = _in_process_run(graph, streams, 2)
-        fixed = _in_process_run(graph, streams, 2, fixed_cadence=True)
+        fixed = _in_process_run(graph, streams, 2, runner=_ClassicLockstep)
         assert adaptive.windows_run < fixed.windows_run
         # no cut, no barrier: disjoint chains finish in one window
         chains = parallel_chain_graph(n_chains=4, depth=6, m=3)
@@ -311,27 +312,24 @@ class TestAdaptiveWindows:
         assert runner.partition.cut_arcs == ()
         assert runner.windows_run == 1
 
-    def test_serialized_config_clamps_to_fixed(self):
-        # With non-zero issue intervals equal-cycle heap order is
-        # timing-relevant, so coarse adaptive windows would shift
-        # modeled times; the runner runs the fixed L = max(1, rn_delay)
-        # cadence there and only unit-time-style configs go adaptive.
+    def test_serialized_config_runs_adaptive_windows(self):
+        # issue intervals serialize same-cycle work, yet the one window
+        # rule still gives the classic lockstep's bits in fewer barriers
         graph, streams = _figure_graph("fig2")
         config = MachineConfig()
         machine = Machine(graph, config, inputs=streams)
         machine.run()
-        serialized = _in_process_run(graph, streams, 2, config=config)
-        assert serialized._fixed_cadence
-        assert serialized.outputs() == machine.outputs()
-        for s in machine.outputs():
-            assert (serialized.sink_arrival_times(s)
-                    == machine.sink_arrival_times(s))
-        # one window per L cycles that hold an event
-        lookahead = max(1, config.rn_delay)
-        cycles = serialized.stats().cycles
-        assert cycles // (2 * lookahead) <= serialized.windows_run
-        assert serialized.windows_run <= cycles // lookahead + 1
-        assert not _in_process_run(graph, streams, 2)._fixed_cadence
+        runs = [_in_process_run(graph, streams, 2, config=config,
+                                runner=cls)
+                for cls in (ShardedRunner, _ClassicLockstep)]
+        for runner in runs:
+            assert runner.outputs() == machine.outputs()
+            for s in machine.outputs():
+                assert (runner.sink_arrival_times(s)
+                        == machine.sink_arrival_times(s))
+        adaptive, fixed = runs
+        assert adaptive.stats() == fixed.stats()
+        assert adaptive.windows_run < fixed.windows_run
 
 
 class TestWarmPool:
