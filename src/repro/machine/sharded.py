@@ -161,7 +161,8 @@ class ShardMachine(Machine):
         return self._owner[cid] == self.shard_index
 
     def _maybe_ready(self, cid: int) -> None:
-        if self._owner[cid] != self.shard_index:    # _owns, inlined
+        # _owns inlined: this runs on every delivery
+        if self._owner[cid] != self.shard_index:
             return
         super()._maybe_ready(cid)
 

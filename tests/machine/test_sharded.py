@@ -54,8 +54,9 @@ SHARD_COUNTS = [1, 2, 4]
 #: generated pipe programs, each ending in a for-iter recurrence
 GENERATED = [f"pipe{seed}" for seed in range(8)]
 
-#: configs under which no unit serializes same-cycle work, so a sharded
-#: run's private per-shard units cannot move a modeled time
+#: configs whose sharded runs are exact: under free issue no unit
+#: serializes same-cycle work, and under the other two each shard's
+#: private units measured no effect on a modeled time
 EXACT_CONFIGS = {
     "free_issue": MachineConfig(pe_issue_interval=0, fu_issue_interval=0),
     # no two cells share a PE (every graph here has < 256 cells)
@@ -262,9 +263,9 @@ class _ClassicLockstep(ShardedRunner):
 
 
 def _in_process_run(graph, streams, k, plan=None, config=None,
-                    runner=ShardedRunner):
+                    cls=ShardedRunner):
     """One in-process sharded run."""
-    runner = runner(
+    runner = cls(
         graph, streams, fault_plan=plan,
         config=config or MachineConfig.unit_time(),
         shard_config=ShardConfig(shards=k, processes=False),
@@ -286,8 +287,7 @@ class TestAdaptiveWindows:
             runs = {}
             for window, cls in (("adaptive", ShardedRunner),
                                 ("fixed", _ClassicLockstep)):
-                runner = _in_process_run(graph, streams, k, plan,
-                                         runner=cls)
+                runner = _in_process_run(graph, streams, k, plan, cls=cls)
                 assert runner.outputs() == ref_out, (
                     f"{name} K={k} {window} outputs"
                 )
@@ -304,7 +304,7 @@ class TestAdaptiveWindows:
     def test_adaptive_takes_fewer_barriers(self):
         graph, streams = _figure_graph("fig2")
         adaptive = _in_process_run(graph, streams, 2)
-        fixed = _in_process_run(graph, streams, 2, runner=_ClassicLockstep)
+        fixed = _in_process_run(graph, streams, 2, cls=_ClassicLockstep)
         assert adaptive.windows_run < fixed.windows_run
         # no cut, no barrier: disjoint chains finish in one window
         chains = parallel_chain_graph(n_chains=4, depth=6, m=3)
@@ -319,8 +319,7 @@ class TestAdaptiveWindows:
         config = MachineConfig()
         machine = Machine(graph, config, inputs=streams)
         machine.run()
-        runs = [_in_process_run(graph, streams, 2, config=config,
-                                runner=cls)
+        runs = [_in_process_run(graph, streams, 2, config=config, cls=cls)
                 for cls in (ShardedRunner, _ClassicLockstep)]
         for runner in runs:
             assert runner.outputs() == machine.outputs()
