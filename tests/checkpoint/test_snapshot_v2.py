@@ -449,3 +449,55 @@ class TestSnapshotCli:
         assert proc.returncode == 1
         assert b"error:" in proc.stderr
         assert b"Traceback" not in proc.stderr
+
+
+# ----------------------------------------------------------------------
+# byte determinism: no host timing inside a snapshot
+# ----------------------------------------------------------------------
+class TestNoHostTiming:
+    def test_identical_runs_write_identical_files(self, tmp_path,
+                                                  monkeypatch):
+        from repro.checkpoint import CheckpointConfig
+        from repro.workloads.figures import FIGURES
+
+        cp = FIGURES["fig2"].compile(m=200)
+        inputs = FIGURES["fig2"].make_inputs(cp, seed=7)
+        runs = []
+        for run in ("a", "b"):
+            # the directory string is pickled, so both runs name it alike
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            Machine(
+                cp.graph, inputs=inputs,
+                checkpoint=CheckpointConfig("ckpt", interval=100, retain=0),
+            ).run()
+            runs.append({
+                path.name: path.read_bytes()
+                for path in sorted(Path("ckpt").iterdir())
+            })
+        assert len(runs[0]) > 1
+        assert sorted(runs[0]) == sorted(runs[1])
+        differ = [name for name in runs[0] if runs[0][name] != runs[1][name]]
+        assert differ == []
+
+    def test_parent_written_stats_drop_their_host_timings(self):
+        from repro.machine.stats import CheckpointStats
+
+        # the pickled state of a CheckpointStats as older builds wrote it
+        state = {
+            "snapshots_written": 4, "bytes_written": 4096,
+            "snapshots_pruned": 1, "failure_snapshots": 0,
+            "live_snapshots": 0, "delta_snapshots": 2,
+            "delta_bytes_written": 1024, "last_snapshot_cycle": 400,
+            "seconds_spent": 0.25, "latencies": [0.1, 0.05, 0.1],
+        }
+        stats = CheckpointStats.__new__(CheckpointStats)
+        stats.__setstate__(state)
+        assert len(stats.latencies) == 0
+        assert stats.latencies.total == 0
+        assert not hasattr(stats, "seconds_spent")
+        assert (stats.snapshots_written, stats.bytes_written,
+                stats.delta_snapshots, stats.last_snapshot_cycle) == (
+            4, 4096, 2, 400)
+        # and the host timings never enter the pickled state again
+        assert "latencies" not in stats.__getstate__()
