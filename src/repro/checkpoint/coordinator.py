@@ -257,7 +257,7 @@ class CoordinatedCheckpointManager:
         self.stats.last_snapshot_cycle = cycle
         self._write()
         if started is not None:
-            self.stats.record_write(time.perf_counter() - started)
+            self.stats.latencies.add(time.perf_counter() - started)
         self._prune()
         if kind != "full":
             self._chain_live = True

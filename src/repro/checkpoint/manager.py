@@ -246,7 +246,7 @@ class CheckpointManager:
             path = write_chain_snapshot(
                 machine, self.directory / name, reason, kind=kind
             )
-        self.stats.record_write(time.perf_counter() - t0)
+        self.stats.latencies.add(time.perf_counter() - t0)
         size = path.stat().st_size
         self.stats.bytes_written += size
         if kind == "delta":

@@ -21,12 +21,12 @@ Three schemes:
   the rate is exactly 1/2.  The deeper Moebius loop cannot be injected
   perfectly evenly by runtime-computed initial values -- a saturated
   loop never re-spaces its tokens -- so the Thomas-sweep measures
-  II ~2.33 instead of 2.0 (still 1.7x over Todd's 4.0).  An alternative
-  ``injection='prefix'`` strategy (identity-padded prefix coefficients,
-  only the constant x0 injected) is provided; its guard merges cost
-  more in practice (~3.3).  Closing this last gap appears to need
-  elastic (multi-token) arcs, which the static architecture does not
-  have.
+  II ~2.33 instead of 2.0 (still 1.7x over Todd's 4.0).  Injecting
+  only the constant x0 through identity-padded prefix coefficients
+  was measured too, and its guard merges ran the Thomas sweep at
+  m = 200 at II 3.34 against the funnel's 2.33.  Closing this last gap
+  appears to need elastic (multi-token) arcs, which the static
+  architecture does not have.
 * :func:`compile_foriter_interleaved` -- the Section 9 remark: a batch
   of b *independent* recurrence instances interleaved through one loop
   of length 2b; full rate without any companion function, trading
@@ -224,7 +224,6 @@ def compile_foriter_companion(
     arrays: Mapping[str, ArraySpec],
     params: Mapping[str, int],
     distance: int = 2,
-    injection: str = "funnel",
 ) -> BlockArtifact:
     """The paper's maximum-rate scheme, generalized over companion
     algebras.
@@ -239,20 +238,12 @@ def compile_foriter_companion(
     """
     if distance < 2:
         raise CompileError("companion distance must be >= 2")
-    if injection not in ("funnel", "prefix"):
-        raise CompileError(f"unknown injection strategy {injection!r}")
     info = classify_foriter(node, set(arrays), params)
     form = extract_recurrence(info, params)  # may raise RecurrenceError
     impl = _f_impl(form)
-    if injection == "prefix":
-        return _compile_companion_prefix(
-            name, node, info, impl, arrays, params, distance
-        )
     s = max(distance, impl.min_distance)
     init_value = _eval_init(info, params)
     n_out = info.result_hi - info.result_lo + 1
-    n_elem = info.n_elements
-    _ = n_elem
 
     g = DataflowGraph(name)
     builder = ExprBuilder(
@@ -315,122 +306,6 @@ def compile_foriter_companion(
     return art
 
 
-def _compile_companion_prefix(
-    name: str,
-    node: A.ForIter,
-    info: ForIterInfo,
-    impl,
-    arrays: Mapping[str, ArraySpec],
-    params: Mapping[str, int],
-    distance: int,
-) -> BlockArtifact:
-    """Maximum-rate companion loop with *identity-padded prefix*
-    coefficients.
-
-    Instead of pre-computing s-1 initial values and funnelling them into
-    the loop (whose uneven arrival permanently de-spaces a saturated
-    loop), every output is computed from the constant x0:
-
-        x_i = F(M_i o ... o M_max(lo, i-s+1), x_{i-s})   with
-        M_j = identity for j < lo,
-
-    so the early iterations use shorter prefixes (identity padding folds
-    away at compile time) and the x input needs only the always-ready
-    constant x0 for the first s firings -- injection timing is perfect
-    by construction and the loop sustains the full rate 1/2.
-    """
-    init_value = _eval_init(info, params)
-    n_out = info.result_hi - info.result_lo + 1
-    n_elem = info.n_elements
-    lo = info.elem_lo
-    s_min = -(-(impl.f_depth + 3) // 2)  # ceil((F + inject + merge + gate)/2)
-    s = max(distance, s_min)
-
-    g = DataflowGraph(name)
-    builder = ExprBuilder(
-        g, info.counter, info.elem_lo, info.elem_hi, params, arrays,
-        prefix=f"{name}.",
-    )
-
-    # -- identity-padded shifted coefficient leaves over the full range --
-    leaves = []
-    for k in range(min(s, n_elem)):
-        comps_k = []
-        for comp, ident in zip(impl.components, impl.identity):
-            expr = shift_index(comp, info.counter, k, params)
-            if k > 0:
-                guard = A.BinOp(
-                    "<",
-                    A.BinOp(
-                        "-", A.Ident(info.counter), A.Literal(k, A.INTEGER)
-                    ),
-                    A.Literal(lo, A.INTEGER),
-                )
-                expr = A.If(guard, A.Literal(ident, A.REAL), expr)
-            comps_k.append(builder.compile(expr, ROOT))
-        leaves.append(tuple(comps_k))
-    level = leaves
-    while len(level) > 1:
-        nxt = []
-        for j in range(0, len(level) - 1, 2):
-            nxt.append(impl.compose(builder, level[j], level[j + 1], ROOT))
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    comps = level[0]
-
-    # -- F cells --------------------------------------------------------
-    f_out, x_ports = impl.emit_f(g, builder, name, comps, ROOT)
-
-    # -- x injector: constant x0 for the first s iterations --------------
-    inject = g.add_merge(name=f"{name}.loop_inject")
-    n_fb = max(0, n_elem - s)
-    inj_ctl = g.add_pattern_source(
-        f"{name}.injctl", [True] * min(s, n_elem) + [False] * n_fb
-    )
-    g.connect(inj_ctl, inject, MERGE_CONTROL_PORT)
-    g.set_const(inject, MERGE_TRUE_PORT, init_value)
-    for cell, port in x_ports:
-        g.connect(inject, cell, port)
-
-    # -- output merge: x0 first, then the computed stream ----------------
-    merge = g.add_merge(name=f"{name}.loop_merge")
-    out_ctl = g.add_pattern_source(
-        f"{name}.initctl", [False] + [True] * n_elem
-    )
-    g.connect(out_ctl, merge, MERGE_CONTROL_PORT)
-    g.connect(f_out, merge, MERGE_TRUE_PORT)
-    g.set_const(merge, MERGE_FALSE_PORT, init_value)
-
-    # -- feedback: outputs x_lo .. x_{hi-s} re-enter as x_{i-s} ----------
-    if n_fb > 0:
-        pad = 2 * s - (impl.f_depth + 3)
-        fb_src: int = merge
-        if pad > 0:
-            fifo = g.add_fifo(pad, name=f"{name}.loop_pad")
-            g.connect(merge, fifo, 0)
-            fb_src = fifo
-        gate = g.add_cell(Op.ID, name=f"{name}.loop_gate")
-        fb_ctl = g.add_pattern_source(
-            f"{name}.fbctl",
-            [False] + [True] * n_fb + [False] * (n_out - 1 - n_fb),
-        )
-        g.connect(fb_src, gate, 0)
-        g.connect(fb_ctl, gate, GATE_PORT)
-        g.connect(gate, inject, MERGE_FALSE_PORT, tag=True)
-    else:
-        g.set_const(inject, MERGE_FALSE_PORT, init_value)  # never selected
-
-    art = _finish_block(
-        name, g, builder, Wire(merge, ROOT), info.result_lo, info.result_hi,
-        arrays,
-    )
-    art.feedback_arcs = _mark_feedback(g)
-    _annotate_loop(g, tokens=s)
-    _ = node
-    return art
-
-
 class _AffineImpl:
     """F = (x otimes c1) oplus c0 over a ring or tropical semiring."""
 
@@ -440,8 +315,6 @@ class _AffineImpl:
     def __init__(self, form: LinearForm) -> None:
         self.form = form
         self.algebra = form.algebra
-        #: the identity transform's components ((x) identity, (+) identity)
-        self.identity = (form.algebra.one, form.algebra.zero)
 
     @property
     def components(self):
@@ -479,8 +352,6 @@ class _MobiusImpl:
 
     f_depth = 3
     min_distance = 3
-    #: the identity matrix [[1, 0], [0, 1]]
-    identity = (1.0, 0.0, 0.0, 1.0)
 
     def __init__(self, form: MobiusForm) -> None:
         self.form = form
@@ -777,7 +648,6 @@ def compile_foriter(
     scheme: str = "companion",
     distance: int = 2,
     batch: int = 4,
-    injection: str = "funnel",
 ) -> BlockArtifact:
     """Compile a primitive for-iter with the chosen scheme.
 
@@ -788,13 +658,13 @@ def compile_foriter(
     if scheme == "auto":
         try:
             return compile_foriter_companion(
-                name, node, arrays, params, distance, injection
+                name, node, arrays, params, distance
             )
         except RecurrenceError:
             return compile_foriter_todd(name, node, arrays, params)
     if scheme == "companion":
         return compile_foriter_companion(
-            name, node, arrays, params, distance, injection
+            name, node, arrays, params, distance
         )
     if scheme == "todd":
         return compile_foriter_todd(name, node, arrays, params)

@@ -88,7 +88,6 @@ def infer_input_ranges(
     overrides = dict(overrides or {})
     arrays = _array_names(program, params)
     block_names = {b.name for b in program.blocks}
-    external: dict[str, list[tuple[int, int]]] = {}
 
     # pass 1: maximal windows
     maximal: dict[str, tuple[int, int]] = {}
@@ -143,7 +142,6 @@ def infer_input_ranges(
         )
     for name, rng in overrides.items():
         result.setdefault(name, ArraySpec(name, *rng))
-    _ = external
     return result
 
 
@@ -248,7 +246,6 @@ def link_program(
             for mapping_arc in _remap_arcs(art.graph, combined, mapping, art.feedback_arcs)
         )
         out_cell = mapping[art.out_cell]
-        sink = mapping[art.sink]
         producer_end[block.name] = (out_cell, art.out_tag)
         output_specs[block.name] = (art.out_lo, art.out_hi)
 
@@ -271,14 +268,8 @@ def link_program(
                 )
             combined.remove_cell(cell.cid)
 
-        # drop the sink of a consumed block unless outputs are kept
-        if block.name in consumed and not keep_all_outputs:
-            pass  # removed after all consumers are spliced (see below)
-        _ = sink
-
     if not keep_all_outputs:
         for name in consumed:
-            art = artifacts[name]
             for cell in list(combined.cells.values()):
                 if (
                     cell.op is Op.SINK

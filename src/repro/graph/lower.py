@@ -45,9 +45,6 @@ def lower_fifos(g: DataflowGraph) -> DataflowGraph:
                 **cell.params,
             )
 
-    def head_of(cid: int) -> int:
-        return fifo_ends[cid][0] if cid in fifo_ends else mapping[cid]
-
     def tail_of(cid: int) -> int:
         return fifo_ends[cid][1] if cid in fifo_ends else mapping[cid]
 
@@ -63,8 +60,6 @@ def lower_fifos(g: DataflowGraph) -> DataflowGraph:
                 src, mapping[arc.dst], arc.dst_port,
                 tag=arc.tag, initial=arc.initial, weight=arc.weight,
             )
-    # Silence unused-helper warning; head_of kept for symmetry/debugging.
-    _ = head_of
     return out
 
 

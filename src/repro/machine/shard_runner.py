@@ -657,9 +657,7 @@ class ShardedRunner:
             # their in-memory chain tips are gone -- force the next set
             # to be a full base
             self._ckpt.reset_chain()
-        rec.latencies.append(time.perf_counter() - started)
-        if len(rec.latencies) > 8192:
-            del rec.latencies[:4096]
+        rec.latency.add(time.perf_counter() - started)
         return new_eps
 
     def _charge_restart(self, shard: int, cycle: int,

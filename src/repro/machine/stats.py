@@ -3,10 +3,84 @@
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import Any, Optional
 
 from .packets import PacketCounters
+
+#: bound on the values one :class:`Samples` series retains
+SAMPLE_CAP = 512
+
+
+class Samples:
+    """A host-timing series in seconds: the count and total of every
+    value, plus a uniform reservoir of at most :data:`SAMPLE_CAP` of
+    them (Vitter's algorithm R, seeded, so a deterministic sequence
+    keeps a deterministic sample).
+
+    Host timings measure one process, never the modeled machine, so no
+    snapshot carries a ``Samples``: a pickled stats object leaves it
+    out of its state.
+    """
+
+    __slots__ = ("count", "total", "_kept", "_rng")
+
+    def __init__(self, seed: int = 0) -> None:
+        self.count = 0
+        self.total = 0.0
+        self._kept: list[float] = []
+        self._rng = random.Random(seed)
+
+    def add(self, value: float) -> None:
+        self.count += 1
+        self.total += value
+        if len(self._kept) < SAMPLE_CAP:
+            self._kept.append(value)
+            return
+        slot = self._rng.randrange(self.count)
+        if slot < SAMPLE_CAP:
+            self._kept[slot] = value
+
+    def __len__(self) -> int:
+        return len(self._kept)
+
+    def __iter__(self):
+        return iter(self._kept)
+
+    def percentile(self, q: float) -> float:
+        """Nearest-rank percentile of the retained values, ``q`` in
+        (0, 1]; NaN when empty."""
+        if not self._kept:
+            return math.nan
+        ordered = sorted(self._kept)
+        rank = max(0, min(len(ordered) - 1,
+                          math.ceil(q * len(ordered)) - 1))
+        return ordered[rank]
+
+    def to_dict(self, prefix: str) -> dict[str, Any]:
+        """``<prefix>_samples``, ``_p50`` and ``_p99`` (None when empty)."""
+        out: dict[str, Any] = {f"{prefix}_samples": self.count}
+        for name, q in (("p50", 0.50), ("p99", 0.99)):
+            value = self.percentile(q)
+            out[f"{prefix}_{name}"] = (
+                None if math.isnan(value) else round(value, 6)
+            )
+        return out
+
+
+def fields_dict(stats) -> dict[str, Any]:
+    """The JSON view of a stats dataclass, built from its fields: a
+    :class:`Samples` field ``x`` becomes ``x_samples`` / ``x_p50`` /
+    ``x_p99`` and a list is copied."""
+    out: dict[str, Any] = {}
+    for f in fields(stats):
+        value = getattr(stats, f.name)
+        if isinstance(value, Samples):
+            out.update(value.to_dict(f.name))
+        else:
+            out[f.name] = list(value) if isinstance(value, list) else value
+    return out
 
 
 @dataclass
@@ -41,7 +115,10 @@ class CheckpointStats:
     """What the checkpointing layer wrote during one run.
 
     Lives on :class:`repro.checkpoint.CheckpointManager` (and therefore
-    inside every snapshot), so counters continue across resume.
+    inside every snapshot), so the counters continue across resume.
+    The write timings ``latencies`` stay out of the pickled state: they
+    measure the current process, restart on resume, and would make two
+    identical runs write different snapshot bytes.
     """
 
     snapshots_written: int = 0
@@ -56,27 +133,24 @@ class CheckpointStats:
     delta_snapshots: int = 0
     delta_bytes_written: int = 0
     last_snapshot_cycle: int = -1
-    #: wall-clock seconds spent serializing + writing snapshots (the
-    #: simulated clock never sees checkpointing)
-    seconds_spent: float = 0.0
-    #: per-write latencies in seconds -- one per snapshot, or one per
-    #: coordinated set (bounded by :meth:`record_write`)
-    latencies: list = field(default_factory=list)
+    #: wall-clock seconds per write -- one per snapshot, or one per
+    #: coordinated set (the simulated clock never sees checkpointing)
+    latencies: Samples = field(default_factory=Samples, compare=False)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["latencies"]
+        return state
 
     def __setstate__(self, state) -> None:
-        # snapshots written by older builds predate some counters;
-        # backfill defaults so a migrated snapshot resumes cleanly
+        # snapshots written by older builds predate some counters and
+        # carry host timings (``seconds_spent``, a ``latencies`` list);
+        # backfill defaults and drop the timings
         self.__dict__.update(CheckpointStats().__dict__)
-        self.__dict__.update(state)
-
-    def record_write(self, seconds: float) -> None:
-        """Account one write's wall time.  The latency samples are
-        bounded so a service-length run cannot grow its own
-        snapshots."""
-        self.seconds_spent += seconds
-        self.latencies.append(seconds)
-        if len(self.latencies) > 8192:
-            del self.latencies[:4096]
+        self.__dict__.update(
+            (k, v) for k, v in state.items()
+            if k not in ("seconds_spent", "latencies")
+        )
 
     def summary(self) -> str:
         # the delta clause appears only when delta chains were active,
@@ -89,18 +163,16 @@ class CheckpointStats:
         )
         p50 = ""
         if self.latencies:
-            import statistics
-
             p50 = (
                 f", write p50 "
-                f"{statistics.median(self.latencies) * 1000:.1f} ms"
+                f"{self.latencies.percentile(0.50) * 1000:.1f} ms"
             )
         return (
             f"checkpoints: {self.snapshots_written} snapshots "
             f"({self.bytes_written} bytes, {delta}"
             f"{self.snapshots_pruned} pruned, "
             f"{self.failure_snapshots} failure, {self.live_snapshots} live, "
-            f"{self.seconds_spent * 1000:.1f} ms{p50}), "
+            f"{self.latencies.total * 1000:.1f} ms{p50}), "
             f"last at cycle {self.last_snapshot_cycle}"
         )
 
@@ -134,39 +206,14 @@ class RecoveryStats:
     #: resume-point cycle of each rollback (-1 = restart from inputs)
     rollback_cycles: list = field(default_factory=list)
     #: wall-clock seconds from detection to execution resuming
-    #: (bounded by the runner so resident services cannot grow it)
-    latencies: list = field(default_factory=list)
-
-    def latency_percentile(self, q: float) -> float:
-        """Nearest-rank percentile of recovery latency, ``q`` in (0, 1];
-        NaN when no recovery happened."""
-        if not self.latencies:
-            return float("nan")
-        ordered = sorted(self.latencies)
-        rank = max(0, min(len(ordered) - 1,
-                          math.ceil(q * len(ordered)) - 1))
-        return ordered[rank]
+    latency: Samples = field(default_factory=Samples, compare=False)
 
     def to_dict(self) -> dict:
-        p50 = self.latency_percentile(0.50)
-        p99 = self.latency_percentile(0.99)
-        return {
-            "detections": self.detections,
-            "crashes": self.crashes,
-            "hangs": self.hangs,
-            "rollbacks": self.rollbacks,
-            "respawns": self.respawns,
-            "step_backs": self.step_backs,
-            "cycles_replayed": self.cycles_replayed,
-            "degraded_shards": self.degraded_shards,
-            "rollback_cycles": list(self.rollback_cycles),
-            "latency_p50": None if p50 != p50 else round(p50, 6),
-            "latency_p99": None if p99 != p99 else round(p99, 6),
-        }
+        return fields_dict(self)
 
     def summary(self) -> str:
-        p50 = self.latency_percentile(0.50)
-        p99 = self.latency_percentile(0.99)
+        p50 = self.latency.percentile(0.50)
+        p99 = self.latency.percentile(0.99)
         lat = (
             "no downtime"
             if p50 != p50

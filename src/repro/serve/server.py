@@ -176,7 +176,7 @@ class PipelineServer:
                 self._log(f"re-admission of {spec.id!r} failed: {exc}")
                 continue
             state.done = asyncio.Event()
-            self.stats.note_readmitted(spec.tenant)
+            self.stats.note(spec.tenant, "readmitted")
         if readmitted:
             self._log(f"re-admitted {len(readmitted)} journaled job(s)")
         if self.config.socket is not None:
@@ -287,13 +287,13 @@ class PipelineServer:
         try:
             state = self.queue.offer(spec)
         except ServerOverloaded:
-            self.stats.note_shed(spec.tenant)
+            self.stats.note(spec.tenant, "shed")
             raise
         except JobRejected:
-            self.stats.note_rejected(spec.tenant)
+            self.stats.note(spec.tenant, "rejected")
             raise
         state.done = asyncio.Event()
-        self.stats.note_accepted(spec.tenant)
+        self.stats.note(spec.tenant, "accepted")
         self.stats.queue_depth = self.queue.depth
         self._accepts += 1
         self._wake.set()
@@ -451,7 +451,7 @@ class PipelineServer:
     def pool_failure_noted(self, state: JobState,
                            failure: WorkerFailure) -> None:
         self.stats.worker_respawns = self.pool.respawns
-        self.stats.note_retry(state.spec.tenant)
+        self.stats.note(state.spec.tenant, "retries")
         self._log(
             f"job {state.spec.id!r} attempt {state.attempts} lost to "
             f"{failure.kind} ({failure.detail})"

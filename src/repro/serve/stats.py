@@ -1,64 +1,32 @@
 """Service observability: per-tenant and global counters with bounded
 latency samples.
 
-Mirrors the :class:`~repro.machine.stats.RecoveryStats` style: plain
-counters, a bounded reservoir of latency samples, nearest-rank p50/p99,
-a ``to_dict`` for the JSON envelope and a one-line ``summary``.  The
-reservoir RNG is seeded so a deterministic job sequence yields a
-deterministic sample set.
+The one stats shape of :mod:`repro.machine.stats`: plain counter
+fields plus a :class:`~repro.machine.stats.Samples` series of job
+latencies, a ``to_dict`` built from the fields for the JSON envelope
+and a one-line ``summary``.  Each series is seeded, so a deterministic
+job sequence yields a deterministic sample set.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
-#: bound on retained latency samples per scope (global or tenant)
-SAMPLE_CAP = 512
+from ..machine.stats import Samples, fields_dict
 
-
-class _Reservoir:
-    """Uniform reservoir sample of a latency stream, bounded at
-    ``cap`` values (Vitter's algorithm R, seeded)."""
-
-    def __init__(self, cap: int = SAMPLE_CAP, seed: int = 0) -> None:
-        self.cap = cap
-        self.count = 0
-        self.samples: list[float] = []
-        self._rng = random.Random(seed)
-
-    def note(self, value: float) -> None:
-        self.count += 1
-        if len(self.samples) < self.cap:
-            self.samples.append(value)
-            return
-        slot = self._rng.randrange(self.count)
-        if slot < self.cap:
-            self.samples[slot] = value
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile, ``q`` in (0, 1]; NaN when empty."""
-        if not self.samples:
-            return float("nan")
-        ordered = sorted(self.samples)
-        rank = max(0, min(len(ordered) - 1,
-                          math.ceil(q * len(ordered)) - 1))
-        return ordered[rank]
-
-
-def _round(value: float) -> Optional[float]:
-    return None if math.isnan(value) else round(value, 6)
+#: the counter a failed job's error code adds one to
+_FAILED = {
+    "deadline": "failed_deadline",
+    "retries_exhausted": "failed_retries",
+}
 
 
 @dataclass
 class TenantStats:
-    """Counters for one tenant (and, with ``tenant=None``, the global
-    roll-up)."""
+    """Counters for one tenant, or the global roll-up."""
 
-    tenant: Optional[str] = None
-    seed: int = 0
     accepted: int = 0
     shed: int = 0
     rejected: int = 0
@@ -70,11 +38,7 @@ class TenantStats:
     batched: int = 0        # jobs that ran inside an interleaved batch
     serial: int = 0         # jobs that ran alone
     readmitted: int = 0     # jobs re-admitted from the journal
-    latency: _Reservoir = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.latency is None:
-            self.latency = _Reservoir(seed=self.seed)
+    latency: Samples = field(default_factory=Samples, compare=False)
 
     @property
     def failed(self) -> int:
@@ -87,25 +51,10 @@ class TenantStats:
             self.batched += 1
         else:
             self.serial += 1
-        self.latency.note(latency_seconds)
+        self.latency.add(latency_seconds)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "accepted": self.accepted,
-            "shed": self.shed,
-            "rejected": self.rejected,
-            "completed": self.completed,
-            "failed_deadline": self.failed_deadline,
-            "failed_retries": self.failed_retries,
-            "failed_execution": self.failed_execution,
-            "retries": self.retries,
-            "batched": self.batched,
-            "serial": self.serial,
-            "readmitted": self.readmitted,
-            "latency_samples": self.latency.count,
-            "latency_p50": _round(self.latency.percentile(0.50)),
-            "latency_p99": _round(self.latency.percentile(0.99)),
-        }
+        return fields_dict(self)
 
 
 @dataclass
@@ -129,54 +78,30 @@ class ServeStats:
 
     def __post_init__(self) -> None:
         if self.total is None:
-            self.total = TenantStats(seed=self.seed)
+            self.total = TenantStats(latency=Samples(self.seed))
 
     def for_tenant(self, tenant: str) -> TenantStats:
         stats = self.tenants.get(tenant)
         if stats is None:
             # per-tenant reservoirs get distinct seeds, derived stably
             stats = TenantStats(
-                tenant=tenant,
-                seed=self.seed + 1 + len(self.tenants),
+                latency=Samples(self.seed + 1 + len(self.tenants))
             )
             self.tenants[tenant] = stats
         return stats
 
-    def _both(self, tenant: str) -> tuple[TenantStats, TenantStats]:
-        return self.total, self.for_tenant(tenant)
-
-    def note_accepted(self, tenant: str) -> None:
-        for s in self._both(tenant):
-            s.accepted += 1
-
-    def note_shed(self, tenant: str) -> None:
-        for s in self._both(tenant):
-            s.shed += 1
-
-    def note_rejected(self, tenant: str) -> None:
-        for s in self._both(tenant):
-            s.rejected += 1
-
-    def note_retry(self, tenant: str) -> None:
-        for s in self._both(tenant):
-            s.retries += 1
-
-    def note_readmitted(self, tenant: str) -> None:
-        for s in self._both(tenant):
-            s.readmitted += 1
+    def note(self, tenant: str, counter: str) -> None:
+        """Add one to ``counter``, globally and for ``tenant``."""
+        for s in (self.total, self.for_tenant(tenant)):
+            setattr(s, counter, getattr(s, counter) + 1)
 
     def note_done(self, tenant: str, latency_seconds: float,
                   batched: bool) -> None:
-        for s in self._both(tenant):
+        for s in (self.total, self.for_tenant(tenant)):
             s.note_done(latency_seconds, batched)
 
     def note_failed(self, tenant: str, code: str) -> None:
-        attr = {
-            "deadline": "failed_deadline",
-            "retries_exhausted": "failed_retries",
-        }.get(code, "failed_execution")
-        for s in self._both(tenant):
-            setattr(s, attr, getattr(s, attr) + 1)
+        self.note(tenant, _FAILED.get(code, "failed_execution"))
 
     def to_dict(self) -> dict[str, Any]:
         d = self.total.to_dict()

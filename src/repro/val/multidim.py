@@ -108,8 +108,6 @@ def lower_expr_2d(
             )
         return off
 
-    bound = {k}
-
     def walk(e: A.Expr, locals_: frozenset[str]) -> A.Expr:
         if isinstance(e, A.Ident):
             if e.name == i_name and e.name not in locals_:
@@ -168,7 +166,6 @@ def lower_expr_2d(
             f"supported inside a 2-D forall"
         )
 
-    _ = bound
     return walk(expr, frozenset())
 
 

@@ -162,18 +162,23 @@ class TestCompilation:
             reference(inputs, m), rel=1e-9
         )
 
-    @pytest.mark.parametrize("injection", ["funnel", "prefix"])
-    def test_injection_strategies_agree(self, injection):
+    def test_funnel_injection(self):
         m = 15
         inputs = thomas_inputs(m, seed=3)
         cp = compile_program(
-            THOMAS_SRC, params={"m": m},
-            foriter_scheme="companion", injection=injection,
+            THOMAS_SRC, params={"m": m}, foriter_scheme="companion"
         )
         res = cp.run(inputs)
         assert res.outputs["CP"].to_list() == pytest.approx(
             reference(inputs, m), rel=1e-9
         )
+
+    def test_injection_is_not_a_compile_option(self):
+        with pytest.raises(TypeError, match="injection"):
+            compile_program(
+                THOMAS_SRC, params={"m": 15},
+                foriter_scheme="companion", injection="funnel",
+            )
 
     def test_companion_beats_todd(self):
         """Todd's 4-stage loop runs at 1/4; the Moebius companion

@@ -111,6 +111,50 @@ class TestPacketAccounting:
         assert c.am_fraction == pytest.approx(1 / 3)
         assert "AM fraction" in c.summary()
 
+    def test_samples_bound_their_reservoir(self):
+        from repro.machine.stats import SAMPLE_CAP, Samples
+
+        series = Samples(seed=3)
+        for value in range(1, 2001):
+            series.add(float(value))
+        assert len(series) == SAMPLE_CAP == 512
+        assert series.count == 2000
+        assert series.total == sum(range(1, 2001))
+        assert set(series) <= set(map(float, range(1, 2001)))
+
+    def test_samples_percentiles_are_nearest_rank(self):
+        from repro.machine.stats import Samples
+
+        series = Samples()
+        for value in (4.0, 1.0, 3.0, 2.0):
+            series.add(value)
+        # nearest rank: ceil(q * n)-th smallest, no interpolation
+        assert series.percentile(0.50) == 2.0
+        assert series.percentile(0.99) == 4.0
+        assert series.percentile(0.25) == 1.0
+        assert series.to_dict("latency") == {
+            "latency_samples": 4, "latency_p50": 2.0, "latency_p99": 4.0,
+        }
+
+    def test_empty_samples_map_to_none(self):
+        from repro.machine.stats import Samples
+
+        assert Samples().to_dict("write") == {
+            "write_samples": 0, "write_p50": None, "write_p99": None,
+        }
+
+    def test_equal_seeds_keep_equal_samples(self):
+        from repro.machine.stats import Samples
+
+        def fill(seed):
+            series = Samples(seed)
+            for value in range(3000):
+                series.add(value / 7)
+            return list(series)
+
+        assert fill(5) == fill(5)
+        assert fill(5) != fill(6)
+
     def test_classify_unit(self):
         from repro.machine.packets import UnitClass, classify_unit
 
