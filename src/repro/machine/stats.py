@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, fields
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from .packets import PacketCounters
 
@@ -45,7 +45,7 @@ class Samples:
     def __len__(self) -> int:
         return len(self._kept)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[float]:
         return iter(self._kept)
 
     def percentile(self, q: float) -> float:
