@@ -253,7 +253,7 @@ class EventBackend:
     (:mod:`repro.machine.fastforward`) and is bit-identical to
     ``"event"`` in values, sink times, cycle counts and statistics."""
 
-    options = ("policy", "reliable", "trace")
+    options = ("policy", "trace")
 
     def __init__(self, name: str = "event",
                  fast_forward: bool = False) -> None:

@@ -54,7 +54,7 @@ from typing import Any, Callable, Optional, Union
 
 from ..config import check
 from ..errors import EXIT_SNAPSHOT_UNLOADABLE, SupervisorError
-from ..workers import BackoffPolicy, child_env
+from ..workers import STRIKES, BackoffPolicy, child_env
 from .directory import ResumePoint, quarantine, resume_point
 
 __all__ = [
@@ -78,9 +78,9 @@ class SupervisorConfig:
         never thunders back in lockstep).
     ``seed``
         Seed for the jitter RNG (the schedule is reproducible).
-    ``strikes``
-        Crashes tolerated from the same resume snapshot without
-        forward progress before it is quarantined.
+
+    A resume snapshot that crashes :data:`~repro.workers.STRIKES` times
+    without forward progress is quarantined.
     """
 
     _error = SupervisorError
@@ -89,7 +89,6 @@ class SupervisorConfig:
     max_restarts: int = field(default=8, metadata={"min": 0})
     backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
     seed: int = 0
-    strikes: int = field(default=2, metadata={"min": 1})
 
     def __post_init__(self) -> None:
         check(self)
@@ -322,7 +321,7 @@ class Supervisor:
                     strikes.pop(key, None)
                 else:
                     strikes[key] = strikes.get(key, 0) + 1
-                    if key is not None and strikes[key] >= self.config.strikes:
+                    if key is not None and strikes[key] >= STRIKES:
                         self._quarantine(
                             report, resume_from,
                             f"{strikes[key]} crashes inside its "

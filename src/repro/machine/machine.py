@@ -267,7 +267,6 @@ class Machine:
         policy: str = "round_robin",
         fault_plan: Optional[FaultPlan] = None,
         recovery: bool = True,
-        reliable: Optional[bool] = None,
         checkpoint: Optional[
             Union[CheckpointConfig, CheckpointManager]
         ] = None,
@@ -305,11 +304,7 @@ class Machine:
             FaultInjector(fault_plan) if fault_plan is not None else None
         )
         #: whether the sequence-number/retransmission layer is active
-        self._reliable = (
-            reliable
-            if reliable is not None
-            else (fault_plan is not None and recovery)
-        )
+        self._reliable = fault_plan is not None and recovery
         self.rel = ReliabilityStats()
         self._timeout = self.config.retransmit_timeout_for()
         self._wd_interval = self.config.watchdog_interval_for()

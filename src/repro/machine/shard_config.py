@@ -57,9 +57,6 @@ class RecoveryPolicy:
         default_factory=lambda: BackoffPolicy(base=0.1, max_delay=2.0)
     )
     seed: int = 0
-    #: failures inside the same replay window before the resume set is
-    #: barred and recovery steps back one set (supervisor parity)
-    strikes: int = field(default=2, metadata={"min": 1})
     #: on budget exhaustion, fold the shard into the coordinator
     #: process (K-1 worker processes) instead of raising
     degrade: bool = False

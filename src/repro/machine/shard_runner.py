@@ -77,7 +77,7 @@ from ..graph.graph import DataflowGraph
 from ..graph.lower import lower_fifos
 from ..graph.opcodes import Op
 from ..graph.validate import validate
-from ..workers import Worker, WorkerFailure, park, unpark
+from ..workers import STRIKES, Worker, WorkerFailure, park, unpark
 from .config import MachineConfig
 from .shard_config import RecoveryPolicy, ShardConfig
 from .shard_worker import LocalShard, graph_key, shard_error
@@ -633,7 +633,7 @@ class ShardedRunner:
         point = self._resume_point()
         key = point.cycle if point is not None else -1
         strikes = self._strikes.get(key, 0) + 1
-        if strikes >= policy.strikes and point is not None:
+        if strikes >= STRIKES and point is not None:
             # second failure replaying the same window: bar the set
             # (in memory -- replay will re-commit this cycle) and step
             # back one, like the supervisor's two-strike quarantine

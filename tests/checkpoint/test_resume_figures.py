@@ -1,15 +1,14 @@
-"""Kill-and-resume determinism across every paper-figure workload.
+"""Kill-and-resume of single-machine runs: resume of a resume, a
+SIGKILLed CLI run, snapshot naming, failure and timeout snapshots, and
+retention across resume.
 
-The tentpole acceptance bar: a run interrupted at an arbitrary
-checkpoint and resumed from disk must finish with outputs (and sink
-arrival times) **bit-identical** to the uninterrupted run -- with and
-without an active fault plan, whose RNG cursor rides inside the
-snapshot.  Checkpoint cycles are randomized per figure from a seeded
-RNG so each figure is cut at a different, reproducible point.
+That a run resumed from any full, base or delta snapshot finishes
+bit-identical to the uninterrupted run, with and without a fault plan
+whose RNG cursor rides inside the snapshot, is the differential
+oracle's resume variant (tests/integration/test_oracle.py).
 """
 
 import os
-import random
 import signal
 import subprocess
 import sys
@@ -22,14 +21,7 @@ from repro.faults import FaultPlan
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.workloads.figures import FIGURES
-
-RESUME_PLAN = FaultPlan(
-    seed=1234,
-    drop_result=0.06,
-    dup_result=0.06,
-    corrupt_result=0.02,
-    drop_ack=0.03,
-)
+from tests.util import SEQUENCE_PLAN
 
 M = 12
 
@@ -47,48 +39,13 @@ def _baseline(cp, inputs, plan):
 
 
 class TestResumeBitIdentical:
-    @pytest.mark.parametrize("figure", sorted(FIGURES))
-    @pytest.mark.parametrize("plan", [None, RESUME_PLAN],
-                             ids=["clean", "faulty"])
-    def test_resume_matches_uninterrupted_run(
-        self, figure, plan, tmp_path
-    ):
-        cp, inputs = _workload(figure)
-        baseline = _baseline(cp, inputs, plan)
-        total = baseline.now
-
-        # cut each figure at a different reproducible point mid-run
-        rng = random.Random(f"{figure}-{plan is not None}")
-        interval = rng.randrange(max(2, total // 8), max(3, total // 2))
-        cfg = CheckpointConfig(tmp_path, interval=interval, retain=0)
-        checkpointed = Machine(
-            cp.graph, inputs=inputs, fault_plan=plan, checkpoint=cfg
-        )
-        checkpointed.run()
-        assert checkpointed.outputs() == baseline.outputs()
-
-        snaps = sorted(tmp_path.glob("ckpt-*.snap"))
-        assert snaps, f"interval {interval} produced no snapshot"
-        resumed = Machine.resume(rng.choice(snaps))
-        assert resumed.now > 0
-        # what the machine links at load is rebuilt on resume, not read
-        # back from the file: the handler table at once, firing plans
-        # as cells are touched again
-        assert resumed._linked.handlers is checkpointed._linked.handlers
-        assert len(resumed._linked) == 0
-        resumed.run()
-        assert len(resumed._linked) > 0
-        assert resumed.outputs() == baseline.outputs()
-        assert resumed.sink_times == baseline.sink_times
-        assert resumed.now == total
-
     def test_resume_of_a_resume(self, tmp_path):
         # two generations of snapshots: resume, checkpoint again, resume
         cp, inputs = _workload("fig6")
-        baseline = _baseline(cp, inputs, RESUME_PLAN)
+        baseline = _baseline(cp, inputs, SEQUENCE_PLAN)
         cfg = CheckpointConfig(tmp_path, interval=60, retain=0)
         first = Machine(
-            cp.graph, inputs=inputs, fault_plan=RESUME_PLAN, checkpoint=cfg
+            cp.graph, inputs=inputs, fault_plan=SEQUENCE_PLAN, checkpoint=cfg
         )
         first.run()
         second = Machine.resume(sorted(tmp_path.glob("ckpt-*.snap"))[0])
@@ -141,7 +98,7 @@ class TestCrashAndResumeSubprocess:
         cp, inputs = _workload("fig6")
         cfg = CheckpointConfig(tmp_path, interval=60, retain=0)
         machine = Machine(
-            cp.graph, inputs=inputs, fault_plan=RESUME_PLAN, checkpoint=cfg
+            cp.graph, inputs=inputs, fault_plan=SEQUENCE_PLAN, checkpoint=cfg
         )
         machine.run()
         cycles = []

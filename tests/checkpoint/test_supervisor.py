@@ -85,10 +85,6 @@ class TestConfigValidation:
         with pytest.raises(SupervisorError, match="max_restarts"):
             SupervisorConfig(directory=tmp_path, max_restarts=-1)
 
-    def test_zero_strikes_rejected(self, tmp_path):
-        with pytest.raises(SupervisorError, match="strikes"):
-            SupervisorConfig(directory=tmp_path, strikes=0)
-
     def test_empty_argv_rejected(self, tmp_path):
         with pytest.raises(SupervisorError, match="start_argv"):
             Supervisor([], SupervisorConfig(directory=tmp_path))

@@ -87,15 +87,6 @@ class TestRecoveryMechanics:
         assert stats.reliability.retransmissions == 0
         assert stats.faults.total_injected == 0
 
-    def test_reliable_layer_without_plan(self):
-        # the layer can be forced on for a clean run: pure overhead
-        g, inputs, expected = _chain_graph()
-        res = repro.run(g, inputs, reliable=True)
-        out, stats = res.outputs, res.stats
-        assert out == {"y": expected}
-        assert stats.reliability is not None
-        assert stats.reliability.retransmissions == 0
-
     def test_heavy_drop_recovers(self):
         g, inputs, expected = _chain_graph(10)
         plan = FaultPlan(seed=5, drop_result=0.4, drop_ack=0.3)

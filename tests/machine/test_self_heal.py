@@ -1,16 +1,15 @@
 """Tests for in-process self-healing of the sharded runner.
 
-The load-bearing property is the same bit-identical determinism the
-rest of the sharded stack promises: a worker that is killed or hangs
-mid-run must be detected within the policy deadline, every shard must
-roll back to the latest complete coordinated set, and the replayed
-windows must reproduce exactly the outputs AND sink arrival times of
-a run where nothing failed -- across every figure workload and shard
-count.  Escalation (restart budgets, two-strike step-back, degrade)
-mirrors the ``repro supervise`` ladder one level down.
+A worker that is killed or hangs mid-run must be detected within the
+policy deadline, every shard must roll back to the latest complete
+coordinated set, and the replayed windows must reproduce exactly the
+outputs AND sink arrival times of a run where nothing failed (on every
+program and shard count, that is the differential oracle's kill and
+hang variants in tests/integration/test_oracle.py).  Escalation
+(restart budgets, two-strike step-back, degrade) mirrors the
+``repro supervise`` ladder one level down.
 """
 
-import functools
 import json
 import os
 
@@ -36,14 +35,9 @@ from repro.machine import (
 )
 from repro.machine import shard_runner
 from repro.workers import BackoffPolicy
-from repro.workloads import figure_workload
+from tests.util import EMPTY_PLAN, KEYED_PLAN, program_graph, reference
 
-FIGS = ["fig2", "fig4", "fig5", "fig6", "fig7"]
 INTERVAL = 10
-
-#: no-op plan: arms the reliability layer exactly like a chaos plan
-#: does, so reference timings are comparable to the healed runs
-EMPTY_PLAN = FaultPlan(derivation="keyed")
 
 #: fast-failing policy for tests: healing forced on, no real backoff
 #: waits, and a short enough deadline that hang detection doesn't
@@ -56,29 +50,9 @@ def _procs(shards, recovery=None):
     return ShardConfig(shards=shards, processes=True, recovery=recovery)
 
 
-@functools.lru_cache(maxsize=None)
-def _fig(name, m=12):
-    wl = figure_workload(name)
-    cp = wl.compile(m=m)
-    return cp.graph, cp.prepare_inputs(wl.make_inputs(cp))
-
-
-@functools.lru_cache(maxsize=None)
-def _reference(name):
-    """Single-machine run with the same (empty) plan armed."""
-    graph, streams = _fig(name)
-    machine = Machine(
-        graph, MachineConfig.unit_time(), inputs=streams,
-        fault_plan=EMPTY_PLAN,
-    )
-    machine.run()
-    outputs = machine.outputs()
-    return outputs, {s: machine.sink_arrival_times(s) for s in outputs}
-
-
 def _chaos_run(tmp_path, name, shards, faults, *, heal=None,
                plan=None, interval=INTERVAL, max_cycles=50_000_000):
-    graph, streams = _fig(name)
+    graph, streams = program_graph(name)
     base = plan if plan is not None else EMPTY_PLAN
     chaos = FaultPlan.from_dict(
         {**base.to_dict(),
@@ -104,42 +78,11 @@ def _fault(shard, cycle, kind="kill", **kw):
 
 
 class TestKillRecovery:
-    @pytest.mark.parametrize("name", FIGS)
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_bit_identical_after_worker_kill(self, tmp_path, name,
-                                             shards):
-        ref_out, ref_times = _reference(name)
-        victim = shards - 1
-        runner, out, times = _chaos_run(
-            tmp_path, name, shards, [_fault(victim, 30)],
-            heal=RecoveryPolicy(**FAST),
-        )
-        assert out == ref_out
-        assert times == ref_times
-        rec = runner.stats().recovery
-        assert rec.detections == 1
-        assert rec.crashes == 1 and rec.hangs == 0
-        assert rec.rollbacks == 1 and rec.respawns >= 1
-        assert rec.cycles_replayed > 0
-
     def test_recovery_with_packet_faults_too(self, tmp_path):
-        plan = FaultPlan(
-            seed=7, drop_result=0.08, dup_result=0.05,
-            corrupt_result=0.04, drop_ack=0.08, dup_ack=0.05,
-            derivation="keyed",
-        )
-        graph, streams = _fig("fig7")
-        machine = Machine(
-            graph, MachineConfig.unit_time(), inputs=streams,
-            fault_plan=plan,
-        )
-        machine.run()
-        ref_out = machine.outputs()
-        ref_times = {
-            s: machine.sink_arrival_times(s) for s in ref_out
-        }
+        ref_out, ref_times = reference(*program_graph("fig7"),
+                                       plan=KEYED_PLAN)
         runner, out, times = _chaos_run(
-            tmp_path, "fig7", 4, [_fault(2, 30)], plan=plan,
+            tmp_path, "fig7", 4, [_fault(2, 30)], plan=KEYED_PLAN,
             heal=RecoveryPolicy(**FAST),
         )
         assert out == ref_out
@@ -147,7 +90,7 @@ class TestKillRecovery:
         assert runner.stats().recovery.detections == 1
 
     def test_dead_worker_is_reaped(self, tmp_path):
-        graph, streams = _fig("fig7")
+        graph, streams = program_graph("fig7")
         cfg = CheckpointConfig(
             tmp_path / "snaps", interval=INTERVAL, retain=3
         )
@@ -179,7 +122,7 @@ class TestKillRecovery:
             os.kill(pids[0], 0)
 
     def test_heal_off_preserves_crash_escape(self, tmp_path):
-        graph, streams = _fig("fig7")
+        graph, streams = program_graph("fig7")
         cfg = CheckpointConfig(
             tmp_path / "snaps", interval=INTERVAL, retain=3
         )
@@ -197,7 +140,7 @@ class TestKillRecovery:
     def test_crash_at_disables_healing(self, tmp_path):
         # crash_at exists to demonstrate a crash escaping the run, so
         # even an auto-heal-enabled runner must let it out
-        graph, streams = _fig("fig7")
+        graph, streams = program_graph("fig7")
         cfg = CheckpointConfig(
             tmp_path / "snaps", interval=INTERVAL, retain=3
         )
@@ -211,23 +154,9 @@ class TestKillRecovery:
 
 
 class TestHangRecovery:
-    @pytest.mark.parametrize("name", FIGS)
-    def test_bit_identical_after_worker_hang(self, tmp_path, name):
-        ref_out, ref_times = _reference(name)
-        runner, out, times = _chaos_run(
-            tmp_path, name, 4, [_fault(1, 30, kind="hang")],
-            heal=RecoveryPolicy(deadline=0.5, **FAST),
-        )
-        assert out == ref_out
-        assert times == ref_times
-        rec = runner.stats().recovery
-        assert rec.detections == 1
-        assert rec.hangs == 1 and rec.crashes == 0
-        assert rec.respawns >= 1
-
     def test_slow_worker_within_deadline_is_not_a_failure(
             self, tmp_path):
-        ref_out, ref_times = _reference("fig7")
+        ref_out, ref_times = reference(*program_graph("fig7"), plan=EMPTY_PLAN)
         runner, out, times = _chaos_run(
             tmp_path, "fig7", 4,
             [_fault(1, 30, kind="slow", delay=0.2)],
@@ -243,7 +172,7 @@ class TestHangRecovery:
         # indefinitely on a worker reply -- the transport deadline
         # turns a silent hang into a typed, attributable error
         monkeypatch.setattr(shard_runner, "_DEFAULT_DEADLINE", 0.5)
-        graph, streams = _fig("fig7")
+        graph, streams = program_graph("fig7")
         plan = FaultPlan(
             shard_faults=(ShardFault(shard=2, cycle=30, kind="hang"),)
         )
@@ -265,7 +194,7 @@ class TestKillDuringSnapshot:
         # victim writes its file: the set must stay uncommitted, the
         # rollback must use the previous complete set, and the replay
         # must re-commit the interrupted cycle
-        ref_out, ref_times = _reference("fig7")
+        ref_out, ref_times = reference(*program_graph("fig7"), plan=EMPTY_PLAN)
         runner, out, times = _chaos_run(
             tmp_path, "fig7", 4, [_fault(2, 20)],
             heal=RecoveryPolicy(**FAST),
@@ -295,7 +224,7 @@ class TestEscalation:
         ))
 
     def test_budget_exhaustion_raises_typed_error(self, tmp_path):
-        graph, streams = _fig("fig7")
+        graph, streams = program_graph("fig7")
         with pytest.raises(ShardRecoveryExhausted) as err:
             repro.run(
                 graph, streams, backend="sharded",
@@ -358,7 +287,7 @@ class TestEscalation:
         # (one per attempt), so no newer set ever commits between the
         # failures: the second recovery must bar the resume set and
         # step back one, exactly like the supervisor's quarantine
-        ref_out, ref_times = _reference("fig7")
+        ref_out, ref_times = reference(*program_graph("fig7"), plan=EMPTY_PLAN)
         runner, out, times = _chaos_run(
             tmp_path, "fig7", 4,
             [_fault(1, 30), _fault(1, 30)],
@@ -372,7 +301,7 @@ class TestEscalation:
         assert rec.rollback_cycles == [20, 10]
 
     def test_degrade_continues_with_k_minus_one(self, tmp_path):
-        ref_out, ref_times = _reference("fig7")
+        ref_out, ref_times = reference(*program_graph("fig7"), plan=EMPTY_PLAN)
         runner, out, times = _chaos_run(
             tmp_path, "fig7", 4, [_fault(1, 30)],
             heal=RecoveryPolicy(
@@ -393,7 +322,7 @@ class TestEscalation:
 
 class TestHealValidation:
     def test_heal_requires_processes(self):
-        graph, streams = _fig("fig2")
+        graph, streams = program_graph("fig2")
         with pytest.raises(SimulationError):
             ShardedRunner(
                 graph, streams, config=MachineConfig.unit_time(),
@@ -404,7 +333,7 @@ class TestHealValidation:
             )
 
     def test_shard_faults_need_processes(self):
-        graph, streams = _fig("fig2")
+        graph, streams = program_graph("fig2")
         plan = FaultPlan(shard_faults=(ShardFault(shard=0, cycle=5),))
         with pytest.raises(SimulationError):
             ShardedRunner(
@@ -414,7 +343,7 @@ class TestHealValidation:
             )
 
     def test_fault_shard_out_of_range(self):
-        graph, streams = _fig("fig2")
+        graph, streams = program_graph("fig2")
         plan = FaultPlan(shard_faults=(ShardFault(shard=7, cycle=5),))
         with pytest.raises(SimulationError):
             ShardedRunner(
@@ -423,14 +352,14 @@ class TestHealValidation:
             )
 
     def test_single_machine_rejects_shard_faults(self):
-        graph, streams = _fig("fig2")
+        graph, streams = program_graph("fig2")
         plan = FaultPlan(shard_faults=(ShardFault(shard=0, cycle=5),))
         with pytest.raises(SimulationError):
             Machine(graph, inputs=streams, fault_plan=plan)
 
     @pytest.mark.parametrize("backend", ["sync", "event"])
     def test_other_backends_reject_heal(self, backend):
-        graph, streams = _fig("fig2")
+        graph, streams = program_graph("fig2")
         with pytest.raises(ReproError):
             repro.run(
                 graph, inputs=streams, backend=backend,
@@ -442,8 +371,8 @@ class TestHealValidation:
         # forced healing with no snapshot directory still converges:
         # rollback means restart-from-inputs (fork keeps the parent's
         # machines pristine)
-        ref_out, ref_times = _reference("fig7")
-        graph, streams = _fig("fig7")
+        ref_out, ref_times = reference(*program_graph("fig7"), plan=EMPTY_PLAN)
+        graph, streams = program_graph("fig7")
         plan = FaultPlan.from_dict(
             {**EMPTY_PLAN.to_dict(),
              "shard_faults": [_fault(1, 30)]}
@@ -467,8 +396,8 @@ class TestResumeWithHealing:
         # crash an unhealed run, then resume with healing: the fault
         # past the resume point re-fires, is healed in process, and
         # the final outputs still match the clean reference
-        ref_out, ref_times = _reference("fig7")
-        graph, streams = _fig("fig7")
+        ref_out, ref_times = reference(*program_graph("fig7"), plan=EMPTY_PLAN)
+        graph, streams = program_graph("fig7")
         cfg = CheckpointConfig(
             tmp_path / "snaps", interval=INTERVAL, retain=3
         )

@@ -23,13 +23,7 @@ from repro.machine import (
     ShardConfig,
     ShardedRunner,
 )
-from repro.workloads import figure_workload
-
-
-def _fig2(m=8):
-    wl = figure_workload("fig2")
-    cp = wl.compile(m=m)
-    return cp, wl.make_inputs(cp)
+from tests.util import figure
 
 
 class TestValidation:
@@ -46,7 +40,6 @@ class TestValidation:
             {"partition": "bogus"},
             {"recovery": lambda: RecoveryPolicy(deadline=0.0)},
             {"recovery": lambda: RecoveryPolicy(max_restarts=-1)},
-            {"recovery": lambda: RecoveryPolicy(strikes=0)},
             # every field is type-checked, and a bool is not a number
             {"shards": True},
             {"partition": None},
@@ -123,7 +116,7 @@ class TestRecoveryMapping:
     def test_heal_value_tri_state(self, tmp_path):
         from repro.checkpoint import CheckpointConfig
 
-        cp, inputs = _fig2()
+        cp, inputs = figure("fig2", 8)
 
         def heal(recovery, **kw):
             return ShardedRunner(
@@ -148,14 +141,14 @@ class TestRecoveryMapping:
         assert recovery(None) is None
         assert recovery(False).enabled is False
         assert recovery(True).enabled is True
-        assert recovery({"strikes": 3}).strikes == 3
+        assert recovery({"max_restarts": 5}).max_restarts == 5
         with pytest.raises(SimulationError):
             recovery("yes please")
 
 
 class TestFacade:
     def test_shard_config_drives_the_sharded_backend(self):
-        cp, inputs = _fig2()
+        cp, inputs = figure("fig2", 8)
         ref = repro.run(cp, inputs, backend="event",
                         config=MachineConfig.unit_time())
         res = repro.run(
@@ -168,7 +161,7 @@ class TestFacade:
         assert res.sink_times == ref.sink_times
 
     def test_shards_kwarg_stays_first_class(self):
-        cp, inputs = _fig2()
+        cp, inputs = figure("fig2", 8)
         res = repro.run(
             cp, inputs, backend="sharded", shards=4,
             config=MachineConfig.unit_time(),
@@ -179,7 +172,7 @@ class TestFacade:
     def test_shards_equal_to_a_default_is_not_masked(self):
         # shards=1 used to be indistinguishable from "not given", so
         # the config's 4 silently won
-        cp, inputs = _fig2()
+        cp, inputs = figure("fig2", 8)
         with pytest.raises(ReproError, match="disagrees"):
             repro.run(cp, inputs, backend="sharded", shards=1,
                       shard_config={"shards": 4, "processes": False})
@@ -188,7 +181,7 @@ class TestFacade:
 
     @pytest.mark.parametrize("backend", ["sync", "event", "compiled"])
     def test_other_backends_reject_shard_config(self, backend):
-        cp, inputs = _fig2()
+        cp, inputs = figure("fig2", 8)
         with pytest.raises(ReproError, match="shard_config"):
             repro.run(cp, inputs, backend=backend,
                       shard_config={"shards": 2})
@@ -196,7 +189,7 @@ class TestFacade:
     def test_resume_rejects_shard_config_on_single_machine(self, tmp_path):
         from repro.checkpoint import CheckpointConfig
 
-        cp, inputs = _fig2()
+        cp, inputs = figure("fig2", 8)
         repro.run(
             cp, inputs, backend="event",
             checkpoint=CheckpointConfig(tmp_path / "snaps", interval=5),
@@ -301,6 +294,8 @@ REMOVED_RECOVERY_KEYS = [
     ("backoff_factor", 2.0),
     ("backoff_max", 2.0),
     ("jitter", 0.1),
+    # the two-strike rule is a constant, repro.workers.STRIKES
+    ("strikes", 2),
 ]
 
 
@@ -322,7 +317,7 @@ class TestLoudFailures:
         ],
     )
     def test_mistyped_values_are_refused(self, tmp_path, capsys, doc, key):
-        cp, inputs = _fig2()
+        cp, inputs = figure("fig2", 8)
         with pytest.raises(SimulationError, match=f"^{key} must be"):
             repro.run(cp, inputs, backend="sharded", shard_config=doc)
         rc = cli_main(self._argv(tmp_path, "--shard-config", json.dumps(doc)))
@@ -354,7 +349,7 @@ class TestLoudFailures:
         doc = {"shards": 2, "recovery": {key: value}}
         refusal = (f"unknown recovery keys: ['{key}']; known keys: "
                    "['backoff', 'deadline', 'degrade', 'enabled', "
-                   "'max_restarts', 'seed', 'sleep', 'strikes']")
+                   "'max_restarts', 'seed', 'sleep']")
         for form in (doc, json.dumps(doc)):
             with pytest.raises(SimulationError) as info:
                 ShardConfig.coerce(form)

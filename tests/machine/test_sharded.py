@@ -1,16 +1,14 @@
-"""Tests for the multi-process sharded runner and the partitioner.
+"""Tests for the multi-process sharded runner and the partitioner:
+partitions, adaptive windows, the warm worker pool, guards, and the
+fan-out of every per-shard command.
 
-The load-bearing property is *bit-identical determinism*: for every
-figure workload and every shard count, the sharded runner must produce
-exactly the outputs AND sink arrival times of the single-process
-machine -- with and without a seeded fault plan, in-process and over
-real worker processes, and after killing a worker and resuming from a
-coordinated snapshot (covered in tests/checkpoint/test_coordinated.py).
+Bit-identity with the single machine -- every program, shard count,
+partition, exact config and fault plan, in process and over real
+worker processes -- is checked by the differential oracle
+(tests/integration/test_oracle.py).
 """
 
-import itertools
 import os
-import random
 import signal
 from typing import Optional
 
@@ -23,7 +21,6 @@ from repro.checkpoint import (
     fsck_directory,
     read_manifest,
 )
-from repro.compiler import compile_program
 from repro.errors import SimulationError
 from repro.faults import FaultPlan, ShardFault
 from repro.faults.plan import FaultPlanError
@@ -42,71 +39,22 @@ from repro.workers import (
     pooled_worker_count,
     shutdown_worker_pool,
 )
-from repro.workloads import (
-    figure_workload,
-    parallel_chain_graph,
-    random_pipe_program,
+from repro.workloads import parallel_chain_graph
+from tests.util import (
+    FIGS,
+    ClassicLockstep,
+    in_process_run,
+    program_graph,
+    reference,
 )
-from tests.util import random_inputs
 
-FIGS = ["fig2", "fig4", "fig5", "fig6", "fig7"]
 SHARD_COUNTS = [1, 2, 4]
-#: generated pipe programs, each ending in a for-iter recurrence
-GENERATED = [f"pipe{seed}" for seed in range(8)]
-
-#: configs whose sharded runs are exact: under free issue no unit
-#: serializes same-cycle work, and under the other two each shard's
-#: private units measured no effect on a modeled time
-EXACT_CONFIGS = {
-    "free_issue": MachineConfig(pe_issue_interval=0, fu_issue_interval=0),
-    # no two cells share a PE (every graph here has < 256 cells)
-    "pe_per_cell": MachineConfig(n_pes=256),
-    # only the FUs serialize
-    "free_pe_issue": MachineConfig(pe_issue_interval=0),
-}
-
-#: packet-fault plan usable on sharded runs (keyed derivation)
-KEYED_PLAN = FaultPlan(
-    seed=7,
-    drop_result=0.08,
-    dup_result=0.05,
-    corrupt_result=0.04,
-    drop_ack=0.08,
-    dup_ack=0.05,
-    derivation="keyed",
-)
-
-
-def _figure_graph(name, m=12):
-    if name in GENERATED:
-        seed = int(name[len("pipe"):])
-        src = random_pipe_program(random.Random(seed), n_blocks=3, depth=2)
-        cp = compile_program(src, params={"m": m})
-        return cp.graph, cp.prepare_inputs(
-            random_inputs(cp, random.Random(seed))
-        )
-    if name == "chains10k":
-        # >= 10^4 cells, the sharded backend's scaling graph
-        return parallel_chain_graph(m=2), {}
-    wl = figure_workload(name)
-    cp = wl.compile(m=m)
-    return cp.graph, cp.prepare_inputs(wl.make_inputs(cp))
-
-
-def _reference(graph, streams, plan=None):
-    machine = Machine(
-        graph, MachineConfig.unit_time(), inputs=streams, fault_plan=plan
-    )
-    machine.run()
-    outputs = machine.outputs()
-    times = {s: machine.sink_arrival_times(s) for s in outputs}
-    return outputs, times
 
 
 class TestPartitioner:
     def test_every_cell_owned_and_balanced(self):
         for name in FIGS:
-            graph, _ = _figure_graph(name)
+            graph, _ = program_graph(name)
             for k in SHARD_COUNTS:
                 part = partition_graph(graph, k)
                 assert set(part.owner) == set(graph.cells)
@@ -114,7 +62,7 @@ class TestPartitioner:
                 assert all(size >= 1 for size in part.sizes)
 
     def test_cut_arcs_cross_shards(self):
-        graph, _ = _figure_graph("fig6")
+        graph, _ = program_graph("fig6")
         part = partition_graph(graph, 4)
         for aid in part.cut_arcs:
             arc = graph.arcs[aid]
@@ -124,27 +72,27 @@ class TestPartitioner:
                 assert part.owner[arc.src] == part.owner[arc.dst]
 
     def test_acyclic_uses_levels_cyclic_uses_scc(self):
-        acyclic, _ = _figure_graph("fig2")
+        acyclic, _ = program_graph("fig2")
         assert partition_graph(acyclic, 2).scheme == "levels"
-        cyclic, _ = _figure_graph("fig7")   # Todd for-iter feedback
+        cyclic, _ = program_graph("fig7")   # Todd for-iter feedback
         # cyclic graphs condense to their SCC DAG and split along it
         # instead of falling back to a blind round-robin cut
         assert partition_graph(cyclic, 2).scheme == "scc"
 
     def test_levels_scheme_rejects_cyclic(self):
-        cyclic, _ = _figure_graph("fig7")
+        cyclic, _ = program_graph("fig7")
         with pytest.raises(PartitionError):
             partition_graph(cyclic, 2, scheme="levels")
 
     def test_k1_is_single(self):
-        graph, _ = _figure_graph("fig2")
+        graph, _ = program_graph("fig2")
         part = partition_graph(graph, 1)
         assert part.scheme == "single"
         assert part.cut_arcs == ()
         assert set(part.owner.values()) == {0}
 
     def test_bad_requests(self):
-        graph, _ = _figure_graph("fig2")
+        graph, _ = program_graph("fig2")
         with pytest.raises(PartitionError):
             partition_graph(graph, 0)
         with pytest.raises(PartitionError):
@@ -164,163 +112,29 @@ class TestPartitioner:
             )
 
 
-class TestDeterminismMatrix:
-    """Every figure x K in {1, 2, 4}: bit-identical to single-process."""
-
-    @pytest.mark.parametrize("name", [*FIGS, "chains10k"])
-    def test_clean(self, name):
-        graph, streams = _figure_graph(name)
-        ref_out, ref_times = _reference(graph, streams)
-        for k in SHARD_COUNTS:
-            res = repro.run(
-                graph, streams, backend="sharded",
-                config=MachineConfig.unit_time(),
-                shard_config=ShardConfig(shards=k, processes=False),
-            )
-            out, runner = res.outputs, res.engine
-            assert out == ref_out, f"{name} K={k} outputs"
-            for s in ref_out:
-                assert runner.sink_arrival_times(s) == ref_times[s], (
-                    f"{name} K={k} sink times for {s}"
-                )
-
-    @pytest.mark.parametrize("name", FIGS)
-    def test_under_faults(self, name):
-        graph, streams = _figure_graph(name)
-        ref_out, ref_times = _reference(graph, streams, plan=KEYED_PLAN)
-        for k in SHARD_COUNTS:
-            res = repro.run(
-                graph, streams, backend="sharded", faults=KEYED_PLAN,
-                config=MachineConfig.unit_time(),
-                shard_config=ShardConfig(shards=k, processes=False),
-            )
-            out, stats, runner = res.outputs, res.stats, res.engine
-            assert out == ref_out, f"{name} K={k} faulty outputs"
-            for s in ref_out:
-                assert runner.sink_arrival_times(s) == ref_times[s], (
-                    f"{name} K={k} faulty sink times for {s}"
-                )
-            assert stats.faults is not None
-
-    def test_real_processes_match(self):
-        # one clean + one faulty case over actual worker processes
-        for name, plan in [("fig2", None), ("fig7", KEYED_PLAN)]:
-            graph, streams = _figure_graph(name)
-            ref_out, ref_times = _reference(graph, streams, plan=plan)
-            res = repro.run(
-                graph, streams, backend="sharded", faults=plan,
-                config=MachineConfig.unit_time(),
-                shard_config=ShardConfig(shards=4, processes=True),
-            )
-            out, runner = res.outputs, res.engine
-            assert out == ref_out
-            for s in ref_out:
-                assert runner.sink_arrival_times(s) == ref_times[s]
-
-    def test_default_config_matches_too(self):
-        # non-unit latencies exercise a different lookahead (rn_delay)
-        graph, streams = _figure_graph("fig4")
-        machine = Machine(graph, inputs=streams)
-        machine.run()
-        ref_out = machine.outputs()
-        ref_times = {s: machine.sink_arrival_times(s) for s in ref_out}
-        res = repro.run(
-            graph, streams, backend="sharded",
-            shard_config=ShardConfig(shards=4, processes=False),
-        )
-        out, runner = res.outputs, res.engine
-        assert out == ref_out
-        for s in ref_out:
-            assert runner.sink_arrival_times(s) == ref_times[s]
-
-    @pytest.mark.parametrize("config", sorted(EXACT_CONFIGS))
-    @pytest.mark.parametrize("name", [*FIGS, *GENERATED])
-    def test_exact_config(self, name, config):
-        graph, streams = _figure_graph(name)
-        ref = repro.run(graph, streams, config=EXACT_CONFIGS[config])
-        for k, scheme in itertools.product((2, 4), ("auto", "round_robin")):
-            res = repro.run(
-                graph, streams, backend="sharded",
-                config=EXACT_CONFIGS[config],
-                shard_config=ShardConfig(
-                    shards=k, partition=scheme, processes=False
-                ),
-            )
-            where = f"{name} K={k} {scheme}"
-            assert res.outputs == ref.outputs, where
-            assert res.sink_times == ref.sink_times, where
-            assert res.stats.cycles == ref.stats.cycles, where
-            assert res.stats.fire_counts == ref.stats.fire_counts, where
-
-
-class _ClassicLockstep(ShardedRunner):
-    """The classic conservative lockstep, one window per ``L = max(1,
-    rn_delay)`` cycles: a trivially safe reference that adaptive
-    windows must match bit for bit in fewer barriers."""
-
-    def _horizon(self, t_min, frontier, msg_bound, crash_at):
-        return t_min + self._lookahead - 1
-
-
-def _in_process_run(graph, streams, k, plan=None, config=None,
-                    cls=ShardedRunner):
-    """One in-process sharded run."""
-    runner = cls(
-        graph, streams, fault_plan=plan,
-        config=config or MachineConfig.unit_time(),
-        shard_config=ShardConfig(shards=k, processes=False),
-    )
-    runner.run()
-    return runner
-
-
 class TestAdaptiveWindows:
     """Adaptive lockstep horizons: fewer barriers, same bits."""
 
-    @pytest.mark.parametrize("name", FIGS)
-    @pytest.mark.parametrize("plan", [None, KEYED_PLAN],
-                             ids=["clean", "faults"])
-    def test_adaptive_matches_fixed(self, name, plan):
-        graph, streams = _figure_graph(name)
-        ref_out, ref_times = _reference(graph, streams, plan=plan)
-        for k in (2, 4):
-            runs = {}
-            for window, cls in (("adaptive", ShardedRunner),
-                                ("fixed", _ClassicLockstep)):
-                runner = _in_process_run(graph, streams, k, plan, cls=cls)
-                assert runner.outputs() == ref_out, (
-                    f"{name} K={k} {window} outputs"
-                )
-                for s in ref_out:
-                    assert runner.sink_arrival_times(s) == ref_times[s], (
-                        f"{name} K={k} {window} sink times for {s}"
-                    )
-                runs[window] = runner
-            # the whole point: adaptive horizons batch multiple fixed
-            # cadence steps per barrier
-            assert (runs["adaptive"].windows_run
-                    <= runs["fixed"].windows_run)
-
     def test_adaptive_takes_fewer_barriers(self):
-        graph, streams = _figure_graph("fig2")
-        adaptive = _in_process_run(graph, streams, 2)
-        fixed = _in_process_run(graph, streams, 2, cls=_ClassicLockstep)
+        graph, streams = program_graph("fig2")
+        adaptive = in_process_run(graph, streams, 2)
+        fixed = in_process_run(graph, streams, 2, cls=ClassicLockstep)
         assert adaptive.windows_run < fixed.windows_run
         # no cut, no barrier: disjoint chains finish in one window
         chains = parallel_chain_graph(n_chains=4, depth=6, m=3)
-        runner = _in_process_run(chains, None, 2)
+        runner = in_process_run(chains, None, 2)
         assert runner.partition.cut_arcs == ()
         assert runner.windows_run == 1
 
     def test_serialized_config_runs_adaptive_windows(self):
         # issue intervals serialize same-cycle work, yet the one window
         # rule still gives the classic lockstep's bits in fewer barriers
-        graph, streams = _figure_graph("fig2")
+        graph, streams = program_graph("fig2")
         config = MachineConfig()
         machine = Machine(graph, config, inputs=streams)
         machine.run()
-        runs = [_in_process_run(graph, streams, 2, config=config, cls=cls)
-                for cls in (ShardedRunner, _ClassicLockstep)]
+        runs = [in_process_run(graph, streams, 2, config=config, cls=cls)
+                for cls in (ShardedRunner, ClassicLockstep)]
         for runner in runs:
             assert runner.outputs() == machine.outputs()
             for s in machine.outputs():
@@ -343,7 +157,7 @@ class TestWarmPool:
         shutdown_worker_pool()
 
     def test_second_run_spawns_nothing(self):
-        graph, streams = _figure_graph("fig2")
+        graph, streams = program_graph("fig2")
         sc = ShardConfig(shards=2, processes=True)
         first = repro.run(
             graph, streams, backend="sharded",
@@ -362,8 +176,8 @@ class TestWarmPool:
     def test_pool_reuse_across_workloads(self):
         # the pool key is the graph identity, not the shard count:
         # a different graph must not adopt stale workers
-        g2, s2 = _figure_graph("fig2")
-        g4, s4 = _figure_graph("fig4")
+        g2, s2 = program_graph("fig2")
+        g4, s4 = program_graph("fig4")
         sc = ShardConfig(shards=2, processes=True)
         repro.run(
             g2, s2, backend="sharded", config=MachineConfig.unit_time(),
@@ -404,7 +218,7 @@ class TestWarmPool:
         assert third.outputs == second.outputs
 
     def test_shutdown_empties_pool(self):
-        graph, streams = _figure_graph("fig2")
+        graph, streams = program_graph("fig2")
         repro.run(
             graph, streams, backend="sharded",
             config=MachineConfig.unit_time(),
@@ -417,7 +231,7 @@ class TestWarmPool:
 
 class TestShardedGuards:
     def test_sequence_plan_rejected_for_k_gt_1(self):
-        graph, streams = _figure_graph("fig2")
+        graph, streams = program_graph("fig2")
         plan = FaultPlan(seed=1, drop_result=0.05)   # derivation=sequence
         with pytest.raises((SimulationError, FaultPlanError)):
             repro.run(
@@ -426,7 +240,7 @@ class TestShardedGuards:
             )
 
     def test_unit_faults_rejected_for_k_gt_1(self):
-        graph, streams = _figure_graph("fig2")
+        graph, streams = program_graph("fig2")
         plan = FaultPlan(
             seed=1,
             unit_faults=({"unit": "fu", "index": 0},),
@@ -438,23 +252,8 @@ class TestShardedGuards:
                 shard_config=ShardConfig(shards=2, processes=False),
             )
 
-    def test_stats_merge_matches_single_process(self):
-        graph, streams = _figure_graph("fig5")
-        machine = Machine(
-            graph, MachineConfig.unit_time(), inputs=streams
-        )
-        ref_stats = machine.run()
-        stats = repro.run(
-            graph, streams, backend="sharded",
-            config=MachineConfig.unit_time(),
-            shard_config=ShardConfig(shards=4, processes=False),
-        ).stats
-        assert stats.cycles == ref_stats.cycles
-        assert stats.total_firings == ref_stats.total_firings
-        assert stats.fire_counts == ref_stats.fire_counts
-
     def test_explicit_partition_object(self):
-        graph, streams = _figure_graph("fig2")
+        graph, streams = program_graph("fig2")
         part = partition_graph(graph, 2)
         assert isinstance(part, Partition)
         runner = ShardedRunner(
@@ -464,11 +263,11 @@ class TestShardedGuards:
         )
         runner.run()
         out = runner.outputs()
-        ref_out, _ = _reference(graph, streams)
+        ref_out, _ = reference(graph, streams)
         assert out == ref_out
 
     def test_runner_cannot_run_twice(self):
-        graph, streams = _figure_graph("fig2")
+        graph, streams = program_graph("fig2")
         runner = ShardedRunner(
             graph, streams, config=MachineConfig.unit_time(),
             shard_config=ShardConfig(shards=2, processes=False),
@@ -541,7 +340,7 @@ class TestFanOut:
             self, tmp_path, monkeypatch):
         monkeypatch.setattr(shard_runner, "Worker", _RecordingEndpoint)
         monkeypatch.setattr(_RecordingEndpoint, "log", [])
-        graph, streams = _figure_graph("fig7", m=16)
+        graph, streams = program_graph("fig7", m=16)
         first = self._run(tmp_path, graph, streams, "a")
         # the second run over the same graph reclaims the parked
         # workers; its shard 1 dies answering the cycle-20 snapshot,
@@ -553,7 +352,7 @@ class TestFanOut:
         assert second.worker_reuses == 3
         assert second.stats().recovery.rollback_cycles == [10]
         assert first.outputs() == second.outputs()
-        assert first.outputs() == _reference(graph, streams)[0]
+        assert first.outputs() == reference(graph, streams)[0]
         log = _RecordingEndpoint.log
         rounds: dict = {}
         i = 0
@@ -575,7 +374,7 @@ class TestFanOut:
         }
 
     def test_parked_worker_killed_before_reclaim_is_replaced(self):
-        graph, streams = _figure_graph("fig2")
+        graph, streams = program_graph("fig2")
         sc = ShardConfig(shards=2, processes=True)
         cfg = MachineConfig.unit_time()
         first = repro.run(graph, streams, backend="sharded", config=cfg,
@@ -605,7 +404,7 @@ class TestFanOut:
 
     def test_kill_during_snapshot_rolls_back_to_last_complete_set(
             self, tmp_path):
-        graph, streams = _figure_graph("fig7", m=16)
+        graph, streams = program_graph("fig7", m=16)
         plan = FaultPlan(
             derivation="keyed",
             shard_faults=(ShardFault(shard=1, cycle=30, kind="kill"),),
@@ -624,7 +423,7 @@ class TestFanOut:
         )
         runner.run()
         # the empty plan arms the reliability layer as the chaos plan does
-        ref_out, ref_times = _reference(
+        ref_out, ref_times = reference(
             graph, streams, FaultPlan(derivation="keyed")
         )
         assert runner.outputs() == ref_out

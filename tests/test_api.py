@@ -19,13 +19,8 @@ from repro.cli import main as cli_main
 from repro.errors import ReproError, SimulationTimeout
 from repro.faults import FaultPlan
 from repro.machine import MachineConfig
-from repro.workloads import FIG2_SOURCE, figure_workload
-
-
-def _fig2(m=8):
-    wl = figure_workload("fig2")
-    cp = wl.compile(m=m)
-    return cp, wl.make_inputs(cp)
+from repro.workloads import FIG2_SOURCE
+from tests.util import figure
 
 
 @pytest.mark.parametrize("module", [
@@ -39,7 +34,7 @@ def test_every_exported_name_resolves(module):
 
 class TestRunFacade:
     def test_backends_agree_on_outputs(self):
-        cp, inputs = _fig2()
+        cp, inputs = figure("fig2", 8)
         extra = {
             "sync": {},
             "event": {"config": MachineConfig.unit_time()},
@@ -63,19 +58,6 @@ class TestRunFacade:
                 == results["sharded"].sink_times
                 == results["compiled"].sink_times)
 
-    @pytest.mark.parametrize(
-        "figure", ["fig2", "fig4", "fig5", "fig6", "fig7"]
-    )
-    def test_compiled_matches_event_on_every_figure(self, figure):
-        wl = figure_workload(figure)
-        cp = wl.compile(m=24)
-        inputs = wl.make_inputs(cp)
-        event = repro.run(cp, inputs, backend="event")
-        compiled = repro.run(cp, inputs, backend="compiled")
-        assert compiled.outputs == event.outputs
-        assert compiled.sink_times == event.sink_times
-        assert compiled.cycles == event.cycles
-
     def test_val_source_path(self):
         cp = repro.compile_program(FIG2_SOURCE, params={"m": 4})
         inputs = {
@@ -92,18 +74,18 @@ class TestRunFacade:
         assert result.throughput(stream) > 0
 
     def test_raw_graph_path(self):
-        cp, inputs = _fig2()
+        cp, inputs = figure("fig2", 8)
         streams = cp.prepare_inputs(inputs)
         result = repro.run(cp.graph, streams, backend="event")
         assert result.outputs == repro.run(cp, inputs).outputs
 
     def test_raw_graph_rejects_params(self):
-        cp, _ = _fig2()
+        cp, _ = figure("fig2", 8)
         with pytest.raises(ReproError, match="params"):
             repro.run(cp.graph, {}, params={"m": 4})
 
     def test_unknown_backend(self):
-        cp, inputs = _fig2()
+        cp, inputs = figure("fig2", 8)
         with pytest.raises(ReproError, match="unknown backend"):
             repro.run(cp, inputs, backend="quantum")
 
@@ -112,14 +94,14 @@ class TestRunFacade:
             repro.run(12345)
 
     def test_shards_need_sharded_backend(self):
-        cp, inputs = _fig2()
+        cp, inputs = figure("fig2", 8)
         with pytest.raises(ReproError, match="sharded"):
             repro.run(cp, inputs, backend="event", shards=4)
         with pytest.raises(ReproError, match=">= 1"):
             repro.run(cp, inputs, backend="sharded", shards=0)
 
     def test_sync_rejects_machine_options(self):
-        cp, inputs = _fig2()
+        cp, inputs = figure("fig2", 8)
         with pytest.raises(ReproError, match="faults"):
             repro.run(cp, inputs, backend="sync",
                       faults=FaultPlan(seed=1, drop_result=0.1))
@@ -128,7 +110,7 @@ class TestRunFacade:
                       checkpoint=CheckpointConfig("/tmp/nope"))
 
     def test_event_rejects_sharding_options(self):
-        cp, inputs = _fig2()
+        cp, inputs = figure("fig2", 8)
         with pytest.raises(ReproError, match="processes"):
             repro.run(cp, inputs, backend="event", processes=False)
         with pytest.raises(ReproError, match="partition"):
@@ -142,8 +124,9 @@ class TestRunFacade:
         """Regression: ``**options`` a backend does not consume used to
         vanish silently (only ``compiled`` checked), so a typo or one
         of the kwargs that left the signature ran with defaults."""
-        cp, inputs = _fig2()
-        gone = {"heal": False, "processes": False, "partition": "auto"}
+        cp, inputs = figure("fig2", 8)
+        gone = {"heal": False, "processes": False, "partition": "auto",
+                "reliable": True}
         for name, value in {**gone, "trce": True}.items():
             with pytest.raises(ReproError, match=f"{backend}.*{name}"):
                 repro.run(cp, inputs, backend=backend, **{name: value})
@@ -157,7 +140,7 @@ class TestRunFacade:
         whose *actual* default was falsy (``recovery=False`` after an
         explicit pass) was either spuriously rejected or silently
         accepted."""
-        cp, inputs = _fig2()
+        cp, inputs = figure("fig2", 8)
         # recovery is a sync-irrelevant machine knob with default True;
         # passing the non-default False must NOT trip the validator
         result = repro.run(cp, inputs, backend="sync", recovery=False)
@@ -168,7 +151,7 @@ class TestRunFacade:
             repro.run(cp, inputs, backend="event", shard_config={})
 
     def test_resume_facade_event_backend(self, tmp_path):
-        cp, inputs = _fig2()
+        cp, inputs = figure("fig2", 8)
         full = repro.run(cp, inputs, workload_id="fig2")
         ck = CheckpointConfig(tmp_path / "snaps", interval=10)
         repro.run(cp, inputs, checkpoint=ck, workload_id="fig2")
@@ -179,7 +162,7 @@ class TestRunFacade:
 
 class TestRunResultJson:
     def test_stable_shape(self):
-        cp, inputs = _fig2()
+        cp, inputs = figure("fig2", 8)
         payload = repro.run(cp, inputs).to_json_dict()
         assert payload["schema"] == api.RESULT_SCHEMA == 1
         assert set(payload) == {
@@ -242,7 +225,7 @@ class TestRunResultJson:
 
 class TestCliJson:
     def _write_program(self, tmp_path):
-        cp, inputs = _fig2(m=4)
+        cp, inputs = figure("fig2", 4)
         src = tmp_path / "fig2.val"
         src.write_text(FIG2_SOURCE, encoding="utf-8")
         ins = tmp_path / "inputs.json"
@@ -322,14 +305,14 @@ class TestMaxCycles:
     @pytest.mark.parametrize("budget", [0, -1, 2.5, True])
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_a_useless_budget_is_refused_by_name(self, backend, budget):
-        cp, inputs = _fig2()
+        cp, inputs = figure("fig2", 8)
         with pytest.raises(ReproError, match="^max_cycles must be a "
                            f"positive int, got {budget!r}$"):
             repro.run(cp, inputs, backend=backend, max_cycles=budget)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_a_short_budget_is_honoured(self, backend):
-        cp, inputs = _fig2()
+        cp, inputs = figure("fig2", 8)
         with pytest.raises(SimulationTimeout):
             repro.run(cp, inputs, backend=backend, max_cycles=1)
 

@@ -29,7 +29,8 @@ CLASSES = {
     ShardConfig: (SimulationError, {}, "shards", 0, ""),
     RecoveryPolicy: (SimulationError, {}, "max_restarts", -1, "recovery."),
     CheckpointConfig: (SnapshotError, {"directory": "d"}, "retain", -1, ""),
-    SupervisorConfig: (SupervisorError, {"directory": "d"}, "strikes", 0, ""),
+    SupervisorConfig: (SupervisorError, {"directory": "d"}, "max_restarts",
+                       -1, ""),
     BackoffPolicy: (ReproError, {}, "jitter", -0.5, ""),
     ServeConfig: (ServeError, {}, "workers", 0, ""),
     FaultPlan: (FaultPlanError, {}, "drop_result", -0.1, ""),

@@ -1,12 +1,121 @@
-"""Shared helpers for the test suite: compile-and-compare harness."""
+"""Shared helpers for the test suite: the compile-and-compare harness,
+and the programs, plans and single-machine references every backend
+test runs against."""
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Any, Mapping, Optional
 
 from repro.compiler import CompiledProgram, compile_program
+from repro.faults import FaultPlan
+from repro.machine import Machine, MachineConfig, ShardConfig, ShardedRunner
 from repro.val import parse_program, run_program
+from repro.workloads import (
+    figure_workload,
+    parallel_chain_graph,
+    random_pipe_program,
+)
+
+FIGS = ["fig2", "fig4", "fig5", "fig6", "fig7"]
+#: generated pipe programs, each ending in a for-iter recurrence
+GENERATED = [f"pipe{seed}" for seed in range(8)]
+
+#: configs whose sharded runs are exact: under free issue no unit
+#: serializes same-cycle work, and under the other two each shard's
+#: private units measured no effect on a modeled time
+EXACT_CONFIGS = {
+    "free_issue": MachineConfig(pe_issue_interval=0, fu_issue_interval=0),
+    # no two cells share a PE (every graph here has < 256 cells)
+    "pe_per_cell": MachineConfig(n_pes=256),
+    # only the FUs serialize
+    "free_pe_issue": MachineConfig(pe_issue_interval=0),
+}
+
+#: packet faults keyed by packet identity, so a sharded run draws the
+#: same faults as a single machine
+KEYED_PLAN = FaultPlan(
+    seed=7,
+    drop_result=0.08,
+    dup_result=0.05,
+    corrupt_result=0.04,
+    drop_ack=0.08,
+    dup_ack=0.05,
+    derivation="keyed",
+)
+
+#: packet faults drawn in sequence order from one RNG, whose cursor
+#: rides inside every snapshot (single machine only)
+SEQUENCE_PLAN = FaultPlan(
+    seed=1234,
+    drop_result=0.06,
+    dup_result=0.06,
+    corrupt_result=0.02,
+    drop_ack=0.03,
+)
+
+#: no faults, but the reliability layer armed exactly as a chaos plan
+#: arms it, so a shard-fault run compares against a run with this plan
+EMPTY_PLAN = FaultPlan(derivation="keyed")
+
+
+def figure(name: str, m: int = 16):
+    """A paper figure's compiled program and its seeded input arrays."""
+    wl = figure_workload(name)
+    cp = wl.compile(m=m)
+    return cp, wl.make_inputs(cp)
+
+
+@functools.lru_cache(maxsize=None)
+def program_graph(name: str, m: int = 12):
+    """``(graph, input streams)`` of a paper figure, of ``pipe<seed>``
+    (:func:`~repro.workloads.random_pipe_program` with that seed) or of
+    ``chains10k`` (>= 10^4 cells, the sharded backend's scaling graph)."""
+    if name == "chains10k":
+        return parallel_chain_graph(m=2), {}
+    if name.startswith("pipe"):
+        seed = int(name[len("pipe"):])
+        src = random_pipe_program(random.Random(seed), n_blocks=3, depth=2)
+        cp = compile_program(src, params={"m": m})
+        return cp.graph, cp.prepare_inputs(
+            random_inputs(cp, random.Random(seed))
+        )
+    cp, inputs = figure(name, m)
+    return cp.graph, cp.prepare_inputs(inputs)
+
+
+def reference(graph, streams, plan=None):
+    """Outputs and per-stream sink times of one unit-time
+    single-machine run."""
+    machine = Machine(
+        graph, MachineConfig.unit_time(), inputs=streams, fault_plan=plan,
+    )
+    machine.run()
+    outputs = machine.outputs()
+    return outputs, {s: machine.sink_arrival_times(s) for s in outputs}
+
+
+class ClassicLockstep(ShardedRunner):
+    """The classic conservative lockstep, one window per ``L = max(1,
+    rn_delay)`` cycles: a trivially safe reference that adaptive
+    windows must match bit for bit in fewer barriers."""
+
+    def _horizon(self, t_min, frontier, msg_bound, crash_at):
+        return t_min + self._lookahead - 1
+
+
+def in_process_run(graph, streams, k, plan=None, config=None,
+                   cls=ShardedRunner, partition="auto"):
+    """One finished in-process sharded run (unit time by default)."""
+    runner = cls(
+        graph, streams, fault_plan=plan,
+        config=config or MachineConfig.unit_time(),
+        shard_config=ShardConfig(shards=k, partition=partition,
+                                 processes=False),
+    )
+    runner.run()
+    return runner
 
 
 def random_inputs(
