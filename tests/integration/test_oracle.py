@@ -112,61 +112,62 @@ def event(name, config="unit_time", plan="clean", m=12):
     return fingerprint(machine, machine.run())
 
 
+@pytest.mark.parametrize("config", ["default", "unit_time"])
 @pytest.mark.parametrize("name", PROGRAMS)
-def test_compiled(name):
+def test_compiled(name, config):
     """Fast-forward jumps over the steady state and changes nothing;
     fig5's data-dependent merges must refuse to jump and say why."""
     graph, streams = program_graph(name, M_JUMP)
-    for config in ("default", "unit_time"):
-        res = repro.run(graph, streams, backend="compiled",
-                        config=CONFIGS[config])
-        check(event(name, config, m=M_JUMP), res.engine, res.stats,
-              name, "compiled", config)
-        schedule = res.engine.schedule
-        if name == "fig5":
-            assert not schedule.jumps and schedule.fallback_reason
-        else:
-            assert schedule.cycles_skipped > 0, f"{name} [{config}]"
+    res = repro.run(graph, streams, backend="compiled",
+                    config=CONFIGS[config])
+    check(event(name, config, m=M_JUMP), res.engine, res.stats,
+          name, "compiled", config)
+    schedule = res.engine.schedule
+    if name == "fig5":
+        assert not schedule.jumps and schedule.fallback_reason
+    else:
+        assert schedule.cycles_skipped > 0, f"{name} [{config}]"
 
 
+@pytest.mark.parametrize(("config", "plan"), [
+    ("default", "clean"), ("unit_time", "clean"), ("default", "sequence"),
+])
 @pytest.mark.parametrize("name", PROGRAMS)
-def test_checkpoint_resume(name, tmp_path):
+def test_checkpoint_resume(name, config, plan, tmp_path):
     """``Machine.resume`` from a full snapshot, a chain base and every
     delta depth, clean and under a sequence-order fault plan whose RNG
     cursor rides inside the snapshot."""
     graph, streams = program_graph(name)
-    for config, plan in [("default", "clean"), ("unit_time", "clean"),
-                         ("default", "sequence")]:
-        ref = event(name, config, plan)
-        for delta_every in (0, 3):
-            where = f"{config} {plan} delta_every={delta_every}"
-            directory = tmp_path / where.replace(" ", "-")
-            machine = Machine(
-                graph, CONFIGS[config], inputs=streams,
-                fault_plan=PLANS[plan],
-                checkpoint=CheckpointConfig(
-                    directory, interval=max(1, ref["cycles"] // 5),
-                    retain=0, delta_every=delta_every,
-                ),
-            )
-            check(ref, machine, machine.run(), name, "checkpointed", where)
-            snaps = sorted(directory.glob("ckpt-*.snap"))
-            if delta_every:
-                # the first chain: its base and both delta depths
-                chosen = snaps[:3]
-                wanted = [("base", 0), ("delta", 1), ("delta", 2)]
-            else:
-                chosen = [random.Random(f"{name} {where}").choice(snaps)]
-                wanted = [("full", 0)]
-            metas = [read_metadata(path) for path in chosen]
-            assert [(meta.get("kind", "full"), meta.get("chain_depth", 0))
-                    for meta in metas] == wanted, f"{name} {where}"
-            # newest first: a resumed machine keeps checkpointing into
-            # the directory, over the files of later cycles
-            for path in reversed(chosen):
-                resumed = Machine.resume(path)
-                check(ref, resumed, resumed.run(), name,
-                      f"resume {path.name}", where)
+    ref = event(name, config, plan)
+    for delta_every in (0, 3):
+        where = f"{config} {plan} delta_every={delta_every}"
+        directory = tmp_path / where.replace(" ", "-")
+        machine = Machine(
+            graph, CONFIGS[config], inputs=streams,
+            fault_plan=PLANS[plan],
+            checkpoint=CheckpointConfig(
+                directory, interval=max(1, ref["cycles"] // 5),
+                retain=0, delta_every=delta_every,
+            ),
+        )
+        check(ref, machine, machine.run(), name, "checkpointed", where)
+        snaps = sorted(directory.glob("ckpt-*.snap"))
+        if delta_every:
+            # the first chain: its base and both delta depths
+            chosen = snaps[:3]
+            wanted = [("base", 0), ("delta", 1), ("delta", 2)]
+        else:
+            chosen = [random.Random(f"{name} {where}").choice(snaps)]
+            wanted = [("full", 0)]
+        metas = [read_metadata(path) for path in chosen]
+        assert [(meta.get("kind", "full"), meta.get("chain_depth", 0))
+                for meta in metas] == wanted, f"{name} {where}"
+        # newest first: a resumed machine keeps checkpointing into
+        # the directory, over the files of later cycles
+        for path in reversed(chosen):
+            resumed = Machine.resume(path)
+            check(ref, resumed, resumed.run(), name,
+                  f"resume {path.name}", where)
 
 
 @pytest.mark.parametrize("name", [*PROGRAMS, "chains10k"])
@@ -257,21 +258,20 @@ def _healed_run(name, tmp_path, k, fault, **heal):
     return runner, runner.stats().recovery
 
 
+@pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("name", PROGRAMS)
-def test_worker_kill_heals(name, tmp_path):
+def test_worker_kill_heals(name, k, tmp_path):
     """Real worker processes writing delta sets; one is killed at a
     seeded cycle, and the run rolls back and heals in process."""
     ref = event(name, plan="empty")
-    for k in (1, 2, 4):
-        cycle = random.Random(f"{name}-{k}").randrange(
-            15, ref["cycles"] * 3 // 4)
-        fault = ShardFault(shard=k - 1, cycle=cycle, kind="kill")
-        runner, rec = _healed_run(name, tmp_path / f"k{k}", k, fault)
-        where = f"{fault}, K={k}"
-        check(ref, runner, runner.stats(), name, where)
-        assert rec.detections == rec.crashes == rec.rollbacks == 1, (
-            f"{name} {where}: {rec.summary()}")
-        assert rec.respawns and rec.cycles_replayed, rec.summary()
+    cycle = random.Random(f"{name}-{k}").randrange(15, ref["cycles"] * 3 // 4)
+    fault = ShardFault(shard=k - 1, cycle=cycle, kind="kill")
+    runner, rec = _healed_run(name, tmp_path, k, fault)
+    where = f"{fault}, K={k}"
+    check(ref, runner, runner.stats(), name, where)
+    assert rec.detections == rec.crashes == rec.rollbacks == 1, (
+        f"{name} {where}: {rec.summary()}")
+    assert rec.respawns and rec.cycles_replayed, rec.summary()
 
 
 def test_worker_hang_heals(tmp_path):
