@@ -20,6 +20,7 @@ positions of an input stream.  This module provides the bookkeeping:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
@@ -69,6 +70,14 @@ class Filter:
         return (self.split.sid, self.polarity)
 
 
+def pick(values, pattern: tuple[bool, ...], polarity: bool) -> list:
+    """The ``values`` whose pattern entry equals ``polarity`` (patterns
+    hold bools, so that is their truth value)."""
+    if not polarity:
+        pattern = map(operator.not_, pattern)
+    return list(itertools.compress(values, pattern))
+
+
 class Context:
     """An ordered stack of filters over the block's iteration range."""
 
@@ -113,7 +122,7 @@ class Context:
                 raise CompileError(
                     f"pattern length {len(pattern)} != selection {len(sel)}"
                 )
-            sel = [i for i, b in zip(sel, pattern) if b == f.polarity]
+            sel = pick(sel, pattern, f.polarity)
         return sel
 
     def key(self) -> tuple[tuple[int, bool], ...]:
@@ -176,7 +185,7 @@ def as_uniform(v: Value) -> Optional[Any]:
     if isinstance(v, Uniform):
         return v.value
     if isinstance(v, Seq) and v.values and all(
-        x == v.values[0] for x in v.values
+        map(operator.eq, v.values, itertools.repeat(v.values[0]))
     ):
         return v.values[0]
     return None

@@ -27,6 +27,7 @@ FIFO buffers that make them fully pipelined.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Any, Mapping, Optional
@@ -53,6 +54,7 @@ from .context import (
     Uniform,
     as_uniform,
     is_compile_time,
+    pick,
 )
 
 #: Val binary operator -> machine opcode.
@@ -72,6 +74,10 @@ BINOP_TO_OP = {
 }
 
 UNOP_TO_OP = {"-": Op.NEG, "~": Op.NOT}
+
+#: Val's logical operators on truth values: ``bool(a) and bool(b)``
+#: is ``bool(a) & bool(b)``, which folds a sequence at C speed
+_LOGICAL = {"&": operator.and_, "|": operator.or_}
 
 #: Operators accepted by :meth:`ExprBuilder.combine` -- the language's
 #: binary operators plus the lattice pair used by tropical companion
@@ -224,13 +230,9 @@ class ExprBuilder:
                     assert filt.split.pattern is not None
                     if len(filt.split.pattern) != len(cur.values):
                         raise CompileError("internal: pattern/sequence mismatch")
-                    cur = Seq(
-                        tuple(
-                            v
-                            for v, b in zip(cur.values, filt.split.pattern)
-                            if b == filt.polarity
-                        )
-                    )
+                    cur = Seq(tuple(pick(
+                        cur.values, filt.split.pattern, filt.polarity
+                    )))
                     cur_ctx = cur_ctx.extend(filt)
                     continue
                 cur = Wire(self.pattern_cell(cur.values, cur_ctx), cur_ctx)
@@ -345,6 +347,8 @@ class ExprBuilder:
             raise CompileError("internal: folded sequence length mismatch")
         ls = lv if lv is not None else repeat(left.value)
         rs = rv if rv is not None else repeat(right.value)
+        if op in _LOGICAL:
+            return Seq(tuple(map(_LOGICAL[op], map(bool, ls), map(bool, rs))))
         return Seq(tuple(map(apply, ls, rs)))
 
     def _compile_binop(self, expr: A.BinOp, ctx: Context) -> BValue:
@@ -372,10 +376,9 @@ class ExprBuilder:
             rv = right.values if isinstance(right, Seq) else None
             if lv is None and rv is None:
                 return Uniform(fn(left.value, right.value))
-            n = len(lv if lv is not None else rv)
-            ls = lv if lv is not None else (left.value,) * n
-            rs = rv if rv is not None else (right.value,) * n
-            return Seq(tuple(fn(a, b) for a, b in zip(ls, rs)))
+            ls = lv if lv is not None else repeat(left.value)
+            rs = rv if rv is not None else repeat(right.value)
+            return Seq(tuple(map(fn, ls, rs)))
         cell = self.g.add_cell(opcode, name=self._name(expr.name))
         self.connect_value(left, cell, 0, ctx)
         self.connect_value(right, cell, 1, ctx)
@@ -388,12 +391,8 @@ class ExprBuilder:
                 return Uniform(
                     -operand.value if expr.op == "-" else (not bool(operand.value))
                 )
-            return Seq(
-                tuple(
-                    -v if expr.op == "-" else (not bool(v))
-                    for v in operand.values
-                )
-            )
+            fn = operator.neg if expr.op == "-" else operator.not_
+            return Seq(tuple(map(fn, operand.values)))
         cell = self.g.add_cell(UNOP_TO_OP[expr.op], name=self._name(expr.op))
         self.connect_value(operand, cell, 0, ctx)
         return Wire(cell, ctx)
@@ -432,11 +431,13 @@ class ExprBuilder:
         spec = self.arrays[name]
         length = spec.length
         selection = prefix.selection(self.base)
-        positions = [i + offset - spec.lo for i in selection]
-        if positions and not 0 <= min(positions) <= max(positions) < length:
+        # the stream position of each selected iteration, ascending
+        shift = offset - spec.lo
+        if selection and not (
+            0 <= selection[0] + shift and selection[-1] + shift < length
+        ):
             i = next(
-                i for i, pos in zip(selection, positions)
-                if not 0 <= pos < length
+                i for i in selection if not 0 <= i + shift < length
             )
             raise CompileError(
                 f"access {name}[{self.index_var}{offset:+d}] at line "
@@ -445,14 +446,18 @@ class ExprBuilder:
                 f"compile-time conditional on {self.index_var}"
             )
         src = self.source_cell(name)
-        if len(positions) == length:
+        if len(selection) == length:
             # whole stream used in order: no selection gate needed
             wire = Wire(src, prefix)
             self._taps[key] = wire
             return wire
-        pattern = [False] * length
-        for pos in positions:
-            pattern[pos] = True
+        first, used = selection[0] + shift, len(selection)
+        if selection[-1] - selection[0] + 1 == used:
+            pattern = [False] * first + [True] * used
+            pattern += [False] * (length - len(pattern))
+        else:
+            hit = set(map(shift.__add__, selection))
+            pattern = list(map(hit.__contains__, range(length)))
         gate = self.g.add_cell(Op.ID, name=self._name(f"sel_{name}{offset:+d}"))
         # Skew weight = the window's start shift (Figure 4): exact for
         # the contiguous windows of the paper's 1-D class.  Gapped
@@ -460,8 +465,7 @@ class ExprBuilder:
         # streams) drift briefly at row transitions, costing a short
         # refill stall per row that amortizes away with row width; see
         # repro.val.multidim.
-        shift = positions[0]
-        self.g.connect(src, gate, 0, weight=1 + 2 * shift)
+        self.g.connect(src, gate, 0, weight=1 + 2 * first)
         ctl = self.g.add_pattern_source(
             self._name(f"win_{name}{offset:+d}"), pattern
         )
@@ -487,7 +491,7 @@ class ExprBuilder:
         if u is not None and not isinstance(cond, Wire):
             return self.compile(expr.then if u else expr.els, ctx)
         if isinstance(cond, Seq):
-            split = Split.from_pattern([bool(v) for v in cond.values])
+            split = Split.from_pattern(list(map(bool, cond.values)))
         else:
             assert isinstance(cond, Wire)
             if cond.tag is not None:
@@ -532,14 +536,15 @@ class ExprBuilder:
 
     def _fold_if(self, split: Split, tv: BValue, ev: BValue) -> BValue:
         assert split.pattern is not None
-        n_t = sum(1 for b in split.pattern if b)
+        n_t = split.pattern.count(True)
         n_e = len(split.pattern) - n_t
         ts = tv.values if isinstance(tv, Seq) else (tv.value,) * n_t
         es = ev.values if isinstance(ev, Seq) else (ev.value,) * n_e
         if len(ts) != n_t or len(es) != n_e:
             raise CompileError("internal: folded arm length mismatch")
-        it_t, it_e = iter(ts), iter(es)
-        return Seq(tuple(next(it_t) if b else next(it_e) for b in split.pattern))
+        # each pattern bool indexes the arm whose next value it takes
+        arms = (iter(es), iter(ts))
+        return Seq(tuple(map(next, map(arms.__getitem__, split.pattern))))
 
     def _connect_merge_arm(
         self, value: BValue, merge: int, port: int, arm_ctx: Context

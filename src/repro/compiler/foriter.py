@@ -413,7 +413,7 @@ def _f_impl(form):
 def _window_ctx(builder: ExprBuilder, lo: int, hi: int):
     """A static context selecting iterations [lo, hi] of the builder's
     base range."""
-    pattern = [lo <= i <= hi for i in builder.base]
+    pattern = list(map(range(lo, hi + 1).__contains__, builder.base))
     if all(pattern):
         return ROOT
     return ROOT.extend(Filter(Split.from_pattern(pattern), True))
@@ -481,7 +481,7 @@ def _unrolled_values(
 
 
 def _single_ctx(builder: ExprBuilder, i_val: int):
-    pattern = [i == i_val for i in builder.base]
+    pattern = list(map(i_val.__eq__, builder.base))
     return ROOT.extend(Filter(Split.from_pattern(pattern), True))
 
 

@@ -13,11 +13,14 @@ compile each block against the maximal window its accesses could reach,
 read back which stream positions the compiled gates actually select
 (compile-time conditionals prune the out-of-range accesses, as in
 Example 1's boundary rules), then recompile against the tight range.
+A block whose probe compile already used its final ranges and scheme
+is not compiled a second time: the linker takes the probe's artifact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count
 from typing import Mapping, Optional
 
 from ..errors import CompileError, GraphError
@@ -77,6 +80,10 @@ def _array_names(program: Program, params: Mapping[str, int]) -> set[str]:
     return names - set(params)
 
 
+#: block name -> (the ranges its probe compile saw, the probe's artifact)
+Probes = dict[str, tuple[dict[str, ArraySpec], BlockArtifact]]
+
+
 def infer_input_ranges(
     program: Program,
     params: Mapping[str, int],
@@ -85,6 +92,16 @@ def infer_input_ranges(
     overrides: Optional[Mapping[str, tuple[int, int]]] = None,
 ) -> dict[str, ArraySpec]:
     """Tight index ranges for the program's external input arrays."""
+    return _probe_blocks(program, params, forall_scheme, overrides)[0]
+
+
+def _probe_blocks(
+    program: Program,
+    params: Mapping[str, int],
+    forall_scheme: str,
+    overrides: Optional[Mapping[str, tuple[int, int]]],
+) -> tuple[dict[str, ArraySpec], Probes]:
+    """:func:`infer_input_ranges`, plus every block's probe compile."""
     overrides = dict(overrides or {})
     arrays = _array_names(program, params)
     block_names = {b.name for b in program.blocks}
@@ -105,8 +122,10 @@ def infer_input_ranges(
             else:
                 maximal[acc.array] = (w_lo, w_hi)
 
-    used: dict[str, set[int]] = {name: set() for name in maximal}
+    #: external array -> (lowest, highest) stream position a probe uses
+    used: dict[str, Optional[tuple[int, int]]] = dict.fromkeys(maximal)
     produced: dict[str, tuple[int, int]] = {}
+    probes: Probes = {}
     for block, (lo, hi), accesses, kind in per_block:
         specs: dict[str, ArraySpec] = {}
         for acc in accesses:
@@ -124,33 +143,33 @@ def infer_input_ranges(
         # exactly what Val semantics reads (the companion scheme may
         # consume less; its gates discard the surplus in pass 2).
         art = _compile_block(block, specs, params, forall_scheme, "todd")
+        probes[block.name] = (specs, art)
         produced[block.name] = (art.out_lo, art.out_hi)
-        _collect_used_positions(art.graph, specs, used)
+        _collect_used_span(art.graph, specs, used)
 
     result: dict[str, ArraySpec] = {}
     for name, (m_lo, _m_hi) in maximal.items():
         if name in overrides:
             result[name] = ArraySpec(name, *overrides[name])
             continue
-        positions = used.get(name) or set()
-        if not positions:
+        span = used.get(name)
+        if span is None:
             # every access folded away under compile-time conditionals:
             # the array is statically dead and needs no input stream
             continue
-        result[name] = ArraySpec(
-            name, m_lo + min(positions), m_lo + max(positions)
-        )
+        result[name] = ArraySpec(name, m_lo + span[0], m_lo + span[1])
     for name, rng in overrides.items():
         result.setdefault(name, ArraySpec(name, *rng))
-    return result
+    return result, probes
 
 
-def _collect_used_positions(
+def _collect_used_span(
     g: DataflowGraph,
     specs: Mapping[str, ArraySpec],
-    used: dict[str, set[int]],
+    used: dict[str, Optional[tuple[int, int]]],
 ) -> None:
-    """Read back which stream positions a compiled block consumes."""
+    """Widen ``used`` to the first and last stream position a compiled
+    block consumes."""
     for src in g.sources():
         name = src.params.get("stream")
         if name not in used:
@@ -163,12 +182,25 @@ def _collect_used_positions(
                 ctl = g.cells[ctl_arc.src]
                 pattern = ctl.params.get("values")
                 if pattern is not None:
-                    used[name].update(
-                        k for k, sel in enumerate(pattern) if sel
-                    )
+                    first = next(compress(count(), pattern), None)
+                    if first is not None:
+                        last = len(pattern) - 1 - next(
+                            compress(count(), reversed(pattern))
+                        )
+                        _widen(used, name, first, last)
                     continue
             # ungated consumer: the whole stream is used
-            used[name].update(range(spec.length))
+            if spec.length > 0:
+                _widen(used, name, 0, spec.length - 1)
+
+
+def _widen(
+    used: dict[str, Optional[tuple[int, int]]], name: str, lo: int, hi: int
+) -> None:
+    span = used[name]
+    used[name] = (lo, hi) if span is None else (
+        min(span[0], lo), max(span[1], hi)
+    )
 
 
 def _compile_block(
@@ -210,10 +242,9 @@ def link_program(
             "and is driven per block; use "
             "repro.compiler.compile_foriter_interleaved directly"
         )
-    arrays = _array_names(program, params)
     block_names = [b.name for b in program.blocks]
-    specs = infer_input_ranges(
-        program, params, forall_scheme, foriter_scheme, overrides=input_ranges
+    specs, probes = _probe_blocks(
+        program, params, forall_scheme, input_ranges
     )
 
     consumed: set[str] = set()
@@ -235,10 +266,15 @@ def link_program(
                 block_arrays[name] = ArraySpec(name, art_p.out_lo, art_p.out_hi)
             elif name in specs:
                 block_arrays[name] = specs[name]
-        art = _compile_block(
-            block, block_arrays, params, forall_scheme, foriter_scheme,
-            **scheme_opts,
+        probe_arrays, art = probes[block.name]
+        same_scheme = isinstance(block.expr, A.Forall) or (
+            foriter_scheme == "todd" and not scheme_opts
         )
+        if not (same_scheme and probe_arrays == block_arrays):
+            art = _compile_block(
+                block, block_arrays, params, forall_scheme, foriter_scheme,
+                **scheme_opts,
+            )
         artifacts[block.name] = art
         mapping = combined.absorb(art.graph)
         combined.meta["feedback_arcs"].extend(

@@ -13,19 +13,29 @@ not its *value*.
 output stream independent of machine timing, by Kahn-network
 evaluation in one sweep over the graph's SCC condensation.  An acyclic
 cell fires as many times as its complete operand streams allow in one
-visit, vectorized over the batch (numpy when available and safe,
-pure-Python loops otherwise); a feedback loop runs as one fused scalar
-loop.  Kahn determinism makes the result schedule-independent, so
-these values are bit-identical to what the event machine computes
-element by element.
+visit, over the whole batch at C speed; a feedback loop runs as one
+fused scalar loop.  Kahn determinism makes the result
+schedule-independent, so these values are bit-identical to what the
+event machine computes element by element.
+
+An arc's queue holds one of two things.  A batch of at least
+``_NP_MIN_BATCH`` Python floats travels as a float64 numpy array, from
+the cell that made it to every cell that consumes it: arithmetic runs
+in numpy, and T/F-tagged gates and merges select with boolean masks.
+Everything else -- bool, int and mixed streams, short batches -- stays a
+Python list, so Python's semantics hold (``True + True == 2``).  Arrays
+become Python floats again only where values leave the evaluator: at
+sinks, and at the queues of a fused loop.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import deque
-from itertools import repeat
-from typing import Any, Optional
+from itertools import compress, count, islice, repeat
+from typing import Any, Optional, Union
+
+import numpy as np
 
 from ..analysis.scc import strongly_connected
 from ..errors import ReproError
@@ -63,9 +73,57 @@ _NP_BINOPS = {
     Op.GE: operator.ge,
 }
 _NP_UNOPS = {Op.NEG: operator.neg, Op.ABS: abs}
+#: float batches shorter than this stay Python lists
 _NP_MIN_BATCH = 32
+#: numpy ops that yield a float64 array (the rest yield booleans)
+_NP_FLOAT_RESULT = frozenset({Op.ADD, Op.SUB, Op.MUL, Op.NEG, Op.ABS})
+_FLOAT_ONLY = {float}
 
 _INF = 1 << 62
+
+#: one arc's queued tokens: a Python list, or a float64 array
+Stream = Union[list, np.ndarray]
+
+
+def _pylist(col: Stream) -> list:
+    """``col`` as Python objects (array elements become floats)."""
+    return col.tolist() if isinstance(col, np.ndarray) else col
+
+
+def _floats(col: Stream) -> Optional[np.ndarray]:
+    """``col`` as a float64 array when every element is a Python float
+    (``type(v) is float``: no bool, int or float subclass), else
+    ``None``."""
+    if isinstance(col, np.ndarray):
+        return col
+    if col and type(col[0]) is float and set(map(type, col)) == _FLOAT_ONLY:
+        return np.array(col, dtype=np.float64)
+    return None
+
+
+def _stream(col: list) -> Stream:
+    """A fresh batch as it should queue: an array when it is a long
+    enough run of floats, else a list."""
+    if len(col) >= _NP_MIN_BATCH:
+        array = _floats(col)
+        if array is not None:
+            return array
+    return col
+
+
+def _truth(col: Stream) -> list[bool]:
+    """Python truthiness of every element (``bool(v)``)."""
+    if isinstance(col, np.ndarray):
+        return (col != 0).tolist()      # NaN is true, -0.0 false
+    return list(map(bool, col))
+
+
+def _mask(col: Stream) -> np.ndarray:
+    """:func:`_truth` as a boolean array (numpy converts a Python
+    object to bool by its truth value)."""
+    if isinstance(col, np.ndarray):
+        return col != 0
+    return np.fromiter(col, dtype=bool, count=len(col))
 
 
 def _scalar_fn(op: Op) -> Any:
@@ -101,7 +159,7 @@ class StreamEvaluator:
         self.graph = graph
         self.inputs = inputs
         #: per-arc token queue, consumed via a head cursor
-        self._buf: dict[int, list[Any]] = {
+        self._buf: dict[int, Stream] = {
             aid: [arc.initial] if arc.has_initial else []
             for aid, arc in graph.arcs.items()
         }
@@ -141,7 +199,7 @@ class StreamEvaluator:
             return _INF
         return len(self._buf[aid]) - self._head[aid] if aid >= 0 else 0
 
-    def _take(self, aid: Optional[int], const: Any, n: int) -> list[Any]:
+    def _take(self, aid: Optional[int], const: Any, n: int) -> Stream:
         """Consume and return ``n`` tokens of an operand."""
         if aid is None:
             return [const] * n
@@ -155,20 +213,44 @@ class StreamEvaluator:
         self._head[aid] = head
         return out
 
+    def _put(self, aid: int, items: Stream) -> None:
+        """Queue ``items`` on arc ``aid``.  An array lands as it is on
+        an empty queue (arrays are never written in place, so one may
+        sit on several arcs); anything else makes the queue a list."""
+        buf, head = self._buf[aid], self._head[aid]
+        if isinstance(items, np.ndarray):
+            if head == len(buf):
+                self._buf[aid], self._head[aid] = items, 0
+                return
+            items = items.tolist()
+        if isinstance(buf, np.ndarray):
+            buf = self._buf[aid] = buf[head:].tolist()
+            self._head[aid] = 0
+        buf.extend(items)
+
     def _emit(
-        self, cell: Cell, results: list[Any], gates: Optional[list[Any]]
+        self, cell: Cell, results: Stream, gates: Optional[Stream]
     ) -> None:
         """Route a batch of results to the cell's destination arcs,
-        honoring T/F tags exactly like :meth:`Machine._fire`."""
+        honoring T/F tags exactly like :meth:`Machine._fire` (an
+        ungated cell's gate reads False)."""
+        if gates is None:
+            gates = [False] * len(results)
+        mask = None
         for arc in self.graph.out_arcs[cell.cid]:
             if arc.tag is None:
                 picked = results
+            elif isinstance(results, np.ndarray):
+                if mask is None:
+                    mask = _mask(gates)
+                picked = results[mask if arc.tag else ~mask]
             else:
-                gl = gates if gates is not None else [None] * len(results)
-                picked = [
-                    r for r, g in zip(results, gl) if bool(g) == arc.tag
-                ]
-            self._buf[arc.aid].extend(picked)
+                if isinstance(gates, np.ndarray):
+                    gates = _truth(gates)
+                picked = list(compress(
+                    results, gates if arc.tag else map(operator.not_, gates)
+                ))
+            self._put(arc.aid, picked)
 
     # -- one batch visit of an acyclic cell ----------------------------
     def _fire_batch(self, cell: Cell) -> None:
@@ -191,74 +273,98 @@ class StreamEvaluator:
         cols = [self._take(aid, const, n) for aid, const in ports]
         gates = cols.pop() if cell.gated else None
         if op in (Op.SOURCE, Op.AM_READ):
-            self._emit(cell, list(seq[:n]), gates)
+            self._emit(cell, _stream(seq[:n]), gates)
         elif op in (Op.SINK, Op.AM_WRITE):
-            self.sink_values[cell.cid].extend(cols[0])
+            self.sink_values[cell.cid].extend(_pylist(cols[0]))
         else:
-            self._emit(cell, self._apply_batch(cell, cols, n), gates)
+            consts = [const for _aid, const in ports]
+            self._emit(cell, self._apply_batch(cell, cols, consts, n), gates)
 
     def _fire_merge(self, cell: Cell) -> None:
-        """Drain a MERGE cell run by run: each maximal run of equal
-        control values selects one input port for the whole run."""
+        """Drain a MERGE cell in one pass.  Firing ``k`` takes the next
+        token of the arm its ``k``-th control selects, so the cell
+        fires until the controls or the gate run out, or until a
+        control selects an arm with nothing left."""
         (ctl_aid, ctl_const), true_io, false_io = (
             self._port(cell, p)
             for p in (MERGE_CONTROL_PORT, MERGE_TRUE_PORT, MERGE_FALSE_PORT)
         )
         gate_io = self._port(cell, GATE_PORT) if cell.gated else (None, None)
-        while True:
-            ctl_avail = self._avail(ctl_aid)
-            if ctl_avail <= 0:
-                return
-            if ctl_aid is None:
-                ctl = bool(ctl_const)
-            else:
-                buf, head = self._buf[ctl_aid], self._head[ctl_aid]
-                ctl = bool(buf[head])
-            sel_io = true_io if ctl else false_io
-            cap = min(
-                ctl_avail, self._avail(sel_io[0]), self._avail(gate_io[0])
+        n = self._avail(gate_io[0])
+        if ctl_aid is None:
+            ctl = bool(ctl_const)
+            flags = None
+            n = min(n, self._avail((true_io if ctl else false_io)[0]))
+        else:
+            flags = _truth(self._buf[ctl_aid][self._head[ctl_aid]:])
+            n = min(n, len(flags))
+            picks_false = map(operator.not_, flags)
+            for arm, picks in ((true_io, flags), (false_io, picks_false)):
+                avail = self._avail(arm[0])
+                if avail < n:
+                    # the (avail + 1)-th control that picks this arm
+                    # finds it empty
+                    stop = islice(compress(count(), picks), avail, None)
+                    n = min(n, next(stop, n))
+        if n <= 0:
+            return
+        if n >= _INF:
+            raise ScheduleError(
+                f"MERGE cell {cell.cid} has only constant operands"
             )
-            if cap <= 0:
-                return
-            if cap >= _INF:
-                raise ScheduleError(
-                    f"MERGE cell {cell.cid} has only constant operands"
-                )
-            n = cap
-            if ctl_aid is not None:
-                # the run of equal controls, as far as arm and gate reach
-                n = 1
-                while n < cap and bool(buf[head + n]) == ctl:
-                    n += 1
-                self._take(ctl_aid, None, n)
-            self._count(n)
-            results = self._take(*sel_io, n)
-            gates = self._take(*gate_io, n) if cell.gated else None
-            self._emit(cell, results, gates)
+        self._count(n)
+        gates = self._take(*gate_io, n) if cell.gated else None
+        if flags is None:
+            results = self._take(*(true_io if ctl else false_io), n)
+        else:
+            self._take(ctl_aid, None, n)
+            flags = flags[:n]
+            n_true = flags.count(True)
+            arms = [
+                self._take(*io, k) if k else []
+                for io, k in ((false_io, n - n_true), (true_io, n_true))
+            ]
+            results = self._interleave(flags, *arms)
+        self._emit(cell, results, gates)
+
+    @staticmethod
+    def _interleave(flags: list[bool], false: Stream, true: Stream) -> Stream:
+        """The merged stream: ``true``'s next token where a flag is
+        set, ``false``'s where it is not."""
+        if len(flags) >= _NP_MIN_BATCH:
+            f_arr, t_arr = _floats(false), _floats(true)
+            if f_arr is not None and t_arr is not None:
+                mask = np.array(flags, dtype=bool)
+                out = np.empty(len(flags), dtype=np.float64)
+                out[mask] = t_arr
+                out[~mask] = f_arr
+                return out
+        arms = (iter(_pylist(false)), iter(_pylist(true)))
+        return list(map(next, map(arms.__getitem__, flags)))
 
     def _apply_batch(
-        self, cell: Cell, cols: list[list[Any]], n: int
-    ) -> list[Any]:
+        self, cell: Cell, cols: list[Stream], consts: list[Any], n: int
+    ) -> Stream:
+        """``cell``'s results over operand columns ``cols``; ``consts``
+        holds each port's constant (``None`` for an arc)."""
         op = cell.op
         if op is Op.ID:
             return cols[0]
         fn = _scalar_fn(op)
-        if (
-            n >= _NP_MIN_BATCH
-            and (op in _NP_BINOPS or op in _NP_UNOPS)
-            and all(
-                all(type(v) is float for v in col) for col in cols
-            )
-        ):
-            import numpy as np  # loaded by the first batch that uses it
-
-            arrays = [np.asarray(col, dtype=np.float64) for col in cols]
-            npfn = _NP_BINOPS.get(op) or _NP_UNOPS[op]
-            return npfn(*arrays).tolist()
-        if len(cols) == 2:
-            a, b = cols
-            return [fn(x, y) for x, y in zip(a, b)]
-        return [fn(x) for x in cols[0]]
+        npfn = _NP_BINOPS.get(op) or _NP_UNOPS.get(op)
+        if npfn is not None and n >= _NP_MIN_BATCH:
+            # a float constant broadcasts as a scalar
+            args = [
+                const if type(const) is float else _floats(col)
+                for col, const in zip(cols, consts)
+            ]
+            if all(a is not None for a in args) and any(
+                isinstance(a, np.ndarray) for a in args
+            ):
+                with np.errstate(all="ignore"):
+                    out = npfn(*args)
+                return out if op in _NP_FLOAT_RESULT else out.tolist()
+        return list(map(fn, *map(_pylist, cols)))
 
     def _count(self, n: int) -> None:
         self.firings += n
@@ -285,9 +391,9 @@ class StreamEvaluator:
             for port in cells[cid].all_ports():
                 aid = self._port(cells[cid], port)[0]
                 if aid is not None and aid >= 0:
-                    queues[aid] = deque(
+                    queues[aid] = deque(_pylist(
                         self._take(aid, None, self._avail(aid))
-                    )
+                    ))
         steps = [self._step(cells[cid], queues) for cid in members]
         fired = 1
         while fired:
@@ -297,7 +403,7 @@ class StreamEvaluator:
             self._count(fired)
         # what the component left unconsumed stays on its arc
         for aid, queue in queues.items():
-            self._buf[aid].extend(queue)
+            self._put(aid, list(queue))
 
     def _step(self, cell: Cell, queues: dict[int, deque]) -> Any:
         """``cell`` as a closure that fires it at most once and returns

@@ -49,7 +49,10 @@ plain run holds trivially.
 from __future__ import annotations
 
 import heapq
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress, count
 from typing import Any, Optional
 
 from ..compiler.schedule import ScheduleError, StreamEvaluator
@@ -250,16 +253,14 @@ class FastForward:
         self._sink_cids = sorted(machine.sink_times)
         self._src_cids = sorted(sources)
         #: (consumer cell id, boolean control sequence) per control arc
+        cells = machine.graph.cells
         self._controls = [
-            (
-                dst,
-                [
-                    bool(v)
-                    for v in machine._source_seq(machine.graph.cells[src])
-                ],
-            )
+            (dst, list(map(bool, machine._source_seq(cells[src]))))
             for dst, src in controls
         ]
+        #: (control index, period w) -> every i >= w where the control
+        #: sequence breaks period w (``C[i] != C[i - w]``), ascending
+        self._breaks: dict[tuple[int, int], list[int]] = {}
         self._occ: dict[Any, list[tuple]] = {}
         self._anchor_fires = 0
         machine._ff = self
@@ -403,16 +404,22 @@ class FastForward:
         # whole replay span; the margin covers control tokens already
         # in flight (bounded by two per cell of the delivery chain)
         margin = 2 * len(self._cid_list) + 8
-        for dst, trace in self._controls:
+        for ci, (dst, trace) in enumerate(self._controls):
             di = self._cid_index[dst]
             w = s3[9][di] - s2[9][di]
             if w <= 0:
                 continue
             b = s3[9][di]
-            lim = len(trace)
-            i = b
-            while i < lim and trace[i] == trace[i - w]:
-                i += 1
+            # i: the first index >= b that breaks the period (the
+            # sequence's end when none does); b >= w, as b counts w
+            # firings of the last window
+            breaks = self._breaks.get((ci, w))
+            if breaks is None:
+                breaks = self._breaks[ci, w] = list(compress(
+                    count(w), map(operator.ne, trace[w:], trace)
+                ))
+            k = bisect_left(breaks, b)
+            i = breaks[k] if k < len(breaks) else max(b, len(trace))
             J = min(J, ((i - b) - margin) // w)
         # a run a plain machine would time out must still time out at
         # the same cycle, so never jump past the budget
@@ -497,11 +504,14 @@ class FastForward:
         # value placeholders finalize() replaces
         for cid, L2, L3 in zip(self._sink_cids, s2[11], s3[11]):
             times = m.sink_times[cid]
-            window = times[L2:L3]
-            for j in range(1, J + 1):
-                off = j * dt
-                times.extend(t + off for t in window)
-            m.sink_values[cid].extend([None] * (J * len(window)))
+            L = L3 - L2
+            # copy j of the window (j = 1..J) is the window shifted by
+            # j * dt: window element k's copies are one range
+            splice = [0] * (J * L)
+            for k, t in enumerate(times[L2:L3]):
+                splice[k::L] = range(t + dt, t + S + 1, dt)
+            times.extend(splice)
+            m.sink_values[cid].extend([None] * (J * L))
         m._wd_last = -1
         m._wd_stalls = 0
         self._jumped = True

@@ -10,8 +10,11 @@ deliver that.
 
 from __future__ import annotations
 
+import math
 import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,7 +27,11 @@ from repro.compiler import (
     compile_foriter_interleaved,
     compile_program,
 )
-from repro.compiler.schedule import ScheduleError, StreamEvaluator
+from repro.compiler.schedule import (
+    _NP_MIN_BATCH,
+    ScheduleError,
+    StreamEvaluator,
+)
 from repro.graph import DataflowGraph, Op
 from repro.graph.opcodes import (
     MERGE_CONTROL_PORT,
@@ -242,3 +249,152 @@ class TestAcyclicCellsAreVisitedOnce:
         monkeypatch.setattr(StreamEvaluator, "_fire_batch", counting)
         StreamEvaluator(lowered, streams).run()
         assert sorted(visits) == sorted(lowered.cells)
+
+
+# ----------------------------------------------------------------------
+# the numpy boundary: float batches travel as arrays, everything else
+# as lists, and either way a value equals the event machine's
+# ----------------------------------------------------------------------
+def _boundary_graph():
+    """Sources ``x``, ``y`` and ``g`` into ADD, MUL by a constant, NEG
+    and LT, and ``x`` through an ID gated by ``g``: its true arm into
+    SUB by a constant, its false arm into ABS, the two re-joined by a
+    MERGE that ``g`` controls too (Figure 5's shape).  Every cell feeds
+    a sink, and every token is consumed, so the event machine's
+    one-token arcs never stall a stream the evaluator completes."""
+    g = DataflowGraph("boundary")
+    x = g.add_source("x", stream="x")
+    y = g.add_source("y", stream="y")
+    gate = g.add_source("g", stream="g")
+
+    def sink_of(cell, tag=None):
+        sink = g.add_sink(f"out{len(g.cells)}", stream=f"s{len(g.cells)}")
+        g.connect(cell, sink, 0, tag=tag)
+
+    add = g.add_cell(Op.ADD, name="add")
+    g.connect(x, add, 0)
+    g.connect(y, add, 1)
+    mul = g.add_cell(Op.MUL, name="mul")
+    g.connect(add, mul, 0)
+    g.set_const(mul, 1, 2.0)
+    neg = g.add_cell(Op.NEG, name="neg")
+    g.connect(x, neg, 0)
+    lt = g.add_cell(Op.LT, name="lt")
+    g.connect(x, lt, 0)
+    g.connect(y, lt, 1)
+    sel = g.add_cell(Op.ID, name="sel", gated=True)
+    g.connect(x, sel, 0)
+    g.connect_gate(gate, sel)
+    sub = g.add_cell(Op.SUB, name="sub")
+    g.connect(sel, sub, 0, tag=True)
+    g.set_const(sub, 1, 1.5)
+    absolute = g.add_cell(Op.ABS, name="abs")
+    g.connect(sel, absolute, 0, tag=False)
+    merge = g.add_merge(name="merge")
+    g.connect(gate, merge, MERGE_CONTROL_PORT)
+    g.connect(sub, merge, MERGE_TRUE_PORT)
+    g.connect(absolute, merge, MERGE_FALSE_PORT)
+    for cell in (add, mul, neg, lt, merge):
+        sink_of(cell)
+    sink_of(sel, tag=True)
+    sink_of(sel, tag=False)
+    return g
+
+
+def _cycle(values, n):
+    return [values[k % len(values)] for k in range(n)]
+
+
+_NAN, _INF = float("nan"), float("inf")
+_GATES = [True, True, False, True, False, False, True]
+#: stream name -> values cycled to the batch size
+BOUNDARY_STREAMS = {
+    "nan_inf_negzero": {
+        "x": [_NAN, _INF, -_INF, -0.0, 0.0, 1.5, -2.25],
+        "y": [-0.0, 0.0, _INF, -_INF, 3.0],
+        "g": _GATES,
+    },
+    "ints_among_floats": {
+        "x": [1.5, 2, -0.5, 7, 0.25, -3, 4.0],
+        "y": [0.5, 1, 2.5, -2, 0.0],
+        "g": _GATES,
+    },
+    "bools_into_add": {
+        "x": [True, False, True, True, False],
+        "y": [True, True, False],
+        "g": _GATES,
+    },
+    "truthy_float_gates": {
+        "x": [1.5, -0.5, 0.25, -3.0, 4.0],
+        "y": [0.5, 1.0, 2.5],
+        "g": [2.5, 0.0, -0.0, _NAN, -1.0, 1e-300, _INF],
+    },
+    "truthy_object_gates": {
+        "x": [1.5, -0.5, 0.25, -3.0, 4.0],
+        "y": [0.5, 1.0, 2.5],
+        "g": [3, 0, None, "", "on", 0.0, 2.5, [], [0]],
+    },
+}
+
+
+def _same(a, b) -> bool:
+    """Equal type and value; a float also by its sign (so -0.0 is not
+    0.0), NaN matching NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        if math.isnan(a):
+            return math.isnan(b)
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
+
+
+class TestNumpyBoundary:
+    @pytest.mark.parametrize(
+        "n", [_NP_MIN_BATCH - 1, _NP_MIN_BATCH, _NP_MIN_BATCH + 1]
+    )
+    @pytest.mark.parametrize("case", sorted(BOUNDARY_STREAMS))
+    def test_matches_the_event_machine(self, case, n):
+        graph = _boundary_graph()
+        streams = {
+            name: _cycle(values, n)
+            for name, values in BOUNDARY_STREAMS[case].items()
+        }
+        machine = Machine(graph, inputs=streams)
+        stats = machine.run()
+        evaluator = StreamEvaluator(machine.graph, machine.inputs)
+        values = evaluator.run()
+        assert set(values) == set(machine.sink_values)
+        for cid, want in machine.sink_values.items():
+            got = values[cid]
+            assert len(got) == len(want), f"sink cell {cid}"
+            assert not any(isinstance(v, np.generic) for v in got)
+            bad = [k for k, (a, b) in enumerate(zip(got, want))
+                   if not _same(a, b)]
+            assert not bad, (
+                f"sink cell {cid} at {bad[0]}: "
+                f"{got[bad[0]]!r} != {want[bad[0]]!r}"
+            )
+        assert evaluator.firings == sum(stats.fire_counts.values())
+
+    def test_long_float_batches_travel_as_arrays(self, monkeypatch):
+        # the premise of the cases above: at the threshold, a float
+        # batch reaches its consumers as an array, a bool one as a list
+        graph = _boundary_graph()
+        streams = {
+            name: _cycle(values, _NP_MIN_BATCH)
+            for name, values in BOUNDARY_STREAMS["nan_inf_negzero"].items()
+        }
+        kinds = {}
+        put = StreamEvaluator._put
+
+        def recording(self, aid, items):
+            src = self.graph.cells[self.graph.arcs[aid].src].name
+            kinds.setdefault(src, type(items))
+            return put(self, aid, items)
+
+        monkeypatch.setattr(StreamEvaluator, "_put", recording)
+        StreamEvaluator(graph, streams).run()
+        assert kinds["x"] is kinds["add"] is kinds["mul"] is np.ndarray
+        assert kinds["sel"] is kinds["merge"] is np.ndarray
+        assert kinds["g"] is kinds["lt"] is list

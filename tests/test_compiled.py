@@ -11,6 +11,8 @@ on every program is the differential oracle's compiled variant
 (tests/integration/test_oracle.py).
 """
 
+import sys
+
 import pytest
 
 import repro
@@ -18,10 +20,14 @@ from repro.checkpoint import CheckpointConfig
 from repro.errors import ReproError, SimulationTimeout
 from repro.faults import FaultPlan
 from repro.machine import Machine
+from repro.workloads import figure_workload
 from tests.util import figure
 
 #: large enough that every statically replayable figure jumps
 M_JUMP = 400
+#: Python calls a compiled op at m = 10 000 may make beyond one at
+#: m = 1 000 (the concrete epilogue's watchdog ticks vary a little)
+CALL_MARGIN = 16
 
 
 def _pair(name, m=16, **kwargs):
@@ -179,7 +185,7 @@ class TestOptionValidation:
         assert result.outputs
 
 
-class TestTurboMachineInternals:
+class TestFastForwardInternals:
     def test_disarmed_machine_reports_reason(self):
         """A traced machine run with fast-forward must disarm the
         detector (a traced run records every event) and say why."""
@@ -209,3 +215,40 @@ class TestTurboMachineInternals:
         assert schedule.period_cycles > 0
         assert schedule.period_elements > 0
         assert "_ff" not in vars(compiled.engine)   # disarmed at exit
+
+
+def _python_calls(name, m):
+    """Python function calls (profile ``call`` events) made by
+    ``compile_program`` plus a compiled run of figure ``name`` at size
+    ``m``, after one warm-up op has done every import."""
+    wl = figure_workload(name)
+    inputs = wl.make_inputs(wl.compile(m=m), seed=1)
+    repro.run(wl.compile(m=m), inputs, backend="compiled")
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = repro.run(wl.compile(m=m), inputs, backend="compiled")
+    finally:
+        sys.setprofile(previous)
+    assert result.engine.schedule.jumps
+    return calls
+
+
+class TestHostWorkIndependentOfM:
+    """Outside a recurrence's fused loop, a compiled op does no Python
+    work per stream element: compiling builds sequences at C speed, the
+    evaluator moves whole batches, and a jump splices sink times with
+    list arithmetic.  So ten times the elements may cost only a fixed
+    margin more Python calls.  fig7 is left out: its fused loop fires
+    one Python step per token by design (Theorem 3)."""
+
+    @pytest.mark.parametrize("name", ["fig2", "fig4", "fig6"])
+    def test_ten_times_the_elements_costs_no_more_python_calls(self, name):
+        small, large = _python_calls(name, 1_000), _python_calls(name, 10_000)
+        assert large <= small + CALL_MARGIN, (small, large)
