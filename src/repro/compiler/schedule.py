@@ -75,8 +75,6 @@ _NP_BINOPS = {
 _NP_UNOPS = {Op.NEG: operator.neg, Op.ABS: abs}
 #: float batches shorter than this stay Python lists
 _NP_MIN_BATCH = 32
-#: numpy ops that yield a float64 array (the rest yield booleans)
-_NP_FLOAT_RESULT = frozenset({Op.ADD, Op.SUB, Op.MUL, Op.NEG, Op.ABS})
 _FLOAT_ONLY = {float}
 
 _INF = 1 << 62
@@ -118,12 +116,27 @@ def _truth(col: Stream) -> list[bool]:
     return list(map(bool, col))
 
 
-def _mask(col: Stream) -> np.ndarray:
+def truth_mask(col: Stream) -> np.ndarray:
     """:func:`_truth` as a boolean array (numpy converts a Python
     object to bool by its truth value)."""
     if isinstance(col, np.ndarray):
         return col != 0
     return np.fromiter(col, dtype=bool, count=len(col))
+
+
+def _interleave(flags: list[bool], false: Stream, true: Stream) -> Stream:
+    """The merged stream: ``true``'s next token where a flag is set,
+    ``false``'s where it is not."""
+    if len(flags) >= _NP_MIN_BATCH:
+        f_arr, t_arr = _floats(false), _floats(true)
+        if f_arr is not None and t_arr is not None:
+            mask = np.array(flags, dtype=bool)
+            out = np.empty(len(flags), dtype=np.float64)
+            out[mask] = t_arr
+            out[~mask] = f_arr
+            return out
+    arms = (iter(_pylist(false)), iter(_pylist(true)))
+    return list(map(next, map(arms.__getitem__, flags)))
 
 
 def _scalar_fn(op: Op) -> Any:
@@ -242,7 +255,7 @@ class StreamEvaluator:
                 picked = results
             elif isinstance(results, np.ndarray):
                 if mask is None:
-                    mask = _mask(gates)
+                    mask = truth_mask(gates)
                 picked = results[mask if arc.tag else ~mask]
             else:
                 if isinstance(gates, np.ndarray):
@@ -324,23 +337,8 @@ class StreamEvaluator:
                 self._take(*io, k) if k else []
                 for io, k in ((false_io, n - n_true), (true_io, n_true))
             ]
-            results = self._interleave(flags, *arms)
+            results = _interleave(flags, *arms)
         self._emit(cell, results, gates)
-
-    @staticmethod
-    def _interleave(flags: list[bool], false: Stream, true: Stream) -> Stream:
-        """The merged stream: ``true``'s next token where a flag is
-        set, ``false``'s where it is not."""
-        if len(flags) >= _NP_MIN_BATCH:
-            f_arr, t_arr = _floats(false), _floats(true)
-            if f_arr is not None and t_arr is not None:
-                mask = np.array(flags, dtype=bool)
-                out = np.empty(len(flags), dtype=np.float64)
-                out[mask] = t_arr
-                out[~mask] = f_arr
-                return out
-        arms = (iter(_pylist(false)), iter(_pylist(true)))
-        return list(map(next, map(arms.__getitem__, flags)))
 
     def _apply_batch(
         self, cell: Cell, cols: list[Stream], consts: list[Any], n: int
@@ -363,7 +361,8 @@ class StreamEvaluator:
             ):
                 with np.errstate(all="ignore"):
                     out = npfn(*args)
-                return out if op in _NP_FLOAT_RESULT else out.tolist()
+                # a comparison's booleans travel as a list
+                return out if out.dtype == np.float64 else out.tolist()
         return list(map(fn, *map(_pylist, cols)))
 
     def _count(self, n: int) -> None:

@@ -49,13 +49,13 @@ plain run holds trivially.
 from __future__ import annotations
 
 import heapq
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import compress, count
 from typing import Any, Optional
 
-from ..compiler.schedule import ScheduleError, StreamEvaluator
+import numpy as np
+
+from ..compiler.schedule import ScheduleError, StreamEvaluator, truth_mask
 from ..errors import SimulationError
 from ..graph.cell import GATE_PORT
 from ..graph.graph import DataflowGraph
@@ -252,10 +252,9 @@ class FastForward:
         self._cid_index = {c: i for i, c in enumerate(self._cid_list)}
         self._sink_cids = sorted(machine.sink_times)
         self._src_cids = sorted(sources)
-        #: (consumer cell id, boolean control sequence) per control arc
-        cells = machine.graph.cells
+        #: (consumer cell id, control truth values) per control arc
         self._controls = [
-            (dst, list(map(bool, machine._source_seq(cells[src]))))
+            (dst, truth_mask(machine._source_seq(machine.graph.cells[src])))
             for dst, src in controls
         ]
         #: (control index, period w) -> every i >= w where the control
@@ -415,9 +414,9 @@ class FastForward:
             # firings of the last window
             breaks = self._breaks.get((ci, w))
             if breaks is None:
-                breaks = self._breaks[ci, w] = list(compress(
-                    count(w), map(operator.ne, trace[w:], trace)
-                ))
+                breaks = self._breaks[ci, w] = (
+                    np.flatnonzero(trace[w:] != trace[:-w]) + w
+                ).tolist()
             k = bisect_left(breaks, b)
             i = breaks[k] if k < len(breaks) else max(b, len(trace))
             J = min(J, ((i - b) - margin) // w)
