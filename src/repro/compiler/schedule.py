@@ -109,16 +109,10 @@ def _stream(col: list) -> Stream:
     return col
 
 
-def _truth(col: Stream) -> list[bool]:
-    """Python truthiness of every element (``bool(v)``)."""
-    if isinstance(col, np.ndarray):
-        return (col != 0).tolist()      # NaN is true, -0.0 false
-    return list(map(bool, col))
-
-
 def truth_mask(col: Stream) -> np.ndarray:
-    """:func:`_truth` as a boolean array (numpy converts a Python
-    object to bool by its truth value)."""
+    """``bool(v)`` of every element, as a boolean array (numpy converts
+    a Python object to bool by its truth value; in a float array NaN is
+    true and -0.0 false)."""
     if isinstance(col, np.ndarray):
         return col != 0
     return np.fromiter(col, dtype=bool, count=len(col))
@@ -258,8 +252,6 @@ class StreamEvaluator:
                     mask = truth_mask(gates)
                 picked = results[mask if arc.tag else ~mask]
             else:
-                if isinstance(gates, np.ndarray):
-                    gates = _truth(gates)
                 picked = list(compress(
                     results, gates if arc.tag else map(operator.not_, gates)
                 ))
@@ -309,7 +301,9 @@ class StreamEvaluator:
             flags = None
             n = min(n, self._avail((true_io if ctl else false_io)[0]))
         else:
-            flags = _truth(self._buf[ctl_aid][self._head[ctl_aid]:])
+            flags = truth_mask(
+                self._buf[ctl_aid][self._head[ctl_aid]:]
+            ).tolist()
             n = min(n, len(flags))
             picks_false = map(operator.not_, flags)
             for arm, picks in ((true_io, flags), (false_io, picks_false)):
