@@ -56,6 +56,18 @@ class TestBitIdentity:
         assert schedule.jumps
         assert schedule.cycles_skipped >= 0.99 * compiled.cycles
 
+    @pytest.mark.parametrize("name", ["fig2", "fig4", "fig6", "fig7"])
+    def test_drain_is_only_what_is_in_flight(self, name):
+        # a jump stops only where the control tokens already in flight
+        # would stop matching the period, so the concrete epilogue is
+        # about as long as the fill, however many control cells the
+        # graph has
+        cp, inputs = figure(name, m=10_000)
+        compiled = repro.run(cp, inputs, backend="compiled")
+        schedule = compiled.engine.schedule
+        concrete = compiled.cycles - schedule.cycles_skipped
+        assert concrete <= 2 * schedule.prologue_cycles
+
     def test_timeout_parity(self):
         """A max_cycles cap must fire at the *same* modeled cycle: the
         jump bound keeps the fast-forwarded clock from overshooting the
