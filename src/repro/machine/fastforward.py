@@ -19,9 +19,10 @@ the *same machine model* but recognizes the period and skips over it:
    nothing value-dependent changes across the replay.
    :func:`analyze_schedule` guarantees all control operands are fed
    verbatim from source streams, so the *future* control sequence is
-   checked directly against ``C[i] == C[i - w]`` over the whole replay
-   span (plus a margin covering in-flight tokens), and ``J`` is capped
-   so no source exhausts and ``max_cycles`` behavior is preserved.
+   checked for periodicity, ``C[i] == C[i - w]``, over the whole replay
+   span plus the control tokens in flight (exact: each one sits on the
+   plain ID chain from its source), and ``J`` is capped so no source
+   exhausts and ``max_cycles`` behavior is preserved.
 
 3. **Jump** -- shift every pending event, unit pipeline and the clock
    forward by ``J * dt``; scale every additive counter by ``J`` window
@@ -99,13 +100,9 @@ class SteadySchedule:
 def _values_equal(a: list, b: list) -> bool:
     """Elementwise equality where NaN matches NaN (both engines produce
     the identical NaN through the identical operation sequence)."""
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if x == y or (x != x and y != y):
-            continue
-        return False
-    return True
+    return len(a) == len(b) and all(
+        x == y or (x != x and y != y) for x, y in zip(a, b)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -252,9 +249,12 @@ class FastForward:
         self._cid_index = {c: i for i, c in enumerate(self._cid_list)}
         self._sink_cids = sorted(machine.sink_times)
         self._src_cids = sorted(sources)
-        #: (consumer cell id, control truth values) per control arc
+        src_index = {c: i for i, c in enumerate(self._src_cids)}
+        #: (consumer index in ``_cid_list``, source index in
+        #: ``_src_cids``, control truth values) per control arc
         self._controls = [
-            (dst, truth_mask(machine._source_seq(machine.graph.cells[src])))
+            (self._cid_index[dst], src_index[src],
+             truth_mask(machine._source_seq(machine.graph.cells[src])))
             for dst, src in controls
         ]
         #: (control index, period w) -> every i >= w where the control
@@ -395,16 +395,13 @@ class FastForward:
             dpos = s3[12][i] - s2[12][i]
             if dpos <= 0:
                 continue
-            remaining = (
-                len(m._source_seq(m.graph.cells[cid])) - 1 - s3[12][i]
-            )
-            J = min(J, remaining // dpos)
+            n = len(m._source_seq(m.graph.cells[cid]))
+            J = min(J, (n - 1 - s3[12][i]) // dpos)
         # every control sequence must repeat with the period over the
-        # whole replay span; the margin covers control tokens already
-        # in flight (bounded by two per cell of the delivery chain)
-        margin = 2 * len(self._cid_list) + 8
-        for ci, (dst, trace) in enumerate(self._controls):
-            di = self._cid_index[dst]
+        # whole replay span and over the tokens the source has already
+        # sent down the (plain ID) chain but the consumer has not yet
+        # taken: those keep their pre-jump values across the jump
+        for ci, (di, si, trace) in enumerate(self._controls):
             w = s3[9][di] - s2[9][di]
             if w <= 0:
                 continue
@@ -419,7 +416,8 @@ class FastForward:
                 ).tolist()
             k = bisect_left(breaks, b)
             i = breaks[k] if k < len(breaks) else max(b, len(trace))
-            J = min(J, ((i - b) - margin) // w)
+            in_flight = s3[12][si] - b
+            J = min(J, (i - b - in_flight) // w)
         # a run a plain machine would time out must still time out at
         # the same cycle, so never jump past the budget
         return min(J, (self.max_cycles - m.now) // dt)

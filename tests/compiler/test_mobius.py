@@ -9,7 +9,7 @@ the classic case the affine class misses.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import compile_program
@@ -130,6 +130,10 @@ class TestMobiusAlgebra:
         defined and away from poles/overflow."""
         import math
 
+        # a near-singular matrix maps almost every x to one value, and
+        # rounding decides which side of it each composition lands
+        for a, b, c, d in (p, q):
+            assume(abs(a * d - b * c) >= 1e-3)
         try:
             inner = mobius_eval(q, x)
             lhs = mobius_eval(p, inner)

@@ -3,12 +3,13 @@
 Theorem 4 covers every pipe-structured program, so the contract --
 every backend x feature run of such a program is bit-identical to the
 event machine -- is checked on a fixed list of them: the five paper
-figures and eight generated pipe programs.  Each variant's
-:func:`fingerprint` is compared with the event machine's on the same
-program, config and packet-level fault plan.  Any plan arms the
-reliability layer, so a run with shard faults compares against the
-same plan without them.  The list is fixed: no hypothesis, and no knob
-that scales it.
+figures and eight generated pipe programs, plus, for fast-forward
+alone, four programs whose controls break their period mid-stream.
+Each variant's :func:`fingerprint` is compared with the event
+machine's on the same program, config and packet-level fault plan.
+Any plan arms the reliability layer, so a run with shard faults
+compares against the same plan without them.  The list is fixed: no
+hypothesis, and no knob that scales it.
 """
 
 import dataclasses
@@ -29,6 +30,7 @@ from repro.machine import (
 )
 from repro.workers import BackoffPolicy, shutdown_worker_pool
 from tests.util import (
+    BRANCHES,
     EMPTY_PLAN,
     EXACT_CONFIGS,
     FIGS,
@@ -113,10 +115,11 @@ def event(name, config="unit_time", plan="clean", m=12):
 
 
 @pytest.mark.parametrize("config", ["default", "unit_time"])
-@pytest.mark.parametrize("name", PROGRAMS)
+@pytest.mark.parametrize("name", [*PROGRAMS, *BRANCHES])
 def test_compiled(name, config):
-    """Fast-forward jumps over the steady state and changes nothing;
-    fig5's data-dependent merges must refuse to jump and say why."""
+    """Fast-forward jumps over the steady state and changes nothing,
+    also where a control breaks its period mid-stream; fig5's
+    data-dependent merges must refuse to jump and say why."""
     graph, streams = program_graph(name, M_JUMP)
     res = repro.run(graph, streams, backend="compiled",
                     config=CONFIGS[config])

@@ -120,10 +120,8 @@ class TestBitIdentity:
         assert not schedule.jumps
         assert "no recurring machine state" in schedule.fallback_reason
 
-    def test_period_too_late_to_jump_says_so(self):
-        """The detector finds the period (12 elements / 120 cycles)
-        with 5 replayable periods left, under the 8 a jump takes: the
-        run stays concrete and the reason names the period."""
+    @staticmethod
+    def _companion_schedule(m):
         element = "(A[i]) * T[i-1] + 1."
         src = (
             "X : array[real] :=\n"
@@ -135,16 +133,30 @@ class TestBitIdentity:
             "  endfor\n"
         )
         cp = repro.compile_program(
-            src, params={"m": 150}, foriter_scheme="companion"
+            src, params={"m": m}, foriter_scheme="companion"
         )
         inputs = {"A": [0.5] * cp.input_specs["A"].length}
         event = repro.run(cp, inputs, backend="event")
         compiled = repro.run(cp, inputs, backend="compiled")
         _assert_identical(event, compiled)
-        schedule = compiled.engine.schedule
+        return compiled.engine.schedule
+
+    def test_period_too_late_to_jump_says_so(self):
+        """The detector finds the period (12 elements / 120 cycles)
+        with 5 replayable periods left, under the 8 a jump takes: the
+        run stays concrete and the reason names the period."""
+        schedule = self._companion_schedule(100)
         assert not schedule.jumps
         assert "12 elements / 120 cycles" in schedule.fallback_reason
         assert "5 replayable periods" in schedule.fallback_reason
+
+    def test_period_with_room_left_jumps(self):
+        """Half as many elements again leave 10 replayable periods once
+        only the control tokens in flight are held back: the run jumps
+        and still agrees with event."""
+        schedule = self._companion_schedule(150)
+        assert [j[1] for j in schedule.jumps] == [10]
+        assert schedule.period_cycles == 120
 
 
 #: options a jump cannot honor: each disarms the detector

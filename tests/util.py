@@ -21,6 +21,9 @@ from repro.workloads import (
 FIGS = ["fig2", "fig4", "fig5", "fig6", "fig7"]
 #: generated pipe programs, each ending in a for-iter recurrence
 GENERATED = [f"pipe{seed}" for seed in range(8)]
+#: generated programs whose compile-time controls break their period
+#: mid-stream (see :func:`branch_program`)
+BRANCHES = [f"branch{seed}" for seed in (3, 4, 5, 7)]
 
 #: configs whose sharded runs are exact: under free issue no unit
 #: serializes same-cycle work, and under the other two each shard's
@@ -67,16 +70,56 @@ def figure(name: str, m: int = 16):
     return cp, wl.make_inputs(cp)
 
 
+def branch_program(rng: random.Random) -> str:
+    """Val source of a forall, or of a for-iter recurrence, whose body
+    is guarded by index predicates: every control is known at compile
+    time, yet its pattern changes at an arbitrary point of the stream
+    (for m of about 200)."""
+    k = rng.randrange(10, 100)
+    d = rng.randrange(1, 60)
+    pred = rng.choice([
+        f"(i = {k}) | (i > m - {d})",
+        f"(i = m - {d})",
+        f"(i > {k}) & (i < m - {d})",
+        f"(i < {k}) | (i = m - {d})",
+    ])
+    x, y = rng.sample(["A[i]", "A[i-1]", "B[i-1]"], 2)
+    if rng.random() < 0.5:
+        return (
+            "Y : array[real] :=\n"
+            "  forall i in [1, m]\n"
+            "  construct\n"
+            f"    if {pred} then {x} * 2. else {y} + 1. endif\n"
+            "  endall\n"
+        )
+    return (
+        "X : array[real] :=\n"
+        "  for i : integer := 1; T : array[real] := [0: 0.] do\n"
+        f"    let P : real := if {pred} then {x} * T[i-1] + 1.\n"
+        f"                    else T[i-1] + {y} endif\n"
+        "    in\n"
+        "      if i < m then iter T := T[i: P]; i := i + 1 enditer\n"
+        "      else T[i: P]\n"
+        "      endif\n"
+        "    endlet\n"
+        "  endfor\n"
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def program_graph(name: str, m: int = 12):
     """``(graph, input streams)`` of a paper figure, of ``pipe<seed>``
-    (:func:`~repro.workloads.random_pipe_program` with that seed) or of
+    (:func:`~repro.workloads.random_pipe_program` with that seed), of
+    ``branch<seed>`` (:func:`branch_program` with that seed) or of
     ``chains10k`` (>= 10^4 cells, the sharded backend's scaling graph)."""
     if name == "chains10k":
         return parallel_chain_graph(m=2), {}
-    if name.startswith("pipe"):
-        seed = int(name[len("pipe"):])
-        src = random_pipe_program(random.Random(seed), n_blocks=3, depth=2)
+    if name.startswith(("pipe", "branch")):
+        kind = name.rstrip("0123456789")
+        seed = int(name[len(kind):])
+        rng = random.Random(seed)
+        src = (random_pipe_program(rng, n_blocks=3, depth=2)
+               if kind == "pipe" else branch_program(rng))
         cp = compile_program(src, params={"m": m})
         return cp.graph, cp.prepare_inputs(
             random_inputs(cp, random.Random(seed))
