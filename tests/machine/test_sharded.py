@@ -32,7 +32,7 @@ from repro.machine import (
     ShardConfig,
     ShardedRunner,
 )
-from repro.machine import shard_runner
+from repro.machine import shard_runner, shard_worker, sharded
 from repro.workers import (
     BackoffPolicy,
     WorkerFailure,
@@ -227,6 +227,54 @@ class TestWarmPool:
         assert pooled_worker_count() > 0
         shutdown_worker_pool()
         assert pooled_worker_count() == 0
+
+
+class TestWorkersOwnTheirMachines:
+    """The coordinator holds the graph and the start commands only:
+    every shard machine is built or loaded by its own worker."""
+
+    def setup_method(self):
+        shutdown_worker_pool()
+
+    def teardown_method(self):
+        shutdown_worker_pool()
+
+    def test_coordinator_builds_and_loads_no_shard_machine(
+            self, tmp_path, monkeypatch):
+        built, loaded = [], []
+        init = sharded.ShardMachine.__init__
+        load = sharded.load_shard_machine
+
+        def counting_init(machine, *args, **kwargs):
+            built.append(kwargs.get("shard_index"))
+            init(machine, *args, **kwargs)
+
+        def counting_load(path):
+            loaded.append(path)
+            return load(path)
+
+        # forked workers count in their own memory: only the
+        # coordinator's calls reach these lists
+        monkeypatch.setattr(sharded.ShardMachine, "__init__", counting_init)
+        for module in (sharded, shard_runner, shard_worker):
+            monkeypatch.setattr(module, "load_shard_machine", counting_load,
+                                raising=False)
+        graph = parallel_chain_graph(6, 8, 4)
+        cfg = MachineConfig.unit_time()
+        sc = ShardConfig(shards=2, processes=True)
+        plain = repro.run(graph, backend="sharded", config=cfg,
+                          shard_config=ShardConfig(shards=2,
+                                                   processes=False))
+        built.clear()
+        run = repro.run(
+            graph, backend="sharded", config=cfg, shard_config=sc,
+            checkpoint=CheckpointConfig(tmp_path / "ck", interval=5,
+                                        delta_every=2),
+        )
+        resumed = repro.resume(tmp_path / "ck", shard_config=sc)
+        assert run.outputs == resumed.outputs == plain.outputs
+        assert run.sink_times == resumed.sink_times == plain.sink_times
+        assert (len(built), len(loaded)) == (0, 0)
 
 
 class TestShardedGuards:
