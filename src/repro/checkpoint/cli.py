@@ -310,7 +310,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
     if sharded:
         print(
             f"# resumed {engine.shards} shards at cycle "
-            f"{engine.machines[0].now}",
+            f"{engine.start_cycles[0]}",
             file=sys.stderr,
         )
     else:

@@ -278,7 +278,7 @@ class Machine:
         if graph.cells_by_op(Op.FIFO):
             graph = lower_fifos(graph)
         # the sharded runner walks its one lowered graph once, not once
-        # per shard machine it builds over it
+        # per shard machine its workers build over it
         if not _graph_validated:
             validate(graph)
         self.graph = graph
@@ -463,8 +463,8 @@ class Machine:
     def _scan_ready(self, primed: Collection[int] = ()) -> None:
         """Queue, in graph order, the cells enabled before any event
         ran: those needing no delivered operand or ``primed`` by an
-        initial token.  No other cell is touched, so a machine that
-        never fires (a coordinator's copy of a worker's) links only them."""
+        initial token.  No other cell is touched, so a machine links
+        plans for these cells and for those that fire, and no other."""
         shape_of = self._linked.shape_of
         for cell in self.graph:
             if cell.cid in primed or not shape_of(cell).need:

@@ -3,7 +3,10 @@
 Each shard is a :class:`~repro.machine.sharded.ShardMachine` answering
 the commands of :mod:`repro.machine.shard_worker`, in a forked
 :class:`repro.workers.Worker` or in process; this module is the
-coordinator (DESIGN.md sections 9 and 10).
+coordinator (DESIGN.md sections 9 and 10).  Each endpoint builds or
+loads its own machine from one start command (``rebuild`` / ``load``);
+the coordinator keeps the graph and inputs, and rebuilds each shard
+from the state its endpoint ships at ``finish``.
 
 *Lockstep.*  A packet sent at cycle ``t`` arrives at ``t + L`` or
 later, ``L = max(1, rn_delay)``.  At each barrier the coordinator takes
@@ -40,8 +43,9 @@ shard derives the per-packet fates the single machine would.
 
 *Self-healing.*  With worker processes and coordinated checkpoints,
 every reply wait carries a deadline, a dead or hung worker rolls every
-shard back to the latest complete set (survivors reload in place, the
-failed worker is respawned) and the windows replay bit-identically.
+shard back to the latest complete set (the failed worker is forked
+anew and reloads it with the survivors) and the windows replay
+bit-identically.
 :class:`RecoveryPolicy` sets the escalation: per-shard restart budgets
 with seeded backoff, two-strike step-back, then
 :class:`ShardRecoveryExhausted` (exit 137 at the CLI) or, with
@@ -50,7 +54,6 @@ with seeded backoff, two-strike step-back, then
 
 from __future__ import annotations
 
-import pickle
 import random
 import time
 from dataclasses import replace
@@ -65,7 +68,12 @@ from ..checkpoint.directory import (
     shard_snapshot_name,
 )
 from ..checkpoint.manager import CheckpointConfig
-from ..checkpoint.snapshot import _gc_paused
+from ..checkpoint.snapshot import (
+    _gc_paused,
+    load_machine,
+    snapshot_cycle,
+    verify_chain,
+)
 from ..errors import (
     DeadlockError,
     ManifestError,
@@ -76,12 +84,20 @@ from ..faults import FaultPlan
 from ..graph.graph import DataflowGraph
 from ..graph.lower import lower_fifos
 from ..graph.opcodes import Op
-from ..graph.validate import validate
-from ..workers import STRIKES, Worker, WorkerFailure, park, unpark
+from ..graph.validate import check_stream_inputs, validate
+from ..workers import (
+    STRIKES,
+    Worker,
+    WorkerFailure,
+    park,
+    pooled_worker_count,
+    unpark,
+)
+from .assign import make_assignment
 from .config import MachineConfig
 from .shard_config import RecoveryPolicy, ShardConfig
 from .shard_worker import LocalShard, graph_key, shard_error
-from .sharded import Message, ShardMachine, load_shard_machine
+from .sharded import Message, ShardMachine
 from .stats import MachineStats, RecoveryStats
 
 __all__ = [
@@ -152,29 +168,16 @@ class ShardedRunner:
             partition if partition is not None
             else partition_graph(graph, shards, sc.partition)
         )
-        # each shard runs headless: the coordinator owns global
-        # progress (a per-shard watchdog would mistake "waiting for a
-        # cross-shard token" for a stall)
-        shard_cfg = replace(config, watchdog=False)
-        validate(graph)         # once, for all K machines over it
-        with _gc_paused():
-            machines = [
-                ShardMachine(
-                    graph,
-                    shard_index=k,
-                    n_shards=shards,
-                    owner=part.owner,
-                    config=shard_cfg,
-                    inputs=inputs,
-                    policy=policy,
-                    fault_plan=fault_plan,
-                    recovery=recovery,
-                    _graph_validated=True,
-                )
-                for k in range(shards)
-            ]
-        for m in machines:
-            m.workload_id = workload_id
+        spec = dict(
+            n_shards=shards, owner=part.owner,
+            # each shard runs headless: the coordinator owns global
+            # progress (a per-shard watchdog would mistake "waiting for
+            # a cross-shard token" for a stall)
+            config=replace(config, watchdog=False),
+            inputs={k: list(v) for k, v in (inputs or {}).items()},
+            policy=policy, fault_plan=fault_plan, recovery=recovery,
+            workload_id=workload_id,
+        )
         ckpt = next_ckpt = None
         if checkpoint is not None:
             from ..checkpoint.coordinator import (
@@ -183,30 +186,49 @@ class ShardedRunner:
 
             ckpt = CoordinatedCheckpointManager(checkpoint, shards)
             next_ckpt = checkpoint.interval or None
-        self._setup(sc, machines, part, policy, ckpt, next_ckpt)
+        self._setup(sc, graph, spec, part, ckpt, next_ckpt, [
+            ("rebuild", dict(spec, shard_index=k)) for k in range(shards)
+        ])
+        # workers are forked only over a validated graph, so one parked
+        # under this content digest proves the graph valid
+        self._pool_key = graph_key(graph) if self._processes else None
+        if not (self._pool_key and pooled_worker_count(self._pool_key)):
+            validate(graph)
+        ShardMachine.check_spec(graph, shards, part.owner, fault_plan,
+                                recovery)
+        check_stream_inputs(graph, spec["inputs"])
+        make_assignment(graph, config.n_pes, policy)  # refuses a bad one
 
     def _setup(
         self,
         sc: ShardConfig,
-        machines: list[ShardMachine],
+        graph: DataflowGraph,
+        spec: dict[str, Any],
         partition: Partition,
-        policy: str,
         ckpt,
         next_ckpt: Optional[int],
+        starts: list[tuple],
+        start_cycles: Optional[list[int]] = None,
     ) -> None:
-        """Everything :meth:`__init__` and :meth:`resume` share once
-        the shard machines exist: the runner's fields, the window rule
-        and the healing policy."""
-        config = machines[0].config
-        self.machines = machines
+        """Everything :meth:`__init__` and :meth:`resume` share: the
+        runner's fields, the window rule and the healing policy."""
+        self._graph = graph
+        #: what the coordinator keeps of the shards' constructor
+        #: arguments, and per shard its endpoint's start command
+        self._spec = spec
+        self._starts = starts
+        #: the shards, rebuilt from their final state by :meth:`_finish`
+        self.machines: list[ShardMachine] = []
         self.partition = partition
-        self.shards = len(machines)
-        self.workload_id = machines[0].workload_id
-        self._lookahead = max(1, config.rn_delay)
+        self.shards = len(starts)
+        self.workload_id = spec["workload_id"]
+        #: per shard, the cycle it starts at (its member file's on resume)
+        self.start_cycles = start_cycles or [0] * self.shards
+        self._lookahead = max(1, spec["config"].rn_delay)
         self._processes = (
             self.shards > 1 if sc.processes is None else sc.processes
         )
-        self._policy = policy
+        self._pool_key: Optional[str] = None
         self.worker_spawns = 0
         self.worker_reuses = 0
         #: lockstep windows driven so far (adaptive horizons shrink it)
@@ -218,7 +240,7 @@ class ShardedRunner:
         #: command its current endpoint was sent (failure context)
         self._last_cycle: list[int] = []
         self._finished = False
-        self._init_heal(sc.recovery, machines[0].fault_plan)
+        self._init_heal(sc.recovery, spec["fault_plan"])
 
     def _init_heal(self, heal: Optional[RecoveryPolicy],
                    fault_plan: Optional[FaultPlan]) -> None:
@@ -229,9 +251,8 @@ class ShardedRunner:
         real worker processes (something to respawn) and coordinated
         checkpoints (something to roll back to); ``enabled=True`` /
         ``False`` force it.  Healing without checkpoints is legal when
-        forced -- recovery then restarts every shard from the initial
-        machines, which the fork-based workers leave unmutated in this
-        process.
+        forced -- recovery then restarts every shard from its start
+        command.
         """
         heal = heal or RecoveryPolicy()
         enabled = heal.enabled
@@ -259,7 +280,7 @@ class ShardedRunner:
         #: shards folded into the coordinator after budget exhaustion
         self._degraded: set[int] = set()
         self._barrier = 0
-        self._start_cycle = max((m.now for m in self.machines), default=0)
+        self._start_cycle = max(self.start_cycles)
         faults = tuple(
             getattr(fault_plan, "shard_faults", ()) or ()
         ) if fault_plan is not None else ()
@@ -315,27 +336,26 @@ class ShardedRunner:
                 f"no complete coordinated snapshot set in "
                 f"{point.directory}"
             )
+        # a damaged member is refused here; the workers load them
+        paths = [point.directory.resolve() / name for name in point.files]
+        chains = [verify_chain(path) for path in paths]
+        # the static part is the same in every member and every link
+        base = load_machine(chains[0][0], expected_cls=ShardMachine)
+        spec = {key: getattr(base, key) for key in (
+            "config", "inputs", "fault_plan", "workload_id")}
         manifest = point.manifest
-        machines = [
-            load_shard_machine(str(point.directory / fname))
-            for fname in point.files
-        ]
         ckpt = CoordinatedCheckpointManager.attach(point.directory, manifest)
         interval = ckpt.config.interval
         self = cls.__new__(cls)
+        scheme = str(manifest.get("partition_scheme", "resumed"))
         self._setup(
             # whatever count the config names, the snapshot set fixes K
             ShardConfig.coerce(shard_config) or ShardConfig(),
-            machines,
-            Partition(
-                k=len(machines),
-                scheme=str(manifest.get("partition_scheme", "resumed")),
-                owner=dict(machines[0]._owner),
-                cut_arcs=(),
-            ),
-            "round_robin",
-            ckpt,
-            point.cycle + interval if interval else None,
+            base.graph, spec,
+            Partition(len(paths), scheme, base._owner, cut_arcs=()),
+            ckpt, point.cycle + interval if interval else None,
+            [("load", str(path)) for path in paths],
+            [snapshot_cycle(path) for path in paths],
         )
         return self
 
@@ -364,9 +384,11 @@ class ShardedRunner:
             self._recovery = RecoveryStats()
         if self._ckpt is not None:
             self._ckpt.on_start(self)
-        eps = self._spawn(crash_at, crash_shard)
+        #: the endpoints, replaced in place by recovery
+        eps: list = []
         clean = False
         try:
+            self._spawn(eps, crash_at, crash_shard)
             while True:
                 try:
                     self._drive(eps, max_cycles, crash_at)
@@ -376,7 +398,7 @@ class ShardedRunner:
                 except ShardCrashError as exc:
                     if heal is None:
                         raise
-                    eps = self._recover(eps, exc, heal)
+                    self._recover(eps, exc, heal)
         finally:
             # clean workers park in the warm pool, the rest are closed
             for ep in eps:
@@ -390,68 +412,60 @@ class ShardedRunner:
             self._ckpt.on_complete(self)
         return self.stats()
 
-    def _spawn(self, crash_at: Optional[int], crash_shard: int):
+    def _spawn(self, eps: list, crash_at: Optional[int],
+               crash_shard: int) -> None:
+        """Fill ``eps``, warm workers first, and start each endpoint."""
         self._last_cycle = [-1] * self.shards
-        crash = [crash_at if k == crash_shard else None
-                 for k in range(self.shards)]
-        # only pristine pre-run machines are rebuild-equivalent; a
-        # resumed/restored machine carries run state the rebuild op
-        # cannot reproduce, so it always gets a fork-fresh copy
-        pool_key = None
-        warm = [None] * self.shards
-        if self._processes and not self.machines[0]._started:
-            pool_key = graph_key(self.machines[0].graph)
-            # reclaim parked warm workers: rebuild their machines for
-            # this run instead of paying fork + import again
-            warm = [None if k in self._degraded else unpark(pool_key)
-                    for k in range(self.shards)]
-        dead: set = set()
-        self._fan_out(warm, [
-            w and ("rebuild", self._rebuild_spec(k, m, crash[k]))
-            for k, (w, m) in enumerate(zip(warm, self.machines))
-        ], failed=dead)
-        for k in dead:
-            # it died between the liveness check and the rebuild
-            warm[k].close()
-            warm[k] = None
-        self.worker_reuses += self.shards - warm.count(None)
+        key = self._pool_key
+        warm = [None if key is None or k in self._degraded else unpark(key)
+                for k in range(self.shards)]
         self.worker_pids = [w and w.pid for w in warm]
-        return [
-            self._spawn_one(k, m, crash[k], pool_key) if w is None else w
-            for k, (w, m) in enumerate(zip(warm, self.machines))
-        ]
+        eps[:] = [w or self._spawn_one(k, key) for k, w in enumerate(warm)]
+        replaced = self._launch(eps, [
+            start + (crash_at if k == crash_shard else None,)
+            for k, start in enumerate(self._starts)
+        ], key)
+        self.worker_reuses += sum(
+            1 for k, w in enumerate(warm) if w and k not in replaced
+        )
 
-    def _spawn_one(self, shard: int, machine: ShardMachine,
-                   crash_at: Optional[int] = None,
-                   pool_key: Optional[str] = None):
+    def _spawn_one(self, shard: int, pool_key: Optional[str] = None):
+        handler = LocalShard(shard, self._graph)
         if not self._processes or shard in self._degraded:
-            if machine is self.machines[shard] and self._degraded:
-                # a degraded shard runs in-process and would mutate
-                # the pristine restart copy; work on a clone instead
-                machine = pickle.loads(pickle.dumps(machine))
             self.worker_pids[shard] = None
-            return LocalShard(shard, machine, crash_at)
+            return handler
         self._last_cycle[shard] = -1
-        worker = Worker.fork(LocalShard(shard, machine, crash_at),
-                             name=f"repro-shard-{shard}", key=pool_key)
+        worker = Worker.fork(handler, name=f"repro-shard-{shard}",
+                             key=pool_key)
         self.worker_spawns += 1
         self.worker_pids[shard] = worker.pid
         return worker
 
+    def _launch(self, eps, cmds, key: Optional[str] = None) -> set:
+        """Post every endpoint its start command; replace and return
+        those whose worker died (e.g. killed while parked)."""
+        dead: set = set()
+        self._fan_out(eps, cmds, failed=dead)
+        for k in sorted(dead):
+            eps[k].close()
+            eps[k] = self._spawn_one(k, key)
+        self._fan_out(eps, [k in dead and cmd for k, cmd in enumerate(cmds)])
+        return dead
+
     def _fan_out(self, eps, cmds, failed: Optional[set] = None) -> list:
-        """Post ``cmds[k]`` to endpoint ``k`` (None skips it), then
+        """Post ``cmds[k]`` to endpoint ``k`` (a falsy one skips it), then
         collect the replies in shard order, so all K workers run the
         command at once -- the one place a worker failure becomes a
         typed shard error.  The first failing reply in shard order
         raises, unless ``failed`` collects the shards whose workers
         died (their reply slots stay None)."""
         for ep, cmd in zip(eps, cmds):
-            if cmd is not None:
+            if cmd:
                 ep.post(cmd)
         deadline = self._heal.deadline if self._heal else _DEFAULT_DEADLINE
         replies = [None] * len(cmds)
         for k, (ep, cmd) in enumerate(zip(eps, cmds)):
-            if cmd is None:
+            if not cmd:
                 continue
             try:
                 reply = ep.wait(deadline)
@@ -470,18 +484,6 @@ class ShardedRunner:
                 raise shard_error(*reply[1:])
             replies[k] = reply[1]
         return replies
-
-    def _rebuild_spec(self, shard: int, machine: ShardMachine,
-                      crash_at: Optional[int]) -> dict:
-        """Constructor args a pooled worker needs to rebuild this
-        shard's pristine machine from its retained graph."""
-        return dict(
-            shard_index=shard, n_shards=self.shards, owner=machine._owner,
-            config=machine.config, inputs=machine.inputs,
-            policy=self._policy, fault_plan=machine.fault_plan,
-            recovery=machine.recovery, workload_id=machine.workload_id,
-            crash_at=crash_at,
-        )
 
     def _drive(self, eps, max_cycles: int,
                crash_at: Optional[int] = None) -> None:
@@ -585,26 +587,26 @@ class ShardedRunner:
         return self._ckpt.directory.resolve()
 
     def _finish(self, eps) -> list[ShardMachine]:
-        """Collect every shard's final state.  An in-process shard
-        hands back its machine object; a worker ships only the mutable
-        state, which overlays the coordinator's own (static-equal)
-        machine -- the worker keeps its copy and stays eligible for
-        the warm pool."""
-        states = self._fan_out(eps, [("finish",)] * len(eps))
-        for k, state in enumerate(states):
-            if not isinstance(state, ShardMachine):
-                self.machines[k].__dict__.update(state)
-                states[k] = self.machines[k]
-        return states
+        """Rebuild every shard from the state its endpoint ships, over
+        the coordinator's graph and inputs; a worker keeps its machine
+        and stays eligible for the warm pool."""
+        machines = []
+        with _gc_paused():
+            for state in self._fan_out(eps, [("finish",)] * len(eps)):
+                machines.append(ShardMachine.__new__(ShardMachine))
+                machines[-1].__setstate__(dict(
+                    state, graph=self._graph, inputs=self._spec["inputs"]
+                ))
+        return machines
 
     # ------------------------------------------------------------------
     # in-process self-healing
     # ------------------------------------------------------------------
-    def _recover(self, eps, exc: ShardCrashError,
-                 policy: RecoveryPolicy):
-        """Roll every shard back to the latest usable coordinated set,
-        respawn the failed worker, and hand fresh endpoints back to
-        :meth:`run` for replay.
+    def _recover(self, eps: list, exc: ShardCrashError,
+                 policy: RecoveryPolicy) -> None:
+        """Roll every shard back to the latest usable coordinated set
+        and respawn the failed worker, in place in :meth:`run`'s
+        endpoint list, for replay.
 
         The rollback restores each shard's machine *and* the channel
         state of the cut, so the replayed lockstep windows re-derive
@@ -647,7 +649,7 @@ class ShardedRunner:
             self._strikes[key] = strikes
         rec.rollbacks += 1
         rec.rollback_cycles.append(key)
-        new_eps = self._restore(eps, point, {failed})
+        self._restore(eps, point, {failed})
         base = point.cycle if point is not None else self._start_cycle
         rec.cycles_replayed += max(0, detect_cycle - base)
         if self._ckpt is not None:
@@ -658,7 +660,6 @@ class ShardedRunner:
             # to be a full base
             self._ckpt.reset_chain()
         rec.latency.add(time.perf_counter() - started)
-        return new_eps
 
     def _charge_restart(self, shard: int, cycle: int,
                         policy: RecoveryPolicy,
@@ -683,7 +684,7 @@ class ShardedRunner:
 
     def _resume_point(self) -> Optional[ResumePoint]:
         """Latest complete coordinated set not barred by step-back, or
-        None (= roll back to the run's initial machines)."""
+        None (= every shard restarts from its start command)."""
         if self._ckpt is None:
             return None
         try:
@@ -692,37 +693,29 @@ class ShardedRunner:
             return None
         return point if point.sharded and point.files else None
 
-    def _restore(self, eps, point: Optional[ResumePoint],
-                 failed: set) -> list:
-        """Build the post-rollback endpoint list: survivors reload
-        their shard file in place (warm), failed/degraded workers are
-        replaced.  With no committed set, every shard restarts from
-        the initial machines (fork leaves the parent's copies
-        unmutated; on a resumed runner they hold the loaded set)."""
+    def _restore(self, eps: list, point: Optional[ResumePoint],
+                 failed: set) -> None:
+        """Roll the endpoints back in place: failed and degraded ones
+        are replaced, then survivors and replacements all reload their
+        shard file in one round (a survivor that dies too is replaced
+        as well).  With no committed set, every shard restarts from its
+        start command."""
         rec = self._recovery
         if point is None:
             for ep in eps:
                 ep.close()
-            fresh = self._spawn(None, 0)
+            self._spawn(eps, None, 0)
             rec.respawns += len(failed - self._degraded)
-            return fresh
+            return
         directory = self._ckpt_directory()
-        paths = [str(directory / n) for n in point.files]
         respawn = set(failed) | self._degraded
-        # a survivor that dies too (e.g. several chaos faults in one
-        # window) is replaced as well
-        self._fan_out(eps, [
-            None if k in respawn else ("load", paths[k])
-            for k in range(len(eps))
-        ], failed=respawn)
-        new_eps = list(eps)
         for k in sorted(respawn):
             eps[k].close()
-            machine = load_shard_machine(paths[k])
-            new_eps[k] = self._spawn_one(k, machine)
-            if k not in self._degraded:
-                rec.respawns += 1
-        return new_eps
+            eps[k] = self._spawn_one(k)
+        respawn |= self._launch(eps, [
+            ("load", str(directory / name), None) for name in point.files
+        ])
+        rec.respawns += len(respawn - self._degraded)
 
     # ------------------------------------------------------------------
     # results

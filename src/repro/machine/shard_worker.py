@@ -1,12 +1,19 @@
 """The shard worker protocol: the commands one shard answers.
 
-:class:`LocalShard` executes them against its
-:class:`~repro.machine.sharded.ShardMachine`.  In a worker process it is
-the request handler of a :class:`repro.workers.Worker` forked by the
-coordinator (:mod:`repro.machine.shard_runner`); in process it is the
-transport itself.  Either way a command is a plain tuple and a reply is
-``("ok", value)`` or ``("error", name, message, cycle)``:
+:class:`LocalShard` builds or loads its own
+:class:`~repro.machine.sharded.ShardMachine` from a start command.  In
+a worker process it is the request handler of a
+:class:`repro.workers.Worker` forked by the coordinator
+(:mod:`repro.machine.shard_runner`) with the graph and no machine; in
+process it is the transport itself.  Either way a command is a plain
+tuple and a reply is ``("ok", value)`` or ``("error", name, message,
+cycle)``:
 
+``("rebuild", spec, crash_at)``
+    start a new run: build a pristine machine over the graph from the
+    constructor arguments in ``spec`` (also in a reclaimed warm worker).
+``("load", path, crash_at)``
+    start a resumed run, or roll back: load a coordinated set's member.
 ``("start",)``
     start the machine (idempotent); reply its frontier
     ``(next event time, live events, earliest output time)``.
@@ -16,14 +23,9 @@ transport itself.  Either way a command is a plain tuple and a reply is
 ``("snapshot", path, cycle, messages, fault, kind)``
     write this shard's member file of a coordinated set (machine plus
     channel state), then inject the messages; reply the file size.
-``("load", path)``
-    replace the machine by a member file (warm rollback).
-``("rebuild", spec)``
-    build a pristine machine over the retained graph for a new run
-    (warm-pool reuse).
 ``("finish",)``
-    reply the machine's mutable state; the process stays alive and may
-    be parked in the warm pool.
+    reply the machine's state without its graph and inputs; the
+    process stays alive and may be parked in the warm pool.
 
 ``fault`` is a chaos directive for :func:`repro.workers.apply_fault`
 (None almost always).  Paths arrive absolute: a pooled worker keeps
@@ -37,12 +39,16 @@ import os
 import pickle
 from typing import Any, Optional
 
+from ..checkpoint.snapshot import _gc_paused
 from ..errors import (
     EXIT_SHARD_CRASH,
+    ChainBrokenError,
     DeadlockError,
+    ManifestError,
     ReproError,
     SimulationError,
     SimulationTimeout,
+    SnapshotError,
 )
 from ..graph.graph import DataflowGraph
 from ..workers import apply_fault
@@ -62,6 +68,9 @@ def shard_error(name: str, message: str, cycle: int) -> ReproError:
         return SimulationTimeout(message, cycles=cycle)
     if name == "DeadlockError":
         return DeadlockError(message, step=cycle)
+    for cls in (SnapshotError, ChainBrokenError, ManifestError):
+        if name == cls.__name__:    # a member file that cannot load
+            return cls(message)
     return SimulationError(message)
 
 
@@ -81,11 +90,11 @@ class LocalShard:
     the in-process transport used for K=1, for quick test sweeps and as
     the reference the worker processes must agree with."""
 
-    def __init__(self, shard: int, machine: ShardMachine,
-                 crash_at: Optional[int]) -> None:
+    def __init__(self, shard: int, graph: DataflowGraph) -> None:
         self.shard = shard
-        self.machine = machine
-        self.crash_at = crash_at
+        self.graph = graph
+        self.machine: Optional[ShardMachine] = None
+        self.crash_at: Optional[int] = None
         self._reply: Any = None
 
     def __call__(self, cmd: tuple) -> tuple:
@@ -94,7 +103,7 @@ class LocalShard:
         try:
             return ("ok", self._execute(cmd))
         except ReproError as exc:
-            cycle = getattr(exc, "cycle", self.machine.now)
+            cycle = getattr(exc, "cycle", getattr(self.machine, "now", -1))
             return ("error", type(exc).__name__, str(exc), cycle)
 
     def _execute(self, cmd: tuple) -> Any:
@@ -118,31 +127,26 @@ class LocalShard:
             machine.inject(messages)
             return size
         if op == "load":
-            # warm rollback: survivors reload their shard of a
-            # coordinated set in place, keeping the process
-            self.machine = load_shard_machine(cmd[1])
+            _, path, self.crash_at = cmd
+            self.machine = load_shard_machine(path)
             return self.machine.shard_index
         if op == "rebuild":
-            # pool reclamation: reconstruct a pristine machine for a
-            # new run over the retained (content-equal) graph;
-            # deterministic __init__ makes it bit-identical to a
-            # freshly forked copy (validated before the fork)
-            spec = dict(cmd[1])
-            self.crash_at = spec.pop("crash_at", None)
-            wid = spec.pop("workload_id", None)
-            self.machine = ShardMachine(
-                machine.graph, _graph_validated=True, **spec
-            )
+            # the coordinator validated the graph and checked the spec
+            _, spec, self.crash_at = cmd
+            spec = dict(spec)
+            wid = spec.pop("workload_id")
+            with _gc_paused():
+                self.machine = ShardMachine(
+                    self.graph, _graph_validated=True, **spec
+                )
             self.machine.workload_id = wid
             return self.machine.shard_index
         if op == "finish":
-            # ship only the mutable state (the parent already holds
-            # the static graph/config/inputs); the process stays
-            # alive and may be pooled for reuse
-            static = type(machine)._SNAP_STATIC_ATTRS
-            return {
-                k: v for k, v in machine.__dict__.items() if k not in static
-            }
+            # the coordinator rebuilds the shard over its own graph and
+            # inputs; the process stays alive and may be pooled
+            state = machine.__getstate__()
+            del state["graph"], state["inputs"]
+            return state
         raise SimulationError(f"unknown worker op {op!r}")
 
     def post(self, cmd: tuple) -> None:
@@ -152,10 +156,7 @@ class LocalShard:
             raise SimulationError(     # pragma: no cover - coordinator bug
                 "shard fault directive sent to an in-process shard"
             )
-        if cmd[0] == "finish":
-            self._reply = ("ok", self.machine)
-        else:
-            self._reply = ("ok", self._execute(cmd))
+        self._reply = ("ok", self._execute(cmd))
 
     def wait(self, deadline: float) -> tuple:
         return self._reply

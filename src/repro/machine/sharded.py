@@ -88,20 +88,6 @@ class ShardMachine(Machine):
         recovery: bool = True,
         _graph_validated: bool = False,
     ) -> None:
-        if fault_plan is not None and n_shards > 1:
-            if fault_plan.unit_faults:
-                raise SimulationError(
-                    "unit faults are not supported on sharded runs: "
-                    "unit indices refer to each shard's private pools"
-                )
-            if fault_plan.has_packet_faults and (
-                fault_plan.derivation != "keyed" or not recovery
-            ):
-                raise SimulationError(
-                    "packet faults on a sharded run need "
-                    "derivation='keyed' and recovery=True so every "
-                    "shard derives the same per-packet fates"
-                )
         # the ready/enabling path consults ownership, so these must
         # exist before Machine.__init__ pre-scans the cells
         self.shard_index = shard_index
@@ -117,11 +103,7 @@ class ShardMachine(Machine):
             recovery=recovery,
             _graph_validated=_graph_validated,
         )
-        if set(self._owner) != set(self.graph.cells):
-            raise SimulationError(
-                "shard owner map does not cover the graph; partition "
-                "the FIFO-lowered graph (ShardedRunner does this)"
-            )
+        self.check_spec(self.graph, n_shards, owner, fault_plan, recovery)
         # only owned sinks/arrays are this shard's outputs
         for cid in [c for c in self.sink_values if not self._owns(c)]:
             del self.sink_values[cid]
@@ -153,6 +135,30 @@ class ShardMachine(Machine):
             for cid in self.graph.cells:
                 if not self._owns(cid) and cid not in keep:
                     self.cell_state[cid] = shared
+
+    @staticmethod
+    def check_spec(graph: DataflowGraph, n_shards: int, owner: dict[int, int],
+                   fault_plan: Optional[FaultPlan], recovery: bool) -> None:
+        """Refuse what no shard over the lowered ``graph`` can run."""
+        if fault_plan is not None and n_shards > 1:
+            if fault_plan.unit_faults:
+                raise SimulationError(
+                    "unit faults are not supported on sharded runs: "
+                    "unit indices refer to each shard's private pools"
+                )
+            if fault_plan.has_packet_faults and (
+                fault_plan.derivation != "keyed" or not recovery
+            ):
+                raise SimulationError(
+                    "packet faults on a sharded run need "
+                    "derivation='keyed' and recovery=True so every "
+                    "shard derives the same per-packet fates"
+                )
+        if set(owner) != set(graph.cells):
+            raise SimulationError(
+                "shard owner map does not cover the graph; partition "
+                "the FIFO-lowered graph (ShardedRunner does this)"
+            )
 
     # ------------------------------------------------------------------
     # ownership gates

@@ -8,7 +8,7 @@ when a child counts as dead or hung, how it is torn down and when it
 may be reused; the consumers own only the data.
 
 :meth:`Worker.fork` forks this interpreter and the child inherits the
-request handler (a shard's machine and graph come along for free).
+request handler (a shard worker's graph comes along for free).
 :meth:`Worker.exec` starts a fresh ``python -m <module>`` whose fd 0 is
 its end of a socketpair, so the parent's pages stay out of the child's
 resident set.  Either child runs :func:`serve_requests`.
@@ -358,10 +358,10 @@ def park(worker: Worker) -> None:
     _reap()
 
 
-def pooled_worker_count() -> int:
-    """Parked warm workers right now (observability/tests)."""
+def pooled_worker_count(key: Optional[str] = None) -> int:
+    """Parked warm workers right now, or those parked under ``key``."""
     with _POOL_LOCK:
-        return len(_POOL)
+        return sum(1 for _, w in _POOL if key is None or w.key == key)
 
 
 def shutdown_worker_pool() -> None:

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import repro
+from repro.analysis import partition_graph
 from repro.errors import SimulationTimeout
 from repro.graph import DataflowGraph, Op
 from repro.graph.cell import GATE_PORT
@@ -55,14 +56,17 @@ class TestDerivedStateStaysHome:
         machine.snapshot_sections()             # coverage check passes
 
     def test_shard_machine_state_keys(self):
+        graph = parallel_chain_graph(4, 3, 2)
+        owner = partition_graph(graph, 2).owner
+        built = [ShardMachine(graph, shard_index=k, n_shards=2, owner=owner)
+                 for k in range(2)]
+        assert [set(m.__getstate__()) for m in built] == [SHARD_STATE] * 2
         runner = ShardedRunner(
-            parallel_chain_graph(4, 3, 2),
-            shard_config=ShardConfig(shards=2, processes=False),
+            graph, shard_config=ShardConfig(shards=2, processes=False),
         )
-        assert all(
-            set(m.__getstate__()) == SHARD_STATE for m in runner.machines
-        )
+        assert runner.machines == []    # the endpoints build them
         runner.run()
+        assert len(runner.machines) == 2
         for m in runner.machines:
             extra = {"_cut_dist"} if "_cut_dist" in m.__dict__ else set()
             assert set(m.__getstate__()) == SHARD_STATE | extra
@@ -81,10 +85,9 @@ class TestDerivedStateStaysHome:
         assert clone.sink_times == machine.sink_times
 
     def test_worker_finish_ships_no_plans(self):
-        """The coordinator's copies of the worker machines never fire:
-        they link the cells their construction queued (the sources) and
-        nothing else, and a worker's ``finish`` state (overlaid on
-        them) brings no plan along."""
+        """The coordinator rebuilds each shard from its worker's
+        ``finish`` state over its own graph: the state brings no plan
+        along, and the rebuilt shard, which never fires, links none."""
         graph = parallel_chain_graph(6, 4, 3)
         try:
             result = repro.run(
@@ -99,7 +102,8 @@ class TestDerivedStateStaysHome:
         for m in result.engine.machines:
             fired = {c for c, n in m.stats().fire_counts.items() if n}
             sources = {c for c in fired if graph.cells[c].op is Op.SOURCE}
-            assert set(m._linked) == sources < fired
+            assert sources < fired
+            assert len(m._linked) == 0
             assert set(m.__getstate__()) - {"_cut_dist"} == SHARD_STATE
 
 

@@ -9,6 +9,7 @@ worker processes -- is checked by the differential oracle
 """
 
 import os
+import re
 import signal
 from typing import Optional
 
@@ -21,7 +22,13 @@ from repro.checkpoint import (
     fsck_directory,
     read_manifest,
 )
-from repro.errors import SimulationError
+from repro.errors import (
+    ChainBrokenError,
+    ManifestError,
+    ReproError,
+    SimulationError,
+    SnapshotError,
+)
 from repro.faults import FaultPlan, ShardFault
 from repro.faults.plan import FaultPlanError
 from repro.graph import DataflowGraph
@@ -276,6 +283,65 @@ class TestWorkersOwnTheirMachines:
         assert run.sink_times == resumed.sink_times == plain.sink_times
         assert (len(built), len(loaded)) == (0, 0)
 
+    def test_a_damaged_member_file_stays_a_snapshot_error(self, tmp_path):
+        # a worker's load error crosses the pipe as plain data and must
+        # come back as the snapshot error it was, not a SimulationError
+        damaged = tmp_path / "ckpt-000000000010.shard0.snap"
+        damaged.write_bytes(b"not a snapshot")
+        graph, _ = program_graph("fig2")
+        reply = shard_worker.LocalShard(0, graph)(
+            ("load", str(damaged), None)
+        )
+        assert reply[:2] == ("error", "SnapshotError")
+        error = shard_worker.shard_error(*reply[1:])
+        assert type(error) is SnapshotError
+        assert str(error) == reply[2]
+        for cls in (ChainBrokenError, ManifestError):
+            error = shard_worker.shard_error(cls.__name__, "broken", -1)
+            assert type(error) is cls and str(error) == "broken"
+
+    @pytest.mark.parametrize("case", [
+        "unit_faults", "sequence_faults", "owner", "inputs", "graph",
+        "policy",
+    ])
+    def test_refusals_stay_in_the_coordinator(self, case, monkeypatch):
+        """Each argument a shard machine would refuse is refused by the
+        runner's constructor, with the machine's own type and message,
+        before any endpoint exists."""
+        graph, streams = program_graph("fig2")
+        owner = partition_graph(graph, 2).owner
+        args = dict(owner=owner, inputs=streams, policy="round_robin",
+                    fault_plan=None)
+        if case == "unit_faults":
+            args["fault_plan"] = FaultPlan(
+                seed=1, unit_faults=({"unit": "fu", "index": 0},),
+                derivation="keyed",
+            )
+        elif case == "sequence_faults":
+            args["fault_plan"] = FaultPlan(seed=1, drop_result=0.05)
+        elif case == "owner":
+            args["owner"] = {**owner, max(owner) + 1: 0}
+        elif case == "inputs":
+            args["inputs"] = {}
+        elif case == "graph":
+            graph = graph.copy()
+            graph.add_source("idle", stream=next(iter(streams)))
+            args["owner"] = {cid: 0 for cid in graph.cells}
+        else:
+            args["policy"] = "bogus"
+        with pytest.raises(ReproError) as built:
+            sharded.ShardMachine(graph, shard_index=0, n_shards=2, **args)
+        monkeypatch.setattr(shard_runner, "Worker", None)   # no fork
+        with pytest.raises(type(built.value), match=re.escape(
+                str(built.value))):
+            ShardedRunner(
+                graph, args["inputs"], policy=args["policy"],
+                fault_plan=args["fault_plan"],
+                partition=Partition(k=2, scheme="given",
+                                    owner=args["owner"], cut_arcs=()),
+                shard_config=ShardConfig(shards=2, processes=True),
+            )
+
 
 class TestShardedGuards:
     def test_sequence_plan_rejected_for_k_gt_1(self):
@@ -344,7 +410,7 @@ class _RecordingEndpoint:
         return cls(handle, key)
 
     def post(self, cmd):
-        self.op, self.shard = cmd[0], self.handle.machine.shard_index
+        self.op, self.shard = cmd[0], self.handle.shard
         self.log.append(("post", self.op, self.shard))
         self.reply = self.handle(cmd)
 
@@ -392,7 +458,7 @@ class TestFanOut:
         first = self._run(tmp_path, graph, streams, "a")
         # the second run over the same graph reclaims the parked
         # workers; its shard 1 dies answering the cycle-20 snapshot,
-        # the two survivors reload the cycle-10 set, shard 1 is forked
+        # shard 1 is forked anew and all three reload the cycle-10 set
         _RecordingEndpoint.log.clear()
         monkeypatch.setattr(_RecordingEndpoint, "dies_on",
                             (1, "snapshot", 2))
@@ -416,9 +482,9 @@ class TestFanOut:
             i = j
         assert rounds == {
             "start": {3}, "window": {3}, "snapshot": {3},
-            "rebuild": {3}, "finish": {3},
-            # only the two survivors reload; shard 1 is re-forked
-            "load": {2},
+            # fresh forks and reclaimed workers alike build their own
+            # machine; the replacement reloads with the survivors
+            "rebuild": {3}, "finish": {3}, "load": {3},
         }
 
     def test_parked_worker_killed_before_reclaim_is_replaced(self):

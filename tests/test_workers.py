@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro import workers
-from repro.machine import ShardConfig, ShardedRunner
+from repro.machine import ShardMachine
 from repro.machine.shard_worker import LocalShard
 from repro.workers import Worker, WorkerFailure, child_env
 from repro.workloads import parallel_chain_graph
@@ -38,11 +38,12 @@ def _is_second_reply(mode, reply):
 
 
 def _shard_handler():
-    runner = ShardedRunner(
-        parallel_chain_graph(2, 3, 4),
-        shard_config=ShardConfig(shards=1, processes=False),
+    graph = parallel_chain_graph(2, 3, 4)
+    shard = LocalShard(0, graph)
+    shard.machine = ShardMachine(
+        graph, shard_index=0, n_shards=1, owner=dict.fromkeys(graph.cells, 0)
     )
-    return LocalShard(0, runner.machines[0], None)
+    return shard
 
 
 def _stopped(pid, timeout=5.0):
