@@ -310,6 +310,32 @@ class TestCli:
         assert json.loads(captured.out)["coordinated"] == sets[101]
         assert "NOT resumable alone (orphaned set)" in captured.err
 
+    def test_cli_resume_refuses_a_member_payload_with_exit_4(
+        self, tmp_path, capsys
+    ):
+        # member 1 is unpickled by its worker, not the coordinator: a
+        # payload the restricted unpickler refuses is still a snapshot
+        # that cannot load (exit 4), which the supervisor quarantines
+        # at once
+        import os
+        import pickle
+
+        from repro.checkpoint.snapshot import _pack_envelope, read_metadata
+        from repro.errors import EXIT_SNAPSHOT_UNLOADABLE
+
+        snaps = tmp_path / "snaps"
+        assert cli_main(
+            ["checkpoint", "fig7", "--size", "60", "--interval", "50",
+             "--backend", "sharded", "--shards", "2", "--dir", str(snaps)]
+        ) == 0
+        newest = read_manifest(snaps, "sharded")["coordinated"][-1]
+        member = snaps / newest["files"][1]
+        member.write_bytes(_pack_envelope(read_metadata(member),
+                                          pickle.dumps(os.getcwd)))
+        capsys.readouterr()
+        assert cli_main(["resume", str(snaps)]) == EXIT_SNAPSHOT_UNLOADABLE
+        assert "forbidden global" in capsys.readouterr().err
+
     def test_cli_crash_resume_byte_identical(self, tmp_path, capsys):
         snaps = tmp_path / "snaps"
         args = ["checkpoint", "fig7", "--size", "16", "--dir",
