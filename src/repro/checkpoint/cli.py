@@ -194,7 +194,8 @@ def _finish(engine: Union[Machine, ShardedRunner],
             args: argparse.Namespace, command: str) -> int:
     """Run a checkpointed engine to completion and report it.  A dead
     shard worker exits like a SIGKILLed process, so the supervisor
-    restarts and resumes it."""
+    restarts and resumes it; a member file a worker cannot load exits
+    like any unloadable snapshot, so the supervisor quarantines it."""
     sharded = isinstance(engine, ShardedRunner)
     try:
         if sharded:
@@ -208,6 +209,12 @@ def _finish(engine: Union[Machine, ShardedRunner],
     except ShardCrashError as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return EXIT_SHARD_CRASH
+    except SnapshotError as exc:
+        if not sharded or engine.started:
+            raise
+        # a worker refused its member file: the set cannot load
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SNAPSHOT_UNLOADABLE
     except (DeadlockError, SimulationTimeout) as exc:
         print(f"failed: {exc}", file=sys.stderr)
         if exc.snapshot_path:

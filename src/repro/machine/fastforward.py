@@ -209,7 +209,7 @@ class FastForward:
     :meth:`Machine.run`.
 
     Constructing it decides whether the run is replayable and, if so,
-    arms it as ``machine._ff``: ``Machine._fire`` then calls
+    arms it as ``machine._ff``: ``Machine._loop`` then calls
     :meth:`on_anchor` before every firing of :attr:`anchor`.
     Disarming removes the hook again, so the rest of the run costs
     exactly a plain run.  :attr:`schedule` reports what happened.
@@ -471,7 +471,7 @@ class FastForward:
                 t += S
             shifted.append((t, seq, kind, args, aux))
         heapq.heapify(shifted)
-        m._events = shifted
+        m._events[:] = shifted      # in place: Machine._loop holds it
         m.now = T + S
         for pool in (m.pes, m.fus, m.ams):
             for u in pool:

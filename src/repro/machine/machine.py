@@ -98,6 +98,8 @@ from .stats import MachineStats, ReliabilityStats
 _ABSENT = _NO_TOKEN
 #: self-re-arming event kinds: they never count as live work
 _TICKERS = ("watchdog_tick", "checkpoint_tick")
+#: the per-firing event kinds, which Machine._loop runs inline
+_INLINE_KINDS = frozenset({"dispatch", "deliver_results", "deliver_ack"})
 # what a firing computes: ``_Shape.kind`` (None: not executable)
 _SOURCE, _CONST, _MOVE, _UNARY, _BINARY, _MERGE = range(6)
 _KINDS = {
@@ -161,9 +163,14 @@ class _Shape:
 
 
 class _Plan:
-    """A cell's own half of its firing plan: the in-arcs to acknowledge
-    in consumed-port order, the destination ``(arcs, aids)`` under a
-    true and under a false gate, and a source's value list."""
+    """A cell's own half of its firing plan: the acknowledges a firing
+    sends, in consumed-port order, as ``(arc, port, producer, shard)``,
+    the destinations ``(arcs, aids, remote)`` under a true and under a
+    false gate, and a source's value list.  ``shard`` (None: this
+    machine) and ``remote``, the ``(shard, aid)`` pairs of destinations
+    it does not own, are a shard's routing; its ``aids`` is a list,
+    copied per delivery (a tuple two heap entries share pickles once).
+    A plain machine's ``remote`` is None."""
 
     __slots__ = ("cell", "shape", "acks", "acks_false", "on_true",
                  "on_false", "values")
@@ -187,7 +194,7 @@ class _Linked(dict):
     handlers and the fixed packet delays.  Never reaches a pickle."""
 
     __slots__ = ("graph", "config", "inputs", "shapes", "handlers",
-                 "ack_delay", "route_delay")
+                 "ack_delay", "route_delay", "owner", "shard")
 
     def __init__(self, machine: "Machine") -> None:
         self.graph = machine.graph
@@ -197,12 +204,15 @@ class _Linked(dict):
         cls = type(machine)
         if "_handlers" not in cls.__dict__:     # resolved once per class
             cls._handlers = _Handlers(
-                (kind, getattr(cls, "_" + kind)) for kind in cls._EVENT_KINDS
+                (kind, getattr(cls, "_" + kind))
+                for kind in cls._EVENT_KINDS - _INLINE_KINDS
             )
         self.handlers = cls._handlers
         self.ack_delay = max(1, config.rn_delay)
         #: None under bandwidth contention: Machine._route_delay has it
         self.route_delay = None if config.rn_bandwidth else config.rn_delay
+        #: a shard's cell -> shard map and its own index (None: plain)
+        self.owner, self.shard = machine._owner, machine.shard_index
 
     def shape_of(self, cell: Cell) -> _Shape:
         key = (cell.op, cell.gated, frozenset(cell.consts))
@@ -212,28 +222,41 @@ class _Linked(dict):
         return shape
 
     def __missing__(self, cid: int) -> _Plan:
-        g = self.graph
+        g, owner, me = self.graph, self.owner, self.shard
+
+        def remote(c: int) -> Optional[int]:
+            return None if owner is None or owner[c] == me else owner[c]
+
+        def dests(arcs: list) -> tuple:
+            if owner is None:
+                return arcs, tuple(a.aid for a in arcs), None
+            return arcs, [a.aid for a in arcs if remote(a.dst) is None], \
+                tuple((remote(a.dst), a.aid) for a in arcs
+                      if remote(a.dst) is not None)
+
         plan = self[cid] = _Plan()
         plan.cell = cell = g.cells[cid]
         plan.shape = shape = self.shape_of(cell)
         plan.acks, plan.acks_false = (
-            tuple(g.in_arc[cid, p] for p in ports if (cid, p) in g.in_arc)
+            tuple((arc, arc.dst_port, arc.src, remote(arc.src))
+                  for arc in (g.in_arc[cid, p] for p in ports
+                              if (cid, p) in g.in_arc))
             for ports in (shape.consumed, shape.consumed_false)
         )
         if shape.consumed_false is shape.consumed:
             plan.acks_false = plan.acks
-
-        def dests(arcs: list) -> tuple:
-            return arcs, tuple(a.aid for a in arcs)
-        # one pair for both gate values unless a destination is tagged,
-        # and ``out_arcs`` itself rather than a copy per cell
+        # one triple for both gate values unless a destination is
+        # tagged, and ``out_arcs`` itself rather than a copy per cell
         out = g.out_arcs[cid]
         plan.on_true = plan.on_false = dests(out)
         if any(a.tag is not None for a in out):
-            plan.on_true, plan.on_false = (
+            # an ungated cell reads its gate as false
+            plan.on_false, plan.on_true = (
                 dests([a for a in out if a.tag is None or a.tag == truth])
-                for truth in (True, False)
+                for truth in (False, True)
             )
+            if not cell.gated:
+                plan.on_true = plan.on_false
         source = shape.kind == _SOURCE
         plan.values = _source_values(cell, self.inputs) if source else None
         return plan
@@ -257,6 +280,11 @@ class Machine:
     #: defaults, so a plain run carries neither
     _ff = None
     schedule = None
+    #: a shard's cell -> shard map, its outbox of packets for other
+    #: shards and its index (:class:`~repro.machine.sharded.ShardMachine`)
+    _owner: Optional[dict[int, int]] = None
+    _outbox: Optional[list] = None
+    shard_index: Optional[int] = None
 
     def __init__(
         self,
@@ -387,25 +415,16 @@ class Machine:
     # ------------------------------------------------------------------
     # event plumbing
     # ------------------------------------------------------------------
-    #: the machine's whole event vocabulary; each kind names the method
-    #: (prefixed ``_``) that handles it.  Snapshots store events as
+    #: the machine's whole event vocabulary: the per-firing kinds
+    #: :meth:`_loop` runs inline, and kinds that name the method
+    #: (prefixed ``_``) handling them.  Snapshots store events as
     #: (time, seq, kind, args, aux) tuples, and load_snapshot refuses a
     #: heap entry whose kind is not in this set.
-    _EVENT_KINDS = frozenset(
-        {
-            "dispatch",
-            "record_sink",
-            "deliver_results",
-            "deliver_one_faulty",
-            "transmit_result",
-            "check_retransmit",
-            "deliver_reliable",
-            "receive_ack",
-            "deliver_ack",
-            "watchdog_tick",
-            "checkpoint_tick",
-        }
-    )
+    _EVENT_KINDS = _INLINE_KINDS | frozenset({
+        "record_sink", "deliver_one_faulty", "transmit_result",
+        "check_retransmit", "deliver_reliable", "receive_ack",
+        "watchdog_tick", "checkpoint_tick",
+    })
 
     def _at(
         self, time: int, kind: str, args: tuple = (), aux: bool = False
@@ -415,11 +434,19 @@ class Machine:
         ticks) that must not count as machine activity for cycle
         accounting or the ``max_cycles`` budget.  The per-firing kinds
         (dispatch, deliver_results, deliver_ack) push likewise from
-        inside their own hooks, a call cheaper."""
+        inside :meth:`_loop`, which holds the counters in locals."""
         heapq.heappush(self._events, (time, self._seq, kind, args, aux))
         self._seq += 1
         if kind not in _TICKERS:
             self._live_events += 1
+
+    def _post(self, cid: int, when: int, kind: str, args: tuple) -> None:
+        """Schedule event ``kind(*args)`` where cell ``cid`` runs: on
+        this heap, or in the outbox for the shard that owns it."""
+        if self._owns(cid):
+            self._at(when, kind, args)
+        else:
+            self._outbox.append((self._owner[cid], when, kind, args))
 
     def _route_delay(self, n_packets: int = 1) -> int:
         """Routing network delay, with optional bandwidth contention."""
@@ -437,7 +464,8 @@ class Machine:
     # ------------------------------------------------------------------
     def _is_enabled(self, cid: int, st: _CellState) -> bool:
         """The enabling rule read off the cell's occupancy: no
-        acknowledge outstanding and every needed operand delivered."""
+        acknowledge outstanding and every needed operand delivered.
+        :meth:`_loop` inlines it for the cells an event wakes."""
         if st.acks_pending:
             return False
         plan = self._linked[cid]
@@ -461,46 +489,47 @@ class Machine:
         return _source_values(cell, self.inputs)
 
     def _scan_ready(self, primed: Collection[int] = ()) -> None:
-        """Queue, in graph order, the cells enabled before any event
-        ran: those needing no delivered operand or ``primed`` by an
-        initial token.  No other cell is touched, so a machine links
+        """Queue, in graph order, the owned cells enabled before any
+        event ran: those needing no delivered operand or ``primed`` by
+        an initial token.  No other cell is touched, so a machine links
         plans for these cells and for those that fire, and no other."""
         shape_of = self._linked.shape_of
         for cell in self.graph:
-            if cell.cid in primed or not shape_of(cell).need:
-                self._maybe_ready(cell.cid)
+            cid = cell.cid
+            if self._owns(cid) and (cid in primed or not shape_of(cell).need):
+                self._maybe_ready(cid)
 
     def _maybe_ready(self, cid: int) -> None:
+        """Queue owned cell ``cid`` on its PE if it is enabled (the loop
+        does this inline for the cells its own events wake)."""
         st = self.cell_state[cid]
         if st.queued or not self._is_enabled(cid, st):
             return
         st.queued = True
         pe_idx = self.assignment[cid]
-        if (
-            self.fault_plan is not None
-            and self.recovery
-            and self.fault_plan.is_dead("pe", pe_idx, self.now)
-        ):
-            self.injector.note_eviction("pe", pe_idx)
-            pe_idx = self._next_live_pe(pe_idx)
-            self.assignment[cid] = pe_idx
-            self.injector.note_reroute()
-        self._pe_queues[pe_idx].append(cid)
-        self._schedule_dispatch(pe_idx)
+        if self.fault_plan is not None and self.recovery:
+            pe_idx = self._reroute(cid, pe_idx)
+        self._enqueue(pe_idx, (cid,))
 
-    def _schedule_dispatch(self, pe_idx: int) -> None:
-        # one pending dispatch event per PE is enough: the handler
-        # drains/reschedules itself, so redundant events would only
-        # bloat the queue to O(tokens) instead of O(cells)
-        if self._dispatch_pending[pe_idx]:
-            return
-        self._dispatch_pending[pe_idx] = True
-        when = max(self.now, self.pes[pe_idx].next_free)
-        heapq.heappush(
-            self._events, (when, self._seq, "dispatch", (pe_idx,), False)
-        )
-        self._seq += 1
-        self._live_events += 1
+    def _enqueue(self, pe_idx: int, cids) -> None:
+        """Append ready ``cids`` to PE ``pe_idx``'s queue.  One pending
+        dispatch per PE is enough: the loop drains or reschedules it,
+        and more would grow the heap to O(tokens), not O(cells)."""
+        self._pe_queues[pe_idx].extend(cids)
+        if not self._dispatch_pending[pe_idx]:
+            self._dispatch_pending[pe_idx] = True
+            when = max(self.now, self.pes[pe_idx].next_free)
+            self._at(when, "dispatch", (pe_idx,))
+
+    def _reroute(self, cid: int, pe_idx: int) -> int:
+        """The PE ready cell ``cid`` queues on under recovery: its own
+        ``pe_idx``, or if that failed, the next live one."""
+        if not self.fault_plan.is_dead("pe", pe_idx, self.now):
+            return pe_idx
+        self.injector.note_eviction("pe", pe_idx)
+        pe_idx = self.assignment[cid] = self._next_live_pe(pe_idx)
+        self.injector.note_reroute()
+        return pe_idx
 
     def _next_live_pe(self, pe_idx: int) -> int:
         n = len(self.pes)
@@ -510,243 +539,60 @@ class Machine:
                 return cand
         raise SimulationError(f"all {n} PEs failed at cycle {self.now}")
 
-    # ------------------------------------------------------------------
-    # firing
-    # ------------------------------------------------------------------
-    def _dispatch(self, pe_idx: int) -> None:
-        self._dispatch_pending[pe_idx] = False
-        pe = self.pes[pe_idx]
-        queue = self._pe_queues[pe_idx]
-        if not queue:
+    def _pe_outage(self, pe_idx: int, queue: list[int]) -> None:
+        """A dispatch on failed PE ``pe_idx``: with recovery, migrate
+        its ready cells to a live PE; without, strand them until the
+        outage window (if bounded) ends."""
+        if self.recovery:
+            target = self._next_live_pe(pe_idx)
+            self.injector.note_eviction("pe", pe_idx)
+            self.injector.note_reroute(len(queue))
+            for cid in queue:
+                self.assignment[cid] = target
+            self._enqueue(target, queue)
+            queue.clear()
             return
-        if self.fault_plan is not None and self.fault_plan.is_dead(
-            "pe", pe_idx, self.now
-        ):
-            if self.recovery:
-                # graceful degradation: migrate this PE's ready cells
-                target = self._next_live_pe(pe_idx)
-                self.injector.note_eviction("pe", pe_idx)
-                self.injector.note_reroute(len(queue))
-                for cid in queue:
-                    self.assignment[cid] = target
-                self._pe_queues[target].extend(queue)
-                queue.clear()
-                self._schedule_dispatch(target)
-            else:
-                # stranded until the outage window (if bounded) ends
-                end = min(
-                    (
-                        f.end
-                        for f in self.fault_plan.faults_for("pe", pe_idx)
-                        if f.kind == "outage"
-                        and f.active(self.now)
-                        and f.end is not None
-                    ),
-                    default=None,
-                )
-                if end is not None:
-                    self._dispatch_pending[pe_idx] = True
-                    self._at(end, "dispatch", (pe_idx,))
-            return
-        if self.now < pe.next_free:
-            # the PE is still issuing an earlier instruction; retry when
-            # its dispatch slot frees up
-            self._schedule_dispatch(pe_idx)
-            return
-        cid = queue.pop(0)
-        st = self.cell_state[cid]
-        st.queued = False
-        if not self._is_enabled(cid, st):
-            # state changed while queued (merge control flipped, etc.)
-            self._maybe_ready(cid)
-            if queue:
-                self._schedule_dispatch(pe_idx)
-            return
-        if self.config.pe_issue_interval:
-            interval = self.config.pe_issue_interval
-            if self.fault_plan is not None:
-                interval = max(
-                    1,
-                    round(
-                        interval
-                        * self.fault_plan.slow_factor("pe", pe_idx, self.now)
-                    ),
-                )
-            pe.next_free = self.now + interval
-            pe.busy_cycles += interval
-        pe.ops += 1
-        self._fire(self.graph.cells[cid])
-        if queue:
-            self._schedule_dispatch(pe_idx)
-
-    def _fire(self, cell: Cell) -> None:
-        cid = cell.cid
-        if self._ff is not None and cid == self._ff.anchor:
-            self._ff.on_anchor()
-        st = self.cell_state[cid]
-        st.fire_count += 1
-        self._progress += 1
-        link = self._linked
-        plan = link[cid]
-        shape = plan.shape
-        kind = shape.kind
-        operands = st.operands
-        # operand fields as the firing reads them: a constant is always
-        # there (and wins over a token parked on its port)
-        src = {**operands, **cell.consts} if cell.consts else operands
-        acks = plan.acks
-        if kind == _SOURCE:
-            result = plan.values[st.source_pos]
-            st.source_pos += 1
-        elif kind == _CONST:
-            result = cell.params["value"]
-        elif kind == _MERGE:
-            sel = MERGE_TRUE_PORT
-            if not src[MERGE_CONTROL_PORT]:
-                sel, acks = MERGE_FALSE_PORT, plan.acks_false
-            result = src[sel]
-        elif kind is None:
-            raise SimulationError(f"cannot execute {cell.op!r}")
-        else:
-            result = src[0]
-            try:
-                if kind == _BINARY:
-                    result = shape.fn(result, src[1])
-                elif kind == _UNARY:
-                    result = shape.fn(result)
-            except ZeroDivisionError as exc:
-                raise SimulationError(
-                    f"division by zero in {cell.label} at cycle {self.now}"
-                ) from exc
-        # destinations this firing writes: untagged ones plus those
-        # tagged with the gate's value (none may match)
-        out, aids = plan.on_false
-        if cell.gated and src[GATE_PORT]:
-            out, aids = plan.on_true
-
-        # with neither a fault plan (so no packet is ever lost) nor the
-        # reliability layer, packets go straight to the delivery hooks
-        clean = self.injector is None and not self._reliable
-        now = self.now
-        packets = self.packets
-        route = link.route_delay    # None: ask _route_delay each time
-        # acknowledge the producers of every consumed operand
-        for arc in acks:
-            operands.pop(arc.dst_port, None)
-            if clean:
-                packets.acks += 1
-                self._send_plain_ack(arc, now + link.ack_delay)
-            else:
-                self._send_ack(arc)
-        st.acks_pending = len(out)
-
-        unit = shape.unit
-        lost = False
-        if unit == "pe":
-            packets.op_local += 1
-            done = now + shape.latency
-        else:
-            if unit == "fu":
-                packets.op_fu += 1
-            else:
-                packets.op_am += 1
-            idx, unit_state = self._pick_unit(unit)
-            if route is None:
-                route = self._route_delay()
-            done = max(now + route, unit_state.next_free)
-            faults = self.fault_plan
-            if faults is not None and faults.is_dead(unit, idx, done):
-                lost = True     # an outage swallows the operation packet
-                self.injector.note_op_lost()
-            else:
-                latency = shape.latency
-                if faults is not None:      # a slowdown stretches it
-                    latency = max(1, round(
-                        latency * faults.slow_factor(unit, idx, done)
-                    ))
-                if self.config.fu_issue_interval:
-                    unit_state.next_free = (
-                        done + self.config.fu_issue_interval
-                    )
-                unit_state.busy_cycles += latency
-                unit_state.ops += 1
-                done += latency
-
-        if shape.sink:
-            if not lost:
-                self._at(done, "record_sink", (cid, result))
-        elif self._reliable:
-            self._send_results_reliable(out, result, done, lost)
-        elif clean:
-            if link.route_delay is None:
-                route = self._route_delay(len(out))
-            self._schedule_delivery(max(done + route, now + 1), aids, result)
-        elif not lost:
-            self._send_results_faulty(out, result, done)
-        # only a firing that wrote no destination can refire at once;
-        # any other waits for its acknowledges (_deliver_ack)
-        if not out:
-            self._maybe_ready(cid)
-
-    def _schedule_delivery(self, when: int, aids: tuple, value: Any) -> None:
-        heapq.heappush(
-            self._events,
-            (when, self._seq, "deliver_results", (aids, value), False),
-        )
-        self._seq += 1
-        self._live_events += 1
+        end = min((f.end for f in self.fault_plan.faults_for("pe", pe_idx)
+                   if f.kind == "outage" and f.active(self.now)
+                   and f.end is not None), default=None)
+        if end is not None:
+            self._dispatch_pending[pe_idx] = True
+            self._at(end, "dispatch", (pe_idx,))
 
     # ------------------------------------------------------------------
     # units
     # ------------------------------------------------------------------
-    def _pick_unit(self, kind: str) -> tuple[int, _UnitState]:
-        """Next unit of ``kind`` by round robin, skipping evicted units
-        when recovery is on."""
-        pool = self.fus if kind == "fu" else self.ams
-        n = len(pool)
-        rr = self._fu_rr if kind == "fu" else self._am_rr
-        plan = self.fault_plan
+    def _pick_unit(self, kind: str, packets: PacketCounters
+                   ) -> tuple[int, _UnitState]:
+        """Count an operation packet to a unit of ``kind`` and pick the
+        next one by round robin, skipping evicted units when recovery
+        is on."""
+        fu = kind == "fu"
+        if fu:
+            packets.op_fu += 1
+        else:
+            packets.op_am += 1
+        pool, rr = (self.fus, self._fu_rr) if fu else (self.ams, self._am_rr)
+        plan = self.fault_plan if self.recovery else None
         probe_t = self.now + self.config.rn_delay
-        chosen = None
-        for _ in range(n):
-            rr = (rr + 1) % n
-            if (
-                plan is not None
-                and self.recovery
-                and plan.is_dead(kind, rr, probe_t)
-            ):
+        for _ in pool:
+            rr = (rr + 1) % len(pool)
+            if plan is not None and plan.is_dead(kind, rr, probe_t):
                 self.injector.note_eviction(kind, rr)
                 continue
-            chosen = rr
-            break
-        if chosen is None:
-            raise SimulationError(
-                f"all {n} {kind.upper()} units failed at cycle {self.now}"
-            )
-        if kind == "fu":
-            self._fu_rr = rr
-        else:
-            self._am_rr = rr
-        return chosen, pool[chosen]
+            if fu:
+                self._fu_rr = rr
+            else:
+                self._am_rr = rr
+            return rr, pool[rr]
+        raise SimulationError(
+            f"all {len(pool)} {kind.upper()} units failed at cycle "
+            f"{self.now}"
+        )
 
     # ------------------------------------------------------------------
     # result delivery: clean, faulty, and reliable paths
     # ------------------------------------------------------------------
-    def _deliver_results(self, aids: tuple, value: Any) -> None:
-        for aid in aids:
-            arc = self.graph.arcs[aid]
-            self.packets.results += 1
-            st = self.cell_state[arc.dst]
-            if arc.dst_port in st.operands:
-                raise SimulationError(
-                    f"operand overrun at cell {arc.dst} port {arc.dst_port} "
-                    f"(acknowledge discipline violated)"
-                )
-            st.operands[arc.dst_port] = value
-            self._progress += 1
-            if not st.acks_pending:
-                self._maybe_ready(arc.dst)
-
     def _send_results_faulty(self, arcs: list, value: Any, done: int) -> None:
         """Result delivery under a fault plan with recovery disabled:
         faults are injected but nothing protects against them."""
@@ -756,7 +602,8 @@ class Machine:
                 value, key=(arc.aid, 0, self.now)
             )
             for i, v in enumerate(fate.deliveries):
-                self._at(base + i, "deliver_one_faulty", (arc.aid, v))
+                self._post(arc.dst, base + i, "deliver_one_faulty",
+                           (arc.aid, v))
 
     def _deliver_one_faulty(self, aid: int, value: Any) -> None:
         arc = self.graph.arcs[aid]
@@ -797,14 +644,11 @@ class Machine:
             copies = list(zip(fate.deliveries, fate.corrupted))
         else:
             copies = [(value, False)]
+        dst = self.graph.arcs[aid].dst
         for i, (v, corrupted) in enumerate(copies):
             delay = max(1, self._route_delay()) + i
-            self._send_reliable_copy(aid, seq, v, corrupted, self.now + delay)
-
-    def _send_reliable_copy(
-        self, aid: int, seq: int, value: Any, corrupted: bool, when: int
-    ) -> None:
-        self._at(when, "deliver_reliable", (aid, seq, value, corrupted))
+            self._post(dst, self.now + delay, "deliver_reliable",
+                       (aid, seq, v, corrupted))
 
     def _deliver_reliable(
         self, aid: int, seq: int, value: Any, corrupted: bool
@@ -853,7 +697,7 @@ class Machine:
     # ------------------------------------------------------------------
     def _send_ack(self, arc) -> None:
         """Acknowledge under the reliability layer or, unprotected,
-        under a fault plan (a clean run acknowledges from _fire)."""
+        under a fault plan (a clean run acknowledges from _loop)."""
         if self._reliable:
             seq = self._consumed_count.get(arc.aid, 0)
             self._consumed_count[arc.aid] = seq + 1
@@ -862,14 +706,7 @@ class Machine:
         self.packets.acks += 1
         when = self.now + self._linked.ack_delay
         for i in range(self.injector.ack_fate(key=(arc.aid, 0, self.now))):
-            self._send_plain_ack(arc, when + i)
-
-    def _send_plain_ack(self, arc, when: int) -> None:
-        heapq.heappush(
-            self._events, (when, self._seq, "deliver_ack", (arc.src,), False)
-        )
-        self._seq += 1
-        self._live_events += 1
+            self._post(arc.src, when + i, "deliver_ack", (arc.src,))
 
     def _transmit_ack(self, aid: int, seq: int) -> None:
         self.packets.acks += 1
@@ -879,11 +716,10 @@ class Machine:
             if self.injector is not None
             else 1
         )
+        src = self.graph.arcs[aid].src
         for i in range(copies):
-            self._send_ack_copy(aid, seq, self.now + ack_delay + i)
-
-    def _send_ack_copy(self, aid: int, seq: int, when: int) -> None:
-        self._at(when, "receive_ack", (aid, seq))
+            self._post(src, self.now + ack_delay + i, "receive_ack",
+                       (aid, seq))
 
     def _receive_ack(self, aid: int, seq: int) -> None:
         if seq < self._acked_count.get(aid, 0):
@@ -892,9 +728,8 @@ class Machine:
         self._acked_count[aid] = seq + 1
         self._outstanding.pop((aid, seq), None)
         self._retry_counts.pop((aid, seq), None)
-        self._deliver_ack(self.graph.arcs[aid].src)
-
-    def _deliver_ack(self, producer: int) -> None:
+        # the producer's acknowledge, as the loop's deliver_ack
+        producer = self.graph.arcs[aid].src
         st = self.cell_state[producer]
         if st.acks_pending > 0:
             st.acks_pending -= 1
@@ -915,7 +750,7 @@ class Machine:
     def _owns(self, cid: int) -> bool:
         """Whether this machine executes cell ``cid``: a plain machine
         owns every cell, a shard only those its partition gives it."""
-        return True
+        return self._owner is None or self._owner[cid] == self.shard_index
 
     def _pending_work(self) -> tuple[int, int]:
         """(missing sink outputs, unconsumed input tokens) of the cells
@@ -1314,68 +1149,311 @@ class Machine:
                     self.ckpt.config.interval, "checkpoint_tick", aux=True
                 )
 
-    def _loop(
-        self,
-        max_cycles: int,
-        crash_at: Optional[int] = None,
-        stop_at_checkpoint: Optional[int] = None,
-    ) -> bool:
-        """Drain the event heap; returns True when paused early at a
-        ``stop_at_checkpoint`` boundary, False when the heap drained."""
-        capture = getattr(self, "capture", None)
-        handlers = self._linked.handlers
-        heappop = heapq.heappop
-        # pause, crash and budget all wait for the clock: one
-        # comparison keeps the three tests off the per-event path
-        limits = (max_cycles, crash_at, stop_at_checkpoint)
+    def _loop(self, max_cycles: int, crash_at: Optional[int] = None,
+              stop_at_checkpoint: Optional[int] = None,
+              horizon: Optional[int] = None) -> bool:
+        """Drain the event heap -- or, given a ``horizon``, run every
+        event at or before it (a shard's window) -- and return True when
+        paused at a ``stop_at_checkpoint`` boundary.  The per-firing
+        kinds run inline over the linked plans (Section 2, Figure 1):
+        ``dispatch`` fires a PE's next ready cell, ``deliver_results``
+        and ``deliver_ack`` fill operand registers and return
+        acknowledges.  The schedule counter and the live-event count
+        live in locals, written back before every call out of the loop
+        or exit from it and reloaded after the call."""
+        link, events, cell_state = self._linked, self._events, self.cell_state
+        heappush, heappop = heapq.heappush, heapq.heappop
+        arcs, pes, packets = self.graph.arcs, self.pes, self.packets
+        queues, pending = self._pe_queues, self._dispatch_pending
+        outbox, snap_requests = self._outbox, self._snap_requests
+        trace, capture = self.trace, getattr(self, "capture", None)
+        faults, reliable = self.fault_plan, self._reliable
+        reroute = faults is not None and self.recovery
+        # with neither a fault plan (so no packet is ever lost) nor the
+        # reliability layer, packets go straight onto the heap
+        clean = self.injector is None and not reliable
+        pe_issue = self.config.pe_issue_interval
+        fu_issue = self.config.fu_issue_interval
+        ff = self._ff
+        anchor = None if ff is None else ff.anchor
+        # pause, crash, budget and horizon all wait for the clock: one
+        # comparison keeps the four tests off the per-event path
+        limits = (max_cycles, crash_at, stop_at_checkpoint,
+                  None if horizon is None else horizon + 1)
         guard = min(t for t in limits if t is not None)
-        # an unconditional back-edge: CPython 3.11 specialises a code
-        # object after eight calls or eight of those, and this is called
-        # once a run -- else a process's first seven runs are ~1.3x slower
-        while True:
-            if not self._events:
-                break
-            if self._snap_requests:
-                # between events the state is self-consistent: a
-                # snapshot taken here resumes exactly like a periodic one
-                self._drain_snapshot_requests()
-            entry = heappop(self._events)
-            time, _seq, kind, args, aux = entry
-            if time >= guard:
-                if (
-                    stop_at_checkpoint is not None
-                    and kind == "checkpoint_tick"
-                    and time >= stop_at_checkpoint
-                ):
-                    # push the tick back untouched: the pause is invisible
-                    # to the machine state and the run can continue
-                    heapq.heappush(self._events, entry)
-                    return True
-                if crash_at is not None and time >= crash_at:
-                    os._exit(137)   # simulated SIGKILL: no cleanup at all
-                if time > max_cycles and not aux:
-                    # push the event back so a final snapshot stays resumable
-                    # (e.g. `repro resume --max-cycles` on a timed-out run)
-                    heapq.heappush(self._events, entry)
-                    raise SimulationTimeout(
-                        f"machine simulation exceeded {max_cycles} cycles "
-                        f"(still making progress: livelock or genuinely "
-                        f"long run)",
-                        cycles=time,
-                        stats=self.stats(),
-                        sink_progress=self._sink_progress(),
-                    )
-            if kind not in _TICKERS:
-                self._live_events -= 1
-            self.now = time
-            if not aux:
-                self._finish = time
-                if self.trace is not None:
-                    self.trace.record(time, kind, args)
-                if capture is not None:
-                    capture.record(time, kind, args)
-            handlers[kind](self, *args)
-        if self._snap_requests:
+        seq, live = self._seq, self._live_events
+        try:
+            # an unconditional back-edge: CPython 3.11 specialises a
+            # code object after eight calls or eight of those, and this
+            # is called once a run -- else a process's first seven runs
+            # are ~1.3x slower
+            while True:
+                if not events:
+                    break
+                if snap_requests:
+                    # between events the state is self-consistent: a
+                    # snapshot taken here resumes like a periodic one
+                    self._seq, self._live_events = seq, live
+                    self._drain_snapshot_requests()
+                if events[0][0] >= guard:
+                    time, _seq, kind, _args, aux = events[0]
+                    if horizon is not None and time > horizon:
+                        # peeked, not popped: a pop and a push back can
+                        # reorder the heap list a coordinated set pickles
+                        break
+                    self._seq, self._live_events = seq, live
+                    if (stop_at_checkpoint is not None
+                            and kind == "checkpoint_tick"
+                            and time >= stop_at_checkpoint):
+                        # push the tick back untouched: the pause is
+                        # invisible to the machine and the run can go on
+                        heappush(events, heappop(events))
+                        return True
+                    if crash_at is not None and time >= crash_at:
+                        os._exit(137)   # simulated SIGKILL: no cleanup
+                    if time > max_cycles and not aux:
+                        # pushed back, so a final snapshot stays
+                        # resumable (`repro resume --max-cycles`)
+                        heappush(events, heappop(events))
+                        who = ("machine simulation" if self._owner is None
+                               else f"shard {self.shard_index}")
+                        raise SimulationTimeout(
+                            f"{who} exceeded {max_cycles} cycles (still "
+                            f"making progress: livelock or genuinely long "
+                            f"run)", cycles=time, stats=self.stats(),
+                            sink_progress=self._sink_progress())
+                time, _seq, kind, args, aux = heappop(events)
+                if kind not in _TICKERS:
+                    live -= 1
+                self.now = now = time
+                if not aux:
+                    self._finish = time
+                    if trace is not None:
+                        trace.record(time, kind, args)
+                    if capture is not None:
+                        capture.record(time, kind, args)
+                if kind == "dispatch":
+                    pe_idx = args[0]
+                    pending[pe_idx] = False
+                    queue, pe = queues[pe_idx], pes[pe_idx]
+                    if not queue:
+                        continue
+                    if faults is not None and faults.is_dead("pe", pe_idx,
+                                                             now):
+                        self._seq, self._live_events = seq, live
+                        self._pe_outage(pe_idx, queue)
+                        seq, live = self._seq, self._live_events
+                        continue
+                    # a PE still issuing an earlier instruction retries
+                    # when its dispatch slot frees up (pushed below); a
+                    # cell whose state changed while queued (an initial
+                    # token's acknowledge owed) neither fires nor refires
+                    fires = refire = False
+                    if now >= pe.next_free:
+                        cid = queue.pop(0)
+                        st = cell_state[cid]
+                        st.queued = False
+                        fires = self._is_enabled(cid, st)
+                    if fires:
+                        if pe_issue:
+                            interval = pe_issue if faults is None else max(
+                                1, round(pe_issue * faults.slow_factor(
+                                    "pe", pe_idx, now)))
+                            pe.next_free = now + interval
+                            pe.busy_cycles += interval
+                        pe.ops += 1
+                        if cid == anchor:
+                            self._seq, self._live_events = seq, live
+                            ff.on_anchor()      # may jump the clock
+                            seq, live = self._seq, self._live_events
+                            now, ff = self.now, self._ff
+                            anchor = None if ff is None else ff.anchor
+                        st.fire_count += 1
+                        self._progress += 1
+                        plan = link[cid]
+                        cell, shape, acks = plan.cell, plan.shape, plan.acks
+                        operands, fkind = st.operands, shape.kind
+                        # operand fields as the firing reads them: a constant
+                        # is always there (and wins over a parked token)
+                        src = ({**operands, **cell.consts} if cell.consts
+                               else operands)
+                        try:
+                            if fkind == _BINARY:
+                                result = shape.fn(src[0], src[1])
+                            elif fkind == _MOVE:
+                                result = src[0]
+                            elif fkind == _SOURCE:
+                                result = plan.values[st.source_pos]
+                                st.source_pos += 1
+                            elif fkind == _MERGE:
+                                if src[MERGE_CONTROL_PORT]:
+                                    result = src[MERGE_TRUE_PORT]
+                                else:
+                                    result = src[MERGE_FALSE_PORT]
+                                    acks = plan.acks_false
+                            elif fkind == _UNARY:
+                                result = shape.fn(src[0])
+                            elif fkind == _CONST:
+                                result = cell.params["value"]
+                            else:
+                                raise SimulationError(
+                                    f"cannot execute {cell.op!r}")
+                        except ZeroDivisionError as exc:
+                            raise SimulationError(
+                                f"division by zero in {cell.label} at "
+                                f"cycle {now}") from exc
+                        # destinations this firing writes: untagged ones
+                        # plus those tagged with the gate's value
+                        out, aids, remote = dest = plan.on_false
+                        if dest is not plan.on_true and src[GATE_PORT]:
+                            out, aids, remote = plan.on_true
+                        # acknowledge the producer of each consumed operand
+                        if clean:
+                            packets.acks += len(acks)
+                            when = now + link.ack_delay
+                            for _arc, port, producer, shard in acks:
+                                operands.pop(port, None)
+                                if shard is None:
+                                    heappush(events, (when, seq, "deliver_ack",
+                                                      (producer,), False))
+                                    seq, live = seq + 1, live + 1
+                                else:
+                                    outbox.append((shard, when, "deliver_ack",
+                                                   (producer,)))
+                        else:
+                            self._seq, self._live_events = seq, live
+                            for arc, port, _producer, _shard in acks:
+                                operands.pop(port, None)
+                                self._send_ack(arc)
+                            seq, live = self._seq, self._live_events
+                        st.acks_pending = len(out)
+                        lost, route = False, link.route_delay
+                        if shape.unit == "pe":
+                            packets.op_local += 1
+                            done = now + shape.latency
+                        else:
+                            idx, unit = self._pick_unit(shape.unit, packets)
+                            if route is None:   # contention on the network
+                                route = self._route_delay()
+                            done = max(now + route, unit.next_free)
+                            latency = shape.latency
+                            if faults is not None:
+                                if faults.is_dead(shape.unit, idx, done):
+                                    lost = True     # an outage swallows
+                                    self.injector.note_op_lost()    # it
+                                else:               # a slowdown stretches
+                                    latency = max(1, round(latency * faults
+                                        .slow_factor(shape.unit, idx, done)))
+                            if not lost:
+                                if fu_issue:
+                                    unit.next_free = done + fu_issue
+                                unit.busy_cycles += latency
+                                unit.ops += 1
+                                done += latency
+                        if shape.sink:
+                            if not lost:
+                                heappush(events, (done, seq, "record_sink",
+                                                  (cid, result), False))
+                                seq, live = seq + 1, live + 1
+                        elif clean:
+                            if link.route_delay is None:
+                                route = self._route_delay(len(out))
+                            when = done + route
+                            when = when if when > now else now + 1
+                            if remote is not None:  # a shard's: fresh
+                                aids = tuple(aids)  # per event, see _Plan
+                            # a firing that wrote nothing still delivers
+                            # (nothing): it ends the run no earlier
+                            if aids or not remote:
+                                heappush(events, (when, seq, "deliver_results",
+                                                  (aids, result), False))
+                                seq, live = seq + 1, live + 1
+                            for shard, aid in remote or ():
+                                outbox.append((shard, when, "deliver_results",
+                                               ((aid,), result)))
+                        elif reliable or not lost:
+                            self._seq, self._live_events = seq, live
+                            if reliable:
+                                self._send_results_reliable(out, result,
+                                                            done, lost)
+                            else:
+                                self._send_results_faulty(out, result, done)
+                            seq, live = self._seq, self._live_events
+                        # only a firing that wrote no destination can
+                        # refire at once; any other waits for its acks
+                        refire = not out
+                    if queue and not pending[pe_idx]:
+                        pending[pe_idx] = True
+                        when = pe.next_free
+                        heappush(events, (when if when > now else now, seq,
+                                          "dispatch", (pe_idx,), False))
+                        seq, live = seq + 1, live + 1
+                    if not refire:
+                        continue
+                    wake, delivering = (cid,), False
+                elif kind == "deliver_ack":
+                    st = cell_state[args[0]]
+                    if st.acks_pending > 0:
+                        st.acks_pending -= 1
+                    if st.acks_pending:
+                        continue
+                    wake, delivering = args, False
+                elif kind == "deliver_results":
+                    (wake, value), delivering = args, True
+                else:
+                    self._seq, self._live_events = seq, live
+                    try:
+                        link.handlers[kind](self, *args)
+                    finally:
+                        seq, live = self._seq, self._live_events
+                    continue
+                # the cells this event may have enabled: _is_enabled inline
+                for cid in wake:
+                    if delivering:      # ``wake`` holds arc ids
+                        arc = arcs[cid]
+                        cid, port = arc.dst, arc.dst_port
+                        st = cell_state[cid]
+                        if port in st.operands:
+                            raise SimulationError(
+                                f"operand overrun at cell {cid} port "
+                                f"{port} (acknowledge discipline violated)")
+                        st.operands[port] = value
+                        packets.results += 1
+                        self._progress += 1
+                        if st.acks_pending:
+                            continue
+                    else:
+                        st = cell_state[cid]
+                    if st.queued:
+                        continue
+                    plan, operands = link[cid], st.operands
+                    shape = plan.shape
+                    for port in shape.need:
+                        if port not in operands:
+                            break
+                    else:
+                        if shape.kind == _MERGE:
+                            src = {**operands, **plan.cell.consts}
+                            if (MERGE_TRUE_PORT if src[MERGE_CONTROL_PORT]
+                                    else MERGE_FALSE_PORT) not in src:
+                                continue
+                        elif (shape.kind == _SOURCE
+                              and st.source_pos >= len(plan.values)):
+                            continue
+                        st.queued = True
+                        pe_idx = self.assignment[cid]
+                        if reroute:
+                            pe_idx = self._reroute(cid, pe_idx)
+                        queues[pe_idx].append(cid)
+                        if not pending[pe_idx]:
+                            pending[pe_idx] = True
+                            when = pes[pe_idx].next_free
+                            heappush(events, (when if when > now else now, seq,
+                                              "dispatch", (pe_idx,), False))
+                            seq, live = seq + 1, live + 1
+        finally:
+            self._seq, self._live_events = seq, live
+        if snap_requests:
             # requests that arrived after the last event still get
             # their snapshot: the quiesced state is self-consistent
             self._drain_snapshot_requests()

@@ -233,6 +233,9 @@ class ShardedRunner:
         self.worker_reuses = 0
         #: lockstep windows driven so far (adaptive horizons shrink it)
         self.windows_run = 0
+        #: whether every endpoint has built or loaded its shard: until
+        #: then a SnapshotError is a member file that cannot load
+        self.started = False
         self._ckpt = ckpt
         self._next_ckpt = next_ckpt
         self.worker_pids: list[Optional[int]] = []
@@ -428,6 +431,7 @@ class ShardedRunner:
         self.worker_reuses += sum(
             1 for k, w in enumerate(warm) if w and k not in replaced
         )
+        self.started = True
 
     def _spawn_one(self, shard: int, pool_key: Optional[str] = None):
         handler = LocalShard(shard, self._graph)

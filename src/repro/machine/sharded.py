@@ -23,14 +23,14 @@ coordinator is :mod:`repro.machine.shard_runner`.
 
 from __future__ import annotations
 
-import heapq
 import os
 from typing import Any, Optional
 
 from ..analysis.partition import cut_distances
-from ..errors import SimulationError, SimulationTimeout
+from ..errors import SimulationError
 from ..faults import FaultPlan
 from ..graph.graph import DataflowGraph
+from ..graph.lower import lower_fifos
 from ..graph.opcodes import Op
 from .config import MachineConfig
 from .machine import _TICKERS, Machine, _CellState
@@ -52,9 +52,9 @@ class ShardMachine(Machine):
     Every shard holds a replica of the whole (already FIFO-lowered)
     graph and of the input streams, so cell ids, arc ids and initial
     tokens line up exactly with the single-process machine; ownership
-    only gates which cells may become ready here.  The delivery hooks
-    divert packets for non-owned destinations into ``_outbox`` instead
-    of the local heap; the coordinator routes them.
+    only gates which cells may become ready here.  The firing plans
+    link the routing: packets for cells another shard owns go to
+    ``_outbox``, not the local heap, and the coordinator routes them.
     """
 
     #: shard-level faults are legal on this machine class -- they are
@@ -88,22 +88,18 @@ class ShardMachine(Machine):
         recovery: bool = True,
         _graph_validated: bool = False,
     ) -> None:
-        # the ready/enabling path consults ownership, so these must
-        # exist before Machine.__init__ pre-scans the cells
+        # the ready scan and the plans read ownership, so the map is
+        # checked, over the graph the machine runs, before either
+        if graph.cells_by_op(Op.FIFO):
+            graph = lower_fifos(graph)
+        self.check_spec(graph, n_shards, owner, fault_plan, recovery)
         self.shard_index = shard_index
         self.n_shards = n_shards
         self._owner = dict(owner)
         self._outbox: list[tuple[int, int, str, tuple]] = []
-        super().__init__(
-            graph,
-            config=config,
-            inputs=inputs,
-            policy=policy,
-            fault_plan=fault_plan,
-            recovery=recovery,
-            _graph_validated=_graph_validated,
-        )
-        self.check_spec(self.graph, n_shards, owner, fault_plan, recovery)
+        super().__init__(graph, config=config, inputs=inputs,
+                         policy=policy, fault_plan=fault_plan,
+                         recovery=recovery, _graph_validated=_graph_validated)
         # only owned sinks/arrays are this shard's outputs
         for cid in [c for c in self.sink_values if not self._owns(c)]:
             del self.sink_values[cid]
@@ -113,18 +109,13 @@ class ShardMachine(Machine):
             for cell in self.graph
             if cell.op is Op.AM_WRITE and self._owns(cell.cid)
         }
-        # Non-owned cells never execute here (the ownership gates below
-        # divert their packets to the owning shard), so their per-cell
-        # state stays pristine for the whole run.  Alias them all to a
-        # single shared pristine record -- read-only consumers
-        # (diagnosis, stats merges, snapshot sections) still see valid
-        # zeros, but the process stops carrying ``n_shards`` full
-        # replicas of the graph's mutable state.  That replica weight
-        # is what made K in-process shards lose to K=1: every GC pass
-        # and every worker finish pickle paid for all K copies.
-        # ``_start`` writes initial-token bookkeeping through arc
-        # endpoints regardless of ownership, so those keep private
-        # records.
+        # Non-owned cells never execute here (their packets are routed
+        # to the owning shard), so their state stays pristine: alias it
+        # to one shared record, which read-only consumers (diagnosis,
+        # stats merges, snapshot sections) still read as zeros, instead
+        # of carrying ``n_shards`` replicas that every GC pass and
+        # worker finish pickle paid for.  ``_start`` writes initial
+        # tokens through arc endpoints, so those keep private records.
         if n_shards > 1:
             keep = set()
             for arc in self.graph.arcs.values():
@@ -159,63 +150,6 @@ class ShardMachine(Machine):
                 "shard owner map does not cover the graph; partition "
                 "the FIFO-lowered graph (ShardedRunner does this)"
             )
-
-    # ------------------------------------------------------------------
-    # ownership gates
-    # ------------------------------------------------------------------
-    def _owns(self, cid: int) -> bool:
-        return self._owner[cid] == self.shard_index
-
-    def _maybe_ready(self, cid: int) -> None:
-        # _owns inlined: this runs on every delivery
-        if self._owner[cid] != self.shard_index:
-            return
-        super()._maybe_ready(cid)
-
-    # ------------------------------------------------------------------
-    # packet routing: divert non-owned destinations to the outbox
-    # ------------------------------------------------------------------
-    def _emit(self, dst_shard: int, when: int, kind: str,
-              args: tuple) -> None:
-        self._outbox.append((dst_shard, when, kind, args))
-
-    def _schedule_delivery(self, when: int, aids: tuple,
-                           value: Any) -> None:
-        local = tuple(
-            a for a in aids
-            if self._owner[self.graph.arcs[a].dst] == self.shard_index
-        )
-        # a firing that wrote no destination still delivers nothing at
-        # ``when``: the event ends the run no earlier than Machine's
-        if local or not aids:
-            self._at(when, "deliver_results", (local, value))
-        for a in aids:
-            shard = self._owner[self.graph.arcs[a].dst]
-            if shard != self.shard_index:
-                self._emit(shard, when, "deliver_results", ((a,), value))
-
-    def _send_reliable_copy(self, aid: int, seq: int, value: Any,
-                            corrupted: bool, when: int) -> None:
-        shard = self._owner[self.graph.arcs[aid].dst]
-        if shard == self.shard_index:
-            super()._send_reliable_copy(aid, seq, value, corrupted, when)
-        else:
-            self._emit(shard, when, "deliver_reliable",
-                       (aid, seq, value, corrupted))
-
-    def _send_ack_copy(self, aid: int, seq: int, when: int) -> None:
-        shard = self._owner[self.graph.arcs[aid].src]
-        if shard == self.shard_index:
-            super()._send_ack_copy(aid, seq, when)
-        else:
-            self._emit(shard, when, "receive_ack", (aid, seq))
-
-    def _send_plain_ack(self, arc, when: int) -> None:
-        shard = self._owner[arc.src]
-        if shard == self.shard_index:
-            super()._send_plain_ack(arc, when)
-        else:
-            self._emit(shard, when, "deliver_ack", (arc.src,))
 
     # ------------------------------------------------------------------
     # windowed execution driven by the coordinator
@@ -327,36 +261,13 @@ class ShardMachine(Machine):
                 best = bound
         return best
 
-    def run_window(
-        self, horizon: int, max_cycles: int
-    ) -> tuple[
-        list[tuple[int, int, str, tuple]], Optional[int], int,
-        Optional[int],
-    ]:
-        """Execute every event with ``time <= horizon``; return the
-        outbox of cross-shard messages plus the new frontier."""
-        handlers = self._linked.handlers
-        while True:     # unconditional back-edge, as in Machine._loop
-            if not self._events or self._events[0][0] > horizon:
-                break
-            entry = heapq.heappop(self._events)
-            time, _seq, kind, args, aux = entry
-            if time > max_cycles and not aux:
-                heapq.heappush(self._events, entry)
-                raise SimulationTimeout(
-                    f"shard {self.shard_index} exceeded {max_cycles} "
-                    f"cycles (still making progress: livelock or "
-                    f"genuinely long run)",
-                    cycles=time,
-                    stats=self.stats(),
-                    sink_progress=self._sink_progress(),
-                )
-            if kind not in _TICKERS:
-                self._live_events -= 1
-            self.now = time
-            if not aux:
-                self._finish = time
-            handlers[kind](self, *args)
+    def run_window(self, horizon: int, max_cycles: int) -> tuple[
+            list[tuple[int, int, str, tuple]], Optional[int], int,
+            Optional[int]]:
+        """Execute every event with ``time <= horizon`` (the one event
+        loop, :meth:`Machine._loop`, with a horizon); return the outbox
+        of cross-shard messages plus the new frontier."""
+        self._loop(max_cycles, horizon=horizon)
         outbox, self._outbox = self._outbox, []
         nt, live, eot = self.frontier()
         return outbox, nt, live, eot

@@ -8,6 +8,8 @@ deterministic, so the reliability layer only has to preserve per-arc
 delivery order and exactly-once consumption).
 """
 
+import heapq
+
 import pytest
 
 import repro
@@ -247,34 +249,28 @@ class TestSimulationTimeout:
 
 
 class TestDispatchQueueBound:
-    def test_event_queue_stays_small(self):
+    def test_event_queue_stays_small(self, monkeypatch):
         # regression: dispatch used to enqueue one event per enabling
         # trigger, so a token-rich run grew the heap to O(tokens);
         # the per-PE pending flag keeps it O(cells + arcs)
         cp = FIGURES["fig2"].compile(m=60)
         inputs = FIGURES["fig2"].make_inputs(cp, seed=0)
 
-        # the heap only grows inside a handler (the loop pops between
-        # them), so its length after every handler is the exact peak --
-        # whichever way the handler pushed its events
-        class Tracking(Machine):
-            peak = 0
+        # the heap only grows by a push, so its length after every push
+        # is the exact peak -- whether the loop pushed inline or a
+        # handler pushed through Machine._at
+        peak = 0
+        push = heapq.heappush
 
-        def tracked(name):
-            base = getattr(Machine, name)
+        def observed_push(heap, item):
+            nonlocal peak
+            push(heap, item)
+            peak = max(peak, len(heap))
 
-            def handler(self, *args):
-                base(self, *args)
-                self.peak = max(self.peak, len(self._events))
-
-            return handler
-
-        for kind in Machine._EVENT_KINDS:
-            setattr(Tracking, "_" + kind, tracked("_" + kind))
-        machine = Tracking(cp.graph, inputs=inputs)
-        machine.run()
+        monkeypatch.setattr(heapq, "heappush", observed_push)
+        Machine(cp.graph, inputs=inputs).run()
         bound = 2 * len(cp.graph.arcs) + len(cp.graph.cells) + 16
-        assert len(cp.graph.cells) < machine.peak <= bound
+        assert len(cp.graph.cells) < peak <= bound
 
     def test_dispatch_dedup_preserves_schedule(self):
         # the flag must not change *when* cells fire, only how many

@@ -185,12 +185,13 @@ def test_special_cased_shapes_fire_like_the_unit_delay_simulator(shape):
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="no JUMP_BACKWARD")
-@pytest.mark.parametrize("loop", [Machine._loop, ShardMachine.run_window])
+@pytest.mark.parametrize("loop", [Machine._loop])
 def test_event_loops_specialise_inside_their_first_run(loop):
     """CPython 3.11 specialises a code object after eight calls or
     eight unconditional backward jumps.  ``while <test>:`` compiles to
-    a conditional one and these are called once a run / window, so they
+    a conditional one and the loop is called once a run / window, so it
     ran unspecialised -- 1.3x slower -- for a process's first seven
-    runs, which split the e2e benchmark's op times into two groups."""
+    runs, which split the e2e benchmark's op times into two groups.
+    ``ShardMachine.run_window`` runs this same loop with a horizon."""
     jumps = {i.opname for i in dis.get_instructions(loop)}
     assert "JUMP_BACKWARD" in jumps

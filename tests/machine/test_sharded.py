@@ -344,6 +344,31 @@ class TestWorkersOwnTheirMachines:
 
 
 class TestShardedGuards:
+    def test_an_owner_map_missing_a_cell_is_refused(self):
+        # the ready scan and the linked routing read the map: it is
+        # checked before either, not met as a KeyError inside them
+        graph, streams = program_graph("fig2")
+        owner = partition_graph(graph, 2).owner
+        del owner[next(iter(graph.cells))]
+        with pytest.raises(SimulationError,
+                           match="owner map does not cover the graph"):
+            sharded.ShardMachine(graph, shard_index=0, n_shards=2,
+                                 owner=owner, inputs=streams)
+
+    def test_unprotected_packets_cross_the_cut(self):
+        # a plan with no packet faults and recovery off takes the
+        # unprotected send path, whose results are routed like the rest
+        graph, streams = program_graph("fig2")
+        plain = Machine(graph, inputs=streams)
+        plain.run()
+        runner = ShardedRunner(
+            graph, streams, fault_plan=FaultPlan(derivation="keyed"),
+            recovery=False,
+            shard_config=ShardConfig(shards=2, processes=False),
+        )
+        runner.run()
+        assert runner.outputs() == plain.outputs()
+
     def test_sequence_plan_rejected_for_k_gt_1(self):
         graph, streams = program_graph("fig2")
         plan = FaultPlan(seed=1, drop_result=0.05)   # derivation=sequence
