@@ -212,6 +212,25 @@ class TestInitialTokenAcks:
         outs, machine = res.outputs, res.engine
         assert outs["y"] == expect == [99, 1, 2, 3]
 
+    def test_producer_queued_before_start_waits_for_its_ack(self):
+        """A source needs no operand, so the machine queues it as it
+        loads, before the run pre-loads the initial token on its arc:
+        its first dispatch must see the acknowledge it now owes.  Fired
+        at once, its values would trail the initial token by one cycle
+        instead of two (single-token arcs, unit time)."""
+        from repro.machine.machine import Machine
+
+        g = DataflowGraph()
+        s = g.add_source("src", stream="x")
+        sink = g.add_sink("out", stream="y", limit=4)
+        g.connect(s, sink, 0, initial=99)
+        machine = Machine(g, config=MachineConfig.unit_time(),
+                          inputs={"x": [1, 2, 3]})
+        assert machine.cell_state[s].queued
+        machine.run()
+        assert machine.outputs()["y"] == [99, 1, 2, 3]
+        assert machine.sink_arrival_times("y") == [1, 3, 5, 7]
+
     def test_self_clocked_counter_on_machine(self):
         from repro.compiler import build_selfclocked_counter
         from repro.graph import DataflowGraph

@@ -21,18 +21,43 @@ def example2_inputs(m: int, seed: int) -> dict[str, list[float]]:
     }
 
 
+_DEFINITION = "A[i] * T[i-1] + B[i]"
+
+#: Example 2 with a division: a zero divisor fails the job, typed
+DIV_SOURCE = EXAMPLE2_SOURCE.replace(_DEFINITION, "A[i] / B[i] + T[i-1]")
+
+#: a loop body whose ``if`` reads data, so batch members may disagree
+BRANCH_SOURCE = EXAMPLE2_SOURCE.replace(
+    _DEFINITION,
+    "if A[i] > 0. then T[i-1] + A[i] else T[i-1] * B[i] endif",
+)
+
+#: two for-iter blocks over the same inputs: X and a Y that reads B[i]
+TWO_BLOCK_SOURCE = EXAMPLE2_SOURCE + EXAMPLE2_SOURCE.replace(
+    "X :", "Y :"
+).replace(_DEFINITION, "B[i] * T[i-1] + A[i]")
+
+
 def make_spec(job_id: str, *, m: int = 6, seed: int = 0,
-              **overrides) -> JobSpec:
-    """One Example 2 recurrence job with seeded inputs."""
+              source: str = EXAMPLE2_SOURCE, **overrides) -> JobSpec:
+    """One recurrence job (Example 2 unless ``source`` says otherwise;
+    every program here reads ``A`` and ``B``) with seeded inputs."""
     spec = JobSpec(
         id=job_id,
-        source=EXAMPLE2_SOURCE,
+        source=source,
         params={"m": m},
         inputs=example2_inputs(m, seed),
         **overrides,
     )
     spec.validate()
     return spec
+
+
+def bits(streams: dict[str, list]) -> dict[str, list[str]]:
+    """Streams as exact value spellings: ``repr`` round-trips a float,
+    and tells -0.0 from 0.0 where ``==`` does not."""
+    return {name: [repr(v) for v in values]
+            for name, values in streams.items()}
 
 
 def kill_fault(attempt: int = 0) -> dict:

@@ -7,7 +7,14 @@ from repro.serve import jobs
 from repro.serve.protocol import JobExecutionError
 from repro.workloads import EXAMPLE2_SOURCE
 
-from .conftest import kill_fault, make_spec
+from .conftest import (
+    BRANCH_SOURCE,
+    DIV_SOURCE,
+    TWO_BLOCK_SOURCE,
+    bits,
+    kill_fault,
+    make_spec,
+)
 
 
 class TestSignature:
@@ -50,14 +57,56 @@ class TestBatchable:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("batch", [2, 3, 5])
+    @pytest.mark.parametrize("batch", [2, 3, 5, 8, 16])
     def test_batched_equals_serial_bitwise(self, batch):
         specs = [make_spec(f"j{k}", m=6, seed=k) for k in range(batch)]
         serial = {s.id: jobs.execute_serial(s) for s in specs}
         batched = jobs.execute_batch(specs)
         for s in specs:
             assert batched[s.id]["batch"] == batch
-            assert batched[s.id]["streams"] == serial[s.id]["streams"]
+            assert bits(batched[s.id]["streams"]) == \
+                bits(serial[s.id]["streams"])
+
+    def test_two_block_programs_batch(self):
+        specs = [make_spec(f"j{k}", source=TWO_BLOCK_SOURCE, seed=k)
+                 for k in range(3)]
+        batched = jobs.execute_batch(specs)
+        for s in specs:
+            assert batched[s.id]["batch"] == 3
+            assert set(batched[s.id]["streams"]) == {"X", "Y"}
+            assert bits(batched[s.id]["streams"]) == \
+                bits(jobs.execute_serial(s)["streams"])
+
+    @pytest.mark.parametrize("agree", [True, False])
+    def test_data_dependent_branch(self, agree):
+        # members that take the same arm everywhere share one lane run;
+        # members that disagree each run alone -- same values either way
+        specs = [make_spec(f"j{k}", source=BRANCH_SOURCE, seed=k)
+                 for k in range(4)]
+        for k, s in enumerate(specs):
+            s.inputs["A"] = [abs(v) for v in s.inputs["A"]]
+            if not agree and k == 2:
+                s.inputs["A"][3] = -s.inputs["A"][3]
+        batched = jobs.execute_batch(specs)
+        for s in specs:
+            assert ("batch" in batched[s.id]) is agree
+            assert bits(batched[s.id]["streams"]) == \
+                bits(jobs.execute_serial(s)["streams"])
+
+    def test_a_failing_member_fails_alone(self):
+        # a zero divisor in one member: the others keep their serial
+        # streams, and that member gets the typed error it gets alone
+        specs = [make_spec(f"j{k}", source=DIV_SOURCE, seed=k)
+                 for k in range(3)]
+        specs[1].inputs["B"][2] = 0.0
+        with pytest.raises(JobExecutionError) as alone:
+            jobs.execute_serial(specs[1])
+        assert alone.value.extras["error_type"] == "SimulationError"
+        batched = jobs.execute_batch(specs)
+        assert batched["j1"] == {"error": alone.value.to_dict()}
+        for s in (specs[0], specs[2]):
+            assert bits(batched[s.id]["streams"]) == \
+                bits(jobs.execute_serial(s)["streams"])
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(JobExecutionError, match="at least 2"):

@@ -19,7 +19,13 @@ from repro.serve.protocol import JobRejected, ServerOverloaded, encode_line
 from repro.serve.server import PipelineServer, ServeConfig
 from repro.workers import Worker
 
-from .conftest import hang_fault, kill_fault, make_spec, slow_fault
+from .conftest import (
+    DIV_SOURCE,
+    hang_fault,
+    kill_fault,
+    make_spec,
+    slow_fault,
+)
 
 
 def _config(tmp_path, **overrides):
@@ -112,6 +118,33 @@ class TestFaultIsolation:
         for spec, record in zip(specs, records):
             assert record["result"]["streams"] == \
                 reference[spec.id]["streams"]
+
+    def test_a_failing_member_does_not_fail_its_batch(self, tmp_path):
+        specs = [make_spec(f"j{k}", source=DIV_SOURCE, seed=k)
+                 for k in range(4)]
+        specs[2].inputs["B"][2] = 0.0   # a zero divisor in one member
+        reference = {s.id: jobs.execute_serial(s)
+                     for s in specs if s.id != "j2"}
+
+        async def body(server):
+            for spec in specs:
+                _submit(server, spec)
+            return ([await _record(server, s.id) for s in specs],
+                    server.stats.batches)
+
+        records, batches = asyncio.run(
+            _with_server(_config(tmp_path, workers=1), body)
+        )
+        assert batches >= 1
+        poison = records[2]
+        assert poison["ok"] is False and poison["attempts"] == 1
+        assert poison["error"]["code"] == "execution_error"
+        assert poison["error"]["error_type"] == "SimulationError"
+        assert "division by zero" in poison["error"]["message"]
+        for record in records[:2] + records[3:]:
+            assert record["ok"] and record["attempts"] == 1
+            assert record["result"]["streams"] == \
+                reference[record["id"]]["streams"]
 
     def test_failed_rewarm_is_retried_not_handed_to_a_job(
             self, tmp_path, monkeypatch):

@@ -11,8 +11,8 @@ arrival times and of the final state (per-cell firing counts and arc
 values), and how the run ends: ``"ok"`` or the type of its error.
 
 Inputs: the five paper figures at m = 40 with their compile options,
-the interleaved Example-2 pipeline ``repro serve`` runs a batch on
-(m = 64, batch 2 and 8), and one hand-built graph per failure path.
+the Section 9 interleaved Example-2 pipeline (m = 64, batch 2 and 8),
+and one hand-built graph per failure path.
 """
 
 import hashlib
@@ -21,11 +21,12 @@ import random
 
 import pytest
 
-from repro.compiler.foriter import interleave
+from repro.compiler import balance_graph, compile_program
+from repro.compiler.foriter import compile_foriter_interleaved, interleave
 from repro.errors import ReproError
 from repro.graph import DataflowGraph, Op
-from repro.serve.jobs import compile_batch, compile_serial
 from repro.sim import SyncSimulator
+from repro.val import parse_program
 from repro.workloads import EXAMPLE2_SOURCE, FIGURES
 
 
@@ -37,8 +38,14 @@ def _figure(name: str):
 
 def _batch(size: int):
     params = {"m": 64}
-    art, _ = compile_batch(EXAMPLE2_SOURCE, params, batch=size)
-    specs = compile_serial(EXAMPLE2_SOURCE, params).input_specs
+    specs = compile_program(
+        EXAMPLE2_SOURCE, params=params, foriter_scheme="todd"
+    ).input_specs
+    block = parse_program(EXAMPLE2_SOURCE).blocks[0]
+    art = compile_foriter_interleaved(
+        block.name, block.expr, specs, params, batch=size
+    )
+    balance_graph(art.graph)
     rng = random.Random(size)
     jobs = [
         {name: [rng.uniform(-1.0, 1.0) for _ in range(spec.length)]
