@@ -1246,14 +1246,14 @@ class Machine:
                         continue
                     # a PE still issuing an earlier instruction retries
                     # when its dispatch slot frees up (pushed below); a
-                    # cell whose state changed while queued (an initial
-                    # token's acknowledge owed) neither fires nor refires
+                    # queued cell stays enabled unless, queued at load,
+                    # it owes an acknowledge for an initial token
                     fires = refire = False
                     if now >= pe.next_free:
                         cid = queue.pop(0)
                         st = cell_state[cid]
                         st.queued = False
-                        fires = self._is_enabled(cid, st)
+                        fires = not st.acks_pending
                     if fires:
                         if pe_issue:
                             interval = pe_issue if faults is None else max(

@@ -1,8 +1,8 @@
 """``repro serve``: a fault-isolated multi-tenant pipeline service.
 
 A long-lived asyncio daemon that admits jobs over the stable ``--json``
-envelope, multiplexes independent recurrence jobs through resident
-interleaved pipelines (PAPER section 9), executes everything in a
+envelope, runs compatible recurrence jobs as lanes of one run of a
+resident serial pipeline, executes everything in a
 supervised worker pool, and hot-restarts from a journaled admission
 queue without losing an accepted job.  See DESIGN.md section 11.
 """

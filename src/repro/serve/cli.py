@@ -132,7 +132,7 @@ def register(sub) -> None:
     p = sub.add_parser(
         "serve",
         help="run the long-lived multi-tenant pipeline service "
-        "(admission control, interleaved batching, supervised worker "
+        "(admission control, lane batching, supervised worker "
         "pool, hot restart); see DESIGN.md section 11",
     )
     # the daemon's own flags, handed on to a supervised daemon
@@ -160,8 +160,9 @@ def register(sub) -> None:
                        "hang (default 10)"),
         p.add_argument("--min-batch", type=int, default=2),
         p.add_argument("--max-batch", type=int, default=8,
-                       help="interleaved batch bounds (default 2..8); "
-                       "--max-batch 1 disables batching entirely"),
+                       help="jobs per batch, run as lanes of one serial "
+                       "pipeline run (default 2..8); --max-batch 1 "
+                       "disables batching entirely"),
         p.add_argument("--batch-wait", type=float, default=0.02,
                        help="seconds a lone batchable job lingers for "
                        "companions; beside an idle worker at most its "

@@ -1,20 +1,21 @@
 """Job execution helpers: resident compiled pipelines, serial and
-interleaved-batch execution.
+batched execution.
 
 The correctness contract of the batching scheduler lives here:
 
-* serial ``foriter`` jobs compile with the **Todd** for-iter scheme
+* ``foriter`` jobs compile with the **Todd** for-iter scheme
   explicitly (``compile_program(..., foriter_scheme="todd")``) -- never
   through ``repro.run(source, ...)``, which compiles with the default
   scheme and would pick the companion construction whose floating-point
   association differs by ULPs;
-* batched jobs drive :func:`~repro.compiler.foriter.
-  compile_foriter_interleaved` per block (PAPER section 9) and the Todd
-  scheme is what it interleaves, so a job's output values are
-  **bit-identical** whether it ran alone or inside any batch.
+* a batch runs that pipeline once with a :class:`~repro.sim.sync.Lanes`
+  token per member value: each lane applies the member's own operators
+  to its own operands, so a job's output values are **bit-identical**
+  whether it ran alone or inside any batch.  A batch that fails or
+  whose members' controls disagree runs each member alone.
 
-Compiled artifacts are cached per (source, params[, batch]) so a
-resident worker serves repeat tenants without recompiling.
+Compiled artifacts are cached per (source, params) so a resident
+worker serves repeat tenants without recompiling.
 """
 
 from __future__ import annotations
@@ -24,23 +25,20 @@ import json
 from typing import Any, Optional
 
 from .. import api
-from ..compiler import balance_graph, compile_program
-from ..compiler.foriter import compile_foriter_interleaved, deinterleave, interleave
+from ..compiler import compile_program
 from ..errors import ReproError
 from ..faults import FaultPlan
-from ..val import parse_program
+from ..sim.sync import Lanes, SyncSimulator
 from .protocol import JobExecutionError, JobSpec
 
 #: bound on resident compiled pipelines per cache (LRU-ish: clear-all)
 COMPILE_CACHE_CAP = 64
 
 _serial_cache: dict[tuple, Any] = {}
-_batch_cache: dict[tuple, Any] = {}
 
 
 def clear_caches() -> None:
     _serial_cache.clear()
-    _batch_cache.clear()
 
 
 def _params_key(params: dict[str, int]) -> tuple:
@@ -49,8 +47,8 @@ def _params_key(params: dict[str, int]) -> tuple:
 
 def signature(spec: JobSpec) -> str:
     """Batch-compatibility key: jobs with the same signature run the
-    same compiled loop over equal-length input streams, so they can be
-    interleaved into one batch."""
+    same compiled loop over equal-length input streams, so they can
+    share one run as lanes."""
     lengths = {name: len(values) for name, values in sorted(spec.inputs.items())}
     payload = json.dumps(
         [spec.source, sorted(spec.params.items()), lengths],
@@ -79,32 +77,6 @@ def compile_serial(source: str, params: dict[str, int]):
         art = compile_program(source, params=params, foriter_scheme="todd")
         _serial_cache[key] = art
     return art
-
-
-def compile_batch(source: str, params: dict[str, int], batch: int):
-    """Resident interleaved pipeline: ``batch`` independent instances
-    of the program's (single) for-iter block through one loop."""
-    key = (source, _params_key(params), batch)
-    entry = _batch_cache.get(key)
-    if entry is None:
-        if len(_batch_cache) >= COMPILE_CACHE_CAP:
-            _batch_cache.clear()
-        serial = compile_serial(source, params)
-        program = parse_program(source)
-        if len(program.blocks) != 1:
-            raise JobExecutionError(
-                f"batched jobs need a single-block program, got "
-                f"{len(program.blocks)} blocks",
-                error_type="CompileError",
-            )
-        block = program.blocks[0]
-        art = compile_foriter_interleaved(
-            block.name, block.expr, serial.input_specs, params, batch=batch
-        )
-        balance_graph(art.graph)
-        entry = (art, block.name)
-        _batch_cache[key] = entry
-    return entry
 
 
 def _spec_faults(spec: JobSpec) -> Optional[FaultPlan]:
@@ -151,38 +123,39 @@ def execute_serial(spec: JobSpec) -> dict[str, Any]:
 
 
 def execute_batch(specs: list[JobSpec]) -> dict[str, dict[str, Any]]:
-    """Run compatible jobs as one interleaved batch.
+    """Run compatible jobs as lanes of one serial pipeline run.
 
-    Returns ``{job id: result payload}`` with each member's streams
-    bit-identical to what :func:`execute_serial` would have produced.
+    Returns ``{job id: entry}``: the member's result payload, its
+    streams bit-identical to what :func:`execute_serial` produces, or
+    ``{"error": ...}`` with the typed error it raises alone.
     """
     if len(specs) < 2:
         raise JobExecutionError("a batch needs at least 2 jobs")
-    first = specs[0]
     try:
-        art, block_name = compile_batch(
-            first.source, first.params, batch=len(specs)
-        )
-        serial = compile_serial(first.source, first.params)
+        program = compile_serial(specs[0].source, specs[0].params)
+        streams = [program.prepare_inputs(s.inputs) for s in specs]
         inputs = {
-            name: interleave([list(s.inputs[name]) for s in specs])
-            for name in serial.input_specs
+            name: list(map(Lanes, zip(*(m[name] for m in streams))))
+            for name in program.input_specs
         }
-        result = api.run(art.graph, inputs, backend="sync")
-        out: dict[str, dict[str, Any]] = {}
-        streams = {
-            name: deinterleave(list(values), len(specs))
-            for name, values in result.outputs.items()
+        sim = SyncSimulator(program.graph, inputs, lanes=len(specs))
+        sim.run(max_steps=1_000_000)
+        outputs = sim.outputs()
+    except ReproError:
+        # a failing or diverging batch: each member's own outcome
+        return {s.id: _alone(s) for s in specs}
+    return {
+        spec.id: {
+            "streams": {name: [v[j] for v in values]
+                        for name, values in outputs.items()},
+            "batch": len(specs),
         }
-        for j, spec in enumerate(specs):
-            member = {name: per_member[j]
-                      for name, per_member in streams.items()}
-            # the interleaved artifact names its one output after the
-            # block; serial compilation does the same, so keys match
-            out[spec.id] = {"streams": member, "batch": len(specs)}
-        return out
-    except ReproError as exc:
-        raise JobExecutionError(
-            f"batched execution failed: {exc}",
-            error_type=type(exc).__name__,
-        ) from exc
+        for j, spec in enumerate(specs)
+    }
+
+
+def _alone(spec: JobSpec) -> dict[str, Any]:
+    try:
+        return execute_serial(spec)
+    except JobExecutionError as exc:
+        return {"error": exc.to_dict()}

@@ -170,9 +170,9 @@ class JobSpec:
 
     ``kind``
         ``"foriter"`` -- a small recurrence program, eligible for
-        interleaved batching (PAPER section 9); compiled with the Todd
-        for-iter scheme so batched and serial execution are
-        bit-identical.  ``"run"`` -- a general program executed through
+        batching; compiled with the Todd for-iter scheme, and a batch
+        runs its members as lanes of that one pipeline, so batched and
+        serial execution are bit-identical.  ``"run"`` -- a general program executed through
         :func:`repro.run` with an explicit backend.
     ``deadline``
         Seconds from *acceptance* until the job must have completed;

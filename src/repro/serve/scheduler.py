@@ -1,9 +1,10 @@
-"""Batching scheduler: when to multiplex jobs through one loop.
+"""Batching scheduler: when to run jobs as lanes of one pipeline run.
 
-PAPER section 9's observation -- ``b`` independent recurrence
-instances interleaved through one loop run at full pipeline rate --
-is a throughput lever, but forming a batch costs latency (waiting for
-companions) and couples failure domains.  The planner therefore:
+``b`` recurrence jobs of one program share one firing schedule, so one
+run of the serial pipeline can carry all their values
+(:func:`~repro.serve.jobs.execute_batch`).  That is a throughput
+lever, but forming a batch costs latency (waiting for companions).
+The planner therefore:
 
 * groups queued jobs by :func:`~repro.serve.jobs.signature` (same
   program, params and stream lengths = can share a compiled loop);
@@ -36,7 +37,7 @@ DEFAULT_SECONDS = 0.25
 
 @dataclass
 class Dispatch:
-    """One planner decision: a serial job or an interleaved batch."""
+    """One planner decision: a serial job or a batch."""
 
     states: list[JobState]
     batched: bool

@@ -9,15 +9,16 @@ daemon down.  Lifecycle of one job:
    and either enqueues (bounded) or sheds with a typed
    ``ServerOverloaded`` + retry-after hint;
 2. **batching** -- the dispatcher drains the queue through the
-   :class:`~repro.serve.scheduler.BatchPlanner`, which interleaves
-   compatible recurrence jobs through one resident loop (PAPER
-   section 9) when deadlines allow, else degrades to serial;
+   :class:`~repro.serve.scheduler.BatchPlanner`, which runs
+   compatible recurrence jobs as lanes of one run of their resident
+   serial pipeline when deadlines allow, else degrades to serial;
 3. **execution** -- each dispatch runs on a pool worker under a
    deadline; a crashed or hung worker costs one respawn and the
    affected jobs retry with seeded-jitter backoff, at most
    ``max_retries`` times, then fail typed (never silently dropped);
-   a failed *batch* attempt is disbanded and its members retried
-   serially, isolating a poison job to its own retry budget;
+   a *batch* attempt lost to a worker is disbanded and its members
+   retried serially, isolating a poison job to its own retry budget,
+   and a member that fails deterministically fails alone;
 4. **reply** -- the outcome record (success payload or typed error) is
    journaled, counted, and delivered to any ``wait``-ing connection.
 
@@ -505,9 +506,11 @@ class PipelineServer:
             self.planner.observe(dispatch, elapsed)
             results = reply.get("results", {})
             for state in states:
-                self._finish_ok(
-                    state, results.get(state.spec.id, {}), batched=True
-                )
+                entry = results.get(state.spec.id, {})
+                if "error" in entry:
+                    self._finish_err(state, error_from_dict(entry["error"]))
+                else:
+                    self._finish_ok(state, entry, batched="batch" in entry)
         else:
             error = error_from_dict(reply.get("error", {}))
             for state in states:

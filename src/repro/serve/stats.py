@@ -35,7 +35,7 @@ class TenantStats:
     failed_retries: int = 0
     failed_execution: int = 0
     retries: int = 0
-    batched: int = 0        # jobs that ran inside an interleaved batch
+    batched: int = 0        # jobs that ran as a lane of a batch
     serial: int = 0         # jobs that ran alone
     readmitted: int = 0     # jobs re-admitted from the journal
     latency: Samples = field(default_factory=Samples, compare=False)
@@ -72,7 +72,7 @@ class ServeStats:
     hot_restarts: int = 0
     queue_depth: int = 0
     inflight: int = 0
-    batches: int = 0        # interleaved batches dispatched
+    batches: int = 0        # batches dispatched
     total: TenantStats = field(default=None)  # type: ignore[assignment]
     tenants: dict[str, TenantStats] = field(default_factory=dict)
 

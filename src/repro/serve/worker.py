@@ -13,8 +13,8 @@ whole.  Requests and replies are plain dicts:
     ``{"ok": false, "id": ..., "error": {...}}`` (a typed execution
     error: deterministic, the server does not retry it).
 ``{"op": "batch", "jobs": [{...}, ...], "inject": ...}``
-    -> ``{"ok": true, "results": {id: {...}}}`` -- one interleaved
-    batch through one resident loop (PAPER section 9).
+    -> ``{"ok": true, "results": {id: {...}}}`` -- members as lanes of
+    one pipeline run; one that fails alone gets ``{"error": {...}}``.
 
 ``inject`` is a consumed worker-level fault directive derived from the
 job's FaultPlan ``shard_faults`` (``shard`` = attempt index), executed

@@ -31,16 +31,21 @@ Like the static machine, which loads each cell's operand, constant and
 destination fields before the run starts (Section 2), the simulator
 links every cell's firing rule once at construction; a step only reads
 and writes token occupancy.
+
+Runs that share one firing schedule can share one stepper run as
+lanes: each token is then a :class:`Lanes` tuple, one value per run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Iterator, Optional
 
 from ..errors import (
     DeadlockError,
     GraphError,
+    ReproError,
     SimulationError,
     SimulationTimeout,
 )
@@ -115,6 +120,28 @@ class _FifoState:
         return self.count
 
 
+class _Diverged(ReproError):
+    """Lanes disagree on a control value, so on the firing schedule."""
+
+
+class Lanes(tuple):
+    """One token of a lane run: one value per lane.  Its truth -- all
+    a gate or a MERGE control reads -- is the lanes' common truth."""
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        if all(self):
+            return True
+        if any(self):
+            raise _Diverged("lanes disagree on a control value")
+        return False
+
+
+def _lanewise(fn: Any, *args: Lanes) -> Lanes:
+    return Lanes(map(fn, *args))
+
+
 # What a cell does when it fires, fixed at link time; ID and the scalar
 # operators come last (``kind >= _ID``).
 _SOURCE, _CONST, _SINK, _MERGE, _FIFO, _ID, _UNARY, _BINARY = range(8)
@@ -132,6 +159,9 @@ class SyncSimulator:
         (or AM_READ) cell with that key emits, in order.
     record_trace:
         Keep a per-step list of fired cell ids (memory-heavy; debugging).
+    lanes:
+        Run this many lanes: every input value is a :class:`Lanes`, and
+        literals are broadcast.  Disagreeing lanes raise a ReproError.
     """
 
     def __init__(
@@ -139,15 +169,18 @@ class SyncSimulator:
         graph: DataflowGraph,
         inputs: Optional[dict[str, list[Any]]] = None,
         record_trace: bool = False,
+        lanes: int = 0,
     ) -> None:
         validate(graph)
         self.graph = graph
         self.inputs = {k: list(v) for k, v in (inputs or {}).items()}
         check_stream_inputs(graph, self.inputs)
+        self.lanes = lanes
 
-        self.arc_value: dict[int, Any] = {}
-        for arc in graph.arcs.values():
-            self.arc_value[arc.aid] = arc.initial if arc.has_initial else _ABSENT
+        self.arc_value: dict[int, Any] = {
+            a.aid: self._lane(a.initial) if a.has_initial else _ABSENT
+            for a in graph.arcs.values()
+        }
 
         self.source_pos: dict[int, int] = {}
         self.sink_records: dict[int, SinkRecord] = {}
@@ -166,6 +199,10 @@ class SyncSimulator:
     # ------------------------------------------------------------------
     # firing plans
     # ------------------------------------------------------------------
+    def _lane(self, value: Any) -> Any:
+        """``value`` broadcast to every lane of a lane run."""
+        return Lanes((value,) * self.lanes) if self.lanes else value
+
     def _link(self, cell: Cell) -> tuple:
         """Resolve ``cell``'s firing rule once, as the static machine
         loads operand and destination fields before the run (Section 2).
@@ -178,13 +215,14 @@ class SyncSimulator:
         its false input consumes ``eats_false``.  ``on_true`` /
         ``on_false`` are the destinations under each gate value (an
         ungated cell reads False).  ``extra`` is the scalar function,
-        a source's values, a CONST's literal or a FIFO's state.
+        a source's values, a CONST's literal or a FIFO's state; a lane
+        run lifts the function and broadcasts the literals.
         """
         g, cid, op = self.graph, cell.cid, cell.op
 
         def operand(port: int) -> tuple:
             if port in cell.consts:
-                return (None, cell.consts[port])
+                return (None, self._lane(cell.consts[port]))
             arc = g.in_arc.get((cid, port))
             return (None, _ABSENT) if arc is None else (arc.aid, None)
 
@@ -209,9 +247,11 @@ class SyncSimulator:
                 if "values" in cell.params
                 else self.inputs[cell.params["stream"]]
             )
+            if self.lanes and "values" in cell.params:
+                extra = list(map(self._lane, extra))
             self.source_pos[cid] = 0
         elif op is Op.CONST:
-            kind, extra = _CONST, cell.params["value"]
+            kind, extra = _CONST, self._lane(cell.params["value"])
         elif op in (Op.SINK, Op.AM_WRITE):
             kind = _SINK
             self.sink_records[cid] = SinkRecord(cell.params["stream"])
@@ -233,6 +273,8 @@ class SyncSimulator:
             kind, extra = _UNARY, UNARY_OPS[op]
         else:
             raise SimulationError(f"cannot execute opcode {op!r}")
+        if self.lanes and kind > _ID:           # applied lane by lane
+            extra = partial(_lanewise, extra)
         operands = tuple(operand(p) for p in ports)
         return (kind, gate, operands, eaten, eaten_false, on_true, on_false,
                 extra)
