@@ -133,9 +133,9 @@ def execute_batch(specs: list[JobSpec]) -> dict[str, dict[str, Any]]:
         raise JobExecutionError("a batch needs at least 2 jobs")
     try:
         program = compile_serial(specs[0].source, specs[0].params)
-        streams = [program.prepare_inputs(s.inputs) for s in specs]
+        members = [program.prepare_inputs(s.inputs) for s in specs]
         inputs = {
-            name: list(map(Lanes, zip(*(m[name] for m in streams))))
+            name: list(map(Lanes, zip(*(m[name] for m in members))))
             for name in program.input_specs
         }
         sim = SyncSimulator(program.graph, inputs, lanes=len(specs))
