@@ -11,7 +11,6 @@ from .balance import (
     BalanceResult,
     balance_graph,
     compute_levels,
-    min_buffer_stages_via_flow,
     verify_balanced,
 )
 from .context import ROOT, Context, Filter, Seq, Split, Uniform
@@ -103,7 +102,6 @@ __all__ = [
     "link_program",
     "mobius_apply",
     "mobius_eval",
-    "min_buffer_stages_via_flow",
     "shift_index",
     "verify_balanced",
 ]

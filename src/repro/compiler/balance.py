@@ -12,9 +12,12 @@ algorithms are provided, mirroring the paper's Section 8 conclusions:
    incident arcs, often removing much of the buffering (conclusion 2).
 3. **optimal** -- minimize total inserted buffer stages exactly.  The
    problem ``min sum(pi_dst - pi_src - w)`` subject to ``pi_dst -
-   pi_src >= w`` is a difference-constraint LP -- the linear programming
-   dual of a min-cost flow (conclusion 3) -- with a totally unimodular
-   constraint matrix, so the LP optimum (scipy HiGHS) is integral.
+   pi_src >= w`` is a difference-constraint LP, the linear programming
+   dual of a min-cost flow (conclusion 3).  networkx's network simplex
+   solves the flow; the levels are then the residual graph's
+   shortest-path potentials, which pick the pointwise-earliest of the
+   tied optima -- a unique answer, so buffer placement depends on
+   neither pivot order nor library version.
 
 Arc weights come from :func:`repro.analysis.paths.default_arc_weight`:
 one instruction time per hop plus the array-window phase extras the
@@ -113,55 +116,53 @@ def _reduce_levels(
 def _optimal_levels(
     g: DataflowGraph, ignored: tuple[int, ...]
 ) -> dict[int, int]:
-    """Exact minimum-total-buffer levels via the LP dual of min-cost flow.
+    """The earliest minimum-total-buffer levels, via the min-cost flow.
 
     Total slack 0 is the LP's lower bound, so longest-path levels that
     leave every considered arc tight are already an optimum -- and every
     optimum then buffers nothing.  Only a graph with slack somewhere
-    pays for the solver, numpy and scipy included: they are imported
-    here so that no process loads them before it has an LP to solve.
+    pays for the solver: networkx is imported here, so that no process
+    loads it before it has a flow to solve.
+
+    Past that exit, network simplex solves the dual flow (one edge per
+    arc, cost ``-w``; node demand indegree minus outdegree).  An optimal
+    level assignment is a potential of the flow's residual graph: every
+    arc ``src -> dst`` costs ``-w`` forward, and an arc that carries flow
+    (a tight arc in every optimum) also costs ``+w`` backward.
+    Bellman-Ford from a virtual root at distance 0 to every cell gives
+    the largest such potentials ``d <= 0``, so ``max(d) - d`` is the
+    pointwise-earliest optimum with lowest level 0: unique, whatever
+    pivots the simplex took.
     """
     naive = check_balance(g, ignore_arcs=ignored)
     if naive.balanced:
         return naive.levels
-    import numpy as np
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
+    import networkx as nx
 
     w = default_arc_weight(g)
     arcs = _arcs_considered(g, ignored)
-    cells = list(g.cells)
-    index = {cid: k for k, cid in enumerate(cells)}
-    n, m = len(cells), len(arcs)
-    # objective: sum over arcs of (pi_dst - pi_src)  (constant -sum w dropped)
-    c = np.zeros(n)
+    flow = nx.MultiDiGraph()
+    flow.add_nodes_from(g.cells, demand=0)
     for a in arcs:
-        c[index[a.dst]] += 1.0
-        c[index[a.src]] -= 1.0
-    # constraints: pi_src - pi_dst <= -w
-    rows = np.repeat(np.arange(m), 2)
-    cols = np.empty(2 * m, dtype=int)
-    data = np.empty(2 * m)
-    b_ub = np.empty(m)
-    for k, a in enumerate(arcs):
-        cols[2 * k] = index[a.src]
-        data[2 * k] = 1.0
-        cols[2 * k + 1] = index[a.dst]
-        data[2 * k + 1] = -1.0
-        b_ub[k] = -float(w(a))
-    A_ub = csr_matrix((data, (rows, cols)), shape=(m, n))
-    res = linprog(
-        c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * n, method="highs"
-    )
-    if not res.success:
-        raise AnalysisError(f"balance LP failed: {res.message}")
-    x = res.x - res.x.min()
-    levels = {cid: int(round(x[index[cid]])) for cid in cells}
-    # verify integrality / feasibility after rounding
+        flow.nodes[a.dst]["demand"] += 1
+        flow.nodes[a.src]["demand"] -= 1
+        flow.add_edge(a.src, a.dst, key=a.aid, weight=-w(a))
+    _cost, flows = nx.network_simplex(flow)
+    edges = []
     for a in arcs:
-        if levels[a.dst] - levels[a.src] < w(a):
-            raise AnalysisError("balance LP produced an infeasible rounding")
-    return levels
+        edges.append((a.src, a.dst, -w(a)))
+        if flows[a.src][a.dst][a.aid]:
+            edges.append((a.dst, a.src, w(a)))
+    dist = dict.fromkeys(g.cells, 0)
+    changed = True
+    while changed:  # ends: an optimal flow leaves no negative cycle
+        changed = False
+        for u, v, c in edges:
+            if dist[u] + c < dist[v]:
+                dist[v] = dist[u] + c
+                changed = True
+    top = max(dist.values())
+    return {cid: top - d for cid, d in dist.items()}
 
 
 def balance_graph(
@@ -206,8 +207,9 @@ def verify_balanced(g: DataflowGraph, ignore_arcs: Iterable[int] = ()) -> bool:
 
     Longest-path anchoring would falsely flag arcs out of self-paced
     SOURCE cells (they start late under backpressure, which costs no
-    throughput), so the check solves the optimal-levels LP and requires
-    its total slack to be zero.
+    throughput), so the check takes the optimal levels -- the
+    min-cost-flow solve when longest-path levels leave slack -- and
+    requires their total slack to be zero.
     """
     ignored = _feedback_arcs(g, ignore_arcs)
     sink_arcs = {
@@ -220,46 +222,3 @@ def verify_balanced(g: DataflowGraph, ignore_arcs: Iterable[int] = ()) -> bool:
         levels[a.dst] - levels[a.src] == w(a)
         for a in _arcs_considered(g, skip)
     )
-
-
-def min_buffer_stages_via_flow(
-    g: DataflowGraph, ignore_arcs: Iterable[int] = ()
-) -> int:
-    """The minimum total buffering computed through the *min-cost-flow
-    dual* -- the paper's Section 8 conclusion (3) made literal.
-
-    The balancing LP ``min sum(pi_h - pi_t - w)`` s.t.
-    ``pi_h - pi_t >= w`` has the Lagrangian dual
-
-        max  sum_a w_a y_a - W      (W = sum of arc weights)
-        s.t. inflow(v) - outflow(v) = indeg(v) - outdeg(v),  y >= 0,
-
-    a minimum-cost flow with edge costs ``-w``.  This function solves it
-    with networkx's network simplex and returns the optimal buffer
-    count; the test suite asserts it equals the scipy LP optimum.
-    """
-    import networkx as nx
-
-    ignored = _feedback_arcs(g, ignore_arcs)
-    arcs = _arcs_considered(g, tuple(ignored))
-    if not arcs:
-        return 0
-    w = default_arc_weight(g)
-    flow = nx.DiGraph()
-    indeg: dict[int, int] = {}
-    outdeg: dict[int, int] = {}
-    for a in arcs:
-        indeg[a.dst] = indeg.get(a.dst, 0) + 1
-        outdeg[a.src] = outdeg.get(a.src, 0) + 1
-    for cid in g.cells:
-        demand = indeg.get(cid, 0) - outdeg.get(cid, 0)
-        flow.add_node(("c", cid), demand=demand)
-    # one dummy node per arc so parallel arcs stay distinct
-    for a in arcs:
-        mid = ("a", a.aid)
-        flow.add_node(mid, demand=0)
-        flow.add_edge(("c", a.src), mid, weight=-w(a))
-        flow.add_edge(mid, ("c", a.dst), weight=0)
-    cost, _flows = nx.network_simplex(flow)
-    total_w = sum(w(a) for a in arcs)
-    return int(-cost - total_w)

@@ -6,13 +6,12 @@ import repro
 from repro.analysis import analyze_rate, is_fully_pipelined
 from repro.analysis.paths import default_arc_weight
 from repro.compiler import (
-    balance,
     balance_graph,
     compile_program,
     compute_levels,
     verify_balanced,
 )
-from repro.compiler.balance import METHODS, min_buffer_stages_via_flow
+from repro.compiler.balance import METHODS
 from repro.compiler.foriter import compile_foriter_interleaved
 from repro.errors import CompileError
 from repro.graph import DataflowGraph, Op, validate
@@ -259,30 +258,22 @@ def _example2_graph(batch):
 
 
 class TestSolverOnlyWhereThereIsSlack:
-    """Longest-path levels with every arc tight *are* the LP optimum
+    """Longest-path levels with every arc tight *are* the optimum
     (total slack 0 is its lower bound), so such a graph never reaches
-    the solver; any slack anywhere still does."""
-
-    @staticmethod
-    def _replace_solver(monkeypatch, fn):
-        import scipy.optimize
-
-        monkeypatch.setattr(scipy.optimize, "linprog", fn)
-        # and the name a module-level ``from scipy.optimize import
-        # linprog`` would have bound, so neither form slips past
-        monkeypatch.setattr(balance, "linprog", fn, raising=False)
+    the min-cost-flow solver; any slack anywhere still does."""
 
     @pytest.fixture
-    def lp_calls(self, monkeypatch):
-        from scipy.optimize import linprog
+    def flow_calls(self, monkeypatch):
+        import networkx
 
         calls = []
+        simplex = networkx.network_simplex
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return linprog(*args, **kwargs)
+            return simplex(*args, **kwargs)
 
-        self._replace_solver(monkeypatch, counted)
+        monkeypatch.setattr(networkx, "network_simplex", counted)
         return calls
 
     @pytest.mark.parametrize("build", [
@@ -291,11 +282,7 @@ class TestSolverOnlyWhereThereIsSlack:
         lambda: _example2_graph(1),
         lambda: _example2_graph(8),
     ], ids=["fig2", "fig7", "example2", "example2x8"])
-    def test_zero_slack_graph_skips_the_lp(self, build, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("LP solved for a graph with no slack")
-
-        self._replace_solver(monkeypatch, refuse)
+    def test_zero_slack_graph_skips_the_solver(self, build, flow_calls):
         g = build()
         skip = set(g.meta.get("feedback_arcs", ()))
         w = default_arc_weight(g)
@@ -308,20 +295,40 @@ class TestSolverOnlyWhereThereIsSlack:
         assert balance_graph(g).inserted_stages == 0
         assert (set(g.cells), set(g.arcs)) == (cells, arcs)
         assert verify_balanced(g)
+        assert flow_calls == []
 
-    @pytest.mark.parametrize("build", [
-        wide_dag,
-        lambda: _figure_graph("fig4"),
-        lambda: _figure_graph("fig6"),
+    @pytest.mark.parametrize("build,optimum", [
+        (wide_dag, 6),
+        (lambda: _figure_graph("fig4"), 3),
+        (lambda: _figure_graph("fig6"), 9),
     ], ids=["wide_dag", "fig4", "fig6"])
-    def test_slack_still_reaches_the_lp(self, build, lp_calls):
+    def test_slack_still_reaches_the_solver(self, build, optimum, flow_calls):
         g = build()
-        optimum = min_buffer_stages_via_flow(g)
-        assert optimum > 0
         assert balance_graph(g, method="optimal").inserted_stages == optimum
-        assert len(lp_calls) == 1
+        assert len(flow_calls) == 1
         assert verify_balanced(g)
 
-    def test_unbalanced_graph_is_still_reported(self, lp_calls):
+    def test_unbalanced_graph_is_still_reported(self, flow_calls):
         assert not verify_balanced(wide_dag())
-        assert len(lp_calls) == 1
+        assert len(flow_calls) == 1
+
+
+class TestEarliestTieRule:
+    """Among tied optima the solver keeps each cell at its earliest
+    level, so a FIFO sits as late as the optimum lets it, whatever
+    pivots the flow solver took: in Example 2 the buffers follow the
+    gates ``sel_A-1`` / ``sel_B-1`` instead of preceding them."""
+
+    def test_example2_buffers_follow_the_gates(self):
+        g = compile_program(SOURCES["example2"], params={"m": 8}).graph
+        placed = sorted(
+            (
+                g.cells[g.in_arcs_of(c.cid)[0].src].name,
+                g.cells[g.out_arcs[c.cid][0].dst].name,
+                c.params["depth"],
+            )
+            for c in g.cells.values() if c.op is Op.FIFO
+        )
+        assert placed == [
+            ("X.sel_A-1", "X.mul", 2), ("X.sel_B-1", "X.mul", 1),
+        ]

@@ -1,8 +1,9 @@
-"""numpy / scipy / networkx are the cost of solving a balance LP, not
-of ``import repro``: no process loads them before it has an LP to
-solve (DESIGN.md, "Balancing").  Each case is a fresh interpreter that
-reports which of the three ended up in ``sys.modules`` -- what was
-imported, not how long it took.
+"""networkx is the cost of solving a balance flow, and numpy of a
+compiled backend's vectorised batch, not of ``import repro``: no
+process loads them before it has that work to do (DESIGN.md,
+"Balancing"), and no process needs scipy at all.  Each case is a fresh
+interpreter that reports which of the three ended up in
+``sys.modules`` -- what was imported, not how long it took.
 """
 
 import os
@@ -55,6 +56,32 @@ figure_workload("fig4").compile(m=8)
 """
 
 
+_NO_SCIPY = """
+import sys
+
+class NoScipy:  # ``import scipy`` fails, as if it were not installed
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"No module named {name!r}")
+
+sys.meta_path.insert(0, NoScipy())
+
+import repro
+from repro.compiler import compile_program
+from repro.workloads import SOURCES, figure_workload
+
+for source in SOURCES.values():
+    compile_program(source, params={"m": 12})
+wl = figure_workload("fig4")
+program = wl.compile(m=12)
+outputs = {
+    backend: repro.run(program, wl.make_inputs(program), backend=backend).outputs
+    for backend in ("event", "compiled", "sync")
+}
+assert outputs["event"] == outputs["compiled"] == outputs["sync"]
+"""
+
+
 def loaded_after(code: str, modules: tuple = HEAVY) -> set[str]:
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -81,9 +108,16 @@ def test_lp_stack_stays_unloaded(code):
 
 
 def test_a_graph_with_slack_loads_the_solver():
-    """Positive control: the probe does see scipy when an LP is solved
-    (fig4's window skew leaves slack under longest-path levels)."""
-    assert {"numpy", "scipy"} <= loaded_after(_COMPILE_FIG4)
+    """Positive control: the probe does see networkx when a balance
+    flow is solved (fig4's window skew leaves slack under longest-path
+    levels), and the solve needs neither numpy nor scipy."""
+    assert loaded_after(_COMPILE_FIG4) == {"networkx"}
+
+
+def test_compile_and_run_without_scipy():
+    """Every source compiles and fig4 runs on the event, compiled and
+    sync backends with scipy missing."""
+    assert loaded_after(_NO_SCIPY) == {"networkx", "numpy"}
 
 
 def test_fast_forward_loads_only_when_a_run_asks_for_it():
