@@ -471,17 +471,3 @@ def resume(
     stats = machine.run(max_cycles=max_cycles)
     return RunResult.from_engine("event", machine, stats)
 
-
-def serve_client(address: str, *, timeout: float = 120.0):
-    """Submit/await client for a running ``repro serve`` daemon.
-
-    Thin forwarder to :func:`repro.client.connect` so the service API
-    lives behind the same facade as :func:`run`/:func:`resume`::
-
-        with repro.api.serve_client("unix:/tmp/repro.sock") as client:
-            job_id = client.submit(source, inputs=..., params=...)
-            record = client.wait(job_id)
-    """
-    from .client import connect
-
-    return connect(address, timeout=timeout)

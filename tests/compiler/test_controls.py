@@ -119,7 +119,7 @@ class TestCompiledWithDataflowControls:
                                if name == "fig5" else frozenset())
         result = cp.run(inputs)
         reference = reference_outputs(SOURCES[name], cp, inputs, {"m": m})
-        assert_outputs_match(result, reference)
+        assert_outputs_match(result.outputs, reference)
 
     def test_example1_fully_table_free(self):
         cp = compile_program(

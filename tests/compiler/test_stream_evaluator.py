@@ -16,8 +16,6 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.analysis.scc import strongly_connected
 from repro.machine.fastforward import _values_equal  # NaN = NaN
@@ -41,11 +39,7 @@ from repro.graph.opcodes import (
 from repro.machine.machine import Machine
 from repro.val import parse_program
 from repro.workloads import SOURCES, figure_workload
-from tests.integration.test_property_based import (
-    forall_programs,
-    recurrence_programs,
-)
-from tests.util import random_inputs
+from tests.util import DRAWN, program_graph, random_inputs
 
 
 def _assert_matches_event(graph, streams):
@@ -105,26 +99,9 @@ class TestDifferentialAgainstEvent:
         evaluator = _assert_matches_event(cp.graph, streams)
         assert evaluator.firings == 80_004
 
-    @given(forall_programs(), st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_random_forall(self, prog, seed):
-        src, m = prog
-        cp = compile_program(src, params={"m": m})
-        inputs = random_inputs(cp, random.Random(seed), span=1.0)
-        _assert_matches_event(cp.graph, cp.prepare_inputs(inputs))
-
-    @given(recurrence_programs(), st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_random_recurrences(self, prog, seed):
-        src, m = prog
-        for scheme in ("todd", "companion"):
-            cp = compile_program(
-                src, params={"m": m}, foriter_scheme=scheme
-            )
-            inputs = random_inputs(cp, random.Random(seed), span=1.0)
-            _assert_matches_event(cp.graph, cp.prepare_inputs(inputs))
+    @pytest.mark.parametrize("name", DRAWN)
+    def test_drawn_program(self, name):
+        _assert_matches_event(*program_graph(name))
 
 
 class TestMemberOrderIsFree:

@@ -61,6 +61,16 @@ class TestRoundTrip:
             r1.sink_times["X"] == r2.sink_times["X"]
         )
 
+    @pytest.mark.parametrize("controls", ["patterns", "dataflow"])
+    def test_round_trip_with_both_control_modes(self, controls):
+        cp = compile_program(
+            SOURCES["example1"], params={"m": 8}, controls=controls
+        )
+        inputs = {k: [1.0] * v.length for k, v in cp.input_specs.items()}
+        direct = repro.run(cp.graph, inputs, backend="sync")
+        again = repro.run(from_asm(to_asm(cp.graph)), inputs, backend="sync")
+        assert direct.outputs == again.outputs
+
     def test_feedback_arcs_metadata_round_trips(self):
         cp = compile_program(
             SOURCES["example2"], params={"m": 8}, foriter_scheme="todd"

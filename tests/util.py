@@ -13,9 +13,12 @@ from repro.faults import FaultPlan
 from repro.machine import Machine, MachineConfig, ShardConfig, ShardedRunner
 from repro.val import parse_program, run_program
 from repro.workloads import (
+    SOURCES,
     figure_workload,
     parallel_chain_graph,
+    random_forall_program,
     random_pipe_program,
+    random_recurrence_program,
 )
 
 FIGS = ["fig2", "fig4", "fig5", "fig6", "fig7"]
@@ -24,6 +27,10 @@ GENERATED = [f"pipe{seed}" for seed in range(8)]
 #: generated programs whose compile-time controls break their period
 #: mid-stream (see :func:`branch_program`)
 BRANCHES = [f"branch{seed}" for seed in (3, 4, 5, 7)]
+#: programs drawn from the workload generators: a depth-2 forall, and
+#: one recurrence under each for-iter scheme
+DRAWN = [f"{kind}{seed}" for kind in ("forall", "todd", "companion")
+         for seed in range(16)]
 
 #: configs whose sharded runs are exact: under free issue no unit
 #: serializes same-cycle work, and under the other two each shard's
@@ -106,25 +113,50 @@ def branch_program(rng: random.Random) -> str:
     )
 
 
+def _kind_and_seed(name: str) -> tuple[str, int]:
+    kind = name.rstrip("0123456789")
+    return kind, int(name[len(kind):])
+
+
+def program_source(name: str, m: int = 12):
+    """``(Val source, params, compile options)`` of a named program (see
+    :func:`program_graph`): enough to reproduce it by hand."""
+    if name in FIGS:
+        wl = figure_workload(name)
+        return SOURCES[wl.source_name], {"m": m}, dict(wl.compile_opts)
+    kind, seed = _kind_and_seed(name)
+    rng = random.Random(seed)
+    if kind == "pipe":
+        return random_pipe_program(rng, n_blocks=3, depth=2), {"m": m}, {}
+    if kind == "branch":
+        return branch_program(rng), {"m": m}, {}
+    if kind == "forall":
+        return random_forall_program(rng, depth=2), {"m": m}, {}
+    return (random_recurrence_program(rng), {"m": m},
+            {"foriter_scheme": kind})
+
+
+@functools.lru_cache(maxsize=None)
+def program(name: str, m: int = 12):
+    """``(compiled program, input arrays)`` of a named program; a
+    generated program's inputs are drawn with its own seed."""
+    if name in FIGS:
+        return figure(name, m)
+    source, params, opts = program_source(name, m)
+    cp = compile_program(source, params=params, **opts)
+    return cp, random_inputs(cp, random.Random(_kind_and_seed(name)[1]))
+
+
 @functools.lru_cache(maxsize=None)
 def program_graph(name: str, m: int = 12):
     """``(graph, input streams)`` of a paper figure, of ``pipe<seed>``
     (:func:`~repro.workloads.random_pipe_program` with that seed), of
-    ``branch<seed>`` (:func:`branch_program` with that seed) or of
-    ``chains10k`` (>= 10^4 cells, the sharded backend's scaling graph)."""
+    ``branch<seed>`` (:func:`branch_program` with that seed), of a
+    :data:`DRAWN` program or of ``chains10k`` (>= 10^4 cells, the
+    sharded backend's scaling graph)."""
     if name == "chains10k":
         return parallel_chain_graph(m=2), {}
-    if name.startswith(("pipe", "branch")):
-        kind = name.rstrip("0123456789")
-        seed = int(name[len(kind):])
-        rng = random.Random(seed)
-        src = (random_pipe_program(rng, n_blocks=3, depth=2)
-               if kind == "pipe" else branch_program(rng))
-        cp = compile_program(src, params={"m": m})
-        return cp.graph, cp.prepare_inputs(
-            random_inputs(cp, random.Random(seed))
-        )
-    cp, inputs = figure(name, m)
+    cp, inputs = program(name, m)
     return cp.graph, cp.prepare_inputs(inputs)
 
 
@@ -191,10 +223,13 @@ def reference_outputs(
     )
 
 
-def assert_outputs_match(result, reference, names=None, tol: float = 1e-9):
-    names = names or list(result.outputs)
+def assert_outputs_match(outputs, reference, names=None, tol: float = 1e-9):
+    """Each named output array (every one by default) has the
+    reference's bounds, and its values within ``tol`` (relative above
+    1) of the reference's."""
+    names = names or list(outputs)
     for name in names:
-        got = result.outputs[name]
+        got = outputs[name]
         ref = reference[name]
         assert got.bounds == ref.bounds, (
             f"{name}: bounds {got.bounds} != {ref.bounds}"
@@ -226,5 +261,5 @@ def compile_and_compare(
         inputs = random_inputs(cp, rng, bool_arrays=bool_arrays)
     result = cp.run(inputs)
     reference = reference_outputs(source, cp, inputs, params)
-    assert_outputs_match(result, reference)
+    assert_outputs_match(result.outputs, reference)
     return cp, result

@@ -5,23 +5,18 @@ import random
 import pytest
 
 import repro
-from repro.compiler import compile_program
 from repro.graph import Op, validate
-from repro.machine import MachineConfig
 from repro.val import parse_program, run_program
 from repro.workloads import (
     WEATHER_STEP_SOURCE,
     am_backed,
     compile_weather_step,
     initial_weather_state,
-    random_forall_program,
     random_layered_graph,
     random_pipe_program,
-    random_recurrence_program,
     run_timesteps,
     weather_state_map,
 )
-from tests.util import compile_and_compare
 
 
 class TestWeatherWorkload:
@@ -105,31 +100,6 @@ class TestWeatherWorkload:
 
 
 class TestGenerators:
-    def test_random_forall_programs_compile_and_match(self):
-        rng = random.Random(11)
-        for k in range(5):
-            src = random_forall_program(rng, depth=2)
-            compile_and_compare(src, {"m": 7}, seed=k)
-
-    def test_random_pipe_programs_compile_and_match(self):
-        rng = random.Random(12)
-        for k in range(3):
-            src = random_pipe_program(rng, n_blocks=4)
-            compile_and_compare(src, {"m": 9}, seed=k)
-
-    def test_random_recurrences_have_companions(self):
-        from repro.val import classify_foriter
-
-        rng = random.Random(13)
-        from repro.compiler import has_companion
-
-        for k in range(5):
-            src = random_recurrence_program(rng)
-            node = parse_program(src).blocks[0].expr
-            info = classify_foriter(node, {"A", "B"}, {"m": 8})
-            assert has_companion(info, {"m": 8})
-            compile_and_compare(src, {"m": 8}, seed=k, foriter_scheme="companion")
-
     def test_random_layered_graphs_validate(self):
         rng = random.Random(14)
         for _ in range(5):
