@@ -95,12 +95,12 @@ Wall-clock numbers live in the end-to-end harness (`benchmarks/e2e/`,
 _TAIL = """
 ## Correctness baseline
 
-Every compiled program (all schemes, all balancing methods, random programs
-via hypothesis) is checked element-for-element against the reference Val
-interpreter (`repro.val.run_program`); see `tests/integration/`. The
-companion transformation reassociates floating-point arithmetic, so its
-results agree with the sequential recurrence to ~1e-15 relative, not bit
-exact — noted in the quickstart example.
+Every compiled program (all schemes, all balancing methods, and a fixed list
+of programs drawn from the workload generators) is checked element-for-element
+against the reference Val interpreter (`repro.val.run_program`); see
+`tests/integration/test_oracle.py`. The companion transformation reassociates
+floating-point arithmetic, so its results agree with the sequential recurrence
+to ~1e-15 relative, not bit exact — noted in the quickstart example.
 
 ## Reading the shape
 

@@ -3,10 +3,10 @@
 The layers (see DESIGN.md sections 8, 9 and 13):
 
 * :mod:`repro.checkpoint.snapshot` -- the versioned, checksummed,
-  atomically-written on-disk snapshot format (v2: self-describing
-  JSON metadata over a restricted-unpickler payload; v3: incremental
-  deltas chained on a v2 base, verified link by link before any
-  payload is touched; v1 files are refused by version number);
+  atomically-written on-disk snapshot format (v4: self-describing
+  JSON metadata over a restricted-unpickler payload; v5: incremental
+  deltas chained on a v4 base, verified link by link before any
+  payload is touched; v1-v3 files are refused by version number);
 * :mod:`repro.checkpoint.directory` -- every decision about a
   checkpoint directory, single-machine or sharded: ``manifest.json``
   I/O, which kind the next snapshot is, which chains retention drops,

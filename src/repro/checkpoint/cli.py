@@ -109,7 +109,7 @@ def checkpoint_args(p: argparse.ArgumentParser) -> list:
                        help="periodic snapshots to keep, 0 = all "
                        "(default 3)"),
         p.add_argument("--delta-every", type=int, default=0, metavar="N",
-                       help="write incremental v3 delta snapshots with a "
+                       help="write incremental v5 delta snapshots with a "
                        "full base every N-th periodic snapshot; 0 "
                        "(default) writes classic standalone snapshots "
                        "only"),
@@ -236,19 +236,6 @@ def _finish(engine: Union[Machine, ShardedRunner],
     return 0
 
 
-def _keyed(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
-    """Sharded runs need per-packet (keyed) fault fates; upgrade a
-    sequence-derivation plan transparently and say so."""
-    if plan is None or plan.derivation == "keyed":
-        return plan
-    print(
-        "# note: switching fault plan to derivation=keyed (required "
-        "for sharded runs)",
-        file=sys.stderr,
-    )
-    return FaultPlan.from_dict({**plan.to_dict(), "derivation": "keyed"})
-
-
 def cmd_checkpoint(args: argparse.Namespace) -> int:
     if not shard_flags_fit(args):
         return 1
@@ -266,7 +253,6 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
     )
     workload_id = f"{args.workload}[m={args.size}]"
     if args.backend == "sharded":
-        plan = _keyed(plan)
         engine = ShardedRunner(
             program.graph, inputs, fault_plan=plan,
             checkpoint=cfg, workload_id=workload_id,
@@ -361,7 +347,7 @@ def cmd_snapshot_inspect(args: argparse.Namespace) -> int:
             else f"NOT resumable ({status} chain)"
         )
         print(
-            f"# v3 delta at chain depth {meta.get('chain_depth', '?')}: "
+            f"# v5 delta at chain depth {meta.get('chain_depth', '?')}: "
             f"{note}",
             file=sys.stderr,
         )

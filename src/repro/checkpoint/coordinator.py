@@ -1,7 +1,7 @@
 """Coordinated (Chandy-Lamport) checkpoint sets for sharded runs.
 
 A sharded run (:mod:`repro.machine.shard_runner`) checkpoints at a lockstep
-barrier: every worker writes its own v2 shard snapshot
+barrier: every worker writes its own v4 shard snapshot
 (``ckpt-<cycle>.shard<k>.snap``, carrying the in-flight channel
 messages about to be injected into it as ``extra.channel_state``), and
 the coordinator commits the *set* to the directory manifest only after

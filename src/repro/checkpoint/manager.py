@@ -60,7 +60,7 @@ class CheckpointConfig:
         Delta-chain policy: 0 (the default) writes classic standalone
         ``ckpt-*.snap`` full snapshots; N >= 2 writes a full base every
         N-th periodic snapshot (``ckpt-*.base.snap``) and incremental
-        format-v3 deltas (``ckpt-*.delta.snap``) in between.  Live,
+        format-v5 deltas (``ckpt-*.delta.snap``) in between.  Live,
         failure and initial snapshots are always standalone fulls
         regardless of this knob.
     ``max_chain_depth``

@@ -1,14 +1,15 @@
 """Deterministic record/replay of machine runs.
 
-Because every stochastic decision in a run is drawn from the seeded
-fault-plan RNG and every event is plain data, a run is a pure function
-of its initial state.  Record mode (``CheckpointConfig(record=True)``)
-exploits that: it snapshots the machine *before* the first event
-(``initial.snap``), keeps a chained digest of every executed event, and
-writes a ``manifest.json`` describing how the run ended.  Replaying the
-bundle re-executes the run from the initial snapshot and checks that
-the event sequence, the outputs and the failure (if any) come out
-identical -- the forensics loop for any fault-induced failure.
+Because every stochastic decision in a run is drawn from seeded
+per-arc fault-fate streams and every event is plain data, a run is a
+pure function of its initial state.  Record mode
+(``CheckpointConfig(record=True)``) exploits that: it snapshots the
+machine *before* the first event (``initial.snap``), keeps a chained
+digest of every executed event, and writes a ``manifest.json``
+describing how the run ended.  Replaying the bundle re-executes the
+run from the initial snapshot and checks that the event sequence, the
+outputs and the failure (if any) come out identical -- the forensics
+loop for any fault-induced failure.
 
 Divergence bisection
 --------------------
@@ -317,9 +318,9 @@ def _install_perturbation(machine: Any, plan: Any) -> None:
     """Swap a perturbing fault plan into a snapshot-loaded machine.
 
     When the recording ran with a fault injector, only the plan is
-    swapped (the RNG cursor rides in the snapshot, so packet-fault
-    draws before the perturbation point stay identical).  A recording
-    made *without* an injector used the plain delivery path; installing
+    swapped (the per-arc fate cursors ride in the snapshot, so
+    packet-fault draws before the perturbation point stay identical).
+    A recording made *without* an injector used the plain delivery path; installing
     packet faults or outages there would change the event vocabulary
     from the resume point instead of seeding a mid-run divergence, so
     only ``slow`` unit faults are accepted.

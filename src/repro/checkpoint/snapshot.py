@@ -2,14 +2,14 @@
 
 A snapshot file carries one serialized :class:`repro.machine.Machine`
 mid-run -- event heap, operand registers, retransmission queues,
-sequence numbers, fault-plan RNG cursor, unit health and statistics --
-wrapped in a self-describing **format v2** envelope:
+sequence numbers, per-arc fault-fate cursors, unit health and
+statistics -- wrapped in a self-describing **format v4** envelope:
 
 ====== ======= ====================================================
 offset size    field
 ====== ======= ====================================================
 0      8       magic ``b"RPROSNAP"``
-8      4       format version (big-endian; currently 2)
+8      4       format version (big-endian; currently 4)
 12     8       metadata length in bytes (big-endian)
 20     32      SHA-256 of the metadata section
 52     8       payload length in bytes (big-endian)
@@ -39,15 +39,16 @@ crash.  Writes go to a temporary file in the target directory, are
 fsynced, and are published with an atomic ``os.replace`` -- a snapshot
 either exists completely or not at all.
 
-This build reads formats v2 and v3.  Format v1 files (the pre-v2
-layout: a 52-byte header over an unrestricted pickle) are recognised
-by their magic and refused by their version number, before any
-payload byte is decoded.
+This build reads formats v4 and v5.  Older files are recognised by
+their magic and refused by their version number, before any payload
+byte is decoded: v1 (a 52-byte header over an unrestricted pickle),
+and v2 / v3, the base and delta formats whose fault injector pickled
+one run-wide generator where v4 / v5 carry per-arc fate cursors.
 
-**Format v3: delta snapshots.**  When delta mode is on
+**Format v5: delta snapshots.**  When delta mode is on
 (``CheckpointConfig.delta_every > 0``) periodic snapshots form
-*chains*: a full **base** (``ckpt-*.base.snap``, ordinary v2 payload)
-followed by **deltas** (``ckpt-*.delta.snap``, header version 3, same
+*chains*: a full **base** (``ckpt-*.base.snap``, ordinary v4 payload)
+followed by **deltas** (``ckpt-*.delta.snap``, header version 5, same
 header layout) that carry only the state *sections* whose pickled
 bytes changed since the previous link.  A delta's metadata names its
 ``parent`` file, the parent's payload SHA-256 as ``parent_checksum``
@@ -60,7 +61,7 @@ constructed.  The delta payload is a pickled plain-data dict
 "removed": [key...]}``; each section blob decodes through the same
 restricted unpickler and is applied to the base machine by
 ``Machine.apply_snapshot_sections``.  :func:`rebase_snapshot`
-collapses a chain tip back into a standalone v2 base.
+collapses a chain tip back into a standalone v4 base.
 """
 
 from __future__ import annotations
@@ -80,12 +81,12 @@ from typing import Any, Optional, Union
 from ..errors import ChainBrokenError, SnapshotError
 
 MAGIC = b"RPROSNAP"
-FORMAT_VERSION = 2
-#: delta snapshots: same header layout as v2, but the payload holds
+FORMAT_VERSION = 4
+#: delta snapshots: same header layout as v4, but the payload holds
 #: only the state sections that changed since the parent link
-DELTA_VERSION = 3
+DELTA_VERSION = 5
 
-#: v2: magic(8s) + version(I) + meta len(Q) + meta sha256(32s)
+#: v4: magic(8s) + version(I) + meta len(Q) + meta sha256(32s)
 #:     + payload length(Q) + payload sha256(32s)
 _HEADER = struct.Struct(">8sIQ32sQ32s")
 #: magic(8s) + version(I): enough to name the format (or refuse it)
@@ -96,16 +97,15 @@ _PREFIX = struct.Struct(">8sI")
 # restricted unpickling
 # ----------------------------------------------------------------------
 #: stdlib globals a machine pickle may legitimately reference.  The
-#: set is deliberately tiny -- container types and the seeded RNG --
-#: and was derived by enumerating ``find_class`` calls over real
-#: snapshots of every paper-figure workload.
+#: set is deliberately tiny -- container types only -- and was derived
+#: by enumerating ``find_class`` calls over real snapshots of every
+#: paper-figure workload.
 _STDLIB_ALLOWLIST: dict[str, frozenset[str]] = {
     "builtins": frozenset(
         {"set", "frozenset", "complex", "bytearray", "range", "slice",
          "object"}
     ),
     "collections": frozenset({"deque", "OrderedDict", "Counter"}),
-    "random": frozenset({"Random"}),
 }
 
 #: ``repro`` globals a machine pickle may legitimately reference: the
@@ -309,7 +309,7 @@ def snapshot_bytes(
     extra: Optional[dict[str, Any]] = None,
     meta_extra: Optional[dict[str, Any]] = None,
 ) -> bytes:
-    """Serialize ``machine`` into the v2 snapshot envelope.
+    """Serialize ``machine`` into the v4 snapshot envelope.
 
     ``extra`` rides along in the payload (same restricted-unpickler
     rules apply on load); the coordinated sharded checkpoint stores
@@ -451,7 +451,7 @@ def read_snapshot(path: Union[str, Path]) -> dict[str, Any]:
     version, meta_bytes, payload = _split_envelope(path, raw)
     if version == DELTA_VERSION:
         raise SnapshotError(
-            f"snapshot {path} is a v3 delta: it only carries state that "
+            f"snapshot {path} is a v5 delta: it only carries state that "
             f"changed since its parent; load it through load_machine / "
             f"`repro resume`, which reconstructs it through its chain"
         )
@@ -475,7 +475,7 @@ def snapshot_cycle(path: Union[str, Path]) -> int:
 
 
 # ----------------------------------------------------------------------
-# delta chains (format v3)
+# delta chains (format v5)
 # ----------------------------------------------------------------------
 def _section_blobs(machine: Any) -> dict[str, bytes]:
     """Pickle each addressable state section of ``machine`` separately.
@@ -512,9 +512,9 @@ def write_chain_snapshot(
     """Atomically write one link of a delta chain and advance the
     machine's in-memory chain tip.
 
-    ``kind="base"`` writes an ordinary full v2 snapshot (payload
+    ``kind="base"`` writes an ordinary full v4 snapshot (payload
     identical to :func:`save_snapshot`) that starts a new chain;
-    ``kind="delta"`` writes a v3 file carrying only the sections whose
+    ``kind="delta"`` writes a v5 file carrying only the sections whose
     pickled bytes differ from the tip recorded at the previous link.
     The tip (``machine._snap_chain``) is deliberately *not* serialized
     into snapshots (see ``Machine.__getstate__``): any resumed or
@@ -681,7 +681,7 @@ def chain_status(path: Union[str, Path]) -> dict[str, Any]:
 
 
 def _read_delta(path: Path) -> tuple[dict[str, Any], dict[str, Any]]:
-    """Decode one verified v3 delta file into ``(meta, body)``.
+    """Decode one verified v5 delta file into ``(meta, body)``.
 
     The outer payload is plain data (dict/str/bytes) but still decodes
     through the restricted unpickler; the per-section blobs inside are
@@ -690,7 +690,7 @@ def _read_delta(path: Path) -> tuple[dict[str, Any], dict[str, Any]]:
     raw = _read_raw(path)
     version, meta_bytes, payload = _split_envelope(path, raw)
     if version != DELTA_VERSION:
-        raise SnapshotError(f"snapshot {path} is not a v3 delta")
+        raise SnapshotError(f"snapshot {path} is not a v5 delta")
     meta = _decode_meta(path, meta_bytes)
     body = _restricted_loads(payload, f"delta snapshot {path}")
     if (
@@ -746,7 +746,7 @@ def rebase_snapshot(path: Union[str, Path]) -> Path:
     """Collapse a delta chain tip into a standalone full base.
 
     The chain is verified and replayed into a machine, which is then
-    rewritten as an ordinary v2 base snapshot (``*.base.snap``); the
+    rewritten as an ordinary v4 base snapshot (``*.base.snap``); the
     delta file is removed afterwards, so a crash in between leaves
     both resumable.  Refuses (typed) if another on-disk delta lists
     ``path`` as its parent -- rebasing a mid-chain link would orphan
@@ -818,7 +818,7 @@ def load_machine(
 
     The deserialized event heap is checked against the machine's event
     vocabulary so a tampered payload cannot smuggle handler names in.
-    A v3 delta file is reconstructed through
+    A v5 delta file is reconstructed through
     its verified parent chain (:func:`verify_chain` runs first, so a
     broken chain raises :class:`ChainBrokenError` before any payload
     is deserialized).  With ``with_extra=True`` the return value is
@@ -864,9 +864,6 @@ def load_machine(
             raise SnapshotError(
                 f"snapshot {path} schedules unknown event kind {kind!r}"
             )
-    # machines pickled by builds that predate out-of-band snapshots
-    # lack the request queue; backfill so the event loop can run them
-    machine.__dict__.setdefault("_snap_requests", [])
     # the chain tip is never serialized: every loaded machine starts a
     # fresh chain, so its first delta-mode snapshot is a full base
     machine.__dict__.setdefault("_snap_chain", None)

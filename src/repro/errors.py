@@ -168,7 +168,7 @@ class SnapshotError(ReproError):
 class ChainBrokenError(SnapshotError):
     """Raised when a delta snapshot's parent chain cannot be verified.
 
-    A delta (format v3) snapshot only carries the state that changed
+    A delta (format v5) snapshot only carries the state that changed
     since its parent; resuming it requires every ancestor down to a
     full base, each re-verified by checksum against the
     ``parent_checksum`` its child recorded.  Any break -- a missing

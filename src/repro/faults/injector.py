@@ -1,9 +1,10 @@
 """Runtime fault injection driven by a :class:`FaultPlan`.
 
 The :class:`FaultInjector` is consulted by the machine simulator once
-per packet transmission (and per unit decision); every stochastic call
-draws from one seeded :class:`random.Random` stream, so a plan injects
-an identical fault sequence on every run of the same workload.
+per packet transmission (and per unit decision).  A packet's fate is
+drawn from a seeded stream of its own arc and direction, so a plan
+injects the same faults on every run of the same workload, and a
+sharded run whose times are exact injects the single machine's.
 
 Shard-level faults (``kill_shard`` / ``hang_shard`` / ``slow_shard``,
 schema 2) are *not* handled here: they target the worker process, not
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from .plan import FaultPlan
 
@@ -74,70 +75,97 @@ class PacketFate:
 
 
 class FaultInjector:
-    """Stateful, deterministic fault source for one machine run."""
+    """Stateful, deterministic fault source for one machine run.
+
+    Every packet fate is drawn from one stream per arc and direction,
+    ``random.Random(f"{seed}:{res|ack}:{aid}")``, seeded on first use:
+    the producer draws an arc's result fates in its send order and the
+    consumer its ack fates in its acknowledge order, a retransmission
+    taking the stream's next draw.  Each fate takes a fixed number of
+    draws (:data:`DRAWS`), so a stream's position is its count of
+    fates: snapshots carry those counts, never a generator's state, and
+    a loaded injector rebuilds a stream by seeding it and skipping.
+    """
+
+    #: draws per fate: a result's duplication roll, then a drop and a
+    #: corruption roll per copy; an ack's duplication roll, then a drop
+    #: roll per copy -- taken whether or not a probability is zero
+    DRAWS = {"res": 5, "ack": 3}
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self.stats = FaultStats()
-        self._rng = random.Random(plan.seed)
         self._evicted: set[tuple[str, int]] = set()
+        #: ``(direction, arc id)`` -> fates drawn from its stream
+        self._cursors: dict[tuple[str, int], int] = {}
+        #: the live streams; rebuilt from the cursors after a load
+        self._streams: dict[tuple[str, int], Callable[[], float]] = {}
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = self.__dict__.copy()
+        del state["_streams"]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._streams = {}
 
     # ------------------------------------------------------------------
     # packet fates
     # ------------------------------------------------------------------
-    def _fate_rng(self, kind: str, key: Any) -> random.Random:
-        """RNG for one packet's fate.
+    def _draw(self, kind: str, aid: int) -> Callable[[], float]:
+        """The ``random`` method of arc ``aid``'s ``kind`` stream,
+        counting one more fate on its cursor."""
+        key = (kind, aid)
+        fates = self._cursors.get(key, 0)
+        self._cursors[key] = fates + 1
+        draw = self._streams.get(key)
+        if draw is None:
+            draw = random.Random(f"{self.plan.seed}:{kind}:{aid}").random
+            for _ in range(fates * self.DRAWS[kind]):
+                draw()
+            self._streams[key] = draw
+        return draw
 
-        Sequence derivation shares the run-wide stream; keyed
-        derivation seeds a throwaway stream from ``(seed, kind, key)``
-        so the fate is a pure function of the packet's identity --
-        independent of how many unrelated draws happened before it,
-        and therefore identical across process boundaries.  The key
-        must include the current cycle: a retransmitted packet (same
-        arc, same sequence number, later cycle) needs a *fresh* fate,
-        otherwise a dropped packet would be re-dropped forever.
-        """
-        if key is None or self.plan.derivation != "keyed":
-            return self._rng
-        return random.Random(f"{self.plan.seed}:{kind}:{key}")
-
-    @staticmethod
-    def _roll(rng: random.Random, p: float) -> bool:
-        return p > 0.0 and rng.random() < p
-
-    def result_fate(self, value: Any, key: Any = None) -> PacketFate:
-        """Decide drop/duplication/corruption for one result packet."""
-        rng = self._fate_rng("res", key)
+    def result_fate(self, aid: int, value: Any) -> PacketFate:
+        """Decide drop/duplication/corruption for one result packet on
+        arc ``aid``."""
+        draw = self._draw("res", aid)
+        dup, drop, bad, drop2, bad2 = draw(), draw(), draw(), draw(), draw()
+        plan, stats = self.plan, self.stats
+        copies = [(drop, bad)]
+        if dup < plan.dup_result:
+            copies.append((drop2, bad2))
+            stats.results_duplicated += 1
         fate = PacketFate()
-        copies = 1
-        if self._roll(rng, self.plan.dup_result):
-            copies += 1
-            self.stats.results_duplicated += 1
-        for _ in range(copies):
-            if self._roll(rng, self.plan.drop_result):
-                self.stats.results_dropped += 1
+        for drop, bad in copies:
+            if drop < plan.drop_result:
+                stats.results_dropped += 1
                 fate.dropped += 1
                 continue
-            corrupted = self._roll(rng, self.plan.corrupt_result)
+            corrupted = bad < plan.corrupt_result
             if corrupted:
-                self.stats.results_corrupted += 1
+                stats.results_corrupted += 1
             fate.deliveries.append(
                 self.corrupt_value(value) if corrupted else value
             )
             fate.corrupted.append(corrupted)
         return fate
 
-    def ack_fate(self, key: Any = None) -> int:
-        """Number of copies of one ack packet that actually arrive."""
-        rng = self._fate_rng("ack", key)
-        copies = 1
-        if self._roll(rng, self.plan.dup_ack):
-            copies += 1
-            self.stats.acks_duplicated += 1
+    def ack_fate(self, aid: int) -> int:
+        """Number of copies of one ack packet on arc ``aid`` that
+        actually arrive."""
+        draw = self._draw("ack", aid)
+        dup, drop, drop2 = draw(), draw(), draw()
+        plan, stats = self.plan, self.stats
+        drops = [drop]
+        if dup < plan.dup_ack:
+            drops.append(drop2)
+            stats.acks_duplicated += 1
         arriving = 0
-        for _ in range(copies):
-            if self._roll(rng, self.plan.drop_ack):
-                self.stats.acks_dropped += 1
+        for drop in drops:
+            if drop < plan.drop_ack:
+                stats.acks_dropped += 1
             else:
                 arriving += 1
         return arriving
@@ -154,12 +182,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # unit-level faults
     # ------------------------------------------------------------------
-    def is_dead(self, unit: str, index: int, t: int) -> bool:
-        return self.plan.is_dead(unit, index, t)
-
-    def slow_factor(self, unit: str, index: int, t: int) -> float:
-        return self.plan.slow_factor(unit, index, t)
-
     def note_eviction(self, unit: str, index: int) -> None:
         """Count the first time a dead unit is skipped by a scheduler."""
         if (unit, index) not in self._evicted:

@@ -9,9 +9,9 @@ outages of function units, array memories and processing elements).
 Plans are plain data: they can be serialized to/from JSON (the schema
 used by ``python -m repro faults --plan plan.json``, documented in
 DESIGN.md and checked by :mod:`repro.config`) and they are
-**deterministic** -- the injector draws every random decision from
-``random.Random(seed)`` in simulation-event order, so the same plan on
-the same workload always injects the same faults.
+**deterministic** -- the injector draws each packet's fate from a
+stream of its own arc and direction, seeded from ``seed``, so the same
+plan on the same workload always injects the same faults.
 """
 
 from __future__ import annotations
@@ -157,15 +157,6 @@ class FaultPlan:
         by the :class:`~repro.machine.shard_runner.ShardedRunner`
         coordinator (the injector never sees them) and only honored
         over real worker processes.
-    ``derivation``
-        How the injector draws packet fates.  ``"sequence"`` (default)
-        draws from one ``random.Random(seed)`` stream in
-        simulation-event order; ``"keyed"`` derives each fate from a
-        per-packet key ``(kind, arc, seq, cycle)`` hashed with the
-        seed, so the fate of a given packet copy does not depend on
-        the global order of unrelated draws.  Keyed derivation is what
-        lets the sharded backend inject the *same* faults as a
-        single-process run even though each shard draws independently.
     """
 
     _error = FaultPlanError
@@ -177,9 +168,6 @@ class FaultPlan:
     drop_ack: float = field(default=0.0, metadata=_PROBABILITY)
     dup_ack: float = field(default=0.0, metadata=_PROBABILITY)
     unit_faults: tuple = field(default_factory=tuple)
-    derivation: str = field(
-        default="sequence", metadata={"choices": ("sequence", "keyed")}
-    )
     shard_faults: tuple = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
@@ -193,13 +181,6 @@ class FaultPlan:
                     for f in faults
                 ))
         check(self)
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        # plans pickled inside snapshots written by older builds
-        # predate shard_faults; backfill so they resume cleanly
-        state.setdefault("shard_faults", ())
-        for key, value in state.items():
-            object.__setattr__(self, key, value)
 
     # ------------------------------------------------------------------
     # queries used by the machine
@@ -293,8 +274,6 @@ class FaultPlan:
 
     def describe(self) -> str:
         parts = [f"seed={self.seed}"]
-        if self.derivation != "sequence":
-            parts.append(f"derivation={self.derivation}")
         for name in ("drop_result", "dup_result", "corrupt_result",
                      "drop_ack", "dup_ack"):
             p = getattr(self, name)

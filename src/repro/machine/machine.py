@@ -54,7 +54,8 @@ Checkpointing, resume & replay
 Every event in the heap is plain data -- ``(time, seq, kind, args,
 aux)`` dispatched through :attr:`Machine._EVENT_KINDS` -- so the whole
 machine (cells, in-flight packets, retransmission queues, sequence
-numbers, RNG cursors, unit health, the event heap itself) serializes.
+numbers, fault-fate cursors, unit health, the event heap itself)
+serializes.
 Passing ``checkpoint=CheckpointConfig(...)`` makes the run write
 periodic crash-consistent snapshots; :meth:`Machine.resume` loads one
 and continues the run to outputs bit-identical to an uninterrupted
@@ -598,9 +599,7 @@ class Machine:
         faults are injected but nothing protects against them."""
         base = max(done + self._route_delay(len(arcs)), self.now + 1)
         for arc in arcs:
-            fate = self.injector.result_fate(
-                value, key=(arc.aid, 0, self.now)
-            )
+            fate = self.injector.result_fate(arc.aid, value)
             for i, v in enumerate(fate.deliveries):
                 self._post(arc.dst, base + i, "deliver_one_faulty",
                            (arc.aid, v))
@@ -638,9 +637,7 @@ class Machine:
         if value is _ABSENT:
             return          # acknowledged while the event was in flight
         if self.injector is not None:
-            fate = self.injector.result_fate(
-                value, key=(aid, seq, self.now)
-            )
+            fate = self.injector.result_fate(aid, value)
             copies = list(zip(fate.deliveries, fate.corrupted))
         else:
             copies = [(value, False)]
@@ -705,16 +702,14 @@ class Machine:
             return
         self.packets.acks += 1
         when = self.now + self._linked.ack_delay
-        for i in range(self.injector.ack_fate(key=(arc.aid, 0, self.now))):
+        for i in range(self.injector.ack_fate(arc.aid)):
             self._post(arc.src, when + i, "deliver_ack", (arc.src,))
 
     def _transmit_ack(self, aid: int, seq: int) -> None:
         self.packets.acks += 1
         ack_delay = self._linked.ack_delay
         copies = (
-            self.injector.ack_fate(key=(aid, seq, self.now))
-            if self.injector is not None
-            else 1
+            self.injector.ack_fate(aid) if self.injector is not None else 1
         )
         src = self.graph.arcs[aid].src
         for i in range(copies):
@@ -1495,7 +1490,7 @@ class Machine:
 
         The loaded machine carries its complete mid-run state -- event
         heap, in-flight and retransmission-queue packets, sequence
-        numbers, fault-plan RNG cursor, unit health and statistics --
+        numbers, per-arc fault-fate cursors, unit health and statistics --
         so calling :meth:`run` again finishes the run with outputs
         bit-identical to an uninterrupted execution.
         """

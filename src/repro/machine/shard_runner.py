@@ -38,8 +38,10 @@ state of the cut.  Each worker writes its machine plus the messages due
 to it (``ckpt-<cycle>.shard<k>.snap``), and the set is committed to the
 manifest only after all K files land (:mod:`repro.checkpoint.
 coordinator`); :meth:`ShardedRunner.resume` loads the newest complete
-set.  Fault plans on sharded runs use ``derivation="keyed"``, so every
-shard derives the per-packet fates the single machine would.
+set.  A packet's fate comes from its arc's own stream, drawn by the
+shard that owns the arc's producer (results) or consumer (acks), so
+every shard draws the fates the single machine would wherever the
+sharded times are exact.
 
 *Self-healing.*  With worker processes and coordinated checkpoints,
 every reply wait carries a deadline, a dead or hung worker rolls every

@@ -137,13 +137,9 @@ class ShardMachine(Machine):
                     "unit faults are not supported on sharded runs: "
                     "unit indices refer to each shard's private pools"
                 )
-            if fault_plan.has_packet_faults and (
-                fault_plan.derivation != "keyed" or not recovery
-            ):
+            if fault_plan.has_packet_faults and not recovery:
                 raise SimulationError(
-                    "packet faults on a sharded run need "
-                    "derivation='keyed' and recovery=True so every "
-                    "shard derives the same per-packet fates"
+                    "packet faults on a sharded run need recovery=True"
                 )
         if set(owner) != set(graph.cells):
             raise SimulationError(

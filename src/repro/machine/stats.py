@@ -127,7 +127,7 @@ class CheckpointStats:
     failure_snapshots: int = 0
     #: out-of-band (``request_snapshot``/SIGUSR1) snapshots taken
     live_snapshots: int = 0
-    #: periodic snapshots written as format-v3 deltas (subset of
+    #: periodic snapshots written as format-v5 deltas (subset of
     #: ``snapshots_written``); their bytes are likewise a subset of
     #: ``bytes_written``
     delta_snapshots: int = 0
@@ -143,14 +143,8 @@ class CheckpointStats:
         return state
 
     def __setstate__(self, state) -> None:
-        # snapshots written by older builds predate some counters and
-        # carry host timings (``seconds_spent``, a ``latencies`` list);
-        # backfill defaults and drop the timings
-        self.__dict__.update(CheckpointStats().__dict__)
-        self.__dict__.update(
-            (k, v) for k, v in state.items()
-            if k not in ("seconds_spent", "latencies")
-        )
+        self.__dict__.update(state)
+        self.latencies = Samples()
 
     def summary(self) -> str:
         # the delta clause appears only when delta chains were active,

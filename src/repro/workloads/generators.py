@@ -66,6 +66,10 @@ def random_forall_program(
     hi: str = "m",
 ) -> str:
     body = random_pe_source(rng, depth=depth)
+    while "[" not in body:
+        # no array access folds to a compile-time pattern: a source
+        # and a sink, with no arithmetic cell to exercise
+        body = random_pe_source(rng, depth=depth)
     return (
         f"{name} : array[real] := forall i in [{lo}, {hi}] "
         f"construct {body} endall"

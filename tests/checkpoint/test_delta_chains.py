@@ -54,7 +54,7 @@ from repro.machine import (
 )
 from repro.machine.machine import Machine
 from repro.workers import BackoffPolicy
-from tests.util import SEQUENCE_PLAN, program_graph
+from tests.util import CHAOS_PLAN, program_graph
 
 def _machine(n_values=60, **kw):
     g = DataflowGraph()
@@ -188,9 +188,9 @@ class TestChainPolicy:
 
 class TestChainResume:
     def test_resume_under_faults_bit_identical(self, tmp_path):
-        ref = _machine(fault_plan=SEQUENCE_PLAN)
+        ref = _machine(fault_plan=CHAOS_PLAN)
         ref.run()
-        _chained_run(tmp_path, fault_plan=SEQUENCE_PLAN)
+        _chained_run(tmp_path, fault_plan=CHAOS_PLAN)
         tip = latest_snapshot(tmp_path)
         assert tip.name.endswith(".delta.snap") or (
             tip.name.endswith(".base.snap")

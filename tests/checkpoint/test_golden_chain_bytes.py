@@ -34,90 +34,91 @@ from repro.machine import (
 from repro.workloads import figure_workload, parallel_chain_graph
 
 #: SHA-256 of every member file, base and delta sets alike (recorded
-#: before the chain writer compared bytes instead of digests)
+#: before the chain writer compared bytes instead of digests, and
+#: re-recorded for format v4 / v5, every payload digest unchanged)
 CHAINS_SHA256 = {
     "ckpt-000000000003.shard0.snap":
-        "7b8ea6b7d7efa4a92da1d7ac838f036f254a6693ab5db2474a859afc157545fb",
+        "325b54dcc87e6cc0969c12112a9c9eb3ad63a5b14bd4c2569a743f3196365347",
     "ckpt-000000000003.shard1.snap":
-        "7ec0370b090de66cf176187b37204daee65f74b9d2848ffcf5985d66d644be1e",
+        "ccd1e8e20ec8418b7ceed167ea8e124b72b5d1e93cac77f8170c92bdcbd18e67",
     "ckpt-000000000006.shard0.snap":
-        "39b38fa0ffe04039562d0fe59acc4f86be25103711098414756d316b5f2f5d7a",
+        "6a182fe14d34818407690e76e1d00915fefac52d26ab43d5d1d8228fcfcaa53f",
     "ckpt-000000000006.shard1.snap":
-        "b65af2fc53156d717ccbb99adbe34517ccd2024cad2a844bc9824f51e248fc9f",
+        "5e9c2761a35ec1bbf6234ed87c28c4b1264243422dc4593542a3e0ed643b9a2a",
     "ckpt-000000000009.shard0.snap":
-        "e27c8ca8830b84a1bc8400cebfcdfed0d227dc635e210402030e1e50d9d885e4",
+        "fff12861f781d2c41d97280d4b810ac75b737c221d8957120d338e2aaf7964e7",
     "ckpt-000000000009.shard1.snap":
-        "d7a4d6be19c873611bac58c8db6ffac09c5e31af16bea5c202a9f8e315935fa5",
+        "60d973566fd5f015358e217f53c888e8b6e071819d836c52af84c6d0a2e9a171",
     "ckpt-000000000012.shard0.snap":
-        "4f82fb9d414cd7e616bb39de227cddb01ec1e43a6c5a0b56d715ffe9977d1674",
+        "413a4923ebf66c2cee8c7481e8befbe43ffbbaf65f54193fbf8adeecdad8e717",
     "ckpt-000000000012.shard1.snap":
-        "268c65209bc9bc0000f783b35977fc3f8a15c44209f99d528d390437217ab649",
+        "fe59d253efe0304ab3bc3a8ca552ba864124c4fa99e52fd3c7b89bc664384b51",
 }
 
 FIG7_K2_SHA256 = {
     "ckpt-000000000010.shard0.snap":
-        "e6afeff2a6c20f21fe8bba123060c9315d8a6a125d633020222714d0757f2aaf",
+        "4e82cb791486f145fd081767d012e6d5ae92da8977f69b8a46e67da781657808",
     "ckpt-000000000010.shard1.snap":
-        "ca7d867b81199a78bb7f8aeecea514aa2e1f634ef207e80b6cd6186e7f96dfe1",
+        "5cea44abc7a1268b602db71e9f5728b20b2f3207e6f6d8b14dc3178ffaac3aa6",
     "ckpt-000000000020.shard0.snap":
-        "d451c97ccf507e49f0bf3d515eadcada17d224e4717bfd61f5b5c36ce901f2cb",
+        "aecb7b339eec8662b7d09606774b8295b13667ba5e4c0b0705917e09303bcfaf",
     "ckpt-000000000020.shard1.snap":
-        "ec7a426e4c78119c7158bd8c5cecb47c0d44d872529e74fceacf30c66b512cb8",
+        "6137361fee61c8ed7563695f7e6292751eddbe25739652d9fcd19c34fe3dd7e4",
     "ckpt-000000000030.shard0.snap":
-        "95d3edf3a656fbf419a8d4c2903af26aec9af35f183ffa83d0da93338bc3f590",
+        "8f78fd9656b2b9d78d7b9452f5bbed8cbcc817d958bded04dcac6be0b18f2ae4",
     "ckpt-000000000030.shard1.snap":
-        "f8c70994525cd145b9331cfda7115ee0567f65684fe715e4d024d01f749b9204",
+        "851487534cbc400a7e963b57ec59dacbd984da83e109b224f1b2ab3d1834e447",
     "ckpt-000000000040.shard0.snap":
-        "10a5d979bbd75595a78f24b9253a2e7c4b9e5f4bf2cc9d6c129a1d60c9fff76e",
+        "e201335aa632410a6c5fd0d83a2fe291beb26e5b791e0d01c807addb9b660af6",
     "ckpt-000000000040.shard1.snap":
-        "c5c692fa6c77efba208768ad49b3d312fcd3f4ad33a5e49f35f9971e42c5a8ab",
+        "e3f7660c9d00b3341792205900827a607e1f110fff9ada4b8ec05395781bb454",
     "ckpt-000000000050.shard0.snap":
-        "d70198d70a278bbb8787d181923661352de71ae102d9a7712a9f5f6ac1c6d9b3",
+        "01d5a20c733ebd8ac845600a6307f5b294e831fd17ec08ca290c12369fc86ba8",
     "ckpt-000000000050.shard1.snap":
-        "2cfeba947a4d63486b2c5500ea0db404fa6ddcb4e9405c5c714850647994481b",
+        "7b39ea9d778806771dd7d6ad792aa4c1b477324462517a0a3fe460817f1f75a7",
 }
 
 FIG7_K4_SHA256 = {
     "ckpt-000000000010.shard0.snap":
-        "641d2917e4582ad0d4a7c47d2884b7a52b2809c70c789e0651d0645b98eb5f3a",
+        "fea14282237635b24f3f6b1afb4b886092eecb256e495f74b7e58daeb56fc731",
     "ckpt-000000000010.shard1.snap":
-        "671f57342b37b042833446ba715ed91845e1d2e2e81c360613a2ea6c156d214b",
+        "31dbad388d5dd47c3d21a878a82791f875b50ba05fd7e67e4c4ed35413b8f668",
     "ckpt-000000000010.shard2.snap":
-        "04ebcbe34c1738064a037b8bfc59b41fe9a8574d06c9c53a6859810456ae870e",
+        "b9d6d0697eff0aaf921a5e993aead31adb0fb6051a279a2647166d70cfb1265a",
     "ckpt-000000000010.shard3.snap":
-        "f1e3928238dfcf28678a611010f5a0e9baafd9bc9a69aacde8c11805024a7e6f",
+        "a37c286c4d23e8e11ed228617964a3108e55f0768a84576ffeab57080471d7a3",
     "ckpt-000000000020.shard0.snap":
-        "9f86c23d23e643f68637d42a3d9fed150feb4c277c88212bfb16e5b7e98c41db",
+        "272d4d3c72c3bfb98feac63705f8ec44d22dea6c35044c5c3467db38c0bf6dca",
     "ckpt-000000000020.shard1.snap":
-        "01ab70077c54f4516f0462bf4ef944c45c068f7bdec5841a49ac56896bb16de6",
+        "821b3a3a58e3cc6744870708a44d773ae205d1037bf62b950e4acc339c109725",
     "ckpt-000000000020.shard2.snap":
-        "3ab080b6ffc8042a9fa8ce048f40ee75605037c68ea5e9e4f7c029333b60c69b",
+        "66735c6f0291103d31583908750d98b6b19d948f03a3bb0605f843be7744ff32",
     "ckpt-000000000020.shard3.snap":
-        "3f6a5f0390bbc9ed5419ddb135a12458df1aaad4253fcfd2c2d4f9b779e09935",
+        "6711f1b90da7298e6e77aaa44755b34ecd35fc7505154efad47efd9c97314af9",
     "ckpt-000000000030.shard0.snap":
-        "520af1e06ed79ee35b0befa0831feba0d4a63b4b986f70642a611e6ad4955830",
+        "ba3035b2addde2473cf3319e72b111f0c2ba6ccde0318792432f0dc5e6e09415",
     "ckpt-000000000030.shard1.snap":
-        "8134a9584021b1550309cfe565387d78c69a072190589df2334267cf1055a453",
+        "761885cbb9e13c0c763be3f0254e56cf9ebc5443d1e7749382161c11866dd7f9",
     "ckpt-000000000030.shard2.snap":
-        "be195f1cc13d06a522cdf21798e90ebafc5a5e86eb4453349414da7e58195e63",
+        "e9c04d70f3b80b94b97a92ec24420d609fa751ec557d033e4acf0dc64def5100",
     "ckpt-000000000030.shard3.snap":
-        "51f25f181e62883ce3d8781c638e66de30acdacefb9af786b8e653aa3b97b92e",
+        "9b5dc7ce6829b4699ce008e501d14ba540ed8a2812058494245998f97f8f6dbd",
     "ckpt-000000000040.shard0.snap":
-        "c03e202bbd42392fa6dcd7f9d6755c53dd3cad664db10c02eaf6cc3036a76193",
+        "cc00559daf029ec2d7a5fea2f32c1130bd82c8f6d07f1c4c32910f271a2faf40",
     "ckpt-000000000040.shard1.snap":
-        "60582a0c89424408be9861782be25763819fbe924091a04d316e90cdbca4c725",
+        "9113610e7e158ec5507167eb547f6588e438ce43dfd72edc6136735a41d22432",
     "ckpt-000000000040.shard2.snap":
-        "fdfa70d2014d560ba9e3c70eeca0567116f0e3e4c06a7754ca7892367f2e06bb",
+        "8f87b7244a488a58c77828bdb0b98c407398ae41a48446e63dd4afbd83398fdd",
     "ckpt-000000000040.shard3.snap":
-        "a8bc8b6b36de35db863edbcd52a34ee1d4fdee42fad9e6be22cbe823de1a70f8",
+        "1183d604c2b56efbff794f5a6c97bb978c25e6f49d4f91792a60b34558609dce",
     "ckpt-000000000050.shard0.snap":
-        "40b62753903b3c6ce19f3204eb6872bdfe5b9f2e5107803fb34f97343bf1007d",
+        "dbfa60a7d89f1d65e2bfaa7ff86af7890c69c03a1a65b44e939b356b10e82640",
     "ckpt-000000000050.shard1.snap":
-        "7a16d298dd37a9765bd47bc5185b29b1f1d8f410a0618f1ccb0004787d4764f0",
+        "0ffe32b0af1fb571870c068caee6fdd74e4b16b988244da2b44b576c82499c8f",
     "ckpt-000000000050.shard2.snap":
-        "ee0163ac9adcf3bd7797b8acf13440bf79e04eb3721544072be8f8ae190a6ba3",
+        "6213c9762304ff867a4368eef7c2b305723c3ae893de37ae706e3dad376e9a74",
     "ckpt-000000000050.shard3.snap":
-        "59c87ce738201bbc8053e806c010125c8461ef0999c5150732e3da8d27027372",
+        "04fde5f3f6de08e2301bc8a372662a1651e55a7747f8a08670578b542ec47606",
 }
 
 #: per delta file: its sorted changed-section keys, and the SHA-256 over

@@ -21,7 +21,7 @@ from repro.faults import FaultPlan
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.workloads.figures import FIGURES
-from tests.util import SEQUENCE_PLAN
+from tests.util import CHAOS_PLAN
 
 M = 12
 
@@ -42,10 +42,10 @@ class TestResumeBitIdentical:
     def test_resume_of_a_resume(self, tmp_path):
         # two generations of snapshots: resume, checkpoint again, resume
         cp, inputs = _workload("fig6")
-        baseline = _baseline(cp, inputs, SEQUENCE_PLAN)
+        baseline = _baseline(cp, inputs, CHAOS_PLAN)
         cfg = CheckpointConfig(tmp_path, interval=60, retain=0)
         first = Machine(
-            cp.graph, inputs=inputs, fault_plan=SEQUENCE_PLAN, checkpoint=cfg
+            cp.graph, inputs=inputs, fault_plan=CHAOS_PLAN, checkpoint=cfg
         )
         first.run()
         second = Machine.resume(sorted(tmp_path.glob("ckpt-*.snap"))[0])
@@ -98,7 +98,7 @@ class TestCrashAndResumeSubprocess:
         cp, inputs = _workload("fig6")
         cfg = CheckpointConfig(tmp_path, interval=60, retain=0)
         machine = Machine(
-            cp.graph, inputs=inputs, fault_plan=SEQUENCE_PLAN, checkpoint=cfg
+            cp.graph, inputs=inputs, fault_plan=CHAOS_PLAN, checkpoint=cfg
         )
         machine.run()
         cycles = []

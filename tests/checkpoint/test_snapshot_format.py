@@ -99,8 +99,8 @@ class TestDamageDetection:
             read_snapshot(snap)
 
     def test_future_format_version(self, snap):
-        # DELTA_VERSION (3) is the newest real format, so "future"
-        # starts one past it
+        # DELTA_VERSION is the newest real format, so "future" starts
+        # one past it
         raw = snap.read_bytes()
         body = raw[_HEADER.size:]
         header = struct.unpack(_HEADER.format, raw[: _HEADER.size])
@@ -110,9 +110,10 @@ class TestDamageDetection:
             read_snapshot(snap)
 
     def test_delta_version_rejected_by_read_snapshot(self, snap):
-        # a v2 payload relabeled v3 passes the envelope checks (the
-        # header is not covered by the checksums) but read_snapshot
-        # must refuse it: deltas only load through their chain
+        # a base payload relabeled as a delta passes the envelope
+        # checks (the header is not covered by the checksums) but
+        # read_snapshot must refuse it: deltas only load through their
+        # chain
         raw = snap.read_bytes()
         body = raw[_HEADER.size:]
         header = struct.unpack(_HEADER.format, raw[: _HEADER.size])

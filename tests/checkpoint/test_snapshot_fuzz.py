@@ -132,7 +132,8 @@ class TestMutationFuzz:
             )
             header = _HEADER.pack(
                 MAGIC,
-                rng.choice([V1_VERSION, FORMAT_VERSION, 3, 0, 2**31]),
+                rng.choice([V1_VERSION, FORMAT_VERSION, DELTA_VERSION, 0,
+                            2**31]),
                 meta_len,
                 bytes(rng.randrange(256) for _ in range(32)),
                 payload_len,
@@ -147,7 +148,7 @@ class TestGadgetEnvelopes:
     the unpickler itself is the last line of defense."""
 
     def _wrap_v2(self, payload):
-        meta = b'{"format": 2, "cycle": 0}'
+        meta = b'{"format": 4, "cycle": 0}'
         return _HEADER.pack(
             MAGIC, FORMAT_VERSION, len(meta),
             hashlib.sha256(meta).digest(), len(payload),

@@ -10,6 +10,7 @@ import json
 import os
 import pickle
 import pickletools
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -29,6 +30,8 @@ from repro.checkpoint import (
 )
 from repro.checkpoint.snapshot import (
     _HEADER,
+    _PREFIX,
+    MAGIC,
     _restricted_loads,
     snapshot_bytes,
     snapshot_metadata,
@@ -234,14 +237,12 @@ class TestRestrictedUnpickler:
 
     def test_allowlisted_stdlib_containers_pass(self):
         from collections import Counter, OrderedDict, deque
-        from random import Random
 
         value = {
             "machine": None,
             "d": deque([1, 2]),
             "o": OrderedDict(a=1),
             "c": Counter("aa"),
-            "r": Random(7),
             "s": {1, 2},
             "f": frozenset({3}),
             "b": bytearray(b"x"),
@@ -250,6 +251,11 @@ class TestRestrictedUnpickler:
         out = _restricted_loads(pickle.dumps(value), "test")
         assert out["d"] == deque([1, 2])
         assert out["c"] == Counter("aa")
+
+    def test_a_generator_state_is_refused(self):
+        # the fault injector pickles per-arc cursors, never a generator
+        with pytest.raises(SnapshotError, match="forbidden global random"):
+            _restricted_loads(pickle.dumps(random.Random(7)), "test")
 
     def test_every_real_snapshot_global_is_allowlisted(self):
         # enumerate the GLOBAL/STACK_GLOBAL opcodes of a genuine
@@ -362,7 +368,7 @@ class TestVerdictCache:
 
 
 # ----------------------------------------------------------------------
-# format v1 is recognised and refused
+# formats v1-v3 are recognised and refused
 # ----------------------------------------------------------------------
 def _fsck_unresumable(path):
     report = fsck_directory(path.parent)
@@ -371,7 +377,7 @@ def _fsck_unresumable(path):
 
 
 def _cli_refusal(*argv, code, on_dir=False):
-    """Run one CLI command in process on the v1 file (or its
+    """Run one CLI command in process on a legacy file (or its
     directory), pin its exit code, and re-raise what it printed."""
     from repro.cli import main
 
@@ -397,27 +403,43 @@ V1_READERS = {
 }
 
 
+def _refused_unread(reader, path, version, monkeypatch):
+    # the only door to a payload is the restricted unpickler; nail it
+    # shut and every reader must still refuse the file by its version
+    monkeypatch.setattr(
+        "repro.checkpoint.snapshot._restricted_loads",
+        lambda *a, **k: pytest.fail(f"v{version} payload was deserialized"),
+    )
+    with pytest.raises(SnapshotError, match=f"format version {version}"):
+        V1_READERS[reader](path)
+
+
 class TestLegacyGate:
     def test_v1_refused_by_default(self):
         with pytest.raises(SnapshotError, match="format version 1"):
             read_snapshot(V1_FIXTURE)
-        with pytest.raises(SnapshotError, match="reads versions 2 and 3"):
+        with pytest.raises(SnapshotError, match="reads versions 4 and 5"):
             load_machine(V1_FIXTURE)
 
     @pytest.mark.parametrize("reader", sorted(V1_READERS))
     def test_v1_fails_typed_before_any_payload_byte(
         self, reader, tmp_path, monkeypatch
     ):
-        # the only door to a payload is the restricted unpickler; nail
-        # it shut and every reader must still refuse the file by name
-        monkeypatch.setattr(
-            "repro.checkpoint.snapshot._restricted_loads",
-            lambda *a, **k: pytest.fail("v1 payload was deserialized"),
-        )
         path = tmp_path / V1_FIXTURE.name
         path.write_bytes(V1_FIXTURE.read_bytes())
-        with pytest.raises(SnapshotError, match="format version 1"):
-            V1_READERS[reader](path)
+        _refused_unread(reader, path, 1, monkeypatch)
+
+    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("reader", sorted(V1_READERS))
+    def test_v2_and_v3_fail_typed_before_any_payload_byte(
+        self, reader, version, tmp_path, monkeypatch
+    ):
+        # the base and delta formats whose fault injector pickled one
+        # run-wide generator: today's envelope under the older number
+        raw = snapshot_bytes(_machine())
+        path = tmp_path / f"v{version}.snap"
+        path.write_bytes(_PREFIX.pack(MAGIC, version) + raw[_PREFIX.size:])
+        _refused_unread(reader, path, version, monkeypatch)
 
 
 # ----------------------------------------------------------------------
@@ -479,25 +501,3 @@ class TestNoHostTiming:
         assert sorted(runs[0]) == sorted(runs[1])
         differ = [name for name in runs[0] if runs[0][name] != runs[1][name]]
         assert differ == []
-
-    def test_parent_written_stats_drop_their_host_timings(self):
-        from repro.machine.stats import CheckpointStats
-
-        # the pickled state of a CheckpointStats as older builds wrote it
-        state = {
-            "snapshots_written": 4, "bytes_written": 4096,
-            "snapshots_pruned": 1, "failure_snapshots": 0,
-            "live_snapshots": 0, "delta_snapshots": 2,
-            "delta_bytes_written": 1024, "last_snapshot_cycle": 400,
-            "seconds_spent": 0.25, "latencies": [0.1, 0.05, 0.1],
-        }
-        stats = CheckpointStats.__new__(CheckpointStats)
-        stats.__setstate__(state)
-        assert len(stats.latencies) == 0
-        assert stats.latencies.total == 0
-        assert not hasattr(stats, "seconds_spent")
-        assert (stats.snapshots_written, stats.bytes_written,
-                stats.delta_snapshots, stats.last_snapshot_cycle) == (
-            4, 4096, 2, 400)
-        # and the host timings never enter the pickled state again
-        assert "latencies" not in stats.__getstate__()

@@ -88,8 +88,10 @@ class TestSerialization:
         assert plan.unit_faults == (UnitFault(unit="am", index=0, start=5),)
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(FaultPlanError):
-            FaultPlan.from_dict({"seed": 1, "drop_everything": 1.0})
+        # a plan naming a fault derivation is one more unknown key
+        for key in ("drop_everything", "derivation"):
+            with pytest.raises(FaultPlanError, match=key):
+                FaultPlan.from_dict({"seed": 1, key: "keyed"})
 
     def test_describe_mentions_active_faults(self):
         text = FaultPlan(
@@ -108,7 +110,7 @@ class TestInjectorDeterminism:
             inj = FaultInjector(plan)
             return [
                 (tuple(f.deliveries), tuple(f.corrupted), f.dropped)
-                for f in (inj.result_fate(1.0) for _ in range(200))
+                for f in (inj.result_fate(3, 1.0) for _ in range(200))
             ]
 
         assert trace() == trace()
@@ -117,16 +119,16 @@ class TestInjectorDeterminism:
         t = []
         for seed in (1, 2):
             inj = FaultInjector(FaultPlan(seed=seed, drop_result=0.5))
-            t.append([inj.result_fate(1.0).dropped for _ in range(100)])
+            t.append([inj.result_fate(3, 1.0).dropped for _ in range(100)])
         assert t[0] != t[1]
 
     def test_fault_free_plan_injects_nothing(self):
         inj = FaultInjector(FaultPlan())
         for _ in range(50):
-            fate = inj.result_fate(3.5)
+            fate = inj.result_fate(0, 3.5)
             assert fate.deliveries == [3.5]
             assert fate.corrupted == [False]
-            assert inj.ack_fate() == 1
+            assert inj.ack_fate(0) == 1
         assert inj.stats.total_injected == 0
 
     def test_corrupt_value_changes_and_detects(self):
@@ -225,14 +227,3 @@ class TestShardFaults:
         assert "shard2 kill @40" in text
         assert "shard1 slow 0.5s @90" in text
         assert plan.has_shard_faults
-
-    def test_unpickled_v1_plan_backfills_shard_faults(self):
-        import pickle
-
-        plan = FaultPlan(seed=3, drop_result=0.1)
-        state = plan.__dict__.copy()
-        del state["shard_faults"]       # what an older build pickled
-        stale = FaultPlan.__new__(FaultPlan)
-        stale.__setstate__(state)
-        assert stale.shard_faults == ()
-        assert pickle.loads(pickle.dumps(plan)) == plan

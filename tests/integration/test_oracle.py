@@ -32,7 +32,7 @@ import repro
 from repro.analysis import PartitionError
 from repro.checkpoint import CheckpointConfig, read_metadata
 from repro.compiler import verify_balanced
-from repro.faults import ShardFault
+from repro.faults import FaultPlan, ShardFault
 from repro.graph import validate
 from repro.graph.asm import from_asm, to_asm
 from repro.machine import (
@@ -47,13 +47,11 @@ from repro.val.values import ValArray
 from repro.workers import BackoffPolicy, shutdown_worker_pool
 from tests.util import (
     BRANCHES,
+    CHAOS_PLAN,
     DRAWN,
-    EMPTY_PLAN,
     EXACT_CONFIGS,
     FIGS,
     GENERATED,
-    KEYED_PLAN,
-    SEQUENCE_PLAN,
     ClassicLockstep,
     assert_outputs_match,
     in_process_run,
@@ -78,8 +76,9 @@ CONFIGS = {"default": MachineConfig(), "unit_time": MachineConfig.unit_time(),
            "skewed": MachineConfig(n_pes=5, n_fus=3, rn_delay=4,
                                    pe_issue_interval=2)}
 SHARDED_CONFIGS = ["unit_time", *EXACT_CONFIGS]
-PLANS = {"clean": None, "keyed": KEYED_PLAN, "sequence": SEQUENCE_PLAN,
-         "empty": EMPTY_PLAN}
+#: ``empty`` injects nothing but arms the reliability layer as ``chaos``
+#: does, so a run with shard faults compares against it
+PLANS = {"clean": None, "chaos": CHAOS_PLAN, "empty": FaultPlan()}
 #: large enough that every statically replayable program jumps
 M_JUMP = 200
 #: shard counts and partitions of the in-process sharded variants
@@ -190,13 +189,13 @@ def test_compiled(name, config):
 
 
 @pytest.mark.parametrize(("config", "plan"), [
-    ("default", "clean"), ("unit_time", "clean"), ("default", "sequence"),
+    ("default", "clean"), ("unit_time", "clean"), ("default", "chaos"),
 ])
 @pytest.mark.parametrize("name", DEEP)
 def test_checkpoint_resume(name, config, plan, tmp_path):
     """``Machine.resume`` from a full snapshot, a chain base and every
-    delta depth, clean and under a sequence-order fault plan whose RNG
-    cursor rides inside the snapshot."""
+    delta depth, clean and under the chaos plan, whose per-arc fate
+    cursors ride inside the snapshot."""
     graph, streams = program_graph(name)
     ref = event(name, config, plan)
     for delta_every in (0, 3):
@@ -233,17 +232,17 @@ def test_checkpoint_resume(name, config, plan, tmp_path):
 @pytest.mark.parametrize("name", [*DEEP, "chains10k"])
 def test_sharded_in_process(name):
     """K in {2, 4} x every partition under every exact config (K = 1
-    under unit time alone), and values only under the default config;
-    then K in {1, 2, 4} under the keyed packet-fault plan, and the
-    classic fixed-window lockstep, which must take at least as many
-    windows as the adaptive rule.  More shards than cells is refused."""
-    cases = [(config, "clean", k, scheme, ShardedRunner)
-             for config in [*SHARDED_CONFIGS, "default"]
+    under unit time alone), clean and under the chaos plan, and values
+    only under the default config; then the classic fixed-window
+    lockstep, which must take at least as many windows as the adaptive
+    rule.  More shards than cells is refused."""
+    cases = [(config, plan, k, scheme, ShardedRunner)
+             for config in SHARDED_CONFIGS for plan in ("clean", "chaos")
              for k, scheme in SHARDINGS if k > 1 or config == "unit_time"]
-    cases += [("unit_time", "keyed", k, "auto", ShardedRunner)
-              for k in (1, 2, 4)]
+    cases += [("default", "clean", k, scheme, ShardedRunner)
+              for k, scheme in SHARDINGS if k > 1]
     cases += [("unit_time", "clean", 2, "auto", ClassicLockstep),
-              ("unit_time", "keyed", 4, "auto", ClassicLockstep)]
+              ("unit_time", "chaos", 4, "auto", ClassicLockstep)]
     if name == "chains10k":
         cases = [("unit_time", "clean", k, "auto", ShardedRunner)
                  for k in (1, 2, 4)]
@@ -290,28 +289,31 @@ def test_sharded_times_under_default_config(name):
 
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_sharded_delta_sets_then_resume(name, tmp_path):
-    """K = 2 worker processes write coordinated delta sets;
-    ``repro.resume`` finishes the run from the newest set."""
+    """K = 2 worker processes write coordinated delta sets, clean and
+    under the chaos plan; ``repro.resume`` finishes each run from its
+    newest set."""
     graph, streams = program_graph(name)
-    ref = event(name)
-    res = repro.run(
-        graph, streams, backend="sharded", config=CONFIGS["unit_time"],
-        checkpoint=CheckpointConfig(
-            tmp_path, interval=max(1, ref["cycles"] // 5), retain=0,
-            delta_every=3,
-        ),
-        shard_config=ShardConfig(shards=2, processes=True),
-    )
-    check(ref, res.engine, res.stats, name, "sharded K=2 delta sets")
-    res = repro.resume(tmp_path)
-    check(ref, res.engine, res.stats, name, "repro.resume of delta sets")
+    for plan in ("clean", "chaos"):
+        ref = event(name, plan=plan)
+        res = repro.run(
+            graph, streams, backend="sharded", config=CONFIGS["unit_time"],
+            faults=PLANS[plan],
+            checkpoint=CheckpointConfig(
+                tmp_path / plan, interval=max(1, ref["cycles"] // 5),
+                retain=0, delta_every=3,
+            ),
+            shard_config=ShardConfig(shards=2, processes=True),
+        )
+        check(ref, res.engine, res.stats, name, f"sharded K=2 {plan} sets")
+        res = repro.resume(tmp_path / plan)
+        check(ref, res.engine, res.stats, name, f"resume of {plan} sets")
 
 
 def _healed_run(name, tmp_path, k, fault, **heal):
     graph, streams = program_graph(name)
     runner = ShardedRunner(
         graph, streams, config=CONFIGS["unit_time"],
-        fault_plan=dataclasses.replace(EMPTY_PLAN, shard_faults=(fault,)),
+        fault_plan=FaultPlan(shard_faults=(fault,)),
         checkpoint=CheckpointConfig(tmp_path, interval=10, retain=3,
                                     delta_every=3),
         shard_config=ShardConfig(shards=k, processes=True,

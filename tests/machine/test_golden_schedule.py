@@ -8,7 +8,9 @@ heap that snapshots pickle, the sharded runner parses event kinds and
 arguments for its lockstep horizons, the compiled backend sorts and
 abstracts the heap, replay chains the events into digests -- so these
 rows were recorded once (at the commit before the machine core linked
-its firing plans at load) and must hold on every later one.
+its firing plans at load) and must hold on every later one.  The
+faulty rows were re-recorded once, when packet fates moved to per-arc
+streams; no clean row moved.
 
 One fixed seed, m = 40, five figures x {default, unit-time} config x
 {clean, fault plan with recovery, same plan unprotected}.  The
@@ -42,35 +44,35 @@ CONFIGS = {"default": MachineConfig, "unit_time": MachineConfig.unit_time}
 # (figure, config, mode, events, chained sha-256, cycles or error type)
 GOLDEN = [
     ('fig2', 'default', 'clean', 840, '0ba5d8e7d9f16ca0425aa6b0187967f1df9d38749a0deef205cd3e0dcb214bfa', 376),
-    ('fig2', 'default', 'recovery', 1276, '8fc971c9784a8d046d02a2c463cede9ec54e60614f3ff04765c101153e4bf214', 1484),
-    ('fig2', 'default', 'unprotected', 82, '73a8ba6010e8d00b268aa919a0b7aa1eefd421fe47434392504139e82e15862a', 'DeadlockError'),
+    ('fig2', 'default', 'recovery', 1280, '0d89c98b99cb5440e2b6b44a22163f043cf13b3b105bb2437da2ab80bc3549fe', 1393),
+    ('fig2', 'default', 'unprotected', 19, '6e6f2822fcb1405d5354c2ef8aa188f1c109b9bcaa7fa44d06a1161029052e47', 'DeadlockError'),
     ('fig2', 'unit_time', 'clean', 840, '7739e0cbda36e00bf2d75230d150053c75ee2232eb6262b6831907c49f8dbb0d', 83),
-    ('fig2', 'unit_time', 'recovery', 61, '586e4a89267b871aae35f04fe9041cbe0d2d49061bea6b442a47c251cbc6025e', 'SimulationError'),
-    ('fig2', 'unit_time', 'unprotected', 47, 'bcc6645cab8b46ed8d3092316ea65a26e0375322f3a322368df0aa25f24cf257', 'DeadlockError'),
+    ('fig2', 'unit_time', 'recovery', 62, 'a1f43a42e3d009c56af7fcf6de862ae0b4aa031290baa7bfb1219320c83cb9ec', 'SimulationError'),
+    ('fig2', 'unit_time', 'unprotected', 19, '252c149e92c1dde1e2e91bf7aaab0e22fc91a0a15a47c4fc5c0ddbfe922be3e2', 'DeadlockError'),
     ('fig4', 'default', 'clean', 1880, 'b4836c766e63d5c570724bac41f85fa27b2102ec28dc0d8ecd3f0719e605004b', 394),
-    ('fig4', 'default', 'recovery', 3009, 'c2d760875a16a2bda26befa600fc99769f8bbcb4850d6b849616357e6f4d72fd', 2094),
-    ('fig4', 'default', 'unprotected', 40, '5d8a09777c0ff82ed212d0cf239df8f1c71544fde19d5e7d127ff566b53f5072', 'DeadlockError'),
+    ('fig4', 'default', 'recovery', 2939, '23bcdbdef7d98f62a8e7bf8060ec6f3f0b86811430cfcde88c2b707d1c8eff94', 1903),
+    ('fig4', 'default', 'unprotected', 19, '48df8ea7183b167b569e6161ab216da3e89296ab71f4aa2ee311ab99a125333c', 'DeadlockError'),
     ('fig4', 'unit_time', 'clean', 1880, '6292438c2e45a77f36a1ec2e44f318603b2673294c9470c6fa776ee5fbdaab8c', 87),
-    ('fig4', 'unit_time', 'recovery', 164, '0b36ce568998480404e8b71d6f1706b61bfc0591ed604e899a13f12271c9ac5a', 'SimulationError'),
-    ('fig4', 'unit_time', 'unprotected', 30, 'ee3fd4a8f8164f8a28bc374f6873b06f131c99c843827a40d7a4fb540adc5a3c', 'DeadlockError'),
+    ('fig4', 'unit_time', 'recovery', 163, '73fbbb90d810bc22f4d2dbabc52366c2fdc66342ec01231f71803f130beb472b', 'SimulationError'),
+    ('fig4', 'unit_time', 'unprotected', 19, '37576364fdf34da7eba85fe20e12616ec255e477629ed7d31b194614976d4e81', 'DeadlockError'),
     ('fig5', 'default', 'clean', 1720, '0f8f91fde221034007ca88e77b988b99c51032c4429e8ef6cb5d3ae14bb84027', 339),
-    ('fig5', 'default', 'recovery', 2704, '03882b5b1d87673044cd5718e9887b591394c4a12926e907cae88d7ada901a6a', 1768),
-    ('fig5', 'default', 'unprotected', 34, '222d661efa15c1daea3ff71390fe73b959500fcd8f4a427ff0b14ecfa9ef84f7', 'DeadlockError'),
+    ('fig5', 'default', 'recovery', 2715, 'fcb59f7fc9bf789396ebbea0954c52b9d1240c86513aee48674f9ff90f191693', 2034),
+    ('fig5', 'default', 'unprotected', 26, '98f4469fe362e3eb362dfb6030ae85fe5069acb312264c4c41f305ca4a0e4b07', 'DeadlockError'),
     ('fig5', 'unit_time', 'clean', 1720, '913bcec5136ec5f3bd9f1545657f900ab39c14c449a1c8024584cbdccc3b1575', 85),
-    ('fig5', 'unit_time', 'recovery', 142, '24db41929ca34d7c91dbb068e04d224f61d9b864449eea7d8927caa9c1b80a9d', 'SimulationError'),
-    ('fig5', 'unit_time', 'unprotected', 34, 'c206b2d378fa997bf902ac73f8ff566ab51cd6cddaacb80d6036f0ed8ed60a09', 'DeadlockError'),
+    ('fig5', 'unit_time', 'recovery', 135, 'd48e87009e82bf84c57a7c293ec5aca34742658d23424cc4fbad20617dd45c22', 'SimulationError'),
+    ('fig5', 'unit_time', 'unprotected', 26, '5b5289f2effc3f164cb710fdb4d69b65d3769bfbef9dc63626241c979ddfa98c', 'DeadlockError'),
     ('fig6', 'default', 'clean', 2846, 'e31d0c81aea7c9b4b196fc2f9e9ccc793f649b55ea8080526c2a15c279833b49', 420),
-    ('fig6', 'default', 'recovery', 4487, '870c2f41051c54dcc1a88e532ec8e334a15b25255038f6bb0455e75060ddd77c', 2034),
-    ('fig6', 'default', 'unprotected', 93, '7ddb54813ea78b228d538f887c37e25b68b5e152cf13c9ddf4d3536b572aaa7a', 'DeadlockError'),
+    ('fig6', 'default', 'recovery', 4473, '447094fc938d1aa08c0eefbdb8797926bcd634e56459e8917566fbdaec45df4a', 2144),
+    ('fig6', 'default', 'unprotected', 69, 'cca2c0b774ea299f1ce336c2641fc77025246b9fc90a3fc8704d455e4114e70f', 'DeadlockError'),
     ('fig6', 'unit_time', 'clean', 2846, '3dac37ba798f6c09b378376010cedd1561d60ddfca484da5322a24b6d10ed9c8', 96),
-    ('fig6', 'unit_time', 'recovery', 381, '01d46c9e9a5454a38f41198a98aff1e7387d11c6e050909f349586cb926dd27f', 'SimulationError'),
-    ('fig6', 'unit_time', 'unprotected', 156, '6c35f866b2722f79bc11811100fa0f96fd9391a06e582eb1caecbd18df0b09b9', 'DeadlockError'),
+    ('fig6', 'unit_time', 'recovery', 212, '68de1236a6bcd0bb7930ef19a56ff4b3c1750dd559232a9bb26a1de63a1c4dd3', 'SimulationError'),
+    ('fig6', 'unit_time', 'unprotected', 69, 'daba96c0a378230cb007d200434a0777e17560ab47176a1656d171f7762dc961', 'DeadlockError'),
     ('fig7', 'default', 'clean', 971, 'a1ea37ba4cf2f6219278ae36c58a944bcb8cc5ca2de22b9d3dc0037bfadcf9a6', 649),
-    ('fig7', 'default', 'recovery', 1456, '395418392415055faad8dec05fae3281c2247d7324394d89aeb7d57142a0665b', 1886),
-    ('fig7', 'default', 'unprotected', 31, 'cd638dbe4337066ba54b58255242b23cc111b51548afdedf8357c347902fb751', 'DeadlockError'),
+    ('fig7', 'default', 'recovery', 1444, 'da45fdbf358dae33ce078c7255c578cbe74200f85831b43335a48e9be739e129', 1617),
+    ('fig7', 'default', 'unprotected', 26, '7141675c06986396b5304328d7d5cd7022a3a8bce0c39cdd1ae6b6df8ee70811', 'DeadlockError'),
     ('fig7', 'unit_time', 'clean', 971, 'a73d19eb568b460661df0cecb810f22a414003a5831b24ac47b9ea759b81cf4e', 123),
-    ('fig7', 'unit_time', 'recovery', 137, 'a908f0c729767e0c093c6d6de202e2aff2954a60c381d7633f6642b57f98d4cc', 'SimulationError'),
-    ('fig7', 'unit_time', 'unprotected', 31, 'bb0bb1cc94695a2a644d7629176ac57a9f838c64f49165d45499c0ac7a9a90a6', 'DeadlockError'),
+    ('fig7', 'unit_time', 'recovery', 76, '23e13974a5a593c064f5397db6a062c30a230d4da5102abe26544a43c5982006', 'SimulationError'),
+    ('fig7', 'unit_time', 'unprotected', 26, '5cef880cd9090bfe29008e2b0c8fccf0ac0c7707d6edad7cb3be82ced2ae8310', 'DeadlockError'),
 ]
 
 

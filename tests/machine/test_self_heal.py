@@ -35,7 +35,7 @@ from repro.machine import (
 )
 from repro.machine import shard_runner
 from repro.workers import BackoffPolicy
-from tests.util import EMPTY_PLAN, KEYED_PLAN, program_graph, reference
+from tests.util import CHAOS_PLAN, program_graph, reference
 
 INTERVAL = 10
 
@@ -53,7 +53,7 @@ def _procs(shards, recovery=None):
 def _chaos_run(tmp_path, name, shards, faults, *, heal=None,
                plan=None, interval=INTERVAL, max_cycles=50_000_000):
     graph, streams = program_graph(name)
-    base = plan if plan is not None else EMPTY_PLAN
+    base = plan if plan is not None else FaultPlan()
     chaos = FaultPlan.from_dict(
         {**base.to_dict(),
          "shard_faults": [f.to_dict() if hasattr(f, "to_dict") else f
@@ -80,9 +80,9 @@ def _fault(shard, cycle, kind="kill", **kw):
 class TestKillRecovery:
     def test_recovery_with_packet_faults_too(self, tmp_path):
         ref_out, ref_times = reference(*program_graph("fig7"),
-                                       plan=KEYED_PLAN)
+                                       plan=CHAOS_PLAN)
         runner, out, times = _chaos_run(
-            tmp_path, "fig7", 4, [_fault(2, 30)], plan=KEYED_PLAN,
+            tmp_path, "fig7", 4, [_fault(2, 30)], plan=CHAOS_PLAN,
             heal=RecoveryPolicy(**FAST),
         )
         assert out == ref_out
@@ -95,7 +95,7 @@ class TestKillRecovery:
             tmp_path / "snaps", interval=INTERVAL, retain=3
         )
         plan = FaultPlan.from_dict(
-            {**EMPTY_PLAN.to_dict(),
+            {**FaultPlan().to_dict(),
              "shard_faults": [_fault(1, 30)]}
         )
         runner = ShardedRunner(
@@ -156,7 +156,7 @@ class TestKillRecovery:
 class TestHangRecovery:
     def test_slow_worker_within_deadline_is_not_a_failure(
             self, tmp_path):
-        ref_out, ref_times = reference(*program_graph("fig7"), plan=EMPTY_PLAN)
+        ref_out, ref_times = reference(*program_graph("fig7"), FaultPlan())
         runner, out, times = _chaos_run(
             tmp_path, "fig7", 4,
             [_fault(1, 30, kind="slow", delay=0.2)],
@@ -194,7 +194,7 @@ class TestKillDuringSnapshot:
         # victim writes its file: the set must stay uncommitted, the
         # rollback must use the previous complete set, and the replay
         # must re-commit the interrupted cycle
-        ref_out, ref_times = reference(*program_graph("fig7"), plan=EMPTY_PLAN)
+        ref_out, ref_times = reference(*program_graph("fig7"), FaultPlan())
         runner, out, times = _chaos_run(
             tmp_path, "fig7", 4, [_fault(2, 20)],
             heal=RecoveryPolicy(**FAST),
@@ -244,7 +244,7 @@ class TestEscalation:
                                                  capsys):
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(json.dumps({
-            "schema": 2, "seed": 0, "derivation": "keyed",
+            "schema": 2, "seed": 0,
             "shard_faults": [
                 {"shard": 1, "cycle": 30, "kind": "kill_shard"}
             ],
@@ -262,7 +262,7 @@ class TestEscalation:
                                                   capsys):
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(json.dumps({
-            "schema": 2, "seed": 0, "derivation": "keyed",
+            "schema": 2, "seed": 0,
             "shard_faults": [
                 {"shard": 1, "cycle": 30, "kind": "kill_shard"}
             ],
@@ -287,7 +287,7 @@ class TestEscalation:
         # (one per attempt), so no newer set ever commits between the
         # failures: the second recovery must bar the resume set and
         # step back one, exactly like the supervisor's quarantine
-        ref_out, ref_times = reference(*program_graph("fig7"), plan=EMPTY_PLAN)
+        ref_out, ref_times = reference(*program_graph("fig7"), FaultPlan())
         runner, out, times = _chaos_run(
             tmp_path, "fig7", 4,
             [_fault(1, 30), _fault(1, 30)],
@@ -301,7 +301,7 @@ class TestEscalation:
         assert rec.rollback_cycles == [20, 10]
 
     def test_degrade_continues_with_k_minus_one(self, tmp_path):
-        ref_out, ref_times = reference(*program_graph("fig7"), plan=EMPTY_PLAN)
+        ref_out, ref_times = reference(*program_graph("fig7"), FaultPlan())
         runner, out, times = _chaos_run(
             tmp_path, "fig7", 4, [_fault(1, 30)],
             heal=RecoveryPolicy(
@@ -371,10 +371,10 @@ class TestHealValidation:
         # forced healing with no snapshot directory still converges:
         # rollback means restart-from-inputs (fork keeps the parent's
         # machines pristine)
-        ref_out, ref_times = reference(*program_graph("fig7"), plan=EMPTY_PLAN)
+        ref_out, ref_times = reference(*program_graph("fig7"), FaultPlan())
         graph, streams = program_graph("fig7")
         plan = FaultPlan.from_dict(
-            {**EMPTY_PLAN.to_dict(),
+            {**FaultPlan().to_dict(),
              "shard_faults": [_fault(1, 30)]}
         )
         runner = ShardedRunner(
@@ -396,13 +396,13 @@ class TestResumeWithHealing:
         # crash an unhealed run, then resume with healing: the fault
         # past the resume point re-fires, is healed in process, and
         # the final outputs still match the clean reference
-        ref_out, ref_times = reference(*program_graph("fig7"), plan=EMPTY_PLAN)
+        ref_out, ref_times = reference(*program_graph("fig7"), FaultPlan())
         graph, streams = program_graph("fig7")
         cfg = CheckpointConfig(
             tmp_path / "snaps", interval=INTERVAL, retain=3
         )
         plan = FaultPlan.from_dict(
-            {**EMPTY_PLAN.to_dict(),
+            {**FaultPlan().to_dict(),
              "shard_faults": [_fault(1, 30)]}
         )
         runner = ShardedRunner(

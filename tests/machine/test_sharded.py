@@ -30,7 +30,6 @@ from repro.errors import (
     SnapshotError,
 )
 from repro.faults import FaultPlan, ShardFault
-from repro.faults.plan import FaultPlanError
 from repro.graph import DataflowGraph
 from repro.machine import (
     Machine,
@@ -301,7 +300,7 @@ class TestWorkersOwnTheirMachines:
             assert type(error) is cls and str(error) == "broken"
 
     @pytest.mark.parametrize("case", [
-        "unit_faults", "sequence_faults", "owner", "inputs", "graph",
+        "unit_faults", "unprotected_faults", "owner", "inputs", "graph",
         "policy",
     ])
     def test_refusals_stay_in_the_coordinator(self, case, monkeypatch):
@@ -315,10 +314,10 @@ class TestWorkersOwnTheirMachines:
         if case == "unit_faults":
             args["fault_plan"] = FaultPlan(
                 seed=1, unit_faults=({"unit": "fu", "index": 0},),
-                derivation="keyed",
             )
-        elif case == "sequence_faults":
+        elif case == "unprotected_faults":
             args["fault_plan"] = FaultPlan(seed=1, drop_result=0.05)
+            args["recovery"] = False
         elif case == "owner":
             args["owner"] = {**owner, max(owner) + 1: 0}
         elif case == "inputs":
@@ -337,6 +336,7 @@ class TestWorkersOwnTheirMachines:
             ShardedRunner(
                 graph, args["inputs"], policy=args["policy"],
                 fault_plan=args["fault_plan"],
+                recovery=args.get("recovery", True),
                 partition=Partition(k=2, scheme="given",
                                     owner=args["owner"], cut_arcs=()),
                 shard_config=ShardConfig(shards=2, processes=True),
@@ -362,29 +362,15 @@ class TestShardedGuards:
         plain = Machine(graph, inputs=streams)
         plain.run()
         runner = ShardedRunner(
-            graph, streams, fault_plan=FaultPlan(derivation="keyed"),
-            recovery=False,
+            graph, streams, fault_plan=FaultPlan(), recovery=False,
             shard_config=ShardConfig(shards=2, processes=False),
         )
         runner.run()
         assert runner.outputs() == plain.outputs()
 
-    def test_sequence_plan_rejected_for_k_gt_1(self):
-        graph, streams = program_graph("fig2")
-        plan = FaultPlan(seed=1, drop_result=0.05)   # derivation=sequence
-        with pytest.raises((SimulationError, FaultPlanError)):
-            repro.run(
-                graph, streams, backend="sharded", faults=plan,
-                shard_config=ShardConfig(shards=2, processes=False),
-            )
-
     def test_unit_faults_rejected_for_k_gt_1(self):
         graph, streams = program_graph("fig2")
-        plan = FaultPlan(
-            seed=1,
-            unit_faults=({"unit": "fu", "index": 0},),
-            derivation="keyed",
-        )
+        plan = FaultPlan(seed=1, unit_faults=({"unit": "fu", "index": 0},))
         with pytest.raises(SimulationError):
             repro.run(
                 graph, streams, backend="sharded", faults=plan,
@@ -545,7 +531,6 @@ class TestFanOut:
             self, tmp_path):
         graph, streams = program_graph("fig7", m=16)
         plan = FaultPlan(
-            derivation="keyed",
             shard_faults=(ShardFault(shard=1, cycle=30, kind="kill"),),
         )
         runner = ShardedRunner(
@@ -562,9 +547,7 @@ class TestFanOut:
         )
         runner.run()
         # the empty plan arms the reliability layer as the chaos plan does
-        ref_out, ref_times = reference(
-            graph, streams, FaultPlan(derivation="keyed")
-        )
+        ref_out, ref_times = reference(graph, streams, FaultPlan())
         assert runner.outputs() == ref_out
         assert {s: runner.sink_arrival_times(s) for s in ref_out} == ref_times
         rec = runner.stats().recovery

@@ -43,31 +43,17 @@ EXACT_CONFIGS = {
     "free_pe_issue": MachineConfig(pe_issue_interval=0),
 }
 
-#: packet faults keyed by packet identity, so a sharded run draws the
-#: same faults as a single machine
-KEYED_PLAN = FaultPlan(
+#: every packet fault at once: each arc draws its fates from its own
+#: stream, so every backend that reproduces the times draws the same
+#: faults
+CHAOS_PLAN = FaultPlan(
     seed=7,
     drop_result=0.08,
     dup_result=0.05,
     corrupt_result=0.04,
     drop_ack=0.08,
     dup_ack=0.05,
-    derivation="keyed",
 )
-
-#: packet faults drawn in sequence order from one RNG, whose cursor
-#: rides inside every snapshot (single machine only)
-SEQUENCE_PLAN = FaultPlan(
-    seed=1234,
-    drop_result=0.06,
-    dup_result=0.06,
-    corrupt_result=0.02,
-    drop_ack=0.03,
-)
-
-#: no faults, but the reliability layer armed exactly as a chaos plan
-#: arms it, so a shard-fault run compares against a run with this plan
-EMPTY_PLAN = FaultPlan(derivation="keyed")
 
 
 def figure(name: str, m: int = 16):
