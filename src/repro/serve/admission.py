@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
+from . import jobs
 from .protocol import JobRejected, JobSpec, ServerOverloaded
 
 JOURNAL_NAME = "serve-journal.jsonl"
@@ -38,11 +39,11 @@ class JobState:
     spec: JobSpec
     accepted_at: float
     deadline: float                      # absolute (monotonic clock)
+    sig: str                             # jobs.signature(spec)
+    batchable: bool                      # jobs.batchable(spec)
     attempts: int = 0
-    status: str = "queued"               # queued|running|done
     record: Optional[dict[str, Any]] = None
     done: Any = None                     # asyncio.Event, server-owned
-    readmitted: bool = False
 
     def remaining(self, now: float) -> float:
         return self.deadline - now
@@ -51,10 +52,10 @@ class JobState:
 class JobJournal:
     """Append-only NDJSON journal of accepts and outcomes.
 
-    Tolerates a torn final line (the crash happened mid-append); a
-    malformed line anywhere else is skipped but counted, never fatal --
-    a damaged journal must degrade to losing *that line's* job, not the
-    daemon.
+    A line that is not a whole ``accept`` or ``done`` entry -- a torn
+    final line (the crash happened mid-append) or a damaged one
+    anywhere -- is skipped but counted, never fatal: a damaged journal
+    must degrade to losing *that line's* job, not the daemon.
     """
 
     def __init__(self, path: Path) -> None:
@@ -98,40 +99,25 @@ class JobJournal:
         path = Path(path)
         if not path.exists():
             return [], completed, 0
-        raw = path.read_bytes()
-        lines = raw.split(b"\n")
-        torn_tail = lines and lines[-1] != b""
-        body = lines[:-1] if not torn_tail else lines[:-1]
-        tail = lines[-1] if torn_tail else None
-        for line in body:
+        # a final line without its newline is parsed like any other:
+        # torn by a crash mid-append it is skipped, whole it counts
+        for line in path.read_bytes().split(b"\n"):
             if not line:
                 continue
             try:
                 entry = json.loads(line.decode("utf-8"))
-                if entry.get("event") == "accept":
+                event = entry.get("event")
+                if event == "accept":
                     spec = JobSpec.from_dict(entry["job"])
                     pending[spec.id] = spec
-                elif entry.get("event") == "done":
+                elif event == "done":
                     job_id = entry["id"]
                     completed[job_id] = entry["record"]
                     pending.pop(job_id, None)
                 else:
                     skipped += 1
-            except (ValueError, KeyError, TypeError, JobRejected):
-                skipped += 1
-        if tail is not None:
-            # a torn final line is the expected signature of a crash
-            # mid-append; try it anyway in case the file merely lacks
-            # the trailing newline
-            try:
-                entry = json.loads(tail.decode("utf-8"))
-                if entry.get("event") == "accept":
-                    spec = JobSpec.from_dict(entry["job"])
-                    pending[spec.id] = spec
-                elif entry.get("event") == "done":
-                    completed[entry["id"]] = entry["record"]
-                    pending.pop(entry["id"], None)
-            except (ValueError, KeyError, TypeError, JobRejected):
+            except (ValueError, KeyError, TypeError, AttributeError,
+                    JobRejected):
                 skipped += 1
         return list(pending.values()), completed, skipped
 
@@ -204,7 +190,7 @@ class AdmissionQueue:
         )
         state = JobState(
             spec=spec, accepted_at=now, deadline=deadline,
-            readmitted=readmitted,
+            sig=jobs.signature(spec), batchable=jobs.batchable(spec),
         )
         # the accept must be durable before the client sees the ack:
         # exactly-once over restarts hinges on this ordering
@@ -212,13 +198,6 @@ class AdmissionQueue:
             self.journal.accept(spec)
         self._queue.append(state)
         self._by_id[spec.id] = state
-        return state
-
-    def take(self) -> Optional[JobState]:
-        if not self._queue:
-            return None
-        state = self._queue.popleft()
-        state.status = "running"
         return state
 
     def take_matching(
@@ -231,7 +210,6 @@ class AdmissionQueue:
         while self._queue and len(taken) < limit:
             state = self._queue.popleft()
             if predicate(state):
-                state.status = "running"
                 taken.append(state)
             else:
                 keep.append(state)
@@ -244,7 +222,6 @@ class AdmissionQueue:
 
     def finish(self, state: JobState, record: dict[str, Any]) -> None:
         """Record a terminal outcome (success or typed failure)."""
-        state.status = "done"
         state.record = record
         self._by_id.pop(state.spec.id, None)
         self.completed[state.spec.id] = record

@@ -1,5 +1,5 @@
-"""Job execution helpers: resident compiled pipelines, serial and
-batched execution.
+"""Job execution helpers: resident compiled pipelines and
+:func:`execute`, which runs one dispatch of jobs.
 
 The correctness contract of the batching scheduler lives here:
 
@@ -8,11 +8,12 @@ The correctness contract of the batching scheduler lives here:
   through ``repro.run(source, ...)``, which compiles with the default
   scheme and would pick the companion construction whose floating-point
   association differs by ULPs;
-* a batch runs that pipeline once with a :class:`~repro.sim.sync.Lanes`
-  token per member value: each lane applies the member's own operators
-  to its own operands, so a job's output values are **bit-identical**
-  whether it ran alone or inside any batch.  A batch that fails or
-  whose members' controls disagree runs each member alone.
+* a dispatch of several jobs runs that pipeline once with a
+  :class:`~repro.sim.sync.Lanes` token per member value: each lane
+  applies the member's own operators to its own operands, so a job's
+  output values are **bit-identical** whether it ran alone or inside
+  any batch.  A lone job, a batch that fails or one whose members'
+  controls disagree runs each member alone.
 
 Compiled artifacts are cached per (source, params) so a resident
 worker serves repeat tenants without recompiling.
@@ -122,28 +123,32 @@ def execute_serial(spec: JobSpec) -> dict[str, Any]:
         ) from exc
 
 
-def execute_batch(specs: list[JobSpec]) -> dict[str, dict[str, Any]]:
-    """Run compatible jobs as lanes of one serial pipeline run.
+def execute(specs: list[JobSpec]) -> dict[str, dict[str, Any]]:
+    """Run one dispatch: several compatible jobs as lanes of one serial
+    pipeline run, a lone job alone.
 
     Returns ``{job id: entry}``: the member's result payload, its
     streams bit-identical to what :func:`execute_serial` produces, or
     ``{"error": ...}`` with the typed error it raises alone.
     """
-    if len(specs) < 2:
-        raise JobExecutionError("a batch needs at least 2 jobs")
-    try:
-        program = compile_serial(specs[0].source, specs[0].params)
-        members = [program.prepare_inputs(s.inputs) for s in specs]
-        inputs = {
-            name: list(map(Lanes, zip(*(m[name] for m in members))))
-            for name in program.input_specs
-        }
-        sim = SyncSimulator(program.graph, inputs, lanes=len(specs))
-        sim.run(max_steps=1_000_000)
-        outputs = sim.outputs()
-    except ReproError:
-        # a failing or diverging batch: each member's own outcome
-        return {s.id: _alone(s) for s in specs}
+    if len(specs) > 1:
+        try:
+            return _lanes(specs)
+        except ReproError:
+            pass  # a failing or diverging batch: each member alone
+    return {s.id: _alone(s) for s in specs}
+
+
+def _lanes(specs: list[JobSpec]) -> dict[str, dict[str, Any]]:
+    program = compile_serial(specs[0].source, specs[0].params)
+    members = [program.prepare_inputs(s.inputs) for s in specs]
+    inputs = {
+        name: list(map(Lanes, zip(*(m[name] for m in members))))
+        for name in program.input_specs
+    }
+    sim = SyncSimulator(program.graph, inputs, lanes=len(specs))
+    sim.run(max_steps=1_000_000)
+    outputs = sim.outputs()
     return {
         spec.id: {
             "streams": {name: [v[j] for v in values]

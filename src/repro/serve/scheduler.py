@@ -2,18 +2,19 @@
 
 ``b`` recurrence jobs of one program share one firing schedule, so one
 run of the serial pipeline can carry all their values
-(:func:`~repro.serve.jobs.execute_batch`).  That is a throughput
+(:func:`~repro.serve.jobs.execute`).  That is a throughput
 lever, but forming a batch costs latency (waiting for companions).
 The planner therefore:
 
-* groups queued jobs by :func:`~repro.serve.jobs.signature` (same
-  program, params and stream lengths = can share a compiled loop);
+* groups queued jobs by signature (:func:`~repro.serve.jobs.signature`,
+  computed once at admission: same program, params and stream lengths
+  = can share a compiled loop);
 * batches a group only when at least ``min_batch`` jobs are waiting
   **and** the batch's estimated completion violates no member's
   deadline (estimate = seeded EMA of observed per-batch service time,
   conservative before first observation);
-* otherwise degrades gracefully to serial execution, deadline-tightest
-  first.
+* otherwise degrades gracefully to dispatches of one,
+  deadline-tightest first.
 
 All state is plain data and the decision function is synchronous, so
 the policy is unit-testable without a running daemon.
@@ -23,10 +24,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from .admission import AdmissionQueue, JobState
-from . import jobs
 
 #: EMA smoothing for service-time estimates
 EMA_ALPHA = 0.3
@@ -37,10 +37,14 @@ DEFAULT_SECONDS = 0.25
 
 @dataclass
 class Dispatch:
-    """One planner decision: a serial job or a batch."""
+    """One planner decision: jobs that run in one worker call, as
+    lanes of one pipeline run when there are several."""
 
     states: list[JobState]
-    batched: bool
+
+    @property
+    def batched(self) -> bool:
+        return len(self.states) > 1
 
     @property
     def ids(self) -> list[str]:
@@ -55,8 +59,12 @@ class CostModel:
         self.default = default
         self._ema: dict[str, float] = {}
 
-    def estimate(self, key: str) -> float:
-        return self._ema.get(key, self.default)
+    def estimate(self, key: str, default: Optional[float] = None) -> float:
+        """The EMA for ``key``; before its first observation,
+        ``default`` (the model's own prior if None)."""
+        return self._ema.get(
+            key, self.default if default is None else default
+        )
 
     def observe(self, key: str, seconds: float) -> None:
         prev = self._ema.get(key)
@@ -103,7 +111,7 @@ class BatchPlanner:
         return f"{sig}@{size}"
 
     def observe(self, dispatch: Dispatch, seconds: float) -> None:
-        sig = jobs.signature(dispatch.states[0].spec)
+        sig = dispatch.states[0].sig
         if dispatch.batched:
             self.costs.observe(
                 self._batch_key(sig, len(dispatch.states)), seconds
@@ -112,13 +120,12 @@ class BatchPlanner:
             self.costs.observe(sig, seconds)
 
     def _batch_estimate(self, sig: str, size: int) -> float:
-        key = self._batch_key(sig, size)
-        if key in self.costs._ema:
-            return self.costs.estimate(key)
         # prior: a batch of b costs at most b serial runs (the whole
         # point is that it costs much less), so this only delays the
         # first batch when deadlines are already tight
-        return self.costs.estimate(sig) * size
+        return self.costs.estimate(
+            self._batch_key(sig, size), self.costs.estimate(sig) * size
+        )
 
     # -- planning ------------------------------------------------------
     def plan(self, queue: AdmissionQueue,
@@ -129,17 +136,16 @@ class BatchPlanner:
         dispatches: list[Dispatch] = []
         self.wake_at = float("inf")
 
-        # non-batchable jobs go serial immediately, FIFO
+        # non-batchable jobs go alone immediately, FIFO
         for state in queue.take_matching(
-            lambda s: not jobs.batchable(s.spec), limit=queue.capacity
+            lambda s: not s.batchable, limit=queue.capacity
         ):
-            dispatches.append(Dispatch([state], batched=False))
+            dispatches.append(Dispatch([state]))
 
         # group the batchable ones by signature without removing yet
         groups: dict[str, list[JobState]] = {}
-        for state in list(queue._queue):
-            sig = jobs.signature(state.spec)
-            groups.setdefault(sig, []).append(state)
+        for state in queue._queue:
+            groups.setdefault(state.sig, []).append(state)
 
         for sig, members in groups.items():
             size = min(len(members), self.max_batch)
@@ -154,19 +160,17 @@ class BatchPlanner:
                         lambda s: id(s) in chosen, limit=size
                     )
                     self._lingering.pop(sig, None)
-                    dispatches.append(Dispatch(taken, batched=True))
+                    dispatches.append(Dispatch(taken))
                     continue
-                # batching would blow a deadline: degrade to serial,
-                # tightest deadline first
+                # batching would blow a deadline: degrade to
+                # dispatches of one, tightest deadline first
                 chosen = {id(m) for m in members}
                 taken = queue.take_matching(
                     lambda s: id(s) in chosen, limit=len(members)
                 )
                 taken.sort(key=lambda s: s.deadline)
                 self._lingering.pop(sig, None)
-                dispatches.extend(
-                    Dispatch([t], batched=False) for t in taken
-                )
+                dispatches.extend(Dispatch([t]) for t in taken)
                 continue
             # a lone batchable job: linger briefly for companions,
             # unless waiting would eat its deadline slack
@@ -183,5 +187,5 @@ class BatchPlanner:
             taken = queue.take_matching(lambda s: id(s) in chosen, limit=1)
             self._lingering.pop(sig, None)
             if taken:
-                dispatches.append(Dispatch(taken, batched=False))
+                dispatches.append(Dispatch(taken))
         return dispatches

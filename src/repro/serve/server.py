@@ -9,16 +9,17 @@ daemon down.  Lifecycle of one job:
    and either enqueues (bounded) or sheds with a typed
    ``ServerOverloaded`` + retry-after hint;
 2. **batching** -- the dispatcher drains the queue through the
-   :class:`~repro.serve.scheduler.BatchPlanner`, which runs
-   compatible recurrence jobs as lanes of one run of their resident
-   serial pipeline when deadlines allow, else degrades to serial;
-3. **execution** -- each dispatch runs on a pool worker under a
-   deadline; a crashed or hung worker costs one respawn and the
-   affected jobs retry with seeded-jitter backoff, at most
+   :class:`~repro.serve.scheduler.BatchPlanner` into dispatches: lists
+   of jobs, several compatible recurrence jobs when deadlines allow
+   (lanes of one run of their resident serial pipeline), else one;
+3. **execution** -- each dispatch is one ``run`` call on a pool worker
+   under a deadline; a crashed or hung worker costs one respawn and
+   the affected jobs retry with seeded-jitter backoff, at most
    ``max_retries`` times, then fail typed (never silently dropped);
-   a *batch* attempt lost to a worker is disbanded and its members
-   retried serially, isolating a poison job to its own retry budget,
-   and a member that fails deterministically fails alone;
+   a *batch* attempt lost to a worker is disbanded and each member
+   retries alone as a dispatch of one, isolating a poison job to its
+   own retry budget, and a member that fails deterministically fails
+   alone;
 4. **reply** -- the outcome record (success payload or typed error) is
    journaled, counted, and delivered to any ``wait``-ing connection.
 
@@ -318,9 +319,7 @@ class PipelineServer:
             self._wake.clear()
             for dispatch in self.planner.plan(self.queue,
                                               idle=self.pool.idle):
-                task = asyncio.create_task(self._execute(dispatch))
-                self._tasks.add(task)
-                task.add_done_callback(self._tasks.discard)
+                self._spawn(dispatch)
             self.stats.queue_depth = self.queue.depth
             try:
                 await asyncio.wait_for(self._wake.wait(), timeout=max(
@@ -329,22 +328,13 @@ class PipelineServer:
             except asyncio.TimeoutError:
                 pass
 
-    async def _execute(self, dispatch: Dispatch) -> None:
-        self._inflight_count += len(dispatch.states)
-        self.stats.inflight = self._inflight_count
-        try:
-            if dispatch.batched:
-                await self._execute_batch(dispatch)
-            else:
-                await self._execute_serial(dispatch.states[0])
-        finally:
-            self._inflight_count -= len(dispatch.states)
-            self.stats.inflight = self._inflight_count
-            # a worker is free again: a lingering job may go now
-            self._wake.set()
+    def _spawn(self, dispatch: Dispatch) -> None:
+        task = asyncio.create_task(self._execute(dispatch))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
-    def _finish_ok(self, state: JobState, result: dict[str, Any],
-                   batched: bool) -> None:
+    def _finish_ok(self, state: JobState, result: dict[str, Any]) -> None:
+        batched = "batch" in result   # ran as a lane, not alone
         now = time.monotonic()
         latency = now - state.accepted_at
         record = {
@@ -387,152 +377,111 @@ class PipelineServer:
             stage=stage,
         )
 
-    async def _execute_serial(self, state: JobState) -> None:
-        while True:
-            now = time.monotonic()
-            remaining = state.remaining(now)
-            if remaining <= 0:
-                self._finish_err(
-                    state,
-                    self._deadline_error(
-                        state,
-                        "queued" if state.attempts == 0 else "retrying",
-                    ),
-                )
-                return
-            attempt = state.attempts
-            state.attempts += 1
-            payload = {
-                "op": "job",
-                "job": state.spec.to_dict(),
-                "inject": _attempt_fault(state.spec, attempt),
-            }
-            started = time.monotonic()
-            try:
-                reply = await self.pool.execute(
-                    payload, timeout=remaining
-                )
-            except WorkerFailure as failure:
-                self.pool_failure_noted(state, failure)
-                if state.remaining(time.monotonic()) <= 0:
-                    self._finish_err(
-                        state, self._deadline_error(state, "running")
-                    )
-                    return
-                if state.attempts > self.config.max_retries:
-                    self._finish_err(state, JobRetriesExhausted(
-                        f"job {state.spec.id!r} lost "
-                        f"{state.attempts} attempt(s) to worker "
-                        f"failure; retry budget of "
-                        f"{self.config.max_retries} exhausted",
-                        job_id=state.spec.id,
-                        attempts=state.attempts,
-                        reason=str(failure),
-                    ))
-                    self.stats.quarantined_jobs += 1
-                    return
-                delay = _RETRY_BACKOFF.delay(state.attempts, self._rng)
-                await asyncio.sleep(
-                    min(delay, max(0.0, state.remaining(time.monotonic())))
-                )
-                continue
-            if reply.get("ok"):
-                elapsed = time.monotonic() - started
-                self.planner.observe(
-                    Dispatch([state], batched=False), elapsed
-                )
-                self._finish_ok(state, reply.get("result", {}),
-                                batched=False)
-            else:
-                self._finish_err(
-                    state, error_from_dict(reply.get("error", {}))
-                )
-            return
+    def _may_retry(self, state: JobState, failure: WorkerFailure) -> bool:
+        """False, with the job failed typed, once its attempts lost to
+        worker failure exceed the retry budget."""
+        if state.attempts <= self.config.max_retries:
+            return True
+        self._finish_err(state, JobRetriesExhausted(
+            f"job {state.spec.id!r} lost {state.attempts} attempt(s) "
+            f"to worker failure; retry budget of "
+            f"{self.config.max_retries} exhausted",
+            job_id=state.spec.id,
+            attempts=state.attempts,
+            reason=str(failure),
+        ))
+        self.stats.quarantined_jobs += 1
+        return False
 
-    def pool_failure_noted(self, state: JobState,
-                           failure: WorkerFailure) -> None:
-        self.stats.worker_respawns = self.pool.respawns
-        self.stats.note(state.spec.tenant, "retries")
-        self._log(
-            f"job {state.spec.id!r} attempt {state.attempts} lost to "
-            f"{failure.kind} ({failure.detail})"
-        )
-
-    async def _execute_batch(self, dispatch: Dispatch) -> None:
+    async def _execute(self, dispatch: Dispatch) -> None:
+        """Run one dispatch on a pool worker until every member has an
+        outcome; a lone job retries in place after a worker failure, a
+        batch is disbanded into dispatches of one."""
         states = dispatch.states
-        now = time.monotonic()
-        remaining = min(s.remaining(now) for s in states)
-        if remaining <= 0:
-            for state in states:
-                self._finish_err(
-                    state, self._deadline_error(state, "batching")
-                )
-            return
-        inject = None
-        for state in states:
-            inject = _attempt_fault(state.spec, state.attempts)
-            if inject is not None:
-                break
-        for state in states:
-            state.attempts += 1
-        payload = {
-            "op": "batch",
-            "jobs": [s.spec.to_dict() for s in states],
-            "inject": inject,
-        }
-        self.stats.batches += 1
-        started = time.monotonic()
+        self._inflight_count += len(states)
+        self.stats.inflight = self._inflight_count
         try:
-            reply = await self.pool.execute(payload, timeout=remaining)
-        except WorkerFailure as failure:
-            # disband: the poison member (if any) is isolated to its
-            # own serial retries; innocents retry serially too but
-            # their attempt cost one shared worker, not one each
-            for state in states:
-                self.pool_failure_noted(state, failure)
-            self._log(
-                f"batch of {len(states)} disbanded after {failure.kind};"
-                f" retrying members serially"
-            )
-            delay = _RETRY_BACKOFF.delay(1, self._rng)
-            await asyncio.sleep(min(delay, remaining))
-            for state in states:
-                task = asyncio.create_task(self._retry_serial(state))
-                self._tasks.add(task)
-                task.add_done_callback(self._tasks.discard)
-            return
-        if reply.get("ok"):
-            elapsed = time.monotonic() - started
-            self.planner.observe(dispatch, elapsed)
-            results = reply.get("results", {})
-            for state in states:
-                entry = results.get(state.spec.id, {})
-                if "error" in entry:
-                    self._finish_err(state, error_from_dict(entry["error"]))
-                else:
-                    self._finish_ok(state, entry, batched="batch" in entry)
-        else:
-            error = error_from_dict(reply.get("error", {}))
-            for state in states:
-                self._finish_err(state, error)
-
-    async def _retry_serial(self, state: JobState) -> None:
-        if state.attempts > self.config.max_retries:
-            self._finish_err(state, JobRetriesExhausted(
-                f"job {state.spec.id!r} lost {state.attempts} "
-                f"attempt(s) to worker failure; retry budget of "
-                f"{self.config.max_retries} exhausted",
-                job_id=state.spec.id,
-                attempts=state.attempts,
-                reason="batch attempt lost to worker failure",
-            ))
-            self.stats.quarantined_jobs += 1
-            return
-        self._inflight_count += 1
-        try:
-            await self._execute_serial(state)
+            while True:
+                now = time.monotonic()
+                remaining = min(s.remaining(now) for s in states)
+                if remaining <= 0:
+                    stage = ("batching" if dispatch.batched else
+                             "retrying" if states[0].attempts else
+                             "queued")
+                    for state in states:
+                        self._finish_err(
+                            state, self._deadline_error(state, stage)
+                        )
+                    return
+                inject = next(filter(None, (
+                    _attempt_fault(s.spec, s.attempts) for s in states
+                )), None)
+                for state in states:
+                    state.attempts += 1
+                if dispatch.batched:
+                    self.stats.batches += 1
+                payload = {
+                    "op": "run",
+                    "jobs": [s.spec.to_dict() for s in states],
+                    "inject": inject,
+                }
+                started = time.monotonic()
+                try:
+                    reply = await self.pool.execute(
+                        payload, timeout=remaining
+                    )
+                except WorkerFailure as failure:
+                    self.stats.worker_respawns = self.pool.respawns
+                    for state in states:
+                        self.stats.note(state.spec.tenant, "retries")
+                    self._log(
+                        f"{'batch' if dispatch.batched else 'job'} "
+                        f"{', '.join(dispatch.ids)}: attempt "
+                        f"{states[0].attempts} lost to {failure.kind} "
+                        f"({failure.detail})"
+                    )
+                    if dispatch.batched:
+                        # disband: each member retries alone, so a
+                        # poison job spends only its own retry budget
+                        delay = _RETRY_BACKOFF.delay(1, self._rng)
+                        await asyncio.sleep(min(delay, remaining))
+                        for state in states:
+                            if self._may_retry(state, failure):
+                                self._spawn(Dispatch([state]))
+                        return
+                    (state,) = states
+                    if state.remaining(time.monotonic()) <= 0:
+                        self._finish_err(
+                            state, self._deadline_error(state, "running")
+                        )
+                        return
+                    if not self._may_retry(state, failure):
+                        return
+                    delay = _RETRY_BACKOFF.delay(state.attempts, self._rng)
+                    await asyncio.sleep(min(
+                        delay, max(0.0, state.remaining(time.monotonic()))
+                    ))
+                    continue
+                if not reply.get("ok"):
+                    error = error_from_dict(reply.get("error", {}))
+                    for state in states:
+                        self._finish_err(state, error)
+                    return
+                self.planner.observe(dispatch, time.monotonic() - started)
+                results = reply.get("results", {})
+                for state in states:
+                    entry = results.get(state.spec.id, {})
+                    if "error" in entry:
+                        error = error_from_dict(entry["error"])
+                        self._finish_err(state, error)
+                    else:
+                        self._finish_ok(state, entry)
+                return
         finally:
-            self._inflight_count -= 1
+            self._inflight_count -= len(states)
+            self.stats.inflight = self._inflight_count
+            # a worker is free again: a lingering job may go now
+            self._wake.set()
 
     # ------------------------------------------------------------------
     # connections

@@ -8,16 +8,15 @@ whole.  Requests and replies are plain dicts:
 
 ``{"op": "ping"}``
     -> ``{"ok": true, "pid": ...}`` -- liveness handshake.
-``{"op": "job", "job": {...}, "inject": {...}|null}``
-    -> ``{"ok": true, "id": ..., "result": {...}}`` or
-    ``{"ok": false, "id": ..., "error": {...}}`` (a typed execution
-    error: deterministic, the server does not retry it).
-``{"op": "batch", "jobs": [{...}, ...], "inject": ...}``
-    -> ``{"ok": true, "results": {id: {...}}}`` -- members as lanes of
-    one pipeline run; one that fails alone gets ``{"error": {...}}``.
+``{"op": "run", "jobs": [{...}, ...], "inject": {...}|null}``
+    -> ``{"ok": true, "results": {id: {...}}}`` -- one dispatch
+    (:func:`repro.serve.jobs.execute`): a lone job runs alone, several
+    run as lanes of one pipeline run; a member that fails alone gets
+    ``{"error": {...}}`` (a typed execution error: deterministic, the
+    server does not retry it).
 
-``inject`` is a consumed worker-level fault directive derived from the
-job's FaultPlan ``shard_faults`` (``shard`` = attempt index), executed
+``inject`` is a consumed worker-level fault directive derived from a
+member's FaultPlan ``shard_faults`` (``shard`` = attempt index), executed
 by :func:`repro.workers.apply_fault`: ``{"kind": "kill"}`` dies like
 SIGKILL before touching the job, ``{"kind": "hang"}`` stops responding
 forever (the pool's deadline catches it), ``{"kind": "slow", "delay":
@@ -38,29 +37,17 @@ from typing import Any
 
 from ..workers import apply_fault, serve_requests
 from . import jobs
-from .protocol import JobExecutionError, JobRejected, JobSpec
+from .protocol import JobRejected, JobSpec
 
 
 def _handle(request: dict[str, Any]) -> dict[str, Any]:
     op = request.get("op")
     if op == "ping":
         return {"ok": True, "pid": os.getpid()}
-    if op == "job":
-        apply_fault(request.get("inject"))
-        spec = JobSpec.from_dict(request["job"])
-        try:
-            result = jobs.execute_serial(spec)
-        except JobExecutionError as exc:
-            return {"ok": False, "id": spec.id, "error": exc.to_dict()}
-        return {"ok": True, "id": spec.id, "result": result}
-    if op == "batch":
+    if op == "run":
         apply_fault(request.get("inject"))
         specs = [JobSpec.from_dict(j) for j in request["jobs"]]
-        try:
-            results = jobs.execute_batch(specs)
-        except JobExecutionError as exc:
-            return {"ok": False, "error": exc.to_dict()}
-        return {"ok": True, "results": results}
+        return {"ok": True, "results": jobs.execute(specs)}
     return {
         "ok": False,
         "error": {"code": "rejected", "message": f"unknown op {op!r}"},

@@ -9,12 +9,14 @@ import json
 
 import pytest
 
+from repro.serve import jobs
 from repro.serve.admission import (
     JOURNAL_NAME,
     AdmissionQueue,
     JobJournal,
 )
 from repro.serve.protocol import JobRejected, ServerOverloaded
+from repro.serve.scheduler import BatchPlanner
 
 from .conftest import make_spec
 
@@ -67,7 +69,7 @@ class TestBoundedAdmission:
     def test_completed_id_rejected_with_pointer_to_wait(self, tmp_path):
         q = _queue(tmp_path)
         state = q.offer(make_spec("a"))
-        q.take()
+        q.take_matching(lambda s: True, limit=1)
         q.finish(state, {"id": "a", "ok": True})
         with pytest.raises(JobRejected, match="already completed"):
             q.offer(make_spec("a"))
@@ -98,9 +100,37 @@ class TestBoundedAdmission:
         q = _queue(tmp_path, capacity=2, journal=False)
         for i in range(20):
             state = q.offer(make_spec(f"j{i}"))
-            q.take()
+            q.take_matching(lambda s: True, limit=1)
             q.finish(state, {"id": f"j{i}", "ok": True})
         assert len(q.completed) <= 4 * q.capacity
+
+
+class TestJobFacts:
+    def test_signature_is_hashed_once_per_job_at_admission(
+            self, monkeypatch):
+        real = jobs.signature
+        calls = []
+
+        def counting(spec):
+            calls.append(spec.id)
+            return real(spec)
+
+        monkeypatch.setattr(jobs, "signature", counting)
+        now = [1000.0]
+        planner = BatchPlanner(min_batch=2, max_batch=8, batch_wait=1.0,
+                               clock=lambda: now[0])
+        queue = AdmissionQueue(capacity=8, clock=lambda: now[0])
+        # four signatures: each job lingers alone, four passes long
+        for m in (4, 5, 6, 7):
+            queue.offer(make_spec(f"m{m}", m=m))
+        for _ in range(4):
+            assert planner.plan(queue) == []
+            now[0] += 0.3
+        dispatches = planner.plan(queue)
+        assert [d.ids for d in dispatches] == [["m4"], ["m5"], ["m6"],
+                                               ["m7"]]
+        planner.observe(dispatches[0], 0.01)
+        assert calls == ["m4", "m5", "m6", "m7"]
 
 
 class TestJournalReplay:
@@ -145,6 +175,24 @@ class TestJournalReplay:
         pending, _, _ = JobJournal.replay(path)
         assert [s.id for s in pending] == ["a"]
 
+    @pytest.mark.parametrize("newline", [b"\n", b""],
+                             ids=["newline", "no-newline"])
+    @pytest.mark.parametrize("entry", [{"event": "frobnicate"}, [1]],
+                             ids=["unknown-event", "not-an-object"])
+    def test_final_line_of_no_known_event_is_skipped(self, tmp_path,
+                                                     entry, newline):
+        # with or without its newline, the last line parses like any
+        # other: a valid line naming no known event counts as skipped
+        path = tmp_path / JOURNAL_NAME
+        j = JobJournal(path)
+        j.accept(make_spec("a"))
+        j.close()
+        with open(path, "ab") as fh:
+            fh.write(json.dumps(entry).encode() + newline)
+        pending, _, skipped = JobJournal.replay(path)
+        assert [s.id for s in pending] == ["a"]
+        assert skipped == 1
+
     def test_damaged_middle_line_skipped_not_fatal(self, tmp_path):
         path = tmp_path / JOURNAL_NAME
         j = JobJournal(path)
@@ -182,7 +230,7 @@ class TestJournalReplay:
         path = tmp_path / JOURNAL_NAME
         q = AdmissionQueue(capacity=4, journal=JobJournal(path))
         state = q.offer(make_spec("a"))
-        q.take()
+        q.take_matching(lambda s: True, limit=1)
         q.finish(state, {"id": "a", "ok": True})
         q.journal.close()
         pending, completed, _ = JobJournal.replay(path)

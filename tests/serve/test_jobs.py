@@ -61,7 +61,7 @@ class TestBitIdentity:
     def test_batched_equals_serial_bitwise(self, batch):
         specs = [make_spec(f"j{k}", m=6, seed=k) for k in range(batch)]
         serial = {s.id: jobs.execute_serial(s) for s in specs}
-        batched = jobs.execute_batch(specs)
+        batched = jobs.execute(specs)
         for s in specs:
             assert batched[s.id]["batch"] == batch
             assert bits(batched[s.id]["streams"]) == \
@@ -70,7 +70,7 @@ class TestBitIdentity:
     def test_two_block_programs_batch(self):
         specs = [make_spec(f"j{k}", source=TWO_BLOCK_SOURCE, seed=k)
                  for k in range(3)]
-        batched = jobs.execute_batch(specs)
+        batched = jobs.execute(specs)
         for s in specs:
             assert batched[s.id]["batch"] == 3
             assert set(batched[s.id]["streams"]) == {"X", "Y"}
@@ -88,7 +88,7 @@ class TestBitIdentity:
             s.inputs["A"] = [abs(v) for v in s.inputs["A"]]
             if not agree and k == 1:
                 s.inputs["A"][3] = -s.inputs["A"][3]
-        batched = jobs.execute_batch(specs)
+        batched = jobs.execute(specs)
         for s in specs:
             assert ("batch" in batched[s.id]) is agree
             assert bits(batched[s.id]["streams"]) == \
@@ -103,15 +103,15 @@ class TestBitIdentity:
         with pytest.raises(JobExecutionError) as alone:
             jobs.execute_serial(specs[1])
         assert alone.value.extras["error_type"] == "SimulationError"
-        batched = jobs.execute_batch(specs)
+        batched = jobs.execute(specs)
         assert batched["j1"] == {"error": alone.value.to_dict()}
         for s in (specs[0], specs[2]):
             assert bits(batched[s.id]["streams"]) == \
                 bits(jobs.execute_serial(s)["streams"])
 
-    def test_batch_of_one_rejected(self):
-        with pytest.raises(JobExecutionError, match="at least 2"):
-            jobs.execute_batch([make_spec("a")])
+    def test_batch_of_one_runs_alone(self):
+        spec = make_spec("a")
+        assert jobs.execute([spec]) == {spec.id: jobs.execute_serial(spec)}
 
 
 class TestExecution:

@@ -14,7 +14,7 @@ from .conftest import make_spec
 
 
 def _job_payload(spec, inject=None):
-    return {"op": "job", "job": spec.to_dict(), "inject": inject}
+    return {"op": "run", "jobs": [spec.to_dict()], "inject": inject}
 
 
 def _run(coro):
@@ -38,7 +38,7 @@ class TestPool:
                 _job_payload(make_spec("a", m=4)), 30.0
             )
             assert reply["ok"]
-            assert "X" in reply["result"]["streams"]
+            assert "X" in reply["results"]["a"]["streams"]
         _run(_with_pool(1, body))
 
     def test_kill_is_crash_and_pool_recovers(self):

@@ -94,6 +94,22 @@ class TestBatching:
         assert all(r["ok"] for r in records)
         assert not any(r["batched"] for r in records)
 
+    def test_min_batch_one_runs_a_lone_job_alone(self, tmp_path):
+        # the planner's "batch" of one is a dispatch of one, not a
+        # batch the worker refuses
+        spec = make_spec("lone", m=6)
+
+        async def body(server):
+            _submit(server, spec)
+            return await _record(server, spec.id), server.stats.batches
+
+        record, batches = asyncio.run(
+            _with_server(_config(tmp_path, min_batch=1), body)
+        )
+        assert record["ok"] and record["batched"] is False
+        assert record["result"] == jobs.execute_serial(spec)
+        assert batches == 0
+
 
 class TestFaultIsolation:
     def test_poison_batch_disbands_and_members_recover(self, tmp_path):
@@ -105,16 +121,18 @@ class TestFaultIsolation:
             for spec in specs:
                 _submit(server, spec)
             records = [await _record(server, s.id) for s in specs]
-            return records, server.pool.respawns
+            return records, server.pool.respawns, server.stats.to_dict()
 
-        records, respawns = asyncio.run(
+        records, respawns, stats = asyncio.run(
             _with_server(_config(tmp_path), body)
         )
         assert all(r["ok"] for r in records)
-        # the batch attempt was lost; every member retried serially
+        # the batch attempt was lost; every member retried alone
         assert all(r["attempts"] == 2 for r in records)
         assert not any(r["batched"] for r in records)
         assert respawns >= 1
+        assert stats["batches"] == 1
+        assert stats["retries"] == 3   # one per member, for the batch
         for spec, record in zip(specs, records):
             assert record["result"]["streams"] == \
                 reference[spec.id]["streams"]

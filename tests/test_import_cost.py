@@ -21,7 +21,7 @@ print(",".join(m for m in %r if m in sys.modules))
 """
 
 _EXAMPLE2_JOBS = """
-from repro.serve.jobs import execute_batch, execute_serial
+from repro.serve.jobs import execute, execute_serial
 from repro.serve.protocol import JobSpec
 from repro.workloads import EXAMPLE2_SOURCE
 
@@ -32,7 +32,7 @@ def job(k):
     )
 
 alone = execute_serial(job(3))
-batch = execute_batch([job(k) for k in range(8)])
+batch = execute([job(k) for k in range(8)])
 assert batch["j3"]["streams"] == alone["streams"]
 """
 
