@@ -7,17 +7,22 @@ retry-after hint, so the daemon's memory never grows with offered load.
 
 Exactly-once across hot restarts comes from the journal, not from
 snapshots of server state: every accepted job appends an ``accept``
-line (flushed before the client sees the ack) and every finished job a
-``done`` line carrying the full outcome record.  Replaying the journal
-at startup yields (a) the set of accepted-but-unfinished jobs, which
-are re-admitted in acceptance order, and (b) the completed records,
-so a client re-asking for a finished job's result gets the original
-bytes instead of a re-execution.  SIGUSR1 fsyncs the journal so a hot
-restart under ``repro supervise`` loses nothing that was acknowledged.
+line carrying the client's request line verbatim, and every finished
+job a ``done`` line carrying the full outcome record, encoded once.
+Lines are committed as a group, one write + flush per event-loop turn
+and always before any reply is written, so an accept is on disk before
+its ack and a record before anyone is served it.  Replaying the
+journal at startup yields (a) the set of accepted-but-unfinished jobs,
+which are re-admitted in acceptance order, and (b) the completed
+records, so a client re-asking for a finished job's result gets the
+original bytes instead of a re-execution.  SIGUSR1 fsyncs the journal
+so a hot restart under ``repro supervise`` loses nothing that was
+acknowledged.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import time
@@ -27,7 +32,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from . import jobs
-from .protocol import JobRejected, JobSpec, ServerOverloaded
+from .protocol import JobRejected, JobSpec, ServerOverloaded, encode
 
 JOURNAL_NAME = "serve-journal.jsonl"
 
@@ -42,7 +47,7 @@ class JobState:
     sig: str                             # jobs.signature(spec)
     batchable: bool                      # jobs.batchable(spec)
     attempts: int = 0
-    record: Optional[dict[str, Any]] = None
+    record: Optional[tuple[bool, bytes]] = None   # (ok, encoded)
     done: Any = None                     # asyncio.Event, server-owned
 
     def remaining(self, now: float) -> float:
@@ -60,23 +65,39 @@ class JobJournal:
 
     def __init__(self, path: Path) -> None:
         self.path = Path(path)
-        self.skipped = 0
         self._fh = open(self.path, "ab")
+        #: lines appended this event-loop turn, not yet written
+        self._pending: list[bytes] = []
 
     # -- writing -------------------------------------------------------
-    def _append(self, entry: dict[str, Any]) -> None:
-        line = json.dumps(entry, separators=(",", ":")) + "\n"
-        self._fh.write(line.encode("utf-8"))
-        self._fh.flush()
+    def _append(self, line: bytes) -> None:
+        # group commit: the first line of a turn schedules the turn's
+        # one write + flush; outside an event loop, write through
+        self._pending.append(line)
+        if len(self._pending) == 1:
+            try:
+                asyncio.get_running_loop().call_soon(self.flush)
+            except RuntimeError:
+                self.flush()
 
-    def accept(self, spec: JobSpec) -> None:
-        self._append({"event": "accept", "job": spec.to_dict()})
+    def accept(self, request: bytes) -> None:
+        """Journal a request line (one JSON object holding ``job``)."""
+        self._append(b'{"event":"accept","request":%s}\n' % request)
 
-    def done(self, job_id: str, record: dict[str, Any]) -> None:
-        self._append({"event": "done", "id": job_id, "record": record})
+    def done(self, job_id: str, record: bytes) -> None:
+        """Journal an encoded outcome record."""
+        self._append(b'{"event":"done","id":%s,"record":%s}\n'
+                     % (encode(job_id), record))
+
+    def flush(self) -> None:
+        """Write and flush what this turn appended (no fsync)."""
+        if self._pending:
+            self._fh.write(b"".join(self._pending))
+            self._pending.clear()
+            self._fh.flush()
 
     def sync(self) -> None:
-        self._fh.flush()
+        self.flush()
         os.fsync(self._fh.fileno())
 
     def close(self) -> None:
@@ -90,11 +111,11 @@ class JobJournal:
     @classmethod
     def replay(
         cls, path: Path
-    ) -> tuple[list[JobSpec], "OrderedDict[str, dict[str, Any]]", int]:
+    ) -> tuple[list[JobSpec], "OrderedDict[str, tuple[bool, bytes]]", int]:
         """Read a journal back: ``(pending specs in acceptance order,
-        completed records by id, skipped line count)``."""
+        completed ``(ok, encoded record)`` by id, skipped line count)``."""
         pending: "OrderedDict[str, JobSpec]" = OrderedDict()
-        completed: "OrderedDict[str, dict[str, Any]]" = OrderedDict()
+        completed: "OrderedDict[str, tuple[bool, bytes]]" = OrderedDict()
         skipped = 0
         path = Path(path)
         if not path.exists():
@@ -108,11 +129,12 @@ class JobJournal:
                 entry = json.loads(line.decode("utf-8"))
                 event = entry.get("event")
                 if event == "accept":
-                    spec = JobSpec.from_dict(entry["job"])
+                    spec = JobSpec.from_dict(entry["request"]["job"])
                     pending[spec.id] = spec
                 elif event == "done":
-                    job_id = entry["id"]
-                    completed[job_id] = entry["record"]
+                    job_id, record = entry["id"], entry["record"]
+                    completed[job_id] = (bool(record.get("ok")),
+                                         encode(record))
                     pending.pop(job_id, None)
                 else:
                     skipped += 1
@@ -141,7 +163,8 @@ class AdmissionQueue:
     default_deadline: float = 30.0
     _queue: deque = field(default_factory=deque)
     _by_id: dict = field(default_factory=dict)
-    completed: "OrderedDict[str, dict[str, Any]]" = field(
+    #: finished records, each held once as ``(ok, encoded bytes)``
+    completed: "OrderedDict[str, tuple[bool, bytes]]" = field(
         default_factory=OrderedDict
     )
 
@@ -157,9 +180,10 @@ class AdmissionQueue:
         est = max(0.01, self.estimate_job_seconds())
         return max(0.05, backlog * est / max(1, self.workers))
 
-    def offer(self, spec: JobSpec, *,
+    def offer(self, spec: JobSpec, request: Optional[bytes] = None, *,
               readmitted: bool = False) -> JobState:
-        """Admit one job or raise typed rejection/overload."""
+        """Admit one job or raise typed rejection/overload; ``request``
+        is the client's request line, journaled verbatim."""
         if spec.id in self.completed:
             raise JobRejected(
                 f"job {spec.id!r} already completed; ask for its result "
@@ -195,7 +219,9 @@ class AdmissionQueue:
         # the accept must be durable before the client sees the ack:
         # exactly-once over restarts hinges on this ordering
         if self.journal is not None and not readmitted:
-            self.journal.accept(spec)
+            self.journal.accept(
+                request or encode({"job": spec.to_dict()})
+            )
         self._queue.append(state)
         self._by_id[spec.id] = state
         return state
@@ -221,14 +247,15 @@ class AdmissionQueue:
         return self._by_id.get(job_id)
 
     def finish(self, state: JobState, record: dict[str, Any]) -> None:
-        """Record a terminal outcome (success or typed failure)."""
-        state.record = record
+        """Record a terminal outcome (success or typed failure),
+        encoded once for the journal and every reply that serves it."""
+        state.record = (bool(record.get("ok")), encode(record))
         self._by_id.pop(state.spec.id, None)
-        self.completed[state.spec.id] = record
+        self.completed[state.spec.id] = state.record
         # bound the in-memory completed map; the journal keeps the rest
         while len(self.completed) > 4 * self.capacity:
             self.completed.popitem(last=False)
         if self.journal is not None:
-            self.journal.done(state.spec.id, record)
+            self.journal.done(state.spec.id, state.record[1])
         if state.done is not None:
             state.done.set()

@@ -164,9 +164,10 @@ def register(sub) -> None:
                        "pipeline run (default 2..8); --max-batch 1 "
                        "disables batching entirely"),
         p.add_argument("--batch-wait", type=float, default=0.02,
-                       help="seconds a lone batchable job lingers for "
-                       "companions; beside an idle worker at most its "
-                       "estimated run time (default 0.02)"),
+                       help="seconds a growing batch lingers for "
+                       "companions after its first job; beside an idle "
+                       "worker it leaves once nobody has joined for one "
+                       "estimated run (default 0.02)"),
         p.add_argument("--seed", type=int, default=0,
                        help="seed for retry-backoff jitter and stats "
                        "reservoirs"),

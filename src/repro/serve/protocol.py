@@ -257,9 +257,23 @@ def envelope(op: str, ok: bool, result: Any) -> dict[str, Any]:
             "result": result}
 
 
+def encode(obj: Any) -> bytes:
+    """Compact JSON bytes, the one encoding of every frame and record."""
+    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+
+
 def encode_line(obj: Any) -> bytes:
     """One compact NDJSON frame."""
-    return json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n"
+    return encode(obj) + b"\n"
+
+
+def reply_line(op: str, ok: bool, result: bytes) -> bytes:
+    """``encode_line(envelope(op, ok, r))`` spliced around ``result``,
+    the bytes :func:`encode` made of ``r``: a finished job's record is
+    encoded once, however often it is served."""
+    return b'{"schema":%d,"command":%s,"ok":%s,"result":%s}\n' % (
+        RESULT_SCHEMA, encode(op), b"true" if ok else b"false", result
+    )
 
 
 def decode_line(line: bytes) -> Any:

@@ -21,7 +21,9 @@ daemon down.  Lifecycle of one job:
    own retry budget, and a member that fails deterministically fails
    alone;
 4. **reply** -- the outcome record (success payload or typed error) is
-   journaled, counted, and delivered to any ``wait``-ing connection.
+   encoded once, journaled, counted, and delivered to any
+   ``wait``-ing connection; journal lines are flushed once per
+   event-loop turn, before any reply.
 
 Hot restart: SIGUSR1 fsyncs the journal, writes an atomic
 ``serve-state.json`` and forwards the signal to workers; a restarted
@@ -59,6 +61,7 @@ from .protocol import (
     encode_line,
     envelope,
     error_from_dict,
+    reply_line,
 )
 from .scheduler import BatchPlanner, Dispatch
 from .stats import ServeStats
@@ -137,7 +140,7 @@ class PipelineServer:
             capacity=config.capacity,
             workers=config.workers,
             default_deadline=config.default_deadline,
-            estimate_job_seconds=self.planner.costs.mean,
+            estimate_job_seconds=self.planner.mean_cost,
             inflight=lambda: self._inflight_count,
         )
         self.pool = WorkerPool(config.workers, config.hang_deadline)
@@ -149,6 +152,8 @@ class PipelineServer:
         self._wake = asyncio.Event()
         self._tasks: set[asyncio.Task] = set()
         self._servers: list[asyncio.AbstractServer] = []
+        #: open client connections: handler task -> its writer
+        self._conns: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._dispatcher: Optional[asyncio.Task] = None
         #: cleared by stop() right before it cancels the dispatcher
         self._dispatching = True
@@ -239,6 +244,12 @@ class PipelineServer:
         for server in self._servers:
             server.close()
             await server.wait_closed()
+        # end each open connection at EOF: a handler cancelled in
+        # readline logs a CancelledError traceback on Python 3.11
+        for writer in self._conns.values():
+            writer.close()
+        if self._conns:
+            await asyncio.wait(list(self._conns), timeout=1.0)
         if self.journal is not None:
             self.journal.close()
         if (self.config.socket is not None
@@ -281,13 +292,15 @@ class PipelineServer:
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
-    def admit(self, data: dict[str, Any]) -> JobState:
-        """Validate + admit one job dict; typed errors propagate."""
+    def admit(self, data: dict[str, Any],
+              request: Optional[bytes] = None) -> JobState:
+        """Validate + admit one job dict (``request``: the line that
+        carried it, journaled verbatim); typed errors propagate."""
         spec = JobSpec.from_dict(data)
         if not self._accepting:
             raise JobRejected("server is shutting down", job_id=spec.id)
         try:
-            state = self.queue.offer(spec)
+            state = self.queue.offer(spec, request)
         except ServerOverloaded:
             self.stats.note(spec.tenant, "shed")
             raise
@@ -490,6 +503,8 @@ class PipelineServer:
         self, reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        task = asyncio.current_task()
+        self._conns[task] = writer
         try:
             while True:
                 try:
@@ -499,50 +514,56 @@ class PipelineServer:
                 if not line:
                     break
                 reply = await self._handle_request(line)
-                writer.write(encode_line(reply))
+                # what a reply acks or carries is journaled first
+                if self.journal is not None:
+                    self.journal.flush()
+                writer.write(reply)
                 try:
                     await writer.drain()
                 except (ConnectionResetError, BrokenPipeError):
                     break
         finally:
+            del self._conns[task]
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    async def _handle_request(self, line: bytes) -> dict[str, Any]:
+    async def _handle_request(self, line: bytes) -> bytes:
+        """One request line in, one reply line out."""
         op = "?"
         try:
             request = decode_line(line)
             if not isinstance(request, dict):
                 raise JobRejected("request must be a JSON object")
             op = request.get("op", "?")
-            return await self._dispatch_op(op, request)
+            return await self._dispatch_op(op, request, line.strip())
         except ServeError as exc:
-            return envelope(op, False, {"error": exc.to_dict()})
+            return encode_line(envelope(op, False, {"error": exc.to_dict()}))
 
-    async def _dispatch_op(self, op: str,
-                           request: dict[str, Any]) -> dict[str, Any]:
+    async def _dispatch_op(self, op: str, request: dict[str, Any],
+                           line: Optional[bytes] = None) -> bytes:
+        """Serve one parsed request; ``line`` is its raw JSON text."""
         if op == "submit":
-            state = self.admit(request.get("job", {}))
-            return envelope("submit", True, {
+            state = self.admit(request.get("job", {}), line)
+            return encode_line(envelope("submit", True, {
                 "id": state.spec.id,
                 "accepted": True,
                 "queue_depth": self.queue.depth,
-            })
+            }))
         if op in ("wait", "submit_wait"):
             if op == "submit_wait":
-                state = self.admit(request.get("job", {}))
+                state = self.admit(request.get("job", {}), line)
                 job_id = state.spec.id
             else:
                 job_id = request.get("id", "")
-            record = await self._await_record(
+            ok, record = await self._await_record(
                 job_id, request.get("timeout")
             )
-            return envelope(op, bool(record.get("ok")), record)
+            return reply_line(op, ok, record)
         if op == "healthz":
-            return envelope("healthz", True, {
+            return encode_line(envelope("healthz", True, {
                 "status": "ok",
                 "uptime_s": round(
                     time.monotonic() - self._started_at, 3
@@ -556,29 +577,28 @@ class PipelineServer:
                     "respawns": self.pool.respawns,
                 },
                 "accepted_total": self._accepts,
-            })
+            }))
         if op == "stats":
             self.stats.queue_depth = self.queue.depth
             self.stats.worker_respawns = self.pool.respawns
-            return envelope("stats", True, self.stats.to_dict())
+            return encode_line(envelope("stats", True, self.stats.to_dict()))
         if op == "shutdown":
             self._accepting = False
             self._shutdown.set()
-            return envelope("shutdown", True, {"stopping": True})
+            return encode_line(envelope("shutdown", True, {"stopping": True}))
         raise JobRejected(f"unknown op {op!r}; expected one of "
                           f"submit/wait/submit_wait/healthz/stats/"
                           f"shutdown")
 
-    async def _await_record(self, job_id: str,
-                            timeout: Optional[float]) -> dict[str, Any]:
+    async def _await_record(self, job_id: str, timeout: Optional[float]
+                            ) -> tuple[bool, bytes]:
+        """The job's ``(ok, encoded record)`` once it has one."""
         record = self.queue.completed.get(job_id)
         if record is not None:
             return record
         state = self.queue.get(job_id)
         if state is None:
             raise JobRejected(f"unknown job id {job_id!r}")
-        if state.done is None:
-            state.done = asyncio.Event()
         budget = timeout if timeout is not None else (
             state.remaining(time.monotonic())
             + self.config.hang_deadline
@@ -593,11 +613,7 @@ class PipelineServer:
                 f"job {job_id!r} still pending after {budget:.2f}s wait",
                 job_id=job_id,
             ) from None
-        return state.record or self.queue.completed.get(job_id) or {
-            "id": job_id, "ok": False,
-            "error": {"code": "serve_error",
-                      "message": "job finished without a record"},
-        }
+        return state.record
 
 
 async def run_server(config: ServeConfig) -> None:

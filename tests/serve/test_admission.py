@@ -5,6 +5,7 @@ journal replay is exercised against real files including torn tails
 and damaged middles.
 """
 
+import asyncio
 import json
 
 import pytest
@@ -15,10 +16,23 @@ from repro.serve.admission import (
     AdmissionQueue,
     JobJournal,
 )
-from repro.serve.protocol import JobRejected, ServerOverloaded
+from repro.serve.protocol import (
+    JobDeadlineExceeded,
+    JobRejected,
+    ServerOverloaded,
+    encode,
+    encode_line,
+    envelope,
+    reply_line,
+)
 from repro.serve.scheduler import BatchPlanner
 
 from .conftest import make_spec
+
+
+def _request(spec):
+    """The request line a client sends to submit ``spec``."""
+    return encode({"op": "submit", "job": spec.to_dict()})
 
 
 def _queue(tmp_path, capacity=3, inflight=lambda: 0, journal=True,
@@ -137,14 +151,15 @@ class TestJournalReplay:
     def test_round_trip_pending_and_completed(self, tmp_path):
         path = tmp_path / JOURNAL_NAME
         j = JobJournal(path)
-        j.accept(make_spec("a"))
-        j.accept(make_spec("b"))
-        j.accept(make_spec("c"))
-        j.done("b", {"id": "b", "ok": True, "result": {"x": 1}})
+        j.accept(_request(make_spec("a")))
+        j.accept(_request(make_spec("b")))
+        j.accept(_request(make_spec("c")))
+        record = {"id": "b", "ok": True, "result": {"x": 1}}
+        j.done("b", encode(record))
         j.close()
         pending, completed, skipped = JobJournal.replay(path)
         assert [s.id for s in pending] == ["a", "c"]
-        assert completed["b"]["result"] == {"x": 1}
+        assert completed["b"] == (True, encode(record))
         assert skipped == 0
 
     def test_missing_journal_is_empty(self, tmp_path):
@@ -156,10 +171,10 @@ class TestJournalReplay:
     def test_torn_tail_is_dropped_silently(self, tmp_path):
         path = tmp_path / JOURNAL_NAME
         j = JobJournal(path)
-        j.accept(make_spec("a"))
+        j.accept(_request(make_spec("a")))
         j.close()
         whole = json.dumps(
-            {"event": "accept", "job": make_spec("b").to_dict()}
+            {"event": "accept", "request": {"job": make_spec("b").to_dict()}}
         )
         with open(path, "ab") as fh:
             fh.write(whole[: len(whole) // 2].encode())  # crash mid-append
@@ -169,11 +184,19 @@ class TestJournalReplay:
     def test_untorn_final_line_without_newline_still_counts(self, tmp_path):
         path = tmp_path / JOURNAL_NAME
         line = json.dumps(
-            {"event": "accept", "job": make_spec("a").to_dict()}
+            {"event": "accept", "request": {"job": make_spec("a").to_dict()}}
         )
         path.write_bytes(line.encode())  # no trailing newline
         pending, _, _ = JobJournal.replay(path)
         assert [s.id for s in pending] == ["a"]
+
+    def test_old_shape_accept_line_is_skipped(self, tmp_path):
+        # an accept line with a top-level ``job`` names no whole entry
+        path = tmp_path / JOURNAL_NAME
+        path.write_bytes(encode_line(
+            {"event": "accept", "job": make_spec("a").to_dict()}
+        ))
+        assert JobJournal.replay(path) == ([], {}, 1)
 
     @pytest.mark.parametrize("newline", [b"\n", b""],
                              ids=["newline", "no-newline"])
@@ -185,7 +208,7 @@ class TestJournalReplay:
         # other: a valid line naming no known event counts as skipped
         path = tmp_path / JOURNAL_NAME
         j = JobJournal(path)
-        j.accept(make_spec("a"))
+        j.accept(_request(make_spec("a")))
         j.close()
         with open(path, "ab") as fh:
             fh.write(json.dumps(entry).encode() + newline)
@@ -196,12 +219,12 @@ class TestJournalReplay:
     def test_damaged_middle_line_skipped_not_fatal(self, tmp_path):
         path = tmp_path / JOURNAL_NAME
         j = JobJournal(path)
-        j.accept(make_spec("a"))
+        j.accept(_request(make_spec("a")))
         j.close()
         with open(path, "ab") as fh:
             fh.write(b"\x00garbage{{{\n")
         j = JobJournal(path)
-        j.accept(make_spec("c"))
+        j.accept(_request(make_spec("c")))
         j.close()
         pending, _, skipped = JobJournal.replay(path)
         assert [s.id for s in pending] == ["a", "c"]
@@ -210,7 +233,7 @@ class TestJournalReplay:
     def test_readmitted_offer_does_not_rejournal(self, tmp_path):
         path = tmp_path / JOURNAL_NAME
         j = JobJournal(path)
-        j.accept(make_spec("a"))
+        j.accept(_request(make_spec("a")))
         j.close()
         pending, completed, _ = JobJournal.replay(path)
         q = AdmissionQueue(capacity=4, journal=JobJournal(path))
@@ -224,7 +247,7 @@ class TestJournalReplay:
             for line in path.read_text().splitlines()
             if json.loads(line)["event"] == "accept"
         ]
-        assert [a["job"]["id"] for a in accepts] == ["a"]
+        assert [a["request"]["job"]["id"] for a in accepts] == ["a"]
 
     def test_finish_journals_done_exactly_once(self, tmp_path):
         path = tmp_path / JOURNAL_NAME
@@ -236,3 +259,76 @@ class TestJournalReplay:
         pending, completed, _ = JobJournal.replay(path)
         assert pending == []
         assert list(completed) == ["a"]
+
+
+class _CountingFile:
+    """A journal file handle that logs each ``write`` and ``flush``."""
+
+    def __init__(self, fh):
+        self.fh, self.calls = fh, []
+
+    def write(self, data):
+        self.calls.append("write")
+        return self.fh.write(data)
+
+    def flush(self):
+        self.calls.append("flush")
+        self.fh.flush()
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+class TestGroupCommit:
+    def test_a_finished_batch_of_eight_is_one_write_and_flush(
+            self, tmp_path):
+        path = tmp_path / JOURNAL_NAME
+
+        async def body():
+            q = AdmissionQueue(capacity=8, journal=JobJournal(path))
+            states = [q.offer(make_spec(f"j{k}", seed=k))
+                      for k in range(8)]
+            await asyncio.sleep(0)       # the accepts' turn commits
+            q.take_matching(lambda s: True, limit=8)
+            q.journal._fh = counting = _CountingFile(q.journal._fh)
+            for state in states:
+                q.finish(state, {"id": state.spec.id, "ok": True})
+            assert counting.calls == []  # nothing written mid-turn
+            await asyncio.sleep(0)
+            q.journal.close()
+            return counting.calls
+
+        calls = asyncio.run(body())
+        assert calls[:2] == ["write", "flush"]
+        assert "write" not in calls[2:]   # close() only syncs
+        _, completed, _ = JobJournal.replay(path)
+        assert list(completed) == [f"j{k}" for k in range(8)]
+
+    @pytest.mark.parametrize("record", [
+        {"id": "a", "tenant": "té", "ok": True, "batched": True,
+         "attempts": 1, "latency_s": 0.012345,
+         "result": {"streams": {"X": [-0.0, 1e-320, 0.1, 2.5e17]},
+                    "batch": 8}},
+        {"id": "a", "tenant": "té", "ok": False, "attempts": 1,
+         "error": JobDeadlineExceeded("job 'a' missed its 1.00s deadline",
+                                      job_id="a", deadline=1.0,
+                                      elapsed=1.2, stage="queued"
+                                      ).to_dict()},
+    ], ids=["ok", "error"])
+    def test_replies_and_done_line_splice_one_encoding(self, tmp_path,
+                                                       record):
+        path = tmp_path / JOURNAL_NAME
+        q = AdmissionQueue(capacity=4, journal=JobJournal(path))
+        state = q.offer(make_spec("a"))
+        q.take_matching(lambda s: True, limit=1)
+        q.finish(state, record)
+        q.journal.close()
+        ok, data = q.completed["a"]
+        assert state.record == (ok, data)
+        for op in ("wait", "submit_wait"):
+            assert reply_line(op, ok, data) == \
+                encode_line(envelope(op, record["ok"], record))
+        done = path.read_bytes().splitlines(keepends=True)[-1]
+        assert done == encode_line(
+            {"event": "done", "id": "a", "record": record}
+        )

@@ -100,20 +100,20 @@ class TestChaosSoak:
 
         async def body():
             server = PipelineServer(config)
+
+            async def record(job_id):
+                _, data = await server._await_record(job_id, 120.0)
+                return json.loads(data)
+
             await server.start()
             try:
                 for spec in specs:
                     server.admit(spec.to_dict())
-                records = {
-                    s.id: await server._await_record(s.id, 120.0)
-                    for s in specs
-                }
+                records = {s.id: await record(s.id) for s in specs}
                 # the daemon survived everything: still accepting
                 extra = make_spec("after-the-storm", m=6, seed=60)
                 server.admit(extra.to_dict())
-                records[extra.id] = await server._await_record(
-                    extra.id, 120.0
-                )
+                records[extra.id] = await record(extra.id)
                 return records, server.stats.to_dict()
             finally:
                 await server.stop()
@@ -193,7 +193,7 @@ class TestHotRestart:
         for line in journal.read_text().splitlines():
             entry = json.loads(line)
             if entry["event"] == "accept":
-                jid = entry["job"]["id"]
+                jid = entry["request"]["job"]["id"]
                 accepts[jid] = accepts.get(jid, 0) + 1
             else:
                 dones[entry["id"]] = dones.get(entry["id"], 0) + 1
@@ -241,3 +241,36 @@ class TestLiveSnapshot:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+
+
+class TestGracefulStop:
+    def test_shutdown_with_a_live_connection_prints_no_traceback(
+            self, tmp_path):
+        # a connection still open at shutdown used to be cancelled in
+        # readline, and Python 3.11 logged its CancelledError
+        sock = str(tmp_path / "serve.sock")
+        spec = make_spec("x")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--socket", sock, "--workers", "1"],
+            env=_daemon_env(),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        try:
+            _wait_for_socket(sock)
+            with connect(sock, timeout=60) as idle, \
+                    connect(sock, timeout=60) as client:
+                idle.healthz()
+                record = client.submit_and_wait(
+                    spec.source, params=spec.params, inputs=spec.inputs
+                )
+                assert record["ok"]
+                client.shutdown()
+                _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0
+        assert b"Traceback" not in err, err.decode()
+        assert b"CancelledError" not in err, err.decode()

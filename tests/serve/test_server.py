@@ -15,6 +15,7 @@ import signal
 import pytest
 
 from repro.serve import jobs
+from repro.serve.admission import JOURNAL_NAME
 from repro.serve.protocol import JobRejected, ServerOverloaded, encode_line
 from repro.serve.server import PipelineServer, ServeConfig
 from repro.workers import Worker
@@ -59,7 +60,13 @@ def _submit(server, spec):
 
 
 async def _record(server, job_id, timeout=90.0):
-    return await server._await_record(job_id, timeout)
+    _, record = await server._await_record(job_id, timeout)
+    return json.loads(record)
+
+
+async def _op(server, op, **fields):
+    """One request as a connection sends it; the decoded reply."""
+    return json.loads(await server._dispatch_op(op, {"op": op, **fields}))
 
 
 class TestBatching:
@@ -257,6 +264,53 @@ class TestShutdown:
         assert asyncio.run(body()) < 5.0
 
 
+class TestJournalBeforeReply:
+    """Journal lines are committed once per event-loop turn, yet each
+    is on disk before a reply that acks or carries it is written."""
+
+    def test_accept_and_done_lines_precede_their_replies(
+            self, tmp_path, monkeypatch):
+        journal = tmp_path / "state" / JOURNAL_NAME
+        on_disk = []   # (reply, journal bytes when it was written)
+        real_write = asyncio.StreamWriter.write
+
+        def write(writer, data):
+            if data.startswith(b'{"schema":'):
+                on_disk.append((json.loads(data), journal.read_bytes()))
+            return real_write(writer, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", write)
+        a, b = make_spec("a", m=6), make_spec("b", m=6, seed=1)
+
+        async def body(server):
+            reader, writer = await asyncio.open_unix_connection(
+                server.config.socket
+            )
+            for request in ({"op": "submit", "job": a.to_dict()},
+                            {"op": "wait", "id": "a"},    # blocks
+                            {"op": "wait", "id": "a"},    # completed
+                            {"op": "submit_wait", "job": b.to_dict()}):
+                writer.write(encode_line(request))
+                await reader.readline()
+            writer.close()
+            await writer.wait_closed()
+
+        asyncio.run(_with_server(_config(tmp_path), body))
+        assert [r["command"] for r, _ in on_disk] == [
+            "submit", "wait", "wait", "submit_wait"
+        ]
+        entries = [[json.loads(line) for line in disk.splitlines()]
+                   for _, disk in on_disk]
+        accepted = [{e["request"]["job"]["id"] for e in lines
+                     if e["event"] == "accept"} for lines in entries]
+        done = [{e["id"]: e["record"] for e in lines
+                 if e["event"] == "done"} for lines in entries]
+        assert "a" in accepted[0]
+        for (reply, _), records in zip(on_disk[1:], done[1:]):
+            record = reply["result"]
+            assert reply["ok"] and records[record["id"]] == record
+
+
 class TestBackpressure:
     def test_overload_sheds_typed_with_retry_after(self, tmp_path):
         config = _config(tmp_path, capacity=2, workers=1,
@@ -291,20 +345,14 @@ class TestObservability:
         b = make_spec("b", m=6, tenant="zeta", faults=kill_fault(0))
 
         async def body(server):
-            sub = await server._dispatch_op(
-                "submit", {"op": "submit", "job": a.to_dict()}
-            )
+            sub = await _op(server, "submit", job=a.to_dict())
             assert sub["ok"] and sub["result"]["id"] == "a"
             _submit(server, b)
             await _record(server, "a")
             await _record(server, "b")
-            health = await server._dispatch_op(
-                "healthz", {"op": "healthz"}
-            )
-            stats = await server._dispatch_op("stats", {"op": "stats"})
-            wait_again = await server._dispatch_op(
-                "wait", {"op": "wait", "id": "a"}
-            )
+            health = await _op(server, "healthz")
+            stats = await _op(server, "stats")
+            wait_again = await _op(server, "wait", id="a")
             with pytest.raises(JobRejected, match="already completed"):
                 _submit(server, make_spec("a", m=6, tenant="acme"))
             return health, stats, wait_again
@@ -328,7 +376,7 @@ class TestObservability:
             reply = await server._handle_request(
                 b'{"op": "frobnicate"}\n'
             )
-            return reply
+            return json.loads(reply)
 
         reply = asyncio.run(_with_server(_config(tmp_path), body))
         assert reply["ok"] is False
