@@ -13,7 +13,9 @@ carries a packet per wavefront.  The balance/cut dynamic program then
 minimizes the *weighted* cut, so a boundary through setup arcs beats
 an equally-balanced boundary through the steady-state stream.
 
-Schemes (``auto`` tries them in this order):
+:func:`partition_graph` takes ``"auto"`` or ``"round_robin"``;
+``auto`` tries these cuts in order and reports the one it made in
+``Partition.scheme``:
 
 ``components``
     When the graph has at least K weakly-connected components, pack
@@ -39,9 +41,9 @@ Schemes (``auto`` tries them in this order):
     traffic crosses the cut.
 
 ``round_robin``
-    Degenerate safety net when the DP's balance constraint is
-    unsatisfiable: cell ``i`` of the sorted cell-id order goes to
-    shard ``i % K``.
+    Asked for by name, or the degenerate safety net when the DP's
+    balance constraint is unsatisfiable: cell ``i`` of the sorted
+    cell-id order goes to shard ``i % K``.
 """
 
 from __future__ import annotations
@@ -166,10 +168,10 @@ def partition_graph(
             f"cannot split {len(cids)} cells into {k} shards; every "
             f"shard needs at least one cell"
         )
-    if scheme not in ("auto", "levels", "round_robin"):
+    if scheme not in ("auto", "round_robin"):
         raise PartitionError(
             f"unknown partition scheme {scheme!r}; expected "
-            f"'auto', 'levels' or 'round_robin'"
+            f"'auto' or 'round_robin'"
         )
     if k == 1:
         return _finish(graph, k, "single", {cid: 0 for cid in cids})
@@ -180,30 +182,18 @@ def partition_graph(
         owner = _components_pack(graph, k, cids)
         if owner is not None:
             return _finish(graph, k, "components", owner, weights)
-
-    if scheme in ("auto", "levels"):
         try:
             levels = longest_path_levels(graph)
         except GraphError:
-            if scheme == "levels":
-                raise PartitionError(
-                    "scheme 'levels' needs an acyclic graph; use "
-                    "'round_robin' (or 'auto') for graphs with "
-                    "feedback arcs"
-                )
-            levels = None
-        if levels is not None:
-            order = sorted(cids, key=lambda cid: (levels[cid], cid))
-            owner = _order_cut(graph, k, order, weights)
-            if owner is not None:
-                return _finish(graph, k, "levels", owner, weights)
-        elif scheme == "auto":
             # cyclic: condense SCCs so feedback cycles stay intact,
             # then run the same weighted DP over the condensed order
-            order = _scc_order(graph, cids)
-            owner = _order_cut(graph, k, order, weights)
-            if owner is not None:
-                return _finish(graph, k, "scc", owner, weights)
+            found, order = "scc", _scc_order(graph, cids)
+        else:
+            found = "levels"
+            order = sorted(cids, key=lambda cid: (levels[cid], cid))
+        owner = _order_cut(graph, k, order, weights)
+        if owner is not None:
+            return _finish(graph, k, found, owner, weights)
     return _finish(
         graph, k, "round_robin",
         {cid: i % k for i, cid in enumerate(cids)},

@@ -223,7 +223,7 @@ class SyncBackend:
     """Unit-delay synchronous simulator (:mod:`repro.sim.sync`)."""
 
     name = "sync"
-    options = ("record_trace",)
+    options = ()
 
     def execute(self, request: RunRequest) -> RunResult:
         from .sim.sync import SyncSimulator
@@ -232,7 +232,7 @@ class SyncBackend:
             self.name, "shards", "config", "faults", "checkpoint",
             "shard_config",
         )
-        sim = SyncSimulator(request.graph, request.inputs, **request.options)
+        sim = SyncSimulator(request.graph, request.inputs)
         sim.run(max_steps=request.budget(1_000_000))
         records = {r.stream: r for r in sim.sink_records.values()}
         return RunResult(
@@ -253,7 +253,7 @@ class EventBackend:
     (:mod:`repro.machine.fastforward`) and is bit-identical to
     ``"event"`` in values, sink times, cycle counts and statistics."""
 
-    options = ("policy", "trace")
+    options = ("trace",)
 
     def __init__(self, name: str = "event",
                  fast_forward: bool = False) -> None:
@@ -286,7 +286,7 @@ class ShardedBackend:
     """Multi-process sharded machine (:mod:`repro.machine.shard_runner`)."""
 
     name = "sharded"
-    options = ("policy",)
+    options = ()
 
     def execute(self, request: RunRequest) -> RunResult:
         from .machine.shard_config import ShardConfig
@@ -303,7 +303,6 @@ class ShardedBackend:
             shard_config=ShardConfig.coerce(
                 request.shard_config, shards=request.shards
             ),
-            **request.options,
         )
         stats = runner.run(max_cycles=request.budget(50_000_000))
         return RunResult.from_engine(self.name, runner, stats, runner.shards)

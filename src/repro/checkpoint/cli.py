@@ -113,10 +113,6 @@ def checkpoint_args(p: argparse.ArgumentParser) -> list:
                        "full base every N-th periodic snapshot; 0 "
                        "(default) writes classic standalone snapshots "
                        "only"),
-        p.add_argument("--max-chain-depth", type=int, default=64,
-                       metavar="D",
-                       help="hard ceiling on delta chain length before a "
-                       "forced rebase to a full base (default 64)"),
         p.add_argument("--record", action="store_true",
                        help="also record a replay bundle (initial "
                        "snapshot + event-trace manifest) for `repro "
@@ -249,7 +245,6 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
         retain=args.retain,
         record=args.record,
         delta_every=args.delta_every,
-        max_chain_depth=args.max_chain_depth,
     )
     workload_id = f"{args.workload}[m={args.size}]"
     if args.backend == "sharded":

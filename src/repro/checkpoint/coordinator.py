@@ -87,11 +87,12 @@ class CoordinatedCheckpointManager:
         from its ``manifest`` (the resume path), preserving its
         committed-set history and its recorded policy: a key the
         manifest lacks takes the :class:`CheckpointConfig` default, a
-        recorded ``retain`` of 0 stays 0."""
+        recorded ``retain`` of 0 stays 0, and the ``max_chain_depth``
+        an older manifest records is ignored (it is
+        :data:`~repro.checkpoint.directory.MAX_CHAIN_DEPTH` now)."""
         config = CheckpointConfig(directory, **{
             key: manifest[key]
-            for key in ("interval", "retain", "delta_every",
-                        "max_chain_depth")
+            for key in ("interval", "retain", "delta_every")
             if key in manifest
         })
         self = cls(config, int(manifest["shards"]))
@@ -288,10 +289,9 @@ class CoordinatedCheckpointManager:
             "coordinated": self._sets,
             "quarantined": self._quarantined,
         }
-        # only delta-chained directories carry the chain knobs, so
+        # only delta-chained directories carry the chain knob, so
         # manifests written by classic runs stay byte-identical
         if self.config.delta_every:
             manifest["delta_every"] = self.config.delta_every
-            manifest["max_chain_depth"] = self.config.max_chain_depth
         manifest.update(self._meta)
         write_manifest(self.directory, manifest)

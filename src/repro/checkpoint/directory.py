@@ -146,12 +146,17 @@ def is_sharded_dir(directory: Union[str, Path]) -> bool:
 # ----------------------------------------------------------------------
 # chain and retention policy
 # ----------------------------------------------------------------------
+#: hard ceiling on delta chain length: a delta that would chain deeper
+#: is promoted to a full base even if ``delta_every`` has not come round
+MAX_CHAIN_DEPTH = 64
+
+
 def next_kind(config: Any, depth: Optional[int]) -> str:
     """What the next periodic snapshot (or coordinated set) is.
 
     ``"full"`` when ``config.delta_every`` is 0.  Otherwise ``"delta"``
     when the chain tip at ``depth`` can be extended inside
-    ``delta_every`` and ``max_chain_depth``, else ``"base"``.
+    ``delta_every`` and :data:`MAX_CHAIN_DEPTH`, else ``"base"``.
     ``depth`` is None when the writer has no tip it provably extends
     (a fresh, resumed or rolled-back state): its previous chain
     belongs to a state that can no longer be extended.
@@ -161,7 +166,7 @@ def next_kind(config: Any, depth: Optional[int]) -> str:
     if depth is None:
         return "base"
     depth += 1
-    if depth >= config.delta_every or depth > config.max_chain_depth:
+    if depth >= config.delta_every or depth > MAX_CHAIN_DEPTH:
         return "base"
     return "delta"
 

@@ -63,10 +63,6 @@ class CheckpointConfig:
         format-v5 deltas (``ckpt-*.delta.snap``) in between.  Live,
         failure and initial snapshots are always standalone fulls
         regardless of this knob.
-    ``max_chain_depth``
-        Hard ceiling on delta chain length: a delta whose chain depth
-        would exceed this is promoted to a full base (rebased) even if
-        ``delta_every`` has not come around yet.
     """
 
     _error = SnapshotError
@@ -76,7 +72,6 @@ class CheckpointConfig:
     retain: int = field(default=3, metadata={"min": 0})
     record: bool = False
     delta_every: int = field(default=0, metadata={"min": 0})
-    max_chain_depth: int = field(default=64, metadata={"min": 1})
 
     def __post_init__(self) -> None:
         check(self)

@@ -579,7 +579,7 @@ def write_chain_snapshot(
 
 
 #: hard bound on chain walks; real chains are forced to rebase at
-#: ``max_chain_depth`` long before this
+#: ``directory.MAX_CHAIN_DEPTH`` long before this
 _CHAIN_WALK_LIMIT = 10_000
 
 

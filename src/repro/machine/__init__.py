@@ -6,13 +6,6 @@ packet-switched routing networks, executing the same machine-level
 instruction graphs as :mod:`repro.sim` with configurable latencies.
 """
 
-from .assign import (
-    POLICIES,
-    assign_by_stage,
-    assign_round_robin,
-    assign_single,
-    make_assignment,
-)
 from .config import DEFAULT_FU_LATENCY, MachineConfig
 from .diagnose import (
     BlockedProducer,
@@ -45,7 +38,6 @@ __all__ = [
     "Machine",
     "MachineConfig",
     "MachineStats",
-    "POLICIES",
     "PacketCounters",
     "RecoveryPolicy",
     "RecoveryStats",
@@ -58,10 +50,6 @@ __all__ = [
     "ShardedRunner",
     "StarvedCell",
     "UnitClass",
-    "assign_by_stage",
-    "assign_round_robin",
-    "assign_single",
     "classify_unit",
     "diagnose",
-    "make_assignment",
 ]

@@ -90,7 +90,6 @@ from ..graph.opcodes import (
 )
 from ..graph.validate import check_stream_inputs, validate
 from ..timing import steady_interval
-from .assign import Assignment, make_assignment
 from .config import MachineConfig
 from .diagnose import DeadlockDiagnosis, diagnose
 from .packets import PacketCounters, classify_unit
@@ -292,8 +291,6 @@ class Machine:
         graph: DataflowGraph,
         config: Optional[MachineConfig] = None,
         inputs: Optional[dict[str, list[Any]]] = None,
-        assignment: Optional[Assignment] = None,
-        policy: str = "round_robin",
         fault_plan: Optional[FaultPlan] = None,
         recovery: bool = True,
         checkpoint: Optional[
@@ -313,9 +310,11 @@ class Machine:
         self.graph = graph
         self.inputs = {k: list(v) for k, v in (inputs or {}).items()}
         check_stream_inputs(graph, self.inputs)
-        self.assignment = assignment or make_assignment(
-            graph, self.config.n_pes, policy
-        )
+        # every cell's fixed PE, round robin in cell-id order
+        self.assignment = {
+            cid: k % self.config.n_pes
+            for k, cid in enumerate(sorted(graph.cells))
+        }
 
         if (
             fault_plan is not None

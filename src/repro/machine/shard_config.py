@@ -70,7 +70,7 @@ class RecoveryPolicy:
         check(self, "recovery.")
 
 
-_PARTITION_SCHEMES = ("auto", "levels", "round_robin")
+_PARTITION_SCHEMES = ("auto", "round_robin")
 
 
 @dataclass

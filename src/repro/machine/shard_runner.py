@@ -95,7 +95,6 @@ from ..workers import (
     pooled_worker_count,
     unpark,
 )
-from .assign import make_assignment
 from .config import MachineConfig
 from .shard_config import RecoveryPolicy, ShardConfig
 from .shard_worker import LocalShard, graph_key, shard_error
@@ -150,7 +149,6 @@ class ShardedRunner:
         inputs: Optional[dict[str, list[Any]]] = None,
         *,
         config: Optional[MachineConfig] = None,
-        policy: str = "round_robin",
         fault_plan: Optional[FaultPlan] = None,
         recovery: bool = True,
         checkpoint: Optional[CheckpointConfig] = None,
@@ -177,7 +175,7 @@ class ShardedRunner:
             # a cross-shard token" for a stall)
             config=replace(config, watchdog=False),
             inputs={k: list(v) for k, v in (inputs or {}).items()},
-            policy=policy, fault_plan=fault_plan, recovery=recovery,
+            fault_plan=fault_plan, recovery=recovery,
             workload_id=workload_id,
         )
         ckpt = next_ckpt = None
@@ -199,7 +197,6 @@ class ShardedRunner:
         ShardMachine.check_spec(graph, shards, part.owner, fault_plan,
                                 recovery)
         check_stream_inputs(graph, spec["inputs"])
-        make_assignment(graph, config.n_pes, policy)  # refuses a bad one
 
     def _setup(
         self,

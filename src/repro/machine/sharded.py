@@ -83,7 +83,6 @@ class ShardMachine(Machine):
         owner: dict[int, int],
         config: Optional[MachineConfig] = None,
         inputs: Optional[dict[str, list[Any]]] = None,
-        policy: str = "round_robin",
         fault_plan: Optional[FaultPlan] = None,
         recovery: bool = True,
         _graph_validated: bool = False,
@@ -98,8 +97,8 @@ class ShardMachine(Machine):
         self._owner = dict(owner)
         self._outbox: list[tuple[int, int, str, tuple]] = []
         super().__init__(graph, config=config, inputs=inputs,
-                         policy=policy, fault_plan=fault_plan,
-                         recovery=recovery, _graph_validated=_graph_validated)
+                         fault_plan=fault_plan, recovery=recovery,
+                         _graph_validated=_graph_validated)
         # only owned sinks/arrays are this shard's outputs
         for cid in [c for c in self.sink_values if not self._owns(c)]:
             del self.sink_values[cid]

@@ -158,10 +158,9 @@ def register(sub) -> None:
         p.add_argument("--hang-deadline", type=float, default=10.0,
                        help="seconds of worker silence that count as a "
                        "hang (default 10)"),
-        p.add_argument("--min-batch", type=int, default=2),
         p.add_argument("--max-batch", type=int, default=8,
-                       help="jobs per batch, run as lanes of one serial "
-                       "pipeline run (default 2..8); --max-batch 1 "
+                       help="most jobs per batch, run as lanes of one "
+                       "serial pipeline run (default 8); --max-batch 1 "
                        "disables batching entirely"),
         p.add_argument("--batch-wait", type=float, default=0.02,
                        help="seconds a growing batch lingers for "

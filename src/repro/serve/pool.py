@@ -26,7 +26,6 @@ analogue of the supervisor's two-strike poisoned-snapshot quarantine.
 from __future__ import annotations
 
 import asyncio
-import os
 import random
 from typing import Any
 
@@ -124,19 +123,6 @@ class WorkerPool:
         await asyncio.gather(
             *(asyncio.to_thread(w.close) for w in self._workers)
         )
-
-    def signal_workers(self, signum: int) -> int:
-        """Forward a signal (SIGUSR1 for live snapshots) to every live
-        worker; returns how many were signalled."""
-        count = 0
-        for worker in self._workers:
-            if worker.alive:
-                try:
-                    os.kill(worker.pid, signum)
-                    count += 1
-                except (ProcessLookupError, OSError):
-                    pass
-        return count
 
     async def execute(self, payload: dict[str, Any],
                       timeout: float) -> dict[str, Any]:

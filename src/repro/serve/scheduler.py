@@ -12,10 +12,9 @@ The planner therefore:
 * lets a group fill while it keeps growing, and sends it whole when it
   reaches ``max_batch``, when nobody has joined it for a while, or when
   its first member has waited ``batch_wait``;
-* sends a leaving group as one batch when it has at least
-  ``min_batch`` jobs **and** its estimated completion (one EMA of
-  observed dispatch time per signature: a lane adds ~3 % to a run)
-  violates no member's deadline, else as dispatches of one,
+* sends a leaving group as one batch when its estimated completion
+  (one EMA of observed dispatch time per signature: a lane adds ~3 %
+  to a run) violates no member's deadline, else as dispatches of one,
   deadline-tightest first.
 
 All state is plain data and the decision function is synchronous, so
@@ -60,12 +59,11 @@ class BatchPlanner:
     member has joined for one dispatch estimate beside an idle worker
     (a longer wait costs more than a companion saves; ``batch_wait``
     while every worker is busy), or when its first member has waited
-    ``batch_wait`` (0: never linger).  ``min_batch > max_batch``
-    means serial only."""
+    ``batch_wait`` (0: never linger).  ``max_batch`` 1 means serial
+    only."""
 
-    def __init__(self, min_batch: int, max_batch: int, batch_wait: float,
+    def __init__(self, max_batch: int, batch_wait: float,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        self.min_batch = min_batch
         self.max_batch = max_batch
         self.batch_wait = batch_wait
         self.clock = clock
@@ -91,10 +89,9 @@ class BatchPlanner:
         ``idle``: a worker is free to run it now."""
         now = self.clock()
         self.wake_at = float("inf")
-        serial = self.min_batch > self.max_batch
         # non-batchable jobs go alone immediately, FIFO
         dispatches = [Dispatch([state]) for state in queue.take_matching(
-            lambda s: serial or not s.batchable, limit=queue.capacity
+            lambda s: not s.batchable, limit=queue.capacity
         )]
         groups: dict[str, list[JobState]] = {}
         for state in queue._queue:
@@ -117,12 +114,11 @@ class BatchPlanner:
                     chunks.append(rest)
             for chunk in chunks:
                 leaving += chunk
-                if len(chunk) >= self.min_batch and all(
-                        m.remaining(now) > est for m in chunk):
+                if all(m.remaining(now) > est for m in chunk):
                     dispatches.append(Dispatch(chunk))
                 else:
-                    # batching would blow a deadline (or the group is
-                    # too small): dispatches of one, tightest first
+                    # batching would blow a deadline: dispatches of
+                    # one, tightest first
                     chunk.sort(key=lambda s: s.deadline)
                     dispatches.extend(Dispatch([s]) for s in chunk)
         gone = set(map(id, leaving))

@@ -25,10 +25,11 @@ daemon down.  Lifecycle of one job:
    ``wait``-ing connection; journal lines are flushed once per
    event-loop turn, before any reply.
 
-Hot restart: SIGUSR1 fsyncs the journal, writes an atomic
-``serve-state.json`` and forwards the signal to workers; a restarted
-daemon (e.g. under ``repro supervise``) replays the journal and
-re-admits accepted-but-unfinished jobs exactly once.
+Hot restart: SIGUSR1 fsyncs the journal and writes an atomic
+``serve-state.json``; workers hold nothing to save, since results are
+journaled here on completion.  A restarted daemon (e.g. under
+``repro supervise``) replays the journal and re-admits
+accepted-but-unfinished jobs exactly once.
 """
 
 from __future__ import annotations
@@ -92,7 +93,6 @@ class ServeConfig:
     max_retries: int = field(default=2, metadata={"min": 0})
     #: per-worker-call ceiling: a worker silent this long is hung
     hang_deadline: float = field(default=10.0, metadata={"gt": 0})
-    min_batch: int = field(default=2, metadata={"min": 1})
     max_batch: int = field(default=8, metadata={"min": 1})
     batch_wait: float = field(default=0.02, metadata={"min": 0})
     seed: int = 0
@@ -129,9 +129,7 @@ class PipelineServer:
             raise ServeError("serve needs --socket and/or --port")
         self.config = config
         self.stats = ServeStats(seed=config.seed)
-        self.planner = BatchPlanner(
-            config.min_batch, config.max_batch, config.batch_wait
-        )
+        self.planner = BatchPlanner(config.max_batch, config.batch_wait)
         self.journal: Optional[JobJournal] = None
         if config.directory is not None:
             Path(config.directory).mkdir(parents=True, exist_ok=True)
@@ -277,11 +275,7 @@ class PipelineServer:
                 Path(self.config.directory) / STATE_NAME,
                 (json.dumps(state, indent=2) + "\n").encode("utf-8"),
             )
-        signalled = self.pool.signal_workers(signal.SIGUSR1)
-        self._log(
-            f"hot snapshot: journal synced, state written, "
-            f"{signalled} worker(s) signalled"
-        )
+        self._log("hot snapshot: journal synced, state written")
 
     @staticmethod
     def _log(message: str) -> None:

@@ -23,9 +23,10 @@ forever (the pool's deadline catches it), ``{"kind": "slow", "delay":
 s}`` sleeps first.  Faults fire *before* any work, so a retried
 attempt never sees partial state.
 
-SIGUSR1 is forwarded by the daemon for hot restart: the worker fsyncs
-nothing itself (results are journaled by the server on completion) but
-acknowledges by ignoring the signal safely mid-computation.
+The worker ignores SIGUSR1, the daemon's hot-snapshot signal: it has
+nothing to save (results are journaled by the server on completion),
+and a SIGUSR1 sent to the daemon's whole process group must not kill
+it mid-job.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ def handle(request: dict[str, Any]) -> dict[str, Any]:
 
 
 def main() -> int:
-    # stay alive through the daemon's broadcast SIGUSR1 (hot-restart
-    # sync point); default disposition would kill the worker mid-job
+    # stay alive through a SIGUSR1 sent to the daemon's process group;
+    # the default disposition would kill the worker mid-job
     try:
         signal.signal(signal.SIGUSR1, signal.SIG_IGN)
     except (ValueError, OSError):

@@ -41,7 +41,7 @@ from repro.checkpoint import (
     verify_chain,
 )
 from repro.checkpoint.coordinator import CoordinatedCheckpointManager
-from repro.checkpoint.directory import next_kind
+from repro.checkpoint.directory import MAX_CHAIN_DEPTH, next_kind
 from repro.checkpoint.snapshot import _HEADER
 from repro.errors import SnapshotError
 from repro.graph.graph import DataflowGraph
@@ -67,10 +67,10 @@ def _machine(n_values=60, **kw):
 
 
 def _chained_run(directory, *, interval=5, retain=0, delta_every=4,
-                 max_chain_depth=64, fault_plan=None, n_values=60):
+                 fault_plan=None, n_values=60):
     cfg = CheckpointConfig(
         directory, interval=interval, retain=retain,
-        delta_every=delta_every, max_chain_depth=max_chain_depth,
+        delta_every=delta_every,
     )
     m = _machine(n_values, checkpoint=cfg, fault_plan=fault_plan)
     m.run()
@@ -110,10 +110,6 @@ class TestChainPolicy:
         with pytest.raises(SnapshotError, match="delta_every"):
             CheckpointConfig(tmp_path, delta_every=-2)
 
-    def test_chain_depth_floor(self, tmp_path):
-        with pytest.raises(SnapshotError, match="max_chain_depth"):
-            CheckpointConfig(tmp_path, delta_every=4, max_chain_depth=0)
-
     def test_disabled_mode_keeps_classic_names(self, tmp_path):
         _chained_run(tmp_path, delta_every=0)
         names = [p.name for p in _chain_files(tmp_path)]
@@ -148,11 +144,10 @@ class TestChainPolicy:
         )
 
     def test_max_chain_depth_forces_rebase(self, tmp_path):
-        _chained_run(tmp_path, interval=3, delta_every=100,
-                     max_chain_depth=2)
+        _chained_run(tmp_path, interval=1, delta_every=100, n_values=70)
         depths = [read_metadata(p).get("chain_depth", 0)
                   for p in _chain_files(tmp_path)]
-        assert max(depths) == 2
+        assert max(depths) == MAX_CHAIN_DEPTH
         assert depths.count(0) >= 2      # the policy actually rebased
 
     def test_delta_bytes_track_churn_not_size(self, tmp_path):

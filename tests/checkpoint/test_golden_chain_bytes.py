@@ -176,28 +176,30 @@ FIG7_SINGLE_DELTAS = {
 }
 
 #: SHA-256 of each delta's ``core`` section, written into ``snaps``
+#: (the core pickles the run's CheckpointConfig: re-recorded when its
+#: ``max_chain_depth`` field became a constant, the only change)
 CHAINS_SINGLE_CORES = {
     "ckpt-000000000006.delta.snap":
-        "cc3ea7a164db66bd568a93ba6345b86a649eb416dcec9eecb07a94eec557b526",
+        "f0b47f9674bb355ad2ac794be735421683d49662a13122aded4d31abc21f8152",
     "ckpt-000000000009.delta.snap":
-        "ebe474e97d525a4585210fdc085c2b1d8dfd105028cce0f5d903001bd1d4ce6c",
+        "6f1aeb2bcc8e0b99f07362c0577e1640cbe9c6037cf713babe642950d160bbcb",
     "ckpt-000000000012.delta.snap":
-        "c902e031677837f3efe7a8db8da8d78746debcb4ec48741d968d9ba81fbc54c6",
+        "8067ec365fec7118a711deb03fd64c166e482d4b0638d1cfc48d495b476a28df",
 }
 
 FIG7_SINGLE_CORES = {
     "ckpt-000000000050.delta.snap":
-        "86a96133b32a5a7a21f17c135a55187e43773cec8fc4eb0da42aa9a388ea694e",
+        "2d6633e388edb57bcae106eb23bbed161c0d7a95cef46f16040b03617c540f46",
     "ckpt-000000000075.delta.snap":
-        "22e37748f5bdea0cb6ff0adcb234c87fb7cc32d6b1027b05561c359af120e25f",
+        "46be44e4df4d290911f74ec2ecab06f7162802c855a568513c307fbed01302ee",
     "ckpt-000000000100.delta.snap":
-        "7bf5e34ca617865b8d0d9bdb4e07d1265a21826929233542878c8e265c825e64",
+        "85b4aa61807b949c0d67c92a49179e5d2edf9cd5ac04d0eb03f0e3bb97e032a2",
     "ckpt-000000000150.delta.snap":
-        "df2da8fba81840d77229fe7f1ae5a235ef93a7b34fe2255eb51f389b8afd9ff9",
+        "bd2f5cffe7cd88801ff11e8f2a2d534512db39972c3ac45b3752c982b181181c",
     "ckpt-000000000175.delta.snap":
-        "766f7a3005de55e762c8efb473784d92a45fac55afea793466326f37d84468a8",
+        "2570675ea5d765102162060a203a9482da55370acea184f6ec86efc95c5555b9",
     "ckpt-000000000200.delta.snap":
-        "9a043d55fc44ee8022e9eef3dbf4d5667c9e170cb514d1af8ce30aaaa8285034",
+        "d1377ac1742981494253dfd4871727705eccad50e409f1969130938a8d0acc39",
 }
 
 

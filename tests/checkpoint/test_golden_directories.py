@@ -125,6 +125,29 @@ def test_directory_matches_golden(run, tmp_path, capsys):
     assert got.get("report") == golden.get("report")
 
 
+def test_a_manifest_recording_max_chain_depth_still_resumes(tmp_path,
+                                                            capsys):
+    """Sharded manifests once recorded ``max_chain_depth`` (now the
+    constant ``directory.MAX_CHAIN_DEPTH``): a directory whose manifest
+    carries it, as the sharded delta chain's did, still attaches and
+    resumes to exactly the uninterrupted run's output."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    older = golden["sharded_delta_chain"]["manifest"].replace(
+        '  "delta_every": 3,\n',
+        '  "delta_every": 3,\n  "max_chain_depth": 64,\n',
+    )
+    assert older.count('"max_chain_depth": 64') == 1
+    sharded_delta_chain(tmp_path)
+    uninterrupted = capsys.readouterr().out
+    directory = tmp_path / "chain"
+    (directory / "manifest.json").write_text(older, encoding="utf-8")
+    assert cli_main(["resume", str(directory)]) == 0
+    assert capsys.readouterr().out == uninterrupted
+    manifest = json.loads((directory / "manifest.json").read_text())
+    assert manifest["delta_every"] == 3
+    assert "max_chain_depth" not in manifest
+
+
 if __name__ == "__main__":
     import contextlib
     import io

@@ -8,11 +8,7 @@ import repro
 from repro.compiler import compile_program
 from repro.errors import DeadlockError, SimulationError
 from repro.graph import DataflowGraph, Op
-from repro.machine import (
-    Machine,
-    MachineConfig,
-    make_assignment,
-)
+from repro.machine import Machine, MachineConfig
 from repro.workloads.programs import SOURCES
 
 
@@ -166,36 +162,25 @@ class TestRealisticConfigs:
 
 
 class TestAssignment:
-    def test_policies_cover_all_cells(self):
+    def test_round_robin_covers_all_cells(self):
         g = small_chain()
-        for policy in ("round_robin", "single", "by_stage"):
-            a = make_assignment(g, 3, policy)
-            assert set(a) == set(g.cells)
-            assert all(0 <= pe < 3 for pe in a.values())
-
-    def test_single_puts_everything_on_pe0(self):
-        a = make_assignment(small_chain(), 4, "single")
-        assert set(a.values()) == {0}
-
-    def test_unknown_policy(self):
-        with pytest.raises(SimulationError, match="unknown assignment"):
-            make_assignment(small_chain(), 2, "telepathy")
+        a = Machine(g, MachineConfig(n_pes=3), {"x": [1.0]}).assignment
+        assert a == {cid: k % 3 for k, cid in enumerate(sorted(g.cells))}
 
     def test_dispatch_bottleneck_visible(self):
         """With bounded dispatch, one PE is slower than many."""
         m = 40
         cp = compile_program(SOURCES["example1"], params={"m": m})
         inputs = {k: [1.0] * v.length for k, v in cp.input_specs.items()}
-        results = {}
-        for policy in ("single", "round_robin"):
+        cycles = {}
+        for n_pes in (1, 4):
             machine = Machine(
                 cp.graph,
-                config=MachineConfig(n_pes=4, pe_issue_interval=1),
+                config=MachineConfig(n_pes=n_pes, pe_issue_interval=1),
                 inputs=inputs,
-                policy=policy,
             )
-            results[policy] = machine.run().cycles
-        assert results["round_robin"] < results["single"]
+            cycles[n_pes] = machine.run().cycles
+        assert cycles[4] < cycles[1]
 
 
 class TestLoops:

@@ -314,6 +314,8 @@ class TestLoudFailures:
             ({"recovery": {"deadline": "5"}}, "recovery.deadline"),
             ({"processes": "yes"}, "processes"),
             ({"recovery": {"max_restarts": 1.5}}, "recovery.max_restarts"),
+            # the partition choice that only ever refused cyclic graphs
+            ({"partition": "levels"}, "partition"),
         ],
     )
     def test_mistyped_values_are_refused(self, tmp_path, capsys, doc, key):

@@ -85,11 +85,6 @@ class TestPartitioner:
         # instead of falling back to a blind round-robin cut
         assert partition_graph(cyclic, 2).scheme == "scc"
 
-    def test_levels_scheme_rejects_cyclic(self):
-        cyclic, _ = program_graph("fig7")
-        with pytest.raises(PartitionError):
-            partition_graph(cyclic, 2, scheme="levels")
-
     def test_k1_is_single(self):
         graph, _ = program_graph("fig2")
         part = partition_graph(graph, 1)
@@ -101,8 +96,9 @@ class TestPartitioner:
         graph, _ = program_graph("fig2")
         with pytest.raises(PartitionError):
             partition_graph(graph, 0)
-        with pytest.raises(PartitionError):
-            partition_graph(graph, 2, scheme="bogus")
+        for scheme in ("bogus", "levels"):
+            with pytest.raises(PartitionError, match="unknown partition"):
+                partition_graph(graph, 2, scheme=scheme)
         with pytest.raises(PartitionError):
             partition_graph(DataflowGraph(), 2)
 
@@ -301,7 +297,6 @@ class TestWorkersOwnTheirMachines:
 
     @pytest.mark.parametrize("case", [
         "unit_faults", "unprotected_faults", "owner", "inputs", "graph",
-        "policy",
     ])
     def test_refusals_stay_in_the_coordinator(self, case, monkeypatch):
         """Each argument a shard machine would refuse is refused by the
@@ -309,8 +304,7 @@ class TestWorkersOwnTheirMachines:
         before any endpoint exists."""
         graph, streams = program_graph("fig2")
         owner = partition_graph(graph, 2).owner
-        args = dict(owner=owner, inputs=streams, policy="round_robin",
-                    fault_plan=None)
+        args = dict(owner=owner, inputs=streams, fault_plan=None)
         if case == "unit_faults":
             args["fault_plan"] = FaultPlan(
                 seed=1, unit_faults=({"unit": "fu", "index": 0},),
@@ -322,20 +316,17 @@ class TestWorkersOwnTheirMachines:
             args["owner"] = {**owner, max(owner) + 1: 0}
         elif case == "inputs":
             args["inputs"] = {}
-        elif case == "graph":
+        else:
             graph = graph.copy()
             graph.add_source("idle", stream=next(iter(streams)))
             args["owner"] = {cid: 0 for cid in graph.cells}
-        else:
-            args["policy"] = "bogus"
         with pytest.raises(ReproError) as built:
             sharded.ShardMachine(graph, shard_index=0, n_shards=2, **args)
         monkeypatch.setattr(shard_runner, "Worker", None)   # no fork
         with pytest.raises(type(built.value), match=re.escape(
                 str(built.value))):
             ShardedRunner(
-                graph, args["inputs"], policy=args["policy"],
-                fault_plan=args["fault_plan"],
+                graph, args["inputs"], fault_plan=args["fault_plan"],
                 recovery=args.get("recovery", True),
                 partition=Partition(k=2, scheme="given",
                                     owner=args["owner"], cut_arcs=()),

@@ -131,7 +131,7 @@ class TestJobFacts:
 
         monkeypatch.setattr(jobs, "signature", counting)
         now = [1000.0]
-        planner = BatchPlanner(min_batch=2, max_batch=8, batch_wait=1.0,
+        planner = BatchPlanner(max_batch=8, batch_wait=1.0,
                                clock=lambda: now[0])
         queue = AdmissionQueue(capacity=8, clock=lambda: now[0])
         # four signatures: each job lingers alone, four passes long

@@ -95,7 +95,7 @@ class TestChaosSoak:
             directory=str(tmp_path / "state"),
             workers=2, capacity=64, default_deadline=60.0,
             max_retries=2, hang_deadline=2.0,
-            min_batch=2, max_batch=8, batch_wait=0.05,
+            max_batch=8, batch_wait=0.05,
         )
 
         async def body():

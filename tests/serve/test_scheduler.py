@@ -15,14 +15,13 @@ from .conftest import make_spec
 SIG = jobs.signature(make_spec("sig"))
 
 
-def _planner_and_queue(min_batch=2, capacity=8):
+def _planner_and_queue(capacity=8):
     now = [1000.0]
 
     def clock():
         return now[0]
 
-    planner = BatchPlanner(min_batch=min_batch, max_batch=8,
-                           batch_wait=0.02, clock=clock)
+    planner = BatchPlanner(max_batch=8, batch_wait=0.02, clock=clock)
     queue = AdmissionQueue(capacity=capacity, clock=clock)
     return now, planner, queue
 
@@ -74,11 +73,12 @@ class TestLinger:
         assert queue.depth == 0
         assert planner.wake_at == float("inf")
 
-    def test_a_group_short_of_min_batch_leaves_whole_at_batch_wait(self):
+    def test_a_group_leaves_whole_at_batch_wait(self):
         # every member of a group lingers with its first: three jobs
-        # short of min_batch = 4 all leave, alone, in the pass at +20 ms
-        # (they used to leave one by one, at +21, +43 and +65 ms)
-        now, planner, queue = _planner_and_queue(min_batch=4)
+        # queued at once all leave in the pass at +20 ms (short of a
+        # min_batch of 4, they used to leave one by one, at +21, +43
+        # and +65 ms)
+        now, planner, queue = _planner_and_queue()
         for k in range(3):
             queue.offer(make_spec(f"j{k}", seed=k))
         assert planner.plan(queue, idle=False) == []
@@ -86,7 +86,19 @@ class TestLinger:
         assert planner.plan(queue, idle=False) == []
         now[0] = 1000.02
         dispatches = planner.plan(queue, idle=False)
-        assert [d.ids for d in dispatches] == [["j0"], ["j1"], ["j2"]]
+        assert [d.ids for d in dispatches] == [["j0", "j1", "j2"]]
+        assert queue.depth == 0
+
+    def test_a_group_a_batch_would_make_late_leaves_as_singles(self):
+        # one 50 ms dispatch would blow b's 40 ms deadline: the group
+        # does not linger, and leaves as dispatches of one, tightest
+        # deadline first
+        now, planner, queue = _planner_and_queue()
+        _observe(planner, 0.05)
+        queue.offer(make_spec("a"))
+        queue.offer(make_spec("b", seed=1, deadline=0.04))
+        dispatches = planner.plan(queue, idle=True)
+        assert [d.ids for d in dispatches] == [["b"], ["a"]]
         assert queue.depth == 0
 
 

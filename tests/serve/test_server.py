@@ -38,7 +38,6 @@ def _config(tmp_path, **overrides):
         default_deadline=30.0,
         max_retries=2,
         hang_deadline=3.0,
-        min_batch=2,
         max_batch=8,
         batch_wait=0.05,
     )
@@ -101,9 +100,9 @@ class TestBatching:
         assert all(r["ok"] for r in records)
         assert not any(r["batched"] for r in records)
 
-    def test_min_batch_one_runs_a_lone_job_alone(self, tmp_path):
-        # the planner's "batch" of one is a dispatch of one, not a
-        # batch the worker refuses
+    def test_a_lone_job_runs_alone(self, tmp_path):
+        # the planner's group of one is a dispatch of one, not a batch
+        # the worker refuses
         spec = make_spec("lone", m=6)
 
         async def body(server):
@@ -111,7 +110,7 @@ class TestBatching:
             return await _record(server, spec.id), server.stats.batches
 
         record, batches = asyncio.run(
-            _with_server(_config(tmp_path, min_batch=1), body)
+            _with_server(_config(tmp_path), body)
         )
         assert record["ok"] and record["batched"] is False
         assert record["result"] == jobs.execute_serial(spec)
@@ -314,7 +313,7 @@ class TestJournalBeforeReply:
 class TestBackpressure:
     def test_overload_sheds_typed_with_retry_after(self, tmp_path):
         config = _config(tmp_path, capacity=2, workers=1,
-                         min_batch=99)  # serial only
+                         max_batch=1)  # serial only
 
         async def body(server):
             _submit(server, make_spec("slow", m=6,

@@ -126,14 +126,15 @@ class TestRunFacade:
         of the kwargs that left the signature ran with defaults."""
         cp, inputs = figure("fig2", 8)
         gone = {"heal": False, "processes": False, "partition": "auto",
-                "reliable": True}
+                "reliable": True, "policy": "round_robin",
+                "record_trace": True}
         for name, value in {**gone, "trce": True}.items():
             with pytest.raises(ReproError, match=f"{backend}.*{name}"):
                 repro.run(cp, inputs, backend=backend, **{name: value})
         # and one backend's option is another's unknown
-        other = "policy" if backend == "sync" else "record_trace"
-        with pytest.raises(ReproError, match=other):
-            repro.run(cp, inputs, backend=backend, **{other: "x"})
+        if backend in ("sync", "sharded"):
+            with pytest.raises(ReproError, match=f"{backend}.*'trace'"):
+                repro.run(cp, inputs, backend=backend, trace=True)
 
     def test_reject_compares_against_real_defaults(self):
         """Regression: ``reject`` used a shared sentinel, so any field

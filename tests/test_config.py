@@ -114,6 +114,19 @@ def test_malformed_input_is_a_typed_error(tmp_path, build, error, name):
 
 
 @pytest.mark.parametrize(
+    "cls, doc, key",
+    [(ServeConfig, {"min_batch": 2}, "min_batch"),
+     (CheckpointConfig, {"directory": "d", "max_chain_depth": 64},
+      "max_chain_depth")],
+    ids=["serve-min-batch", "checkpoint-max-chain-depth"],
+)
+def test_removed_keys_are_refused_by_name(cls, doc, key):
+    with pytest.raises(CLASSES[cls][0],
+                       match=rf"^unknown doc keys: \['{key}'\]"):
+        config.from_dict(cls, doc, "doc")
+
+
+@pytest.mark.parametrize(
     "flag", [["--workers", "0"], ["--capacity", "0"],
              ["--hang-deadline", "0"]],
     ids=["workers", "capacity", "hang-deadline"],
