@@ -45,84 +45,30 @@ Packages
 * :mod:`repro.workloads` -- canonical programs and generators.
 """
 
-from .api import (
-    BACKENDS,
-    BackendProtocol,
-    RunRequest,
-    RunResult,
-    resume,
-    run,
-)
-from .compiler import CompiledProgram, ProgramResult, compile_program
-from .errors import (
-    AnalysisError,
-    ClassificationError,
-    CompileError,
-    DeadlockError,
-    GraphError,
-    RecurrenceError,
-    ReproError,
-    SimulationError,
-    SimulationTimeout,
-    SnapshotError,
-    ValSyntaxError,
-    ValTypeError,
-)
-from .checkpoint import CheckpointConfig, replay_bundle
-from .client import ServeClient, connect
-from .faults import FaultInjector, FaultPlan, FaultStats, UnitFault
-from .machine import (
-    Machine,
-    MachineConfig,
-    RecoveryPolicy,
-    ShardConfig,
-    ShardedRunner,
-)
-from .sim import SyncSimulator
-from .val import ValArray, parse_program, run_program
-from .workers import shutdown_worker_pool
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AnalysisError",
-    "BACKENDS",
-    "BackendProtocol",
-    "CheckpointConfig",
-    "ClassificationError",
-    "CompileError",
-    "CompiledProgram",
-    "DeadlockError",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultStats",
-    "GraphError",
-    "Machine",
-    "MachineConfig",
-    "ProgramResult",
-    "RecoveryPolicy",
-    "RecurrenceError",
-    "ReproError",
-    "RunRequest",
-    "RunResult",
-    "ServeClient",
-    "ShardConfig",
-    "ShardedRunner",
-    "SimulationError",
-    "SimulationTimeout",
-    "SnapshotError",
-    "SyncSimulator",
-    "UnitFault",
-    "ValArray",
-    "ValSyntaxError",
-    "ValTypeError",
-    "__version__",
-    "compile_program",
-    "connect",
-    "parse_program",
-    "replay_bundle",
-    "resume",
-    "run",
-    "run_program",
-    "shutdown_worker_pool",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".api": "BACKENDS BackendProtocol RunRequest RunResult resume run",
+    ".checkpoint.manager": "CheckpointConfig",
+    ".checkpoint.replay": "replay_bundle",
+    ".client": "ServeClient connect",
+    ".compiler.pipeline": "CompiledProgram ProgramResult compile_program",
+    ".errors": "AnalysisError ClassificationError CompileError "
+               "DeadlockError GraphError RecurrenceError ReproError "
+               "SimulationError SimulationTimeout SnapshotError "
+               "ValSyntaxError ValTypeError",
+    ".faults.injector": "FaultInjector FaultStats",
+    ".faults.plan": "FaultPlan UnitFault",
+    ".machine.config": "MachineConfig",
+    ".machine.machine": "Machine",
+    ".machine.shard_config": "RecoveryPolicy ShardConfig",
+    ".machine.shard_runner": "ShardedRunner",
+    ".sim.sync": "SyncSimulator",
+    ".val.interpreter": "run_program",
+    ".val.parser": "parse_program",
+    ".val.values": "ValArray",
+    ".workers": "shutdown_worker_pool",
+})
+__all__.append("__version__")

@@ -13,44 +13,14 @@
   and the compiled backend's stream evaluator.
 """
 
-from .partition import Partition, PartitionError, partition_graph
-from .paths import (
-    BalanceReport,
-    check_balance,
-    count_buffer_cells,
-    default_arc_weight,
-    longest_path_levels,
-    pipeline_depth,
-)
-from .report import BlockReport, ProgramReport, analyze_program
-from .rate import (
-    MAX_RATE,
-    RateReport,
-    analyze_rate,
-    initiation_interval_bound,
-    is_fully_pipelined,
-)
-from .traffic import TrafficReport, static_traffic_estimate, traffic_breakdown
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BalanceReport",
-    "BlockReport",
-    "ProgramReport",
-    "MAX_RATE",
-    "Partition",
-    "PartitionError",
-    "RateReport",
-    "TrafficReport",
-    "analyze_program",
-    "analyze_rate",
-    "check_balance",
-    "count_buffer_cells",
-    "default_arc_weight",
-    "initiation_interval_bound",
-    "is_fully_pipelined",
-    "longest_path_levels",
-    "partition_graph",
-    "pipeline_depth",
-    "static_traffic_estimate",
-    "traffic_breakdown",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".partition": "Partition PartitionError partition_graph",
+    ".paths": "BalanceReport check_balance count_buffer_cells "
+              "default_arc_weight longest_path_levels pipeline_depth",
+    ".report": "BlockReport ProgramReport analyze_program",
+    ".rate": "MAX_RATE RateReport analyze_rate initiation_interval_bound "
+             "is_fully_pipelined",
+    ".traffic": "TrafficReport static_traffic_estimate traffic_breakdown",
+})

@@ -34,91 +34,23 @@ Quick use::
     result = repro.resume("ckpts/")                  # ...bit-identical finish
 """
 
-from ..errors import (
-    ChainBrokenError,
-    ManifestError,
-    SnapshotError,
-    SupervisorError,
-)
-from ..workers import BackoffPolicy
-from .coordinator import CoordinatedCheckpointManager
-from .directory import (
-    ResumePoint,
-    fsck_directory,
-    is_sharded_dir,
-    latest_snapshot,
-    quarantine,
-    read_manifest,
-    resume_point,
-    shard_snapshot_name,
-)
-from .manager import CheckpointConfig, CheckpointManager
-from .replay import (
-    DivergenceReport,
-    EventTrace,
-    ReplayReport,
-    bisect_divergence,
-    outputs_digest,
-    replay_bundle,
-)
-from .snapshot import (
-    DELTA_VERSION,
-    FORMAT_VERSION,
-    chain_status,
-    load_machine,
-    read_metadata,
-    read_snapshot,
-    rebase_snapshot,
-    save_snapshot,
-    snapshot_cycle,
-    verify_chain,
-    write_chain_snapshot,
-)
-from .supervisor import (
-    EXIT_SNAPSHOT_UNLOADABLE,
-    AttemptRecord,
-    Supervisor,
-    SupervisorConfig,
-    SupervisorReport,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AttemptRecord",
-    "BackoffPolicy",
-    "ChainBrokenError",
-    "CheckpointConfig",
-    "CheckpointManager",
-    "CoordinatedCheckpointManager",
-    "DELTA_VERSION",
-    "DivergenceReport",
-    "EXIT_SNAPSHOT_UNLOADABLE",
-    "EventTrace",
-    "FORMAT_VERSION",
-    "ManifestError",
-    "ReplayReport",
-    "ResumePoint",
-    "SnapshotError",
-    "Supervisor",
-    "SupervisorConfig",
-    "SupervisorError",
-    "SupervisorReport",
-    "bisect_divergence",
-    "chain_status",
-    "fsck_directory",
-    "is_sharded_dir",
-    "latest_snapshot",
-    "load_machine",
-    "outputs_digest",
-    "quarantine",
-    "read_manifest",
-    "read_metadata",
-    "read_snapshot",
-    "rebase_snapshot",
-    "replay_bundle",
-    "resume_point",
-    "save_snapshot",
-    "shard_snapshot_name",
-    "snapshot_cycle",
-    "verify_chain",
-    "write_chain_snapshot",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "..errors": "ChainBrokenError ManifestError SnapshotError "
+                "SupervisorError",
+    "..workers": "BackoffPolicy",
+    ".coordinator": "CoordinatedCheckpointManager",
+    ".directory": "ResumePoint fsck_directory is_sharded_dir "
+                  "latest_snapshot quarantine read_manifest resume_point "
+                  "shard_snapshot_name",
+    ".manager": "CheckpointConfig CheckpointManager",
+    ".replay": "DivergenceReport EventTrace ReplayReport bisect_divergence "
+               "outputs_digest replay_bundle",
+    ".snapshot": "DELTA_VERSION FORMAT_VERSION chain_status load_machine "
+                 "read_metadata read_snapshot rebase_snapshot "
+                 "save_snapshot snapshot_cycle verify_chain "
+                 "write_chain_snapshot",
+    ".supervisor": "EXIT_SNAPSHOT_UNLOADABLE AttemptRecord Supervisor "
+                   "SupervisorConfig SupervisorReport",
+})

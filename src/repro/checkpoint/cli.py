@@ -37,8 +37,9 @@ import argparse
 import json
 import signal
 import sys
+from dataclasses import asdict
 from pathlib import Path
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from ..api import RunResult
 from ..cli import (
@@ -59,23 +60,15 @@ from ..errors import (
     EXIT_SHARD_CRASH,
     EXIT_SNAPSHOT_UNLOADABLE,
     DeadlockError,
+    ShardCrashError,
     SimulationTimeout,
     SnapshotError,
 )
-from ..faults import FaultPlan
-from ..machine import Machine, ShardCrashError, ShardedRunner
-from ..workers import BackoffPolicy
 from ..workloads.figures import figure_workload
-from .directory import (
-    classify_file,
-    fsck_directory,
-    member_status,
-    resume_point,
-)
-from .manager import CheckpointConfig
-from .replay import bisect_divergence, replay_bundle
-from .snapshot import read_metadata, rebase_snapshot
-from .supervisor import Supervisor, SupervisorConfig
+
+if TYPE_CHECKING:
+    from ..machine import Machine, ShardedRunner
+    from .supervisor import Supervisor
 
 
 def as_argv(args: argparse.Namespace, actions: list) -> list[str]:
@@ -192,7 +185,9 @@ def _finish(engine: Union[Machine, ShardedRunner],
     shard worker exits like a SIGKILLed process, so the supervisor
     restarts and resumes it; a member file a worker cannot load exits
     like any unloadable snapshot, so the supervisor quarantines it."""
-    sharded = isinstance(engine, ShardedRunner)
+    from ..machine.machine import Machine
+
+    sharded = not isinstance(engine, Machine)
     try:
         if sharded:
             stats = engine.run(max_cycles=args.max_cycles,
@@ -233,6 +228,9 @@ def _finish(engine: Union[Machine, ShardedRunner],
 
 
 def cmd_checkpoint(args: argparse.Namespace) -> int:
+    from ..machine import Machine, ShardedRunner
+    from .manager import CheckpointConfig
+
     if not shard_flags_fit(args):
         return 1
     workload = figure_workload(args.workload)
@@ -271,6 +269,9 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
+    from ..machine import Machine, ShardedRunner
+    from .directory import resume_point
+
     point = resume_point(args.snapshot)
     sharded = point.sharded
     if args.shard_config and not sharded:
@@ -316,6 +317,9 @@ _SET_WORDS = {None: "partial", "intact": "complete", "damaged": "incomplete"}
 
 
 def cmd_snapshot_inspect(args: argparse.Namespace) -> int:
+    from .directory import classify_file, member_status
+    from .snapshot import read_metadata
+
     meta = read_metadata(args.file)
     meta["path"] = str(args.file)
     if meta.get("shard") is not None:
@@ -362,6 +366,8 @@ def cmd_snapshot_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_snapshot_fsck(args: argparse.Namespace) -> int:
+    from .directory import fsck_directory
+
     report = fsck_directory(args.directory)
     if args.json:
         json.dump(report, sys.stdout, indent=2, sort_keys=True)
@@ -410,6 +416,8 @@ def cmd_snapshot_fsck(args: argparse.Namespace) -> int:
 
 
 def cmd_snapshot_rebase(args: argparse.Namespace) -> int:
+    from .snapshot import rebase_snapshot
+
     new_path = rebase_snapshot(args.file)
     print(f"# rebased {args.file} -> {new_path}", file=sys.stderr)
     print(str(new_path))
@@ -443,6 +451,9 @@ def run_supervisor(supervisor: Supervisor,
 
 
 def cmd_supervise(args: argparse.Namespace) -> int:
+    from ..workers import BackoffPolicy
+    from .supervisor import Supervisor, SupervisorConfig
+
     child = [sys.executable, "-m", "repro"]
     start_argv = child + ["checkpoint", *as_argv(args, args.child_flags)]
     if args.backend == "sharded":
@@ -472,12 +483,12 @@ def cmd_supervise(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    from .replay import replay_bundle
+
     report = replay_bundle(
         args.bundle, max_cycles=args.max_cycles, bisect=args.bisect
     )
     if args.json:
-        from dataclasses import asdict
-
         emit_envelope("replay", report.reproduced, asdict(report))
     else:
         print(report.summary())
@@ -485,6 +496,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_bisect(args: argparse.Namespace) -> int:
+    from ..faults import FaultPlan
+    from .replay import bisect_divergence
+
     perturb = None
     if args.perturb_plan is not None:
         with open(args.perturb_plan, "r", encoding="utf-8") as fh:

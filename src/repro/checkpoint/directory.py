@@ -33,7 +33,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Union
 
 from ..errors import ManifestError, SnapshotError
-from .snapshot import _atomic_write, chain_status, read_metadata
+from ..fileio import atomic_write
+from .snapshot import chain_status, read_metadata
 
 #: schema version of manifest.json
 MANIFEST_SCHEMA = 1
@@ -128,7 +129,7 @@ def write_manifest(
     directory: Union[str, Path], manifest: dict[str, Any]
 ) -> None:
     """Atomically replace ``directory``'s ``manifest.json``."""
-    _atomic_write(
+    atomic_write(
         Path(directory) / MANIFEST_NAME,
         (json.dumps(manifest, indent=2, default=repr) + "\n").encode(),
     )

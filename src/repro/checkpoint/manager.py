@@ -23,6 +23,7 @@ from typing import Any, Union
 
 from ..config import check
 from ..errors import ManifestError, SimulationTimeout, SnapshotError
+from ..fileio import atomic_write
 from .directory import (
     MANIFEST_SCHEMA,
     next_kind,
@@ -32,7 +33,6 @@ from .directory import (
 )
 from .replay import _outcome
 from .snapshot import (
-    _atomic_write,
     read_metadata,
     save_snapshot,
     write_chain_snapshot,
@@ -194,7 +194,7 @@ class CheckpointManager:
             bundle["diagnosis"] = diagnosis.summary()
         if machine.fault_plan is not None:
             bundle["fault_plan"] = machine.fault_plan.to_dict()
-        _atomic_write(
+        atomic_write(
             self.directory / f"{prefix}-{machine.now:012d}.json",
             (json.dumps(bundle, indent=2, default=repr) + "\n").encode(),
         )

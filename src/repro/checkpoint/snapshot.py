@@ -74,11 +74,11 @@ import json
 import os
 import pickle
 import struct
-import tempfile
 from pathlib import Path
 from typing import Any, Optional, Union
 
 from ..errors import ChainBrokenError, SnapshotError
+from ..fileio import atomic_write
 
 MAGIC = b"RPROSNAP"
 FORMAT_VERSION = 4
@@ -210,43 +210,6 @@ def _restricted_loads(payload: bytes, where: str) -> Any:
 
 
 # ----------------------------------------------------------------------
-# atomic writes
-# ----------------------------------------------------------------------
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` with write-then-rename atomicity.
-
-    The temporary sibling gets a unique per-writer name (via
-    ``tempfile.mkstemp``), so two processes checkpointing into the same
-    directory never clobber each other's in-flight temp file; the loser
-    of the final ``os.replace`` race simply has its complete snapshot
-    superseded by the winner's complete snapshot.
-    """
-    fd, tmp = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    try:
-        dirfd = os.open(path.parent, os.O_RDONLY)
-    except OSError:         # platform without directory fds
-        return
-    try:
-        os.fsync(dirfd)
-    finally:
-        os.close(dirfd)
-
-
-# ----------------------------------------------------------------------
 # encoding
 # ----------------------------------------------------------------------
 def snapshot_metadata(machine: Any, reason: str = "periodic") -> dict[str, Any]:
@@ -338,7 +301,7 @@ def save_snapshot(
     """Atomically write one snapshot of ``machine`` and return its path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(path, snapshot_bytes(machine, reason, extra=extra))
+    atomic_write(path, snapshot_bytes(machine, reason, extra=extra))
     return path
 
 
@@ -568,7 +531,7 @@ def write_chain_snapshot(
         data = _pack_envelope(meta, payload, version=DELTA_VERSION)
     else:
         raise SnapshotError(f"unknown chain snapshot kind {kind!r}")
-    _atomic_write(path, data)
+    atomic_write(path, data)
     machine._snap_chain = {
         "blobs": blobs,
         "name": path.name,
@@ -779,7 +742,7 @@ def rebase_snapshot(path: Union[str, Path]) -> Path:
         )
     else:
         new_path = path       # coordinated shard member: same name
-    _atomic_write(
+    atomic_write(
         new_path,
         snapshot_bytes(
             machine, "rebase", extra=extra,

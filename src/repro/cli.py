@@ -37,18 +37,15 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from . import api
-from .compiler import compile_program
 from .errors import ReproError
 from .faults import FaultPlan
-from .graph.asm import read_asm, to_asm
-from .graph.dot import to_dot
-from .machine import RecoveryPolicy, ShardConfig
-from .val import parse_program, run_program
-from .val.values import ValArray
 from .workloads.figures import FIGURES
+
+if TYPE_CHECKING:
+    from .machine import ShardConfig
 
 
 def parse_params(items: list[str]) -> dict[str, int]:
@@ -81,6 +78,8 @@ def _load_inputs(path: Optional[str]) -> dict[str, Any]:
 
 
 def emit_outputs(outputs: dict[str, Any]) -> None:
+    from .val.values import ValArray
+
     rendered = {}
     for name, value in outputs.items():
         if isinstance(value, ValArray):
@@ -215,6 +214,8 @@ def shard_config_from_args(args: argparse.Namespace) -> ShardConfig:
     from ``--shard-config`` JSON (when given; ``--shards`` must agree
     with a count named there), then let the heal flags override the
     recovery policy."""
+    from .machine import RecoveryPolicy, ShardConfig
+
     sc = ShardConfig.coerce(
         getattr(args, "shard_config", None) or {},
         shards=getattr(args, "shards", None),
@@ -247,6 +248,8 @@ def shard_config_from_args(args: argparse.Namespace) -> ShardConfig:
 # compile / run / interpret / simulate
 # ----------------------------------------------------------------------
 def _compile(args: argparse.Namespace):
+    from .compiler import compile_program
+
     opts: dict[str, Any] = {
         "forall_scheme": args.forall_scheme,
         "foriter_scheme": args.foriter_scheme,
@@ -260,6 +263,8 @@ def _compile(args: argparse.Namespace):
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
+    from .graph import to_asm, to_dot
+
     cp = _compile(args)
     if args.describe or not (args.output or args.dot):
         print(cp.describe())
@@ -312,6 +317,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_interpret(args: argparse.Namespace) -> int:
+    from .val import parse_program, run_program
+
     source = open(args.program, "r", encoding="utf-8").read()
     outputs = run_program(
         parse_program(source),
@@ -323,6 +330,8 @@ def cmd_interpret(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .graph import read_asm
+
     g = read_asm(args.graph)
     streams = {}
     for name, value in _load_inputs(args.inputs).items():

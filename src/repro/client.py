@@ -22,8 +22,8 @@ replies are the CLI's stable ``--json`` envelope.
 
 from __future__ import annotations
 
+import os
 import socket
-import uuid
 from typing import Any, Optional
 
 from .serve.protocol import (
@@ -116,7 +116,7 @@ class ServeClient:
               faults: Optional[dict[str, Any]] = None,
               job_id: Optional[str] = None) -> dict[str, Any]:
         spec = JobSpec(
-            id=job_id or uuid.uuid4().hex,
+            id=job_id or os.urandom(16).hex(),
             source=source,
             kind=kind,
             tenant=tenant,

@@ -7,6 +7,8 @@ type at the API boundary.
 
 from __future__ import annotations
 
+from typing import Optional
+
 # ---------------------------------------------------------------------------
 # Process exit codes
 #
@@ -153,6 +155,19 @@ class DeadlockError(SimulationError):
     @property
     def cycle(self) -> int:
         return self.step
+
+
+class ShardCrashError(SimulationError):
+    """A shard worker process died (crash, SIGKILL, ``--crash-at``)."""
+
+    def __init__(self, message: str, shard: int = -1,
+                 exitcode: Optional[int] = None,
+                 cycle: int = -1) -> None:
+        self.shard = shard
+        self.exitcode = exitcode
+        #: barrier cycle of the command the worker was handling
+        self.cycle = cycle
+        super().__init__(message)
 
 
 class SnapshotError(ReproError):

@@ -13,28 +13,10 @@ See ``python -m repro faults --help`` and the "Fault model & recovery"
 section of DESIGN.md.
 """
 
-from .injector import FaultInjector, FaultStats, PacketFate
-from .plan import (
-    FAULT_KINDS,
-    SCHEMA_VERSION,
-    SHARD_FAULT_KINDS,
-    UNIT_KINDS,
-    FaultPlan,
-    FaultPlanError,
-    ShardFault,
-    UnitFault,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_KINDS",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultPlanError",
-    "FaultStats",
-    "PacketFate",
-    "SCHEMA_VERSION",
-    "SHARD_FAULT_KINDS",
-    "ShardFault",
-    "UNIT_KINDS",
-    "UnitFault",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".injector": "FaultInjector FaultStats PacketFate",
+    ".plan": "FAULT_KINDS SCHEMA_VERSION SHARD_FAULT_KINDS UNIT_KINDS "
+             "FaultPlan FaultPlanError ShardFault UnitFault",
+})

@@ -7,69 +7,23 @@ single-token acknowledge discipline (:class:`~repro.graph.cell.Arc`),
 and the :class:`~repro.graph.graph.DataflowGraph` container.
 """
 
-from .asm import from_asm, read_asm, to_asm, write_asm
-from .cell import GATE_PORT, Arc, Cell
-from .control import (
-    add_pattern_source,
-    build_todd_counter,
-    first_k_pattern,
-    last_k_pattern,
-    pattern_to_str,
-    predicate_pattern,
-    str_to_pattern,
-    window_pattern,
-)
-from .dot import to_dot, write_dot
-from .graph import DataflowGraph, wire_merge
-from .lower import lower_fifos, strip_names
-from .opcodes import (
-    ARRAY_MEMORY_OPS,
-    BINARY_OPS,
-    FUNCTION_UNIT_OPS,
-    LOCAL_OPS,
-    MERGE_CONTROL_PORT,
-    MERGE_FALSE_PORT,
-    MERGE_TRUE_PORT,
-    UNARY_OPS,
-    Op,
-    apply_scalar,
-    arity,
-)
-from .validate import check_stream_inputs, validate
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ARRAY_MEMORY_OPS",
-    "Arc",
-    "BINARY_OPS",
-    "Cell",
-    "DataflowGraph",
-    "FUNCTION_UNIT_OPS",
-    "GATE_PORT",
-    "LOCAL_OPS",
-    "MERGE_CONTROL_PORT",
-    "MERGE_FALSE_PORT",
-    "MERGE_TRUE_PORT",
-    "Op",
-    "UNARY_OPS",
-    "add_pattern_source",
-    "apply_scalar",
-    "arity",
-    "build_todd_counter",
-    "check_stream_inputs",
-    "first_k_pattern",
-    "from_asm",
-    "last_k_pattern",
-    "lower_fifos",
-    "pattern_to_str",
-    "read_asm",
-    "predicate_pattern",
-    "str_to_pattern",
-    "strip_names",
-    "to_asm",
-    "to_dot",
-    "validate",
-    "window_pattern",
-    "wire_merge",
-    "write_asm",
-    "write_dot",
-]
+# ``validate`` names both a submodule and its function: bound here, or
+# ``import repro.graph.validate`` would rebind it to the module
+from .validate import validate
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".asm": "from_asm read_asm to_asm write_asm",
+    ".cell": "GATE_PORT Arc Cell",
+    ".control": "add_pattern_source build_todd_counter first_k_pattern "
+                "last_k_pattern pattern_to_str predicate_pattern "
+                "str_to_pattern window_pattern",
+    ".dot": "to_dot write_dot",
+    ".graph": "DataflowGraph wire_merge",
+    ".lower": "lower_fifos strip_names",
+    ".opcodes": "ARRAY_MEMORY_OPS BINARY_OPS FUNCTION_UNIT_OPS LOCAL_OPS "
+                "MERGE_CONTROL_PORT MERGE_FALSE_PORT MERGE_TRUE_PORT "
+                "UNARY_OPS Op apply_scalar arity",
+    ".validate": "check_stream_inputs validate",
+})

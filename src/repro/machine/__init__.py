@@ -6,50 +6,21 @@ packet-switched routing networks, executing the same machine-level
 instruction graphs as :mod:`repro.sim` with configurable latencies.
 """
 
-from .config import DEFAULT_FU_LATENCY, MachineConfig
-from .diagnose import (
-    BlockedProducer,
-    DeadlockDiagnosis,
-    StarvedCell,
-    diagnose,
-)
-from .machine import Machine
-from .shard_config import RecoveryPolicy, ShardConfig
-from .shard_runner import (
-    ShardCrashError,
-    ShardedRunner,
-    ShardHangError,
-    ShardRecoveryExhausted,
-)
-from .sharded import ShardMachine
-from .packets import PacketCounters, UnitClass, classify_unit
-from .stats import (
-    CheckpointStats,
-    MachineStats,
-    RecoveryStats,
-    ReliabilityStats,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BlockedProducer",
-    "CheckpointStats",
-    "DEFAULT_FU_LATENCY",
-    "DeadlockDiagnosis",
-    "Machine",
-    "MachineConfig",
-    "MachineStats",
-    "PacketCounters",
-    "RecoveryPolicy",
-    "RecoveryStats",
-    "ReliabilityStats",
-    "ShardConfig",
-    "ShardCrashError",
-    "ShardHangError",
-    "ShardRecoveryExhausted",
-    "ShardMachine",
-    "ShardedRunner",
-    "StarvedCell",
-    "UnitClass",
-    "classify_unit",
-    "diagnose",
-]
+# ``diagnose`` names both a submodule and its function: bound here, or
+# ``import repro.machine.diagnose`` would rebind it to the module
+from .diagnose import diagnose
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".config": "DEFAULT_FU_LATENCY MachineConfig",
+    ".diagnose": "BlockedProducer DeadlockDiagnosis StarvedCell diagnose",
+    ".machine": "Machine",
+    ".packets": "PacketCounters UnitClass classify_unit",
+    ".shard_config": "RecoveryPolicy ShardConfig",
+    ".shard_runner": "ShardCrashError ShardedRunner ShardHangError "
+                     "ShardRecoveryExhausted",
+    ".sharded": "ShardMachine",
+    ".stats": "CheckpointStats MachineStats RecoveryStats "
+              "ReliabilityStats",
+})

@@ -79,6 +79,7 @@ from ..checkpoint.snapshot import (
 from ..errors import (
     DeadlockError,
     ManifestError,
+    ShardCrashError,
     SimulationError,
     SnapshotError,
 )
@@ -114,19 +115,6 @@ _DEFAULT_DEADLINE = 600.0
 
 #: upper bound on cycles batched into one adaptive window
 _MAX_WINDOW = 4096
-
-
-class ShardCrashError(SimulationError):
-    """A shard worker process died (crash, SIGKILL, ``--crash-at``)."""
-
-    def __init__(self, message: str, shard: int = -1,
-                 exitcode: Optional[int] = None,
-                 cycle: int = -1) -> None:
-        self.shard = shard
-        self.exitcode = exitcode
-        #: barrier cycle of the command the worker was handling
-        self.cycle = cycle
-        super().__init__(message)
 
 
 class ShardHangError(ShardCrashError):

@@ -7,47 +7,15 @@ supervised worker pool, and hot-restarts from a journaled admission
 queue without losing an accepted job.  See DESIGN.md section 11.
 """
 
-from .admission import AdmissionQueue, JobJournal, JobState
-from .pool import WorkerFailure, WorkerPool
-from .protocol import (
-    JOB_KINDS,
-    MAX_LINE_BYTES,
-    JobDeadlineExceeded,
-    JobExecutionError,
-    JobRejected,
-    JobRetriesExhausted,
-    JobSpec,
-    ServeError,
-    ServerOverloaded,
-    envelope,
-    error_from_dict,
-)
-from .scheduler import BatchPlanner, Dispatch
-from .server import PipelineServer, ServeConfig, run_server
-from .stats import ServeStats, TenantStats
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionQueue",
-    "BatchPlanner",
-    "Dispatch",
-    "JOB_KINDS",
-    "JobDeadlineExceeded",
-    "JobExecutionError",
-    "JobJournal",
-    "JobRejected",
-    "JobRetriesExhausted",
-    "JobSpec",
-    "JobState",
-    "MAX_LINE_BYTES",
-    "PipelineServer",
-    "ServeConfig",
-    "ServeError",
-    "ServeStats",
-    "ServerOverloaded",
-    "TenantStats",
-    "WorkerFailure",
-    "WorkerPool",
-    "envelope",
-    "error_from_dict",
-    "run_server",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".admission": "AdmissionQueue JobJournal JobState",
+    ".pool": "WorkerFailure WorkerPool",
+    ".protocol": "JOB_KINDS MAX_LINE_BYTES JobDeadlineExceeded "
+                 "JobExecutionError JobRejected JobRetriesExhausted JobSpec "
+                 "ServeError ServerOverloaded envelope error_from_dict",
+    ".scheduler": "BatchPlanner Dispatch",
+    ".server": "PipelineServer ServeConfig run_server",
+    ".stats": "ServeStats TenantStats",
+})

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from . import jobs
 from .protocol import JobRejected, JobSpec, ServerOverloaded, encode
 
 JOURNAL_NAME = "serve-journal.jsonl"
@@ -44,8 +43,8 @@ class JobState:
     spec: JobSpec
     accepted_at: float
     deadline: float                      # absolute (monotonic clock)
-    sig: str                             # jobs.signature(spec)
-    batchable: bool                      # jobs.batchable(spec)
+    sig: str                             # spec.signature()
+    batchable: bool                      # spec.batchable()
     attempts: int = 0
     record: Optional[tuple[bool, bytes]] = None   # (ok, encoded)
     done: Any = None                     # asyncio.Event, server-owned
@@ -214,7 +213,7 @@ class AdmissionQueue:
         )
         state = JobState(
             spec=spec, accepted_at=now, deadline=deadline,
-            sig=jobs.signature(spec), batchable=jobs.batchable(spec),
+            sig=spec.signature(), batchable=spec.batchable(),
         )
         # the accept must be durable before the client sees the ack:
         # exactly-once over restarts hinges on this ordering

@@ -21,13 +21,13 @@ from dataclasses import fields
 from typing import Any
 
 from ..checkpoint.cli import as_argv, run_supervisor
-from ..checkpoint.supervisor import Supervisor, SupervisorConfig
 from ..cli import emit_envelope, parse_params
-from ..client import connect
-from . import ServeConfig, ServeError, envelope, run_server
+from .protocol import ServeError, envelope
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from .server import ServeConfig, run_server
+
     # each ServeConfig field is the flag of that name; it is checked
     # before anything starts, so a bad flag is one error line
     names = [f.name for f in fields(ServeConfig)]
@@ -37,6 +37,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print("error: --supervised needs --dir (the journal is "
                   "what makes restarts lossless)", file=sys.stderr)
             return 1
+        from ..checkpoint.supervisor import Supervisor, SupervisorConfig
+
         start_argv = [sys.executable, "-m", "repro", "serve",
                       *as_argv(args, args.child_flags)]
         extra = []
@@ -65,6 +67,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
+    from ..client import connect
+
     client = connect(args.connect, timeout=args.timeout)
     with client:
         if args.op != "submit":

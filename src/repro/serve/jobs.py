@@ -21,8 +21,6 @@ worker serves repeat tenants without recompiling.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, Optional
 
 from .. import api
@@ -44,28 +42,6 @@ def clear_caches() -> None:
 
 def _params_key(params: dict[str, int]) -> tuple:
     return tuple(sorted(params.items()))
-
-
-def signature(spec: JobSpec) -> str:
-    """Batch-compatibility key: jobs with the same signature run the
-    same compiled loop over equal-length input streams, so they can
-    share one run as lanes."""
-    lengths = {name: len(values) for name, values in sorted(spec.inputs.items())}
-    payload = json.dumps(
-        [spec.source, sorted(spec.params.items()), lengths],
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def batchable(spec: JobSpec) -> bool:
-    """Only plain foriter jobs batch; a fault plan with packet/unit
-    faults needs the event machine (and per-job injection), and
-    explicit options opt the job out of the shared resident loop."""
-    if spec.kind != "foriter" or spec.options:
-        return False
-    plan = spec.fault_plan()
-    return plan is None or not plan.has_execution_faults
 
 
 def compile_serial(source: str, params: dict[str, int]):

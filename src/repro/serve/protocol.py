@@ -16,6 +16,7 @@ raised.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -225,6 +226,27 @@ class JobSpec:
 
     def fault_plan(self) -> Optional[FaultPlan]:
         return FaultPlan.from_dict(self.faults) if self.faults else None
+
+    def signature(self) -> str:
+        """Batch-compatibility key: jobs with the same signature run the
+        same compiled loop over equal-length input streams, so they can
+        share one run as lanes."""
+        lengths = {name: len(values)
+                   for name, values in sorted(self.inputs.items())}
+        payload = json.dumps(
+            [self.source, sorted(self.params.items()), lengths],
+            separators=(",", ":"),
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+    def batchable(self) -> bool:
+        """Only plain foriter jobs batch; a fault plan with packet/unit
+        faults needs the event machine (and per-job injection), and
+        explicit options opt the job out of the shared resident loop."""
+        if self.kind != "foriter" or self.options:
+            return False
+        plan = self.fault_plan()
+        return plan is None or not plan.has_execution_faults
 
     def to_dict(self) -> dict[str, Any]:
         d: dict[str, Any] = {

@@ -6,7 +6,7 @@ run of the serial pipeline can carry all their values
 lever, but forming a batch costs latency (waiting for companions).
 The planner therefore:
 
-* groups queued jobs by signature (:func:`~repro.serve.jobs.signature`,
+* groups queued jobs by signature (:meth:`~repro.serve.protocol.JobSpec.signature`,
   computed once at admission: same program, params and stream lengths
   = can share a compiled loop);
 * lets a group fill while it keeps growing, and sends it whole when it

@@ -44,9 +44,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
-from ..checkpoint.snapshot import _atomic_write
 from ..config import check
 from ..errors import EXIT_SHARD_CRASH
+from ..fileio import atomic_write
 from ..faults import FaultPlan
 from ..workers import BackoffPolicy, WorkerFailure
 from .admission import JOURNAL_NAME, AdmissionQueue, JobJournal, JobState
@@ -271,7 +271,7 @@ class PipelineServer:
                 "accepts": self._accepts,
                 "stats": self.stats.to_dict(),
             }
-            _atomic_write(
+            atomic_write(
                 Path(self.config.directory) / STATE_NAME,
                 (json.dumps(state, indent=2) + "\n").encode("utf-8"),
             )

@@ -1,8 +1,8 @@
 """Service observability: per-tenant and global counters with bounded
 latency samples.
 
-The one stats shape of :mod:`repro.machine.stats`: plain counter
-fields plus a :class:`~repro.machine.stats.Samples` series of job
+The one stats shape of :mod:`repro.stats`: plain counter
+fields plus a :class:`~repro.stats.Samples` series of job
 latencies, a ``to_dict`` built from the fields for the JSON envelope
 and a one-line ``summary``.  Each series is seeded, so a deterministic
 job sequence yields a deterministic sample set.
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..machine.stats import Samples, fields_dict
+from ..stats import Samples, fields_dict
 
 #: the counter a failed job's error code adds one to
 _FAILED = {

@@ -8,20 +8,10 @@ The event-driven machine-level model (processing elements, function
 units, array memories, routing networks) lives in :mod:`repro.machine`.
 """
 
-from .sync import SimStats, SinkRecord, SyncSimulator
-from .trace import (
-    count_stage_depth,
-    format_trace,
-    occupancy_snapshot,
-    utilization_report,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SimStats",
-    "SinkRecord",
-    "SyncSimulator",
-    "count_stage_depth",
-    "format_trace",
-    "occupancy_snapshot",
-    "utilization_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".sync": "SimStats SinkRecord SyncSimulator",
+    ".trace": "count_stage_depth format_trace occupancy_snapshot "
+              "utilization_report",
+})

@@ -7,80 +7,22 @@ class uses: scalar expressions with ``let-in`` / ``if-then-else``,
 array selection, and the ``forall`` / ``for-iter`` array constructors.
 """
 
-from . import ast_nodes
-from .ast_nodes import (
-    ArrayType,
-    BOOLEAN,
-    INTEGER,
-    REAL,
-    BlockDef,
-    Program,
-    ScalarType,
-    free_identifiers,
-    walk,
-)
-from .classify import (
-    ArrayAccess,
-    ForallInfo,
-    ForIterInfo,
-    PEInfo,
-    classify_forall,
-    classify_foriter,
-    classify_primitive,
-    index_offset,
-    is_primitive_expr,
-    is_scalar_primitive_expr,
-)
-from .interpreter import const_eval, eval_expr, run_program
-from .lexer import Token, tokenize
-from .multidim import (
-    flatten2d,
-    lower_forall_nd,
-    lower_program,
-    unflatten2d,
-)
-from .parser import parse_expression, parse_program
-from .typecheck import (
-    check_expression,
-    check_program,
-    infer_input_types,
-)
-from .values import ValArray
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArrayAccess",
-    "ArrayType",
-    "BOOLEAN",
-    "BlockDef",
-    "ForIterInfo",
-    "ForallInfo",
-    "INTEGER",
-    "PEInfo",
-    "Program",
-    "REAL",
-    "ScalarType",
-    "Token",
-    "ValArray",
-    "ast_nodes",
-    "check_expression",
-    "check_program",
-    "classify_forall",
-    "classify_foriter",
-    "classify_primitive",
-    "const_eval",
-    "eval_expr",
-    "flatten2d",
-    "free_identifiers",
-    "index_offset",
-    "infer_input_types",
-    "is_primitive_expr",
-    "lower_forall_nd",
-    "lower_program",
-    "is_scalar_primitive_expr",
-    "parse_expression",
-    "parse_program",
-    "run_program",
-    "tokenize",
-    "unflatten2d",
-    "walk",
-]
+# the AST node module is itself an export
+from . import ast_nodes
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".ast_nodes": "ArrayType BOOLEAN INTEGER REAL BlockDef Program "
+                  "ScalarType free_identifiers walk",
+    ".classify": "ArrayAccess ForallInfo ForIterInfo PEInfo "
+                 "classify_forall classify_foriter classify_primitive "
+                 "index_offset is_primitive_expr is_scalar_primitive_expr",
+    ".interpreter": "const_eval eval_expr run_program",
+    ".lexer": "Token tokenize",
+    ".multidim": "flatten2d lower_forall_nd lower_program unflatten2d",
+    ".parser": "parse_expression parse_program",
+    ".typecheck": "check_expression check_program infer_input_types",
+    ".values": "ValArray",
+})
+__all__.append("ast_nodes")

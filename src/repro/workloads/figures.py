@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from ..compiler import compile_program
-from ..compiler.pipeline import CompiledProgram
 from ..errors import ReproError
 from .programs import SOURCES
+
+if TYPE_CHECKING:
+    from ..compiler import CompiledProgram
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,8 @@ class FigureWorkload:
     bool_inputs: tuple[str, ...] = ()
 
     def compile(self, m: int = 16) -> CompiledProgram:
+        from ..compiler import compile_program
+
         return compile_program(
             SOURCES[self.source_name], params={"m": m}, **self.compile_opts
         )

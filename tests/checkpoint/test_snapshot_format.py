@@ -23,9 +23,9 @@ from repro.checkpoint.snapshot import (
     _HEADER,
     DELTA_VERSION,
     MAGIC,
-    _atomic_write,
 )
 from repro.errors import SnapshotError
+from repro.fileio import atomic_write
 from repro.graph.graph import DataflowGraph
 from repro.graph.opcodes import Op
 from repro.machine.machine import Machine
@@ -202,7 +202,7 @@ class TestAtomicWrite:
         target = tmp_path / "x.snap"
         in_flight = tmp_path / "x.snap.tmp"
         in_flight.write_bytes(b"other writer's partial snapshot")
-        _atomic_write(target, b"mine")
+        atomic_write(target, b"mine")
         assert in_flight.read_bytes() == b"other writer's partial snapshot"
         assert target.read_bytes() == b"mine"
 
@@ -218,8 +218,8 @@ class TestAtomicWrite:
             real_replace(src, dst)
 
         monkeypatch.setattr(snap_mod.os, "replace", recording_replace)
-        _atomic_write(target, b"one")
-        _atomic_write(target, b"two")
+        atomic_write(target, b"one")
+        atomic_write(target, b"two")
         assert len(set(seen)) == 2
         assert target.read_bytes() == b"two"
         assert list(tmp_path.glob("*.tmp*")) == []
@@ -234,5 +234,5 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(snap_mod.os, "replace", failing_replace)
         with pytest.raises(OSError, match="disk full"):
-            _atomic_write(target, b"doomed")
+            atomic_write(target, b"doomed")
         assert list(tmp_path.iterdir()) == []

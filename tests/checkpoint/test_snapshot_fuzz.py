@@ -214,7 +214,7 @@ class TestGadgetEnvelopes:
         # write files to attacker-chosen paths).  Assert the typed
         # error AND that the side effect never happened.
         import repro.cli
-        from repro.checkpoint.snapshot import _atomic_write
+        from repro.fileio import atomic_write
 
         evil_dir = tmp_path / "evil-ckpts"
         evil_file = tmp_path / "evil-write"
@@ -228,12 +228,12 @@ class TestGadgetEnvelopes:
 
         class AtomicWrite:
             def __reduce__(self):
-                return (_atomic_write, (evil_file, b"pwned"))
+                return (atomic_write, (evil_file, b"pwned"))
 
         path = tmp_path / "gadget.snap"
         cases = [
             (CliMain(), "repro.cli.main", evil_dir),
-            (AtomicWrite(), "_atomic_write", evil_file),
+            (AtomicWrite(), "repro.fileio.atomic_write", evil_file),
         ]
         for gadget, pattern, side_effect in cases:
             payload = pickle.dumps({"machine": gadget, "cycle": 0})

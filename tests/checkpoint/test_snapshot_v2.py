@@ -188,11 +188,11 @@ class TestRestrictedUnpickler:
     def test_repro_module_level_function_rejected(self):
         # pickle REDUCE calls whatever find_class returns with stream-
         # controlled arguments, so a repro *function* (repro.cli.main,
-        # _atomic_write, ...) is as dangerous as os.system; the
+        # atomic_write, ...) is as dangerous as os.system; the
         # allowlist admits only pinned state-bearing classes
         for mod, name in (
             ("repro.cli", "main"),
-            ("repro.checkpoint.snapshot", "_atomic_write"),
+            ("repro.fileio", "atomic_write"),
             ("repro.checkpoint.snapshot", "save_snapshot"),
         ):
             out = io.BytesIO()

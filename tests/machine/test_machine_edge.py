@@ -112,7 +112,7 @@ class TestPacketAccounting:
         assert "AM fraction" in c.summary()
 
     def test_samples_bound_their_reservoir(self):
-        from repro.machine.stats import SAMPLE_CAP, Samples
+        from repro.stats import SAMPLE_CAP, Samples
 
         series = Samples(seed=3)
         for value in range(1, 2001):
@@ -123,7 +123,7 @@ class TestPacketAccounting:
         assert set(series) <= set(map(float, range(1, 2001)))
 
     def test_samples_percentiles_are_nearest_rank(self):
-        from repro.machine.stats import Samples
+        from repro.stats import Samples
 
         series = Samples()
         for value in (4.0, 1.0, 3.0, 2.0):
@@ -137,14 +137,14 @@ class TestPacketAccounting:
         }
 
     def test_empty_samples_map_to_none(self):
-        from repro.machine.stats import Samples
+        from repro.stats import Samples
 
         assert Samples().to_dict("write") == {
             "write_samples": 0, "write_p50": None, "write_p99": None,
         }
 
     def test_equal_seeds_keep_equal_samples(self):
-        from repro.machine.stats import Samples
+        from repro.stats import Samples
 
         def fill(seed):
             series = Samples(seed)

@@ -10,7 +10,6 @@ import json
 
 import pytest
 
-from repro.serve import jobs
 from repro.serve.admission import (
     JOURNAL_NAME,
     AdmissionQueue,
@@ -19,6 +18,7 @@ from repro.serve.admission import (
 from repro.serve.protocol import (
     JobDeadlineExceeded,
     JobRejected,
+    JobSpec,
     ServerOverloaded,
     encode,
     encode_line,
@@ -122,14 +122,14 @@ class TestBoundedAdmission:
 class TestJobFacts:
     def test_signature_is_hashed_once_per_job_at_admission(
             self, monkeypatch):
-        real = jobs.signature
+        real = JobSpec.signature
         calls = []
 
         def counting(spec):
             calls.append(spec.id)
             return real(spec)
 
-        monkeypatch.setattr(jobs, "signature", counting)
+        monkeypatch.setattr(JobSpec, "signature", counting)
         now = [1000.0]
         planner = BatchPlanner(max_batch=8, batch_wait=1.0,
                                clock=lambda: now[0])

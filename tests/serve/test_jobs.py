@@ -19,41 +19,39 @@ from .conftest import (
 
 class TestSignature:
     def test_same_program_same_signature(self):
-        assert jobs.signature(make_spec("a", seed=1)) == \
-            jobs.signature(make_spec("b", seed=2))
+        assert make_spec("a", seed=1).signature() == \
+            make_spec("b", seed=2).signature()
 
     def test_params_and_lengths_change_signature(self):
-        base = jobs.signature(make_spec("a", m=6))
-        assert jobs.signature(make_spec("b", m=7)) != base
+        base = make_spec("a", m=6).signature()
+        assert make_spec("b", m=7).signature() != base
 
     def test_source_changes_signature(self):
         other = make_spec("b")
         other.source = EXAMPLE2_SOURCE + "\n% comment"
-        assert jobs.signature(make_spec("a")) != jobs.signature(other)
+        assert make_spec("a").signature() != other.signature()
 
 
 class TestBatchable:
     def test_plain_foriter_is_batchable(self):
-        assert jobs.batchable(make_spec("a"))
+        assert make_spec("a").batchable()
 
     def test_run_kind_is_not(self):
-        assert not jobs.batchable(make_spec("a", kind="run"))
+        assert not make_spec("a", kind="run").batchable()
 
     def test_options_opt_out(self):
-        assert not jobs.batchable(
-            make_spec("a", options={"backend": "event"})
-        )
+        assert not make_spec("a", options={"backend": "event"}).batchable()
 
     def test_worker_faults_do_not_block_batching(self):
         # shard faults target the worker process, not the pipeline:
         # the job itself is still batch-compatible
-        assert jobs.batchable(make_spec("a", faults=kill_fault(0)))
+        assert make_spec("a", faults=kill_fault(0)).batchable()
 
     def test_execution_faults_force_serial(self):
         plan = {"schema": 2, "seed": 7,
                 "unit_faults": [{"unit": "fu", "index": 0,
                                  "start": 5, "end": 9}]}
-        assert not jobs.batchable(make_spec("a", faults=plan))
+        assert not make_spec("a", faults=plan).batchable()
 
 
 class TestBitIdentity:

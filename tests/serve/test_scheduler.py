@@ -5,14 +5,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.serve import jobs
 from repro.serve.admission import AdmissionQueue
 from repro.serve.scheduler import BatchPlanner, Dispatch
 
 from .conftest import make_spec
 
 #: the signature every ``make_spec`` job at its default size shares
-SIG = jobs.signature(make_spec("sig"))
+SIG = make_spec("sig").signature()
 
 
 def _planner_and_queue(capacity=8):
