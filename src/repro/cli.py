@@ -20,6 +20,10 @@ subcommands, each through its own ``register(subparsers)``:
   ``bisect``;
 * :mod:`repro.serve.cli` -- ``serve`` and ``submit``.
 
+Building the parser loads no compiler, machine or Val code: every
+command handler imports what it runs (DESIGN.md, "Import layers"), so
+``repro submit`` and the ``repro serve`` daemon start light.
+
 ``run`` accepts ``--backend {sync,event,sharded,compiled}`` (plus
 ``--shards K`` and ``--shard-config JSON`` for the sharded backend).
 ``run``, ``checkpoint``, ``resume``, ``replay`` and ``bisect`` accept
