@@ -13,13 +13,13 @@ from .._lazy import lazy_exports
 from .diagnose import diagnose
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "..errors": "ShardCrashError",
     ".config": "DEFAULT_FU_LATENCY MachineConfig",
     ".diagnose": "BlockedProducer DeadlockDiagnosis StarvedCell diagnose",
     ".machine": "Machine",
     ".packets": "PacketCounters UnitClass classify_unit",
     ".shard_config": "RecoveryPolicy ShardConfig",
-    ".shard_runner": "ShardCrashError ShardedRunner ShardHangError "
-                     "ShardRecoveryExhausted",
+    ".shard_runner": "ShardedRunner ShardHangError ShardRecoveryExhausted",
     ".sharded": "ShardMachine",
     ".stats": "CheckpointStats MachineStats RecoveryStats "
               "ReliabilityStats",
