@@ -1,10 +1,10 @@
 """Service observability: per-tenant and global counters with bounded
 latency samples.
 
-The one stats shape of :mod:`repro.stats`: plain counter
-fields plus a :class:`~repro.stats.Samples` series of job
-latencies, a ``to_dict`` built from the fields for the JSON envelope
-and a one-line ``summary``.  Each series is seeded, so a deterministic
+The one stats shape of :mod:`repro.stats`: plain counter fields plus
+a :class:`~repro.stats.Samples` series of job latencies, a ``to_dict``
+built from the fields for the JSON envelope and a one-line
+``summary``.  Each series is seeded, so a deterministic
 job sequence yields a deterministic sample set.
 """
 

@@ -6,19 +6,11 @@ interpreter that reports which of the three ended up in
 ``sys.modules`` -- what was imported, not how long it took.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-HEAVY = ("numpy", "scipy", "networkx")
+from tests.test_import_layers import modules_after
 
-_REPORT = """
-import sys
-print(",".join(m for m in %r if m in sys.modules))
-"""
+HEAVY = ("numpy", "scipy", "networkx")
 
 _EXAMPLE2_JOBS = """
 from repro.serve.jobs import execute, execute_serial
@@ -83,15 +75,7 @@ assert outputs["event"] == outputs["compiled"] == outputs["sync"]
 
 
 def loaded_after(code: str, modules: tuple = HEAVY) -> set[str]:
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", code + _REPORT % (modules,)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return set(filter(None, proc.stdout.strip().split(",")))
+    return modules_after(code) & set(modules)
 
 
 @pytest.mark.parametrize("code", [
