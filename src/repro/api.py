@@ -30,7 +30,7 @@ through one :class:`~repro.machine.ShardConfig`.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Protocol, Union
 
 from .errors import ReproError
@@ -169,7 +169,6 @@ class RunRequest:
     max_cycles: Optional[int] = None
     shard_config: Any = None            # sharded: ShardConfig|dict|JSON
     workload_id: Optional[str] = None
-    options: dict[str, Any] = field(default_factory=dict)
 
     def reject(self, backend: str, *names: str) -> None:
         """Fail loudly on options the backend cannot honor -- silently
@@ -193,26 +192,16 @@ class RunRequest:
 #: from the dataclass itself so the check can never drift from the
 #: actual defaults
 _REQUEST_DEFAULTS: dict[str, Any] = {
-    f.name: (
-        f.default
-        if f.default is not dataclasses.MISSING
-        else f.default_factory()
-    )
+    f.name: f.default
     for f in dataclasses.fields(RunRequest)
     if f.default is not dataclasses.MISSING
-    or f.default_factory is not dataclasses.MISSING
 }
 
 
 class BackendProtocol(Protocol):
-    """An execution engine :func:`run` dispatches to.
-
-    ``options`` names the extra keywords the backend consumes;
-    :func:`run` rejects every other ``**option`` before ``execute`` is
-    called."""
+    """An execution engine :func:`run` dispatches to."""
 
     name: str
-    options: tuple[str, ...]
 
     def execute(self, request: RunRequest) -> RunResult:
         """Run to quiescence and report backend-independent results."""
@@ -223,7 +212,6 @@ class SyncBackend:
     """Unit-delay synchronous simulator (:mod:`repro.sim.sync`)."""
 
     name = "sync"
-    options = ()
 
     def execute(self, request: RunRequest) -> RunResult:
         from .sim.sync import SyncSimulator
@@ -253,8 +241,6 @@ class EventBackend:
     (:mod:`repro.machine.fastforward`) and is bit-identical to
     ``"event"`` in values, sink times, cycle counts and statistics."""
 
-    options = ("trace",)
-
     def __init__(self, name: str = "event",
                  fast_forward: bool = False) -> None:
         self.name = name
@@ -271,7 +257,6 @@ class EventBackend:
             fault_plan=request.faults,
             recovery=request.recovery,
             checkpoint=request.checkpoint,
-            **request.options,
         )
         if request.workload_id is not None:
             machine.workload_id = request.workload_id
@@ -286,7 +271,6 @@ class ShardedBackend:
     """Multi-process sharded machine (:mod:`repro.machine.shard_runner`)."""
 
     name = "sharded"
-    options = ()
 
     def execute(self, request: RunRequest) -> RunResult:
         from .machine.shard_config import ShardConfig
@@ -355,7 +339,6 @@ def run(
     max_cycles: Optional[int] = None,
     shard_config: Any = None,
     workload_id: Optional[str] = None,
-    **options: Any,
 ) -> RunResult:
     """Run ``program`` on ``inputs`` with the chosen backend.
 
@@ -388,9 +371,6 @@ def run(
         Step (``"sync"``) or cycle budget, a positive int; ``None``
         means the backend's default.  A run that has not quiesced
         within it raises :class:`~repro.errors.SimulationTimeout`.
-
-    Other keyword ``options`` go to the backend; a name the backend
-    does not declare (``BackendProtocol.options``) is an error.
     """
     try:
         engine = BACKENDS[backend]
@@ -399,13 +379,6 @@ def run(
             f"unknown backend {backend!r}; choose from "
             f"{sorted(BACKENDS)}"
         ) from None
-    unknown = sorted(set(options) - set(engine.options))
-    if unknown:
-        raise ReproError(
-            f"backend {backend!r} does not accept option(s) "
-            + ", ".join(map(repr, unknown))
-            + f"; it accepts {sorted(engine.options)}"
-        )
     if shards is not None and backend != "sharded":
         raise ReproError(
             f"shards={shards} needs backend='sharded', not {backend!r}"
@@ -429,7 +402,6 @@ def run(
         max_cycles=max_cycles,
         shard_config=shard_config,
         workload_id=workload_id,
-        options=dict(options),
     )
     return engine.execute(request)
 

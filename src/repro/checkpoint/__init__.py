@@ -16,10 +16,9 @@ The layers (see DESIGN.md sections 8, 9 and 13):
   failure snapshots and the record manifest;
   :mod:`repro.checkpoint.coordinator` -- a sharded run's commits of
   coordinated snapshot sets;
-* :mod:`repro.checkpoint.replay` -- event-trace digests, bit-exact
-  re-execution of recorded runs, and binary search over the digest
-  ledger for the first divergent checkpoint window
-  (:func:`bisect_divergence`);
+* :mod:`repro.checkpoint.replay` -- event-trace digests, and bit-exact
+  re-execution of recorded runs that names the first divergent
+  checkpoint window of the digest ledger (:func:`replay_bundle`);
 * :mod:`repro.checkpoint.supervisor` -- an always-on crash-recovery
   loop (resume on crash with exponential backoff + jitter, restart
   budget, poisoned-snapshot quarantine and step-back).
@@ -45,8 +44,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                   "latest_snapshot quarantine read_manifest resume_point "
                   "shard_snapshot_name",
     ".manager": "CheckpointConfig CheckpointManager",
-    ".replay": "DivergenceReport EventTrace ReplayReport bisect_divergence "
-               "outputs_digest replay_bundle",
+    ".replay": "DivergenceReport EventTrace ReplayReport outputs_digest "
+               "replay_bundle",
     ".snapshot": "DELTA_VERSION FORMAT_VERSION chain_status load_machine "
                  "read_metadata read_snapshot rebase_snapshot "
                  "save_snapshot snapshot_cycle verify_chain "

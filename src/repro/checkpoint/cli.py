@@ -1,6 +1,5 @@
 """The checkpointing subcommands: ``checkpoint``, ``resume``,
-``snapshot inspect|fsck|rebase``, ``supervise``, ``replay`` and
-``bisect``.
+``snapshot inspect|fsck|rebase``, ``supervise`` and ``replay``.
 
 ::
 
@@ -8,7 +7,7 @@
     python -m repro checkpoint fig7 --dir ckpts --backend sharded --shards 4
     python -m repro resume ckpts
     python -m repro replay ckpts
-    python -m repro bisect ckpts --perturb-plan perturb.json
+    python -m repro replay ckpts --perturb-plan perturb.json
     python -m repro snapshot inspect ckpts/ckpt-000000005000.snap
     python -m repro supervise fig7 --dir ckpts --interval 5000
 
@@ -19,10 +18,11 @@ snapshots or coordinated shard sets.
 
 Sharded ``checkpoint``/``resume`` runs self-heal in process by
 default: a worker that dies or hangs mid-run is detected within the
-``--heal-deadline``, every shard rolls back to the latest complete
-coordinated set, and only the failed worker is respawned
-(``--no-self-heal`` restores the die-with-exit-137 behavior;
-``--heal-max-restarts`` and ``--degrade`` tune the escalation).
+recovery deadline, every shard rolls back to the latest complete
+coordinated set, and only the failed worker is respawned.  The
+``recovery`` object of ``--shard-config`` tunes this (``{"enabled":
+false}`` restores the die-with-exit-137 behavior; ``deadline``,
+``max_restarts`` and ``degrade`` tune the escalation).
 Chaos faults (``kill_shard``/``hang_shard``/``slow_shard`` entries in
 a ``--plan`` file) exercise exactly this path deterministically.
 
@@ -49,7 +49,6 @@ from ..cli import (
     json_arg,
     optional_fault_plan,
     shard_config_arg,
-    shard_config_from_args,
     shard_flags_fit,
     shards_arg,
     workload_args,
@@ -134,25 +133,6 @@ def crash_args(p: argparse.ArgumentParser) -> None:
                    "backend (default 0)")
 
 
-def heal_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--no-self-heal", action="store_true",
-                   help="disable in-process worker recovery on the "
-                   "sharded backend (a dead worker then exits 137 "
-                   "for `repro supervise` to handle)")
-    p.add_argument("--heal-deadline", type=float, default=None,
-                   metavar="SECONDS",
-                   help="per-command worker reply deadline before a "
-                   "live worker counts as hung (default 60)")
-    p.add_argument("--heal-max-restarts", type=int, default=None,
-                   metavar="N",
-                   help="per-shard respawn budget before recovery "
-                   "gives up (default 3)")
-    p.add_argument("--degrade", action="store_true",
-                   help="after a shard exhausts its restart budget, "
-                   "fold it into the coordinator and continue with "
-                   "K-1 workers instead of failing")
-
-
 # ----------------------------------------------------------------------
 # checkpoint / resume: build one engine, finish it in one place
 # ----------------------------------------------------------------------
@@ -228,7 +208,7 @@ def _finish(engine: Union[Machine, ShardedRunner],
 
 
 def cmd_checkpoint(args: argparse.Namespace) -> int:
-    from ..machine import Machine, ShardedRunner
+    from ..machine import Machine, ShardConfig, ShardedRunner
     from .manager import CheckpointConfig
 
     if not shard_flags_fit(args):
@@ -249,7 +229,9 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
         engine = ShardedRunner(
             program.graph, inputs, fault_plan=plan,
             checkpoint=cfg, workload_id=workload_id,
-            shard_config=shard_config_from_args(args),
+            shard_config=ShardConfig.coerce(
+                args.shard_config, shards=args.shards
+            ),
         )
         shape = f"m={args.size}, {engine.shards} shards"
     else:
@@ -286,7 +268,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
     try:
         engine = (
             ShardedRunner.resume(
-                point, shard_config=shard_config_from_args(args)
+                point, shard_config=args.shard_config
             )
             if sharded else Machine.resume(point.path)
         )
@@ -425,7 +407,7 @@ def cmd_snapshot_rebase(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# supervise / replay / bisect
+# supervise / replay
 # ----------------------------------------------------------------------
 def run_supervisor(supervisor: Supervisor,
                    report_json: Optional[str] = None) -> int:
@@ -483,40 +465,21 @@ def cmd_supervise(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    from ..faults import FaultPlan
     from .replay import replay_bundle
 
+    perturb = None
+    if args.perturb_plan is not None:
+        with open(args.perturb_plan, "r", encoding="utf-8") as fh:
+            perturb = FaultPlan.from_json(fh.read())
     report = replay_bundle(
-        args.bundle, max_cycles=args.max_cycles, bisect=args.bisect
+        args.bundle, perturb=perturb, max_cycles=args.max_cycles
     )
     if args.json:
         emit_envelope("replay", report.reproduced, asdict(report))
     else:
         print(report.summary())
     return 0 if report.reproduced else EXIT_DIVERGED
-
-
-def cmd_bisect(args: argparse.Namespace) -> int:
-    from ..faults import FaultPlan
-    from .replay import bisect_divergence
-
-    perturb = None
-    if args.perturb_plan is not None:
-        with open(args.perturb_plan, "r", encoding="utf-8") as fh:
-            perturb = FaultPlan.from_json(fh.read())
-    report = bisect_divergence(
-        args.bundle, perturb=perturb, max_cycles=args.max_cycles,
-    )
-    if args.json == "-":
-        # bare --json: the shared stdout envelope
-        emit_envelope("bisect", not report.diverged, report.to_dict())
-        return EXIT_DIVERGED if report.diverged else 0
-    print(report.summary())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, default=repr)
-            fh.write("\n")
-        print(f"# wrote {args.json}", file=sys.stderr)
-    return EXIT_DIVERGED if report.diverged else 0
 
 
 def register(sub) -> None:
@@ -532,7 +495,6 @@ def register(sub) -> None:
     shards_arg(p)
     max_cycles_arg(p)
     crash_args(p)
-    heal_args(p)
     shard_config_arg(p)
     json_arg(p)
     p.set_defaults(fn=cmd_checkpoint)
@@ -546,7 +508,6 @@ def register(sub) -> None:
                    "(single-machine or sharded; auto-detected)")
     max_cycles_arg(p)
     crash_args(p)
-    heal_args(p)
     shard_config_arg(p)
     json_arg(p)
     p.set_defaults(fn=cmd_resume)
@@ -622,32 +583,16 @@ def register(sub) -> None:
 
     p = sub.add_parser(
         "replay",
-        help="re-execute a recorded bundle and verify the run is "
-        "reproduced bit-identically",
+        help="re-execute a recorded bundle, verify the run is reproduced "
+        "bit-identically, and on divergence name the first checkpoint "
+        "window where it left the record",
     )
     p.add_argument("bundle", help="directory written by "
                    "`repro checkpoint --record`")
     max_cycles_arg(p)
-    p.add_argument("--bisect", action="store_true",
-                   help="on divergence, binary-search the digest ledger "
-                   "for the first divergent checkpoint window")
+    p.add_argument("--perturb-plan", metavar="FILE",
+                   help="JSON fault plan installed on the replay only, "
+                   "to ask where that fault would first change the "
+                   "recorded run")
     json_arg(p, instead_of="the summary line")
     p.set_defaults(fn=cmd_replay)
-
-    p = sub.add_parser(
-        "bisect",
-        help="binary-search a recorded bundle's digest ledger for the "
-        "first checkpoint window where a replay diverges",
-    )
-    p.add_argument("bundle", help="directory written by "
-                   "`repro checkpoint --record`")
-    p.add_argument("--perturb-plan", metavar="FILE",
-                   help="JSON fault plan installed on the replay side "
-                   "only, to ask where that fault would first change "
-                   "the recorded run")
-    p.add_argument("--json", nargs="?", const="-", metavar="OUT",
-                   help="bare --json prints the stable JSON result "
-                   "envelope to stdout; --json OUT writes the raw "
-                   "DivergenceReport to OUT instead")
-    max_cycles_arg(p)
-    p.set_defaults(fn=cmd_bisect)

@@ -92,11 +92,13 @@ class CheckpointManager:
 
         self.stats = CheckpointStats()
         #: periodic snapshot file names in write order, for retention
+        #: and the record manifest; kept only when one of them reads it
+        #: (the list rides in every snapshot of this machine)
         self._periodic: list[str] = []
         #: record mode: one entry per snapshot ever taken -- name, cycle
         #: and the chained event-trace digest at that point.  Entries
         #: survive retention pruning (the digest matters even after the
-        #: file is gone); replay bisection walks this ledger.
+        #: file is gone); a replay checks every entry.
         self._ledger: list[dict[str, Any]] = []
 
     @property
@@ -135,7 +137,8 @@ class CheckpointManager:
         # register before serializing so the snapshot's own manager
         # state already owns the file it lives in (and, in record mode,
         # already carries its own ledger entry)
-        self._periodic.append(name)
+        if self.config.retain or self.config.record:
+            self._periodic.append(name)
         if self.config.record:
             self._ledger.append(self._ledger_entry(machine, name))
         path = self._save(machine, name, "periodic", kind=kind)
@@ -154,8 +157,8 @@ class CheckpointManager:
         SIGUSR1 handler or a supervising process).  Live snapshots are
         full resume points but are neither retention-pruned nor added
         to the record ledger -- they are taken between events rather
-        than at a ``checkpoint_tick``, so a replay probe could not
-        pause at their capture point to compare digests.
+        than at a ``checkpoint_tick``, where a replay notes the digests
+        it compares against the ledger.
 
         Live snapshots always bypass the delta-chain policy: being
         outside the retention ledger they can outlive the chain that

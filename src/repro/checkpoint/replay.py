@@ -11,7 +11,7 @@ run from the initial snapshot and checks that the event sequence, the
 outputs and the failure (if any) come out identical -- the forensics
 loop for any fault-induced failure.
 
-Divergence bisection
+The divergent window
 --------------------
 
 Because the chained event-trace digest after event *n* commits to the
@@ -20,15 +20,13 @@ the recorded one" is a *monotone* predicate: once two executions
 diverge, their digests never re-converge.  Record mode therefore
 persists a **digest ledger** in the manifest -- one ``{snapshot,
 cycle, trace_sha256, trace_events}`` entry per snapshot ever taken
-(entries outlive retention pruning).  :func:`bisect_divergence`
-binary-searches that ledger: each probe resumes from the newest
-surviving snapshot at or below the last known-good entry, re-executes
-to the probed entry's cycle (pausing exactly at the ``checkpoint_tick``
-heap point where the recorded digest was captured), and compares
-digests.  The search converges on one adjacent ledger pair -- the
-first divergent checkpoint window -- and then re-runs both sides of
-that window with full event capture to name the first differing event
-and its suspect cell/arc.
+(entries outlive retention pruning).  The replay re-arms the recorded
+``checkpoint_tick`` cadence on a passive manager that writes nothing
+but notes the digest at every tick, so its one pass checks every
+ledger entry: the first entry that disagrees (or that the replay never
+reached) closes the first divergent window.  Both sides of that window
+are then re-run with full event capture to name the first differing
+event and its suspect cell/arc.
 """
 
 from __future__ import annotations
@@ -108,6 +106,53 @@ def _outcome(machine, error: Optional[Exception]) -> dict[str, Any]:
     return out
 
 
+#: the manifest fields a replay's outcome is compared on
+_OUTCOME_KEYS = ("status", "final_cycle", "outputs_sha256", "trace_sha256",
+                 "trace_events")
+
+#: events kept on each side of a divergence report's tails
+_TAIL = 16
+
+
+@dataclass
+class DivergenceReport:
+    """Where (and on which event) a replay first left the record.
+
+    ``window`` is the half-open cycle range ``[lo, hi)`` between two
+    adjacent digest-ledger entries: the replayed trace digest matches
+    the record at cycle ``lo`` and mismatches at ``hi``, so the first
+    divergent event executed inside the window.  ``window_indices``
+    are the corresponding ledger indices (the last index is the
+    terminal manifest digest, one past the last snapshot).
+    """
+
+    interval: int
+    window: list[int]
+    window_indices: list[int]
+    window_snapshots: list[Optional[str]]
+    first_event: Optional[str] = None
+    first_event_cycle: Optional[int] = None
+    suspect: Optional[dict[str, Any]] = None
+    recorded_tail: list[str] = field(default_factory=list)
+    replayed_tail: list[str] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+
+    def summary(self) -> str:
+        lo, hi = self.window
+        i, j = self.window_indices
+        lines = [
+            f"  first divergent window: cycles [{lo}, {hi}) -- ledger "
+            f"entries {i}..{j}"
+        ]
+        if self.first_event is not None:
+            lines.append(f"  first differing event: {self.first_event}")
+        if self.suspect:
+            lines.append(f"  suspect: {self.suspect}")
+        for note in self.notes:
+            lines.append(f"  note: {note}")
+        return "\n".join(lines)
+
+
 @dataclass
 class ReplayReport:
     """Outcome of re-executing a recorded run."""
@@ -116,8 +161,8 @@ class ReplayReport:
     expected: dict[str, Any] = field(default_factory=dict)
     actual: dict[str, Any] = field(default_factory=dict)
     mismatches: list[str] = field(default_factory=list)
-    #: filled by ``replay_bundle(..., bisect=True)`` on a diverged replay
-    divergence: Optional["DivergenceReport"] = None
+    #: the first divergent window, on every diverged replay
+    divergence: Optional[DivergenceReport] = None
 
     @property
     def reproduced(self) -> bool:
@@ -141,8 +186,7 @@ class ReplayReport:
 
 def _compare(expected: dict[str, Any], actual: dict[str, Any]) -> list[str]:
     mismatches = []
-    for key in ("status", "final_cycle", "outputs_sha256", "trace_sha256",
-                "trace_events"):
+    for key in _OUTCOME_KEYS:
         if key in expected and expected.get(key) != actual.get(key):
             mismatches.append(
                 f"{key}: recorded {expected.get(key)!r}, "
@@ -160,127 +204,15 @@ def _compare(expected: dict[str, Any], actual: dict[str, Any]) -> list[str]:
     return mismatches
 
 
-def replay_bundle(
-    directory: Union[str, Path],
-    max_cycles: int = 50_000_000,
-    bisect: bool = False,
-) -> ReplayReport:
-    """Re-execute a recorded run bundle and diff it against the record.
-
-    Loads the bundle's initial snapshot, detaches it from the bundle
-    directory (a replay must never overwrite the evidence), runs to
-    completion or failure, and compares status, final cycle, output
-    digest and event-trace digest against ``manifest.json``.
-
-    With ``bisect=True`` a diverged replay is handed to
-    :func:`bisect_divergence`, and the resulting
-    :class:`DivergenceReport` is attached to the returned report.
-    """
-    from .snapshot import load_machine
-
-    directory = Path(directory)
-    manifest = read_manifest(directory)
-    initial = directory / manifest.get("initial_snapshot", "initial.snap")
-    machine = load_machine(initial)
-    machine.ckpt = None
-    if machine.trace is None:
-        raise SnapshotError(
-            f"initial snapshot {initial} was taken without event tracing; "
-            f"the bundle cannot be replayed bit-exactly"
-        )
-    error: Optional[Exception] = None
-    try:
-        machine.run(max_cycles=max_cycles)
-    except (DeadlockError, SimulationTimeout) as exc:
-        error = exc
-    actual = _outcome(machine, error)
-    expected = {
-        k: manifest[k]
-        for k in ("status", "final_cycle", "outputs_sha256", "trace_sha256",
-                  "trace_events", "error")
-        if k in manifest
-    }
-    if manifest.get("status") == "running":
-        raise SnapshotError(
-            f"bundle {directory} records a run that never finished "
-            f"(status 'running'): resume it first, then replay"
-        )
-    report = ReplayReport(
-        bundle=str(directory),
-        expected=expected,
-        actual=actual,
-        mismatches=_compare(expected, actual),
-    )
-    if bisect and not report.reproduced:
-        report.divergence = bisect_divergence(
-            directory, max_cycles=max_cycles
-        )
-    return report
-
-
-# ----------------------------------------------------------------------
-# divergence bisection
-# ----------------------------------------------------------------------
-@dataclass
-class DivergenceReport:
-    """Where (and on which event) a replay first left the record.
-
-    ``window`` is the half-open cycle range ``[lo, hi)`` between two
-    adjacent digest-ledger entries: the replayed trace digest matches
-    the record at cycle ``lo`` and mismatches at ``hi``, so the first
-    divergent event executed inside the window.  ``window_indices``
-    are the corresponding ledger indices (the last index is the
-    terminal manifest digest, one past the last snapshot).
-    """
-
-    bundle: str
-    diverged: bool
-    interval: int = 0
-    probes: int = 0
-    window: Optional[list[int]] = None
-    window_indices: Optional[list[int]] = None
-    window_snapshots: Optional[list[Optional[str]]] = None
-    first_event: Optional[str] = None
-    first_event_cycle: Optional[int] = None
-    suspect: Optional[dict[str, Any]] = None
-    recorded_tail: list[str] = field(default_factory=list)
-    replayed_tail: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    def summary(self) -> str:
-        if not self.diverged:
-            return (
-                f"bisect of {self.bundle}: CLEAN -- replay matches the "
-                f"recorded digest at every checkpoint and at the end "
-                f"({self.probes} probe{'s' if self.probes != 1 else ''})"
-            )
-        lines = [
-            f"bisect of {self.bundle}: DIVERGED in cycle window "
-            f"[{self.window[0]}, {self.window[1]}) -- ledger entries "
-            f"{self.window_indices[0]}..{self.window_indices[1]}, "
-            f"{self.probes} probe{'s' if self.probes != 1 else ''}"
-        ]
-        if self.first_event is not None:
-            lines.append(f"  first differing event: {self.first_event}")
-        if self.suspect:
-            lines.append(f"  suspect: {self.suspect}")
-        for note in self.notes:
-            lines.append(f"  note: {note}")
-        return "\n".join(lines)
-
-
 class _PassiveCheckpoint:
     """Duck-typed no-op stand-in for a ``CheckpointManager``.
 
-    Replay probes must keep ``checkpoint_tick`` events re-arming on the
-    recorded cadence -- the ticks are the pause points the ledger
-    digests were captured at -- but must never write into the bundle
-    directory (the evidence).  Swapping this in for the snapshot's real
-    manager keeps ``config.interval`` visible to the tick handler and
-    turns every save into a no-op.
+    A replay must keep ``checkpoint_tick`` events re-arming on the
+    recorded cadence -- the ticks are the points the ledger digests
+    were captured at -- but must never write into the bundle directory
+    (the evidence).  Swapping this in for the snapshot's real manager
+    keeps ``config.interval`` visible to the tick handler, turns every
+    save into a no-op, and notes the digest at every tick passed.
     """
 
     def __init__(self, interval: int) -> None:
@@ -292,7 +224,6 @@ class _PassiveCheckpoint:
         )
         self.stats = CheckpointStats()
         #: cycle -> (digest, event count) observed at each tick passed
-        #: through -- lets a full probe cross-check every ledger entry
         self.observed: dict[int, tuple[str, int]] = {}
 
     def on_start(self, machine: Any) -> None:
@@ -302,7 +233,6 @@ class _PassiveCheckpoint:
         self.observed[machine.now] = (
             machine.trace.hexdigest(), machine.trace.count
         )
-        return None
 
     def save_live(self, machine: Any, reason: str = "live") -> None:
         return None
@@ -349,13 +279,12 @@ def _ledger_entries(
     if not isinstance(ledger, list) or not ledger:
         raise SnapshotError(
             f"bundle {directory} has no digest ledger in its manifest "
-            f"(recorded by an older build?); re-record it to enable "
-            f"divergence bisection"
+            f"(recorded by an older build?); re-record it to replay it"
         )
     if "trace_sha256" not in manifest or "final_cycle" not in manifest:
         raise SnapshotError(
             f"bundle {directory} records no final trace digest; "
-            f"resume the run to completion, then bisect"
+            f"resume the run to completion, then replay"
         )
     entries = [dict(e) for e in ledger]
     # aux checkpoint ticks can outlive the last *traced* event (e.g.
@@ -387,54 +316,33 @@ def _resume_index(
             return j
     raise SnapshotError(
         f"bundle {directory} has no surviving snapshot at or below "
-        f"ledger entry {lo} (not even initial.snap); cannot probe"
+        f"ledger entry {lo} (not even initial.snap); cannot replay"
     )
 
 
-def _load_probe(
-    directory: Path,
-    entries: list[dict[str, Any]],
-    j: int,
-    interval: int,
-    perturb: Any,
+def _load_detached(
+    directory: Path, name: str, interval: int, perturb: Any
 ) -> Any:
-    """Load the snapshot at ledger index ``j`` as a detached probe."""
+    """Load a bundle snapshot detached from the bundle: a passive
+    manager, the recorded tick cadence, and ``perturb`` installed."""
     from .snapshot import load_machine
 
-    machine = load_machine(directory / entries[j]["snapshot"])
+    machine = load_machine(directory / name)
     if machine.trace is None:
         raise SnapshotError(
-            f"snapshot {entries[j]['snapshot']} in {directory} carries "
-            f"no event trace; the bundle cannot be bisected"
+            f"snapshot {name} in {directory} was taken without event "
+            f"tracing; the bundle cannot be replayed bit-exactly"
         )
     machine.ckpt = _PassiveCheckpoint(interval)
     _install_perturbation(machine, perturb)
     # initial.snap is written before the first checkpoint_tick is
     # scheduled; arming it here consumes exactly the sequence number
-    # the recorded run's tick got, so the probe's heap order matches
+    # the recorded run's tick got, so the replay's heap order matches
     if interval and not any(
         e[2] == "checkpoint_tick" for e in machine._events
     ):
         machine._at(machine.now + interval, "checkpoint_tick", aux=True)
     return machine
-
-
-def _run_to(machine: Any, entry: dict[str, Any], max_cycles: int) -> None:
-    """Advance a probe to a ledger entry's capture point (or to the
-    end, for the terminal entry), swallowing run failures -- a probe
-    that fails early simply won't match the entry's digest."""
-    target = None if entry.get("terminal") else entry["cycle"]
-    try:
-        machine.run(max_cycles=max_cycles, stop_at_checkpoint=target)
-    except (DeadlockError, SimulationTimeout):
-        pass
-
-
-def _digest_matches(machine: Any, entry: dict[str, Any]) -> bool:
-    return (
-        machine.trace.hexdigest() == entry["trace_sha256"]
-        and machine.trace.count == entry.get("trace_events")
-    )
 
 
 def _suspect_from_event(machine: Any, event: tuple) -> dict[str, Any]:
@@ -473,133 +381,136 @@ def _suspect_from_event(machine: Any, event: tuple) -> dict[str, Any]:
     return info
 
 
-def bisect_divergence(
+def replay_bundle(
     directory: Union[str, Path],
     perturb: Any = None,
     max_cycles: int = 50_000_000,
-    tail: int = 16,
-) -> DivergenceReport:
-    """Binary-search a bundle's digest ledger for the first divergent
-    checkpoint window, then capture both sides of that window.
+) -> ReplayReport:
+    """Re-execute a recorded run bundle and diff it against the record.
+
+    Loads the bundle's initial snapshot detached from the bundle
+    directory (a replay must never overwrite the evidence), runs it
+    once to completion or failure, and compares status, final cycle,
+    output digest, event-trace digest and every ledger digest it
+    passed against ``manifest.json``.
 
     ``perturb`` optionally installs a different
-    :class:`~repro.faults.FaultPlan` on the replay side (see
+    :class:`~repro.faults.FaultPlan` on the replay (see
     :func:`_install_perturbation`) -- the tool that turns "would this
     fault have changed the run, and where first?" into a one-command
     answer.  Without it, a divergence means the replay itself failed
     to reproduce the record.
 
-    Each probe resumes from the newest surviving snapshot at or below
-    the last known-good ledger entry and re-executes to the probed
-    entry's cycle; matched probes are kept paused and continued in
-    place, so the matched side of the search costs one forward pass in
-    total.  Returns a :class:`DivergenceReport`; ``diverged=False``
-    means every ledger digest and the terminal digest matched.
+    A diverged replay carries a :class:`DivergenceReport` whose window
+    closes at the first ledger entry that disagrees.
     """
-    from ..sim.trace import EventCapture, first_divergence, format_event
-
     directory = Path(directory)
     manifest = read_manifest(directory)
     if manifest.get("status") == "running":
         raise SnapshotError(
             f"bundle {directory} records a run that never finished "
-            f"(status 'running'): resume it first, then bisect"
+            f"(status 'running'): resume it first, then replay"
         )
     interval = int(manifest.get("interval") or 0)
-    entries = _ledger_entries(directory, manifest)
-    report = DivergenceReport(
-        bundle=str(directory), diverged=False, interval=interval
+    machine = _load_detached(
+        directory, manifest.get("initial_snapshot", "initial.snap"),
+        interval, perturb,
     )
-
-    #: (ledger index, machine paused at that entry's capture point) of
-    #: the highest matched probe -- continued in place when possible
-    paused: Optional[tuple[int, Any]] = None
-    #: replayed digests observed at every tick any probe passed through
-    observed: dict[int, tuple[str, int]] = {}
-
-    def probe(i: int, lo: int) -> bool:
-        nonlocal paused
-        report.probes += 1
-        if paused is not None and paused[0] < i:
-            machine = paused[1]
-        else:
-            j = _resume_index(directory, entries, lo)
-            machine = _load_probe(directory, entries, j, interval, perturb)
-        _run_to(machine, entries[i], max_cycles)
-        observed.update(machine.ckpt.observed)
-        if _digest_matches(machine, entries[i]):
-            paused = None if entries[i].get("terminal") else (i, machine)
-            return True
-        paused = None
-        return False
-
+    entries = _ledger_entries(directory, manifest)
+    error: Optional[Exception] = None
+    try:
+        machine.run(max_cycles=max_cycles)
+    except (DeadlockError, SimulationTimeout) as exc:
+        error = exc
+    actual = _outcome(machine, error)
+    expected = {
+        k: manifest[k] for k in (*_OUTCOME_KEYS, "error") if k in manifest
+    }
+    report = ReplayReport(
+        bundle=str(directory),
+        expected=expected,
+        actual=actual,
+        mismatches=_compare(expected, actual),
+    )
+    # the first ledger entry the replay disagrees with or never reached
     last = len(entries) - 1
-    if probe(last, 0):
+    observed = machine.ckpt.observed
+    for hi in range(1, last):
+        recorded = (entries[hi]["trace_sha256"], entries[hi]["trace_events"])
+        replayed = observed.get(entries[hi]["cycle"])
+        if replayed != recorded:
+            report.mismatches.append(
+                f"ledger entry {hi} (cycle {entries[hi]['cycle']}): "
+                f"recorded {recorded!r}, replayed "
+                + ("nothing (never reached)" if replayed is None
+                   else repr(replayed))
+            )
+            break
+    else:
+        hi = last
+    if not report.reproduced:
+        report.divergence = _divergence(
+            directory, entries, hi, machine.trace, interval, perturb,
+            max_cycles,
+        )
+    return report
+
+
+def _divergence(
+    directory: Path,
+    entries: list[dict[str, Any]],
+    hi: int,
+    trace: EventTrace,
+    interval: int,
+    perturb: Any,
+    max_cycles: int,
+) -> DivergenceReport:
+    """The window ``[hi - 1, hi)`` of a diverged replay whose event
+    trace ended as ``trace``, and the forensics of both its sides."""
+    from ..sim.trace import EventCapture, first_divergence, format_event
+
+    lo, last = hi - 1, len(entries) - 1
+    report = DivergenceReport(
+        interval=interval,
+        window=[entries[lo]["cycle"], entries[hi]["cycle"]],
+        window_indices=[lo, hi],
+        window_snapshots=[
+            entries[lo].get("snapshot"), entries[hi].get("snapshot")
+        ],
+    )
+    if (trace.hexdigest(), trace.count) == (
+        entries[last]["trace_sha256"], entries[last]["trace_events"]
+    ):
         # the chained digest is prefix-committing, so a matching
         # terminal digest proves the replay executed the recorded event
-        # sequence exactly -- any mid-ledger entry that disagrees with
-        # the digests observed along the way is therefore wrong *in the
-        # ledger itself* (a damaged or tampered bundle), not a replay
-        # divergence, and is pinned without any further probing
-        bad = next(
-            (
-                i
-                for i in range(1, last)
-                if entries[i]["cycle"] in observed
-                and observed[entries[i]["cycle"]]
-                != (
-                    entries[i]["trace_sha256"],
-                    entries[i].get("trace_events"),
-                )
-            ),
-            None,
-        )
-        if bad is None:
-            return report         # CLEAN: every digest matches
-        report.diverged = True
-        report.window = [entries[bad - 1]["cycle"], entries[bad]["cycle"]]
-        report.window_indices = [bad - 1, bad]
-        report.window_snapshots = [
-            entries[bad - 1].get("snapshot"),
-            entries[bad].get("snapshot"),
-        ]
+        # sequence exactly -- a disagreeing entry is wrong *in the
+        # manifest itself* (a damaged or tampered bundle), not a replay
+        # divergence, and there is no event to diff
         report.notes.append(
             f"replay matches the recorded terminal digest, but ledger "
-            f"entry {bad} (cycle {entries[bad]['cycle']}) disagrees with "
-            f"the digest the replay passed through: the ledger is "
-            f"internally inconsistent -- the bundle's manifest is "
-            f"damaged or tampered, not the run"
+            f"entry {hi} (cycle {entries[hi]['cycle']}) disagrees with "
+            f"the replay: the ledger is internally inconsistent -- the "
+            f"bundle's manifest is damaged or tampered, not the run"
         )
         return report
-
-    lo, hi = 0, last              # invariant: match at lo, mismatch at hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if probe(mid, lo):
-            lo = mid
-        else:
-            hi = mid
-
-    report.diverged = True
-    report.window = [entries[lo]["cycle"], entries[hi]["cycle"]]
-    report.window_indices = [lo, hi]
-    report.window_snapshots = [
-        entries[lo].get("snapshot"),
-        entries[hi].get("snapshot"),
-    ]
 
     # ------------------------------------------------------------------
     # window forensics: re-run both sides of [lo, hi) with full capture
     # ------------------------------------------------------------------
     j = _resume_index(directory, entries, lo)
     c_lo = entries[lo]["cycle"]
+    stop = None if entries[hi].get("terminal") else entries[hi]["cycle"]
 
     def run_side(with_perturb: bool) -> Any:
-        machine = _load_probe(
-            directory, entries, j, interval, perturb if with_perturb else None
+        machine = _load_detached(
+            directory, entries[j]["snapshot"], interval,
+            perturb if with_perturb else None,
         )
         machine.capture = EventCapture(start_cycle=c_lo)
-        _run_to(machine, entries[hi], max_cycles)
+        try:
+            machine.run(max_cycles=max_cycles, stop_at_checkpoint=stop)
+        except (DeadlockError, SimulationTimeout):
+            pass            # a side that fails early still diffs
         if machine.capture.truncated:
             report.notes.append(
                 "event capture truncated inside the window; tails show "
@@ -619,12 +530,12 @@ def bisect_divergence(
                 "in aux-event effects"
             )
         else:
-            lo_cut = max(0, idx - tail // 2)
+            lo_cut = max(0, idx - _TAIL // 2)
             report.recorded_tail = [
-                format_event(e) for e in recorded.events[lo_cut: idx + tail]
+                format_event(e) for e in recorded.events[lo_cut: idx + _TAIL]
             ]
             report.replayed_tail = [
-                format_event(e) for e in replayed.events[lo_cut: idx + tail]
+                format_event(e) for e in replayed.events[lo_cut: idx + _TAIL]
             ]
             side = replayed if idx < len(replayed.events) else recorded
             if idx < len(side.events):
@@ -641,14 +552,14 @@ def bisect_divergence(
         # without a perturbation both re-runs replay identically, so
         # the recorded side of the window only survives in the hi
         # snapshot's embedded trace tail (if retention kept the file)
-        report.replayed_tail = replayed.formatted()[-tail:]
+        report.replayed_tail = replayed.formatted()[-_TAIL:]
         hi_snap = entries[hi].get("snapshot")
         if hi_snap and (directory / hi_snap).exists():
             from .snapshot import read_snapshot
 
-            recorded_machine = read_snapshot(directory / hi_snap)["machine"]
-            if recorded_machine.trace is not None:
-                report.recorded_tail = list(recorded_machine.trace.tail)[-tail:]
+            recorded = read_snapshot(directory / hi_snap)["machine"].trace
+            if recorded is not None:
+                report.recorded_tail = list(recorded.tail)[-_TAIL:]
                 report.notes.append(
                     f"recorded tail taken from {hi_snap}'s embedded "
                     f"trace (last {len(report.recorded_tail)} events "

@@ -16,8 +16,7 @@ subcommands, each through its own ``register(subparsers)``:
 
 * :mod:`repro.faults.cli` -- ``faults``;
 * :mod:`repro.checkpoint.cli` -- ``checkpoint``, ``resume``,
-  ``snapshot inspect|fsck|rebase``, ``supervise``, ``replay`` and
-  ``bisect``;
+  ``snapshot inspect|fsck|rebase``, ``supervise`` and ``replay``;
 * :mod:`repro.serve.cli` -- ``serve`` and ``submit``.
 
 Building the parser loads no compiler, machine or Val code: every
@@ -26,10 +25,9 @@ command handler imports what it runs (DESIGN.md, "Import layers"), so
 
 ``run`` accepts ``--backend {sync,event,sharded,compiled}`` (plus
 ``--shards K`` and ``--shard-config JSON`` for the sharded backend).
-``run``, ``checkpoint``, ``resume``, ``replay`` and ``bisect`` accept
-``--json``, which prints one stable JSON envelope to stdout (see README
-"JSON output"): ``{"schema": 1, "command": ..., "ok": ...,
-"result": ...}``.
+``run``, ``checkpoint``, ``resume`` and ``replay`` accept ``--json``,
+which prints one stable JSON envelope to stdout (see README "JSON
+output"): ``{"schema": 1, "command": ..., "ok": ..., "result": ...}``.
 
 Inputs are a JSON object mapping array names to lists (or to
 ``[lo, [values...]]`` pairs for arrays with a nonzero lower bound).
@@ -38,18 +36,14 @@ Inputs are a JSON object mapping array names to lists (or to
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
 from . import api
 from .errors import ReproError
 from .faults import FaultPlan
 from .workloads.figures import FIGURES
-
-if TYPE_CHECKING:
-    from .machine import ShardConfig
 
 
 def parse_params(items: list[str]) -> dict[str, int]:
@@ -132,8 +126,7 @@ def shard_config_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shard-config", metavar="JSON",
                    help="sharded-backend configuration as a JSON object "
                    "(ShardConfig schema: shards, partition, processes, "
-                   "recovery); the heal flags override its recovery "
-                   "policy, --shards must agree with its count")
+                   "recovery); --shards must agree with its count")
 
 
 def workload_args(p: argparse.ArgumentParser) -> list:
@@ -213,41 +206,6 @@ def shard_flags_fit(args: argparse.Namespace) -> bool:
     return True
 
 
-def shard_config_from_args(args: argparse.Namespace) -> ShardConfig:
-    """Build the :class:`ShardConfig` for a sharded CLI run: start
-    from ``--shard-config`` JSON (when given; ``--shards`` must agree
-    with a count named there), then let the heal flags override the
-    recovery policy."""
-    from .machine import RecoveryPolicy, ShardConfig
-
-    sc = ShardConfig.coerce(
-        getattr(args, "shard_config", None) or {},
-        shards=getattr(args, "shards", None),
-    )
-    # a tuned heal flag forces healing on, --no-self-heal forces it off
-    heal: dict[str, Any] = {
-        name: value
-        for name, value in (
-            ("deadline", getattr(args, "heal_deadline", None)),
-            ("max_restarts", getattr(args, "heal_max_restarts", None)),
-            ("degrade", getattr(args, "degrade", False) or None),
-        )
-        if value is not None
-    }
-    if getattr(args, "no_self_heal", False):
-        heal = {"enabled": False}
-    elif heal:
-        heal["enabled"] = True
-    if heal:
-        sc = dataclasses.replace(
-            sc,
-            recovery=dataclasses.replace(
-                sc.recovery or RecoveryPolicy(), **heal
-            ),
-        )
-    return sc
-
-
 # ----------------------------------------------------------------------
 # compile / run / interpret / simulate
 # ----------------------------------------------------------------------
@@ -298,10 +256,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             cp,
             _load_inputs(args.inputs),
             backend=args.backend,
-            shard_config=(
-                shard_config_from_args(args)
-                if args.backend == "sharded" else None
-            ),
+            shards=args.shards,
+            shard_config=args.shard_config,
         )
         if args.json:
             emit_envelope("run", True, result.to_json_dict())

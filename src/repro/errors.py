@@ -22,7 +22,7 @@ from typing import Optional
 #: supervisor exhausted its restart budget without a completed child
 EXIT_RUN_FAILED = 2
 
-#: replay/bisect found a divergence from the recorded run (or a faults
+#: replay found a divergence from the recorded run (or a faults
 #: comparison found outputs that differ from the clean reference)
 EXIT_DIVERGED = 3
 

@@ -406,8 +406,8 @@ class Machine:
             else None
         )
         #: optional bounded capture of executed non-aux events
-        #: (:class:`repro.sim.trace.EventCapture`); set by the replay
-        #: bisection forensics to record one divergence window in full
+        #: (:class:`repro.sim.trace.EventCapture`); set by a diverged
+        #: replay to record its first divergent window in full
         self.capture = None
 
         self._scan_ready()
@@ -805,7 +805,7 @@ class Machine:
         if not self._live_events:
             return          # machine quiesced; let the heap drain
         if self.ckpt is None:
-            return          # detached from its manager (replay probe)
+            return          # detached from its manager
         # re-arm first so the pending tick is part of the snapshot and a
         # resumed run keeps checkpointing on the same cadence
         self._at(
@@ -1082,10 +1082,10 @@ class Machine:
 
         ``stop_at_checkpoint`` pauses the run just *before* executing
         the first ``checkpoint_tick`` event at or after that cycle --
-        the exact heap point where the recorded run captured its
-        digest-ledger entry, so a replay probe's trace digest is
-        directly comparable to the ledger's.  A paused machine skips
-        the completion check and can simply be ``run()`` again.
+        the exact heap point where a recorded run captured its
+        digest-ledger entry, where a replay's capture of one divergent
+        window ends.  A paused machine skips the completion check and
+        can simply be ``run()`` again.
 
         ``fast_forward`` detects the periodic steady state and skips
         whole periods of it (:mod:`repro.machine.fastforward`), with

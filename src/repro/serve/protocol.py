@@ -16,7 +16,6 @@ raised.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -231,6 +230,8 @@ class JobSpec:
         """Batch-compatibility key: jobs with the same signature run the
         same compiled loop over equal-length input streams, so they can
         share one run as lanes."""
+        import hashlib  # only the daemon's admission signs jobs
+
         lengths = {name: len(values)
                    for name, values in sorted(self.inputs.items())}
         payload = json.dumps(

@@ -5,8 +5,8 @@ examples use them to show the pipeline filling and draining the way
 Figure 2 of the paper describes.  :class:`EventCapture` and
 :func:`first_divergence` are the shared forensics primitives: the
 machine-level simulator records executed events into a capture during a
-replay-bisection window, and the diff pinpoints the first event where
-two executions drifted apart.
+replay's first divergent window, and the diff pinpoints the first event
+where two executions drifted apart.
 """
 
 from __future__ import annotations

@@ -1,22 +1,23 @@
-"""Replay divergence bisection over the digest ledger.
+"""The first divergent window of a replay, over the digest ledger.
 
 Record mode persists the chained event-trace digest at every snapshot
-(the manifest's ``ledger``); :func:`repro.checkpoint.bisect_divergence`
-binary-searches those entries to find the first checkpoint window
-where a replay leaves the record, then names the first differing event
-inside it.  The acceptance bar: a perturbation seeded at cycle *c*
-must produce a window ``[lo, hi)`` with ``lo <= c < hi`` and
-``hi - lo`` at most one checkpoint interval.
+(the manifest's ``ledger``); :func:`repro.checkpoint.replay_bundle`
+checks every entry in its one pass from ``initial.snap``, closes the
+first divergent checkpoint window at the first entry that disagrees,
+then names the first differing event inside it.  The acceptance bar:
+a perturbation seeded at cycle *c* must produce a window ``[lo, hi)``
+with ``lo <= c < hi`` and ``hi - lo`` at most one checkpoint interval.
 """
 
 import json
+from dataclasses import asdict
 
 import pytest
 
+import repro.checkpoint.snapshot as snapshot_module
 from repro.checkpoint import (
     CheckpointConfig,
     DivergenceReport,
-    bisect_divergence,
     read_manifest,
     replay_bundle,
 )
@@ -43,6 +44,28 @@ SLOW_PLAN = FaultPlan(
         },
     ),
 )
+
+
+def _divergence(directory, perturb=None):
+    """The divergence report of a replay that must diverge."""
+    report = replay_bundle(directory, perturb=perturb)
+    assert not report.reproduced
+    assert isinstance(report.divergence, DivergenceReport)
+    return report.divergence
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """Counts the snapshots a replay loads into machines."""
+    calls = []
+    real = snapshot_module.load_machine
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(snapshot_module, "load_machine", counting)
+    return calls
 
 
 def _record_bundle(directory, retain=3, fault_plan=None, m=40):
@@ -90,28 +113,28 @@ class TestDigestLedger:
         assert len(manifest["ledger"]) > len(manifest["checkpoints"]) + 1
 
 
-class TestCleanBisect:
-    def test_faithful_replay_is_clean(self, tmp_path):
+class TestCleanReplay:
+    def test_faithful_replay_is_clean(self, tmp_path, loads):
         _record_bundle(tmp_path)
-        report = bisect_divergence(tmp_path)
-        assert not report.diverged
-        assert report.probes == 1  # one full probe settles it
-        assert report.window is None
-        assert "CLEAN" in report.summary()
+        report = replay_bundle(tmp_path)
+        assert report.reproduced
+        assert len(loads) == 1  # one pass settles it
+        assert report.divergence is None
+        assert "reproduced" in report.summary()
 
     def test_report_is_json_serializable(self, tmp_path):
         _record_bundle(tmp_path)
-        report = bisect_divergence(tmp_path)
-        round_tripped = json.loads(json.dumps(report.to_dict()))
-        assert round_tripped["diverged"] is False
+        report = replay_bundle(tmp_path, perturb=SLOW_PLAN)
+        round_tripped = json.loads(json.dumps(asdict(report)))
+        window = round_tripped["divergence"]["window"]
+        assert window == report.divergence.window
         assert round_tripped["bundle"] == str(tmp_path)
 
 
-class TestPerturbedBisect:
+class TestPerturbedReplay:
     def test_window_brackets_the_perturbed_cycle(self, tmp_path):
         _record_bundle(tmp_path)
-        report = bisect_divergence(tmp_path, perturb=SLOW_PLAN)
-        assert report.diverged
+        report = _divergence(tmp_path, SLOW_PLAN)
         lo, hi = report.window
         assert lo <= PERTURB_CYCLE < hi
         assert hi - lo <= INTERVAL
@@ -120,7 +143,7 @@ class TestPerturbedBisect:
 
     def test_first_event_and_suspect_are_named(self, tmp_path):
         _record_bundle(tmp_path)
-        report = bisect_divergence(tmp_path, perturb=SLOW_PLAN)
+        report = _divergence(tmp_path, SLOW_PLAN)
         assert report.first_event is not None
         lo, hi = report.window
         assert lo <= report.first_event_cycle < hi
@@ -131,15 +154,12 @@ class TestPerturbedBisect:
         assert report.recorded_tail[0] == report.replayed_tail[0]
         assert report.recorded_tail != report.replayed_tail
         assert "first differing event" in report.summary()
-        json.dumps(report.to_dict(), default=repr)
 
-    def test_bisect_works_after_retention_pruned_the_window(self, tmp_path):
-        # with retain=1 the probes must fall back to initial.snap, and
-        # the answer must not change
+    def test_window_found_after_retention_pruned_it(self, tmp_path):
+        # with retain=1 the forensics must fall back to initial.snap,
+        # and the answer must not change
         _record_bundle(tmp_path, retain=1)
-        report = bisect_divergence(tmp_path, perturb=SLOW_PLAN)
-        assert report.diverged
-        lo, hi = report.window
+        lo, hi = _divergence(tmp_path, SLOW_PLAN).window
         assert lo <= PERTURB_CYCLE < hi
         assert hi - lo <= INTERVAL
 
@@ -149,23 +169,31 @@ class TestPerturbedBisect:
         # a different drop rate diverges somewhere; the report must
         # still pin one single window
         perturb = FaultPlan(seed=3, drop_result=0.5)
-        report = bisect_divergence(tmp_path, perturb=perturb)
-        assert report.diverged
-        assert report.window[1] - report.window[0] <= INTERVAL
+        lo, hi = _divergence(tmp_path, perturb).window
+        assert hi - lo <= INTERVAL
 
     def test_packet_faults_refused_without_an_injector(self, tmp_path):
         _record_bundle(tmp_path)  # fault-free recording: no injector
         with pytest.raises(SnapshotError, match="slow"):
-            bisect_divergence(
+            replay_bundle(
                 tmp_path, perturb=FaultPlan(seed=1, drop_result=0.1)
             )
 
+    def test_one_pass_and_one_window_load_each_side(self, tmp_path, loads):
+        # the pass from initial.snap finds the window; the forensics
+        # load its two sides -- a binary search over this ledger loaded
+        # five snapshots
+        _record_bundle(tmp_path)
+        assert len(read_manifest(tmp_path)["ledger"]) == 4
+        _divergence(tmp_path, SLOW_PLAN)
+        assert len(loads) <= 3
+
 
 class TestLedgerTamperLocalization:
-    def test_tampered_mid_ledger_entry_is_pinned(self, tmp_path):
+    def test_tampered_mid_ledger_entry_is_pinned(self, tmp_path, loads):
         # flip one mid-ledger digest while the terminal digest stays
         # intact: a faithful replay matches the end of the record, so
-        # the damage is in the *ledger* -- the full probe's per-tick
+        # the damage is in the *ledger* -- the pass's per-tick
         # observations must pin exactly the window that entry closes
         _record_bundle(tmp_path)
         manifest = read_manifest(tmp_path)
@@ -174,11 +202,15 @@ class TestLedgerTamperLocalization:
         manifest["ledger"][victim]["trace_sha256"] = "f" * 64
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
 
-        report = bisect_divergence(tmp_path)
-        assert report.diverged
-        assert report.window_indices == [victim - 1, victim]
-        assert report.probes == 1  # no extra probes needed
-        assert any("inconsistent" in n for n in report.notes)
+        report = replay_bundle(tmp_path)
+        cycle = manifest["ledger"][victim]["cycle"]
+        assert [m.split(":")[0] for m in report.mismatches] == [
+            f"ledger entry {victim} (cycle {cycle})"
+        ]
+        divergence = report.divergence
+        assert divergence.window_indices == [victim - 1, victim]
+        assert len(loads) == 1  # nothing left to diff
+        assert any("inconsistent" in n for n in divergence.notes)
         assert "inconsistent" in report.summary()
 
 
@@ -201,31 +233,44 @@ class TestTerminalWindow:
 
         manifest["trace_sha256"] = "0" * 64
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        report = bisect_divergence(tmp_path)
-        assert report.diverged
+        report = _divergence(tmp_path)
         lo, hi = report.window
         assert lo <= hi
         assert report.window_indices[1] == len(manifest["ledger"])
 
 
-class TestReplayBisectFlag:
+class TestReplayAttachesTheWindow:
     def test_diverged_replay_attaches_a_divergence_report(self, tmp_path):
         _record_bundle(tmp_path)
         manifest = read_manifest(tmp_path)
         manifest["trace_sha256"] = "0" * 64
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
 
-        report = replay_bundle(tmp_path, bisect=True)
+        report = replay_bundle(tmp_path)
         assert not report.reproduced
         assert isinstance(report.divergence, DivergenceReport)
-        assert report.divergence.diverged
-        assert "bisect of" in report.summary()
+        assert report.divergence.window_indices[1] == len(manifest["ledger"])
+        assert "first divergent window" in report.summary()
 
     def test_clean_replay_attaches_nothing(self, tmp_path):
         _record_bundle(tmp_path)
-        report = replay_bundle(tmp_path, bisect=True)
+        report = replay_bundle(tmp_path)
         assert report.reproduced
         assert report.divergence is None
+
+    def test_unreached_ledger_entry_is_a_divergence(self, tmp_path):
+        # a ledger tick past the replay's end counts as a disagreement
+        _record_bundle(tmp_path)
+        manifest = read_manifest(tmp_path)
+        ledger = manifest["ledger"]
+        ledger.append({**ledger[-1], "cycle": 10**9})
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+
+        report = replay_bundle(tmp_path)
+        assert "never reached" in report.mismatches[-1]
+        assert report.divergence.window_indices == [
+            len(ledger) - 2, len(ledger) - 1
+        ]
 
 
 class TestBundleValidation:
@@ -235,7 +280,7 @@ class TestBundleValidation:
         del manifest["ledger"]
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(SnapshotError, match="no digest ledger"):
-            bisect_divergence(tmp_path)
+            replay_bundle(tmp_path)
 
     def test_unfinished_bundle_refused(self, tmp_path):
         wl = FIGURES["fig7"]
@@ -244,10 +289,10 @@ class TestBundleValidation:
         cfg = CheckpointConfig(tmp_path, interval=INTERVAL, record=True)
         Machine(prog.graph, inputs=inputs, checkpoint=cfg)._start()
         with pytest.raises(SnapshotError, match="never finished"):
-            bisect_divergence(tmp_path)
+            replay_bundle(tmp_path)
 
 
-class TestBisectCLI:
+class TestReplayCLI:
     def _plan_file(self, tmp_path):
         path = tmp_path / "perturb.json"
         path.write_text(json.dumps(SLOW_PLAN.to_dict()))
@@ -256,34 +301,33 @@ class TestBisectCLI:
     def test_clean_bundle_exits_zero(self, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         _record_bundle(bundle)
-        assert cli_main(["bisect", str(bundle)]) == 0
-        assert "CLEAN" in capsys.readouterr().out
+        assert cli_main(["replay", str(bundle)]) == 0
+        assert "reproduced" in capsys.readouterr().out
 
-    def test_perturbed_bundle_exits_three_and_writes_json(
+    def test_perturbed_bundle_exits_three_with_the_window(
         self, tmp_path, capsys
     ):
         bundle = tmp_path / "bundle"
         _record_bundle(bundle)
-        out = tmp_path / "report.json"
         code = cli_main(
             [
-                "bisect", str(bundle),
+                "replay", str(bundle),
                 "--perturb-plan", str(self._plan_file(tmp_path)),
-                "--json", str(out),
+                "--json",
             ]
         )
         assert code == 3
-        assert "DIVERGED" in capsys.readouterr().out
-        payload = json.loads(out.read_text())
-        assert payload["diverged"]
-        lo, hi = payload["window"]
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["ok"] is False
+        lo, hi = envelope["result"]["divergence"]["window"]
         assert lo <= PERTURB_CYCLE < hi
+        assert hi - lo <= INTERVAL
 
-    def test_replay_bisect_flag(self, tmp_path, capsys):
+    def test_tampered_bundle_names_the_window(self, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         _record_bundle(bundle)
         manifest = read_manifest(bundle)
         manifest["trace_sha256"] = "0" * 64
         (bundle / "manifest.json").write_text(json.dumps(manifest))
-        assert cli_main(["replay", str(bundle), "--bisect"]) == 3
-        assert "bisect of" in capsys.readouterr().out
+        assert cli_main(["replay", str(bundle)]) == 3
+        assert "first divergent window" in capsys.readouterr().out

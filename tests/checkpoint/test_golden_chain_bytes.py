@@ -176,30 +176,31 @@ FIG7_SINGLE_DELTAS = {
 }
 
 #: SHA-256 of each delta's ``core`` section, written into ``snaps``
-#: (the core pickles the run's CheckpointConfig: re-recorded when its
-#: ``max_chain_depth`` field became a constant, the only change)
+#: (the core pickles the run's checkpoint manager: re-recorded when a
+#: ``retain=0`` manager stopped listing its periodic file names, the
+#: only change)
 CHAINS_SINGLE_CORES = {
     "ckpt-000000000006.delta.snap":
-        "f0b47f9674bb355ad2ac794be735421683d49662a13122aded4d31abc21f8152",
+        "76380cee519e2c386786536f13e77277e7b29067cabcc16d332f891978c3024d",
     "ckpt-000000000009.delta.snap":
-        "6f1aeb2bcc8e0b99f07362c0577e1640cbe9c6037cf713babe642950d160bbcb",
+        "5ebad2c4b4f484fd2c57d0ef0cbdfd5559e629606dcc1fa9ad8f57ce9863e706",
     "ckpt-000000000012.delta.snap":
-        "8067ec365fec7118a711deb03fd64c166e482d4b0638d1cfc48d495b476a28df",
+        "ad434a18ef7de87e5da3c70f319db1b40c48fcdb7362e265845c0395e2541e94",
 }
 
 FIG7_SINGLE_CORES = {
     "ckpt-000000000050.delta.snap":
-        "2d6633e388edb57bcae106eb23bbed161c0d7a95cef46f16040b03617c540f46",
+        "edbd3bc32aade2499426409ca29fa495b23eb05ea45cf3a092a7d29d383b9639",
     "ckpt-000000000075.delta.snap":
-        "46be44e4df4d290911f74ec2ecab06f7162802c855a568513c307fbed01302ee",
+        "a4a01dc72772e22879463b0838b3d28db2ecaa1348e8f8628f7cdd56bb672348",
     "ckpt-000000000100.delta.snap":
-        "85b4aa61807b949c0d67c92a49179e5d2edf9cd5ac04d0eb03f0e3bb97e032a2",
+        "582a48ec15ad995a42b9ce33c68ccf478f1cf2a4c42b093534996b9fd068961e",
     "ckpt-000000000150.delta.snap":
-        "bd2f5cffe7cd88801ff11e8f2a2d534512db39972c3ac45b3752c982b181181c",
+        "79bebc29e204e933ab4a7fc5790ff3a6c9a0428e1c67cf459518ab32760ab4f2",
     "ckpt-000000000175.delta.snap":
-        "2570675ea5d765102162060a203a9482da55370acea184f6ec86efc95c5555b9",
+        "d31dee2fef63f59e5fbe53270b19449e97869f8e40f1bb013a63fb03ec619108",
     "ckpt-000000000200.delta.snap":
-        "d1377ac1742981494253dfd4871727705eccad50e409f1969130938a8d0acc39",
+        "e8b3bfc8c94d3099fffd8afe4b5966884b7f95d255ac6acd492e96f2d922421e",
 }
 
 
@@ -289,3 +290,26 @@ def test_single_machine_fig7_deltas(tmp_path, monkeypatch):
     )
     assert _single_deltas(machine) == (FIG7_SINGLE_DELTAS,
                                        FIG7_SINGLE_CORES)
+
+
+def test_core_does_not_grow_with_the_delta_count(tmp_path, monkeypatch):
+    """At ``retain=0`` nothing prunes, so the manager keeps no list of
+    periodic names; one that did re-shipped the whole list in every
+    delta's ``core`` (~31 bytes more per snapshot, quadratic bytes).
+    What is left moves only with the machine state and the widths of
+    pickled counters."""
+    monkeypatch.chdir(tmp_path)
+    machine = Machine(
+        parallel_chain_graph(1, 4, 240), MachineConfig.unit_time(),
+        checkpoint=CheckpointConfig(
+            "snaps", interval=4, retain=0, delta_every=64
+        ),
+    )
+    machine.run()
+    sizes = []
+    for path in sorted(Path("snaps").glob("*.delta.snap")):
+        _version, _meta, payload = _split_envelope(path, path.read_bytes())
+        sections = _restricted_loads(payload, str(path))["sections"]
+        sizes.append(len(sections["core"]))
+    assert len(sizes) >= 50
+    assert max(sizes) - min(sizes) < 200

@@ -253,7 +253,8 @@ class TestEscalation:
             "checkpoint", "fig7", "--size", "12",
             "--dir", str(tmp_path / "snaps"), "--interval", "10",
             "--backend", "sharded", "--shards", "4",
-            "--plan", str(plan_file), "--heal-max-restarts", "0",
+            "--plan", str(plan_file),
+            "--shard-config", '{"recovery": {"max_restarts": 0}}',
         ])
         capsys.readouterr()
         assert code == 137

@@ -111,9 +111,9 @@ class TestRunFacade:
 
     def test_event_rejects_sharding_options(self):
         cp, inputs = figure("fig2", 8)
-        with pytest.raises(ReproError, match="processes"):
+        with pytest.raises(TypeError, match="processes"):
             repro.run(cp, inputs, backend="event", processes=False)
-        with pytest.raises(ReproError, match="partition"):
+        with pytest.raises(TypeError, match="partition"):
             repro.run(cp, inputs, backend="event",
                       partition="round_robin")
 
@@ -121,20 +121,19 @@ class TestRunFacade:
         "backend", ["sync", "event", "sharded", "compiled"]
     )
     def test_unknown_options_are_rejected(self, backend):
-        """Regression: ``**options`` a backend does not consume used to
-        vanish silently (only ``compiled`` checked), so a typo or one
-        of the kwargs that left the signature ran with defaults."""
+        """Regression: keywords a backend did not consume used to
+        vanish silently, so a typo or one of the kwargs that left the
+        signature ran with defaults.  ``run`` takes no ``**options``
+        now: every stray keyword, ``trace`` (a ``Machine`` option)
+        included, is Python's own ``TypeError``."""
         cp, inputs = figure("fig2", 8)
         gone = {"heal": False, "processes": False, "partition": "auto",
                 "reliable": True, "policy": "round_robin",
-                "record_trace": True}
+                "record_trace": True, "trace": True}
         for name, value in {**gone, "trce": True}.items():
-            with pytest.raises(ReproError, match=f"{backend}.*{name}"):
+            with pytest.raises(TypeError,
+                               match=f"unexpected keyword argument '{name}'"):
                 repro.run(cp, inputs, backend=backend, **{name: value})
-        # and one backend's option is another's unknown
-        if backend in ("sync", "sharded"):
-            with pytest.raises(ReproError, match=f"{backend}.*'trace'"):
-                repro.run(cp, inputs, backend=backend, trace=True)
 
     def test_reject_compares_against_real_defaults(self):
         """Regression: ``reject`` used a shared sentinel, so any field
@@ -282,18 +281,26 @@ class TestCliJson:
         assert envelope["ok"] is True
         assert envelope["result"]["mismatches"] == []
 
-    def test_bisect_envelope(self, tmp_path, capsys):
+    def test_perturbed_replay_envelope(self, tmp_path, capsys):
         snaps = tmp_path / "snaps"
         assert cli_main(
             ["checkpoint", "fig2", "--size", "8", "--dir", str(snaps),
              "--interval", "10", "--record"]
         ) == 0
         capsys.readouterr()
-        assert cli_main(["bisect", str(snaps), "--json"]) == 0
+        plan = tmp_path / "slow.json"
+        plan.write_text(json.dumps({"seed": 1, "unit_faults": [
+            {"unit": "fu", "index": 0, "start": 0, "kind": "slow",
+             "factor": 4.0},
+        ]}))
+        assert cli_main(["replay", str(snaps), "--perturb-plan", str(plan),
+                         "--json"]) == 3
         envelope = json.loads(capsys.readouterr().out)
         assert envelope["schema"] == 1
-        assert envelope["command"] == "bisect"
-        assert envelope["result"]["diverged"] is False
+        assert envelope["command"] == "replay"
+        assert envelope["ok"] is False
+        lo, hi = envelope["result"]["divergence"]["window"]
+        assert 0 <= lo < hi <= lo + 10
 
 
 class TestMaxCycles:
@@ -320,8 +327,8 @@ class TestMaxCycles:
     @pytest.mark.parametrize("argv", [
         ["checkpoint", "fig2", "--dir", "d"], ["resume", "d"],
         ["supervise", "fig2", "--dir", "d"], ["replay", "d"],
-        ["bisect", "d"],
-    ], ids=lambda argv: argv[0])
+        ["replay", "d", "--perturb-plan", "p.json"],
+    ], ids=["checkpoint", "resume", "supervise", "replay", "replay-perturbed"])
     def test_the_cli_flag_refuses_zero_in_one_line(self, tmp_path, capsys,
                                                    monkeypatch, argv):
         monkeypatch.chdir(tmp_path)

@@ -16,6 +16,7 @@ import sys
 import pytest
 
 import repro
+from repro.api import RunResult
 from repro.checkpoint import CheckpointConfig
 from repro.errors import ReproError, SimulationTimeout
 from repro.faults import FaultPlan
@@ -167,18 +168,32 @@ DISARMING = {
 }
 
 
+def _disarmed_run(name, backend, tmp):
+    """fig2 run with one ``DISARMING`` option; tracing is a
+    ``Machine`` option only, so that run is built directly."""
+    cp, inputs = figure("fig2", m=M_JUMP)
+    value = DISARMING[name](tmp / backend)
+    if name != "trace":
+        return repro.run(cp, inputs, backend=backend, **{name: value})
+    machine = Machine(cp.graph, inputs=cp.prepare_inputs(inputs),
+                      trace=value)
+    stats = machine.run(fast_forward=backend == "compiled")
+    return RunResult.from_engine(backend, machine, stats)
+
+
 class TestOptionValidation:
     def test_rejects_sharding_options(self):
-        """Exactly what ``event`` rejects."""
+        """Exactly what ``event`` rejects: ``shards`` by name, and the
+        ShardConfig fields as keywords ``run`` does not have."""
         cp, inputs = figure("fig2")
         rejected = {
-            "shards": 4,
-            "processes": True,
-            "partition": "round_robin",
+            "shards": (4, ReproError),
+            "processes": (True, TypeError),
+            "partition": ("round_robin", TypeError),
         }
-        for name, value in rejected.items():
+        for name, (value, error) in rejected.items():
             for backend in ("event", "compiled"):
-                with pytest.raises(ReproError, match=name):
+                with pytest.raises(error, match=name):
                     repro.run(cp, inputs, backend=backend,
                               **{name: value})
 
@@ -187,13 +202,8 @@ class TestOptionValidation:
         """Faults, checkpoints, the reliability layer and tracing are
         honored, not rejected: the detector disarms and says why, and
         the run is the event run with the same option."""
-        cp, inputs = figure("fig2", m=M_JUMP)
-        event = repro.run(cp, inputs, backend="event",
-                          **{name: DISARMING[name](tmp_path / "event")})
-        compiled = repro.run(
-            cp, inputs, backend="compiled",
-            **{name: DISARMING[name](tmp_path / "compiled")},
-        )
+        event = _disarmed_run(name, "event", tmp_path)
+        compiled = _disarmed_run(name, "compiled", tmp_path)
         _assert_identical(event, compiled)
         schedule = compiled.engine.schedule
         assert not schedule.jumps

@@ -61,8 +61,9 @@ assert len(result.outputs["X"]) == 9
 
 LAYERS = {
     "client": (_CLIENT, (
-        "asyncio", "multiprocessing", "numpy", "networkx", "repro.compiler",
-        "repro.machine", "repro.checkpoint", "repro.sim", "repro.val",
+        "asyncio", "hashlib", "multiprocessing", "numpy", "networkx",
+        "repro.compiler", "repro.machine", "repro.checkpoint", "repro.sim",
+        "repro.val",
     )),
     "daemon": (_DAEMON, (
         "numpy", "networkx", "repro.compiler", "repro.sim", "repro.val",
