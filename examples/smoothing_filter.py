@@ -20,7 +20,7 @@ import random
 
 from repro import compile_program, run_program, parse_program
 from repro.analysis import static_traffic_estimate
-from repro.graph import pattern_to_str, Op
+from repro.graph import Op
 from repro.sim import SyncSimulator, utilization_report
 from repro.workloads import EXAMPLE1_SOURCE
 
@@ -42,9 +42,9 @@ def main() -> None:
     for cell in cp.graph.cells_by_op(Op.SOURCE):
         values = cell.params.get("values")
         if values is not None and all(isinstance(v, bool) for v in values):
-            text = pattern_to_str(values[:10])
-            if len(values) > 10:
-                text += f"..{pattern_to_str(values[-3:])}"
+            text = "".join("T" if v else "F" for v in values)
+            if len(text) > 10:
+                text = f"{text[:10]}..{text[-3:]}"
             print(f"  {cell.name:<20} <{text}>  ({len(values)} values)")
 
     signal = noisy_signal(M + 2)

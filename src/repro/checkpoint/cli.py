@@ -21,8 +21,8 @@ default: a worker that dies or hangs mid-run is detected within the
 recovery deadline, every shard rolls back to the latest complete
 coordinated set, and only the failed worker is respawned.  The
 ``recovery`` object of ``--shard-config`` tunes this (``{"enabled":
-false}`` restores the die-with-exit-137 behavior; ``deadline``,
-``max_restarts`` and ``degrade`` tune the escalation).
+false}`` restores the die-with-exit-137 behavior; ``deadline`` and
+``max_restarts`` tune the escalation).
 Chaos faults (``kill_shard``/``hang_shard``/``slow_shard`` entries in
 a ``--plan`` file) exercise exactly this path deterministically.
 
@@ -46,8 +46,8 @@ from ..cli import (
     emit_envelope,
     emit_outputs,
     fault_args,
+    fault_plan,
     json_arg,
-    optional_fault_plan,
     shard_config_arg,
     shard_flags_fit,
     shards_arg,
@@ -128,9 +128,9 @@ def crash_args(p: argparse.ArgumentParser) -> None:
                    help="hard-kill the process (exit 137, as SIGKILL "
                    "would) once simulated time reaches CYCLE; used to "
                    "exercise crash recovery")
-    p.add_argument("--crash-shard", type=int, default=0, metavar="K",
-                   help="which worker --crash-at kills on the sharded "
-                   "backend (default 0)")
+    p.add_argument("--crash-shard", type=int, default=None, metavar="K",
+                   help="which worker --crash-at kills; sharded runs "
+                   "only (default 0)")
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +172,7 @@ def _finish(engine: Union[Machine, ShardedRunner],
         if sharded:
             stats = engine.run(max_cycles=args.max_cycles,
                                crash_at=args.crash_at,
-                               crash_shard=args.crash_shard)
+                               crash_shard=args.crash_shard or 0)
         else:
             install_live_snapshot_handler(engine)
             stats = engine.run(max_cycles=args.max_cycles,
@@ -216,7 +216,7 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
     workload = figure_workload(args.workload)
     program = workload.compile(m=args.size)
     inputs = workload.make_inputs(program, seed=args.input_seed)
-    plan = optional_fault_plan(args)
+    plan = fault_plan(args.plan)
     cfg = CheckpointConfig(
         args.dir,
         interval=args.interval,
@@ -256,11 +256,13 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
     point = resume_point(args.snapshot)
     sharded = point.sharded
-    if args.shard_config and not sharded:
+    flag = ("--shard-config" if args.shard_config
+            else "--crash-shard" if args.crash_shard is not None else None)
+    if flag and not sharded:
         # the target resolved to a single-machine snapshot; shard
-        # tuning cannot apply, so fail loudly like the facade does
+        # flags cannot apply, so fail loudly like the facade does
         print(
-            f"error: --shard-config given but {args.snapshot} is not a "
+            f"error: {flag} given but {args.snapshot} is not a "
             f"sharded checkpoint directory",
             file=sys.stderr,
         )
@@ -465,15 +467,11 @@ def cmd_supervise(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    from ..faults import FaultPlan
     from .replay import replay_bundle
 
-    perturb = None
-    if args.perturb_plan is not None:
-        with open(args.perturb_plan, "r", encoding="utf-8") as fh:
-            perturb = FaultPlan.from_json(fh.read())
     report = replay_bundle(
-        args.bundle, perturb=perturb, max_cycles=args.max_cycles
+        args.bundle, perturb=fault_plan(args.perturb_plan),
+        max_cycles=args.max_cycles,
     )
     if args.json:
         emit_envelope("replay", report.reproduced, asdict(report))

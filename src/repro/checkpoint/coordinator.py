@@ -152,7 +152,7 @@ class CoordinatedCheckpointManager:
     def reset_chain(self) -> None:
         """Forget the live chain: called by the runner whenever worker
         state no longer descends from the last committed set (rollback,
-        respawn, degrade), so the next set is a full base."""
+        respawn), so the next set is a full base."""
         self._chain_live = False
 
     def _delta_parent(

@@ -140,54 +140,19 @@ def workload_args(p: argparse.ArgumentParser) -> list:
     ]
 
 
-_PROBABILITIES = ("drop_result", "dup_result", "corrupt_result",
-                  "drop_ack", "dup_ack")
-
-
-def fault_args(p: argparse.ArgumentParser,
-               drop: float = 0.0, dup: float = 0.0) -> list:
+def fault_args(p: argparse.ArgumentParser) -> list:
     return [
-        p.add_argument("--plan", help="JSON fault-plan file (see DESIGN.md "
-                       "for the schema); overrides the probability flags"),
-        p.add_argument("--seed", type=int, default=None,
-                       help="fault-injection seed (overrides the plan "
-                       "file's)"),
-        p.add_argument("--drop-result", type=float, default=drop,
-                       metavar="P", help="result-packet drop probability"),
-        p.add_argument("--dup-result", type=float, default=dup,
-                       metavar="P",
-                       help="result-packet duplication probability"),
-        p.add_argument("--corrupt-result", type=float, default=0.0,
-                       metavar="P",
-                       help="result-packet corruption probability"),
-        p.add_argument("--drop-ack", type=float, default=0.0,
-                       metavar="P", help="acknowledge-packet drop "
-                       "probability"),
-        p.add_argument("--dup-ack", type=float, default=0.0,
-                       metavar="P", help="acknowledge duplication "
-                       "probability"),
+        p.add_argument("--plan", help="JSON fault-plan file, seed "
+                       "included (see DESIGN.md for the schema)"),
     ]
 
 
-def fault_plan(args: argparse.Namespace) -> FaultPlan:
-    if args.plan:
-        with open(args.plan, "r", encoding="utf-8") as fh:
-            plan = FaultPlan.from_json(fh.read())
-        if args.seed is not None:
-            plan = FaultPlan.from_dict({**plan.to_dict(), "seed": args.seed})
-        return plan
-    return FaultPlan(
-        seed=args.seed if args.seed is not None else 0,
-        **{name: getattr(args, name) for name in _PROBABILITIES},
-    )
-
-
-def optional_fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
-    """A plan only when the user asked for one (flag or plan file)."""
-    wants = args.plan or args.seed is not None or any(
-        getattr(args, name) for name in _PROBABILITIES
-    )
-    return fault_plan(args) if wants else None
+def fault_plan(path: Optional[str]) -> Optional[FaultPlan]:
+    """The fault plan in the JSON file at ``path`` (None without one)."""
+    if path is None:
+        return None
+    with open(path, "r", encoding="utf-8") as fh:
+        return FaultPlan.from_json(fh.read())
 
 
 def shard_flags_fit(args: argparse.Namespace) -> bool:
@@ -195,7 +160,7 @@ def shard_flags_fit(args: argparse.Namespace) -> bool:
     loud error, never a silent no-op."""
     if args.backend == "sharded":
         return True
-    for flag in ("shard_config", "shards"):
+    for flag in ("shard_config", "shards", "crash_shard"):
         if getattr(args, flag, None) is not None:
             print(
                 f"error: --{flag.replace('_', '-')} requires --backend "

@@ -3,8 +3,11 @@ injected fault plan and report what the reliability layer recovered.
 
 ::
 
-    python -m repro faults fig6 --drop-result 0.05 --dup-result 0.05
+    python -m repro faults fig6
     python -m repro faults fig7 --plan plan.json --no-recovery
+
+Without ``--plan`` the run drops and duplicates 5 % of result packets
+each (seed 0).
 
 Exit 0 when the outputs match the fault-free run, 3 when they diverge,
 2 when the run stalls (``--no-recovery`` prints the diagnosis).
@@ -19,13 +22,16 @@ from .. import api
 from ..cli import emit_outputs, fault_args, fault_plan, workload_args
 from ..errors import EXIT_DIVERGED, EXIT_RUN_FAILED, DeadlockError
 from ..workloads.figures import figure_workload
+from .plan import FaultPlan
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
     workload = figure_workload(args.workload)
     program = workload.compile(m=args.size)
     inputs = workload.make_inputs(program, seed=args.input_seed)
-    plan = fault_plan(args)
+    plan = fault_plan(args.plan) or FaultPlan(
+        seed=0, drop_result=0.05, dup_result=0.05
+    )
 
     clean = api.run(program, inputs)
     print(
@@ -64,7 +70,7 @@ def register(sub) -> None:
         "and report what the reliability layer recovered",
     )
     workload_args(p)
-    fault_args(p, drop=0.05, dup=0.05)
+    fault_args(p)
     p.add_argument("--no-recovery", action="store_true",
                    help="inject faults with the reliability layer off "
                    "(expect a diagnosed stall)")

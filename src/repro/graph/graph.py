@@ -25,12 +25,7 @@ from typing import Any, Iterable, Iterator, Optional
 
 from ..errors import GraphError
 from .cell import _NO_TOKEN, GATE_PORT, Arc, Cell
-from .opcodes import (
-    MERGE_CONTROL_PORT,
-    MERGE_FALSE_PORT,
-    MERGE_TRUE_PORT,
-    Op,
-)
+from .opcodes import Op
 
 
 class DataflowGraph:
@@ -83,8 +78,8 @@ class DataflowGraph:
 
         Used for the boolean control sequences of Figures 4-8 (``T..TFF``
         etc.), which the paper generates with Todd's counter subgraphs; we
-        model them as pattern sources (see :mod:`repro.graph.control` for
-        the Todd-style expansion).
+        model them as pattern sources (see :mod:`repro.compiler.controls`
+        for the Todd-style expansion).
         """
         return self.add_cell(Op.SOURCE, name=name, values=list(values))
 
@@ -337,19 +332,3 @@ class DataflowGraph:
             f"DataflowGraph({self.name or 'anon'}: {len(self.cells)} cells "
             f"[{parts}], {len(self.arcs)} arcs)"
         )
-
-
-def wire_merge(
-    g: DataflowGraph,
-    merge: int,
-    control: Optional[int] = None,
-    true_in: Optional[int] = None,
-    false_in: Optional[int] = None,
-) -> None:
-    """Convenience wiring of a MERGE cell's three operand ports."""
-    if control is not None:
-        g.connect(control, merge, MERGE_CONTROL_PORT)
-    if true_in is not None:
-        g.connect(true_in, merge, MERGE_TRUE_PORT)
-    if false_in is not None:
-        g.connect(false_in, merge, MERGE_FALSE_PORT)

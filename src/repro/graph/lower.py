@@ -61,21 +61,3 @@ def lower_fifos(g: DataflowGraph) -> DataflowGraph:
                 tag=arc.tag, initial=arc.initial, weight=arc.weight,
             )
     return out
-
-
-def strip_names(g: DataflowGraph) -> DataflowGraph:
-    """Return a copy of ``g`` with anonymous cells (used by benchmarks to
-    measure name-independent behaviour and by fuzz tests)."""
-    out = DataflowGraph(g.name)
-    out.meta = dict(g.meta)
-    mapping: dict[int, int] = {}
-    for cid, cell in g.cells.items():
-        mapping[cid] = out.add_cell(
-            cell.op, name="", consts=cell.consts, gated=cell.gated, **cell.params
-        )
-    for arc in g.arcs.values():
-        out.connect(
-            mapping[arc.src], mapping[arc.dst], arc.dst_port,
-            tag=arc.tag, initial=arc.initial, weight=arc.weight,
-        )
-    return out

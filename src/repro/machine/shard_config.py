@@ -57,9 +57,6 @@ class RecoveryPolicy:
         default_factory=lambda: BackoffPolicy(base=0.1, max_delay=2.0)
     )
     seed: int = 0
-    #: on budget exhaustion, fold the shard into the coordinator
-    #: process (K-1 worker processes) instead of raising
-    degrade: bool = False
     #: injectable for tests; the backoff delays go through this
     sleep: Callable[[float], None] = time.sleep
     #: ``None`` heals whenever the run has worker processes *and*

@@ -50,8 +50,8 @@ anew and reloads it with the survivors) and the windows replay
 bit-identically.
 :class:`RecoveryPolicy` sets the escalation: per-shard restart budgets
 with seeded backoff, two-strike step-back, then
-:class:`ShardRecoveryExhausted` (exit 137 at the CLI) or, with
-``degrade=True``, the shard folded into the coordinator.
+:class:`ShardRecoveryExhausted` (exit 137 at the CLI), which
+``repro supervise`` restarts from.
 """
 
 from __future__ import annotations
@@ -267,8 +267,6 @@ class ShardedRunner:
         #: replay legitimately re-commits these cycles, so an on-disk
         #: quarantine would poison its own recovery)
         self._barred: set[int] = set()
-        #: shards folded into the coordinator after budget exhaustion
-        self._degraded: set[int] = set()
         self._barrier = 0
         self._start_cycle = max(self.start_cycles)
         faults = tuple(
@@ -300,7 +298,7 @@ class ShardedRunner:
         """Pop the due chaos directive for ``shard``, if any (see
         :func:`repro.workers.apply_fault`)."""
         queue = self._shard_faults.get(shard)
-        if not queue or cycle < queue[0].cycle or shard in self._degraded:
+        if not queue or cycle < queue[0].cycle:
             return None
         fault = queue.pop(0)
         return {"kind": fault.kind, "delay": fault.delay}
@@ -369,6 +367,11 @@ class ShardedRunner:
         """
         if self._finished:
             raise SimulationError("this runner has already completed")
+        if crash_at is not None and not 0 <= crash_shard < self.shards:
+            raise SimulationError(
+                f"crash_shard={crash_shard} names no shard of this "
+                f"{self.shards}-shard run"
+            )
         heal = self._heal if crash_at is None else None
         if heal is not None and self._recovery is None:
             self._recovery = RecoveryStats()
@@ -407,8 +410,8 @@ class ShardedRunner:
         """Fill ``eps``, warm workers first, and start each endpoint."""
         self._last_cycle = [-1] * self.shards
         key = self._pool_key
-        warm = [None if key is None or k in self._degraded else unpark(key)
-                for k in range(self.shards)]
+        warm = [None if key is None else unpark(key)
+                for _ in range(self.shards)]
         self.worker_pids = [w and w.pid for w in warm]
         eps[:] = [w or self._spawn_one(k, key) for k, w in enumerate(warm)]
         replaced = self._launch(eps, [
@@ -422,7 +425,7 @@ class ShardedRunner:
 
     def _spawn_one(self, shard: int, pool_key: Optional[str] = None):
         handler = LocalShard(shard, self._graph)
-        if not self._processes or shard in self._degraded:
+        if not self._processes:
             self.worker_pids[shard] = None
             return handler
         self._last_cycle[shard] = -1
@@ -617,12 +620,11 @@ class ShardedRunner:
         detect_cycle = exc.cycle if exc.cycle >= 0 else self._barrier
         failed = exc.shard
         self._charge_restart(failed, detect_cycle, policy, exc)
-        if failed not in self._degraded:
-            delay = policy.backoff.delay(
-                self._restarts.get(failed, 1), self._heal_rng
-            )
-            if delay:
-                policy.sleep(delay)
+        delay = policy.backoff.delay(
+            self._restarts.get(failed, 1), self._heal_rng
+        )
+        if delay:
+            policy.sleep(delay)
         point = self._resume_point()
         key = point.cycle if point is not None else -1
         strikes = self._strikes.get(key, 0) + 1
@@ -658,12 +660,6 @@ class ShardedRunner:
         self._restarts[shard] = self._restarts.get(shard, 0) + 1
         if self._restarts[shard] <= policy.max_restarts:
             return
-        if policy.degrade and shard not in self._degraded:
-            # fold the incurable shard into the coordinator process:
-            # K-1 worker processes continue, bit-identically
-            self._degraded.add(shard)
-            self._recovery.degraded_shards = len(self._degraded)
-            return
         raise ShardRecoveryExhausted(
             f"shard {shard} worker failed {self._restarts[shard]} "
             f"times (budget {policy.max_restarts}) near cycle "
@@ -686,27 +682,27 @@ class ShardedRunner:
 
     def _restore(self, eps: list, point: Optional[ResumePoint],
                  failed: set) -> None:
-        """Roll the endpoints back in place: failed and degraded ones
-        are replaced, then survivors and replacements all reload their
-        shard file in one round (a survivor that dies too is replaced
-        as well).  With no committed set, every shard restarts from its
-        start command."""
+        """Roll the endpoints back in place: failed ones are replaced,
+        then survivors and replacements all reload their shard file in
+        one round (a survivor that dies too is replaced as well).  With
+        no committed set, every shard restarts from its start
+        command."""
         rec = self._recovery
         if point is None:
             for ep in eps:
                 ep.close()
             self._spawn(eps, None, 0)
-            rec.respawns += len(failed - self._degraded)
+            rec.respawns += len(failed)
             return
         directory = self._ckpt_directory()
-        respawn = set(failed) | self._degraded
+        respawn = set(failed)
         for k in sorted(respawn):
             eps[k].close()
             eps[k] = self._spawn_one(k)
         respawn |= self._launch(eps, [
             ("load", str(directory / name), None) for name in point.files
         ])
-        rec.respawns += len(respawn - self._degraded)
+        rec.respawns += len(respawn)
 
     # ------------------------------------------------------------------
     # results

@@ -121,8 +121,6 @@ class RecoveryStats:
     step_backs: int = 0
     #: simulated cycles re-executed because of rollbacks
     cycles_replayed: int = 0
-    #: shards folded into the coordinator process (``degrade=True``)
-    degraded_shards: int = 0
     #: resume-point cycle of each rollback (-1 = restart from inputs)
     rollback_cycles: list = field(default_factory=list)
     #: wall-clock seconds from detection to execution resuming
@@ -144,8 +142,7 @@ class RecoveryStats:
             f"({self.crashes} crashes, {self.hangs} hangs), "
             f"{self.rollbacks} rollbacks, {self.respawns} respawns, "
             f"{self.step_backs} step-backs, "
-            f"{self.cycles_replayed} cycles replayed, "
-            f"{self.degraded_shards} degraded, {lat}"
+            f"{self.cycles_replayed} cycles replayed, {lat}"
         )
 
 

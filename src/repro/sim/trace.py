@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence
 
 from ..graph.graph import DataflowGraph
-from ..graph.opcodes import Op
 from .sync import SimStats, SyncSimulator
 
 
@@ -123,20 +122,3 @@ def occupancy_snapshot(sim: SyncSimulator) -> dict[str, int]:
     on_arcs = sum(1 for v in sim.arc_value.values() if v is not _NO_TOKEN)
     in_fifos = sum(st.occupancy for st in sim.fifo_state.values())
     return {"arcs": on_arcs, "fifos": in_fifos, "total": on_arcs + in_fifos}
-
-
-def count_stage_depth(graph: DataflowGraph) -> int:
-    """Longest acyclic path length in cells (pipeline depth), counting a
-    FIFO(d) as d stages; raises on cyclic graphs."""
-    order = graph.topo_order()
-    depth: dict[int, int] = {}
-    best = 0
-    for cid in order:
-        cell = graph.cells[cid]
-        weight = cell.params.get("depth", 1) if cell.op is Op.FIFO else 1
-        start = 0
-        for arc in graph.in_arcs_of(cid):
-            start = max(start, depth.get(arc.src, 0))
-        depth[cid] = start + weight
-        best = max(best, depth[cid])
-    return best

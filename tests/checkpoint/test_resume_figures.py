@@ -12,6 +12,7 @@ import os
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,8 @@ from repro.workloads.figures import FIGURES
 from tests.util import CHAOS_PLAN
 
 M = 12
+#: the checkout root, where ``PYTHONPATH=src`` finds the package
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def _workload(figure):
@@ -66,20 +69,23 @@ class TestCrashAndResumeSubprocess:
         (exit 137, what SIGKILL reports), resume from the surviving
         snapshots, and demand byte-identical stdout."""
         env = {**os.environ, "PYTHONPATH": "src"}
+        plan = tmp_path / "plan.json"
+        plan.write_text(FaultPlan(
+            seed=3, drop_result=0.05, dup_result=0.05
+        ).to_json(), encoding="utf-8")
         common = [
             sys.executable, "-m", "repro", "checkpoint", "fig6",
-            "--size", "8", "--interval", "60",
-            "--drop-result", "0.05", "--dup-result", "0.05", "--seed", "3",
+            "--size", "8", "--interval", "60", "--plan", str(plan),
         ]
         clean = subprocess.run(
             common + ["--dir", str(tmp_path / "clean")],
-            capture_output=True, env=env, cwd="/root/repo",
+            capture_output=True, env=env, cwd=ROOT,
         )
         assert clean.returncode == 0, clean.stderr.decode()
 
         crashed = subprocess.run(
             common + ["--dir", str(tmp_path / "crash"), "--crash-at", "150"],
-            capture_output=True, env=env, cwd="/root/repo",
+            capture_output=True, env=env, cwd=ROOT,
         )
         assert crashed.returncode == 128 + signal.SIGKILL
         # the kill happened mid-run: snapshots exist, outputs don't
@@ -89,7 +95,7 @@ class TestCrashAndResumeSubprocess:
         resumed = subprocess.run(
             [sys.executable, "-m", "repro", "resume",
              str(tmp_path / "crash")],
-            capture_output=True, env=env, cwd="/root/repo",
+            capture_output=True, env=env, cwd=ROOT,
         )
         assert resumed.returncode == 0, resumed.stderr.decode()
         assert resumed.stdout == clean.stdout

@@ -78,6 +78,20 @@ class TestExpansion:
         assert report.expanded_boolean == 1
         assert got == expect
 
+    def test_computed_window_quiesces(self):
+        """The counter loop computes the T..TFF window itself, and the
+        run stops on its own once the last value is out (no sink
+        limit)."""
+        pattern = [True, True, True, False, False]
+        g = DataflowGraph()
+        ctl = g.add_pattern_source("ctl", pattern)
+        sink = g.add_sink("out", stream="y")
+        g.connect(ctl, sink, 0)
+        assert expand_controls(g).expanded_boolean == 1
+        assert not pattern_tables(g)
+        res = repro.run(g, {}, backend="sync")
+        assert res.outputs["y"] == pattern
+
     def test_constant_patterns_kept(self):
         report, got, expect = self.expand_and_run([True, True, True])
         assert report.expanded_boolean == 0

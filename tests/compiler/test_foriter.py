@@ -17,6 +17,7 @@ from repro.compiler import (
     compile_foriter_companion,
     compile_foriter_interleaved,
     compile_foriter_todd,
+    compile_program,
     deinterleave,
     interleave,
 )
@@ -166,6 +167,23 @@ class TestSchemeComparison:
             steps[scheme] = sim_res.stats.steps
         # rate 1/2 vs 1/3: wall-clock ratio approaches 3/2
         assert steps["todd"] / steps["companion"] == pytest.approx(1.5, abs=0.1)
+
+    def test_bound_matches_measurement(self):
+        """The loop rate bound a compiled program carries is the II the
+        linked, balanced program measures on the machine."""
+        for scheme, expected in (("companion", 2), ("todd", 3)):
+            cp = compile_program(
+                SOURCES["example2"], params={"m": 120},
+                foriter_scheme=scheme,
+            )
+            bound = cp.artifacts["X"].graph.meta["loop"]["rate_bound"]
+            assert 1 / bound == expected
+            res = cp.run(
+                {k: [1.0] * v.length for k, v in cp.input_specs.items()}
+            )
+            assert res.initiation_interval("X") == pytest.approx(
+                expected, abs=0.05
+            )
 
     def test_same_results_all_schemes(self):
         m = 11

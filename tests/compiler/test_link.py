@@ -115,6 +115,21 @@ class TestCompiledProgramApi:
         assert "block A" in text and "block X" in text
         assert "balancing" in text
 
+    def test_describe_pins_block_and_loop_lines(self):
+        """describe() is the one compile report: its block lines carry
+        each block's range, size and loop rate bound."""
+        for scheme, x_line in (
+            ("companion", "  block X: [0,12] 29 cells "
+                          "loop(len=4, tokens=2, rate<=1/2)"),
+            ("todd", "  block X: [0,12] 10 cells "
+                     "loop(len=3, tokens=1, rate<=1/3)"),
+        ):
+            cp = compile_program(
+                SOURCES["fig3"], params={"m": 12}, foriter_scheme=scheme
+            )
+            lines = cp.describe().splitlines()
+            assert lines[1:3] == ["  block A: [0,13] 19 cells", x_line]
+
     def test_dot_export(self):
         cp = compile_program(SOURCES["fig2"], params={"m": 4})
         dot = cp.to_dot()

@@ -1,58 +1,7 @@
-"""Tests for control-sequence helpers, FIFO lowering and dot export."""
-
-import pytest
+"""Tests for FIFO lowering and dot export."""
 
 import repro
-from repro.errors import GraphError
-from repro.graph import (
-    DataflowGraph,
-    Op,
-    first_k_pattern,
-    last_k_pattern,
-    lower_fifos,
-    pattern_to_str,
-    predicate_pattern,
-    str_to_pattern,
-    strip_names,
-    to_dot,
-    validate,
-    window_pattern,
-)
-
-
-class TestPatterns:
-    def test_window_pattern_paper_notation(self):
-        # C[i-1] for i in [1, m], C over [0, m+1], m = 4: T..TFF
-        assert pattern_to_str(window_pattern(0, 5, 0, 3)) == "TTTTFF"
-        # C[i] : FT..TF
-        assert pattern_to_str(window_pattern(0, 5, 1, 4)) == "FTTTTF"
-        # C[i+1] : FFT..T
-        assert pattern_to_str(window_pattern(0, 5, 2, 5)) == "FFTTTT"
-
-    def test_window_pattern_bounds(self):
-        with pytest.raises(GraphError, match="outside"):
-            window_pattern(0, 5, -1, 3)
-        with pytest.raises(GraphError, match="empty"):
-            window_pattern(0, 5, 4, 2)
-
-    def test_first_last_k(self):
-        assert first_k_pattern(5, 2) == [False, False, True, True, True]
-        assert last_k_pattern(5, 2) == [True, True, True, False, False]
-        assert first_k_pattern(4, 1, value=True) == [True, False, False, False]
-        with pytest.raises(GraphError):
-            first_k_pattern(3, 4)
-        with pytest.raises(GraphError):
-            last_k_pattern(3, -1)
-
-    def test_predicate_pattern(self):
-        pat = predicate_pattern(0, 5, lambda i: i in (0, 5))
-        assert pattern_to_str(pat) == "TFFFFT"
-
-    def test_str_roundtrip(self):
-        assert str_to_pattern("TFFT") == [True, False, False, True]
-        assert pattern_to_str(str_to_pattern("TTFF")) == "TTFF"
-        with pytest.raises(GraphError, match="bad pattern"):
-            str_to_pattern("TXF")
+from repro.graph import DataflowGraph, Op, lower_fifos, to_dot, validate
 
 
 class TestLowering:
@@ -106,12 +55,6 @@ class TestLowering:
         g.connect(s, sink, 0)
         lowered = lower_fifos(g)
         assert len(lowered) == 2
-
-    def test_strip_names(self):
-        g = self.graph_with_fifo(2)
-        anon = strip_names(g)
-        assert all(not c.name for c in anon)
-        validate(anon)
 
 
 class TestDot:

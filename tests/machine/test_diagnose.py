@@ -12,8 +12,8 @@ import pytest
 
 import repro
 from repro.errors import DeadlockError
-from repro.graph.graph import DataflowGraph, wire_merge
-from repro.graph.opcodes import Op
+from repro.graph.graph import DataflowGraph
+from repro.graph.opcodes import MERGE_CONTROL_PORT, MERGE_TRUE_PORT, Op
 
 
 def _recurrence_graph(with_initial: bool):
@@ -42,7 +42,8 @@ def _conditional_graph(control_values):
     s = g.add_source("a", stream="a")
     m = g.add_merge("pick")
     sink = g.add_sink("out", stream="y", limit=3)
-    wire_merge(g, m, control=ctl, true_in=s)
+    g.connect(ctl, m, MERGE_CONTROL_PORT)
+    g.connect(s, m, MERGE_TRUE_PORT)
     g.cells[m].consts[2] = 0.0  # false arm is a constant
     g.connect(m, sink, 0)
     return g, {"a": [1.0, 2.0, 3.0]}

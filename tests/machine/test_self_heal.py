@@ -6,7 +6,7 @@ coordinated set, and the replayed windows must reproduce exactly the
 outputs AND sink arrival times of a run where nothing failed (on every
 program and shard count, that is the differential oracle's kill and
 hang variants in tests/integration/test_oracle.py).  Escalation
-(restart budgets, two-strike step-back, degrade) mirrors the
+(restart budgets, two-strike step-back) mirrors the
 ``repro supervise`` ladder one level down.
 """
 
@@ -300,25 +300,6 @@ class TestEscalation:
         assert rec.detections == 2
         assert rec.step_backs == 1
         assert rec.rollback_cycles == [20, 10]
-
-    def test_degrade_continues_with_k_minus_one(self, tmp_path):
-        ref_out, ref_times = reference(*program_graph("fig7"), FaultPlan())
-        runner, out, times = _chaos_run(
-            tmp_path, "fig7", 4, [_fault(1, 30)],
-            heal=RecoveryPolicy(
-                max_restarts=0, degrade=True, **FAST
-            ),
-        )
-        assert out == ref_out
-        assert times == ref_times
-        rec = runner.stats().recovery
-        assert rec.degraded_shards == 1
-        assert rec.respawns == 0
-        # the degraded shard runs inside the coordinator
-        assert runner.worker_pids[1] is None
-        assert sum(
-            1 for pid in runner.worker_pids if pid is not None
-        ) == 3
 
 
 class TestHealValidation:

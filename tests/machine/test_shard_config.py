@@ -46,7 +46,6 @@ class TestValidation:
             {"processes": 1},
             {"recovery": {"enabled": True}},
             {"recovery": lambda: RecoveryPolicy(enabled="on")},
-            {"recovery": lambda: RecoveryPolicy(degrade=0)},
         ],
     )
     def test_bad_values_raise(self, kwargs):
@@ -296,6 +295,8 @@ REMOVED_RECOVERY_KEYS = [
     ("jitter", 0.1),
     # the two-strike rule is a constant, repro.workers.STRIKES
     ("strikes", 2),
+    # an exhausted restart budget always escalates to the supervisor
+    ("degrade", True),
 ]
 
 
@@ -350,8 +351,8 @@ class TestLoudFailures:
                                             value):
         doc = {"shards": 2, "recovery": {key: value}}
         refusal = (f"unknown recovery keys: ['{key}']; known keys: "
-                   "['backoff', 'deadline', 'degrade', 'enabled', "
-                   "'max_restarts', 'seed', 'sleep']")
+                   "['backoff', 'deadline', 'enabled', 'max_restarts', "
+                   "'seed', 'sleep']")
         for form in (doc, json.dumps(doc)):
             with pytest.raises(SimulationError) as info:
                 ShardConfig.coerce(form)
@@ -361,3 +362,42 @@ class TestLoudFailures:
         rc = cli_main(self._argv(tmp_path, "--shard-config", json.dumps(doc)))
         assert rc == 1
         assert capsys.readouterr().err == f"error: {refusal}\n"
+
+    def test_crash_shard_outside_the_run_is_refused(self, tmp_path, capsys):
+        cp, inputs = figure("fig2", 8)
+        runner = ShardedRunner(
+            cp.graph, cp.prepare_inputs(inputs),
+            shard_config=ShardConfig(shards=2, processes=False),
+        )
+        with pytest.raises(SimulationError, match="crash_shard=5"):
+            runner.run(crash_at=60, crash_shard=5)
+        assert not runner.started
+        rc = cli_main(self._argv(tmp_path, "--shards", "2", "--crash-at",
+                                 "60", "--crash-shard", "5"))
+        assert rc == 1
+        assert capsys.readouterr().err.endswith(
+            "\nerror: crash_shard=5 names no shard of this 2-shard run\n"
+        )
+
+    def test_crash_shard_needs_a_sharded_checkpoint(self, tmp_path, capsys):
+        rc = cli_main(["checkpoint", "fig2", "--size", "6", "--dir",
+                       str(tmp_path / "snaps"), "--interval", "5",
+                       "--crash-at", "60", "--crash-shard", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --crash-shard requires --backend sharded "
+            "(got --backend event)\n"
+        )
+        assert not (tmp_path / "snaps").exists()
+
+    def test_crash_shard_needs_a_sharded_resume(self, tmp_path, capsys):
+        snaps = tmp_path / "snaps"
+        assert cli_main(["checkpoint", "fig2", "--size", "6", "--dir",
+                         str(snaps), "--interval", "5"]) == 0
+        capsys.readouterr()
+        rc = cli_main(["resume", str(snaps), "--crash-shard", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: --crash-shard given but {snaps} is not a sharded "
+            "checkpoint directory\n"
+        )

@@ -17,9 +17,7 @@ from repro.graph import (
     MERGE_TRUE_PORT,
     DataflowGraph,
     Op,
-    build_todd_counter,
     lower_fifos,
-    window_pattern,
 )
 from repro.graph.cell import _NO_TOKEN
 from repro.sim import SyncSimulator, occupancy_snapshot
@@ -315,7 +313,10 @@ class TestGating:
         g = DataflowGraph()
         src = g.add_source("C", stream="C")
         gate = g.add_cell(Op.ID, name="sel")
-        ctl = g.add_pattern_source("ctl", window_pattern(0, 5, 2, 4))
+        # keep C[2..4] of C[0..5]: FFTTTF
+        ctl = g.add_pattern_source(
+            "ctl", [False, False, True, True, True, False]
+        )
         sink = g.add_sink("out", stream="y")
         g.connect(src, gate, 0)
         g.connect(ctl, gate, GATE_PORT)
@@ -456,25 +457,6 @@ class TestDeadlockDetection:
         sim = SyncSimulator(g)
         with pytest.raises(SimulationError, match="did not quiesce"):
             sim.run(max_steps=100)
-
-
-class TestToddCounter:
-    def test_counter_computes_comparison_stream(self):
-        """Control sequences are themselves dataflow code (Todd)."""
-        g = DataflowGraph()
-        cmp_cell = build_todd_counter(g, lo=1, hi=5, cmp_op=Op.LE, bound=3)
-        sink = g.add_sink("out", stream="y")
-        g.connect(cmp_cell, sink, 0)
-        res = repro.run(g, {}, backend="sync")
-        assert res.outputs["y"] == [True, True, True, False, False]
-
-    def test_counter_quiesces(self):
-        g = DataflowGraph()
-        cmp_cell = build_todd_counter(g, lo=0, hi=9, cmp_op=Op.LT, bound=5)
-        sink = g.add_sink("out", stream="y", limit=10)
-        g.connect(cmp_cell, sink, 0)
-        res = repro.run(g, {}, backend="sync")
-        assert res.outputs["y"] == [True] * 5 + [False] * 5
 
 
 class TestMaxStepsBoundary:

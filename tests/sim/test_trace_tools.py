@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.analysis import pipeline_depth
 from repro.graph import DataflowGraph, Op
 from repro.sim import (
     SyncSimulator,
-    count_stage_depth,
     format_trace,
     occupancy_snapshot,
     utilization_report,
@@ -89,7 +89,8 @@ class TestOccupancy:
 
 class TestStageDepth:
     def test_counts_fifo_depth(self):
-        assert count_stage_depth(pipeline()) == 6  # src, add, 3 fifo, sink
+        # instruction times from the source: add 1, fifo(3) 3, sink 1
+        assert pipeline_depth(pipeline()) == 5
 
     def test_plain_chain(self):
         g = DataflowGraph()
@@ -98,4 +99,4 @@ class TestStageDepth:
         k = g.add_sink("k", stream="y")
         g.connect(s, a, 0)
         g.connect(a, k, 0)
-        assert count_stage_depth(g) == 3
+        assert pipeline_depth(g) == 2

@@ -15,6 +15,12 @@ def prog_file(tmp_path):
     return str(path)
 
 
+def plan_file(tmp_path, **plan):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan), encoding="utf-8")
+    return str(path)
+
+
 @pytest.fixture()
 def inputs_file(tmp_path):
     path = tmp_path / "inputs.json"
@@ -120,11 +126,9 @@ class TestControlsFlag:
 
 
 class TestFaults:
-    def test_recovered_run_exits_zero(self, capsys):
-        rc = main(
-            ["faults", "fig2", "--size", "8",
-             "--drop-result", "0.08", "--dup-result", "0.08", "--seed", "5"]
-        )
+    def test_recovered_run_exits_zero(self, tmp_path, capsys):
+        plan = plan_file(tmp_path, seed=5, drop_result=0.08, dup_result=0.08)
+        rc = main(["faults", "fig2", "--size", "8", "--plan", plan])
         assert rc == 0
         captured = capsys.readouterr()
         assert "outputs match fault-free run" in captured.err
@@ -133,26 +137,16 @@ class TestFaults:
         assert len(data["Y"]) == 8
 
     def test_plan_file(self, tmp_path, capsys):
-        plan = tmp_path / "plan.json"
-        plan.write_text(
-            json.dumps(
-                {
-                    "seed": 3,
-                    "drop_result": 0.1,
-                    "unit_faults": [{"unit": "fu", "index": 0}],
-                }
-            ),
-            encoding="utf-8",
-        )
-        rc = main(["faults", "fig4", "--size", "6", "--plan", str(plan)])
+        plan = plan_file(tmp_path, seed=3, drop_result=0.1,
+                         unit_faults=[{"unit": "fu", "index": 0}])
+        rc = main(["faults", "fig4", "--size", "6", "--plan", plan])
         assert rc == 0
         assert "units evicted" in capsys.readouterr().err
 
-    def test_no_recovery_reports_stall(self, capsys):
-        rc = main(
-            ["faults", "fig2", "--size", "8", "--seed", "1",
-             "--drop-result", "0.3", "--no-recovery"]
-        )
+    def test_no_recovery_reports_stall(self, tmp_path, capsys):
+        plan = plan_file(tmp_path, seed=1, drop_result=0.3)
+        rc = main(["faults", "fig2", "--size", "8", "--plan", plan,
+                   "--no-recovery"])
         assert rc == 2
         err = capsys.readouterr().err
         assert "stalled" in err and "deadlock diagnosis" in err
@@ -184,10 +178,9 @@ class TestCheckpointCommands:
         assert json.loads(second.out) == json.loads(first.out)
 
     def test_record_then_replay(self, tmp_path, capsys):
-        rc = self._checkpoint(
-            tmp_path, "--record", "--seed", "3",
-            "--drop-result", "0.05", "--dup-result", "0.05",
-        )
+        plan = plan_file(tmp_path, seed=3, drop_result=0.05,
+                         dup_result=0.05)
+        rc = self._checkpoint(tmp_path, "--record", "--plan", plan)
         assert rc == 0
         capsys.readouterr()
         assert main(["replay", str(tmp_path / "snaps")]) == 0
