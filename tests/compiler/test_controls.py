@@ -92,6 +92,19 @@ class TestExpansion:
         res = repro.run(g, {}, backend="sync")
         assert res.outputs["y"] == pattern
 
+    def test_counter_quiesces(self):
+        """A leading T-run computed by a counter loop: the run stops
+        with exactly the pattern's values out."""
+        pattern = [True] * 5 + [False] * 5
+        g = DataflowGraph()
+        ctl = g.add_pattern_source("ctl", pattern)
+        sink = g.add_sink("out", stream="y", limit=len(pattern))
+        g.connect(ctl, sink, 0)
+        assert expand_controls(g).counters == 1
+        validate(g)
+        res = repro.run(g, {}, backend="sync")
+        assert res.outputs["y"] == pattern
+
     def test_constant_patterns_kept(self):
         report, got, expect = self.expand_and_run([True, True, True])
         assert report.expanded_boolean == 0

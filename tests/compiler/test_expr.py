@@ -106,6 +106,29 @@ class TestArrayTaps:
         )
         assert out == [11.0, 12.0, 13.0, 14.0, 15.0, 0.0]
 
+    def test_window_patterns_in_paper_notation(self):
+        # A over [0, m+1], i in [1, m], m = 4: the taps read
+        # A[i-1] as T..TFF, A[i] as FT..TF and A[i+1] as FFT..T
+        g, _, _ = build(
+            "A[i-1] + A[i] + A[i+1]", m=4, lo=1, hi=4,
+            arrays=[("A", 0, 5)],
+        )
+        T, F = True, False
+        assert g.find("win_A-1").params["values"] == [T, T, T, T, F, F]
+        assert g.find("win_A+0").params["values"] == [F, T, T, T, T, F]
+        assert g.find("win_A+1").params["values"] == [F, F, T, T, T, T]
+
+    def test_gapped_selection_pattern(self):
+        # a compile-time guard selecting only the two boundary
+        # iterations gates A[i] with TFFFFT
+        g, _, _ = build(
+            "if (i = 0) | (i = m - 1) then A[i] else 0. endif",
+            arrays=[("A", 0, 5)],
+        )
+        assert g.find("win_A+0").params["values"] == [
+            True, False, False, False, False, True
+        ]
+
     def test_unknown_array(self):
         with pytest.raises(CompileError, match="unknown array"):
             build("Z[i]")

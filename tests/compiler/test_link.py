@@ -1,8 +1,11 @@
 """Tests for program linking and the compile driver (Theorem 4)."""
 
+from fractions import Fraction
+
 import pytest
 
-from repro.compiler import compile_program, infer_input_ranges
+from repro.analysis import static_traffic_estimate
+from repro.compiler import compile_program, infer_input_ranges, verify_balanced
 from repro.errors import CompileError
 from repro.graph import Op, validate
 from repro.val import parse_program
@@ -129,6 +132,17 @@ class TestCompiledProgramApi:
             )
             lines = cp.describe().splitlines()
             assert lines[1:3] == ["  block A: [0,13] 19 cells", x_line]
+
+    def test_fig3_is_balanced_and_fully_pipelined(self):
+        cp = compile_program(SOURCES["fig3"], params={"m": 12})
+        assert verify_balanced(cp.graph)
+        assert cp.balance.inserted_stages > 0
+        assert set(cp.artifacts) == {"A", "X"}
+        assert cp.artifacts["A"].graph.meta.get("loop") is None
+        assert cp.artifacts["X"].graph.meta["loop"] == {
+            "length": 4, "tokens": 2, "rate_bound": Fraction(1, 2),
+        }
+        assert static_traffic_estimate(cp.graph).am_fraction == 0.0
 
     def test_dot_export(self):
         cp = compile_program(SOURCES["fig2"], params={"m": 4})

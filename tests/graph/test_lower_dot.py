@@ -1,7 +1,9 @@
 """Tests for FIFO lowering and dot export."""
 
 import repro
+from repro.compiler import compile_program
 from repro.graph import DataflowGraph, Op, lower_fifos, to_dot, validate
+from repro.workloads import SOURCES
 
 
 class TestLowering:
@@ -55,6 +57,19 @@ class TestLowering:
         g.connect(s, sink, 0)
         lowered = lower_fifos(g)
         assert len(lowered) == 2
+
+
+    def test_compiled_fifos_expand_by_their_stages(self):
+        """Lowering a balanced program adds one cell per buffer stage
+        beyond the first of each FIFO."""
+        cp = compile_program(SOURCES["fig4"], params={"m": 8})
+        fifos = cp.graph.cells_by_op(Op.FIFO)
+        assert fifos
+        lowered = lower_fifos(cp.graph)
+        validate(lowered)
+        assert len(lowered) - len(cp.graph) == (
+            cp.balance.inserted_stages - len(fifos)
+        )
 
 
 class TestDot:

@@ -379,6 +379,16 @@ class TestLoudFailures:
             "\nerror: crash_shard=5 names no shard of this 2-shard run\n"
         )
 
+    def test_negative_crash_shard_is_refused(self):
+        cp, inputs = figure("fig2", 8)
+        runner = ShardedRunner(
+            cp.graph, cp.prepare_inputs(inputs),
+            shard_config=ShardConfig(shards=2, processes=False),
+        )
+        with pytest.raises(SimulationError, match="crash_shard=-1"):
+            runner.run(crash_at=60, crash_shard=-1)
+        assert not runner.started
+
     def test_crash_shard_needs_a_sharded_checkpoint(self, tmp_path, capsys):
         rc = cli_main(["checkpoint", "fig2", "--size", "6", "--dir",
                        str(tmp_path / "snaps"), "--interval", "5",

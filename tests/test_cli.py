@@ -151,6 +151,28 @@ class TestFaults:
         err = capsys.readouterr().err
         assert "stalled" in err and "deadlock diagnosis" in err
 
+    def test_default_plan_without_plan_file(self, capsys):
+        rc = main(["faults", "fig2", "--size", "8"])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert ("# plan: FaultPlan(seed=0, drop_result=0.05, "
+                "dup_result=0.05)\n") in err
+        assert "outputs match fault-free run" in err
+
+    def test_plan_file_is_the_only_spelling(self, tmp_path, capsys):
+        snaps = str(tmp_path / "snaps")
+        for argv in (["faults", "fig2"],
+                     ["checkpoint", "fig2", "--dir", snaps],
+                     ["supervise", "fig2", "--dir", snaps]):
+            for flag in ("--seed", "--drop-result", "--dup-result",
+                         "--corrupt-result", "--drop-ack", "--dup-ack"):
+                with pytest.raises(SystemExit) as info:
+                    main([*argv, flag, "1"])
+                assert info.value.code == 2
+                assert f"unrecognized arguments: {flag} 1" in (
+                    capsys.readouterr().err
+                )
+
     def test_bad_plan_file_is_an_error(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
         plan.write_text('{"drop_everything": 1.0}', encoding="utf-8")
