@@ -420,7 +420,8 @@ def resume(
     shard_runner.ShardedRunner.resume`; anything else resumes the newest
     single-machine snapshot via :meth:`~repro.machine.Machine.resume`.
     ``shard_config`` tunes the resumed runner (worker processes,
-    recovery); its shard count is ignored -- the snapshot set fixes K.
+    recovery); the snapshot set fixes K, so a config that names another
+    shard count raises :class:`~repro.errors.SimulationError`.
     """
     from .checkpoint.directory import resume_point
     from .machine.machine import Machine

@@ -47,9 +47,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".replay": "DivergenceReport EventTrace ReplayReport outputs_digest "
                "replay_bundle",
     ".snapshot": "DELTA_VERSION FORMAT_VERSION chain_status load_machine "
-                 "read_metadata read_snapshot rebase_snapshot "
-                 "save_snapshot snapshot_cycle verify_chain "
-                 "write_chain_snapshot",
+                 "read_metadata read_snapshot save_snapshot "
+                 "snapshot_cycle verify_chain write_chain_snapshot",
     ".supervisor": "EXIT_SNAPSHOT_UNLOADABLE AttemptRecord Supervisor "
                    "SupervisorConfig SupervisorReport",
 })

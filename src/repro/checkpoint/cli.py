@@ -1,5 +1,5 @@
 """The checkpointing subcommands: ``checkpoint``, ``resume``,
-``snapshot inspect|fsck|rebase``, ``supervise`` and ``replay``.
+``snapshot inspect|fsck``, ``supervise`` and ``replay``.
 
 ::
 
@@ -292,7 +292,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# snapshot inspect / fsck / rebase
+# snapshot inspect / fsck
 # ----------------------------------------------------------------------
 #: how inspect words a set verdict: a set no committed entry lists is
 #: ``partial`` (a crash landed between shard writes), a resumable one
@@ -399,15 +399,6 @@ def cmd_snapshot_fsck(args: argparse.Namespace) -> int:
     return 0 if report["ok"] else 1
 
 
-def cmd_snapshot_rebase(args: argparse.Namespace) -> int:
-    from .snapshot import rebase_snapshot
-
-    new_path = rebase_snapshot(args.file)
-    print(f"# rebased {args.file} -> {new_path}", file=sys.stderr)
-    print(str(new_path))
-    return 0
-
-
 # ----------------------------------------------------------------------
 # supervise / replay
 # ----------------------------------------------------------------------
@@ -512,8 +503,7 @@ def register(sub) -> None:
 
     p = sub.add_parser(
         "snapshot",
-        help="inspect, check or rebase snapshot files without running "
-        "anything",
+        help="inspect or check snapshot files without running anything",
     )
     snap_sub = p.add_subparsers(dest="snapshot_command", required=True)
     sp = snap_sub.add_parser(
@@ -535,14 +525,6 @@ def register(sub) -> None:
     sp.add_argument("--json", action="store_true",
                     help="print the full machine-readable report")
     sp.set_defaults(fn=cmd_snapshot_fsck)
-    sp = snap_sub.add_parser(
-        "rebase",
-        help="collapse a delta chain tip into a standalone full base "
-        "snapshot (verifies the whole chain first; refuses mid-chain "
-        "links)",
-    )
-    sp.add_argument("file", help="*.delta.snap chain tip")
-    sp.set_defaults(fn=cmd_snapshot_rebase)
 
     p = sub.add_parser(
         "supervise",

@@ -29,9 +29,15 @@ import time
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from ..errors import ChainBrokenError, SnapshotError
+from ..errors import SnapshotError
 from ..machine.stats import CheckpointStats
-from .directory import MANIFEST_SCHEMA, retire, write_manifest
+from .directory import (
+    MANIFEST_SCHEMA,
+    delta_parent_set,
+    descendants,
+    retire,
+    write_manifest,
+)
 from .manager import CheckpointConfig
 
 
@@ -155,45 +161,6 @@ class CoordinatedCheckpointManager:
         respawn), so the next set is a full base."""
         self._chain_live = False
 
-    def _delta_parent(
-        self, entries: list[dict[str, Any]], cycle: int
-    ) -> dict[str, Any]:
-        """The set a delta committed at ``cycle`` chains on, validated
-        intact; raises :class:`ChainBrokenError` otherwise (a delta
-        set whose parent is already unusable must never be committed
-        -- it would be born unresumable)."""
-        parent: Optional[dict[str, Any]] = None
-        for entry in entries:
-            if entry.get("cycle", 0) < cycle:
-                parent = entry
-        if parent is None or parent.get("kind") not in ("base", "delta"):
-            raise ChainBrokenError(
-                f"cannot commit coordinated delta set at cycle {cycle}: "
-                f"no chained parent set in the manifest",
-                status="orphaned",
-            )
-        quarantined = {
-            q.get("cycle") for q in self._quarantined if isinstance(q, dict)
-        }
-        if parent.get("cycle") in quarantined:
-            raise ChainBrokenError(
-                f"cannot commit coordinated delta set at cycle {cycle}: "
-                f"parent set at cycle {parent.get('cycle')} is quarantined",
-                status="damaged",
-            )
-        files = parent.get("files", [])
-        missing = [
-            name for name in files if not (self.directory / name).exists()
-        ]
-        if missing or not files:
-            raise ChainBrokenError(
-                f"cannot commit coordinated delta set at cycle {cycle}: "
-                f"parent set at cycle {parent.get('cycle')} is missing "
-                f"files {missing}",
-                status="orphaned",
-            )
-        return parent
-
     def commit(
         self,
         cycle: int,
@@ -210,9 +177,10 @@ class CoordinatedCheckpointManager:
         this commit.
 
         A ``kind="delta"`` set commits only when its parent set (the
-        previous committed barrier) is still intact -- all K parent
-        files present and not quarantined -- otherwise a typed
-        :class:`ChainBrokenError` is raised and nothing is committed.
+        previous committed barrier) is intact with its whole chain
+        (:func:`~repro.checkpoint.directory.delta_parent_set`);
+        otherwise a typed :class:`~repro.errors.ChainBrokenError` is
+        raised and nothing is committed.
         """
         if len(names) != self.shards:
             raise SnapshotError(
@@ -220,25 +188,20 @@ class CoordinatedCheckpointManager:
                 f"files, expected {self.shards}"
             )
         # post-rollback replay legitimately re-commits a barrier cycle
-        # that is already in the manifest; replace, don't duplicate
-        survivors = [e for e in self._sets if e.get("cycle") != cycle]
-        if len(survivors) != len(self._sets):
-            # the replaced set's files were just overwritten, so any
-            # still-listed delta set chained (transitively) on it now
-            # points at rewritten parents; drop those entries too --
-            # their files stay on disk as harmless orphans, exactly
-            # like a crash between shard writes would leave
-            doomed = {cycle}
-            kept: list[dict[str, Any]] = []
-            for entry in survivors:  # oldest-first: parents precede kids
-                if entry.get("parent_cycle") in doomed:
-                    doomed.add(entry.get("cycle"))
-                else:
-                    kept.append(entry)
-            survivors = kept
+        # that is already in the manifest: replace it, and drop every
+        # still-listed delta set chained (transitively) on it -- they
+        # point at rewritten parents; their files stay on disk as
+        # harmless orphans, like a crash between shard writes leaves
+        doomed = {cycle} | descendants(
+            {e.get("cycle"): e.get("parent_cycle") for e in self._sets},
+            [cycle],
+        )
+        survivors = [e for e in self._sets if e.get("cycle") not in doomed]
         entry: dict[str, Any] = {"cycle": cycle, "files": list(names)}
         if kind == "delta":
-            parent = self._delta_parent(survivors, cycle)
+            parent = delta_parent_set(
+                self.directory, survivors, self._quarantined, cycle
+            )
             entry["kind"] = "delta"
             entry["parent_cycle"] = parent["cycle"]
             entry["chain_depth"] = int(parent.get("chain_depth", 0)) + 1

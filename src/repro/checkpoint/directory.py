@@ -15,9 +15,11 @@ decision about either kind once:
 * **chain and retention policy** -- :func:`next_kind` picks full, base
   or delta, and :func:`retire` prunes whole units (a base plus the
   deltas chained on it), all-or-none;
-* **resumability** -- :func:`classify_file` rates one snapshot file by
-  its chain, :func:`classify_sets` rates every committed set, and
-  :func:`fsck_directory` reports both;
+* **lineage and resumability** -- :func:`descendants` walks what
+  chains on given files or sets, :func:`classify_file` rates one
+  snapshot file by its chain, :func:`classify_sets` rates every
+  committed set (and :func:`delta_parent_set` the one a new delta set
+  would chain on), and :func:`fsck_directory` reports both;
 * **resume point and quarantine** -- :func:`resume_point` and
   :func:`quarantine` take either kind of directory.
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Union
 
-from ..errors import ManifestError, SnapshotError
+from ..errors import ChainBrokenError, ManifestError, SnapshotError
 from ..fileio import atomic_write
 from .snapshot import chain_status, read_metadata
 
@@ -206,8 +208,34 @@ def retire(
 
 
 # ----------------------------------------------------------------------
-# resumability
+# lineage and resumability
 # ----------------------------------------------------------------------
+def descendants(parent_of: dict[Any, Any], roots: Any) -> set[Any]:
+    """Every child of ``parent_of`` (``{child: parent}``) whose parent
+    chain passes through one of ``roots``, the roots excluded."""
+    doomed = set(roots)
+    while True:
+        grown = {c for c, p in parent_of.items() if p in doomed} - doomed
+        if not grown:
+            return doomed - set(roots)
+        doomed |= grown
+
+
+def delta_parents(directory: Union[str, Path]) -> dict[str, str]:
+    """``{delta file: parent file}`` over the readable
+    ``*.delta.snap`` files of a single-machine directory (metadata
+    reads only)."""
+    parent_of = {}
+    for path in Path(directory).glob("*.delta.snap"):
+        try:
+            parent = read_metadata(path).get("parent")
+        except SnapshotError:
+            continue
+        if isinstance(parent, str):
+            parent_of[path.name] = parent
+    return parent_of
+
+
 def classify_file(path: Path) -> dict[str, Any]:
     """Rate one ``*.snap`` file without touching its payload:
     ``{"name", "kind", "status", ...}`` with ``cycle``, ``chain_depth``,
@@ -288,6 +316,41 @@ def classify_sets(
         status_of[cycle] = status
         out.append((entry, status, error))
     return out
+
+
+def delta_parent_set(
+    directory: Union[str, Path],
+    entries: list[dict[str, Any]],
+    quarantined: list[dict[str, Any]],
+    cycle: int,
+) -> dict[str, Any]:
+    """The committed set a delta set at ``cycle`` chains on: the newest
+    earlier of ``entries`` (oldest first), which must be a base or
+    delta that :func:`classify_sets` rates intact -- the verdict resume
+    and fsck read.  Only that set's chain is classified, from its base
+    on, so the cost is bounded by :data:`MAX_CHAIN_DEPTH` sets, not by
+    the directory.  Raises :class:`ChainBrokenError` otherwise: a delta
+    set on an unresumable parent would be born unresumable."""
+    chain: list[dict[str, Any]] = []
+    for entry in reversed(entries):
+        if entry.get("cycle", 0) >= cycle or (
+                chain and entry.get("cycle") != chain[0].get("parent_cycle")):
+            continue
+        chain.insert(0, entry)
+        if entry.get("kind") != "delta" or len(chain) > MAX_CHAIN_DEPTH:
+            break
+    why = "no chained parent set in the manifest"
+    if chain and chain[-1].get("kind") in ("base", "delta"):
+        parent, status, _error = classify_sets(
+            directory, {"coordinated": chain, "quarantined": quarantined}
+        )[-1]
+        if status == "intact":
+            return parent
+        why = f"parent set at cycle {parent['cycle']} is {status}"
+    raise ChainBrokenError(
+        f"cannot commit coordinated delta set at cycle {cycle}: {why}",
+        status="orphaned",
+    )
 
 
 def member_status(path: Path) -> Optional[str]:
@@ -482,29 +545,6 @@ def resume_point(
     return ResumePoint(source, True, manifest=manifest)
 
 
-def _descendants(directory: Path, name: str) -> list[str]:
-    """File names of every on-disk delta whose parent chain passes
-    through ``name`` (metadata reads only)."""
-    parent_of: dict[str, str] = {}
-    for path in directory.glob("*.snap"):
-        try:
-            meta = read_metadata(path)
-        except SnapshotError:
-            continue
-        parent = meta.get("parent")
-        if meta.get("kind") == "delta" and isinstance(parent, str):
-            parent_of[path.name] = parent
-    doomed = {name}
-    changed = True
-    while changed:
-        changed = False
-        for child, parent in parent_of.items():
-            if parent in doomed and child not in doomed:
-                doomed.add(child)
-                changed = True
-    return sorted(doomed - {name})
-
-
 def quarantine(point: ResumePoint, reason: str) -> list[str]:
     """Quarantine ``point`` with everything chained on it.
 
@@ -523,11 +563,10 @@ def quarantine(point: ResumePoint, reason: str) -> list[str]:
         manifest = read_manifest(directory, "sharded")
         entries = [e for e in manifest.get("coordinated", [])
                    if isinstance(e, dict)]
-        doomed = {point.cycle}
-        # parents precede children, so one pass closes the set
-        for entry in sorted(entries, key=lambda e: e.get("cycle", 0)):
-            if entry.get("parent_cycle") in doomed:
-                doomed.add(entry.get("cycle"))
+        doomed = {point.cycle} | descendants(
+            {e.get("cycle"): e.get("parent_cycle") for e in entries},
+            [point.cycle],
+        )
         names = [n for e in entries if e.get("cycle") in doomed
                  for n in e.get("files", [])]
         already = {q.get("cycle") for q in manifest.get("quarantined", [])
@@ -539,7 +578,9 @@ def quarantine(point: ResumePoint, reason: str) -> list[str]:
             if child not in already
         ]
     else:
-        names = [point.name] + _descendants(directory, point.name)
+        names = [point.name] + sorted(
+            descendants(delta_parents(directory), [point.name])
+        )
         records = [
             {"snapshot": n, "reason": reason if n == point.name
              else f"delta chained on quarantined {point.name}"}

@@ -26,17 +26,15 @@ from ..errors import ManifestError, SimulationTimeout, SnapshotError
 from ..fileio import atomic_write
 from .directory import (
     MANIFEST_SCHEMA,
+    delta_parents,
+    descendants,
     next_kind,
     read_manifest,
     retire,
     write_manifest,
 )
 from .replay import _outcome
-from .snapshot import (
-    read_metadata,
-    save_snapshot,
-    write_chain_snapshot,
-)
+from .snapshot import save_snapshot, write_chain_snapshot
 
 
 @dataclass
@@ -251,41 +249,18 @@ class CheckpointManager:
             self.stats.delta_bytes_written += size
         return path
 
-    def _has_external_children(self, doomed: list[str]) -> bool:
-        """True when an on-disk delta *outside* the doomed set lists a
-        doomed file as its parent.
-
-        A resumed run restarts its in-memory retention ledger, so the
-        directory can hold stale descendants of a base this manager is
-        about to prune (written before the crash).  Unlinking the base
-        would silently orphan them; keep the whole chain instead.
-        """
-        doomed_set = set(doomed)
-        try:
-            on_disk = list(self.directory.glob("*.delta.snap"))
-        except OSError:
-            return False
-        for path in on_disk:
-            if path.name in doomed_set:
-                continue
-            try:
-                parent = read_metadata(path).get("parent")
-            except SnapshotError:
-                continue
-            if parent in doomed_set:
-                return True
-        return False
-
     def _prune(self) -> None:
         """Retention over periodic snapshot files, whole chains at a
-        time (:func:`~repro.checkpoint.directory.retire`); a chain with
-        stale on-disk descendants is kept."""
+        time (:func:`~repro.checkpoint.directory.retire`).  A chain that
+        on-disk deltas outside it descend from is kept: a resumed run's
+        ledger has never heard of the deltas written before the crash,
+        and unlinking their base would orphan them."""
         for unit in retire(
             self._periodic, self.config.retain,
             lambda name: name.endswith(".delta.snap"),
             keep=lambda unit: (
                 (len(unit) > 1 or unit[0].endswith(".base.snap"))
-                and self._has_external_children(unit)
+                and descendants(delta_parents(self.directory), unit)
             ),
         ):
             for old in reversed(unit):

@@ -60,8 +60,7 @@ constructed.  The delta payload is a pickled plain-data dict
 ``{"delta": True, "cycle", "reason", "sections": {key: bytes},
 "removed": [key...]}``; each section blob decodes through the same
 restricted unpickler and is applied to the base machine by
-``Machine.apply_snapshot_sections``.  :func:`rebase_snapshot`
-collapses a chain tip back into a standalone v4 base.
+``Machine.apply_snapshot_sections``.
 """
 
 from __future__ import annotations
@@ -541,7 +540,7 @@ def write_chain_snapshot(
     return path
 
 
-#: hard bound on chain walks; real chains are forced to rebase at
+#: hard bound on chain walks; real chains restart on a new base at
 #: ``directory.MAX_CHAIN_DEPTH`` long before this
 _CHAIN_WALK_LIMIT = 10_000
 
@@ -703,55 +702,6 @@ def _load_chain(path: Path) -> tuple[Any, Any]:
         if "extra" in body:
             extra = body["extra"]
     return machine, extra
-
-
-def rebase_snapshot(path: Union[str, Path]) -> Path:
-    """Collapse a delta chain tip into a standalone full base.
-
-    The chain is verified and replayed into a machine, which is then
-    rewritten as an ordinary v4 base snapshot (``*.base.snap``); the
-    delta file is removed afterwards, so a crash in between leaves
-    both resumable.  Refuses (typed) if another on-disk delta lists
-    ``path`` as its parent -- rebasing a mid-chain link would orphan
-    its descendants.
-    """
-    path = Path(path)
-    meta = read_metadata(path)
-    if meta.get("kind") != "delta":
-        raise SnapshotError(
-            f"{path} is not a delta snapshot (kind="
-            f"{meta.get('kind', 'full')!r}); only deltas can be rebased"
-        )
-    for sibling in sorted(path.parent.glob("*.snap")):
-        if sibling == path:
-            continue
-        try:
-            smeta = read_metadata(sibling)
-        except SnapshotError:
-            continue
-        if smeta.get("kind") == "delta" and smeta.get("parent") == path.name:
-            raise SnapshotError(
-                f"cannot rebase {path.name}: {sibling.name} lists it as "
-                f"parent and would be orphaned; rebase the chain tip "
-                f"instead"
-            )
-    machine, extra = _load_chain(path)
-    if path.name.endswith(".delta.snap"):
-        new_path = path.with_name(
-            path.name[: -len(".delta.snap")] + ".base.snap"
-        )
-    else:
-        new_path = path       # coordinated shard member: same name
-    atomic_write(
-        new_path,
-        snapshot_bytes(
-            machine, "rebase", extra=extra,
-            meta_extra={"kind": "base", "chain_depth": 0},
-        ),
-    )
-    if new_path != path:
-        path.unlink(missing_ok=True)
-    return new_path
 
 
 @contextlib.contextmanager

@@ -16,7 +16,7 @@ subcommands, each through its own ``register(subparsers)``:
 
 * :mod:`repro.faults.cli` -- ``faults``;
 * :mod:`repro.checkpoint.cli` -- ``checkpoint``, ``resume``,
-  ``snapshot inspect|fsck|rebase``, ``supervise`` and ``replay``;
+  ``snapshot inspect|fsck``, ``supervise`` and ``replay``;
 * :mod:`repro.serve.cli` -- ``serve`` and ``submit``.
 
 Building the parser loads no compiler, machine or Val code: every

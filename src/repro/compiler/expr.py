@@ -530,8 +530,8 @@ class ExprBuilder:
         else:
             ctl = self.split_control(split, ctx)
         self.g.connect(ctl.cell, merge, MERGE_CONTROL_PORT, tag=ctl.tag)
-        self._connect_merge_arm(tv, merge, MERGE_TRUE_PORT, then_ctx)
-        self._connect_merge_arm(ev, merge, MERGE_FALSE_PORT, else_ctx)
+        self.connect_value(tv, merge, MERGE_TRUE_PORT, then_ctx)
+        self.connect_value(ev, merge, MERGE_FALSE_PORT, else_ctx)
         return Wire(merge, ctx)
 
     def _fold_if(self, split: Split, tv: BValue, ev: BValue) -> BValue:
@@ -545,16 +545,6 @@ class ExprBuilder:
         # each pattern bool indexes the arm whose next value it takes
         arms = (iter(es), iter(ts))
         return Seq(tuple(map(next, map(arms.__getitem__, split.pattern))))
-
-    def _connect_merge_arm(
-        self, value: BValue, merge: int, port: int, arm_ctx: Context
-    ) -> None:
-        u = as_uniform(value)
-        if u is not None and not isinstance(value, Wire):
-            self.g.set_const(merge, port, u)
-            return
-        wire = self.materialize(value, arm_ctx)
-        self.g.connect(wire.cell, merge, port, tag=wire.tag)
 
 
 __all__ = [

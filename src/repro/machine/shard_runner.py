@@ -314,7 +314,10 @@ class ShardedRunner:
         """Load the newest *complete* coordinated snapshot set of
         ``directory`` (or the :class:`~repro.checkpoint.directory.
         ResumePoint` already found in one) and return a runner ready
-        to continue bit-identically."""
+        to continue bit-identically.  The set fixes the shard count: a
+        ``shard_config`` that names another (a :class:`ShardConfig`
+        always names one, a dict or JSON document only with a
+        ``shards`` key) raises :class:`SimulationError`."""
         from ..checkpoint.coordinator import CoordinatedCheckpointManager
 
         point = (directory if isinstance(directory, ResumePoint)
@@ -324,6 +327,7 @@ class ShardedRunner:
                 f"no complete coordinated snapshot set in "
                 f"{point.directory}"
             )
+        sc = ShardConfig.coerce(shard_config, len(point.files))
         # a damaged member is refused here; the workers load them
         paths = [point.directory.resolve() / name for name in point.files]
         chains = [verify_chain(path) for path in paths]
@@ -337,9 +341,7 @@ class ShardedRunner:
         self = cls.__new__(cls)
         scheme = str(manifest.get("partition_scheme", "resumed"))
         self._setup(
-            # whatever count the config names, the snapshot set fixes K
-            ShardConfig.coerce(shard_config) or ShardConfig(),
-            base.graph, spec,
+            sc, base.graph, spec,
             Partition(len(paths), scheme, base._owner, cut_arcs=()),
             ckpt, point.cycle + interval if interval else None,
             [("load", str(path)) for path in paths],

@@ -1,6 +1,6 @@
 """Incremental (v3) delta-snapshot chains: write policy, chain
-verification, retention, quarantine, rebase, and delta-aware
-coordinated sharded sets.
+verification, retention, quarantine, and delta-aware coordinated
+sharded sets.
 
 The consistency unit is the *chain*: one ``.base.snap`` plus the
 ``.delta.snap`` files layered on it.  Every test here defends the same
@@ -35,9 +35,9 @@ from repro.checkpoint import (
     quarantine,
     read_manifest,
     read_metadata,
-    rebase_snapshot,
     resume_point,
     save_snapshot,
+    shard_snapshot_name,
     verify_chain,
 )
 from repro.checkpoint.coordinator import CoordinatedCheckpointManager
@@ -411,37 +411,6 @@ class TestIntegrity:
         assert fsck_directory(tmp_path)["ok"]
 
 
-class TestRebase:
-    def test_rebase_tip_collapses_chain(self, tmp_path):
-        ref = _machine()
-        ref.run()
-        _chained_run(tmp_path)
-        tip = latest_snapshot(tmp_path)
-        assert tip.name.endswith(".delta.snap")
-        rebased = rebase_snapshot(tip)
-        assert rebased.name.endswith(".base.snap")
-        assert not tip.exists()
-        assert read_metadata(rebased)["chain_depth"] == 0
-        resumed = Machine.resume(rebased)
-        resumed.run()
-        assert resumed.outputs() == ref.outputs()
-        assert fsck_directory(tmp_path)["ok"]
-
-    def test_rebase_refuses_mid_chain_and_non_delta(self, tmp_path):
-        _chained_run(tmp_path)
-        files = _chain_files(tmp_path)
-        deltas = [p for p in files if p.name.endswith(".delta.snap")]
-        mid = [p for p in deltas
-               if any(read_metadata(q).get("parent") == p.name
-                      for q in deltas)]
-        if mid:
-            with pytest.raises(SnapshotError, match="chain"):
-                rebase_snapshot(mid[0])
-        base = [p for p in files if p.name.endswith(".base.snap")][0]
-        with pytest.raises(SnapshotError):
-            rebase_snapshot(base)
-
-
 class TestSupervisorChainQuarantine:
     def test_quarantine_takes_chain_descendants(self, tmp_path):
         # an old standalone full snapshot to step back to
@@ -520,6 +489,15 @@ def _sharded_run(tmp_path, *, retain=0, crash_at=None):
     else:
         with pytest.raises(ShardCrashError):
             runner.run(crash_at=crash_at)
+
+
+def _member_files(directory, cycle, shards=2):
+    """Placeholder member files of one set, for commit-logic tests
+    (the coordinator only checks that members exist)."""
+    names = [shard_snapshot_name(cycle, k) for k in range(shards)]
+    for name in names:
+        (directory / name).write_bytes(b"member")
+    return names
 
 
 class TestCoordinatedDeltaSets:
@@ -602,12 +580,40 @@ class TestCoordinatedDeltaSets:
         report = fsck_directory(directory)
         assert report["ok"], report["problems"]
 
-    def test_commit_delta_without_parent_raises(self, tmp_path):
+    @pytest.mark.parametrize("history", ["none", "orphaned_parent"])
+    def test_commit_delta_without_parent_raises(self, tmp_path, history):
         cfg = CheckpointConfig(tmp_path, interval=INTERVAL,
                                delta_every=3)
         mgr = CoordinatedCheckpointManager(cfg, shards=2)
+        if history == "orphaned_parent":
+            # the newest set is whole, but the base it chains on lost a
+            # member: a delta on it would be born unresumable
+            mgr.commit(10, _member_files(tmp_path, 10), [1, 1], kind="base")
+            mgr.commit(20, _member_files(tmp_path, 20), [1, 1],
+                       kind="delta")
+            (tmp_path / shard_snapshot_name(10, 0)).unlink()
         with pytest.raises(ChainBrokenError):
-            mgr.commit(10, ["a.snap", "b.snap"], [1, 1], kind="delta")
+            mgr.commit(30, _member_files(tmp_path, 30), [1, 1],
+                       kind="delta")
+        if history == "orphaned_parent":
+            # the refusal is the verdict fsck reads
+            assert [(row["cycle"], row["status"])
+                    for row in fsck_directory(tmp_path)["sets"]] == [
+                (10, "damaged"), (20, "orphaned")]
+
+    def test_recommit_drops_sets_chained_on_it(self, tmp_path):
+        # self-heal replay re-commits a barrier cycle already listed:
+        # the sets chained on the rewritten files leave the manifest
+        cfg = CheckpointConfig(tmp_path, interval=INTERVAL,
+                               delta_every=4)
+        mgr = CoordinatedCheckpointManager(cfg, shards=2)
+        for cycle, kind in ((10, "base"), (20, "delta"), (30, "delta"),
+                            (20, "delta")):
+            mgr.commit(cycle, _member_files(tmp_path, cycle), [1, 1],
+                       kind=kind)
+        sets = read_manifest(tmp_path, "sharded")["coordinated"]
+        assert [(e["cycle"], e["kind"], e.get("parent_cycle"))
+                for e in sets] == [(10, "base", None), (20, "delta", 10)]
 
     def test_next_kind_respects_reset(self, tmp_path):
         _sharded_run(tmp_path)

@@ -396,7 +396,8 @@ class TestResumeWithHealing:
             runner.run()
         resumed = ShardedRunner.resume(
             tmp_path / "snaps",
-            shard_config=ShardConfig(recovery=RecoveryPolicy(**FAST)),
+            shard_config=ShardConfig(shards=4,
+                                     recovery=RecoveryPolicy(**FAST)),
         )
         resumed.run()
         out = resumed.outputs()

@@ -197,6 +197,25 @@ class TestFacade:
             repro.resume(tmp_path / "snaps",
                          shard_config={"shards": 2})
 
+    def test_resume_refuses_another_shard_count(self, tmp_path):
+        from repro.checkpoint import CheckpointConfig
+
+        cp, inputs = figure("fig2", 8)
+        ref = repro.run(
+            cp, inputs, backend="sharded",
+            shard_config={"shards": 2, "processes": False},
+            checkpoint=CheckpointConfig(tmp_path / "snaps", interval=5),
+        )
+        # the snapshot set fixes K; a ShardConfig always names a count
+        with pytest.raises(SimulationError, match="disagrees"):
+            repro.resume(tmp_path / "snaps",
+                         shard_config=ShardConfig(shards=4, processes=False))
+        # a dict without "shards" names none and resumes any K
+        res = repro.resume(tmp_path / "snaps",
+                           shard_config={"processes": False})
+        assert res.shards == 2
+        assert res.outputs == ref.outputs
+
 
 class TestCli:
     def _program(self, tmp_path):
@@ -250,6 +269,18 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert "--shard-config requires --backend sharded" in err
+
+    def test_resume_refuses_another_shard_count(self, tmp_path, capsys):
+        snaps = str(tmp_path / "snaps")
+        assert cli_main([
+            "checkpoint", "fig2", "--size", "8", "--dir", snaps,
+            "--interval", "5", "--backend", "sharded", "--shards", "2",
+            "--shard-config", '{"processes": false}',
+        ]) == 0
+        capsys.readouterr()
+        rc = cli_main(["resume", snaps, "--shard-config", '{"shards": 4}'])
+        assert rc == 1
+        assert "disagrees" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "checkpoint"])
     def test_shards_flag_equal_to_a_default_is_not_masked(
