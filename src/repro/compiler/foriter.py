@@ -128,7 +128,7 @@ def _serialize(
     def endpoint(it: Any) -> Wire:
         if isinstance(it, Wire):
             return it
-        return Wire(g.add_pattern_source(f"{name}_c{id(it)%997}", [it]), ROOT)
+        return Wire(g.add_pattern_source(f"{name}_c0", [it]), ROOT)
 
     acc = endpoint(items[0])
     for k in range(1, len(items)):

@@ -16,7 +16,8 @@ import pickle
 
 import pytest
 
-from repro.workloads import figure_workload
+from repro.compiler import compile_program
+from repro.workloads import EXAMPLE2_SOURCE, figure_workload
 
 #: (figure, m) -> (graph SHA-256, [(input name, lo, hi), ...])
 GOLDEN = {
@@ -84,6 +85,17 @@ def test_a_second_compile_emits_the_same_bytes():
     # the split counter and the block caches are process-global or
     # per-compile state; neither may leak into the emitted graph
     assert fingerprint("fig6", 12) == fingerprint("fig6", 12)
+
+
+def test_companion_foriter_compiles_are_byte_identical():
+    # Example 2 compiles under the companion scheme, whose constant
+    # first value gets a source of its own; its name must not depend on
+    # where that value lives in memory (all three stay alive, so no
+    # compile can reuse another's addresses)
+    programs = [
+        compile_program(EXAMPLE2_SOURCE, params={"m": 8}) for _ in range(3)
+    ]
+    assert len({pickle.dumps(cp.graph, protocol=4) for cp in programs}) == 1
 
 
 if __name__ == "__main__":  # pragma: no cover - re-record helper
