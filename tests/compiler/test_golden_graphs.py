@@ -18,6 +18,8 @@ import pytest
 
 from repro.compiler import compile_program
 from repro.workloads import EXAMPLE2_SOURCE, figure_workload
+from tests.compiler.test_mobius import THOMAS_SRC
+from tests.compiler.test_semiring import ENVELOPE_SRC
 
 #: (figure, m) -> (graph SHA-256, [(input name, lo, hi), ...])
 GOLDEN = {
@@ -64,11 +66,56 @@ GOLDEN = {
 }
 
 
-def fingerprint(fig: str, m: int) -> tuple[str, list[tuple[str, int, int]]]:
-    cp = figure_workload(fig).compile(m=m)
+#: for-iter programs compiled at m = 12 under a for-iter scheme and a
+#: companion distance: the companion loop of every algebra
+FORITER_SOURCES = {
+    "example2": EXAMPLE2_SOURCE,
+    "envelope": ENVELOPE_SRC,  # max-plus
+    "thomas": THOMAS_SRC,  # Moebius
+}
+
+#: (program, scheme, distance) -> (graph SHA-256, [(input, lo, hi), ...])
+GOLDEN_FORITER = {
+    ("envelope", "companion", 2): (
+        "f9eb62d7b7e9c71d3ee5504208da1a6c050a703398ca97fdbcaa6485c55c46ee",
+        [("D", 1, 12), ("A", 1, 12)],
+    ),
+    ("example2", "auto", 2): (
+        "09c4a497a0d53b32d2c27044ef0cb6648f2d1e8ee3d93580b7ef552338f25536",
+        [("A", 1, 12), ("B", 1, 12)],
+    ),
+    ("example2", "companion", 3): (
+        "02ec3ed8e1951600a204e1a5014df0f6b30fc5c02dcaf1838dcbc0a3ac872823",
+        [("A", 1, 12), ("B", 1, 12)],
+    ),
+    ("example2", "companion", 5): (
+        "b91636d13665b8831026b5261adedb1926b3669b70bfaa33e3f217c7acd15adc",
+        [("A", 1, 12), ("B", 1, 12)],
+    ),
+    ("thomas", "companion", 2): (
+        "6e640fbb5ae7ab893a845bafe697f128073a2af62f1e6d77b9c7394d3b2bbef3",
+        [("C", 1, 12), ("B", 1, 12), ("A", 1, 12)],
+    ),
+}
+
+
+def _digest(cp) -> tuple[str, list[tuple[str, int, int]]]:
     digest = hashlib.sha256(pickle.dumps(cp.graph, protocol=4)).hexdigest()
     specs = [(name, s.lo, s.hi) for name, s in cp.input_specs.items()]
     return digest, specs
+
+
+def fingerprint(fig: str, m: int) -> tuple[str, list[tuple[str, int, int]]]:
+    return _digest(figure_workload(fig).compile(m=m))
+
+
+def foriter_fingerprint(
+    program: str, scheme: str, distance: int
+) -> tuple[str, list[tuple[str, int, int]]]:
+    return _digest(compile_program(
+        FORITER_SOURCES[program], params={"m": 12},
+        foriter_scheme=scheme, distance=distance,
+    ))
 
 
 @pytest.mark.parametrize(
@@ -77,6 +124,17 @@ def fingerprint(fig: str, m: int) -> tuple[str, list[tuple[str, int, int]]]:
 def test_compiled_graph_bytes_are_pinned(fig, m):
     digest, specs = fingerprint(fig, m)
     want_digest, want_specs = GOLDEN[(fig, m)]
+    assert specs == want_specs
+    assert digest == want_digest
+
+
+@pytest.mark.parametrize(
+    "program,scheme,distance", sorted(GOLDEN_FORITER),
+    ids=[f"{p}-{s}-s{d}" for p, s, d in sorted(GOLDEN_FORITER)],
+)
+def test_compiled_foriter_bytes_are_pinned(program, scheme, distance):
+    digest, specs = foriter_fingerprint(program, scheme, distance)
+    want_digest, want_specs = GOLDEN_FORITER[(program, scheme, distance)]
     assert specs == want_specs
     assert digest == want_digest
 
@@ -99,7 +157,14 @@ def test_companion_foriter_compiles_are_byte_identical():
 
 
 if __name__ == "__main__":  # pragma: no cover - re-record helper
+    print("GOLDEN = {")
     for fig, m in sorted(GOLDEN):
         digest, specs = fingerprint(fig, m)
         print(f'    ("{fig}", {m}): (\n        "{digest}",\n'
               f"        {specs!r},\n    ),")
+    print("}\nGOLDEN_FORITER = {")
+    for program, scheme, distance in sorted(GOLDEN_FORITER):
+        digest, specs = foriter_fingerprint(program, scheme, distance)
+        print(f'    ("{program}", "{scheme}", {distance}): (\n'
+              f'        "{digest}",\n        {specs!r},\n    ),')
+    print("}")

@@ -1,5 +1,7 @@
 """Tests for recurrence analysis and companion functions (Section 7)."""
 
+import hashlib
+import pickle
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from repro.compiler import (
     companion_apply,
     companion_fold,
     extract_linear_form,
+    extract_recurrence,
     has_companion,
     shift_index,
 )
@@ -126,6 +129,242 @@ class TestLinearFormExtraction:
         assert has_companion(info, params)
 
 
+#: (element expression, let definitions) of a for-iter over the arrays
+#: A, B, C, D, keyed by case name: ring, max-plus, min-plus and Moebius
+#: forms, let-bound and conditional coefficients, and rejected shapes
+FORMS = {
+    "ring-shift": ("T[i-1] + 1.", ""),
+    "ring-scale": ("2. * T[i-1]", ""),
+    "ring-sub": ("T[i-1] - 3.", ""),
+    "ring-neg": ("-(T[i-1])", ""),
+    "ring-distribute": ("(T[i-1] + 1.) * 2.", ""),
+    "ring-divide": ("T[i-1] / 2. + 1.", ""),
+    "ring-reflect": ("3. - T[i-1]", ""),
+    "ring-arrays": ("A[i] * T[i-1] + B[i] * C[i]", ""),
+    "ring-xfree-quotient": ("(T[i-1] - A[i]) / B[i]", ""),
+    "ring-xfree-neg": ("T[i-1] - -(A[i])", ""),
+    "ring-let-x": ("P + 1.", "P : real := 2. * T[i-1]"),
+    "ring-let-coeff": ("K * T[i-1] + K", "K : real := A[i] + 1."),
+    "ring-inner-let": ("let Q : real := A[i] * T[i-1] in Q - B[i] endlet", ""),
+    "ring-cond": ("if i < 3 then 2. * T[i-1] else T[i-1] + 1. endif", ""),
+    "ring-cond-xfree-arm": ("if A[i] > 0. then T[i-1] else B[i] endif", ""),
+    "ring-xfree-if": ("T[i-1] + (if i < 3 then A[i] else B[i] endif)", ""),
+    "maxplus-envelope": ("max(T[i-1] - D[i], A[i])", ""),
+    "maxplus-shift-right": ("max(A[i], T[i-1] + D[i])", ""),
+    "maxplus-outer-shift": ("max(T[i-1], A[i]) + D[i]", ""),
+    "maxplus-nested": ("max(max(T[i-1] - D[i], A[i]), B[i])", ""),
+    "maxplus-let": ("max(U, A[i])", "U : real := T[i-1] - D[i]"),
+    "maxplus-cond": (
+        "max(if i < 3 then T[i-1] else T[i-1] - D[i] endif, A[i])", ""
+    ),
+    "maxplus-xfree-product": ("max(T[i-1], A[i] * 2.)", ""),
+    "minplus-floor": ("min(T[i-1] + C[i], A[i])", ""),
+    "minplus-shift-left": ("min(A[i] + T[i-1], B[i] - 1.)", ""),
+    "mobius-thomas": ("C[i] / (B[i] - A[i] * T[i-1])", ""),
+    "mobius-reciprocal": ("1. / T[i-1]", ""),
+    "mobius-general": ("(A[i] * T[i-1] + B[i]) / (C[i] * T[i-1] + D[i])", ""),
+    "mobius-self-ratio": ("T[i-1] / (T[i-1] + 1.)", ""),
+    "mobius-let-den": ("C[i] / Q", "Q : real := B[i] - A[i] * T[i-1]"),
+    "mobius-let-num": ("K / (T[i-1] + B[i])", "K : real := A[i] + 1."),
+    "mobius-inner-let": (
+        "let N : real := C[i] * T[i-1] in N / (T[i-1] + 1.) endlet", ""
+    ),
+    "reject-quadratic": ("T[i-1] * T[i-1]", ""),
+    "reject-no-x": ("A[i]", ""),
+    "reject-no-x-max": ("max(A[i], B[i])", ""),
+    "reject-x-cond": ("if T[i-1] > 0. then 1. else 0. endif", ""),
+    "reject-x-cond-max": (
+        "max(if T[i-1] > 0. then T[i-1] else A[i] endif, B[i])", ""
+    ),
+    "reject-max-neg": ("max(-T[i-1], A[i])", ""),
+    "reject-max-scale": ("max(T[i-1] * 2., A[i])", ""),
+    "reject-max-reflect": ("max(1. - T[i-1], A[i])", ""),
+    "reject-max-in-min": ("min(max(T[i-1], 0.), A[i])", ""),
+    "reject-max-both-sides": ("max(T[i-1] + T[i-1], A[i])", ""),
+}
+
+#: case -> SHA-256 of the pickled extract_recurrence result, or
+#: "error: " and its exact RecurrenceError text
+FORM_PINS = {
+    "maxplus-cond": (
+        '7bc1984ee8679d774346da15e207564d24e3b5911b7580829759806c69ec6563'
+    ),
+    "maxplus-envelope": (
+        '66f58d5143d1c39e7d6799d68ef9fe02f87bfe741b0fd20c8c8af5eb1a0a8a35'
+    ),
+    "maxplus-let": (
+        '8f01613d98e7f7833036b92a99e0f91bdfe001b910d5c179e59bef9fd0b6c21b'
+    ),
+    "maxplus-nested": (
+        '2b805c6a8e00a09817e366c82985c3cd33350464c7eae448cad6eab0f6a02b72'
+    ),
+    "maxplus-outer-shift": (
+        'c82feae7ed207c338aae3f28b97f5090d7bf50ee2e5bda6a11cfc8b7c4e9ec68'
+    ),
+    "maxplus-shift-right": (
+        'af2a68e3acbe12f16e7cb663ec1537dfe6c6dc26040840128158e9a36ce09871'
+    ),
+    "maxplus-xfree-product": (
+        '709979cfb4ca84849a5ce7bed7145c0769039c40b24f5a984847223784a14a19'
+    ),
+    "minplus-floor": (
+        'e5738b968468ea70d602e993c6c9077132656d20172c04e137b52a5e81630318'
+    ),
+    "minplus-shift-left": (
+        'd620d3e31815095311effca0261a7d5a1936a551a50e6d55837c09e2126b6a3b'
+    ),
+    "mobius-general": (
+        'db3c463e9f2f5e62750e17748c30c4409775f37b799f3f5eb6b6070d864cd3c2'
+    ),
+    "mobius-inner-let": (
+        'b30335c59d357f9fc5132ad18c7c2897dc7307d43a135a20d892a39f81727b3e'
+    ),
+    "mobius-let-den": (
+        'a1cf8c619de13beb003410dd26711fee57b819698d5a5d092657a36fea57a44f'
+    ),
+    "mobius-let-num": (
+        '6ae2cc03706b9ba58b9115c9c2abb0c28117c4434c76902dfe8f36f59771c02b'
+    ),
+    "mobius-reciprocal": (
+        '509506684092f1018fe47042d1cf0e0172ed66b63873ff4361028d18c6ee3d43'
+    ),
+    "mobius-self-ratio": (
+        '57650841073dc5811b0f6192fd211d02fda404b45ca31f41dcd32e7f77d765da'
+    ),
+    "mobius-thomas": (
+        '00d629bbbc22a3868dba7fb2f7f0c34f917a89d6a076d1783359d03c9ff6ca61'
+    ),
+    "reject-max-both-sides": (
+        'error: no companion function found; tried: Builtin at line 6 is '
+        'not allowed in a recurrence element expression; accumulator '
+        "appears on both sides of '+' at line 6 (not tropical-linear); "
+        'element expression is not a division; not a fractional '
+        'recurrence'
+    ),
+    "reject-max-in-min": (
+        'error: no companion function found; tried: Builtin at line 6 is '
+        'not allowed in a recurrence element expression; min of the '
+        'accumulator inside a maxplus recurrence (line 6); max of the '
+        'accumulator inside a minplus recurrence (line 6); element '
+        'expression is not a division; not a fractional recurrence'
+    ),
+    "reject-max-neg": (
+        'error: no companion function found; tried: Builtin at line 6 is '
+        'not allowed in a recurrence element expression; negating the '
+        'accumulator at line 6 flips the lattice; not maxplus-linear; '
+        'element expression is not a division; not a fractional '
+        'recurrence'
+    ),
+    "reject-max-reflect": (
+        'error: no companion function found; tried: Builtin at line 6 is '
+        'not allowed in a recurrence element expression; subtracting the '
+        'accumulator at line 6 flips the lattice; not maxplus-linear; '
+        'element expression is not a division; not a fractional '
+        'recurrence'
+    ),
+    "reject-max-scale": (
+        'error: no companion function found; tried: Builtin at line 6 is '
+        'not allowed in a recurrence element expression; accumulator '
+        "under '*' at line 6; not maxplus-linear; element expression is "
+        'not a division; not a fractional recurrence'
+    ),
+    "reject-no-x": (
+        'error: no companion function found; tried: element expression '
+        'does not reference the accumulator; this is a forall in disguise'
+        ' -- use the forall mapping; element expression is not a '
+        'division; not a fractional recurrence'
+    ),
+    "reject-no-x-max": (
+        'error: no companion function found; tried: Builtin at line 6 is '
+        'not allowed in a recurrence element expression; element '
+        'expression does not reference the accumulator; element '
+        'expression is not a division; not a fractional recurrence'
+    ),
+    "reject-quadratic": (
+        'error: no companion function found; tried: recurrence is '
+        'quadratic in the accumulator at line 6; no companion function; '
+        'element expression is not a division; not a fractional '
+        'recurrence'
+    ),
+    "reject-x-cond": (
+        'error: no companion function found; tried: condition at line 6 '
+        'depends on the accumulator; recurrence is not affine; element '
+        'expression is not a division; not a fractional recurrence'
+    ),
+    "reject-x-cond-max": (
+        'error: no companion function found; tried: Builtin at line 6 is '
+        'not allowed in a recurrence element expression; condition at '
+        'line 6 depends on the accumulator; element expression is not a '
+        'division; not a fractional recurrence'
+    ),
+    "ring-arrays": (
+        'bda19404eec5db86d904a5cd07958ca0e3b9f94091d7b25d30405f8ab0b6aa61'
+    ),
+    "ring-cond": (
+        'd6546869722aa0ff4c7c32e4da0ddbf0ae56fbe1edb63d8fbe21226fbe230a04'
+    ),
+    "ring-cond-xfree-arm": (
+        '9bcbbcff2d713bb7be613d0125cdc998b7b67a46e3fc6169368ff952f69a6465'
+    ),
+    "ring-distribute": (
+        'ba4826600a8742e3b29af11614b742b995b1169abe7f93ff9805fab93b621f3c'
+    ),
+    "ring-divide": (
+        '62ac2fc5a10527a16bd5f07322772a554bd2e7dd8582f8489387047e9f034966'
+    ),
+    "ring-inner-let": (
+        '163c483cfa9d0842f11ff3f683c6498da2d66cd57ea41a024e069af1c1b6da23'
+    ),
+    "ring-let-coeff": (
+        'e353cc7b7cc2194cd7f559cbf4c3a2719840a88e0e95286f80acf1e3c2b5e432'
+    ),
+    "ring-let-x": (
+        '4444ad93c4e2ac688000d8f08ed67ee3f99c28be600a245b15094b001b1acb28'
+    ),
+    "ring-neg": (
+        '3be6675b9d692f932925e74d2929b6f3c207c827978a0add53fca1f59729a877'
+    ),
+    "ring-reflect": (
+        '6ba92d31976f2bba30d8990a373e95b53892b4b15a6fd2b31d4be5d2cd357331'
+    ),
+    "ring-scale": (
+        '64d658eb4ab53e761d096db387e4c06dbc636036772b5a78aa139419ac5f877f'
+    ),
+    "ring-shift": (
+        '9b4897497f62ee12dae8e5269a8b285e977a15ea31c139eeb9c65a1f0dc8946c'
+    ),
+    "ring-sub": (
+        'f48952ff8ed67862e61b7792c283c89eaed2e92a00a70420c37685c95b0e78b8'
+    ),
+    "ring-xfree-if": (
+        '6ce62237dcdf6d5ce85d748e579eca62f404c6fbfa2c8374d1d61478197d29bf'
+    ),
+    "ring-xfree-neg": (
+        'e87fa6f66132e28cade9364cdb44b46a215ace139b08db2fda525d6ba4ef6432'
+    ),
+    "ring-xfree-quotient": (
+        '19d7966089f3a68a24eb4a87c4164a227eaac4567cc377e4ee3e25126e619856'
+    ),
+}
+
+
+def form_pin(case: str) -> str:
+    element, let = FORMS[case]
+    info, params = foriter_info(
+        make_foriter(element, let), arrays=("A", "B", "C", "D")
+    )
+    try:
+        form = extract_recurrence(info, params)
+    except RecurrenceError as exc:
+        return f"error: {exc}"
+    return hashlib.sha256(pickle.dumps(form, protocol=4)).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(FORMS))
+def test_extracted_forms_are_pinned(case):
+    assert form_pin(case) == FORM_PINS[case]
+
+
 class TestCompanionProperties:
     """The algebraic facts the scheme relies on (host-level checks)."""
 
@@ -198,3 +437,14 @@ class TestShiftIndex:
         assert eval_expr(shifted, {"i": 3, "A": arr, "m": 4}) == eval_expr(
             e, {"i": 2, "A": arr, "m": 4}
         )
+
+
+if __name__ == "__main__":  # pragma: no cover - re-record helper
+    import textwrap
+
+    for case in sorted(FORMS):
+        chunks = textwrap.wrap(
+            form_pin(case), 64, drop_whitespace=False, break_on_hyphens=False
+        )
+        print(f'    "{case}": (')
+        print("".join(f"        {c!r}\n" for c in chunks) + "    ),")
