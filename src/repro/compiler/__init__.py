@@ -25,7 +25,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".pipeline": "CompiledProgram ProgramResult compile_program",
     ".recurrence": "MAXPLUS MINPLUS RING Algebra LinearForm MobiusForm "
                    "companion_apply companion_fold extract_linear_form "
-                   "extract_mobius_form extract_recurrence "
-                   "extract_tropical_form has_companion mobius_apply "
+                   "extract_mobius_form extract_recurrence mobius_apply "
                    "mobius_eval shift_index",
 })

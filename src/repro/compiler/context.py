@@ -103,10 +103,6 @@ class Context:
             out.append(f)
         return Context(tuple(out))
 
-    def runtime_suffix(self) -> tuple[Filter, ...]:
-        n = len(self.static_prefix().filters)
-        return self.filters[n:]
-
     def selection(self, base: list[int]) -> list[int]:
         """Index values selected by this (all-static) context, given the
         block's base index list."""

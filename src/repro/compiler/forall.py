@@ -46,10 +46,6 @@ class BlockArtifact:
     #: arcs forming feedback loops (for-iter schemes); balancing skips them
     feedback_arcs: list[int] = field(default_factory=list)
 
-    @property
-    def out_length(self) -> int:
-        return self.out_hi - self.out_lo + 1
-
 
 def _finish_block(
     name: str,

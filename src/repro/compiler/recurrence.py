@@ -11,73 +11,36 @@ function* G with ``F(a, F(b, x)) = F(G(a, b), x)``.  For the linear
 G is associative, so a dependence distance of ``s`` needs only a
 ``log2 s``-deep tree of G stages (the paper's remark after Theorem 3).
 
-:func:`extract_linear_form` symbolically rewrites the for-iter element
-expression into the pair of coefficient expressions ``(P1, P0)`` --
-both primitive expressions on ``i`` that do *not* reference the
-accumulator -- or raises :class:`RecurrenceError` when the recurrence
-is not affine (no companion function is known then, and the compiler
-falls back to Todd's scheme).
+One walker splits an expression around ``x = X[i-1]`` into the pair of
+coefficient expressions ``(P1, P0)`` with ``expr == (x otimes P1) oplus
+P0`` over an :class:`Algebra` -- both primitive expressions on ``i``
+that do *not* reference the accumulator.  It owns literals, names,
+lets, ``X[i-1]`` and x-free conditions, and hands operator nodes to
+one rule per algebra: ``+ - * /`` over the ring, the ``max``/``min``
+builtin and shifts over the tropical semirings.
+:func:`extract_linear_form` splits the element expression with it, and
+:func:`extract_mobius_form` splits the numerator and denominator of a
+linear fractional ``N / D``.  When no algebra fits,
+:class:`RecurrenceError` is raised (no companion function is known
+then, and the compiler falls back to Todd's scheme).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from ..errors import RecurrenceError
 from ..val import ast_nodes as A
 from ..val.classify import ForIterInfo, index_offset
 
-#: Sentinels for coefficient simplification.
+#: Sentinels for coefficient simplification: the algebra's zero and one.
 _ZERO = object()
 _ONE = object()
 
 Coeff = object  # _ZERO | _ONE | A.Expr
-
-
-def _mk_add(a: Coeff, b: Coeff) -> Coeff:
-    if a is _ZERO:
-        return b
-    if b is _ZERO:
-        return a
-    return A.BinOp("+", _as_ast(a), _as_ast(b))
-
-
-def _mk_sub(a: Coeff, b: Coeff) -> Coeff:
-    if b is _ZERO:
-        return a
-    return A.BinOp("-", _as_ast(a), _as_ast(b))
-
-
-def _mk_mul(a: Coeff, b: Coeff) -> Coeff:
-    if a is _ZERO or b is _ZERO:
-        return _ZERO
-    if a is _ONE:
-        return b
-    if b is _ONE:
-        return a
-    return A.BinOp("*", _as_ast(a), _as_ast(b))
-
-
-def _mk_div(a: Coeff, b: A.Expr) -> Coeff:
-    if a is _ZERO:
-        return _ZERO
-    return A.BinOp("/", _as_ast(a), b)
-
-
-def _mk_neg(a: Coeff) -> Coeff:
-    if a is _ZERO:
-        return _ZERO
-    return A.UnOp("-", _as_ast(a))
-
-
-def _as_ast(c: Coeff) -> A.Expr:
-    if c is _ZERO:
-        return A.Literal(0.0, A.REAL)
-    if c is _ONE:
-        return A.Literal(1.0, A.REAL)
-    assert isinstance(c, A.Node)
-    return c
+Pair = tuple[Coeff, Coeff]
+Split = Callable[[A.Expr], Pair]
 
 
 @dataclass(frozen=True)
@@ -102,8 +65,6 @@ RING = Algebra("ring", "*", "+", 0.0, 1.0)
 MAXPLUS = Algebra("maxplus", "+", "max", float("-inf"), 0.0)
 MINPLUS = Algebra("minplus", "+", "min", float("inf"), 0.0)
 
-ALGEBRAS = {a.name: a for a in (RING, MAXPLUS, MINPLUS)}
-
 
 @dataclass
 class LinearForm:
@@ -115,289 +76,270 @@ class LinearForm:
     offset: A.Expr
     algebra: Algebra = RING
 
-    @property
-    def is_pure_sum(self) -> bool:
-        """True for x_i = x_{i-1} + a_i (prefix sums): coeff == 1."""
+
+def _as_ast(c: Coeff, algebra: Algebra) -> A.Expr:
+    if c is _ZERO:
+        return A.Literal(algebra.zero, A.REAL)
+    if c is _ONE:
+        return A.Literal(algebra.one, A.REAL)
+    assert isinstance(c, A.Node)
+    return c
+
+
+def _join(op: str, a: Coeff, b: Coeff, algebra: Algebra) -> Coeff:
+    """``a op b`` with the algebra's identities folded away: zero is the
+    identity of oplus (and the right identity of ``-``) and annihilates
+    otimes (and a dividend); one is the identity of otimes."""
+    if b is _ZERO and op in (algebra.oplus, "-"):
+        return a
+    if a is _ZERO and op == algebra.oplus:
+        return b
+    if op == algebra.otimes:
+        if a is _ZERO or b is _ZERO:
+            return _ZERO
+        if a is _ONE:
+            return b
+        if b is _ONE:
+            return a
+    if a is _ZERO and op == "/":
+        return _ZERO
+    left, right = _as_ast(a, algebra), _as_ast(b, algebra)
+    if op in ("max", "min"):
+        return A.Builtin(op, [left, right])
+    return A.BinOp(op, left, right)
+
+
+def _unsupported(expr: A.Expr) -> RecurrenceError:
+    return RecurrenceError(
+        f"{type(expr).__name__} at line {getattr(expr, 'line', 0)} is "
+        f"not allowed in a recurrence element expression"
+    )
+
+
+def _ring_rule(expr: A.Expr, split: Split, algebra: Algebra) -> Pair:
+    """``+ - * /`` and unary minus over the ring; every other operator
+    may only combine x-free operands."""
+    if isinstance(expr, A.Builtin):
+        raise _unsupported(expr)
+    if isinstance(expr, A.UnOp):
+        a, b = split(expr.operand)
+        if expr.op == "-":
+            return tuple(
+                _ZERO if c is _ZERO else A.UnOp("-", _as_ast(c, algebra))
+                for c in (a, b)
+            )
+        if a is not _ZERO:
+            raise RecurrenceError(
+                f"boolean negation of the accumulator at line {expr.line}"
+            )
+        return (_ZERO, expr)
+    (la, lb), (ra, rb) = split(expr.left), split(expr.right)
+    if expr.op in ("+", "-"):
         return (
-            self.algebra is RING
-            and isinstance(self.coeff, A.Literal)
-            and self.coeff.value in (1, 1.0)
+            _join(expr.op, la, ra, algebra), _join(expr.op, lb, rb, algebra)
+        )
+    if expr.op == "*":
+        if la is not _ZERO and ra is not _ZERO:
+            raise RecurrenceError(
+                f"recurrence is quadratic in the accumulator at line "
+                f"{expr.line}; no companion function"
+            )
+        # (A x + B) * b  or  a * (A x + B): the x-free side scales both
+        a, b = (ra, lb) if la is _ZERO else (la, rb)
+        return (_join("*", a, b, algebra), _join("*", lb, rb, algebra))
+    if expr.op == "/":
+        if ra is not _ZERO:
+            raise RecurrenceError(
+                f"division by the accumulator at line {expr.line}; "
+                f"no companion function"
+            )
+        return (_join("/", la, rb, algebra), _join("/", lb, rb, algebra))
+    # relational / boolean operators may not involve x
+    if la is not _ZERO or ra is not _ZERO:
+        raise RecurrenceError(
+            f"accumulator used under {expr.op!r} at line {expr.line}; "
+            f"recurrence is not affine"
+        )
+    return (_ZERO, expr)
+
+
+def _tropical_rule(expr: A.Expr, split: Split, algebra: Algebra) -> Pair:
+    """The ``oplus`` builtin (``max`` or ``min``) and shifts by ``+`` /
+    ``-`` over max-plus or min-plus; every other operator may only
+    combine x-free operands (scaling does not distribute over max/min
+    without sign knowledge)."""
+    if isinstance(expr, A.Builtin):
+        if expr.name == algebra.oplus:
+            (la, lb), (ra, rb) = split(expr.args[0]), split(expr.args[1])
+            return (
+                _join(algebra.oplus, la, ra, algebra),
+                _join(algebra.oplus, lb, rb, algebra),
+            )
+        # the dual lattice op may only touch x-free parts
+        if any([split(arg)[0] is not _ZERO for arg in expr.args]):
+            raise RecurrenceError(
+                f"{expr.name} of the accumulator inside a "
+                f"{algebra.name} recurrence (line {expr.line})"
+            )
+        return (_ZERO, expr)
+    if isinstance(expr, A.UnOp):
+        if split(expr.operand)[0] is not _ZERO:
+            raise RecurrenceError(
+                f"negating the accumulator at line {expr.line} flips "
+                f"the lattice; not {algebra.name}-linear"
+            )
+        return (_ZERO, expr)
+    (la, lb), (ra, rb) = split(expr.left), split(expr.right)
+    if la is _ZERO and ra is _ZERO:
+        return (_ZERO, expr)
+    if expr.op not in ("+", "-"):
+        raise RecurrenceError(
+            f"accumulator under {expr.op!r} at line {expr.line}; "
+            f"not {algebra.name}-linear"
+        )
+    if la is not _ZERO and ra is not _ZERO:
+        raise RecurrenceError(
+            f"accumulator appears on both sides of {expr.op!r} "
+            f"at line {expr.line} (not tropical-linear)"
+        )
+    if la is not _ZERO:
+        # (x (+) A) (+) e2 and B (+) e2, e2 x-free: shift both by +-e2
+        e2 = expr.right
+        return tuple(
+            _join("+", c, A.UnOp("-", e2) if expr.op == "-" else e2, algebra)
+            for c in (la, lb)
+        )
+    if expr.op == "-":
+        raise RecurrenceError(
+            f"subtracting the accumulator at line {expr.line} "
+            f"flips the lattice; not {algebra.name}-linear"
+        )
+    return tuple(_join("+", c, expr.left, algebra) for c in (ra, rb))
+
+
+def _binding(name: str, scope: tuple) -> int:
+    """Position in ``scope`` (the let definitions in force, outermost
+    first) of the definition ``name`` refers to; -1 if none binds it."""
+    return max((k for k, d in enumerate(scope) if d.name == name), default=-1)
+
+
+def _close(c: Coeff, scope: tuple) -> Coeff:
+    """``c`` under a let of the definitions of ``scope`` it names, directly
+    or through a kept definition: the walker keeps x-free conditions and
+    shifts as written, and a coefficient is compiled outside all lets."""
+    if c is _ZERO or c is _ONE:
+        return c
+    need, kept = A.free_identifiers(c), []
+    for d in reversed(scope):
+        if d.name in need:
+            need = need - {d.name} | A.free_identifiers(d.expr)
+            kept.insert(0, d)
+    return A.Let(kept, c) if kept else c
+
+
+def _splitter(
+    info: ForIterInfo, params: Mapping[str, int], algebra: Algebra
+) -> Callable[[A.Expr, tuple], Pair]:
+    """The walker: ``split(expr, scope)`` returns ``(P1, P0)`` with
+    ``expr == (x otimes P1) oplus P0``, x = ``acc[counter-1]``, for
+    ``expr`` written under the let definitions ``scope``.  A definition
+    is split once, in its own scope; a pair leaves a scope closed over
+    the definitions it names, so a later let cannot capture them."""
+    acc, counter = info.acc, info.counter
+    rule = _ring_rule if algebra is RING else _tropical_rule
+    pairs: dict[int, Pair] = {}
+
+    def bound(k: int, scope: tuple) -> Pair:
+        d = scope[k]
+        if id(d) not in pairs:
+            pairs[id(d)] = tuple(
+                _close(c, scope[:k]) for c in split(d.expr, scope[:k])
+            )
+        return pairs[id(d)]
+
+    def carries_x(expr: A.Expr, scope: tuple) -> bool:
+        """Whether ``expr`` names x, directly or through a let name."""
+        return any(
+            name == acc if (k := _binding(name, scope)) < 0
+            else bound(k, scope)[0] is not _ZERO
+            for name in A.free_identifiers(expr)
         )
 
+    def split(expr: A.Expr, scope: tuple) -> Pair:
+        if isinstance(expr, A.Literal):
+            return (_ZERO, expr)
+        if isinstance(expr, A.Ident):
+            k = _binding(expr.name, scope)
+            if k >= 0:
+                return bound(k, scope)
+            if expr.name == acc:
+                raise RecurrenceError(
+                    f"bare accumulator reference at line {expr.line}"
+                )
+            return (_ZERO, expr)
+        if isinstance(expr, A.Index):
+            base = expr.base
+            if isinstance(base, A.Ident) and base.name == acc:
+                if index_offset(expr.index, counter, params) != -1:
+                    raise RecurrenceError(
+                        f"accumulator access at line {expr.line} is not "
+                        f"{acc}[{counter}-1]"
+                    )
+                return (_ONE, _ZERO)
+            return (_ZERO, expr)
+        if isinstance(expr, A.Let):
+            inner = scope + tuple(expr.defs)
+            for k in range(len(scope), len(inner)):
+                bound(k, inner)
+            return tuple(_close(c, inner) for c in split(expr.body, inner))
+        if isinstance(expr, A.If):
+            if carries_x(expr.cond, scope):
+                tail = "; recurrence is not affine" if algebra is RING else ""
+                raise RecurrenceError(
+                    f"condition at line {expr.line} depends on the "
+                    f"accumulator{tail}"
+                )
+            ta, tb = split(expr.then, scope)
+            ea, eb = split(expr.els, scope)
+            if ta is _ZERO and ea is _ZERO:
+                return (_ZERO, expr)
+            return tuple(
+                A.If(expr.cond, _as_ast(t, algebra), _as_ast(e, algebra))
+                for t, e in ((ta, ea), (tb, eb))
+            )
+        if isinstance(expr, (A.UnOp, A.BinOp, A.Builtin)):
+            return rule(expr, lambda e: split(e, scope), algebra)
+        raise _unsupported(expr)
 
-def _references_acc(expr: A.Expr, acc: str) -> bool:
-    return acc in A.free_identifiers(expr)
+    return split
 
 
 def extract_linear_form(
-    info: ForIterInfo, params: Mapping[str, int]
+    info: ForIterInfo, params: Mapping[str, int], algebra: Algebra = RING
 ) -> LinearForm:
-    """Rewrite the element expression as ``P1 * X[i-1] + P0``.
+    """Rewrite the element expression as ``(X[i-1] otimes P1) oplus P0``
+    over ``algebra``: ``P1 * X[i-1] + P0`` over the ring (the paper's
+    case), ``max(X[i-1] + P1, P0)`` over max-plus (running-extremum
+    recurrences like ``x_i = max(x_{i-1} - d_i, A[i])``).
 
     Handles the full PE grammar: let definitions referencing the
     accumulator are inlined symbolically (the paper's Example 2 binds
     ``P := A[i]*T[i-1] + B[i]`` in a let); conditionals with X-free
     conditions produce conditional coefficients.
     """
-    acc, counter = info.acc, info.counter
-
-    def lin(expr: A.Expr, env: dict[str, tuple[Coeff, Coeff]]) -> tuple[Coeff, Coeff]:
-        """Return (A, B) with expr == A * x + B, x = acc[counter-1]."""
-        if isinstance(expr, A.Literal):
-            return (_ZERO, expr)
-        if isinstance(expr, A.Ident):
-            if expr.name in env:
-                return env[expr.name]
-            if expr.name == acc:
-                raise RecurrenceError(
-                    f"bare accumulator reference at line {expr.line}"
-                )
-            return (_ZERO, expr)
-        if isinstance(expr, A.Index):
-            base = expr.base
-            if isinstance(base, A.Ident) and base.name == acc:
-                if index_offset(expr.index, counter, params) != -1:
-                    raise RecurrenceError(
-                        f"accumulator access at line {expr.line} is not "
-                        f"{acc}[{counter}-1]"
-                    )
-                return (_ONE, _ZERO)
-            return (_ZERO, expr)
-        if isinstance(expr, A.UnOp):
-            a, b = lin(expr.operand, env)
-            if expr.op == "-":
-                return (_mk_neg(a), _mk_neg(b))
-            if a is not _ZERO:
-                raise RecurrenceError(
-                    f"boolean negation of the accumulator at line {expr.line}"
-                )
-            return (_ZERO, expr)
-        if isinstance(expr, A.BinOp):
-            la, lb = lin(expr.left, env)
-            ra, rb = lin(expr.right, env)
-            if expr.op == "+":
-                return (_mk_add(la, ra), _mk_add(lb, rb))
-            if expr.op == "-":
-                return (_mk_sub(la, ra), _mk_sub(lb, rb))
-            if expr.op == "*":
-                if la is _ZERO:
-                    return (_mk_mul(ra, _as_ast(lb)), _mk_mul(lb, rb))
-                if ra is _ZERO:
-                    return (_mk_mul(la, _as_ast(rb)), _mk_mul(lb, rb))
-                raise RecurrenceError(
-                    f"recurrence is quadratic in the accumulator at line "
-                    f"{expr.line}; no companion function"
-                )
-            if expr.op == "/":
-                if ra is not _ZERO:
-                    raise RecurrenceError(
-                        f"division by the accumulator at line {expr.line}; "
-                        f"no companion function"
-                    )
-                return (_mk_div(la, _as_ast(rb)), _mk_div(lb, _as_ast(rb)))
-            # relational / boolean operators may not involve x
-            if la is not _ZERO or ra is not _ZERO:
-                raise RecurrenceError(
-                    f"accumulator used under {expr.op!r} at line {expr.line}; "
-                    f"recurrence is not affine"
-                )
-            return (_ZERO, expr)
-        if isinstance(expr, A.Let):
-            inner = dict(env)
-            for d in expr.defs:
-                inner[d.name] = lin(d.expr, inner)
-            return lin(expr.body, inner)
-        if isinstance(expr, A.If):
-            if _references_acc(expr.cond, acc):
-                raise RecurrenceError(
-                    f"condition at line {expr.line} depends on the "
-                    f"accumulator; recurrence is not affine"
-                )
-            ta, tb = lin(expr.then, env)
-            ea, eb = lin(expr.els, env)
-            if ta is _ZERO and ea is _ZERO:
-                return (_ZERO, expr)
-            coeff = A.If(expr.cond, _as_ast(ta), _as_ast(ea))
-            off = A.If(expr.cond, _as_ast(tb), _as_ast(eb))
-            return (coeff, off)
-        raise RecurrenceError(
-            f"{type(expr).__name__} at line {getattr(expr, 'line', 0)} is "
-            f"not allowed in a recurrence element expression"
-        )
-
-    env0: dict[str, tuple[Coeff, Coeff]] = {}
-    # Pre-bind the classified let definitions (they may carry the x term).
-    for d in info.let_defs:
-        env0[d.name] = lin(d.expr, env0)
-    a, b = lin(info.element_expr, env0)
+    # the classified let definitions (they may carry the x term) bind
+    # in order around the element expression
+    body = A.Let(info.let_defs, info.element_expr)
+    a, b = _splitter(info, params, algebra)(body, ())
     if a is _ZERO:
-        raise RecurrenceError(
-            "element expression does not reference the accumulator; this is "
-            "a forall in disguise -- use the forall mapping"
+        hint = (
+            "; this is a forall in disguise -- use the forall mapping"
+            if algebra is RING else ""
         )
-    return LinearForm(coeff=_as_ast(a), offset=_as_ast(b))
-
-
-# ---------------------------------------------------------------------------
-# tropical (max-plus / min-plus) linear forms
-# ---------------------------------------------------------------------------
-
-
-def _trop_lit(value: float) -> A.Expr:
-    return A.Literal(value, A.REAL)
-
-
-def extract_tropical_form(
-    info: ForIterInfo, params: Mapping[str, int], algebra: Algebra
-) -> LinearForm:
-    """Rewrite the element expression as ``oplus(x + P1, P0)`` over the
-    max-plus or min-plus semiring (running-extremum recurrences like
-    ``x_i = max(x_{i-1} - d_i, A[i])``)."""
-    if algebra.name not in ("maxplus", "minplus"):
-        raise RecurrenceError(f"not a tropical algebra: {algebra.name}")
-    acc, counter = info.acc, info.counter
-    oplus = algebra.oplus  # 'max' or 'min'
-
-    def mk_oplus(a: Coeff, b: Coeff) -> Coeff:
-        if a is _ZERO:
-            return b
-        if b is _ZERO:
-            return a
-        return A.Builtin(oplus, [_tas(a), _tas(b)])
-
-    def mk_shift(a: Coeff, e: A.Expr, negate: bool = False) -> Coeff:
-        """a + e (tropical otimes) with identity simplification."""
-        if a is _ZERO:
-            return _ZERO
-        term = A.UnOp("-", e) if negate else e
-        if a is _ONE:
-            return term
-        return A.BinOp("+", _tas(a), term)
-
-    def _tas(c: Coeff) -> A.Expr:
-        if c is _ZERO:
-            return _trop_lit(algebra.zero)
-        if c is _ONE:
-            return _trop_lit(algebra.one)
-        assert isinstance(c, A.Node)
-        return c
-
-    def lin(expr: A.Expr, env: dict) -> tuple[Coeff, Coeff]:
-        """(A, B) with expr == oplus(x + A, B)."""
-        if isinstance(expr, A.Index):
-            base = expr.base
-            if isinstance(base, A.Ident) and base.name == acc:
-                if index_offset(expr.index, counter, params) != -1:
-                    raise RecurrenceError(
-                        f"accumulator access at line {expr.line} is not "
-                        f"{acc}[{counter}-1]"
-                    )
-                return (_ONE, _ZERO)
-            return (_ZERO, expr)
-        if isinstance(expr, A.Ident):
-            if expr.name in env:
-                return env[expr.name]
-            if expr.name == acc:
-                raise RecurrenceError(
-                    f"bare accumulator reference at line {expr.line}"
-                )
-            return (_ZERO, expr)
-        if isinstance(expr, A.Literal):
-            return (_ZERO, expr)
-        if isinstance(expr, A.Builtin):
-            if expr.name != oplus:
-                # the dual lattice op may only touch x-free parts
-                parts = [lin(a, env) for a in expr.args]
-                if any(p[0] is not _ZERO for p in parts):
-                    raise RecurrenceError(
-                        f"{expr.name} of the accumulator inside a "
-                        f"{algebra.name} recurrence (line {expr.line})"
-                    )
-                return (_ZERO, expr)
-            la, lb = lin(expr.args[0], env)
-            ra, rb = lin(expr.args[1], env)
-            return (mk_oplus(la, ra), mk_oplus(lb, rb))
-        if isinstance(expr, A.BinOp):
-            if expr.op in ("+", "-"):
-                la, lb = lin(expr.left, env)
-                ra, rb = lin(expr.right, env)
-                if la is _ZERO and ra is _ZERO:
-                    return (_ZERO, expr)
-                if la is not _ZERO and ra is not _ZERO:
-                    raise RecurrenceError(
-                        f"accumulator appears on both sides of {expr.op!r} "
-                        f"at line {expr.line} (not tropical-linear)"
-                    )
-                if la is not _ZERO:
-                    # (x (+) A) (+) e2, e2 x-free
-                    e2 = expr.right
-                    return (
-                        mk_shift(la, e2, negate=expr.op == "-"),
-                        mk_shift(lb, e2, negate=expr.op == "-"),
-                    )
-                if expr.op == "-":
-                    raise RecurrenceError(
-                        f"subtracting the accumulator at line {expr.line} "
-                        f"flips the lattice; not {algebra.name}-linear"
-                    )
-                return (mk_shift(ra, expr.left), mk_shift(rb, expr.left))
-            # '*', '/', relations: only on x-free parts (scaling does not
-            # distribute over max/min without sign knowledge)
-            la, lb = lin(expr.left, env)
-            ra, rb = lin(expr.right, env)
-            if la is not _ZERO or ra is not _ZERO:
-                raise RecurrenceError(
-                    f"accumulator under {expr.op!r} at line {expr.line}; "
-                    f"not {algebra.name}-linear"
-                )
-            return (_ZERO, expr)
-        if isinstance(expr, A.UnOp):
-            a, b = lin(expr.operand, env)
-            if a is not _ZERO:
-                raise RecurrenceError(
-                    f"negating the accumulator at line {expr.line} flips "
-                    f"the lattice; not {algebra.name}-linear"
-                )
-            return (_ZERO, expr)
-        if isinstance(expr, A.Let):
-            inner = dict(env)
-            for d in expr.defs:
-                inner[d.name] = lin(d.expr, inner)
-            return lin(expr.body, inner)
-        if isinstance(expr, A.If):
-            if _references_acc(expr.cond, acc):
-                raise RecurrenceError(
-                    f"condition at line {expr.line} depends on the "
-                    f"accumulator"
-                )
-            ta, tb = lin(expr.then, env)
-            ea, eb = lin(expr.els, env)
-            if ta is _ZERO and ea is _ZERO:
-                return (_ZERO, expr)
-            return (
-                A.If(expr.cond, _tas(ta), _tas(ea)),
-                A.If(expr.cond, _tas(tb), _tas(eb)),
-            )
         raise RecurrenceError(
-            f"{type(expr).__name__} not allowed in a tropical recurrence"
+            f"element expression does not reference the accumulator{hint}"
         )
-
-    env0: dict = {}
-    for d in info.let_defs:
-        env0[d.name] = lin(d.expr, env0)
-    a, b = lin(info.element_expr, env0)
-    if a is _ZERO:
-        raise RecurrenceError(
-            "element expression does not reference the accumulator"
-        )
-    # local _tas closures used sentinel conversion; rebuild ASTs
-    coeff = a if isinstance(a, A.Node) else _trop_lit(
-        algebra.one if a is _ONE else algebra.zero
-    )
-    offset = b if isinstance(b, A.Node) else _trop_lit(
-        algebra.one if b is _ONE else algebra.zero
-    )
-    return LinearForm(coeff=coeff, offset=offset, algebra=algebra)
+    return LinearForm(*(_as_ast(c, algebra) for c in (a, b)), algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -433,97 +375,27 @@ def extract_mobius_form(
     """Rewrite the element expression as a linear fractional transform
     of ``X[i-1]``.
 
-    The numerator and denominator are each extracted with the affine
-    machinery; a top-level affine expression is the special case with
-    denominator ``0*x + 1``.
+    The element expression must be ``N / D``, possibly reached through
+    lets and let-bound names; N and D are each split with the ring
+    walker, which splits a let definition where it is used.  An x-free
+    side has coefficient 0.
     """
-    acc, counter = info.acc, info.counter
-    _ = (acc, counter)
-
-    # Find the outermost division whose operands are affine in x; the
-    # whole expression must be  N / D  (possibly wrapped in lets).
-    def peel(expr: A.Expr, env: dict) -> tuple[A.Expr, Optional[A.Expr], dict]:
+    scope, expr = (), A.Let(info.let_defs, info.element_expr)
+    while not (isinstance(expr, A.BinOp) and expr.op == "/"):
+        k = _binding(expr.name, scope) if isinstance(expr, A.Ident) else -1
         if isinstance(expr, A.Let):
-            inner = dict(env)
-            for dd in expr.defs:
-                inner[dd.name] = dd.expr  # lazily substituted below
-            return peel(expr.body, inner)
-        if isinstance(expr, A.Ident) and expr.name in env:
-            return peel(env[expr.name], env)
-        if isinstance(expr, A.BinOp) and expr.op == "/":
-            return expr.left, expr.right, env
-        return expr, None, env
-
-    def substitute(expr: A.Expr, env: dict) -> A.Expr:
-        """Inline let-bound names so the affine extractor sees one tree."""
-        if isinstance(expr, A.Ident) and expr.name in env:
-            return substitute(env[expr.name], env)
-        if isinstance(expr, A.Literal):
-            return expr
-        if isinstance(expr, A.Ident):
-            return expr
-        if isinstance(expr, A.BinOp):
-            return A.BinOp(
-                expr.op, substitute(expr.left, env), substitute(expr.right, env)
+            scope, expr = scope + tuple(expr.defs), expr.body
+        elif k >= 0:
+            scope, expr = scope[:k], scope[k].expr
+        else:
+            raise RecurrenceError(
+                "element expression is not a division; not a fractional "
+                "recurrence"
             )
-        if isinstance(expr, A.UnOp):
-            return A.UnOp(expr.op, substitute(expr.operand, env))
-        if isinstance(expr, A.Builtin):
-            return A.Builtin(expr.name, [substitute(x, env) for x in expr.args])
-        if isinstance(expr, A.Index):
-            return expr
-        if isinstance(expr, A.If):
-            return A.If(
-                substitute(expr.cond, env),
-                substitute(expr.then, env),
-                substitute(expr.els, env),
-            )
-        if isinstance(expr, A.Let):
-            inner = dict(env)
-            for dd in expr.defs:
-                inner[dd.name] = substitute(dd.expr, env)
-            return substitute(expr.body, inner)
-        raise RecurrenceError(
-            f"{type(expr).__name__} not supported in a fractional recurrence"
-        )
-
-    env0: dict = {}
-    for dd in info.let_defs:
-        env0[dd.name] = dd.expr
-    num, den, env = peel(info.element_expr, env0)
-    if den is None:
-        raise RecurrenceError(
-            "element expression is not a division; not a fractional "
-            "recurrence"
-        )
-
-    def affine(expr: A.Expr) -> tuple[A.Expr, A.Expr]:
-        pseudo = ForIterInfo(
-            counter=info.counter,
-            counter_lo=info.counter_lo,
-            acc=info.acc,
-            init_index=info.init_index,
-            init_expr=info.init_expr,
-            element_expr=substitute(expr, env),
-            elem_lo=info.elem_lo,
-            elem_hi=info.elem_hi,
-            final_append=info.final_append,
-            let_defs=[],
-            accesses=info.accesses,
-            body_hi=info.body_hi,
-        )
-        try:
-            form = extract_linear_form(pseudo, params)
-            return form.coeff, form.offset
-        except RecurrenceError as exc:
-            if "does not reference" in str(exc):
-                # x-free side: coefficient 0
-                return A.Literal(0.0, A.REAL), substitute(expr, env)
-            raise
-
-    a_c, b_c = affine(num)
-    c_c, d_c = affine(den)
-    return MobiusForm(a=a_c, b=b_c, c=c_c, d=d_c)
+    split = _splitter(info, params, RING)
+    a, b = split(expr.left, scope)
+    c, d = split(expr.right, scope)
+    return MobiusForm(*(_as_ast(_close(x, scope), RING) for x in (a, b, c, d)))
 
 
 def mobius_apply(p: tuple, q: tuple) -> tuple:
@@ -544,9 +416,7 @@ def mobius_eval(p: tuple, x: float) -> float:
     return (pa * x + pb) / (pc * x + pd)
 
 
-def extract_recurrence(
-    info: ForIterInfo, params: Mapping[str, int]
-):
+def extract_recurrence(info: ForIterInfo, params: Mapping[str, int]):
     """Find *some* algebra over which the recurrence has a companion:
     the affine ring first (the paper's case), then max-plus / min-plus
     if the element expression uses the corresponding lattice operator,
@@ -559,18 +429,14 @@ def extract_recurrence(
     except RecurrenceError as ring_err:
         used = {
             n.name
-            for n in A.walk(info.element_expr)
+            for n in A.walk(A.Let(info.let_defs, info.element_expr))
             if isinstance(n, A.Builtin)
         }
-        for d in info.let_defs:
-            used |= {
-                n.name for n in A.walk(d.expr) if isinstance(n, A.Builtin)
-            }
         errors = [str(ring_err)]
-        for name, algebra in (("max", MAXPLUS), ("min", MINPLUS)):
-            if name in used:
+        for algebra in (MAXPLUS, MINPLUS):
+            if algebra.oplus in used:
                 try:
-                    return extract_tropical_form(info, params, algebra)
+                    return extract_linear_form(info, params, algebra)
                 except RecurrenceError as exc:
                     errors.append(str(exc))
         try:
@@ -580,16 +446,6 @@ def extract_recurrence(
         raise RecurrenceError(
             "no companion function found; tried: " + "; ".join(errors)
         ) from None
-
-
-def has_companion(info: ForIterInfo, params: Mapping[str, int]) -> bool:
-    """True when the for-iter is *simple* in some supported algebra
-    (Theorem 3 applies)."""
-    try:
-        extract_recurrence(info, params)
-        return True
-    except RecurrenceError:
-        return False
 
 
 def companion_apply(p: tuple, q: tuple, algebra: Algebra = RING):
@@ -630,15 +486,6 @@ def shift_index(
         return expr
     params = params or {}
 
-    def shifted_index(index: A.Expr, base_offset: Optional[int]) -> A.Expr:
-        assert base_offset is not None
-        new = base_offset - shift
-        i = A.Ident(counter)
-        if new == 0:
-            return i
-        op = "+" if new > 0 else "-"
-        return A.BinOp(op, i, A.Literal(abs(new), A.INTEGER))
-
     def walk(e: A.Expr) -> A.Expr:
         if isinstance(e, A.Literal):
             return e
@@ -649,7 +496,11 @@ def shift_index(
         if isinstance(e, A.Index):
             off = index_offset(e.index, counter, params)
             if isinstance(e.base, A.Ident) and off is not None:
-                return A.Index(e.base, shifted_index(e.index, off))
+                new, i = off - shift, A.Ident(counter)
+                op = "+" if new > 0 else "-"
+                return A.Index(e.base, i if new == 0 else A.BinOp(
+                    op, i, A.Literal(abs(new), A.INTEGER)
+                ))
             return A.Index(walk(e.base), walk(e.index))
         if isinstance(e, A.BinOp):
             return A.BinOp(e.op, walk(e.left), walk(e.right))

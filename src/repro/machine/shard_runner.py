@@ -327,7 +327,18 @@ class ShardedRunner:
                 f"no complete coordinated snapshot set in "
                 f"{point.directory}"
             )
-        sc = ShardConfig.coerce(shard_config, len(point.files))
+        k = len(point.files)
+        try:
+            sc = ShardConfig.coerce(shard_config, k)
+        except SimulationError:
+            # only the count depends on k: a malformed config raises its
+            # own error again here
+            named = ShardConfig.coerce(shard_config).shards
+            raise SimulationError(
+                f"{point.directory} holds a {k}-shard snapshot set, and the "
+                f"set fixes the shard count; the shard config's "
+                f"shards={named} disagrees"
+            ) from None
         # a damaged member is refused here; the workers load them
         paths = [point.directory.resolve() / name for name in point.files]
         chains = [verify_chain(path) for path in paths]

@@ -70,7 +70,6 @@ class TestContext:
         s3 = static_filter([True])
         ctx = ROOT.extend(s1).extend(s2).extend(s3)
         assert ctx.static_prefix().filters == (s1,)
-        assert ctx.runtime_suffix() == (s2, s3)
 
     def test_prefix_relation(self):
         f = static_filter([True])

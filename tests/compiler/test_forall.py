@@ -50,7 +50,6 @@ class TestPipelineScheme:
     def test_output_range_metadata(self):
         art = example1_artifacts(5)
         assert (art.out_lo, art.out_hi) == (0, 6)
-        assert art.out_length == 7
 
     def test_fully_pipelined_interior(self):
         m = 120

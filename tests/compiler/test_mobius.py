@@ -95,8 +95,12 @@ X : array[real] :=
 """
         node = parse_program(src).blocks[0].expr
         info = classify_foriter(node, set(), {"m": 5})
-        with pytest.raises(RecurrenceError, match="no companion"):
+        with pytest.raises(RecurrenceError, match="no companion") as exc:
             extract_recurrence(info, {"m": 5})
+        # the fractional try names the product's own line, as the ring
+        # try does
+        assert str(exc.value).count("quadratic in the accumulator at "
+                                    "line 5") == 2
 
     def test_degenerate_ratio_is_still_mobius(self):
         """x/x == 1 is a (singular) linear fractional map; composition

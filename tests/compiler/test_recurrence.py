@@ -9,15 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import (
+    RING,
+    compile_program,
     companion_apply,
     companion_fold,
     extract_linear_form,
     extract_recurrence,
-    has_companion,
     shift_index,
 )
 from repro.errors import RecurrenceError
-from repro.val import classify_foriter, parse_expression, parse_program
+from repro.val import (
+    classify_foriter,
+    parse_expression,
+    parse_program,
+    run_program,
+)
+from repro.val.ast_nodes import REAL, Literal
 from repro.val.interpreter import eval_expr
 from repro.workloads.programs import SOURCES
 
@@ -64,7 +71,7 @@ class TestLinearFormExtraction:
     def test_prefix_sum_coeff_is_one(self):
         info, params = foriter_info(SOURCES["prefix_sum"], arrays=("A",))
         form = extract_linear_form(info, params)
-        assert form.is_pure_sum
+        assert form.coeff == Literal(1.0, REAL)
 
     @pytest.mark.parametrize(
         "element,coeff,offset",
@@ -111,22 +118,22 @@ class TestLinearFormExtraction:
         info, params = foriter_info(make_foriter(element), arrays=arrays)
         with pytest.raises(RecurrenceError, match=message):
             extract_linear_form(info, params)
-        assert not has_companion(info, params)
+        with pytest.raises(RecurrenceError, match="no companion function"):
+            extract_recurrence(info, params)
 
     def test_reciprocal_is_mobius_not_affine(self):
         """1/x escapes the affine class but IS a linear fractional
         transform -- the Moebius extension finds its companion."""
-        from repro.compiler.recurrence import MobiusForm, extract_recurrence
+        from repro.compiler.recurrence import MobiusForm
 
         info, params = foriter_info(make_foriter("1. / T[i-1]"), arrays=())
         with pytest.raises(RecurrenceError, match="division by the accumulator"):
             extract_linear_form(info, params)
         assert isinstance(extract_recurrence(info, params), MobiusForm)
-        assert has_companion(info, params)
 
-    def test_has_companion_true_for_simple(self):
+    def test_simple_recurrence_has_a_ring_companion(self):
         info, params = foriter_info(SOURCES["example2"])
-        assert has_companion(info, params)
+        assert extract_recurrence(info, params).algebra is RING
 
 
 #: (element expression, let definitions) of a for-iter over the arrays
@@ -363,6 +370,60 @@ def form_pin(case: str) -> str:
 @pytest.mark.parametrize("case", sorted(FORMS))
 def test_extracted_forms_are_pinned(case):
     assert form_pin(case) == FORM_PINS[case]
+
+
+class TestLetScopes:
+    """A coefficient may keep a let-bound name as written (an x-free
+    condition, comparison or tropical shift); it must still compile
+    outside the loop body, and a name that carries x must not pass as
+    an x-free condition."""
+
+    @pytest.mark.parametrize(
+        "element,let",
+        [
+            ("if k then 2. * T[i-1] else T[i-1] + A[i] endif",
+             "k : boolean := B[i] > 2."),
+            ("max(T[i-1] - K, A[i])", "K : real := B[i] * 0.1"),
+            ("let q : boolean := A[i] > 0.3 in "
+             "if q then 2. * T[i-1] else T[i-1] + B[i] endif endlet", ""),
+            ("A[i] / (if k then B[i] - A[i] * T[i-1] "
+             "else B[i] + A[i] * T[i-1] endif)",
+             "k : boolean := B[i] > 2."),
+            ("if i < 4 then let k : boolean := A[i] > 0.3 in "
+             "if k then 2. * T[i-1] else T[i-1] + B[i] endif endlet "
+             "else let k : boolean := B[i] > 2. in "
+             "if k then 2. * T[i-1] else T[i-1] + A[i] endif endlet endif",
+             ""),
+            ("let k : boolean := A[i] > 0.3; "
+             "P : real := if k then 2. * T[i-1] else T[i-1] + B[i] endif in "
+             "let k : boolean := B[i] > 2. in "
+             "P + (if k then 1. else 0. endif) endlet endlet", ""),
+            ("let Q : real := B[i] in let Q : real := Q * 2. in "
+             "A[i] / (Q - A[i] * T[i-1]) endlet endlet", ""),
+        ],
+        ids=["ring-cond", "maxplus-shift", "inner-let-cond", "mobius-cond",
+             "same-name-in-branches", "same-name-after-use",
+             "mobius-shadowed-let"],
+    )
+    def test_companion_compiles_a_let_named_coefficient(self, element, let):
+        src = make_foriter(element, let)
+        inputs = {"A": [0.5, 0.2, 0.3, 0.1, 0.4, 0.6],
+                  "B": [3.0, 1.0, 3.0, 1.0, 3.0, 3.0]}
+        cp = compile_program(src, params={"m": 6}, foriter_scheme="companion")
+        ref = run_program(
+            parse_program(src),
+            inputs={k: (1, v) for k, v in inputs.items()}, params={"m": 6},
+        )["X"].to_list()
+        assert cp.run(inputs).outputs["X"].to_list() == pytest.approx(ref)
+
+    def test_condition_through_an_x_carrying_let_is_rejected(self):
+        src = make_foriter(
+            "if K > 1. then 2. * T[i-1] else T[i-1] + B[i] endif",
+            "K : real := T[i-1] + A[i]",
+        )
+        info, params = foriter_info(src)
+        with pytest.raises(RecurrenceError, match="condition at line 6"):
+            extract_recurrence(info, params)
 
 
 class TestCompanionProperties:

@@ -13,14 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import compile_program, has_companion
+from repro.compiler import compile_program
 from repro.compiler.recurrence import (
     MAXPLUS,
     MINPLUS,
     RING,
     companion_apply,
+    extract_linear_form,
     extract_recurrence,
-    extract_tropical_form,
 )
 from repro.errors import RecurrenceError
 from repro.val import classify_foriter, parse_program, run_program
@@ -108,7 +108,6 @@ class TestTropicalExtraction:
         info, params = _info(ENVELOPE_SRC, {"A", "D"})
         form = extract_recurrence(info, params)
         assert form.algebra is MAXPLUS
-        assert has_companion(info, params)
 
     def test_floor_is_minplus(self):
         info, params = _info(FLOOR_SRC, {"A", "C"})
@@ -126,7 +125,7 @@ class TestTropicalExtraction:
         from repro.val.values import ValArray
 
         info, params = _info(ENVELOPE_SRC, {"A", "D"})
-        form = extract_tropical_form(info, params, MAXPLUS)
+        form = extract_linear_form(info, params, MAXPLUS)
         env = {
             "i": 3,
             "A": ValArray(1, (5.0,) * 10),
@@ -158,7 +157,7 @@ X : array[real] :=
 """
         info, params = _info(src, {"A"})
         with pytest.raises(RecurrenceError, match=message):
-            extract_tropical_form(
+            extract_linear_form(
                 info, params,
                 MINPLUS if element.startswith("min") else MAXPLUS,
             )

@@ -280,7 +280,12 @@ class TestCli:
         capsys.readouterr()
         rc = cli_main(["resume", snaps, "--shard-config", '{"shards": 4}'])
         assert rc == 1
-        assert "disagrees" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "disagrees" in err
+        # the set, not the user, fixed the count: say so, and do not ask
+        # for the count to be given once
+        assert "holds a 2-shard snapshot set" in err
+        assert "give the count once" not in err
 
     @pytest.mark.parametrize("command", ["run", "checkpoint"])
     def test_shards_flag_equal_to_a_default_is_not_masked(
