@@ -9,6 +9,7 @@ same RunResult shape.
 
 import importlib
 import json
+import re
 
 import pytest
 
@@ -158,6 +159,48 @@ class TestRunFacade:
         resumed = repro.resume(tmp_path / "snaps")
         assert resumed.backend == "event"
         assert resumed.outputs == full.outputs
+
+
+class TestOptionMatrix:
+    """Which facade options each backend honors, pinned cell by cell:
+    a backend either runs with the option set (and computes the same
+    streams) or refuses it with one exact message -- never ignores a
+    machine option it cannot apply."""
+
+    OPTIONS = {
+        "shards": lambda d: 2,
+        "config": lambda d: MachineConfig(),
+        "faults": lambda d: FaultPlan(seed=1, drop_result=0.1),
+        "recovery": lambda d: False,
+        "checkpoint": lambda d: CheckpointConfig(d / "snaps", interval=10),
+        "shard_config": lambda d: {},
+        "workload_id": lambda d: "x",
+    }
+    #: backend -> the options it refuses; every other option runs
+    REFUSED = {
+        "sync": ["shards", "config", "faults", "checkpoint",
+                 "shard_config"],
+        "event": ["shards", "shard_config"],
+        "compiled": ["shards", "shard_config"],
+        "sharded": [],
+    }
+
+    @pytest.mark.parametrize("option", list(OPTIONS))
+    @pytest.mark.parametrize("backend", list(REFUSED))
+    def test_option_runs_or_is_refused(self, tmp_path, backend, option):
+        cp, inputs = figure("fig2", 8)
+        kwargs = {option: self.OPTIONS[option](tmp_path)}
+        if option not in self.REFUSED[backend]:
+            result = repro.run(cp, inputs, backend=backend, **kwargs)
+            assert result.backend == backend
+            assert result.outputs == repro.run(
+                cp, inputs, backend="sync").outputs
+            return
+        text = (f"shards=2 needs backend='sharded', not {backend!r}"
+                if option == "shards" else
+                f"backend {backend!r} does not support {option!r}")
+        with pytest.raises(ReproError, match=f"^{re.escape(text)}$"):
+            repro.run(cp, inputs, backend=backend, **kwargs)
 
 
 class TestRunResultJson:
