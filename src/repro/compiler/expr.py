@@ -30,7 +30,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 from ..errors import CompileError
 from ..graph.cell import GATE_PORT
@@ -282,18 +282,13 @@ class ExprBuilder:
         if isinstance(expr, A.Index):
             return self._compile_index(expr, ctx)
         if isinstance(expr, A.Let):
-            return self._compile_let(expr, ctx)
+            return self.compile_let(expr.defs, expr.body, ctx)
         if isinstance(expr, A.If):
             return self._compile_if(expr, ctx)
         raise CompileError(
             f"{type(expr).__name__} at line {expr.line} is not a primitive "
             f"expression; cannot map it (Theorem 1 covers PEs only)"
         )
-
-    def bind(self, name: str, value: BValue, ctx: Context) -> None:
-        """Bind a scalar stream (used by the block compilers for loop
-        parameters and the for-iter feedback leaf)."""
-        self.env[name] = (value, ctx)
 
     def bind_feedback(self, array: str, offset: int, wire: Wire) -> None:
         """Route accesses ``array[i+offset]`` to a loop feedback stream."""
@@ -475,12 +470,20 @@ class ExprBuilder:
         return wire
 
     # -- let ------------------------------------------------------------------
-    def _compile_let(self, expr: A.Let, ctx: Context) -> BValue:
+    def compile_let(self, defs: Sequence[A.Definition], body: A.Expr,
+                    ctx: Context = ROOT,
+                    def_ctx: Optional[Context] = None) -> BValue:
+        """``body`` in ``ctx`` under the definitions ``defs`` (a let's,
+        or a block's own), each compiled in ``def_ctx`` (default
+        ``ctx``).  Only the definitions ``body`` names, directly or
+        through another, are compiled: an unused one would leave cells
+        without destinations."""
+        def_ctx = ctx if def_ctx is None else def_ctx
         saved = dict(self.env)
         try:
-            for d in expr.defs:
-                self.env[d.name] = (self.compile(d.expr, ctx), ctx)
-            return self.compile(expr.body, ctx)
+            for d in A.used_definitions(defs, body):
+                self.env[d.name] = (self.compile(d.expr, def_ctx), def_ctx)
+            return self.compile(body, ctx)
         finally:
             self.env = saved
 

@@ -92,9 +92,7 @@ def compile_forall_pipeline(
     builder = ExprBuilder(
         g, info.var, info.lo, info.hi, params, arrays, prefix=f"{name}."
     )
-    for d in info.defs:
-        builder.bind(d.name, builder.compile(d.expr, ROOT), ROOT)
-    out = builder.compile(info.accum, ROOT)
+    out = builder.compile_let(info.defs, info.accum)
     out_wire = builder.materialize(out, ROOT)
     return _finish_block(name, g, builder, out_wire, info.lo, info.hi, arrays)
 
@@ -128,13 +126,9 @@ def compile_forall_parallel(
     for k in range(n):
         pattern = [j == k for j in range(n)]
         ctx = ROOT.extend(Filter(Split.from_pattern(pattern), True))
-        saved = dict(builder.env)
-        try:
-            for d in info.defs:
-                builder.bind(d.name, builder.compile(d.expr, ctx), ctx)
-            element_values.append((builder.compile(info.accum, ctx), ctx))
-        finally:
-            builder.env = saved
+        element_values.append(
+            (builder.compile_let(info.defs, info.accum, ctx), ctx)
+        )
 
     # Serialize with a merge chain: after step k the accumulated stream
     # holds elements lo..lo+k; control T..TF appends the next element.

@@ -182,10 +182,10 @@ def compile_foriter_todd(
     # destinations feed the first n_body values back as x_{i-1}.
     builder.bind_feedback(info.acc, -1, Wire(merge, ROOT, tag=True))
 
-    for d in info.let_defs:
-        builder.bind(d.name, builder.compile(d.expr, ROOT), ROOT)
     f_out = builder.materialize(
-        builder.compile(info.element_expr, elem_ctx), elem_ctx
+        builder.compile_let(info.let_defs, info.element_expr, elem_ctx,
+                            def_ctx=ROOT),
+        elem_ctx,
     )
     in_ctl = g.add_pattern_source(
         f"{name}.initctl", [False] + [True] * n_elem
@@ -537,10 +537,8 @@ def compile_foriter_interleaved(
         g, info.counter, 0, total_in - 1, params, ispecs, prefix=f"{name}."
     )
     # the counter *value* at interleaved position p is lo + p // batch
-    builder.bind(
-        info.counter,
-        Seq(tuple(info.elem_lo + p // batch for p in range(total_in))),
-        ROOT,
+    builder.env[info.counter] = (
+        Seq(tuple(info.elem_lo + p // batch for p in range(total_in))), ROOT
     )
 
     merge = g.add_merge(name=f"{name}.loop_merge")
@@ -552,10 +550,8 @@ def compile_foriter_interleaved(
     g.connect(fb_ctl, gate, GATE_PORT)
     builder.bind_feedback(info.acc, -1, Wire(gate, ROOT, tag=True))
 
-    for d in info.let_defs:
-        builder.bind(d.name, builder.compile(d.expr, ROOT), ROOT)
     f_out = builder.materialize(
-        builder.compile(info.element_expr, ROOT), ROOT
+        builder.compile_let(info.let_defs, info.element_expr), ROOT
     )
     in_ctl = g.add_pattern_source(
         f"{name}.initctl", [False] * batch + [True] * (total_out - batch)

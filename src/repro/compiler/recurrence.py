@@ -229,11 +229,7 @@ def _close(c: Coeff, scope: tuple) -> Coeff:
     shifts as written, and a coefficient is compiled outside all lets."""
     if c is _ZERO or c is _ONE:
         return c
-    need, kept = A.free_identifiers(c), []
-    for d in reversed(scope):
-        if d.name in need:
-            need = need - {d.name} | A.free_identifiers(d.expr)
-            kept.insert(0, d)
+    kept = A.used_definitions(scope, c)
     return A.Let(kept, c) if kept else c
 
 

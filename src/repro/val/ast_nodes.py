@@ -12,7 +12,7 @@ for-iter accumulator uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 # ---------------------------------------------------------------------------
 # types
@@ -369,3 +369,16 @@ def free_identifiers(node: Node, bound: frozenset[str] = frozenset()) -> set[str
 
     visit(node, bound)
     return free
+
+
+def used_definitions(defs: Sequence[Definition],
+                     body: Node) -> list[Definition]:
+    """The definitions of ``defs`` (bound in order, each in scope for
+    the later ones and ``body``) that ``body`` names directly or
+    through another used one, in declaration order."""
+    need, used = free_identifiers(body), []
+    for d in reversed(defs):
+        if d.name in need:
+            need = need - {d.name} | free_identifiers(d.expr)
+            used.insert(0, d)
+    return used

@@ -137,3 +137,42 @@ class TestSchemeEquivalence:
             res = repro.run(art.graph, {"B": B, "C": C}, backend="sync")
             outs.append(res.outputs["A"])
         assert outs[0] == pytest.approx(outs[1])
+
+
+class TestUnusedDefinitions:
+    """A definition the accumulation never reads, directly or through
+    another definition, compiles to nothing -- a forall's own or an
+    inner let's: it used to leave a cell without destinations
+    (``GraphError: ... has no destinations``)."""
+
+    SOURCES = {
+        "block-defs": """
+Y : array[real] :=
+  forall i in [0, m - 1]
+    k : real := a[i] * 2.;
+    s : real := a[i] + b[i];
+    y : real := s * b[i]
+  construct
+    (y + 2.) * (y - 3.)
+  endall
+""",
+        "inner-let": """
+Y : array[real] :=
+  forall i in [0, m - 1]
+  construct
+    let k : real := a[i] * 2.; s : real := a[i] + b[i] in s * b[i] endlet
+  endall
+""",
+    }
+
+    @pytest.mark.parametrize("source", list(SOURCES))
+    @pytest.mark.parametrize("scheme", ["pipeline", "parallel"])
+    def test_unused_definition_is_not_compiled(self, scheme, source):
+        m, src = 6, self.SOURCES[source]
+        inputs = {"a": [0.5, 1.5, -2.0, 3.0, 0.25, 1.0],
+                  "b": [2.0, -1.0, 0.5, 1.5, 4.0, -3.0]}
+        cp = repro.compile_program(src, params={"m": m},
+                                   forall_scheme=scheme)
+        ref = run_program(parse_program(src), inputs=inputs,
+                          params={"m": m})["Y"].to_list()
+        assert cp.run(inputs).outputs["Y"].to_list() == pytest.approx(ref)

@@ -219,6 +219,60 @@ X : array[real] :=
         assert res.outputs["X"] == [1.0] * (m + 1)
 
 
+class TestUnusedDefinitions:
+    """A let definition the element expression never reads, directly or
+    through another definition, compiles to nothing under every
+    for-iter scheme: Todd's and the interleaved loop used to leave its
+    cell without destinations (``GraphError: ... has no
+    destinations``)."""
+
+    SOURCE = """
+X : array[real] :=
+  for i : integer := 1; T : array[real] := [0: 0.] do
+    let K : real := B[i] * 2.;
+        Q : real := A[i] * T[i-1];
+        P : real := Q + B[i]
+    in
+      if i < m then iter T := T[i: P]; i := i + 1 enditer
+      else T[i: P]
+      endif
+    endlet
+  endfor
+"""
+
+    def test_todd(self):
+        m = 6
+        A, B = random_ab(m, 3)
+        cp = repro.compile_program(self.SOURCE, params={"m": m},
+                                   foriter_scheme="todd")
+        ref = run_program(parse_program(self.SOURCE),
+                          inputs={"A": (1, A), "B": (1, B)},
+                          params={"m": m})["X"].to_list()
+        assert cp.run({"A": A, "B": B}).outputs["X"].to_list() == (
+            pytest.approx(ref))
+
+    def test_interleaved(self):
+        m, b = 6, 2
+        pairs = [random_ab(m, 20 + j) for j in range(b)]
+        art = compile_foriter_interleaved(
+            "X", parse_program(self.SOURCE).blocks[0].expr,
+            example2_specs(m), {"m": m}, batch=b,
+        )
+        balance_graph(art.graph)
+        res = repro.run(
+            art.graph,
+            {"A": interleave([A for A, _ in pairs]),
+             "B": interleave([B for _, B in pairs])},
+            backend="sync",
+        )
+        for j, (A, B) in enumerate(pairs):
+            ref = run_program(parse_program(self.SOURCE),
+                              inputs={"A": (1, A), "B": (1, B)},
+                              params={"m": m})["X"].to_list()
+            assert deinterleave(res.outputs["X"], b)[j] == (
+                pytest.approx(ref)), f"instance {j}"
+
+
 class TestInterleavedScheme:
     def test_batch_semantics(self):
         m, b = 10, 4
