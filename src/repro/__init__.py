@@ -50,7 +50,7 @@ from ._lazy import lazy_exports
 __version__ = "1.0.0"
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".api": "BACKENDS BackendProtocol RunRequest RunResult resume run",
+    ".api": "RunResult resume run",
     ".checkpoint.manager": "CheckpointConfig",
     ".checkpoint.replay": "replay_bundle",
     ".client": "ServeClient connect",

@@ -1,13 +1,12 @@
-"""One entry point over the three execution backends.
+"""One entry point over the four execution backends.
 
-The reproduction grew three ways to execute a compiled instruction
-graph -- the unit-delay synchronous simulator (:mod:`repro.sim`), the
-event-driven packet-level machine (:mod:`repro.machine`) and the
-multi-process sharded runner (:mod:`repro.machine.shard_runner`);
-``backend="compiled"`` is the event machine with steady-state
-fast-forward on (:mod:`repro.machine.fastforward`).  They share the
-graph IR and the stream protocol but historically each had its own
-entry point, options and result shape.  :func:`run` unifies them::
+``sync`` is the unit-delay synchronous simulator (:mod:`repro.sim`),
+``event`` the event-driven packet-level machine (:mod:`repro.machine`),
+``sharded`` the multi-process sharded runner
+(:mod:`repro.machine.shard_runner`) and ``compiled`` the event machine
+with steady-state fast-forward on (:mod:`repro.machine.fastforward`).
+They share the graph IR and the stream protocol; :func:`run` gives
+them one set of options and one result shape::
 
     import repro
 
@@ -19,8 +18,9 @@ entry point, options and result shape.  :func:`run` unifies them::
 
 ``program`` may be Val source text (compiled on the fly), an already
 compiled :class:`~repro.compiler.CompiledProgram`, or a raw
-:class:`~repro.graph.graph.DataflowGraph`.  Each backend is an object
-satisfying :class:`BackendProtocol`, looked up in :data:`BACKENDS`.
+:class:`~repro.graph.graph.DataflowGraph`.  :func:`run` refuses every
+option the chosen backend does not honor and builds the engine with
+:func:`build_engine`, which ``repro checkpoint`` shares.
 
 :func:`run` and :func:`resume` are the only run/resume entry points;
 everything about a sharded run beyond its shard count is configured
@@ -29,9 +29,8 @@ through one :class:`~repro.machine.ShardConfig`.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Protocol, Union
+from typing import Any, Mapping, Optional, Union
 
 from .errors import ReproError
 from .timing import steady_interval as _steady_interval
@@ -64,23 +63,19 @@ class RunResult:
     shards: int = 1
 
     @classmethod
-    def from_engine(cls, backend: str, engine: Any, stats: Any,
-                    shards: int = 1) -> "RunResult":
+    def from_engine(cls, backend: str, engine: Any,
+                    stats: Any) -> "RunResult":
         """The result of a finished machine-clock engine (a
         :class:`~repro.machine.Machine` or
         :class:`~repro.machine.ShardedRunner`) that ``run()`` returned
         ``stats`` for."""
         outputs = engine.outputs()
         return cls(
-            backend=backend,
-            outputs=outputs,
-            sink_times={
-                s: list(engine.sink_arrival_times(s)) for s in outputs
-            },
-            cycles=stats.cycles,
-            stats=stats,
-            engine=engine,
-            shards=shards,
+            backend=backend, outputs=outputs,
+            sink_times={s: list(engine.sink_arrival_times(s))
+                        for s in outputs},
+            cycles=stats.cycles, stats=stats, engine=engine,
+            shards=getattr(engine, "shards", 1),
         )
 
     def initiation_interval(self, stream: Optional[str] = None) -> float:
@@ -128,14 +123,12 @@ class RunResult:
         """The stable JSON shape shared by the CLI's ``--json`` flag."""
         streams = {}
         for name in sorted(self.outputs):
+            ii = self.initiation_interval(name)
             streams[name] = {
                 "values": list(self.outputs[name]),
                 "times": list(self.sink_times.get(name, [])),
+                "initiation_interval": None if ii != ii else round(ii, 6),
             }
-            ii = self.initiation_interval(name)
-            streams[name]["initiation_interval"] = (
-                None if ii != ii else round(ii, 6)
-            )
         stats: dict[str, Any] = {
             "total_firings": getattr(self.stats, "total_firings", None),
             "summary": self.stats.summary()
@@ -154,152 +147,49 @@ class RunResult:
         }
 
 
-@dataclass
-class RunRequest:
-    """Everything a backend needs to execute one run (normalized by
-    :func:`run`; ``graph`` and ``inputs`` are already stream-level)."""
-
-    graph: Any
-    inputs: dict[str, list[Any]]
-    shards: Optional[int] = None        # None = not given
-    config: Any = None                  # MachineConfig, machine backends
-    faults: Any = None                  # FaultPlan
-    recovery: bool = True
-    checkpoint: Any = None              # CheckpointConfig
-    max_cycles: Optional[int] = None
-    shard_config: Any = None            # sharded: ShardConfig|dict|JSON
-    workload_id: Optional[str] = None
-
-    def reject(self, backend: str, *names: str) -> None:
-        """Fail loudly on options the backend cannot honor -- silently
-        dropping a fault plan or checkpoint config would let a caller
-        believe a run was fault-injected or recoverable when it was
-        neither.  A field is "set" when it differs from its dataclass
-        default, so e.g. ``shard_config={}`` is caught on non-sharded
-        backends while the default ``recovery=True`` passes."""
-        for name in names:
-            if getattr(self, name) != _REQUEST_DEFAULTS[name]:
-                raise ReproError(
-                    f"backend {backend!r} does not support {name!r}"
-                )
-
-    def budget(self, default: int) -> int:
-        """``max_cycles``, or the backend's ``default`` when not given."""
-        return default if self.max_cycles is None else self.max_cycles
-
-
-#: per-field "not set" values for :meth:`RunRequest.reject`; computed
-#: from the dataclass itself so the check can never drift from the
-#: actual defaults
-_REQUEST_DEFAULTS: dict[str, Any] = {
-    f.name: f.default
-    for f in dataclasses.fields(RunRequest)
-    if f.default is not dataclasses.MISSING
+#: the options each backend honors; :func:`run` refuses any other that
+#: is set (differs from its default), so a fault plan or checkpoint
+#: config is never silently dropped
+_MACHINE = ("config", "faults", "recovery", "checkpoint", "workload_id")
+_HONORS: dict[str, tuple[str, ...]] = {
+    "sync": ("recovery", "workload_id"),
+    "event": _MACHINE,
+    "sharded": ("shards", *_MACHINE, "shard_config"),
+    "compiled": _MACHINE,
 }
 
 
-class BackendProtocol(Protocol):
-    """An execution engine :func:`run` dispatches to."""
-
-    name: str
-
-    def execute(self, request: RunRequest) -> RunResult:
-        """Run to quiescence and report backend-independent results."""
-        ...
-
-
-class SyncBackend:
-    """Unit-delay synchronous simulator (:mod:`repro.sim.sync`)."""
-
-    name = "sync"
-
-    def execute(self, request: RunRequest) -> RunResult:
+def build_engine(backend: str, graph: Any, inputs: dict[str, list[Any]],
+                 *, shards: Optional[int] = None, config: Any = None,
+                 faults: Any = None, recovery: bool = True,
+                 checkpoint: Any = None, shard_config: Any = None,
+                 workload_id: Optional[str] = None) -> Any:
+    """The unstarted engine of ``backend`` over stream-level ``graph``
+    and ``inputs``: a :class:`~repro.sim.sync.SyncSimulator`, a
+    :class:`~repro.machine.Machine` (``event``, ``compiled``) or a
+    :class:`~repro.machine.ShardedRunner`, for the caller to start;
+    :func:`run` refuses the options an engine cannot apply."""
+    if backend == "sync":
         from .sim.sync import SyncSimulator
 
-        request.reject(
-            self.name, "shards", "config", "faults", "checkpoint",
-            "shard_config",
-        )
-        sim = SyncSimulator(request.graph, request.inputs)
-        sim.run(max_steps=request.budget(1_000_000))
-        records = {r.stream: r for r in sim.sink_records.values()}
-        return RunResult(
-            backend=self.name,
-            outputs=sim.outputs(),
-            sink_times={s: list(r.times) for s, r in records.items()},
-            cycles=sim.stats.steps,
-            stats=sim.stats,
-            engine=sim,
-        )
-
-
-class EventBackend:
-    """Single-process event-driven machine (:mod:`repro.machine`).
-
-    Registered twice: as ``"event"``, and as ``"compiled"`` with
-    ``fast_forward`` on, which skips whole steady-state periods
-    (:mod:`repro.machine.fastforward`) and is bit-identical to
-    ``"event"`` in values, sink times, cycle counts and statistics."""
-
-    def __init__(self, name: str = "event",
-                 fast_forward: bool = False) -> None:
-        self.name = name
-        self.fast_forward = fast_forward
-
-    def execute(self, request: RunRequest) -> RunResult:
-        from .machine.machine import Machine
-
-        request.reject(self.name, "shards", "shard_config")
-        machine = Machine(
-            request.graph,
-            config=request.config,
-            inputs=request.inputs,
-            fault_plan=request.faults,
-            recovery=request.recovery,
-            checkpoint=request.checkpoint,
-        )
-        if request.workload_id is not None:
-            machine.workload_id = request.workload_id
-        stats = machine.run(
-            max_cycles=request.budget(50_000_000),
-            fast_forward=self.fast_forward,
-        )
-        return RunResult.from_engine(self.name, machine, stats)
-
-
-class ShardedBackend:
-    """Multi-process sharded machine (:mod:`repro.machine.shard_runner`)."""
-
-    name = "sharded"
-
-    def execute(self, request: RunRequest) -> RunResult:
+        return SyncSimulator(graph, inputs)
+    if backend == "sharded":
         from .machine.shard_config import ShardConfig
         from .machine.shard_runner import ShardedRunner
 
-        runner = ShardedRunner(
-            request.graph,
-            request.inputs,
-            config=request.config,
-            fault_plan=request.faults,
-            recovery=request.recovery,
-            checkpoint=request.checkpoint,
-            workload_id=request.workload_id,
-            shard_config=ShardConfig.coerce(
-                request.shard_config, shards=request.shards
-            ),
+        return ShardedRunner(
+            graph, inputs, config=config, fault_plan=faults,
+            recovery=recovery, checkpoint=checkpoint,
+            workload_id=workload_id,
+            shard_config=ShardConfig.coerce(shard_config, shards=shards),
         )
-        stats = runner.run(max_cycles=request.budget(50_000_000))
-        return RunResult.from_engine(self.name, runner, stats, runner.shards)
+    from .machine.machine import Machine
 
-
-#: backend registry; :func:`run` resolves ``backend=`` names here
-BACKENDS: dict[str, BackendProtocol] = {
-    b.name: b
-    for b in (
-        SyncBackend(), EventBackend(), ShardedBackend(),
-        EventBackend("compiled", fast_forward=True),
-    )
-}
+    machine = Machine(graph, config=config, inputs=inputs,
+                      fault_plan=faults, recovery=recovery,
+                      checkpoint=checkpoint)
+    machine.workload_id = workload_id
+    return machine
 
 
 def _normalize(program: Any, inputs: Optional[Mapping[str, Any]],
@@ -368,17 +258,14 @@ def run(
         CheckpointConfig` for periodic (sharded: coordinated)
         snapshots.
     ``max_cycles``
-        Step (``"sync"``) or cycle budget, a positive int; ``None``
-        means the backend's default.  A run that has not quiesced
+        Step (``"sync"``, default 10**7) or cycle budget (default
+        5 * 10**7), a positive int.  A run that has not quiesced
         within it raises :class:`~repro.errors.SimulationTimeout`.
     """
-    try:
-        engine = BACKENDS[backend]
-    except KeyError:
+    if backend not in _HONORS:
         raise ReproError(
-            f"unknown backend {backend!r}; choose from "
-            f"{sorted(BACKENDS)}"
-        ) from None
+            f"unknown backend {backend!r}; choose from {sorted(_HONORS)}"
+        )
     if shards is not None and backend != "sharded":
         raise ReproError(
             f"shards={shards} needs backend='sharded', not {backend!r}"
@@ -390,20 +277,31 @@ def run(
         raise ReproError(
             f"max_cycles must be a positive int, got {max_cycles!r}"
         )
+    options = {
+        "shards": shards, "config": config, "faults": faults,
+        "recovery": recovery, "checkpoint": checkpoint,
+        "shard_config": shard_config, "workload_id": workload_id,
+    }
+    for name, value in options.items():
+        if name not in _HONORS[backend] and value != run.__kwdefaults__[name]:
+            raise ReproError(
+                f"backend {backend!r} does not support {name!r}"
+            )
     graph, streams = _normalize(program, inputs, params)
-    request = RunRequest(
-        graph=graph,
-        inputs=streams,
-        shards=shards,
-        config=config,
-        faults=faults,
-        recovery=recovery,
-        checkpoint=checkpoint,
-        max_cycles=max_cycles,
-        shard_config=shard_config,
-        workload_id=workload_id,
-    )
-    return engine.execute(request)
+    engine = build_engine(backend, graph, streams, **options)
+    if backend == "sync":
+        engine.run(max_steps=max_cycles or 10_000_000)
+        return RunResult(
+            backend=backend, outputs=engine.outputs(),
+            sink_times={r.stream: list(r.times)
+                        for r in engine.sink_records.values()},
+            cycles=engine.stats.steps, stats=engine.stats, engine=engine,
+        )
+    budget = max_cycles or 50_000_000
+    stats = (engine.run(max_cycles=budget) if backend == "sharded" else
+             engine.run(max_cycles=budget,
+                        fast_forward=backend == "compiled"))
+    return RunResult.from_engine(backend, engine, stats)
 
 
 def resume(
@@ -431,14 +329,10 @@ def resume(
     if point.sharded:
         runner = ShardedRunner.resume(point, shard_config=shard_config)
         stats = runner.run(max_cycles=max_cycles)
-        return RunResult.from_engine(
-            "sharded", runner, stats, len(runner.machines)
-        )
+        return RunResult.from_engine("sharded", runner, stats)
     if shard_config is not None:
-        raise ReproError(
-            "shard_config= applies only to sharded checkpoint "
-            "directories"
-        )
+        raise ReproError("shard_config= applies only to sharded "
+                         "checkpoint directories")
     machine = Machine.resume(point.path)
     stats = machine.run(max_cycles=max_cycles)
     return RunResult.from_engine("event", machine, stats)

@@ -41,7 +41,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
-from ..api import RunResult
+from ..api import RunResult, build_engine
 from ..cli import (
     emit_envelope,
     emit_outputs,
@@ -198,8 +198,7 @@ def _finish(engine: Union[Machine, ShardedRunner],
         print(f"# {stats.recovery.summary()}", file=sys.stderr)
     if args.json:
         result = RunResult.from_engine(
-            "sharded" if sharded else "event", engine, stats,
-            engine.shards if sharded else 1,
+            "sharded" if sharded else "event", engine, stats
         )
         emit_envelope(command, True, result.to_json_dict())
     else:
@@ -208,7 +207,6 @@ def _finish(engine: Union[Machine, ShardedRunner],
 
 
 def cmd_checkpoint(args: argparse.Namespace) -> int:
-    from ..machine import Machine, ShardConfig, ShardedRunner
     from .manager import CheckpointConfig
 
     if not shard_flags_fit(args):
@@ -224,22 +222,14 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
         record=args.record,
         delta_every=args.delta_every,
     )
-    workload_id = f"{args.workload}[m={args.size}]"
+    engine = build_engine(
+        args.backend, program.graph, inputs, shards=args.shards,
+        faults=plan, checkpoint=cfg, shard_config=args.shard_config,
+        workload_id=f"{args.workload}[m={args.size}]",
+    )
+    shape = f"m={args.size}"
     if args.backend == "sharded":
-        engine = ShardedRunner(
-            program.graph, inputs, fault_plan=plan,
-            checkpoint=cfg, workload_id=workload_id,
-            shard_config=ShardConfig.coerce(
-                args.shard_config, shards=args.shards
-            ),
-        )
-        shape = f"m={args.size}, {engine.shards} shards"
-    else:
-        engine = Machine(
-            program.graph, inputs=inputs, fault_plan=plan, checkpoint=cfg
-        )
-        engine.workload_id = workload_id
-        shape = f"m={args.size}"
+        shape += f", {engine.shards} shards"
     if plan is not None:
         print(f"# plan: {plan.describe()}", file=sys.stderr)
     print(

@@ -210,34 +210,31 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not shard_flags_fit(args):
         return 1
     cp = _compile(args)
-    if args.backend == "sync" and not args.json:
-        # historical stdout shape: ValArray outputs as [lo, [...]]
-        result = cp.run(_load_inputs(args.inputs))
-        clock = "instruction times"
-        total = (f"{result.stats.steps} instruction times, "
-                 f"{result.stats.total_firings} firings")
-    else:
-        result = api.run(
-            cp,
-            _load_inputs(args.inputs),
-            backend=args.backend,
-            shards=args.shards,
-            shard_config=args.shard_config,
-        )
-        if args.json:
-            emit_envelope("run", True, result.to_json_dict())
-            return 0
-        clock, total = "cycles", f"{result.cycles} cycles"
-    emit_outputs(result.outputs)
+    result = api.run(
+        cp,
+        _load_inputs(args.inputs),
+        backend=args.backend,
+        shards=args.shards,
+        shard_config=args.shard_config,
+    )
+    if args.json:
+        emit_envelope("run", True, result.to_json_dict())
+        return 0
+    emit_outputs({
+        name: [lo, result.outputs[name]]
+        for name, (lo, _hi) in cp.output_specs.items()
+    })
     if args.stats:
-        for stream in result.outputs:
+        clock = "instruction times" if args.backend == "sync" else "cycles"
+        for stream in cp.output_specs:
             print(
                 f"# {stream}: II = "
                 f"{result.initiation_interval(stream):.3f} "
                 f"{clock}/element",
                 file=sys.stderr,
             )
-        print(f"# total: {total}", file=sys.stderr)
+        print(f"# total: {result.cycles} {clock}, "
+              f"{result.stats.total_firings} firings", file=sys.stderr)
     return 0
 
 
